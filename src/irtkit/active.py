@@ -6,7 +6,9 @@ picks which of their unanswered questions to query (uncertainty: the
 question whose predicted probability is closest to 0.5; random: a
 uniform draw), the oracle label is revealed, the model is retrained
 warm-started for a capped number of epochs, and accuracy on each pool
-student's reserved holdout questions is recorded.
+student's reserved holdout questions is recorded. The loop holds the
+pool as (student, question) arrays, so a round is a few whole-pool
+numpy operations rather than a pass over the students.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Dataset
-from .models import RASCH, ModelSpec, RaschParams, sigmoid
+from .models import RASCH, ModelSpec, sigmoid
 from .optim import TrainConfig, sgd_train
 
 UNCERTAINTY = "uncertainty"
@@ -74,10 +76,10 @@ def make_pool_state(d: Dataset, pool_size: int, holdout_fraction: float = 0.2, s
         raise ValueError("pool_size must leave at least one base student")
     rng = np.random.default_rng(seed)
     pool_ids = np.sort(rng.choice(d.num_students, size=pool_size, replace=False))
-    pool_set = set(int(i) for i in pool_ids)
 
-    base_students = np.array([s for s in range(d.num_students) if s not in pool_set], dtype=np.int64)
-    remap = np.full(d.num_students, -1, dtype=np.int64)
+    remap = np.zeros(d.num_students, dtype=np.int64)
+    remap[pool_ids] = -1
+    base_students = np.flatnonzero(remap == 0)
     remap[base_students] = np.arange(base_students.shape[0])
     base_mask = remap[d.student_idx] >= 0
     base = Dataset(
@@ -93,18 +95,21 @@ def make_pool_state(d: Dataset, pool_size: int, holdout_fraction: float = 0.2, s
         class_ids=d.class_ids,
     )
 
+    # rows grouped by student, each group in row order
+    by_student = np.argsort(d.student_idx, kind="stable")
+    bounds = np.searchsorted(d.student_idx[by_student], np.stack([pool_ids, pool_ids + 1]))
     pool: list[PoolStudent] = []
-    for s in pool_ids:
-        positions = np.flatnonzero(d.student_idx == s)
-        answers = {int(d.question_idx[i]): int(d.y[i]) for i in positions}
+    for s, lo, hi in zip(pool_ids, *bounds):
+        rows = by_student[lo:hi]
+        answers = dict(zip(d.question_idx[rows].tolist(), d.y[rows].tolist()))
         qs = np.array(sorted(answers), dtype=np.int64)
         k = max(1, int(np.floor(holdout_fraction * qs.size + 0.5)))
         k = min(k, qs.size - 1) if qs.size > 1 else qs.size
-        held = set(int(q) for q in rng.choice(qs, size=k, replace=False))
+        held = set(rng.choice(qs, size=k, replace=False).tolist())
         pool.append(PoolStudent(
             student_id=d.student_ids[s],
             revealed={},
-            hidden={q: answers[q] for q in sorted(answers) if q not in held},
+            hidden={q: answers[q] for q in qs.tolist() if q not in held},
             test_holdout={q: answers[q] for q in sorted(held)},
         ))
     return PoolState(base=base, pool=pool)
@@ -122,39 +127,11 @@ def select_next(probabilities: dict, already_revealed: set) -> int:
     return min(candidates, key=lambda q: (abs(probabilities[q] - 0.5), q))
 
 
-def _combined_dataset(state: PoolState) -> Dataset:
-    """Base responses plus every revealed pool answer, pool students appended."""
-    base = state.base
-    extra_s, extra_q, extra_y = [], [], []
-    for j, student in enumerate(state.pool):
-        for q, label in student.revealed.items():
-            extra_s.append(base.num_students + j)
-            extra_q.append(q)
-            extra_y.append(label)
-    class_of = np.concatenate([base.class_of, np.zeros(len(state.pool), dtype=np.int64)])
-    return Dataset(
-        student_idx=np.concatenate([base.student_idx, np.array(extra_s, dtype=np.int64)]),
-        question_idx=np.concatenate([base.question_idx, np.array(extra_q, dtype=np.int64)]),
-        y=np.concatenate([base.y, np.array(extra_y, dtype=np.int8)]),
-        num_students=base.num_students + len(state.pool),
-        num_questions=base.num_questions,
-        num_classes=base.num_classes,
-        class_of=class_of,
-        student_ids=base.student_ids + tuple(p.student_id for p in state.pool),
-        question_ids=base.question_ids,
-        class_ids=base.class_ids,
-    )
-
-
-def _holdout_accuracies(state: PoolState, params: RaschParams, threshold: float = 0.5) -> np.ndarray:
-    base_s = state.base.num_students
-    accs = np.empty(len(state.pool))
-    for j, student in enumerate(state.pool):
-        qs = np.fromiter(student.test_holdout.keys(), dtype=np.int64)
-        ys = np.fromiter(student.test_holdout.values(), dtype=np.int64)
-        p = sigmoid(params.ability[base_s + j] + params.easiness[qs])
-        accs[j] = np.mean((p >= threshold) == (ys == 1))
-    return accs
+def _cells(pool: list, name: str):
+    """(pool row, question, label) arrays of one dict field, pool then dict order."""
+    maps = [getattr(p, name) for p in pool]
+    cells = np.fromiter((qy for m in maps for qy in m.items()), dtype=np.dtype((np.int64, 2)))
+    return np.repeat(np.arange(len(maps)), [len(m) for m in maps]), cells[:, 0], cells[:, 1]
 
 
 def run_active_loop(state: PoolState, cfg: ActiveConfig) -> ActiveResult:
@@ -167,64 +144,86 @@ def run_active_loop(state: PoolState, cfg: ActiveConfig) -> ActiveResult:
     ability-difficulty model warm-started from the previous round, and
     scores the reserved holdouts. Rounds that outrun a student's hidden
     answers reveal whatever remains; the loop truncates with a warning
-    once every hidden answer is out.
+    once every hidden answer is out. The input state is never mutated.
     """
     if not state.pool:
         raise ValueError("pool must be non-empty")
     spec = ModelSpec(RASCH)
     rng = np.random.default_rng(cfg.seed)
-    # work on a copy so paired policy runs can share one PoolState
-    state = PoolState(base=state.base,
-                      pool=[replace(p, revealed=dict(p.revealed)) for p in state.pool])
-    base_s = state.base.num_students
-    P, Q = len(state.pool), state.base.num_questions
+    base = state.base
+    base_s = base.num_students
+    P, Q = len(state.pool), base.num_questions
 
-    queryable = np.zeros((P, Q), dtype=bool)
-    for j, student in enumerate(state.pool):
-        queryable[j, list(student.hidden)] = True
-        queryable[j, list(student.revealed)] = False
+    label = np.zeros((P, Q), dtype=np.int8)
+    queryable, holdout = np.zeros((2, P, Q), dtype=bool)
+    for name, mask, value in (("test_holdout", holdout, True), ("hidden", queryable, True),
+                              ("revealed", queryable, False)):
+        rows, qs, ys = _cells(state.pool, name)
+        mask[rows, qs] = value
+        label[rows, qs] = ys
+    # reveal order per student, -1 past the end; seeded by the "revealed" pass
+    order = np.full((P, Q), -1, dtype=np.int64)
+    order[rows, np.arange(rows.size) - np.searchsorted(rows, rows)] = qs
+    n_revealed = np.bincount(rows, minlength=P)
 
-    combined = _combined_dataset(state)
-    initial_cfg = replace(cfg.retrain, epochs=cfg.initial_epochs, seed=cfg.seed)
-    params, _ = sgd_train(spec, combined, initial_cfg)
+    class_of = np.concatenate([base.class_of, np.zeros(P, dtype=np.int64)])
+    student_ids = base.student_ids + tuple(p.student_id for p in state.pool)
+    per_round = []   # holdout accuracy per pool student, one row per round
+
+    def combined() -> Dataset:
+        """Base responses, then every revealed pool answer in pool and reveal order."""
+        j, slot = np.nonzero(order >= 0)
+        q = order[j, slot]
+        return replace(base, student_idx=np.concatenate([base.student_idx, base_s + j]),
+                       question_idx=np.concatenate([base.question_idx, q]),
+                       y=np.concatenate([base.y, label[j, q]]),
+                       num_students=base_s + P, class_of=class_of, student_ids=student_ids)
+
+    def score(params) -> np.ndarray:
+        """Record holdout accuracy per pool student; return the pool's probabilities."""
+        probs = sigmoid(params.ability[base_s:, None] + params.easiness)
+        hits = ((probs >= 0.5) == (label == 1)) & holdout
+        per_round.append(hits.sum(axis=1) / holdout.sum(axis=1))
+        return probs
+
+    params, _ = sgd_train(spec, combined(), replace(cfg.retrain, epochs=cfg.initial_epochs, seed=cfg.seed))
     # cold-start pool abilities at the prior mean
     params.ability[base_s:] = 0.0
+    probs = score(params)
+    steps = np.arange(cfg.batch_size)
 
-    per_round = [_holdout_accuracies(state, params)]
-    revealed_counts = [0]
-
-    rounds_done = 0
     for r in range(1, cfg.rounds + 1):
         if not queryable.any():
-            warnings.warn(f"all hidden answers revealed after {rounds_done} rounds; truncating")
+            warnings.warn(f"all hidden answers revealed after {r - 1} rounds; truncating")
             break
+        open_counts = queryable.sum(axis=1)
+        takes = steps < np.minimum(cfg.batch_size, open_counts)[:, None]
         if cfg.policy == UNCERTAINTY:
-            probs = sigmoid(params.ability[base_s:, None] + params.easiness[None, :])
             scores = np.where(queryable, np.abs(probs - 0.5), np.inf)
-        for j, student in enumerate(state.pool):
-            for _ in range(cfg.batch_size):
-                open_qs = np.flatnonzero(queryable[j])
-                if open_qs.size == 0:
-                    break
-                if cfg.policy == UNCERTAINTY:
-                    q_next = int(np.argmin(scores[j]))  # first minimum = lowest index
-                    scores[j, q_next] = np.inf
-                else:
-                    q_next = int(rng.choice(open_qs))
-                queryable[j, q_next] = False
-                student.revealed[q_next] = student.hidden[q_next]
-        combined = _combined_dataset(state)
+        else:
+            # one draw per pick, student-major, from the shrinking open count
+            draws = np.zeros(takes.shape, dtype=np.int64)
+            draws[takes] = rng.integers(0, (open_counts[:, None] - steps)[takes])
+        for b in steps:
+            j = np.flatnonzero(takes[:, b])
+            if cfg.policy == UNCERTAINTY:
+                q_next = np.argmin(scores[j], axis=1)  # first minimum = lowest index
+                scores[j, q_next] = np.inf
+            else:
+                # the draws[j, b]-th still-open question of each student
+                q_next = np.argmax(np.cumsum(queryable[j], axis=1) > draws[j, b, None], axis=1)
+            queryable[j, q_next] = False
+            order[j, n_revealed[j]] = q_next
+            n_revealed[j] += 1
         retrain_cfg = replace(cfg.retrain, seed=cfg.seed + r)
-        params, _ = sgd_train(spec, combined, retrain_cfg, warm_start=params)
-        per_round.append(_holdout_accuracies(state, params))
-        revealed_counts.append(revealed_counts[-1] + cfg.batch_size)
-        rounds_done = r
+        params, _ = sgd_train(spec, combined(), retrain_cfg, warm_start=params)
+        probs = score(params)
 
     per_student = np.vstack(per_round)
     return ActiveResult(
         policy=cfg.policy,
         seed=cfg.seed,
-        questions_revealed=revealed_counts,
+        questions_revealed=[k * cfg.batch_size for k in range(len(per_round))],
         overall_accuracy=[float(np.mean(row)) for row in per_student],
         per_student_accuracy=per_student,
     )

@@ -107,6 +107,8 @@ def load_checkpoint(path: str) -> Checkpoint:
         doc = json.load(fh)
     if doc.get("format") != FORMAT:
         raise ValueError(f"{path}: not an {FORMAT} file")
+    if doc.get("version") != VERSION:
+        raise ValueError(f"{path}: checkpoint version {doc.get('version')!r}, expected {VERSION}")
     kind = doc["kind"]
     dims = int(doc["dims"])
     tensors = {}

@@ -118,7 +118,7 @@ def _cmd_train_vi(args, manifest: ManifestWriter) -> int:
     params, report = train_vi(args.model, dataset, cfg, dims=args.dims)
     save_checkpoint(args.out, args.model, params, dataset)
     manifest.add_output(args.out)
-    manifest.config = {"model": args.model, "dims": args.dims, "samples": args.samples,
+    manifest.config = {"model": args.model, "dims": params.dims, "samples": args.samples,
                        "sigma_init": args.sigma_init, "lr": args.lr, "epochs": args.epochs,
                        "warm_start": bool(args.warm_start)}
     manifest.seeds["train"] = args.seed

@@ -22,14 +22,17 @@ _P_HI = np.nextafter(1.0, 0.0)
 
 
 def sigmoid(x):
-    """Numerically stable logistic function, branch on sign, no logit clipping."""
+    """Numerically stable logistic function, branch-free, no logit clipping.
+
+    With e = exp(-|x|), which cannot overflow, this is 1 / (1 + e) for
+    x >= 0 and e / (1 + e) below: the same operations, and so the same
+    bits, as branching on the sign.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out if out.ndim else float(out)
+    e = np.exp(-np.abs(x))
+    out = np.maximum(e, x >= 0)
+    out /= 1.0 + e
+    return out if np.ndim(out) else float(out)
 
 
 def softplus(x):

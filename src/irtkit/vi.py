@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .data import Dataset
-from .models import sigmoid, softplus
+from .models import _P_HI, _P_LO, sigmoid, softplus
 from .optim import TrainingDiverged, TrainReport
 
 RASCH_VI = "rasch-vi"
@@ -359,7 +359,9 @@ def predict_prob_vi(params: VIParams, s: int, q: int, class_of=None,
     """Test-time probability for one cell.
 
     Plug-in mean evaluates the logistic at the posterior means (and point
-    tensors); Monte Carlo averages sigma(z) over M sampled latents.
+    tensors); Monte Carlo averages sigma(z) over M sampled latents. Either
+    way the output is clamped to the open interval (0, 1), as on the point
+    path.
     """
     z_mu = float(params.ability_mu[s] + params.easiness[q])
     vec_mu = vec_sig = dem = None
@@ -373,7 +375,7 @@ def predict_prob_vi(params: VIParams, s: int, q: int, class_of=None,
 
     if mode == PLUG_IN_MEAN:
         z = z_mu + (float(vec_mu @ dem) if vec_mu is not None else 0.0)
-        return float(sigmoid(z))
+        return float(np.clip(sigmoid(z), _P_LO, _P_HI))
     if mode != MONTE_CARLO:
         raise ValueError(f"unknown prediction mode {mode!r}")
     rng = np.random.default_rng(seed)
@@ -383,11 +385,11 @@ def predict_prob_vi(params: VIParams, s: int, q: int, class_of=None,
     if vec_mu is not None:
         vec = vec_mu[None, :] + vec_sig[None, :] * rng.standard_normal((M, params.dims))
         z = z + vec @ dem
-    return float(np.mean(sigmoid(z)))
+    return float(np.clip(np.mean(sigmoid(z)), _P_LO, _P_HI))
 
 
 def predict_proba_vi_array(params: VIParams, s_idx, q_idx, class_of=None) -> np.ndarray:
-    """Vectorized plug-in-mean probabilities (the deterministic default)."""
+    """Vectorized plug-in-mean probabilities (the deterministic default), clamped like the point path."""
     z = params.ability_mu[s_idx] + params.easiness[q_idx]
     if params.kind == INTERACTION_VI and params.dims > 0:
         z = z + np.einsum("nd,nd->n", params.skill_mu[s_idx], params.demand[q_idx])
@@ -395,7 +397,7 @@ def predict_proba_vi_array(params: VIParams, s_idx, q_idx, class_of=None) -> np.
         if class_of is None:
             raise ValueError("class_of is required for class-interaction-vi")
         z = z + np.einsum("nd,nd->n", params.class_skill_mu[class_of[s_idx]], params.demand[q_idx])
-    return sigmoid(z)
+    return np.clip(sigmoid(z), _P_LO, _P_HI)
 
 
 def elbo_finite_diff_check(params: VIParams, data: Dataset, M: int, seed: int,

@@ -151,3 +151,15 @@ def mc_kl_estimate(mu: float, sigma: float, n: int, seed: int):
 def expected_sigmoid(mu: float, sigma: float, offset: float = 0.0) -> float:
     """E[sigmoid(b + offset)], b ~ N(mu, sigma^2), by quadrature."""
     return gh_expect(lambda b: expit(b + offset), mu, sigma)
+
+
+def two_branch_sigmoid(x):
+    """Logistic function by branching on the sign: 1 / (1 + e^-x) for x >= 0
+    and e^x / (1 + e^x) below, so neither branch's exp can overflow."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out

@@ -1,6 +1,7 @@
 """Active learning: selection rule, pool bookkeeping, and learning curves."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -66,8 +67,8 @@ class TestMakePoolState:
             make_pool_state(data, pool_size=60, seed=0)
 
 
-def _loop_config(policy, rounds, seed=0, epochs=40):
-    return ActiveConfig(policy=policy, batch_size=1, rounds=rounds,
+def _loop_config(policy, rounds, seed=0, epochs=40, batch_size=1):
+    return ActiveConfig(policy=policy, batch_size=batch_size, rounds=rounds,
                         retrain=TrainConfig(learning_rate=0.3, epochs=epochs, batch_size=256,
                                             convergence_tol=0.0),
                         initial_epochs=60, seed=seed)
@@ -112,6 +113,75 @@ class TestRunActiveLoop:
                 curves[policy] = run_active_loop(
                     state, _loop_config(policy, rounds=9, epochs=120, seed=11)).overall_accuracy
         assert abs(curves["uncertainty"][-1] - curves["random"][-1]) <= 0.002
+
+
+def _holdout_hits(state, result):
+    """Correct holdout answers per round, one digit per pool student.
+
+    Asserts first that each accuracy is exactly hits / holdout size, so
+    the digit strings pin per_student_accuracy bit for bit."""
+    n = np.array([len(p.test_holdout) for p in state.pool])
+    hits = np.rint(result.per_student_accuracy * n).astype(int)
+    assert np.array_equal(hits / n, result.per_student_accuracy)
+    return ["".join(str(h) for h in row) for row in hits]
+
+
+class TestPinnedCurves:
+    """Exact curves recorded from the per-student reveal loop that the
+    whole-pool array round replaced; any change in picks, draw order,
+    dataset row order or scoring shows up here."""
+
+    def _state(self):
+        return make_pool_state(_small_world()[0], pool_size=12, seed=5)
+
+    @pytest.mark.parametrize("policy,batch_size,revealed,hits", [
+        ("uncertainty", 1, [0, 1, 2, 3, 4],
+         ["221222211212", "121122202111", "121121202211", "121222202211", "121222112211"]),
+        ("random", 1, [0, 1, 2, 3, 4],
+         ["221222211212", "122111222212", "101112222111", "121112222112", "121122122111"]),
+        # the draws go student by student: both of a student's picks, then the next student's
+        ("random", 2, [0, 2, 4, 6, 8],
+         ["221222211212", "121202121111", "221112101111", "121212122211", "221222122211"]),
+    ])
+    def test_curves(self, policy, batch_size, revealed, hits):
+        state = self._state()
+        result = run_active_loop(state, _loop_config(policy, rounds=4, seed=9, batch_size=batch_size))
+        assert result.questions_revealed == revealed
+        assert _holdout_hits(state, result) == hits
+
+    @pytest.mark.parametrize("policy,batch_size,revealed,hits", [
+        ("uncertainty", 1, [0, 1, 2, 3],
+         ["221212211212", "221122202111", "221121201211", "221222102211"]),
+        ("random", 2, [0, 2, 4, 6],
+         ["221212211212", "201111122111", "101122122112", "101122121111"]),
+    ])
+    def test_student_with_prior_reveals(self, policy, batch_size, revealed, hits):
+        state = self._state()
+        first = state.pool[0]
+        prior = {q: first.hidden[q] for q in sorted(first.hidden)[:3]}
+        assert sorted(prior) == [0, 1, 4]
+        state = replace(state, pool=[replace(first, revealed=prior)] + state.pool[1:])
+        result = run_active_loop(state, _loop_config(policy, rounds=3, seed=2, batch_size=batch_size))
+        assert result.questions_revealed == revealed
+        assert _holdout_hits(state, result) == hits
+        assert state.pool[0].revealed == prior
+
+    def test_truncation(self):
+        state = make_pool_state(_small_world()[0], pool_size=8, holdout_fraction=0.25, seed=6)
+        with pytest.warns(UserWarning, match="after 5 rounds; truncating"):
+            result = run_active_loop(state, _loop_config("random", rounds=50, seed=3, batch_size=2))
+        assert result.questions_revealed == [0, 2, 4, 6, 8, 10]
+        assert _holdout_hits(state, result) == ["22231322", "12130223", "12231222", "22231222",
+                                                "22231222", "22232222"]
+
+    def test_pool_split(self):
+        state = make_pool_state(_small_world()[0], pool_size=4, holdout_fraction=0.25, seed=1)
+        assert [(p.student_id, p.test_holdout) for p in state.pool] == [
+            ("s26", {2: 1, 3: 0, 9: 0}), ("s29", {2: 1, 3: 1, 9: 0}),
+            ("s44", {0: 1, 5: 0, 11: 1}), ("s57", {5: 1, 8: 1, 9: 0})]
+        for p, labels in zip(state.pool, ["000001001", "001011111", "010011101", "101010110"]):
+            assert list(p.hidden) == sorted(set(range(12)) - set(p.test_holdout))
+            assert "".join(str(y) for y in p.hidden.values()) == labels
 
 
 class TestAbilityBucketReport:

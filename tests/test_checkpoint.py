@@ -1,9 +1,11 @@
 """Checkpoint serialization round-trips for point and variational models."""
 
+import json
+
 import numpy as np
 import pytest
 
-from irtkit.checkpoint import align_rows_to_checkpoint, load_checkpoint, save_checkpoint
+from irtkit.checkpoint import VERSION, align_rows_to_checkpoint, load_checkpoint, save_checkpoint
 from irtkit.data import RawResponse
 from irtkit.optim import TrainConfig, init_params, sgd_train
 from irtkit.models import ModelSpec
@@ -80,4 +82,18 @@ def test_unknown_file_rejected(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text('{"format": "something-else"}', encoding="utf-8")
     with pytest.raises(ValueError, match="not an irtkit-checkpoint"):
+        load_checkpoint(str(path))
+
+
+def test_other_version_rejected(tmp_path):
+    data = _dataset()
+    spec = ModelSpec("rasch")
+    params = init_params(spec, data.num_students, data.num_questions, data.num_classes,
+                         np.random.default_rng(1), 0.5)
+    path = tmp_path / "future.json"
+    save_checkpoint(str(path), "rasch", params, data)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["version"] = VERSION + 1
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"future\.json: checkpoint version {VERSION + 1}, expected {VERSION}"):
         load_checkpoint(str(path))

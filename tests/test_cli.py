@@ -155,6 +155,18 @@ class TestPipeline:
         assert code == 1
         assert "warm-start" in err
 
+    def test_warm_start_manifest_records_checkpoint_dims(self, workdir, capsys):
+        run_cli(capsys, *_synth_args("data.csv"))
+        assert run_cli(capsys, "train", "--data", "data.csv", "--model", "class-interaction",
+                       "--dims", "3", "--epochs", "5", "--out", "ci.json")[0] == 0
+        code, _, _ = run_cli(capsys, "train-vi", "--data", "data.csv",
+                             "--model", "class-interaction-vi", "--dims", "1", "--epochs", "5",
+                             "--warm-start", "ci.json", "--out", "v.json")
+        assert code == 0
+        manifest = json.loads((workdir / "v.json.manifest.json").read_text())
+        assert manifest["config"]["dims"] == 3
+        assert json.loads((workdir / "v.json").read_text())["dims"] == 3
+
 
 class TestActiveCli:
     def test_curve_csv_schema_and_determinism(self, workdir, capsys):

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import expit
 
 from irtkit.models import (
@@ -19,10 +22,46 @@ from irtkit.models import (
     sigmoid,
 )
 
+from oracles import two_branch_sigmoid
+
+# every float64 hypothesis can draw: +-0, +-inf, subnormals and NaN included
+_ANY_FLOAT = st.floats(width=64, allow_nan=True, allow_infinity=True, allow_subnormal=True)
+_EDGES = [0.0, -0.0, math.inf, -math.inf, 800.0, -800.0, -745.2, 1e-300, -1e-300, 5e-324, -5e-324]
+
 
 def test_sigmoid_matches_reference_over_wide_range():
     x = np.linspace(-35, 35, 2001)
     np.testing.assert_allclose(sigmoid(x), expit(x), rtol=0, atol=1e-15)
+
+
+def _assert_same_bits(got, want):
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=40),
+                  elements=_ANY_FLOAT))
+@example(np.array(_EDGES + [math.nan]))
+def test_sigmoid_is_bit_identical_to_two_branch_reference(x):
+    _assert_same_bits(sigmoid(x), two_branch_sigmoid(x))
+
+
+def _assert_scalar_matches(v):
+    out = sigmoid(v)
+    assert type(out) is float
+    _assert_same_bits(out, two_branch_sigmoid(v))
+
+
+@given(_ANY_FLOAT)
+def test_sigmoid_scalar_is_a_bit_identical_float(v):
+    _assert_scalar_matches(v)
+
+
+@pytest.mark.parametrize("v", _EDGES + [math.nan])
+def test_sigmoid_scalar_edges(v):
+    _assert_scalar_matches(v)
 
 
 def test_sigmoid_symmetry_within_1e12():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from irtkit.data import dataset_from_arrays
+from irtkit.metrics import log_loss
 from irtkit.models import RaschParams
 from irtkit.optim import TrainingDiverged, nll
 from irtkit.models import ModelSpec
@@ -19,6 +20,7 @@ from irtkit.vi import (
     inv_softplus,
     kl_gaussian,
     predict_prob_vi,
+    predict_proba_vi_array,
     reparameterize,
     train_vi,
 )
@@ -256,3 +258,20 @@ class TestPredictProbVi:
         params = _rasch_vi_params([0.0], [1.0], [0.0])
         with pytest.raises(ValueError):
             predict_prob_vi(params, 0, 0, mode="exact")
+
+    def test_extreme_logits_keep_log_loss_finite(self):
+        """Logits of +-45 round sigmoid to exactly 0 or 1; the clamp keeps
+        every probability inside (0, 1), so log_loss on the wrong labels
+        stays finite, and the 0.5 decision is unchanged."""
+        params = _rasch_vi_params([45.0, -45.0], [1.0, 1.0], [0.0])
+        s_idx, q_idx = np.array([0, 1]), np.array([0, 0])
+        p = predict_proba_vi_array(params, s_idx, q_idx)
+        assert np.all((p > 0.0) & (p < 1.0))
+        assert np.array_equal(p >= 0.5, [True, False])
+        assert math.isfinite(log_loss(p, [0, 1]))
+        for s, want_high in ((0, True), (1, False)):
+            for mode, kw in (("plugin-mean", {}), ("monte-carlo", {"M": 50, "seed": 0})):
+                prob = predict_prob_vi(params, s, 0, mode=mode, **kw)
+                assert 0.0 < prob < 1.0
+                assert (prob >= 0.5) == want_high
+                assert math.isfinite(log_loss([prob], [0 if want_high else 1]))
