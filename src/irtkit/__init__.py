@@ -8,7 +8,6 @@ learning, all behind one CLI.
 """
 
 from .data import (
-    BinaryResponse,
     Dataset,
     ParseError,
     RawResponse,
@@ -23,28 +22,21 @@ from .data import (
 )
 from .models import (
     CLASS_INTERACTION,
+    CLASS_INTERACTION_VI,
     INTERACTION,
+    INTERACTION_VI,
     RASCH,
-    ClassInteractionParams,
-    InteractionParams,
+    RASCH_VI,
     ModelSpec,
-    RaschParams,
-    logit_class_interaction,
-    logit_interaction,
-    logit_rasch,
-    predict_label,
-    predict_prob,
+    Params,
+    logits,
     predict_proba_array,
     sigmoid,
 )
 from .optim import TrainConfig, TrainReport, TrainingDiverged, finite_diff_check, grad_nll, nll, sgd_train
 from .vi import (
-    CLASS_INTERACTION_VI,
-    INTERACTION_VI,
     MONTE_CARLO,
     PLUG_IN_MEAN,
-    RASCH_VI,
-    GaussianVariational,
     VIConfig,
     VIParams,
     elbo_finite_diff_check,
@@ -53,7 +45,6 @@ from .vi import (
     kl_gaussian,
     predict_prob_vi,
     predict_proba_vi_array,
-    reparameterize,
     train_vi,
 )
 from .metrics import (

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Dataset
-from .models import RASCH, ModelSpec, sigmoid
+from .models import RASCH, ModelSpec, logits, sigmoid
 from .optim import TrainConfig, sgd_train
 
 UNCERTAINTY = "uncertainty"
@@ -181,7 +181,7 @@ def run_active_loop(state: PoolState, cfg: ActiveConfig) -> ActiveResult:
 
     def score(params) -> np.ndarray:
         """Record holdout accuracy per pool student; return the pool's probabilities."""
-        probs = sigmoid(params.ability[base_s:, None] + params.easiness)
+        probs = sigmoid(logits(params, np.s_[base_s:, None], np.s_[:])[0])  # (P, Q), pool x questions
         hits = ((probs >= 0.5) == (label == 1)) & holdout
         per_round.append(hits.sum(axis=1) / holdout.sum(axis=1))
         return probs

@@ -10,45 +10,22 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .data import Dataset
-from .models import (
-    CLASS_INTERACTION,
-    INTERACTION,
-    POINT_KINDS,
-    RASCH,
-    ClassInteractionParams,
-    InteractionParams,
-    ModelSpec,
-    RaschParams,
-)
-from .vi import CLASS_INTERACTION_VI, INTERACTION_VI, RASCH_VI, VI_KINDS, VIParams, inv_softplus, softplus
+from .models import FAMILY, POINT_KINDS, VI_KINDS, Params, tensor_table
+from .vi import VIParams, inv_softplus, softplus
 
 FORMAT = "irtkit-checkpoint"
 VERSION = 1
-
-_POINT_TENSORS = {
-    RASCH: ("ability", "easiness"),
-    INTERACTION: ("ability", "easiness", "skill", "demand"),
-    CLASS_INTERACTION: ("ability", "easiness", "class_skill", "demand"),
-}
-# VI sigmas are serialized as standard deviations, not raw values.
-_VI_TENSORS = {
-    RASCH_VI: ("ability_mu", "ability_sigma", "easiness"),
-    INTERACTION_VI: ("ability_mu", "ability_sigma", "easiness", "demand", "skill_mu", "skill_sigma"),
-    CLASS_INTERACTION_VI: ("ability_mu", "ability_sigma", "easiness", "demand",
-                           "class_skill_mu", "class_skill_sigma"),
-}
 
 
 @dataclass
 class Checkpoint:
     kind: str
     dims: int
-    params: object               # point container or VIParams
+    params: Params               # a VIParams for VI kinds
     student_ids: tuple
     question_ids: tuple
     class_ids: tuple
@@ -58,34 +35,23 @@ class Checkpoint:
     def is_vi(self) -> bool:
         return self.kind in VI_KINDS
 
-    def model_spec(self) -> Optional[ModelSpec]:
-        return ModelSpec(self.kind, self.dims) if self.kind in POINT_KINDS else None
-
 
 def _tensor_record(name: str, arr: np.ndarray) -> dict:
     arr = np.asarray(arr, dtype=np.float64)
     return {"name": name, "shape": list(arr.shape), "values": arr.reshape(-1).tolist()}
 
 
-def save_checkpoint(path: str, kind: str, params, data: Dataset, dims: int = 0) -> None:
-    if kind in POINT_KINDS:
-        names = _POINT_TENSORS[kind]
-        tensors = [_tensor_record(n, getattr(params, n)) for n in names]
-    elif kind in VI_KINDS:
-        tensors = []
-        for n in _VI_TENSORS[kind]:
-            if n.endswith("_sigma"):
-                tensors.append(_tensor_record(n, softplus(getattr(params, n[:-6] + "_rho"))))
-            else:
-                tensors.append(_tensor_record(n, getattr(params, n)))
-        dims = params.dims
-    else:
-        raise ValueError(f"unknown model kind {kind!r}")
+def save_checkpoint(path: str, kind: str, params: Params, data: Dataset) -> None:
+    """Write one record per tensor of the kind's tensor table, sigmas for rhos."""
+    table = tensor_table(kind, params.dims, data.num_students, data.num_questions, data.num_classes)
+    tensors = [_tensor_record(record, softplus(getattr(params, name)) if name.endswith("_rho")
+                              else getattr(params, name))
+               for name, (record, _) in table.items()]
     doc = {
         "format": FORMAT,
         "version": VERSION,
         "kind": kind,
-        "dims": int(dims),
+        "dims": params.dims,
         "num_students": data.num_students,
         "num_questions": data.num_questions,
         "num_classes": data.num_classes,
@@ -103,52 +69,49 @@ def save_checkpoint(path: str, kind: str, params, data: Dataset, dims: int = 0) 
 
 
 def load_checkpoint(path: str) -> Checkpoint:
+    """Read a checkpoint, checking every tensor against the kind's tensor table.
+
+    An unknown kind, a missing tensor, a shape that disagrees with the id
+    tables and dims, a non-finite value or a sigma <= 0 is a ValueError
+    naming the file.
+    """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("format") != FORMAT:
         raise ValueError(f"{path}: not an {FORMAT} file")
     if doc.get("version") != VERSION:
         raise ValueError(f"{path}: checkpoint version {doc.get('version')!r}, expected {VERSION}")
-    kind = doc["kind"]
-    dims = int(doc["dims"])
-    tensors = {}
-    for rec in doc["tensors"]:
-        arr = np.asarray(rec["values"], dtype=np.float64).reshape(rec["shape"])
-        tensors[rec["name"]] = arr
-
-    if kind == RASCH:
-        params = RaschParams(tensors["ability"], tensors["easiness"])
-    elif kind == INTERACTION:
-        params = InteractionParams(tensors["ability"], tensors["easiness"],
-                                   tensors["skill"], tensors["demand"])
-    elif kind == CLASS_INTERACTION:
-        params = ClassInteractionParams(tensors["ability"], tensors["easiness"],
-                                        tensors["class_skill"], tensors["demand"])
-    elif kind in VI_KINDS:
-        params = VIParams(
-            kind,
-            ability_mu=tensors["ability_mu"],
-            ability_rho=np.asarray(inv_softplus(tensors["ability_sigma"])),
-            easiness=tensors["easiness"],
-            demand=tensors.get("demand"),
-            skill_mu=tensors.get("skill_mu"),
-            skill_rho=None if "skill_sigma" not in tensors else np.asarray(inv_softplus(tensors["skill_sigma"])),
-            class_skill_mu=tensors.get("class_skill_mu"),
-            class_skill_rho=None if "class_skill_sigma" not in tensors
-            else np.asarray(inv_softplus(tensors["class_skill_sigma"])),
-        )
-    else:
+    kind = doc.get("kind")
+    if kind not in FAMILY:
         raise ValueError(f"{path}: unknown model kind {kind!r}")
+    ids = doc["id_tables"]
+    student_ids, question_ids, class_ids = (tuple(ids[k]) for k in ("students", "questions", "classes"))
+    class_of = np.asarray(doc["class_of"], dtype=np.int64)
+    if class_of.shape != (len(student_ids),) or np.any((class_of < 0) | (class_of >= len(class_ids))):
+        raise ValueError(f"{path}: class_of does not match the id tables")
 
-    return Checkpoint(
-        kind=kind,
-        dims=dims,
-        params=params,
-        student_ids=tuple(doc["id_tables"]["students"]),
-        question_ids=tuple(doc["id_tables"]["questions"]),
-        class_ids=tuple(doc["id_tables"]["classes"]),
-        class_of=np.asarray(doc["class_of"], dtype=np.int64),
-    )
+    dims = int(doc["dims"])
+    records = {rec["name"]: rec for rec in doc["tensors"]}
+    tensors = {}
+    for name, (record, shape) in tensor_table(kind, dims, len(student_ids), len(question_ids),
+                                              len(class_ids)).items():
+        if record not in records:
+            raise ValueError(f"{path}: missing tensor {record!r}")
+        values = np.asarray(records[record]["values"], dtype=np.float64)
+        if tuple(records[record]["shape"]) != shape or values.size != np.prod(shape):
+            raise ValueError(f"{path}: tensor {record!r} has shape {records[record]['shape']}, "
+                             f"expected {list(shape)} from the id tables and dims")
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{path}: tensor {record!r} holds a non-finite value")
+        values = values.reshape(shape)
+        if name.endswith("_rho"):
+            if np.any(values <= 0):
+                raise ValueError(f"{path}: tensor {record!r} holds a sigma <= 0")
+            values = np.asarray(inv_softplus(values))
+        tensors[name] = values
+    params = Params(**tensors) if kind in POINT_KINDS else VIParams(kind=kind, **tensors)
+    return Checkpoint(kind=kind, dims=dims, params=params, student_ids=student_ids,
+                      question_ids=question_ids, class_ids=class_ids, class_of=class_of)
 
 
 def align_rows_to_checkpoint(rows, ckpt: Checkpoint) -> Dataset:

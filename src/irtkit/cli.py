@@ -22,14 +22,10 @@ from . import experiments
 from .checkpoint import align_rows_to_checkpoint, load_checkpoint, save_checkpoint
 from .manifest import ManifestWriter
 from .metrics import accuracy, cosine_similarity_matrix, two_proportion_z_test
-from .models import POINT_KINDS, ModelSpec, predict_proba_array
+from .models import FAMILY, POINT_KINDS, ModelSpec, predict_proba_array
 from .optim import TrainConfig, sgd_train
 from .synth import SynthConfig, generate_synthetic
 from .vi import VI_KINDS, VIConfig, predict_proba_vi_array, train_vi
-
-_VI_TO_POINT = {"rasch-vi": "rasch", "interaction-vi": "interaction",
-                "class-interaction-vi": "class-interaction"}
-
 
 def _load_rows(path: str, fmt: str):
     if fmt == "raw":
@@ -69,33 +65,42 @@ def _cmd_ingest(args, manifest: ManifestWriter) -> int:
     return 0
 
 
+def _warm_start(args, manifest: ManifestWriter, dataset):
+    """The --warm-start checkpoint's parameters, checked against the model family and id tables."""
+    if not args.warm_start:
+        return None
+    manifest.add_input(args.warm_start)
+    ckpt = load_checkpoint(args.warm_start)
+    if ckpt.kind != FAMILY[args.model]:
+        raise ValueError(f"warm-start checkpoint is {ckpt.kind!r}, expected "
+                         f"{FAMILY[args.model]!r} for {args.model}")
+    if ckpt.student_ids != dataset.student_ids or ckpt.question_ids != dataset.question_ids:
+        raise ValueError("warm-start id tables do not match the training data")
+    return ckpt.params
+
+
+def _save_trained(args, manifest: ManifestWriter, params, dataset, report) -> None:
+    """Write the checkpoint and, next to it, the training report."""
+    save_checkpoint(args.out, args.model, params, dataset)
+    manifest.add_output(args.out)
+    with open(args.out + ".report.json", "w", encoding="utf-8") as fh:
+        json.dump({"final_nll": report.final_nll, "epochs_run": report.epochs_run,
+                   "nll_trace": report.nll_trace}, fh)
+        fh.write("\n")
+    manifest.add_output(args.out + ".report.json")
+    manifest.seeds["train"] = args.seed
+
+
 def _cmd_train(args, manifest: ManifestWriter) -> int:
     manifest.add_input(args.data)
     dataset = data_mod.build_dataset(_load_rows(args.data, args.format))
     spec = ModelSpec(args.model, args.dims)
     cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch_size,
                       l2_penalty=args.l2, seed=args.seed, init_scale=args.init_scale)
-    warm = None
-    if args.warm_start:
-        manifest.add_input(args.warm_start)
-        ckpt = load_checkpoint(args.warm_start)
-        if ckpt.kind != args.model:
-            raise ValueError(f"warm-start checkpoint is {ckpt.kind!r}, expected {args.model!r}")
-        if ckpt.student_ids != dataset.student_ids or ckpt.question_ids != dataset.question_ids:
-            raise ValueError("warm-start id tables do not match the training data")
-        warm = ckpt.params
-    params, report = sgd_train(spec, dataset, cfg, warm_start=warm)
-    save_checkpoint(args.out, args.model, params, dataset, dims=spec.dims)
-    manifest.add_output(args.out)
+    params, report = sgd_train(spec, dataset, cfg, warm_start=_warm_start(args, manifest, dataset))
+    _save_trained(args, manifest, params, dataset, report)
     manifest.config = {"model": args.model, "dims": spec.dims, "lr": args.lr, "epochs": args.epochs,
                        "batch_size": args.batch_size, "l2": args.l2, "init_scale": args.init_scale}
-    manifest.seeds["train"] = args.seed
-    record = {"final_nll": report.final_nll, "epochs_run": report.epochs_run,
-              "nll_trace": report.nll_trace}
-    with open(args.out + ".report.json", "w", encoding="utf-8") as fh:
-        json.dump(record, fh)
-        fh.write("\n")
-    manifest.add_output(args.out + ".report.json")
     _print_record({"final_nll": report.final_nll, "epochs_run": report.epochs_run})
     return 0
 
@@ -103,30 +108,13 @@ def _cmd_train(args, manifest: ManifestWriter) -> int:
 def _cmd_train_vi(args, manifest: ManifestWriter) -> int:
     manifest.add_input(args.data)
     dataset = data_mod.build_dataset(_load_rows(args.data, args.format))
-    warm = None
-    if args.warm_start:
-        manifest.add_input(args.warm_start)
-        ckpt = load_checkpoint(args.warm_start)
-        if ckpt.kind != _VI_TO_POINT[args.model]:
-            raise ValueError(f"warm-start checkpoint is {ckpt.kind!r}, expected "
-                             f"{_VI_TO_POINT[args.model]!r} for {args.model}")
-        if ckpt.student_ids != dataset.student_ids or ckpt.question_ids != dataset.question_ids:
-            raise ValueError("warm-start id tables do not match the training data")
-        warm = ckpt.params
     cfg = VIConfig(samples=args.samples, sigma_init=args.sigma_init, learning_rate=args.lr,
-                   epochs=args.epochs, seed=args.seed, warm_start=warm)
+                   epochs=args.epochs, seed=args.seed, warm_start=_warm_start(args, manifest, dataset))
     params, report = train_vi(args.model, dataset, cfg, dims=args.dims)
-    save_checkpoint(args.out, args.model, params, dataset)
-    manifest.add_output(args.out)
+    _save_trained(args, manifest, params, dataset, report)
     manifest.config = {"model": args.model, "dims": params.dims, "samples": args.samples,
                        "sigma_init": args.sigma_init, "lr": args.lr, "epochs": args.epochs,
                        "warm_start": bool(args.warm_start)}
-    manifest.seeds["train"] = args.seed
-    with open(args.out + ".report.json", "w", encoding="utf-8") as fh:
-        json.dump({"final_nll": report.final_nll, "epochs_run": report.epochs_run,
-                   "nll_trace": report.nll_trace}, fh)
-        fh.write("\n")
-    manifest.add_output(args.out + ".report.json")
     _print_record({"final_negative_elbo": report.final_nll, "epochs_run": report.epochs_run})
     return 0
 
@@ -140,7 +128,7 @@ def _cmd_eval(args, manifest: ManifestWriter) -> int:
         preds = predict_proba_vi_array(ckpt.params, dataset.student_idx, dataset.question_idx,
                                        dataset.class_of)
     else:
-        preds = predict_proba_array(ckpt.model_spec(), ckpt.params, dataset.student_idx,
+        preds = predict_proba_array(ModelSpec(ckpt.kind, ckpt.dims), ckpt.params, dataset.student_idx,
                                     dataset.question_idx, dataset.class_of)
     report = accuracy(preds, dataset.y, args.threshold)
     record = report.to_dict()
@@ -179,7 +167,7 @@ def _cmd_synth(args, manifest: ManifestWriter) -> int:
 def _cmd_interpret(args, manifest: ManifestWriter) -> int:
     manifest.add_input(args.checkpoint)
     ckpt = load_checkpoint(args.checkpoint)
-    demand = getattr(ckpt.params, "demand", None)
+    demand = ckpt.params.demand
     if demand is None:
         raise ValueError(f"checkpoint kind {ckpt.kind!r} has no question embedding vectors")
     sim = cosine_similarity_matrix(demand, ckpt.question_ids, rescale_display=args.rescale_display)
@@ -260,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Latent-trait models for binary exam responses.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, out_required=True):
+    def add_common(p):
         p.add_argument("--manifest", default=None, help="manifest path (default: <out>.manifest.json)")
 
     p = sub.add_parser("ingest", help="normalize a response CSV and optionally split it")

@@ -20,6 +20,7 @@ BINARY_HEADER = ["student_id", "question_id", "class_id", "y"]
 
 # Class label assigned to raw rows with an empty class_id field.
 NO_CLASS = "__none__"
+_WRITE_BLOCK = 8192  # rows write_binary_csv converts at a time
 
 
 class ParseError(ValueError):
@@ -32,12 +33,6 @@ class RawResponse(NamedTuple):
     class_id: str
     marks_awarded: int
     marks_available: int
-
-
-class BinaryResponse(NamedTuple):
-    student: int
-    question: int
-    y: int
 
 
 def binarize(r: RawResponse) -> int:
@@ -72,10 +67,6 @@ class Dataset:
     @property
     def n_responses(self) -> int:
         return int(self.student_idx.shape[0])
-
-    def iter_responses(self):
-        for s, q, y in zip(self.student_idx, self.question_idx, self.y):
-            yield BinaryResponse(int(s), int(q), int(y))
 
     def select(self, positions: np.ndarray) -> "Dataset":
         """Subset view over response positions; counts and id tables are shared."""
@@ -177,7 +168,7 @@ def build_dataset(rows: Sequence[RawResponse]) -> Dataset:
         elif class_of[s] != c:
             raise ValueError(
                 f"student {r.student_id!r} has conflicting class ids "
-                f"{_key_for(classes, class_of[s])!r} and {r.class_id!r}"
+                f"{list(classes)[class_of[s]]!r} and {r.class_id!r}"
             )
         if (s, q) in seen:
             raise ValueError(f"duplicate response for student {r.student_id!r} question {r.question_id!r}")
@@ -196,13 +187,6 @@ def build_dataset(rows: Sequence[RawResponse]) -> Dataset:
         question_ids=tuple(questions),
         class_ids=tuple(classes),
     )
-
-
-def _key_for(table: dict, value: int) -> str:
-    for k, v in table.items():
-        if v == value:
-            return k
-    raise KeyError(value)
 
 
 def dataset_from_arrays(
@@ -235,14 +219,20 @@ def dataset_from_arrays(
 
 
 def write_binary_csv(d: Dataset, path: str) -> None:
-    """Write the pre-binarized CSV schema (round-trips through load_binary_csv)."""
+    """Write the pre-binarized CSV schema (round-trips through load_binary_csv).
+
+    Rows become Python ints one block at a time: converting all of them
+    at once would hold every index as an int object.
+    """
+    class_of = d.class_of.tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(BINARY_HEADER)
-        for r in d.iter_responses():
-            writer.writerow(
-                [d.student_ids[r.student], d.question_ids[r.question], d.class_ids[d.class_of[r.student]], r.y]
-            )
+        for lo in range(0, d.n_responses, _WRITE_BLOCK):
+            block = slice(lo, lo + _WRITE_BLOCK)
+            writer.writerows([d.student_ids[s], d.question_ids[q], d.class_ids[class_of[s]], y]
+                             for s, q, y in zip(d.student_idx[block].tolist(), d.question_idx[block].tolist(),
+                                                d.y[block].tolist()))
 
 
 def split_train_test(d: Dataset, test_fraction: float, seed: int) -> Split:

@@ -1,14 +1,22 @@
 """Point-estimate likelihood heads for binary response prediction.
 
-Three nested model families share one logistic link: an ability plus
-easiness bias model, a multidimensional student-by-question interaction
-model, and a variant whose interaction vectors are shared by all
-students in the same class.
+Every model kind is one logistic regression on
+
+    z = ability[s] + easiness[q] + vec[owner(s)] . demand[q]
+
+with D-dimensional vec and demand rows. rasch has D = 0; interaction
+gives each student its own vec row (owner is the identity); class
+interaction shares one vec row among the students of a class (owner is
+class_of). The variational twins (kinds ending in "-vi") hold the same
+tensors as means, plus transformed standard deviations on the student
+side. One container, one logits kernel and one gradient scatter serve
+all six kinds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Optional
 
 import numpy as np
 
@@ -16,6 +24,12 @@ RASCH = "rasch"
 INTERACTION = "interaction"
 CLASS_INTERACTION = "class-interaction"
 POINT_KINDS = (RASCH, INTERACTION, CLASS_INTERACTION)
+RASCH_VI = "rasch-vi"
+INTERACTION_VI = "interaction-vi"
+CLASS_INTERACTION_VI = "class-interaction-vi"
+VI_KINDS = (RASCH_VI, INTERACTION_VI, CLASS_INTERACTION_VI)
+# the point family of every kind
+FAMILY = {**{k: k for k in POINT_KINDS}, **dict(zip(VI_KINDS, POINT_KINDS))}
 
 _P_LO = np.nextafter(0.0, 1.0)
 _P_HI = np.nextafter(1.0, 0.0)
@@ -57,70 +71,125 @@ class ModelSpec:
 
 
 @dataclass
-class RaschParams:
-    ability: np.ndarray   # (S,) student ability
-    easiness: np.ndarray  # (Q,) large positive means a simple question
+class Params:
+    """The tensors of any model kind.
+
+    vec holds one row per student (interaction) or per class
+    (class-interaction); rasch holds neither vec nor demand.
+    """
+
+    ability: np.ndarray                   # (S,) student ability
+    easiness: np.ndarray                  # (Q,) large positive means a simple question
+    vec: Optional[np.ndarray] = None      # (S or C, D) strengths and weaknesses
+    demand: Optional[np.ndarray] = None   # (Q, D) per-question topic involvement
+
+    @property
+    def dims(self) -> int:
+        return 0 if self.demand is None else int(self.demand.shape[1])
+
+    def tensors(self) -> dict:
+        """Name -> array of every tensor held, in field order."""
+        return {f.name: v for f in fields(self) if isinstance(v := getattr(self, f.name), np.ndarray)}
 
 
-@dataclass
-class InteractionParams:
-    ability: np.ndarray   # (S,)
-    easiness: np.ndarray  # (Q,)
-    skill: np.ndarray     # (S, D) per-student strengths and weaknesses
-    demand: np.ndarray    # (Q, D) per-question topic involvement
+# Checkpoint record name of each tensor, per point (False) and VI (True)
+# kinds, in checkpoint order; {v} is the family's vec stem. VI records
+# store the standard deviation softplus(rho) under a *_sigma name.
+_RECORDS = {
+    False: {"ability": "ability", "easiness": "easiness", "vec": "{v}", "demand": "demand"},
+    True: {"ability": "ability_mu", "ability_rho": "ability_sigma", "easiness": "easiness",
+           "demand": "demand", "vec": "{v}_mu", "vec_rho": "{v}_sigma"},
+}
+_VEC_STEM = {INTERACTION: "skill", CLASS_INTERACTION: "class_skill"}
 
 
-@dataclass
-class ClassInteractionParams:
-    ability: np.ndarray      # (S,)
-    easiness: np.ndarray     # (Q,)
-    class_skill: np.ndarray  # (C, D) shared by all students of a class
-    demand: np.ndarray       # (Q, D)
+def tensor_table(kind: str, dims: int, num_students: int, num_questions: int, num_classes: int) -> dict:
+    """Name -> (checkpoint record name, shape) of every tensor of a kind.
+
+    Entries come in checkpoint order, which is also the order in which
+    initialisation draws them.
+    """
+    if kind not in FAMILY:
+        raise ValueError(f"unknown model kind {kind!r}")
+    family = FAMILY[kind]
+    rows = {INTERACTION: num_students, CLASS_INTERACTION: num_classes}.get(family)
+    shapes = {"ability": (num_students,), "easiness": (num_questions,),
+              "vec": (rows, dims), "demand": (num_questions, dims)}
+    return {name: (record.format(v=_VEC_STEM.get(family)), shapes[name.removesuffix("_rho")])
+            for name, record in _RECORDS[kind != family].items()
+            if rows is not None or name.startswith(("ability", "easiness"))}
 
 
-def logit_rasch(p: RaschParams, s: int, q: int) -> float:
-    return float(p.ability[s] + p.easiness[q])
+def check_shapes(params, table: dict) -> None:
+    """Raise unless a warm start holds exactly the table's tensors, each in its shape."""
+    held = params.tensors()
+    for name in dict.fromkeys([*table, *held]):
+        want = table[name][1] if name in table else None
+        got = held[name].shape if name in held else None
+        if got != want:
+            raise ValueError(f"warm-start shape mismatch for {name}: expected {want}, got {got}")
 
 
-def logit_interaction(p: InteractionParams, s: int, q: int) -> float:
-    return float(p.ability[s] + p.easiness[q] + p.skill[s] @ p.demand[q])
+def vec_rows(kind: str, s_idx, class_of=None):
+    """The vec row each response uses: its student's own (identity owner) or its class's."""
+    if FAMILY[kind] != CLASS_INTERACTION:
+        return s_idx
+    if class_of is None:
+        raise ValueError(f"class_of is required for {kind}")
+    return class_of[s_idx]
 
 
-def logit_class_interaction(p: ClassInteractionParams, s: int, q: int, class_of) -> float:
-    c = class_of[s]
-    return float(p.ability[s] + p.easiness[q] + p.class_skill[c] @ p.demand[q])
+def logits(params: Params, s_idx, q_idx, rows=None):
+    """Logit of every (s_idx, q_idx) pair; rows are the vec rows (default s_idx).
 
-
-def logits_array(spec: ModelSpec, params, s_idx, q_idx, class_of=None) -> np.ndarray:
-    """Vectorized logits for index arrays; class_of required for class models."""
+    Returns the logits and what the gradient scatter reuses: the vec
+    rows with the gathered vec and demand rows, or None when D = 0.
+    Those rows are as long as the index arrays, so a caller that needs
+    only the logits should take [0] and let them go at once. When
+    D = 0 the indices may also be slices or broadcast against each other.
+    """
     z = params.ability[s_idx] + params.easiness[q_idx]
-    if spec.kind == INTERACTION:
-        z = z + np.einsum("nd,nd->n", params.skill[s_idx], params.demand[q_idx])
-    elif spec.kind == CLASS_INTERACTION:
-        if class_of is None:
-            raise ValueError("class_of is required for the class interaction model")
-        z = z + np.einsum("nd,nd->n", params.class_skill[class_of[s_idx]], params.demand[q_idx])
-    return z
+    if not params.dims:
+        return z, None
+    rows = s_idx if rows is None else rows
+    own, dem = params.vec[rows], params.demand[q_idx]
+    return z + np.einsum("nd,nd->n", own, dem), (rows, own, dem)
 
 
-def predict_prob(spec: ModelSpec, params, s: int, q: int, class_of=None) -> float:
-    """P(correct) for one cell; output clamped to the open interval (0, 1)."""
-    if spec.kind == RASCH:
-        z = logit_rasch(params, s, q)
-    elif spec.kind == INTERACTION:
-        z = logit_interaction(params, s, q)
-    else:
-        if class_of is None:
-            raise ValueError("class_of is required for the class interaction model")
-        z = logit_class_interaction(params, s, q, class_of)
-    return float(np.clip(sigmoid(z), _P_LO, _P_HI))
+def grad_scatter(params: Params, s_idx, q_idx, w, gathered, eps=None) -> dict:
+    """Gradient of sum_n w[n] * z[n] w.r.t. every tensor of params, by name.
+
+    gathered is what logits returned beside z. eps = (eps_ability,
+    eps_vec) is the noise of a reparameterised sample (params holding
+    mu + sigma * eps); it adds the gradients w.r.t. those sigmas under
+    "ability_rho" and "vec_rho", before the d sigma / d rho factor.
+    """
+    S, Q = params.ability.shape[0], params.easiness.shape[0]
+    g = {"ability": np.bincount(s_idx, weights=w, minlength=S),
+         "easiness": np.bincount(q_idx, weights=w, minlength=Q)}
+    if eps is not None:
+        g["ability_rho"] = np.bincount(s_idx, weights=w * eps[0][s_idx], minlength=S)
+    if gathered is None:
+        return g
+    rows, own, dem = gathered
+    R = params.vec.shape[0]
+    g["vec"], g["demand"] = np.empty_like(params.vec), np.empty_like(params.demand)
+    if eps is not None:
+        g["vec_rho"], eps_own = np.empty_like(params.vec), eps[1][rows]
+    for d in range(params.dims):
+        w_dem = w * dem[:, d]
+        g["vec"][:, d] = np.bincount(rows, weights=w_dem, minlength=R)
+        g["demand"][:, d] = np.bincount(q_idx, weights=w * own[:, d], minlength=Q)
+        if eps is not None:
+            g["vec_rho"][:, d] = np.bincount(rows, weights=w_dem * eps_own[:, d], minlength=R)
+    return g
 
 
-def predict_proba_array(spec: ModelSpec, params, s_idx, q_idx, class_of=None) -> np.ndarray:
-    z = logits_array(spec, params, s_idx, q_idx, class_of)
+def clamped_sigmoid(z) -> np.ndarray:
+    """Probability from logits, clamped to the open interval (0, 1)."""
     return np.clip(sigmoid(z), _P_LO, _P_HI)
 
 
-def predict_label(p: float, threshold: float = 0.5) -> int:
-    """Decision rule for accuracy; ties at the threshold predict correct."""
-    return 1 if p >= threshold else 0
+def predict_proba_array(spec: ModelSpec, params: Params, s_idx, q_idx, class_of=None) -> np.ndarray:
+    """P(correct) for index arrays; class_of required for class models."""
+    return clamped_sigmoid(logits(params, s_idx, q_idx, vec_rows(spec.kind, s_idx, class_of))[0])

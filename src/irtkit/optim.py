@@ -8,23 +8,13 @@ form sigma(z) - y) and checked against central finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import Dataset
-from .models import (
-    CLASS_INTERACTION,
-    INTERACTION,
-    RASCH,
-    ClassInteractionParams,
-    InteractionParams,
-    ModelSpec,
-    RaschParams,
-    logits_array,
-    sigmoid,
-    softplus,
-)
+from .models import (ModelSpec, Params, check_shapes, grad_scatter, logits, sigmoid, softplus, tensor_table,
+                     vec_rows)
 
 
 class TrainingDiverged(RuntimeError):
@@ -55,71 +45,44 @@ class TrainReport:
     nll_trace: list
 
 
-def init_params(spec: ModelSpec, num_students: int, num_questions: int, num_classes: int, rng, init_scale: float):
-    def draw(*shape):
-        return rng.normal(0.0, init_scale, size=shape) if init_scale > 0 else np.zeros(shape)
+def draw(rng, init_scale: float, shape) -> np.ndarray:
+    """Normal(0, init_scale^2) draws, or zeros when init_scale is 0."""
+    return rng.normal(0.0, init_scale, size=shape) if init_scale > 0 else np.zeros(shape)
 
-    if spec.kind == RASCH:
-        return RaschParams(draw(num_students), draw(num_questions))
-    if spec.kind == INTERACTION:
-        return InteractionParams(
-            draw(num_students), draw(num_questions),
-            draw(num_students, spec.dims), draw(num_questions, spec.dims),
-        )
-    return ClassInteractionParams(
-        draw(num_students), draw(num_questions),
-        draw(num_classes, spec.dims), draw(num_questions, spec.dims),
-    )
+
+def init_params(spec: ModelSpec, num_students: int, num_questions: int, num_classes: int, rng,
+                init_scale: float) -> Params:
+    table = tensor_table(spec.kind, spec.dims, num_students, num_questions, num_classes)
+    return Params(**{name: draw(rng, init_scale, shape) for name, (_, shape) in table.items()})
 
 
 def copy_params(params):
-    return replace(params, **{f.name: getattr(params, f.name).copy() for f in fields(params)})
+    return replace(params, **{name: arr.copy() for name, arr in params.tensors().items()})
 
 
 def nll(spec: ModelSpec, params, data: Dataset) -> float:
     """Total Bernoulli negative log-likelihood over the observed cells."""
-    z = logits_array(spec, params, data.student_idx, data.question_idx, data.class_of)
+    s_idx = data.student_idx
+    z = logits(params, s_idx, data.question_idx, vec_rows(spec.kind, s_idx, data.class_of))[0]
     return float(np.sum(softplus(z) - data.y * z))
 
 
-def _grad_arrays(spec, params, s_idx, q_idx, y, class_of):
+def _grad_arrays(spec, params, s_idx, q_idx, y, class_of) -> dict:
     """Sum-over-batch gradient of the NLL; residual r = sigma(z) - y."""
-    z = logits_array(spec, params, s_idx, q_idx, class_of)
-    r = sigmoid(z) - y
-    S = params.ability.shape[0]
-    Q = params.easiness.shape[0]
-    g_ability = np.bincount(s_idx, weights=r, minlength=S)
-    g_easiness = np.bincount(q_idx, weights=r, minlength=Q)
-    if spec.kind == RASCH:
-        return RaschParams(g_ability, g_easiness)
-    if spec.kind == INTERACTION:
-        g_skill = np.empty_like(params.skill)
-        g_demand = np.empty_like(params.demand)
-        for d in range(spec.dims):
-            g_skill[:, d] = np.bincount(s_idx, weights=r * params.demand[q_idx, d], minlength=S)
-            g_demand[:, d] = np.bincount(q_idx, weights=r * params.skill[s_idx, d], minlength=Q)
-        return InteractionParams(g_ability, g_easiness, g_skill, g_demand)
-    c_idx = class_of[s_idx]
-    C = params.class_skill.shape[0]
-    g_class = np.empty_like(params.class_skill)
-    g_demand = np.empty_like(params.demand)
-    for d in range(spec.dims):
-        g_class[:, d] = np.bincount(c_idx, weights=r * params.demand[q_idx, d], minlength=C)
-        g_demand[:, d] = np.bincount(q_idx, weights=r * params.class_skill[c_idx, d], minlength=Q)
-    return ClassInteractionParams(g_ability, g_easiness, g_class, g_demand)
+    z, gathered = logits(params, s_idx, q_idx, vec_rows(spec.kind, s_idx, class_of))
+    return grad_scatter(params, s_idx, q_idx, sigmoid(z) - y, gathered)
 
 
-def grad_nll(spec: ModelSpec, params, batch: Dataset, l2_penalty: float = 0.0):
+def grad_nll(spec: ModelSpec, params, batch: Dataset, l2_penalty: float = 0.0) -> Params:
     """Analytic gradient of the batch NLL, plus l2_penalty * param per tensor."""
     if batch.n_responses == 0:
         raise ValueError("batch must be non-empty")
     g = _grad_arrays(spec, params, batch.student_idx, batch.question_idx,
                      batch.y.astype(np.float64), batch.class_of)
     if l2_penalty:
-        for f in fields(g):
-            arr = getattr(g, f.name)
-            arr += l2_penalty * getattr(params, f.name)
-    return g
+        for name, arr in g.items():
+            arr += l2_penalty * getattr(params, name)
+    return Params(**g)
 
 
 def sgd_train(spec: ModelSpec, data: Dataset, cfg: TrainConfig, warm_start=None):
@@ -135,7 +98,8 @@ def sgd_train(spec: ModelSpec, data: Dataset, cfg: TrainConfig, warm_start=None)
         raise ValueError("training data must be non-empty")
     rng = np.random.default_rng(cfg.seed)
     if warm_start is not None:
-        _check_shapes(spec, warm_start, data)
+        check_shapes(warm_start, tensor_table(spec.kind, spec.dims, data.num_students,
+                                              data.num_questions, data.num_classes))
         params = copy_params(warm_start)
     else:
         params = init_params(spec, data.num_students, data.num_questions, data.num_classes, rng, cfg.init_scale)
@@ -154,9 +118,9 @@ def sgd_train(spec: ModelSpec, data: Dataset, cfg: TrainConfig, warm_start=None)
         for lo in range(0, n, cfg.batch_size):
             b = perm[lo:lo + cfg.batch_size]
             g = _grad_arrays(spec, params, data.student_idx[b], data.question_idx[b], y[b], data.class_of)
-            for f in fields(params):
-                arr = getattr(params, f.name)
-                arr -= cfg.learning_rate * (getattr(g, f.name) + cfg.l2_penalty * arr)
+            for name, grad in g.items():
+                arr = getattr(params, name)
+                arr -= cfg.learning_rate * (grad + cfg.l2_penalty * arr)
         epoch_nll = nll(spec, params, data)
         if not np.isfinite(epoch_nll):
             raise TrainingDiverged(f"non-finite training NLL at epoch {epoch} (learning rate too high?)")
@@ -173,47 +137,18 @@ def sgd_train(spec: ModelSpec, data: Dataset, cfg: TrainConfig, warm_start=None)
     return best, TrainReport(final_nll=best_nll, epochs_run=epochs_run, nll_trace=trace)
 
 
-def _check_shapes(spec, params, data: Dataset):
-    expected = {
-        RASCH: {"ability": (data.num_students,), "easiness": (data.num_questions,)},
-        INTERACTION: {
-            "ability": (data.num_students,), "easiness": (data.num_questions,),
-            "skill": (data.num_students, spec.dims), "demand": (data.num_questions, spec.dims),
-        },
-        CLASS_INTERACTION: {
-            "ability": (data.num_students,), "easiness": (data.num_questions,),
-            "class_skill": (data.num_classes, spec.dims), "demand": (data.num_questions, spec.dims),
-        },
-    }[spec.kind]
-    for name, shape in expected.items():
-        got = getattr(params, name, None)
-        if got is None or got.shape != shape:
-            raise ValueError(f"warm-start shape mismatch for {name}: expected {shape}, got "
-                             f"{None if got is None else got.shape}")
+def central_difference_error(objective, params, grads: dict, epsilon: float) -> float:
+    """Max relative discrepancy between grads and central differences of objective.
 
-
-def finite_diff_check(spec: ModelSpec, params, data: Dataset, epsilon: float = 1e-5,
-                      l2_penalty: float = 0.0) -> float:
-    """Max relative discrepancy between grad_nll and central differences.
-
-    The differenced objective matches grad_nll exactly: batch NLL plus
-    (l2_penalty / 2) * sum of squared parameters.
+    Every entry of each tensor of params named in grads is moved by
+    +-epsilon in place (and restored) while objective() is evaluated.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
-
-    def objective():
-        val = nll(spec, params, data)
-        if l2_penalty:
-            val += 0.5 * l2_penalty * sum(float(np.sum(getattr(params, f.name) ** 2)) for f in fields(params))
-        return val
-
-    analytic = grad_nll(spec, params, data, l2_penalty)
     worst = 0.0
-    for f in fields(params):
-        arr = getattr(params, f.name)
-        g = getattr(analytic, f.name)
-        it = np.nditer(arr, flags=["multi_index"])
+    for name, g in grads.items():
+        arr = getattr(params, name)
+        it = np.nditer(arr, flags=["multi_index", "zerosize_ok"])
         for _ in it:
             ix = it.multi_index
             orig = arr[ix]
@@ -223,6 +158,22 @@ def finite_diff_check(spec: ModelSpec, params, data: Dataset, epsilon: float = 1
             lo = objective()
             arr[ix] = orig
             fd = (hi - lo) / (2.0 * epsilon)
-            err = abs(g[ix] - fd) / max(abs(g[ix]), abs(fd), 1e-6)
-            worst = max(worst, err)
+            worst = max(worst, abs(g[ix] - fd) / max(abs(g[ix]), abs(fd), 1e-6))
     return worst
+
+
+def finite_diff_check(spec: ModelSpec, params, data: Dataset, epsilon: float = 1e-5,
+                      l2_penalty: float = 0.0) -> float:
+    """Max relative discrepancy between grad_nll and central differences.
+
+    The differenced objective matches grad_nll exactly: batch NLL plus
+    (l2_penalty / 2) * sum of squared parameters.
+    """
+    def objective():
+        val = nll(spec, params, data)
+        if l2_penalty:
+            val += 0.5 * l2_penalty * sum(float(np.sum(a ** 2)) for a in params.tensors().values())
+        return val
+
+    return central_difference_error(objective, params, grad_nll(spec, params, data, l2_penalty).tensors(),
+                                    epsilon)

@@ -22,19 +22,15 @@ shared by every student of the class).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .data import Dataset
-from .models import _P_HI, _P_LO, sigmoid, softplus
-from .optim import TrainingDiverged, TrainReport
-
-RASCH_VI = "rasch-vi"
-INTERACTION_VI = "interaction-vi"
-CLASS_INTERACTION_VI = "class-interaction-vi"
-VI_KINDS = (RASCH_VI, INTERACTION_VI, CLASS_INTERACTION_VI)
+from .models import (_P_HI, _P_LO, CLASS_INTERACTION_VI, FAMILY, VI_KINDS, Params, check_shapes,
+                     clamped_sigmoid, grad_scatter, logits, sigmoid, softplus, tensor_table, vec_rows)
+from .optim import TrainingDiverged, TrainReport, central_difference_error, draw
 
 PLUG_IN_MEAN = "plugin-mean"
 MONTE_CARLO = "monte-carlo"
@@ -59,83 +55,32 @@ def kl_gaussian(mu1, sigma1, mu2, sigma2):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class GaussianVariational:
-    """One variational factor; sigma is recovered from the raw value."""
-
-    mu: float
-    sigma_raw: float
-
-    @property
-    def sigma(self) -> float:
-        return float(softplus(self.sigma_raw))
-
-    @classmethod
-    def from_moments(cls, mu: float, sigma: float) -> "GaussianVariational":
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
-        return cls(mu, float(inv_softplus(sigma)))
-
-
-def reparameterize(v: GaussianVariational, eps: float) -> float:
-    """Location-scale sample mu + sigma * eps from a standard-normal draw."""
-    return v.mu + v.sigma * eps
+def draw_latent(mu, rho, eps):
+    """Reparameterized draws mu + softplus(rho) * eps; eps may add leading draw axes."""
+    return mu + softplus(rho) * eps
 
 
 @dataclass
-class VIParams:
+class VIParams(Params):
     """Variational posteriors over student-side latents, points elsewhere.
 
-    ability_* cover the per-student bias; skill_* (interaction-vi) and
-    class_skill_* (class-interaction-vi) cover the interaction vectors.
-    easiness and demand are point estimates.
+    ability and vec hold the posterior means, with standard deviations
+    softplus(ability_rho) and softplus(vec_rho); easiness and demand are
+    point estimates. Plug-in prediction is the point prediction of the
+    matching family at the means.
     """
 
-    kind: str
-    ability_mu: np.ndarray
-    ability_rho: np.ndarray
-    easiness: np.ndarray
-    demand: Optional[np.ndarray] = None
-    skill_mu: Optional[np.ndarray] = None
-    skill_rho: Optional[np.ndarray] = None
-    class_skill_mu: Optional[np.ndarray] = None
-    class_skill_rho: Optional[np.ndarray] = None
+    kind: str = field(kw_only=True)
+    ability_rho: np.ndarray = field(kw_only=True)       # (S,)
+    vec_rho: Optional[np.ndarray] = field(default=None, kw_only=True)  # like vec
 
     def __post_init__(self):
         if self.kind not in VI_KINDS:
             raise ValueError(f"unknown VI kind {self.kind!r}")
 
     @property
-    def dims(self) -> int:
-        return 0 if self.demand is None else int(self.demand.shape[1])
-
-    @property
     def ability_sigma(self) -> np.ndarray:
         return softplus(self.ability_rho)
-
-    @property
-    def skill_sigma(self):
-        return None if self.skill_rho is None else softplus(self.skill_rho)
-
-    @property
-    def class_skill_sigma(self):
-        return None if self.class_skill_rho is None else softplus(self.class_skill_rho)
-
-    def grad_fields(self) -> list[str]:
-        names = ["ability_mu", "ability_rho", "easiness"]
-        if self.kind == INTERACTION_VI and self.dims > 0:
-            names += ["demand", "skill_mu", "skill_rho"]
-        elif self.kind == CLASS_INTERACTION_VI and self.dims > 0:
-            names += ["demand", "class_skill_mu", "class_skill_rho"]
-        return names
-
-    def copy(self) -> "VIParams":
-        def cp(a):
-            return None if a is None else a.copy()
-
-        return VIParams(self.kind, self.ability_mu.copy(), self.ability_rho.copy(), self.easiness.copy(),
-                        cp(self.demand), cp(self.skill_mu), cp(self.skill_rho),
-                        cp(self.class_skill_mu), cp(self.class_skill_rho))
 
 
 @dataclass
@@ -157,14 +102,8 @@ class VIConfig:
 
 def _draw_eps(params: VIParams, M: int, rng):
     """Noise draws in a fixed order so common random numbers line up."""
-    S = params.ability_mu.shape[0]
-    eps_ability = rng.standard_normal((M, S))
-    eps_vec = None
-    if params.kind == INTERACTION_VI and params.dims > 0:
-        eps_vec = rng.standard_normal((M, S, params.dims))
-    elif params.kind == CLASS_INTERACTION_VI and params.dims > 0:
-        C = params.class_skill_mu.shape[0]
-        eps_vec = rng.standard_normal((M, C, params.dims))
+    eps_ability = rng.standard_normal((M, params.ability.shape[0]))
+    eps_vec = rng.standard_normal((M, *params.vec.shape)) if params.dims else None
     return eps_ability, eps_vec
 
 
@@ -176,76 +115,51 @@ def _kl_to_prior(mu, sigma):
 def _elbo_core(params: VIParams, data: Dataset, eps_ability, eps_vec, want_grads: bool):
     """Monte Carlo ELBO and (optionally) its analytic gradient.
 
-    The likelihood part is averaged over the M reparameterized samples;
-    per-sample residuals y - sigma(z) propagate to mu via the identity
-    path, to sigma via the eps factor (then through the softplus chain
-    rule), and to the question point tensors directly.
+    The likelihood part is averaged over the M reparameterized samples,
+    each scored by the shared logits kernel; per-sample residuals
+    y - sigma(z) propagate to mu via the identity path, to sigma via the
+    eps factor (then through the softplus chain rule), and to the
+    question point tensors directly.
     """
     M = eps_ability.shape[0]
     s_idx, q_idx = data.student_idx, data.question_idx
     y = data.y.astype(np.float64)
-    S = params.ability_mu.shape[0]
-    Q = params.easiness.shape[0]
+    rows = vec_rows(params.kind, s_idx, data.class_of)
     D = params.dims
 
     sig_a = softplus(params.ability_rho)
-    ability_samp = params.ability_mu[None, :] + sig_a[None, :] * eps_ability  # (M, S)
-
-    if params.kind == INTERACTION_VI and D > 0:
-        vec_mu, vec_rho, vec_owner = params.skill_mu, params.skill_rho, s_idx
-    elif params.kind == CLASS_INTERACTION_VI and D > 0:
-        vec_mu, vec_rho, vec_owner = params.class_skill_mu, params.class_skill_rho, data.class_of[s_idx]
-    else:
-        vec_mu = vec_rho = vec_owner = None
-    sig_v = softplus(vec_rho) if vec_rho is not None else None
-    vec_samp = vec_mu[None] + sig_v[None] * eps_vec if vec_mu is not None else None  # (M, C|S, D)
+    ability_samp = draw_latent(params.ability, params.ability_rho, eps_ability)  # (M, S)
+    sig_v = softplus(params.vec_rho) if D else None
+    vec_samp = draw_latent(params.vec, params.vec_rho, eps_vec) if D else None  # (M, C|S, D)
 
     grads = None
     if want_grads:
-        grads = {name: np.zeros_like(getattr(params, name)) for name in params.grad_fields()}
+        grads = {name: np.zeros_like(arr) for name, arr in params.tensors().items()}
 
     loglik = 0.0
-    n_vec = vec_mu.shape[0] if vec_mu is not None else 0
     for m in range(M):
-        z = ability_samp[m, s_idx] + params.easiness[q_idx]
-        if vec_samp is not None:
-            dem = params.demand[q_idx]                      # (n, D)
-            own = vec_samp[m, vec_owner]                    # (n, D)
-            z = z + np.einsum("nd,nd->n", own, dem)
+        sample = Params(ability_samp[m], params.easiness, vec_samp[m] if D else None, params.demand)
+        z, gathered = logits(sample, s_idx, q_idx, rows)
         loglik += float(np.sum(y * z - softplus(z)))
         if want_grads:
-            t = y - sigmoid(z)
-            grads["ability_mu"] += np.bincount(s_idx, weights=t, minlength=S)
-            grads["ability_rho"] += np.bincount(s_idx, weights=t * eps_ability[m, s_idx], minlength=S)
-            grads["easiness"] += np.bincount(q_idx, weights=t, minlength=Q)
-            if vec_samp is not None:
-                for d in range(D):
-                    grads["demand"][:, d] += np.bincount(q_idx, weights=t * own[:, d], minlength=Q)
-                    key = "skill" if params.kind == INTERACTION_VI else "class_skill"
-                    grads[key + "_mu"][:, d] += np.bincount(vec_owner, weights=t * dem[:, d], minlength=n_vec)
-                    grads[key + "_rho"][:, d] += np.bincount(
-                        vec_owner, weights=t * dem[:, d] * eps_vec[m, vec_owner, d], minlength=n_vec)
+            eps = (eps_ability[m], eps_vec[m] if D else None)
+            for name, g in grad_scatter(sample, s_idx, q_idx, y - sigmoid(z), gathered, eps).items():
+                grads[name] += g
     loglik /= M
 
-    kl = _kl_to_prior(params.ability_mu, sig_a)
-    if vec_mu is not None:
-        kl += _kl_to_prior(vec_mu, sig_v)
+    kl = _kl_to_prior(params.ability, sig_a)
+    if D:
+        kl += _kl_to_prior(params.vec, sig_v)
     elbo = loglik - kl
 
     if want_grads:
-        for key in grads:
-            grads[key] /= M
-        grads["ability_mu"] -= params.ability_mu
-        grads["ability_rho"] -= (sig_a - 1.0 / sig_a)
-        if vec_mu is not None:
-            key = "skill" if params.kind == INTERACTION_VI else "class_skill"
-            grads[key + "_mu"] -= vec_mu
-            grads[key + "_rho"] -= (sig_v - 1.0 / sig_v)
-        # d softplus(rho) / d rho = sigmoid(rho)
-        grads["ability_rho"] *= sigmoid(params.ability_rho)
-        if vec_rho is not None:
-            key = "skill_rho" if params.kind == INTERACTION_VI else "class_skill_rho"
-            grads[key] *= sigmoid(vec_rho)
+        for g in grads.values():
+            g /= M
+        for name, sig in (("ability", sig_a), ("vec", sig_v))[:2 if D else 1]:
+            grads[name] -= getattr(params, name)
+            grads[name + "_rho"] -= sig - 1.0 / sig
+            # d softplus(rho) / d rho = sigmoid(rho)
+            grads[name + "_rho"] *= sigmoid(getattr(params, name + "_rho"))
     return elbo, grads
 
 
@@ -267,56 +181,28 @@ def elbo_grad(params: VIParams, data: Dataset, M: int, seed: int):
 
 
 def init_vi_params(kind: str, data: Dataset, dims: int, cfg: VIConfig, rng) -> VIParams:
-    def draw(*shape):
-        return rng.normal(0.0, cfg.init_scale, size=shape) if cfg.init_scale > 0 else np.zeros(shape)
+    """Initial tensors in tensor-table order; every sigma starts at sigma_init.
 
-    rho0 = float(inv_softplus(cfg.sigma_init))
-    S, Q, C = data.num_students, data.num_questions, data.num_classes
-    p = VIParams(kind, ability_mu=draw(S), ability_rho=np.full(S, rho0), easiness=draw(Q))
-    if kind == INTERACTION_VI:
-        p.demand = draw(Q, dims)
-        p.skill_mu = draw(S, dims)
-        p.skill_rho = np.full((S, dims), rho0)
-    elif kind == CLASS_INTERACTION_VI:
-        p.demand = draw(Q, dims)
-        p.class_skill_mu = draw(C, dims)
-        p.class_skill_rho = np.full((C, dims), rho0)
-    return p
-
-
-def warm_start_vi_params(kind: str, point_params, data: Dataset, sigma_init: float) -> VIParams:
-    """Seed means and point tensors from a trained point model.
-
-    Means take the point estimates, sigmas start at sigma_init. The point
-    model must be the matching family (rasch for rasch-vi, and so on).
+    Means and point tensors are copies of cfg.warm_start when it is set,
+    which must then hold exactly the tensors of the matching point family
+    (rasch for rasch-vi, and so on) at these dims; otherwise they are
+    Normal(0, init_scale^2) draws.
     """
-    rho = lambda shape: np.full(shape, float(inv_softplus(sigma_init)))
-    ability = np.asarray(point_params.ability, dtype=np.float64).copy()
-    easiness = np.asarray(point_params.easiness, dtype=np.float64).copy()
-    if ability.shape != (data.num_students,) or easiness.shape != (data.num_questions,):
-        raise ValueError("warm-start shape mismatch against the dataset")
-    p = VIParams(kind, ability_mu=ability, ability_rho=rho(ability.shape), easiness=easiness)
-    if kind == RASCH_VI:
-        if getattr(point_params, "demand", None) is not None:
-            raise ValueError("warm-start shape mismatch: point model has interaction tensors")
-        return p
-    demand = getattr(point_params, "demand", None)
-    if demand is None:
-        raise ValueError("warm-start shape mismatch: point model lacks demand vectors")
-    p.demand = np.asarray(demand, dtype=np.float64).copy()
-    if kind == INTERACTION_VI:
-        skill = getattr(point_params, "skill", None)
-        if skill is None or skill.shape[0] != data.num_students:
-            raise ValueError("warm-start shape mismatch: expected per-student skill vectors")
-        p.skill_mu = np.asarray(skill, dtype=np.float64).copy()
-        p.skill_rho = rho(p.skill_mu.shape)
-    else:
-        cls = getattr(point_params, "class_skill", None)
-        if cls is None or cls.shape[0] != data.num_classes:
-            raise ValueError("warm-start shape mismatch: expected per-class skill vectors")
-        p.class_skill_mu = np.asarray(cls, dtype=np.float64).copy()
-        p.class_skill_rho = rho(p.class_skill_mu.shape)
-    return p
+    sizes = (dims, data.num_students, data.num_questions, data.num_classes)
+    point = cfg.warm_start
+    if point is not None:
+        check_shapes(point, tensor_table(FAMILY[kind], *sizes))
+    rho = float(inv_softplus(cfg.sigma_init))
+
+    def initial(name, shape):
+        if name.endswith("_rho"):
+            return np.full(shape, rho)
+        if point is None:
+            return draw(rng, cfg.init_scale, shape)
+        return np.array(getattr(point, name), dtype=np.float64)
+
+    return VIParams(kind=kind, **{name: initial(name, shape)
+                                  for name, (_, shape) in tensor_table(kind, *sizes).items()})
 
 
 def train_vi(kind: str, data: Dataset, cfg: VIConfig, dims: int = 1):
@@ -335,10 +221,7 @@ def train_vi(kind: str, data: Dataset, cfg: VIConfig, dims: int = 1):
         raise ValueError("class-interaction-vi requires class labels")
 
     rng = np.random.default_rng(cfg.seed)
-    if cfg.warm_start is not None:
-        params = warm_start_vi_params(kind, cfg.warm_start, data, cfg.sigma_init)
-    else:
-        params = init_vi_params(kind, data, dims, cfg, rng)
+    params = init_vi_params(kind, data, dims, cfg, rng)
 
     trace: list[float] = []
     for epoch in range(1, cfg.epochs + 1):
@@ -363,41 +246,25 @@ def predict_prob_vi(params: VIParams, s: int, q: int, class_of=None,
     way the output is clamped to the open interval (0, 1), as on the point
     path.
     """
-    z_mu = float(params.ability_mu[s] + params.easiness[q])
-    vec_mu = vec_sig = dem = None
-    if params.kind == INTERACTION_VI and params.dims > 0:
-        vec_mu, vec_sig, dem = params.skill_mu[s], softplus(params.skill_rho[s]), params.demand[q]
-    elif params.kind == CLASS_INTERACTION_VI and params.dims > 0:
-        if class_of is None:
-            raise ValueError("class_of is required for class-interaction-vi")
-        c = class_of[s]
-        vec_mu, vec_sig, dem = params.class_skill_mu[c], softplus(params.class_skill_rho[c]), params.demand[q]
-
+    s_idx, q_idx = np.array([s]), np.array([q])
+    rows = vec_rows(params.kind, s_idx, class_of)
     if mode == PLUG_IN_MEAN:
-        z = z_mu + (float(vec_mu @ dem) if vec_mu is not None else 0.0)
-        return float(np.clip(sigmoid(z), _P_LO, _P_HI))
+        return float(clamped_sigmoid(logits(params, s_idx, q_idx, rows)[0])[0])
     if mode != MONTE_CARLO:
         raise ValueError(f"unknown prediction mode {mode!r}")
+    # M draws of the student's latents, scored as M students answering q
     rng = np.random.default_rng(seed)
-    sig_a = float(softplus(params.ability_rho[s]))
-    b = params.ability_mu[s] + sig_a * rng.standard_normal(M)
-    z = b + params.easiness[q]
-    if vec_mu is not None:
-        vec = vec_mu[None, :] + vec_sig[None, :] * rng.standard_normal((M, params.dims))
-        z = z + vec @ dem
+    ability = draw_latent(params.ability[s], params.ability_rho[s], rng.standard_normal(M))
+    vec = None
+    if params.dims:
+        vec = draw_latent(params.vec[rows], params.vec_rho[rows], rng.standard_normal((M, params.dims)))
+    z = logits(Params(ability, params.easiness, vec, params.demand), np.arange(M), np.full(M, q))[0]
     return float(np.clip(np.mean(sigmoid(z)), _P_LO, _P_HI))
 
 
 def predict_proba_vi_array(params: VIParams, s_idx, q_idx, class_of=None) -> np.ndarray:
     """Vectorized plug-in-mean probabilities (the deterministic default), clamped like the point path."""
-    z = params.ability_mu[s_idx] + params.easiness[q_idx]
-    if params.kind == INTERACTION_VI and params.dims > 0:
-        z = z + np.einsum("nd,nd->n", params.skill_mu[s_idx], params.demand[q_idx])
-    elif params.kind == CLASS_INTERACTION_VI and params.dims > 0:
-        if class_of is None:
-            raise ValueError("class_of is required for class-interaction-vi")
-        z = z + np.einsum("nd,nd->n", params.class_skill_mu[class_of[s_idx]], params.demand[q_idx])
-    return np.clip(sigmoid(z), _P_LO, _P_HI)
+    return clamped_sigmoid(logits(params, s_idx, q_idx, vec_rows(params.kind, s_idx, class_of))[0])
 
 
 def elbo_finite_diff_check(params: VIParams, data: Dataset, M: int, seed: int,
@@ -409,20 +276,4 @@ def elbo_finite_diff_check(params: VIParams, data: Dataset, M: int, seed: int,
     discretization.
     """
     _, grads = elbo_grad(params, data, M, seed)
-    worst = 0.0
-    for name in params.grad_fields():
-        arr = getattr(params, name)
-        g = grads[name]
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            ix = it.multi_index
-            orig = arr[ix]
-            arr[ix] = orig + epsilon
-            hi = elbo_mc(params, data, M, seed)
-            arr[ix] = orig - epsilon
-            lo = elbo_mc(params, data, M, seed)
-            arr[ix] = orig
-            fd = (hi - lo) / (2.0 * epsilon)
-            err = abs(g[ix] - fd) / max(abs(g[ix]), abs(fd), 1e-6)
-            worst = max(worst, err)
-    return worst
+    return central_difference_error(lambda: elbo_mc(params, data, M, seed), params, grads, epsilon)

@@ -48,9 +48,9 @@ def exact_elbo_rasch_vi(params, data) -> float:
     sig = np.log1p(np.exp(-np.abs(params.ability_rho))) + np.maximum(params.ability_rho, 0.0)
     total = 0.0
     for s, (qs, ys) in _per_student(data).items():
-        b = params.ability_mu[s] + sig[s] * x
+        b = params.ability[s] + sig[s] * x
         total += float(np.sum(w * student_loglik_curve(b, params.easiness, qs, ys)))
-        total -= float(-np.log(sig[s]) + (sig[s] ** 2 + params.ability_mu[s] ** 2) / 2.0 - 0.5)
+        total -= float(-np.log(sig[s]) + (sig[s] ** 2 + params.ability[s] ** 2) / 2.0 - 0.5)
     return total
 
 
@@ -72,18 +72,18 @@ def exact_elbo_class_vi(params, data) -> float:
     """
     x, w = gh_points()
     sig_a = np.log1p(np.exp(-np.abs(params.ability_rho))) + np.maximum(params.ability_rho, 0.0)
-    sig_c = np.log1p(np.exp(-np.abs(params.class_skill_rho))) + np.maximum(params.class_skill_rho, 0.0)
-    mu_c = float(params.class_skill_mu[0, 0])
+    sig_c = np.log1p(np.exp(-np.abs(params.vec_rho))) + np.maximum(params.vec_rho, 0.0)
+    mu_c = float(params.vec[0, 0])
     sc = float(sig_c[0, 0])
     total = 0.0
     for s, (qs, ys) in _per_student(data).items():
-        b = params.ability_mu[s] + sig_a[s] * x          # student-bias nodes
+        b = params.ability[s] + sig_a[s] * x          # student-bias nodes
         c = mu_c + sc * x                                 # class-skill nodes
         for q, y in zip(qs, ys):
             z = b[:, None] + params.easiness[q] + c[None, :] * params.demand[q, 0]
             ll = y * z - np.logaddexp(0.0, z)
             total += float(w @ ll @ w)
-        total -= float(-np.log(sig_a[s]) + (sig_a[s] ** 2 + params.ability_mu[s] ** 2) / 2.0 - 0.5)
+        total -= float(-np.log(sig_a[s]) + (sig_a[s] ** 2 + params.ability[s] ** 2) / 2.0 - 0.5)
     total -= float(-np.log(sc) + (sc**2 + mu_c**2) / 2.0 - 0.5)
     return total
 

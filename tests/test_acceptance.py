@@ -15,7 +15,7 @@ from irtkit.cli import dispatch
 from irtkit.data import dataset_from_arrays, split_train_test
 from irtkit.experiments import active_vs_random, low_data_sweep, recovery_run
 from irtkit.metrics import cosine_similarity_matrix
-from irtkit.models import ModelSpec, RaschParams, predict_prob, sigmoid
+from irtkit.models import ModelSpec, Params, predict_proba_array, sigmoid
 from irtkit.optim import finite_diff_check, init_params, nll
 from irtkit.vi import (
     VIConfig,
@@ -135,16 +135,16 @@ def _random_vi_instance(kind, seed):
     s_idx, q_idx = zip(*cells)
     data = dataset_from_arrays(list(s_idx), list(q_idx), y, class_of=rng.integers(0, C, size=S),
                                class_ids=("c0", "c1"))
-    params = VIParams(kind, ability_mu=rng.normal(size=S),
+    params = VIParams(kind=kind, ability=rng.normal(size=S),
                       ability_rho=rng.normal(0.2, 0.3, size=S), easiness=rng.normal(size=Q))
     if kind == "interaction-vi":
         params.demand = rng.normal(size=(Q, D))
-        params.skill_mu = rng.normal(size=(S, D))
-        params.skill_rho = rng.normal(0.0, 0.3, size=(S, D))
+        params.vec = rng.normal(size=(S, D))
+        params.vec_rho = rng.normal(0.0, 0.3, size=(S, D))
     elif kind == "class-interaction-vi":
         params.demand = rng.normal(size=(Q, D))
-        params.class_skill_mu = rng.normal(size=(C, D))
-        params.class_skill_rho = rng.normal(0.0, 0.3, size=(C, D))
+        params.vec = rng.normal(size=(C, D))
+        params.vec_rho = rng.normal(0.0, 0.3, size=(C, D))
     return params, data
 
 
@@ -246,19 +246,18 @@ class TestCriterion8Structural:
         y = rng.integers(0, 2, size=len(cells))
         data = dataset_from_arrays(list(s_idx), list(q_idx), y, class_of=np.zeros(6, dtype=np.int64))
         spec = ModelSpec("rasch")
-        base = nll(spec, RaschParams(ability, easiness), data)
-        shifted = nll(spec, RaschParams(ability + 1.7, easiness - 1.7), data)
+        base = nll(spec, Params(ability, easiness), data)
+        shifted = nll(spec, Params(ability + 1.7, easiness - 1.7), data)
         checks["gauge"] = abs(base - shifted) <= 5e-10
 
         x = rng.uniform(-50, 50, 4000)
         checks["logistic symmetry"] = float(np.max(np.abs(sigmoid(x) + sigmoid(-x) - 1.0))) <= 1e-12
 
-        from irtkit.models import InteractionParams
-        inter = InteractionParams(ability, easiness, np.zeros((6, 2)), rng.normal(size=(5, 2)))
-        rasch = RaschParams(ability, easiness)
+        inter = Params(ability, easiness, np.zeros((6, 2)), rng.normal(size=(5, 2)))
+        rasch = Params(ability, easiness)
         checks["zero-interaction reduction"] = all(
-            predict_prob(ModelSpec("interaction", 2), inter, s, q)
-            == predict_prob(spec, rasch, s, q)
+            predict_proba_array(ModelSpec("interaction", 2), inter, [s], [q])[0]
+            == predict_proba_array(spec, rasch, [s], [q])[0]
             for s in range(6) for q in range(5))
 
         m = rng.normal(size=(8, 3))

@@ -160,12 +160,25 @@ class TestPipeline:
         assert run_cli(capsys, "train", "--data", "data.csv", "--model", "class-interaction",
                        "--dims", "3", "--epochs", "5", "--out", "ci.json")[0] == 0
         code, _, _ = run_cli(capsys, "train-vi", "--data", "data.csv",
-                             "--model", "class-interaction-vi", "--dims", "1", "--epochs", "5",
+                             "--model", "class-interaction-vi", "--dims", "3", "--epochs", "5",
                              "--warm-start", "ci.json", "--out", "v.json")
         assert code == 0
         manifest = json.loads((workdir / "v.json.manifest.json").read_text())
         assert manifest["config"]["dims"] == 3
         assert json.loads((workdir / "v.json").read_text())["dims"] == 3
+
+    @pytest.mark.parametrize("command,model", [("train", "class-interaction"),
+                                               ("train-vi", "class-interaction-vi")])
+    def test_warm_start_dims_mismatch_fails(self, workdir, capsys, command, model):
+        run_cli(capsys, *_synth_args("data.csv"))
+        assert run_cli(capsys, "train", "--data", "data.csv", "--model", "class-interaction",
+                       "--dims", "3", "--epochs", "5", "--out", "ci.json")[0] == 0
+        code, _, err = run_cli(capsys, command, "--data", "data.csv", "--model", model,
+                               "--dims", "1", "--epochs", "5", "--warm-start", "ci.json",
+                               "--out", "v.json")
+        assert code == 1
+        assert "warm-start shape mismatch" in err
+        assert not os.path.exists("v.json")
 
 
 class TestActiveCli:

@@ -83,7 +83,7 @@ class TestBuildDataset:
 
     def test_conflicting_class_is_an_error(self):
         rows = [RawResponse("s1", "q1", "c1", 1, 1), RawResponse("s1", "q2", "c2", 0, 1)]
-        with pytest.raises(ValueError, match="conflicting class"):
+        with pytest.raises(ValueError, match="conflicting class ids 'c1' and 'c2'"):
             build_dataset(rows)
 
     def test_duplicate_cell_is_an_error(self):
@@ -112,7 +112,8 @@ class TestBuildDataset:
         d2 = build_dataset(load_binary_csv(path))
         original = sorted((r.student_id, r.question_id, binarize(r)) for r in rows)
         reloaded = sorted(
-            (d2.student_ids[r.student], d2.question_ids[r.question], r.y) for r in d2.iter_responses()
+            (d2.student_ids[s], d2.question_ids[q], y)
+            for s, q, y in zip(d2.student_idx.tolist(), d2.question_idx.tolist(), d2.y.tolist())
         )
         assert original == reloaded
 

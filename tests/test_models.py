@@ -1,4 +1,4 @@
-"""Logit heads, the stable logistic, and the decision rule."""
+"""The logits kernel, the stable logistic, and the decision rule."""
 
 import math
 
@@ -9,18 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import expit
 
-from irtkit.models import (
-    ClassInteractionParams,
-    InteractionParams,
-    ModelSpec,
-    RaschParams,
-    logit_class_interaction,
-    logit_interaction,
-    logit_rasch,
-    predict_label,
-    predict_prob,
-    sigmoid,
-)
+from irtkit.metrics import accuracy
+from irtkit.models import ModelSpec, Params, logits, predict_proba_array, sigmoid
 
 from oracles import two_branch_sigmoid
 
@@ -70,111 +60,124 @@ def test_sigmoid_symmetry_within_1e12():
     np.testing.assert_allclose(sigmoid(x) + sigmoid(-x), 1.0, atol=1e-12)
 
 
+def _logit(params, s, q, class_of=None):
+    """Logit of one cell through the array kernel."""
+    return logits(params, [s], [q], None if class_of is None else class_of[[s]])[0][0]
+
+
+def _prob(spec, params, s, q, class_of=None):
+    """P(correct) of one cell through the array prediction path."""
+    return predict_proba_array(spec, params, [s], [q], class_of)[0]
+
+
+def _label(p, threshold=0.5):
+    """The accuracy decision rule applied to one probability: 1 predicts correct."""
+    return accuracy([p], [1], threshold).correct
+
+
+_SIZES = dict(S=st.integers(1, 7), Q=st.integers(1, 7), C=st.integers(1, 4), D=st.integers(1, 4),
+              seed=st.integers(0, 2**32 - 1))
+
+
+def _assert_zero_term_reduces_to_rasch(kind, zero, S, Q, C, D, seed):
+    """With vec or demand all zero, every probability equals rasch's bit for bit."""
+    rng = np.random.default_rng(seed)
+    class_of = rng.integers(0, C, size=S)
+    ability, easiness = rng.normal(size=S), rng.normal(size=Q)
+    vec = rng.normal(size=(S if kind == "interaction" else C, D))
+    demand = rng.normal(size=(Q, D))
+    params = Params(ability, easiness, np.zeros_like(vec) if zero == "vec" else vec,
+                    np.zeros_like(demand) if zero == "demand" else demand)
+    s_idx, q_idx = np.repeat(np.arange(S), Q), np.tile(np.arange(Q), S)
+    got = predict_proba_array(ModelSpec(kind, D), params, s_idx, q_idx, class_of)
+    want = predict_proba_array(ModelSpec("rasch"), Params(ability, easiness), s_idx, q_idx)
+    assert got.tobytes() == want.tobytes()
+
+
 class TestRasch:
     def test_zero_gives_half(self):
-        p = RaschParams(np.array([0.0]), np.array([0.0]))
-        assert logit_rasch(p, 0, 0) == 0.0
-        assert predict_prob(ModelSpec("rasch"), p, 0, 0) == 0.5
+        p = Params(np.array([0.0]), np.array([0.0]))
+        assert _logit(p, 0, 0) == 0.0
+        assert _prob(ModelSpec("rasch"), p, 0, 0) == 0.5
 
     def test_logistic_evaluation(self):
-        p = RaschParams(np.array([1.0]), np.array([0.5]))
-        assert logit_rasch(p, 0, 0) == 1.5
-        assert predict_prob(ModelSpec("rasch"), p, 0, 0) == pytest.approx(0.8175744761936437, abs=1e-15)
+        p = Params(np.array([1.0]), np.array([0.5]))
+        assert _logit(p, 0, 0) == 1.5
+        assert _prob(ModelSpec("rasch"), p, 0, 0) == pytest.approx(0.8175744761936437, abs=1e-15)
 
     def test_log3_gives_three_quarters(self):
-        p = RaschParams(np.array([math.log(3)]), np.array([0.0]))
-        assert predict_prob(ModelSpec("rasch"), p, 0, 0) == pytest.approx(0.75, abs=1e-15)
+        p = Params(np.array([math.log(3)]), np.array([0.0]))
+        assert _prob(ModelSpec("rasch"), p, 0, 0) == pytest.approx(0.75, abs=1e-15)
 
 
 class TestInteraction:
     def test_all_zeros(self):
-        p = InteractionParams(np.zeros(1), np.zeros(1), np.zeros((1, 1)), np.zeros((1, 1)))
-        assert logit_interaction(p, 0, 0) == 0.0
+        p = Params(np.zeros(1), np.zeros(1), np.zeros((1, 1)), np.zeros((1, 1)))
+        assert _logit(p, 0, 0) == 0.0
 
     def test_unit_product(self):
-        p = InteractionParams(np.zeros(1), np.zeros(1), np.ones((1, 1)), np.ones((1, 1)))
-        assert logit_interaction(p, 0, 0) == 1.0
-        assert predict_prob(ModelSpec("interaction", 1), p, 0, 0) == pytest.approx(
+        p = Params(np.zeros(1), np.zeros(1), np.ones((1, 1)), np.ones((1, 1)))
+        assert _logit(p, 0, 0) == 1.0
+        assert _prob(ModelSpec("interaction", 1), p, 0, 0) == pytest.approx(
             0.7310585786300049, abs=1e-15)
 
-    def test_zero_demand_reduces_exactly_to_rasch(self):
-        rng = np.random.default_rng(3)
-        S, Q, D = 4, 5, 3
-        ability, easiness = rng.normal(size=S), rng.normal(size=Q)
-        inter = InteractionParams(ability, easiness, rng.normal(size=(S, D)), np.zeros((Q, D)))
-        rasch = RaschParams(ability, easiness)
-        for s in range(S):
-            for q in range(Q):
-                assert predict_prob(ModelSpec("interaction", D), inter, s, q) == \
-                    predict_prob(ModelSpec("rasch"), rasch, s, q)
+    @given(kind=st.sampled_from(["interaction", "class-interaction"]), **_SIZES)
+    def test_zero_demand_reduces_exactly_to_rasch(self, kind, S, Q, C, D, seed):
+        _assert_zero_term_reduces_to_rasch(kind, "demand", S, Q, C, D, seed)
 
-    def test_zero_skill_reduces_exactly_to_rasch(self):
-        rng = np.random.default_rng(4)
-        S, Q, D = 3, 3, 2
-        ability, easiness = rng.normal(size=S), rng.normal(size=Q)
-        inter = InteractionParams(ability, easiness, np.zeros((S, D)), rng.normal(size=(Q, D)))
-        rasch = RaschParams(ability, easiness)
-        for s in range(S):
-            for q in range(Q):
-                assert predict_prob(ModelSpec("interaction", D), inter, s, q) == \
-                    predict_prob(ModelSpec("rasch"), rasch, s, q)
+    @given(**_SIZES)
+    def test_zero_skill_reduces_exactly_to_rasch(self, S, Q, C, D, seed):
+        _assert_zero_term_reduces_to_rasch("interaction", "vec", S, Q, C, D, seed)
 
 
 class TestClassInteraction:
     def test_same_class_same_logits(self):
         class_of = np.array([0, 0, 1])
-        p = ClassInteractionParams(np.array([0.4, 0.4, 0.1]), np.array([0.0, -1.0]),
-                                   np.array([[1.5], [-0.5]]), np.array([[0.3], [2.0]]))
+        p = Params(np.array([0.4, 0.4, 0.1]), np.array([0.0, -1.0]),
+                   np.array([[1.5], [-0.5]]), np.array([[0.3], [2.0]]))
         for q in range(2):
-            assert logit_class_interaction(p, 0, q, class_of) == logit_class_interaction(p, 1, q, class_of)
+            assert _logit(p, 0, q, class_of) == _logit(p, 1, q, class_of)
 
     def test_arithmetic(self):
         class_of = np.array([0])
-        p = ClassInteractionParams(np.zeros(1), np.zeros(1), np.array([[2.0]]), np.array([[-1.0]]))
-        assert logit_class_interaction(p, 0, 0, class_of) == -2.0
+        p = Params(np.zeros(1), np.zeros(1), np.array([[2.0]]), np.array([[-1.0]]))
+        assert _logit(p, 0, 0, class_of) == -2.0
 
-    def test_zero_class_skill_reduces_to_rasch(self):
-        rng = np.random.default_rng(5)
-        class_of = np.array([0, 1, 0])
-        ability, easiness = rng.normal(size=3), rng.normal(size=4)
-        ci = ClassInteractionParams(ability, easiness, np.zeros((2, 2)), rng.normal(size=(4, 2)))
-        rasch = RaschParams(ability, easiness)
-        for s in range(3):
-            for q in range(4):
-                assert predict_prob(ModelSpec("class-interaction", 2), ci, s, q, class_of) == \
-                    predict_prob(ModelSpec("rasch"), rasch, s, q)
+    @given(**_SIZES)
+    def test_zero_class_skill_reduces_to_rasch(self, S, Q, C, D, seed):
+        _assert_zero_term_reduces_to_rasch("class-interaction", "vec", S, Q, C, D, seed)
 
     def test_permuting_students_within_class_is_invariant(self):
         class_of = np.array([0, 0])
-        p = ClassInteractionParams(np.array([0.7, 0.7]), np.array([0.2]),
-                                   np.array([[1.0, -2.0]]), np.array([[0.5, 0.5]]))
-        assert logit_class_interaction(p, 0, 0, class_of) == logit_class_interaction(p, 1, 0, class_of)
+        p = Params(np.array([0.7, 0.7]), np.array([0.2]),
+                   np.array([[1.0, -2.0]]), np.array([[0.5, 0.5]]))
+        assert _logit(p, 0, 0, class_of) == _logit(p, 1, 0, class_of)
 
 
 class TestPredictProb:
     def test_saturation_without_overflow(self):
-        p = RaschParams(np.array([40.0]), np.array([0.0]))
-        val = predict_prob(ModelSpec("rasch"), p, 0, 0)
+        p = Params(np.array([40.0]), np.array([0.0]))
+        val = _prob(ModelSpec("rasch"), p, 0, 0)
         assert val < 1.0
         assert val > 1.0 - 1e-15
 
     def test_extreme_logits_stay_in_open_interval(self):
         for logit in (-500.0, -100.0, 100.0, 500.0):
-            p = RaschParams(np.array([logit]), np.array([0.0]))
-            val = predict_prob(ModelSpec("rasch"), p, 0, 0)
+            p = Params(np.array([logit]), np.array([0.0]))
+            val = _prob(ModelSpec("rasch"), p, 0, 0)
             assert 0.0 < val < 1.0
             assert math.isfinite(val)
 
 
 class TestPredictLabel:
     def test_above_threshold(self):
-        assert predict_label(0.6, 0.5) == 1
+        assert _label(0.6, 0.5) == 1
 
     def test_tie_predicts_correct(self):
-        assert predict_label(0.5, 0.5) == 1
+        assert _label(0.5, 0.5) == 1
 
     def test_below_threshold(self):
-        assert predict_label(0.49, 0.5) == 0
+        assert _label(0.49, 0.5) == 0
 
 
 def test_model_spec_validation():

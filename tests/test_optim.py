@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from irtkit.data import dataset_from_arrays
-from irtkit.models import ModelSpec, RaschParams
+from irtkit.models import ModelSpec, Params
 from irtkit.optim import (
     TrainConfig,
     TrainingDiverged,
@@ -44,11 +46,11 @@ def _random_instance(spec, S, Q, C, seed, density=1.0):
 
 class TestNll:
     def test_single_observation_at_even_odds(self):
-        params = RaschParams(np.zeros(1), np.zeros(1))
+        params = Params(np.zeros(1), np.zeros(1))
         assert nll(ModelSpec("rasch"), params, _single_obs(1)) == pytest.approx(math.log(2), abs=1e-12)
 
     def test_saturated_correct_prediction(self):
-        params = RaschParams(np.array([30.0]), np.array([0.0]))
+        params = Params(np.array([30.0]), np.array([0.0]))
         assert nll(ModelSpec("rasch"), params, _single_obs(1)) < 1e-12
 
     def test_additivity_under_duplication(self):
@@ -70,23 +72,26 @@ class TestNll:
         shuffled = data.select(perm)
         assert nll(spec, params, shuffled) == pytest.approx(nll(spec, params, data), rel=1e-10)
 
-    def test_rasch_gauge_freedom(self):
-        spec = ModelSpec("rasch")
-        params, data = _random_instance(spec, 5, 6, 1, seed=3)
-        shifted = RaschParams(params.ability + 1.7, params.easiness - 1.7)
+    @given(spec=st.sampled_from([ModelSpec("rasch"), ModelSpec("interaction", 2),
+                                 ModelSpec("class-interaction", 3)]),
+           shift=st.floats(-5.0, 5.0), seed=st.integers(0, 2**32 - 1))
+    def test_rasch_gauge_freedom(self, spec, shift, seed):
+        """Moving a constant from easiness to ability leaves every kind's logits alone."""
+        params, data = _random_instance(spec, 5, 6, 2, seed=seed)
+        shifted = Params(params.ability + shift, params.easiness - shift, params.vec, params.demand)
         # exact identity up to float rounding of the shifted parameters
         assert nll(spec, shifted, data) == pytest.approx(nll(spec, params, data), abs=5e-10)
 
 
 class TestGradNll:
     def test_residual_formula_at_even_odds(self):
-        params = RaschParams(np.zeros(1), np.zeros(1))
+        params = Params(np.zeros(1), np.zeros(1))
         g = grad_nll(ModelSpec("rasch"), params, _single_obs(1))
         assert g.ability[0] == pytest.approx(-0.5, abs=1e-15)
         assert g.easiness[0] == pytest.approx(-0.5, abs=1e-15)
 
     def test_gradient_vanishes_at_perfect_fit(self):
-        params = RaschParams(np.array([35.0]), np.array([0.0]))
+        params = Params(np.array([35.0]), np.array([0.0]))
         g = grad_nll(ModelSpec("rasch"), params, _single_obs(1))
         assert abs(g.ability[0]) < 1e-12
 
@@ -110,7 +115,7 @@ class TestGradNll:
 
     def test_single_cell_instance(self):
         spec = ModelSpec("rasch")
-        params = RaschParams(np.array([0.3]), np.array([-0.2]))
+        params = Params(np.array([0.3]), np.array([-0.2]))
         assert finite_diff_check(spec, params, _single_obs(1), epsilon=1e-5) < 1e-4
 
 
@@ -150,7 +155,7 @@ class TestSgdTrain:
         cfg = TrainConfig(learning_rate=0.1, epochs=5, batch_size=4, seed=42)
         a, _ = sgd_train(spec, data, cfg)
         b, _ = sgd_train(spec, data, cfg)
-        assert np.array_equal(a.skill, b.skill)
+        assert np.array_equal(a.vec, b.vec)
         assert np.array_equal(a.easiness, b.easiness)
 
     def test_divergence_names_the_epoch(self):
@@ -174,7 +179,7 @@ class TestSgdTrain:
     def test_warm_start_shape_mismatch(self):
         spec = ModelSpec("rasch")
         _, data = _random_instance(spec, 5, 4, 1, seed=10)
-        bad = RaschParams(np.zeros(3), np.zeros(4))
+        bad = Params(np.zeros(3), np.zeros(4))
         with pytest.raises(ValueError, match="warm-start shape mismatch"):
             sgd_train(spec, data, TrainConfig(epochs=1), warm_start=bad)
 
@@ -188,7 +193,7 @@ class TestSgdTrain:
         assert report.final_nll == pytest.approx(nll(spec, first, data), rel=1e-9)
 
     def test_copy_params_is_deep(self):
-        params = RaschParams(np.zeros(2), np.zeros(2))
+        params = Params(np.zeros(2), np.zeros(2))
         dup = copy_params(params)
         dup.ability[0] = 5.0
         assert params.ability[0] == 0.0

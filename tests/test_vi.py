@@ -8,20 +8,18 @@ import pytest
 
 from irtkit.data import dataset_from_arrays
 from irtkit.metrics import log_loss
-from irtkit.models import RaschParams
+from irtkit.models import ModelSpec, Params
 from irtkit.optim import TrainingDiverged, nll
-from irtkit.models import ModelSpec
 from irtkit.vi import (
-    GaussianVariational,
     VIConfig,
     VIParams,
+    draw_latent,
     elbo_finite_diff_check,
     elbo_mc,
     inv_softplus,
     kl_gaussian,
     predict_prob_vi,
     predict_proba_vi_array,
-    reparameterize,
     train_vi,
 )
 
@@ -37,7 +35,7 @@ def _tiny_data():
 
 def _rasch_vi_params(mu, sigma, easiness):
     mu = np.asarray(mu, dtype=np.float64)
-    return VIParams("rasch-vi", ability_mu=mu,
+    return VIParams(kind="rasch-vi", ability=mu,
                     ability_rho=np.asarray(inv_softplus(np.asarray(sigma, dtype=np.float64))),
                     easiness=np.asarray(easiness, dtype=np.float64))
 
@@ -75,23 +73,20 @@ class TestKlGaussian:
 
 class TestReparameterize:
     def test_zero_noise_returns_mean(self):
-        v = GaussianVariational.from_moments(0.7, 1.3)
-        assert reparameterize(v, 0.0) == 0.7
+        assert draw_latent(0.7, inv_softplus(1.3), 0.0) == 0.7
 
     def test_arithmetic(self):
-        v = GaussianVariational.from_moments(0.3, 2.0)
-        assert reparameterize(v, 1.5) == pytest.approx(3.3, abs=1e-12)
+        assert draw_latent(0.3, inv_softplus(2.0), 1.5) == pytest.approx(3.3, abs=1e-12)
 
     def test_law_of_large_numbers(self):
-        v = GaussianVariational.from_moments(0.25, 0.9)
         eps = np.random.default_rng(2).standard_normal(10**6)
-        sample_mean = float(np.mean(v.mu + v.sigma * eps))
+        sample_mean = float(np.mean(draw_latent(0.25, inv_softplus(0.9), eps)))
         assert abs(sample_mean - 0.25) <= 3 * 0.9 / 1e3
 
     def test_sigma_transform_roundtrip(self):
         for sigma in (1e-3, 0.1, 0.8, 1.0, 5.0, 40.0):
-            v = GaussianVariational.from_moments(0.0, sigma)
-            assert v.sigma == pytest.approx(sigma, rel=1e-12)
+            v = _rasch_vi_params([0.0], [sigma], [0.0])
+            assert v.ability_sigma[0] == pytest.approx(sigma, rel=1e-12)
 
 
 class TestElboMc:
@@ -107,7 +102,7 @@ class TestElboMc:
         easiness = np.array([0.1, -0.3, 0.6])
         params = _rasch_vi_params(mu, [1e-9, 1e-9], easiness)
         kl_sum = sum(kl_gaussian(m, 1e-9, 0.0, 1.0) for m in mu)
-        point_nll = nll(ModelSpec("rasch"), RaschParams(mu, easiness), data)
+        point_nll = nll(ModelSpec("rasch"), Params(mu, easiness), data)
         assert elbo_mc(params, data, M=3, seed=1) + kl_sum == pytest.approx(-point_nll, abs=1e-6)
 
     def test_matches_quadrature_within_mc_error(self):
@@ -149,20 +144,20 @@ class TestElboGradients:
     def test_interaction_vi_gradient(self):
         rng = np.random.default_rng(8)
         params = VIParams(
-            "interaction-vi",
-            ability_mu=rng.normal(size=3), ability_rho=np.full(3, 0.2),
+            kind="interaction-vi",
+            ability=rng.normal(size=3), ability_rho=np.full(3, 0.2),
             easiness=rng.normal(size=2), demand=rng.normal(size=(2, 2)),
-            skill_mu=rng.normal(size=(3, 2)), skill_rho=np.full((3, 2), -0.1),
+            vec=rng.normal(size=(3, 2)), vec_rho=np.full((3, 2), -0.1),
         )
         assert elbo_finite_diff_check(params, self._class_data(), M=4, seed=9) < 1e-4
 
     def test_class_interaction_vi_gradient(self):
         rng = np.random.default_rng(10)
         params = VIParams(
-            "class-interaction-vi",
-            ability_mu=rng.normal(size=3), ability_rho=np.full(3, 0.3),
+            kind="class-interaction-vi",
+            ability=rng.normal(size=3), ability_rho=np.full(3, 0.3),
             easiness=rng.normal(size=2), demand=rng.normal(size=(2, 1)),
-            class_skill_mu=rng.normal(size=(2, 1)), class_skill_rho=np.full((2, 1), 0.1),
+            vec=rng.normal(size=(2, 1)), vec_rho=np.full((2, 1), 0.1),
         )
         assert elbo_finite_diff_check(params, self._class_data(), M=4, seed=11) < 1e-4
 
@@ -173,7 +168,7 @@ class TestTrainVi:
                                    question_ids=("q0",))
         cfg = VIConfig(samples=1, sigma_init=0.8, learning_rate=0.05, epochs=2000, seed=0)
         params, _ = train_vi("rasch-vi", data, cfg)
-        np.testing.assert_allclose(params.ability_mu, 0.0, atol=1e-2)
+        np.testing.assert_allclose(params.ability, 0.0, atol=1e-2)
         np.testing.assert_allclose(params.ability_sigma, 1.0, atol=1e-2)
 
     def test_interaction_vi_with_zero_dims_matches_rasch_vi_trace(self):
@@ -194,24 +189,24 @@ class TestTrainVi:
 
     def test_warm_start_takes_point_estimates(self):
         data = _tiny_data()
-        point = RaschParams(np.array([0.9, -1.1]), np.array([0.2, 0.3, -0.8]))
+        point = Params(np.array([0.9, -1.1]), np.array([0.2, 0.3, -0.8]))
         cfg = VIConfig(samples=2, sigma_init=0.8, epochs=0, seed=0, warm_start=point)
         params, report = train_vi("rasch-vi", data, cfg)
-        np.testing.assert_array_equal(params.ability_mu, point.ability)
+        np.testing.assert_array_equal(params.ability, point.ability)
         np.testing.assert_array_equal(params.easiness, point.easiness)
         np.testing.assert_allclose(params.ability_sigma, 0.8, rtol=1e-12)
         assert report.epochs_run == 0
 
     def test_warm_start_shape_mismatch(self):
         data = _tiny_data()
-        bad = RaschParams(np.zeros(5), np.zeros(3))
+        bad = Params(np.zeros(5), np.zeros(3))
         cfg = VIConfig(samples=2, epochs=1, warm_start=bad)
         with pytest.raises(ValueError, match="warm-start shape mismatch"):
             train_vi("rasch-vi", data, cfg)
 
     def test_wrong_family_warm_start_rejected(self):
         data = _tiny_data()
-        point = RaschParams(np.zeros(2), np.zeros(3))
+        point = Params(np.zeros(2), np.zeros(3))
         cfg = VIConfig(samples=2, epochs=1, warm_start=point)
         with pytest.raises(ValueError, match="warm-start"):
             train_vi("class-interaction-vi", data, cfg, dims=1)
@@ -221,7 +216,7 @@ class TestTrainVi:
         cfg = VIConfig(samples=3, learning_rate=0.03, epochs=25, seed=9)
         a, ra = train_vi("rasch-vi", data, cfg)
         b, rb = train_vi("rasch-vi", data, cfg)
-        assert np.array_equal(a.ability_mu, b.ability_mu)
+        assert np.array_equal(a.ability, b.ability)
         assert ra.nll_trace == rb.nll_trace
 
     def test_divergence_raises(self):
