@@ -35,24 +35,24 @@ _P_LO = np.nextafter(0.0, 1.0)
 _P_HI = np.nextafter(1.0, 0.0)
 
 
-def sigmoid(x):
+def sigmoid(x, e=None):
     """Numerically stable logistic function, branch-free, no logit clipping.
 
     With e = exp(-|x|), which cannot overflow, this is 1 / (1 + e) for
     x >= 0 and e / (1 + e) below: the same operations, and so the same
-    bits, as branching on the sign.
+    bits, as branching on the sign; a caller holding e may pass it.
     """
     x = np.asarray(x, dtype=np.float64)
-    e = np.exp(-np.abs(x))
+    e = np.exp(-np.abs(x)) if e is None else e
     out = np.maximum(e, x >= 0)
     out /= 1.0 + e
     return out if np.ndim(out) else float(out)
 
 
-def softplus(x):
-    """log(1 + e^x) without overflow for large |x|."""
+def softplus(x, e=None):
+    """log(1 + exp(x)) without overflow for large |x|; a caller holding e = exp(-|x|) may pass it."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)) if e is None else e)
     return out if out.ndim else float(out)
 
 
@@ -139,21 +139,41 @@ def vec_rows(kind: str, s_idx, class_of=None):
     return class_of[s_idx]
 
 
-def logits(params: Params, s_idx, q_idx, rows=None):
+def _take_rows(table: np.ndarray, idx) -> np.ndarray:
+    """table[idx] along axis 0, by numpy's faster path for the row width.
+
+    np.take gathers rows of two or more floats 3-7x faster than fancy
+    indexing. For one-float rows fancy indexing is the safe choice: with
+    a read-only index array, as every Dataset holds, np.take is then
+    slower than it (2.5x at 30,000 entries, 3.4x at 240,000; numpy 2.4).
+    """
+    return table[idx] if table.shape[1] == 1 else np.take(table, idx, axis=0)
+
+
+def logits(params: Params, s_idx, q_idx, rows=None, q_rows=None):
     """Logit of every (s_idx, q_idx) pair; rows are the vec rows (default s_idx).
 
+    q_rows = question_rows(params, q_idx) spares the question-side
+    gathers when only the student side changes between calls.
     Returns the logits and what the gradient scatter reuses: the vec
     rows with the gathered vec and demand rows, or None when D = 0.
     Those rows are as long as the index arrays, so a caller that needs
     only the logits should take [0] and let them go at once. When
     D = 0 the indices may also be slices or broadcast against each other.
     """
-    z = params.ability[s_idx] + params.easiness[q_idx]
+    ease, dem = question_rows(params, q_idx) if q_rows is None else q_rows
+    z = params.ability[s_idx] + ease
+    del ease  # a gather made here is freed before the vec rows add to the peak
     if not params.dims:
         return z, None
     rows = s_idx if rows is None else rows
-    own, dem = params.vec[rows], params.demand[q_idx]
+    own = _take_rows(params.vec, rows)
     return z + np.einsum("nd,nd->n", own, dem), (rows, own, dem)
+
+
+def question_rows(params: Params, q_idx):
+    """easiness[q_idx] and demand[q_idx] (None when D = 0), the question side of logits."""
+    return params.easiness[q_idx], _take_rows(params.demand, q_idx) if params.dims else None
 
 
 def grad_scatter(params: Params, s_idx, q_idx, w, gathered, eps=None) -> dict:
@@ -175,7 +195,7 @@ def grad_scatter(params: Params, s_idx, q_idx, w, gathered, eps=None) -> dict:
     R = params.vec.shape[0]
     g["vec"], g["demand"] = np.empty_like(params.vec), np.empty_like(params.demand)
     if eps is not None:
-        g["vec_rho"], eps_own = np.empty_like(params.vec), eps[1][rows]
+        g["vec_rho"], eps_own = np.empty_like(params.vec), _take_rows(eps[1], rows)
     for d in range(params.dims):
         w_dem = w * dem[:, d]
         g["vec"][:, d] = np.bincount(rows, weights=w_dem, minlength=R)

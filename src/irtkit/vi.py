@@ -29,7 +29,8 @@ import numpy as np
 
 from .data import Dataset
 from .models import (_P_HI, _P_LO, CLASS_INTERACTION_VI, FAMILY, VI_KINDS, Params, check_shapes,
-                     clamped_sigmoid, grad_scatter, logits, sigmoid, softplus, tensor_table, vec_rows)
+                     clamped_sigmoid, grad_scatter, logits, question_rows, sigmoid, softplus, tensor_table,
+                     vec_rows)
 from .optim import TrainingDiverged, TrainReport, central_difference_error, draw
 
 PLUG_IN_MEAN = "plugin-mean"
@@ -98,10 +99,14 @@ class VIConfig:
             raise ValueError("samples must be >= 1")
         if self.sigma_init <= 0:
             raise ValueError("sigma_init must be > 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and > 0")
 
 
 def _draw_eps(params: VIParams, M: int, rng):
     """Noise draws in a fixed order so common random numbers line up."""
+    if M < 1:
+        raise ValueError("M must be >= 1")
     eps_ability = rng.standard_normal((M, params.ability.shape[0]))
     eps_vec = rng.standard_normal((M, *params.vec.shape)) if params.dims else None
     return eps_ability, eps_vec
@@ -112,19 +117,23 @@ def _kl_to_prior(mu, sigma):
     return float(np.sum(-np.log(sigma) + (sigma**2 + mu**2) / 2.0 - 0.5))
 
 
-def _elbo_core(params: VIParams, data: Dataset, eps_ability, eps_vec, want_grads: bool):
+def _responses(kind: str, data: Dataset):
+    """What every ELBO evaluation on data reads: student, question and vec row indices, and y."""
+    s_idx = data.student_idx
+    return s_idx, data.question_idx, vec_rows(kind, s_idx, data.class_of), data.y.astype(np.float64)
+
+
+def _elbo_core(params: VIParams, responses, eps_ability, eps_vec, want_grads: bool):
     """Monte Carlo ELBO and (optionally) its analytic gradient.
 
     The likelihood part is averaged over the M reparameterized samples,
-    each scored by the shared logits kernel; per-sample residuals
-    y - sigma(z) propagate to mu via the identity path, to sigma via the
-    eps factor (then through the softplus chain rule), and to the
-    question point tensors directly.
+    each scored by the shared logits kernel on question rows gathered
+    once; per-sample residuals y - sigma(z) propagate to mu via the
+    identity path, to sigma via the eps factor (then through the
+    softplus chain rule), and to the question point tensors directly.
     """
     M = eps_ability.shape[0]
-    s_idx, q_idx = data.student_idx, data.question_idx
-    y = data.y.astype(np.float64)
-    rows = vec_rows(params.kind, s_idx, data.class_of)
+    s_idx, q_idx, rows, y = responses
     D = params.dims
 
     sig_a = softplus(params.ability_rho)
@@ -136,14 +145,16 @@ def _elbo_core(params: VIParams, data: Dataset, eps_ability, eps_vec, want_grads
     if want_grads:
         grads = {name: np.zeros_like(arr) for name, arr in params.tensors().items()}
 
+    q_rows = question_rows(params, q_idx)
     loglik = 0.0
     for m in range(M):
         sample = Params(ability_samp[m], params.easiness, vec_samp[m] if D else None, params.demand)
-        z, gathered = logits(sample, s_idx, q_idx, rows)
-        loglik += float(np.sum(y * z - softplus(z)))
+        z, gathered = logits(sample, s_idx, q_idx, rows, q_rows)
+        e = np.exp(-np.abs(z))
+        loglik += float(np.sum(y * z - softplus(z, e)))
         if want_grads:
             eps = (eps_ability[m], eps_vec[m] if D else None)
-            for name, g in grad_scatter(sample, s_idx, q_idx, y - sigmoid(z), gathered, eps).items():
+            for name, g in grad_scatter(sample, s_idx, q_idx, y - sigmoid(z, e), gathered, eps).items():
                 grads[name] += g
     loglik /= M
 
@@ -165,19 +176,14 @@ def _elbo_core(params: VIParams, data: Dataset, eps_ability, eps_vec, want_grads
 
 def elbo_mc(params: VIParams, data: Dataset, M: int, seed: int) -> float:
     """Monte Carlo ELBO estimate with fresh noise, deterministic per seed."""
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    rng = np.random.default_rng(seed)
-    eps_ability, eps_vec = _draw_eps(params, M, rng)
-    value, _ = _elbo_core(params, data, eps_ability, eps_vec, want_grads=False)
-    return value
+    eps_ability, eps_vec = _draw_eps(params, M, np.random.default_rng(seed))
+    return _elbo_core(params, _responses(params.kind, data), eps_ability, eps_vec, want_grads=False)[0]
 
 
 def elbo_grad(params: VIParams, data: Dataset, M: int, seed: int):
     """ELBO estimate and analytic gradients under the same noise draws."""
-    rng = np.random.default_rng(seed)
-    eps_ability, eps_vec = _draw_eps(params, M, rng)
-    return _elbo_core(params, data, eps_ability, eps_vec, want_grads=True)
+    eps_ability, eps_vec = _draw_eps(params, M, np.random.default_rng(seed))
+    return _elbo_core(params, _responses(params.kind, data), eps_ability, eps_vec, want_grads=True)
 
 
 def init_vi_params(kind: str, data: Dataset, dims: int, cfg: VIConfig, rng) -> VIParams:
@@ -223,10 +229,11 @@ def train_vi(kind: str, data: Dataset, cfg: VIConfig, dims: int = 1):
     rng = np.random.default_rng(cfg.seed)
     params = init_vi_params(kind, data, dims, cfg, rng)
 
+    responses = _responses(kind, data)
     trace: list[float] = []
     for epoch in range(1, cfg.epochs + 1):
         eps_ability, eps_vec = _draw_eps(params, cfg.samples, rng)
-        elbo, grads = _elbo_core(params, data, eps_ability, eps_vec, want_grads=True)
+        elbo, grads = _elbo_core(params, responses, eps_ability, eps_vec, want_grads=True)
         if not np.isfinite(elbo):
             raise TrainingDiverged(f"non-finite ELBO at epoch {epoch} (learning rate too high?)")
         trace.append(-elbo)
@@ -252,6 +259,8 @@ def predict_prob_vi(params: VIParams, s: int, q: int, class_of=None,
         return float(clamped_sigmoid(logits(params, s_idx, q_idx, rows)[0])[0])
     if mode != MONTE_CARLO:
         raise ValueError(f"unknown prediction mode {mode!r}")
+    if M < 1:
+        raise ValueError("M must be >= 1")
     # M draws of the student's latents, scored as M students answering q
     rng = np.random.default_rng(seed)
     ability = draw_latent(params.ability[s], params.ability_rho[s], rng.standard_normal(M))

@@ -163,3 +163,67 @@ def two_branch_sigmoid(x):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def _softplus(x):
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def per_sample_elbo_core(params, data, eps_ability, eps_vec, want_grads: bool):
+    """The Monte Carlo ELBO and its gradient, as vi._elbo_core must compute them bit for bit.
+
+    Written out in the operation order the library used when every sample
+    re-gathered every row with plain fancy indexing and took separate
+    exponentials for softplus and sigmoid: only numpy, no library kernel.
+    """
+    M = eps_ability.shape[0]
+    s, q = data.student_idx, data.question_idx
+    y = data.y.astype(np.float64)
+    rows = data.class_of[s] if params.kind == "class-interaction-vi" else s
+    D = params.dims
+    S, Q = params.ability.shape[0], params.easiness.shape[0]
+
+    sig_a = _softplus(params.ability_rho)
+    ability_samp = params.ability + sig_a * eps_ability
+    sig_v = _softplus(params.vec_rho) if D else None
+    vec_samp = params.vec + sig_v * eps_vec if D else None
+    grads = {name: np.zeros_like(arr) for name, arr in params.tensors().items()} if want_grads else None
+
+    loglik = 0.0
+    for m in range(M):
+        z = ability_samp[m][s] + params.easiness[q]
+        if D:
+            own, dem = vec_samp[m][rows], params.demand[q]
+            z = z + np.einsum("nd,nd->n", own, dem)
+        loglik += float(np.sum(y * z - _softplus(z)))
+        if not want_grads:
+            continue
+        w = y - two_branch_sigmoid(z)
+        grads["ability"] += np.bincount(s, weights=w, minlength=S)
+        grads["easiness"] += np.bincount(q, weights=w, minlength=Q)
+        grads["ability_rho"] += np.bincount(s, weights=w * eps_ability[m][s], minlength=S)
+        if D:
+            R = params.vec.shape[0]
+            eps_own = eps_vec[m][rows]
+            for d in range(D):
+                w_dem = w * dem[:, d]
+                grads["vec"][:, d] += np.bincount(rows, weights=w_dem, minlength=R)
+                grads["demand"][:, d] += np.bincount(q, weights=w * own[:, d], minlength=Q)
+                grads["vec_rho"][:, d] += np.bincount(rows, weights=w_dem * eps_own[:, d], minlength=R)
+    loglik /= M
+
+    def kl(mu, sigma):
+        return float(np.sum(-np.log(sigma) + (sigma**2 + mu**2) / 2.0 - 0.5))
+
+    kl_sum = kl(params.ability, sig_a)
+    if D:
+        kl_sum += kl(params.vec, sig_v)
+    elbo = loglik - kl_sum
+    if want_grads:
+        for g in grads.values():
+            g /= M
+        for name, sig in (("ability", sig_a), ("vec", sig_v))[:2 if D else 1]:
+            grads[name] -= getattr(params, name)
+            grads[name + "_rho"] -= sig - 1.0 / sig
+            grads[name + "_rho"] *= two_branch_sigmoid(getattr(params, name + "_rho"))
+    return elbo, grads

@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.special import expit
 
 from irtkit.metrics import accuracy
-from irtkit.models import ModelSpec, Params, logits, predict_proba_array, sigmoid
+from irtkit.models import ModelSpec, Params, logits, predict_proba_array, sigmoid, softplus
 
 from oracles import two_branch_sigmoid
 
@@ -36,6 +36,16 @@ def _assert_same_bits(got, want):
 @example(np.array(_EDGES + [math.nan]))
 def test_sigmoid_is_bit_identical_to_two_branch_reference(x):
     _assert_same_bits(sigmoid(x), two_branch_sigmoid(x))
+
+
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=40),
+                  elements=_ANY_FLOAT))
+@example(np.array(_EDGES + [math.nan]))
+def test_passing_shared_exp_keeps_sigmoid_and_softplus_bits(x):
+    """The ELBO takes e = exp(-|z|) once for both softplus and sigmoid."""
+    e = np.exp(-np.abs(x))
+    _assert_same_bits(sigmoid(x, e), two_branch_sigmoid(x))
+    _assert_same_bits(softplus(x, e), softplus(x))
 
 
 def _assert_scalar_matches(v):

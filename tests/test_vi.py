@@ -1,20 +1,26 @@
 """Variational machinery: KL, reparameterization, the MC ELBO, and training."""
 
+import hashlib
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from irtkit import vi
 from irtkit.data import dataset_from_arrays
 from irtkit.metrics import log_loss
-from irtkit.models import ModelSpec, Params
+from irtkit.models import VI_KINDS, ModelSpec, Params, tensor_table
 from irtkit.optim import TrainingDiverged, nll
+from irtkit.synth import SynthConfig, generate_synthetic
 from irtkit.vi import (
     VIConfig,
     VIParams,
     draw_latent,
     elbo_finite_diff_check,
+    elbo_grad,
     elbo_mc,
     inv_softplus,
     kl_gaussian,
@@ -23,7 +29,8 @@ from irtkit.vi import (
     train_vi,
 )
 
-from oracles import exact_elbo_rasch_vi, expected_sigmoid, log_evidence_rasch, mc_kl_estimate
+from oracles import (exact_elbo_rasch_vi, expected_sigmoid, log_evidence_rasch, mc_kl_estimate,
+                     per_sample_elbo_core)
 
 
 def _tiny_data():
@@ -151,6 +158,12 @@ class TestElboGradients:
         )
         assert elbo_finite_diff_check(params, self._class_data(), M=4, seed=9) < 1e-4
 
+    @pytest.mark.parametrize("M", [0, -2])
+    def test_elbo_grad_rejects_fewer_than_one_sample(self, M):
+        params = _rasch_vi_params([0.3, -0.4], [0.9, 0.7], [0.2, -0.5, 0.1])
+        with pytest.raises(ValueError, match="M must be >= 1"):
+            elbo_grad(params, _tiny_data(), M=M, seed=0)
+
     def test_class_interaction_vi_gradient(self):
         rng = np.random.default_rng(10)
         params = VIParams(
@@ -160,6 +173,46 @@ class TestElboGradients:
             vec=rng.normal(size=(2, 1)), vec_rho=np.full((2, 1), 0.1),
         )
         assert elbo_finite_diff_check(params, self._class_data(), M=4, seed=11) < 1e-4
+
+
+@st.composite
+def _vi_instance(draw):
+    """A random VI model with random responses, eps draws and sizes."""
+    kind = draw(st.sampled_from(VI_KINDS))
+    dims = 0 if kind == "rasch-vi" else draw(st.integers(0, 3))
+    S, Q, C, N = (draw(st.integers(1, 6)), draw(st.integers(1, 5)), draw(st.integers(1, 3)),
+                  draw(st.integers(0, 40)))
+    M = draw(st.integers(1, 5))
+    scale = draw(st.sampled_from([0.5, 3.0, 40.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = dataset_from_arrays(rng.integers(0, S, N), rng.integers(0, Q, N), rng.integers(0, 2, N),
+                               class_of=rng.integers(0, C, S), question_ids=[f"q{i}" for i in range(Q)],
+                               class_ids=[f"c{i}" for i in range(C)])
+    tensors = {name: rng.normal(0.0, 2.0 if name.endswith("_rho") else scale, shape)
+               for name, (_, shape) in tensor_table(kind, dims, S, Q, C).items()}
+    params = VIParams(kind=kind, **tensors)
+    eps_ability = rng.standard_normal((M, S))
+    eps_vec = rng.standard_normal((M, *params.vec.shape)) if params.dims else None
+    return params, data, eps_ability, eps_vec
+
+
+class TestElboCoreMatchesPerSampleOracle:
+    """The ELBO gathers question rows once per call and shares exp(-|z|)
+    between softplus and sigmoid; every bit must match the per-sample form."""
+
+    @given(_vi_instance(), st.booleans())
+    def test_same_bits_as_per_sample_reference(self, instance, want_grads):
+        params, data, eps_ability, eps_vec = instance
+        got_elbo, got = vi._elbo_core(params, vi._responses(params.kind, data), eps_ability, eps_vec, want_grads)
+        want_elbo, want = per_sample_elbo_core(params, data, eps_ability, eps_vec, want_grads)
+        assert np.float64(got_elbo).tobytes() == np.float64(want_elbo).tobytes()
+        if not want_grads:
+            assert got is None and want is None
+            return
+        assert list(got) == list(want)
+        for name in want:
+            assert got[name].shape == want[name].shape
+            assert got[name].tobytes() == want[name].tobytes(), name
 
 
 class TestTrainVi:
@@ -219,6 +272,36 @@ class TestTrainVi:
         assert np.array_equal(a.ability, b.ability)
         assert ra.nll_trace == rb.nll_trace
 
+    # SHA-256 over every final tensor (name, then float64 bytes) and the
+    # nll_trace of a 20-epoch run, recorded before the ELBO gathered
+    # question rows once per call (numpy 2.4, x86-64).
+    PINNED = {
+        "rasch-vi": "6afdd53f9ea8efc91ea03ba13fc692514ea7389e6b7787e8dd63554b971c5316",
+        "interaction-vi": "91b461eefb00509ca85ba144d0380cdee56083cb616565f86397e9a7a2489fed",
+        "class-interaction-vi": "d6a59caccf324b1f85a91f771aa3d0421e2f4389255f07f744bfa38022f52154",
+    }
+
+    @staticmethod
+    def _digest(kind):
+        data, _ = generate_synthetic(SynthConfig(students=60, questions=10, dims=3, mean_bq=0.0, num_classes=6,
+                                                 class_effect_std=1.0, keep_prob=0.8, seed=5))
+        params, report = train_vi(kind, data, VIConfig(samples=3, learning_rate=0.01, epochs=20, seed=7), dims=3)
+        h = hashlib.sha256()
+        for name, arr in params.tensors().items():
+            h.update(name.encode())
+            h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+        h.update(np.asarray(report.nll_trace, dtype=np.float64).tobytes())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("kind", sorted(PINNED))
+    def test_pinned_digest(self, kind):
+        assert self._digest(kind) == self.PINNED[kind]
+
+    @pytest.mark.parametrize("lr", [-1.0, 0.0, math.nan, math.inf])
+    def test_config_rejects_learning_rate_not_finite_and_positive(self, lr):
+        with pytest.raises(ValueError, match="learning_rate"):
+            VIConfig(learning_rate=lr)
+
     def test_divergence_raises(self):
         data = _tiny_data()
         cfg = VIConfig(samples=2, learning_rate=1e12, epochs=50, seed=0)
@@ -248,6 +331,14 @@ class TestPredictProbVi:
         exact = expected_sigmoid(1.0, 1.0)
         se = math.sqrt(0.05 / 10**6)  # var of sigmoid(Z) is below 0.05 here
         assert abs(mc - exact) <= 3 * se
+
+    @pytest.mark.parametrize("M", [0, -3])
+    def test_monte_carlo_rejects_fewer_than_one_sample(self, M):
+        params = _rasch_vi_params([0.0], [1.0], [0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="M must be >= 1"):
+                predict_prob_vi(params, 0, 0, mode="monte-carlo", M=M, seed=0)
 
     def test_unknown_mode_rejected(self):
         params = _rasch_vi_params([0.0], [1.0], [0.0])
