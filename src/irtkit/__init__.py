@@ -11,6 +11,7 @@ from .data import (
     Dataset,
     ParseError,
     RawResponse,
+    Responses,
     Split,
     binarize,
     build_dataset,

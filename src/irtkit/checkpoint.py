@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import repeat
+from typing import Iterable
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, RawResponse, Responses
 from .models import FAMILY, POINT_KINDS, VI_KINDS, Params, tensor_table
 from .vi import VIParams, inv_softplus, softplus
 
@@ -114,31 +116,26 @@ def load_checkpoint(path: str) -> Checkpoint:
                       question_ids=question_ids, class_ids=class_ids, class_of=class_of)
 
 
-def align_rows_to_checkpoint(rows, ckpt: Checkpoint) -> Dataset:
+def align_rows_to_checkpoint(rows: Responses | Iterable[RawResponse], ckpt: Checkpoint) -> Dataset:
     """Index loaded rows through a checkpoint's id tables.
 
     Every id in the rows must already exist in the checkpoint; predicting
-    for ids the model never saw is a hard error naming the offender.
+    for ids the model never saw is a hard error naming the offender (the
+    first in row order).
     """
-    from .data import binarize
-
-    s_table = {sid: i for i, sid in enumerate(ckpt.student_ids)}
-    q_table = {qid: i for i, qid in enumerate(ckpt.question_ids)}
-    s_idx = np.empty(len(rows), dtype=np.int64)
-    q_idx = np.empty(len(rows), dtype=np.int64)
-    y = np.empty(len(rows), dtype=np.int8)
-    for i, r in enumerate(rows):
-        if r.student_id not in s_table:
-            raise ValueError(f"student {r.student_id!r} is not in the checkpoint")
-        if r.question_id not in q_table:
-            raise ValueError(f"question {r.question_id!r} is not in the checkpoint")
-        s_idx[i] = s_table[r.student_id]
-        q_idx[i] = q_table[r.question_id]
-        y[i] = binarize(r)
+    r = rows if isinstance(rows, Responses) else Responses.from_rows(rows)
+    s_idx = _index_in(ckpt.student_ids, r.student_ids)[r.student_idx]
+    q_idx = _index_in(ckpt.question_ids, r.question_ids)[r.question_idx]
+    unknown = (s_idx < 0) | (q_idx < 0)
+    if unknown.any():
+        i = int(np.argmax(unknown))
+        if s_idx[i] < 0:
+            raise ValueError(f"student {r.student_ids[r.student_idx[i]]!r} is not in the checkpoint")
+        raise ValueError(f"question {r.question_ids[r.question_idx[i]]!r} is not in the checkpoint")
     return Dataset(
         student_idx=s_idx,
         question_idx=q_idx,
-        y=y,
+        y=r.y,
         num_students=len(ckpt.student_ids),
         num_questions=len(ckpt.question_ids),
         num_classes=len(ckpt.class_ids),
@@ -147,3 +144,9 @@ def align_rows_to_checkpoint(rows, ckpt: Checkpoint) -> Dataset:
         question_ids=ckpt.question_ids,
         class_ids=ckpt.class_ids,
     )
+
+
+def _index_in(table: tuple, ids: tuple) -> np.ndarray:
+    """Each id's position in the table, -1 for an id the table lacks."""
+    position = {key: i for i, key in enumerate(table)}
+    return np.fromiter(map(position.get, ids, repeat(-1)), np.int64, len(ids))

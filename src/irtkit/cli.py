@@ -46,15 +46,16 @@ def _print_record(record: dict) -> None:
 
 
 def _cmd_ingest(args, manifest: ManifestWriter) -> int:
+    if args.test_fraction is not None and not (args.train_out and args.test_out):
+        raise ValueError("--test-fraction requires --train-out and --test-out")
     manifest.add_input(args.input)
-    rows = _load_rows(args.input, args.format)
-    dataset = data_mod.build_dataset(rows)
+    dataset = data_mod.build_dataset(_load_rows(args.input, args.format))
+    # Split before writing anything, so a bad fraction leaves no output behind.
+    split = (data_mod.split_train_test(dataset, args.test_fraction, args.seed)
+             if args.test_fraction is not None else None)
     data_mod.write_binary_csv(dataset, args.out)
     manifest.add_output(args.out)
-    if args.test_fraction is not None:
-        if not (args.train_out and args.test_out):
-            raise ValueError("--test-fraction requires --train-out and --test-out")
-        split = data_mod.split_train_test(dataset, args.test_fraction, args.seed)
+    if split is not None:
         data_mod.write_binary_csv(split.train, args.train_out)
         data_mod.write_binary_csv(split.test, args.test_out)
         manifest.add_output(args.train_out)

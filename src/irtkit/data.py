@@ -5,13 +5,21 @@ available). A response counts as correct only when the student earned
 strictly more than half the available marks; everything downstream works
 on the resulting 0/1 outcomes stored in a sparse triplet layout
 (student index, question index, outcome).
+
+CSV files are read and written as columns: `csv` tokenizes the records
+a block at a time, each block is flattened into one list of fields, and
+ids, marks and checks are handled per column, so no Python object is
+kept per row.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import operator
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from itertools import islice, repeat
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -20,7 +28,8 @@ BINARY_HEADER = ["student_id", "question_id", "class_id", "y"]
 
 # Class label assigned to raw rows with an empty class_id field.
 NO_CLASS = "__none__"
-_WRITE_BLOCK = 8192  # rows write_binary_csv converts at a time
+_READ_BLOCK = 8192         # records a loader turns into columns at a time
+_WRITE_CHARS = 1 << 17     # characters of output write_binary_csv assembles at a time
 
 
 class ParseError(ValueError):
@@ -35,9 +44,14 @@ class RawResponse(NamedTuple):
     marks_available: int
 
 
+def _correct(awarded, available):
+    """The binarization rule, for ints or int64 arrays: 2 * awarded > available, without the overflow."""
+    return awarded > available // 2
+
+
 def binarize(r: RawResponse) -> int:
     """Return 1 iff strictly more than half the available marks were earned."""
-    return 1 if 2 * r.marks_awarded > r.marks_available else 0
+    return int(_correct(r.marks_awarded, r.marks_available))
 
 
 @dataclass(frozen=True)
@@ -90,102 +104,220 @@ class Split:
     test: Dataset
 
 
-def _read_rows(path: str, header: list[str]) -> Iterable[tuple[int, list[str]]]:
+class _Interner:
+    """Codes of one id column, numbering ids in first-appearance order.
+
+    Each distinct field text is turned into its id (`canonical`) once;
+    rows are coded through a text -> code dict.
+    """
+
+    def __init__(self, canonical):
+        self.ids: dict = {}          # id -> code
+        self._code_of: dict = {}     # field text -> code of its id
+        self._canonical = canonical
+
+    def codes(self, texts) -> np.ndarray:
+        codes = np.fromiter(map(self._code_of.get, texts, repeat(-1)), np.int64, len(texts))
+        miss = np.flatnonzero(codes < 0)
+        if miss.size:
+            fresh = list(map(texts.__getitem__, miss.tolist()))
+            for text in dict.fromkeys(fresh):
+                self._code_of[text] = self.ids.setdefault(self._canonical(text), len(self.ids))
+            codes[miss] = np.fromiter(map(self._code_of.__getitem__, fresh), np.int64, miss.size)
+        return codes
+
+
+@dataclass(frozen=True)
+class Responses:
+    """Response rows as columns: int64 codes into id tables, and the marks.
+
+    Ids are numbered in first-appearance order. `len()` is the row count,
+    and iterating yields one RawResponse per row, so
+    `list(load_raw_csv(path))` is the file's rows.
+    """
+
+    student_idx: np.ndarray
+    question_idx: np.ndarray
+    class_idx: np.ndarray
+    awarded: np.ndarray
+    available: np.ndarray
+    student_ids: tuple
+    question_ids: tuple
+    class_ids: tuple
+
+    def __post_init__(self):
+        for arr in (self.student_idx, self.question_idx, self.class_idx, self.awarded, self.available):
+            arr.setflags(write=False)
+
+    def __len__(self) -> int:
+        return int(self.awarded.shape[0])
+
+    def __iter__(self):
+        return map(RawResponse, map(self.student_ids.__getitem__, self.student_idx.tolist()),
+                   map(self.question_ids.__getitem__, self.question_idx.tolist()),
+                   map(self.class_ids.__getitem__, self.class_idx.tolist()),
+                   self.awarded.tolist(), self.available.tolist())
+
+    @property
+    def y(self) -> np.ndarray:
+        """Each row's binarized outcome."""
+        return _correct(self.awarded, self.available).astype(np.int8)
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[RawResponse]) -> "Responses":
+        """Columns of in-memory rows; ids are taken as they are."""
+        columns = list(zip(*rows)) or [()] * 5
+        tables = [_Interner(lambda text: text) for _ in range(3)]
+        return cls(*(t.codes(col) for t, col in zip(tables, columns)),
+                   *(np.fromiter(col, np.int64, len(col)) for col in columns[3:]),
+                   *(tuple(t.ids) for t in tables))
+
+
+def _ints(texts: list) -> tuple[np.ndarray, int]:
+    """int64 values of the stripped texts up to the first that int() rejects or int64 cannot hold.
+
+    Returns the values and that text's index, len(texts) when all parse.
+    """
+    rest = iter(texts)
+    try:
+        return np.fromiter(map(int, map(str.strip, rest)), np.int64, len(texts)), len(texts)
+    except (ValueError, OverflowError):
+        bad = len(texts) - 1 - operator.length_hint(rest)   # the text being converted when it failed
+        return np.fromiter(map(int, map(str.strip, texts[:bad])), np.int64, bad), bad
+
+
+def _int_error(field: str, text: str, line, too_big: str | None = None) -> ParseError:
+    """The error for a text _ints stopped at: not an integer, or beyond int64 (`too_big`)."""
+    text = text.strip()
+    try:
+        int(text)
+    except ValueError:
+        return ParseError(f"non-integer {field} {text!r} at line {line}")
+    message = too_big or f"{field} {text!r} does not fit in 64 bits"
+    return ParseError(f"{message} at line {line}")
+
+
+def _check(lines: np.ndarray, checks) -> None:
+    """Raise the ParseError of the first row failing a check.
+
+    `checks` are (failing rows, message) pairs in the order a row is checked.
+    """
+    failed = [(int(np.argmax(bad)), i) for i, (bad, _) in enumerate(checks) if bad.any()]
+    if failed:
+        row, i = min(failed)
+        raise ParseError(f"{checks[i][1]} at line {lines[row]}")
+
+
+def _raw_marks(columns: list, lines: np.ndarray):
+    awarded, bad_awarded = _ints(columns[0])
+    available, bad_available = _ints(columns[1])
+    n = min(bad_awarded, bad_available)
+    a, b = awarded[:n], available[:n]
+    _check(lines, [(b < 1, "marks_available must be >= 1"), (a < 0, "marks_awarded must be >= 0"),
+                   (a > b, "marks_awarded exceeds marks_available")])
+    if n < len(lines):
+        field, texts = ("marks_awarded", columns[0]) if bad_awarded == n else ("marks_available", columns[1])
+        raise _int_error(field, texts[n], lines[n])
+    return awarded, available
+
+
+def _binary_marks(columns: list, lines: np.ndarray):
+    y, bad = _ints(columns[0])
+    _check(lines, [((y != 0) & (y != 1), "y must be 0 or 1")])
+    if bad < len(lines):
+        raise _int_error("y", columns[0][bad], lines[bad], too_big="y must be 0 or 1")
+    return y, np.ones_like(y)
+
+
+def _load(path: str, header: list[str], marks) -> Responses:
+    """Read a response CSV into columns, a block of records at a time.
+
+    `marks(columns, lines)` parses and checks a block's mark columns and
+    raises the ParseError of the block's first bad row. File line numbers
+    count the header as line 1, and blank records, which are skipped, too.
+    """
+    tables = (_Interner(str.strip), _Interner(str.strip), _Interner(lambda text: text.strip() or NO_CLASS))
+    width = len(header)
+    blocks = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            got = next(reader)
-        except StopIteration:
+        got = next(reader, None)
+        if got is None:
             raise ParseError(f"{path}: empty file, expected header {','.join(header)}")
         if [c.strip() for c in got] != header:
             raise ParseError(f"{path}: bad header {got!r}, expected {','.join(header)}")
-        # File line numbers count the header as line 1.
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"{path}: expected {len(header)} fields at line {lineno}, got {len(row)}")
-            yield lineno, row
+        line = 2
+        while True:
+            fields, counts, torn = [], [], None
+            try:
+                for record in islice(reader, _READ_BLOCK):
+                    counts.append(len(record))
+                    fields += record
+            except csv.Error as exc:   # raised after the records before it are checked
+                torn = exc
+            if not counts and torn is None:
+                break
+            counts = np.array(counts)
+            lines = line + np.flatnonzero(counts)   # of the non-blank records
+            line += counts.size
+            counts = counts[counts > 0]
+            wrong = np.flatnonzero(counts != width)
+            n = int(wrong[0]) if wrong.size else counts.size   # records before the first of another width
+            columns = [fields[i:n * width:width] for i in range(width)]
+            blocks.append((*(t.codes(col) for t, col in zip(tables, columns)), *marks(columns[3:], lines[:n])))
+            if wrong.size:
+                raise ParseError(f"{path}: expected {width} fields at line {lines[n]}, got {counts[n]}")
+            if torn is not None:
+                raise torn
+    columns = ([np.concatenate(col) for col in zip(*blocks)] if blocks
+               else [np.empty(0, np.int64) for _ in range(5)])
+    return Responses(*columns, *(tuple(t.ids) for t in tables))
 
 
-def _parse_int(text: str, field: str, lineno: int) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(f"non-integer {field} {text!r} at line {lineno}") from None
-
-
-def load_raw_csv(path: str) -> list[RawResponse]:
+def load_raw_csv(path: str) -> Responses:
     """Load raw marked responses (marks awarded / available per question)."""
-    rows = []
-    for lineno, row in _read_rows(path, RAW_HEADER):
-        sid, qid, cid, awarded_s, available_s = (c.strip() for c in row)
-        awarded = _parse_int(awarded_s, "marks_awarded", lineno)
-        available = _parse_int(available_s, "marks_available", lineno)
-        if available < 1:
-            raise ParseError(f"marks_available must be >= 1 at line {lineno}")
-        if awarded < 0:
-            raise ParseError(f"marks_awarded must be >= 0 at line {lineno}")
-        if awarded > available:
-            raise ParseError(f"marks_awarded exceeds marks_available at line {lineno}")
-        rows.append(RawResponse(sid, qid, cid or NO_CLASS, awarded, available))
-    return rows
+    return _load(path, RAW_HEADER, _raw_marks)
 
 
-def load_binary_csv(path: str) -> list[RawResponse]:
+def load_binary_csv(path: str) -> Responses:
     """Load pre-binarized responses; y is encoded as marks (y out of 1)."""
-    rows = []
-    for lineno, row in _read_rows(path, BINARY_HEADER):
-        sid, qid, cid, y_s = (c.strip() for c in row)
-        y = _parse_int(y_s, "y", lineno)
-        if y not in (0, 1):
-            raise ParseError(f"y must be 0 or 1 at line {lineno}")
-        rows.append(RawResponse(sid, qid, cid or NO_CLASS, y, 1))
-    return rows
+    return _load(path, BINARY_HEADER, _binary_marks)
 
 
-def build_dataset(rows: Sequence[RawResponse]) -> Dataset:
-    """Intern ids in first-appearance order and binarize into a Dataset.
+def build_dataset(rows: Responses | Iterable[RawResponse]) -> Dataset:
+    """Binarize loaded rows into a Dataset, keeping their first-appearance ids.
 
     Raises ValueError on duplicate (student, question) cells or on a
-    student appearing under two different class ids.
+    student appearing under two different class ids, naming the first
+    offending row in row order.
     """
-    students: dict[str, int] = {}
-    questions: dict[str, int] = {}
-    classes: dict[str, int] = {}
-    class_of: list[int] = []
-    seen: set[tuple[int, int]] = set()
-    s_idx = np.empty(len(rows), dtype=np.int64)
-    q_idx = np.empty(len(rows), dtype=np.int64)
-    y = np.empty(len(rows), dtype=np.int8)
-
-    for i, r in enumerate(rows):
-        s = students.setdefault(r.student_id, len(students))
-        q = questions.setdefault(r.question_id, len(questions))
-        c = classes.setdefault(r.class_id, len(classes))
-        if s == len(class_of):
-            class_of.append(c)
-        elif class_of[s] != c:
-            raise ValueError(
-                f"student {r.student_id!r} has conflicting class ids "
-                f"{list(classes)[class_of[s]]!r} and {r.class_id!r}"
-            )
-        if (s, q) in seen:
-            raise ValueError(f"duplicate response for student {r.student_id!r} question {r.question_id!r}")
-        seen.add((s, q))
-        s_idx[i], q_idx[i], y[i] = s, q, binarize(r)
-
+    r = rows if isinstance(rows, Responses) else Responses.from_rows(rows)
+    n, num_questions = len(r), len(r.question_ids)
+    class_of = r.class_idx[np.unique(r.student_idx, return_index=True)[1]]   # each student's first row
+    conflict = np.flatnonzero(r.class_idx != class_of[r.student_idx])
+    cell = r.student_idx * num_questions + r.question_idx
+    order = np.argsort(cell, kind="stable")
+    repeated = order[1:][cell[order[1:]] == cell[order[:-1]]]   # every row but the first of its cell
+    first_conflict = int(conflict[0]) if conflict.size else n
+    first_repeat = int(repeated.min()) if repeated.size else n
+    if first_conflict < n and first_conflict <= first_repeat:
+        s = r.student_idx[first_conflict]
+        raise ValueError(f"student {r.student_ids[s]!r} has conflicting class ids "
+                         f"{r.class_ids[class_of[s]]!r} and {r.class_ids[r.class_idx[first_conflict]]!r}")
+    if first_repeat < n:
+        raise ValueError(f"duplicate response for student {r.student_ids[r.student_idx[first_repeat]]!r} "
+                         f"question {r.question_ids[r.question_idx[first_repeat]]!r}")
     return Dataset(
-        student_idx=s_idx,
-        question_idx=q_idx,
-        y=y,
-        num_students=len(students),
-        num_questions=len(questions),
-        num_classes=len(classes),
-        class_of=np.array(class_of, dtype=np.int64),
-        student_ids=tuple(students),
-        question_ids=tuple(questions),
-        class_ids=tuple(classes),
+        student_idx=r.student_idx,
+        question_idx=r.question_idx,
+        y=r.y,
+        num_students=len(r.student_ids),
+        num_questions=num_questions,
+        num_classes=len(r.class_ids),
+        class_of=class_of,
+        student_ids=r.student_ids,
+        question_ids=r.question_ids,
+        class_ids=r.class_ids,
     )
 
 
@@ -218,21 +350,43 @@ def dataset_from_arrays(
     )
 
 
+def _escaped(ids) -> np.ndarray:
+    """Each id as csv.writer writes it in a row of several fields, with the delimiter after it."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    out = []
+    for i in ids:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((i, ""))
+        out.append(buf.getvalue()[:-2])   # "<escaped id>," without the line end
+    return np.array(out, dtype=str)
+
+
 def write_binary_csv(d: Dataset, path: str) -> None:
     """Write the pre-binarized CSV schema (round-trips through load_binary_csv).
 
-    Rows become Python ints one block at a time: converting all of them
-    at once would hold every index as an int object.
+    The bytes are csv.writer's (minimal quoting, \\r\\n line ends). Each id
+    table is escaped once; rows are assembled a block at a time by
+    gathering the escaped ids and adding the strings. A block holds about
+    _WRITE_CHARS characters, because a fixed-width string array is as wide
+    as its longest id.
     """
-    class_of = d.class_of.tolist()
+    if d.n_responses and (d.y.min() < 0 or d.y.max() > 1):
+        raise ValueError("y must be 0 or 1")
+    student = _escaped(d.student_ids)
+    question = _escaped(d.question_ids)
+    klass = _escaped(d.class_ids)[d.class_of]
+    tail = np.array(["0\r\n", "1\r\n"])
+    row_bytes = student.itemsize + question.itemsize + klass.itemsize + tail.itemsize   # 4 bytes a character
+    block = max(1, _WRITE_CHARS * 4 // row_bytes)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(BINARY_HEADER)
-        for lo in range(0, d.n_responses, _WRITE_BLOCK):
-            block = slice(lo, lo + _WRITE_BLOCK)
-            writer.writerows([d.student_ids[s], d.question_ids[q], d.class_ids[class_of[s]], y]
-                             for s, q, y in zip(d.student_idx[block].tolist(), d.question_idx[block].tolist(),
-                                                d.y[block].tolist()))
+        fh.write(",".join(BINARY_HEADER) + "\r\n")
+        for lo in range(0, d.n_responses, block):
+            s = d.student_idx[lo:lo + block]
+            rows = np.char.add(np.char.add(student[s], question[d.question_idx[lo:lo + block]]),
+                                  np.char.add(klass[s], tail[d.y[lo:lo + block]]))
+            fh.write("".join(rows.tolist()))
 
 
 def split_train_test(d: Dataset, test_fraction: float, seed: int) -> Split:

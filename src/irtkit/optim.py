@@ -8,6 +8,7 @@ form sigma(z) - y) and checked against central finite differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,8 +33,8 @@ class TrainConfig:
     convergence_tol: float = 1e-5
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and > 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 

@@ -97,8 +97,8 @@ class VIConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.sigma_init <= 0:
-            raise ValueError("sigma_init must be > 0")
+        if not 0 < self.sigma_init < math.inf:
+            raise ValueError("sigma_init must be finite and > 0")
         if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be finite and > 0")
 

@@ -3,11 +3,13 @@
 Everything here is implemented against scipy / brute force rather than
 the library under test, so expected values come from a separate path:
 Gauss-Hermite quadrature for exact ELBOs and marginal likelihoods, dense
-grid search for the small Rasch optimum, and plain Monte Carlo for KL
-estimates.
+grid search for the small Rasch optimum, plain Monte Carlo for KL
+estimates, and csv.writer row by row for the bytes of a written CSV.
 """
 
 from __future__ import annotations
+
+import csv
 
 import numpy as np
 from scipy.special import expit, logsumexp
@@ -227,3 +229,13 @@ def per_sample_elbo_core(params, data, eps_ability, eps_vec, want_grads: bool):
             grads[name + "_rho"] -= sig - 1.0 / sig
             grads[name + "_rho"] *= two_branch_sigmoid(getattr(params, name + "_rho"))
     return elbo, grads
+
+
+def csv_writer_binary_csv(d, path: str) -> None:
+    """The pre-binarized CSV written row by row with csv.writer: the bytes write_binary_csv must produce."""
+    class_of = d.class_of.tolist()
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["student_id", "question_id", "class_id", "y"])
+        writer.writerows([d.student_ids[s], d.question_ids[q], d.class_ids[class_of[s]], y]
+                         for s, q, y in zip(d.student_idx.tolist(), d.question_idx.tolist(), d.y.tolist()))

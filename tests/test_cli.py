@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import irtkit
 from irtkit.cli import dispatch
 
 
@@ -232,3 +235,27 @@ class TestRawIngest:
                                "--out", "b.csv")
         assert code == 1
         assert "line 2" in err
+
+    @pytest.mark.parametrize("split_args", [["--test-fraction", "0.2"],
+                                            ["--test-fraction", "0.2", "--train-out", "train.csv"],
+                                            ["--test-fraction", "1.5", "--train-out", "train.csv",
+                                             "--test-out", "test.csv"]],
+                             ids=["no outputs", "no test output", "fraction above 1"])
+    def test_bad_split_arguments_write_no_file(self, workdir, capsys, split_args):
+        (workdir / "raw.csv").write_text(
+            "student_id,question_id,class_id,marks_awarded,marks_available\n"
+            "s1,q1,c1,2,3\ns1,q2,c1,1,2\ns2,q1,c1,0,4\ns2,q2,c1,2,2\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "ingest", "--input", "raw.csv", "--format", "raw",
+                               "--out", "binary.csv", *split_args)
+        assert code == 1 and err.startswith("error:")
+        assert sorted(p.name for p in workdir.iterdir()) == ["raw.csv"]
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(irtkit.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "irtkit", "significance", "--x1", "94440", "--n1", "120000",
+                           "--x2", "95280", "--n2", "120000"], cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert last_record(done.stdout)["z"] == pytest.approx(4.21, abs=0.01)

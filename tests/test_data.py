@@ -1,9 +1,16 @@
 """Ingestion, binarization, splitting, and subsampling behavior."""
 
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from irtkit import data
+from irtkit.checkpoint import Checkpoint, align_rows_to_checkpoint
 from irtkit.data import (
+    _READ_BLOCK,
     NO_CLASS,
     ParseError,
     RawResponse,
@@ -16,6 +23,9 @@ from irtkit.data import (
     subsample_students,
     write_binary_csv,
 )
+from irtkit.models import Params
+
+from oracles import csv_writer_binary_csv
 
 RAW_HEADER = "student_id,question_id,class_id,marks_awarded,marks_available\n"
 
@@ -29,10 +39,10 @@ def _write(tmp_path, text, name="data.csv"):
 class TestLoadRawCsv:
     def test_direct_field_mapping(self, tmp_path):
         path = _write(tmp_path, RAW_HEADER + "s1,q1,c1,2,3\n")
-        assert load_raw_csv(path) == [RawResponse("s1", "q1", "c1", 2, 3)]
+        assert list(load_raw_csv(path)) == [RawResponse("s1", "q1", "c1", 2, 3)]
 
     def test_header_only_gives_empty_list(self, tmp_path):
-        assert load_raw_csv(_write(tmp_path, RAW_HEADER)) == []
+        assert list(load_raw_csv(_write(tmp_path, RAW_HEADER))) == []
 
     def test_awarded_above_available_names_line(self, tmp_path):
         path = _write(tmp_path, RAW_HEADER + "s1,q1,c1,4,3\n")
@@ -56,7 +66,7 @@ class TestLoadRawCsv:
 
     def test_empty_class_id_maps_to_sentinel(self, tmp_path):
         path = _write(tmp_path, RAW_HEADER + "s1,q1,,2,3\n")
-        assert load_raw_csv(path)[0].class_id == NO_CLASS
+        assert list(load_raw_csv(path))[0].class_id == NO_CLASS
 
 
 class TestBinarize:
@@ -204,3 +214,229 @@ class TestSubsample:
     def test_deterministic(self):
         d = _toy_dataset()
         assert subsample_students(d, 0.4, seed=3).student_ids == subsample_students(d, 0.4, seed=3).student_ids
+
+
+# --- the error contract at block boundaries --------------------------------------
+
+FAR = _READ_BLOCK + 7   # a record index in the second block the loaders read
+_N_ROWS = FAR + 20
+_BLANK = (3, FAR - 3)        # blank records, in the first and the second block
+_TWO_LINES = (5, FAR - 2)    # records whose quoted student id spans two lines
+
+
+def _valid_rows() -> list:
+    """Distinct cells, one class per student; None where a record is blank."""
+    rows = [RawResponse(f"s{i // 6}", f"q{i % 6}", f"c{i // 6 % 5}", i % 3, 2) for i in range(_N_ROWS)]
+    for i in _BLANK:
+        rows[i] = None
+    for i in _TWO_LINES:
+        rows[i] = RawResponse(f"line\nbreak {i}", "q0", "c0", 1, 2)
+    return rows
+
+
+def _valid_records(raw: bool) -> list[str]:
+    def record(r):
+        student = f'"{r.student_id}"' if "\n" in r.student_id else r.student_id
+        marks = f"{r.marks_awarded},{r.marks_available}" if raw else f"{r.marks_awarded % 2}"
+        return f"{student},{r.question_id},{r.class_id},{marks}"
+
+    return ["" if r is None else record(r) for r in _valid_rows()]
+
+
+def _file(tmp_path, raw: bool, planted: dict) -> str:
+    records = _valid_records(raw)
+    for index, record in planted.items():
+        records[index] = record
+    header = RAW_HEADER if raw else "student_id,question_id,class_id,y\n"
+    return _write(tmp_path, header + "\n".join(records) + "\n")
+
+
+def _line(index: int) -> int:
+    """File line of a record: the header is line 1 and every record, blank or multi-line, counts one."""
+    return index + 2
+
+
+_RAW_ERRORS = {
+    "too few fields": ("sX,qX,cX,1", "{path}: expected 5 fields at line {line}, got 4"),
+    "too many fields": ("sX,qX,cX,1,2,3", "{path}: expected 5 fields at line {line}, got 6"),
+    "non-integer awarded": ("sX,qX,cX,two,3", "non-integer marks_awarded 'two' at line {line}"),
+    "non-integer available": ("sX,qX,cX,1, 3.0 ", "non-integer marks_available '3.0' at line {line}"),
+    "both non-integer": ("sX,qX,cX,a,b", "non-integer marks_awarded 'a' at line {line}"),
+    "available below 1": ("sX,qX,cX,0,0", "marks_available must be >= 1 at line {line}"),
+    "awarded below 0": ("sX,qX,cX,-1,2", "marks_awarded must be >= 0 at line {line}"),
+    "both out of range": ("sX,qX,cX,-1,0", "marks_available must be >= 1 at line {line}"),
+    "awarded above available": ("sX,qX,cX,4,3", "marks_awarded exceeds marks_available at line {line}"),
+}
+_BINARY_ERRORS = {
+    "too few fields": ("sX,qX,cX", "{path}: expected 4 fields at line {line}, got 3"),
+    "non-integer y": ("sX,qX,cX,yes", "non-integer y 'yes' at line {line}"),
+    "y not 0 or 1": ("sX,qX,cX,2", "y must be 0 or 1 at line {line}"),
+    "y beyond int64": ("sX,qX,cX,99999999999999999999", "y must be 0 or 1 at line {line}"),
+}
+
+
+class TestErrorContract:
+    """Each malformed record gives the same error, naming the same line, wherever it sits."""
+
+    @pytest.mark.parametrize("index", [0, FAR])
+    @pytest.mark.parametrize("case", sorted(_RAW_ERRORS))
+    def test_raw_record_errors(self, tmp_path, case, index):
+        record, message = _RAW_ERRORS[case]
+        path = _file(tmp_path, True, {index: record})
+        with pytest.raises(ParseError) as exc:
+            load_raw_csv(path)
+        assert str(exc.value) == message.format(path=path, line=_line(index))
+
+    @pytest.mark.parametrize("index", [0, FAR])
+    @pytest.mark.parametrize("case", sorted(_BINARY_ERRORS))
+    def test_binary_record_errors(self, tmp_path, case, index):
+        record, message = _BINARY_ERRORS[case]
+        path = _file(tmp_path, False, {index: record})
+        with pytest.raises(ParseError) as exc:
+            load_binary_csv(path)
+        assert str(exc.value) == message.format(path=path, line=_line(index))
+
+    @pytest.mark.parametrize("first,second", [("non-integer awarded", "too few fields"),
+                                              ("too many fields", "awarded above available"),
+                                              ("awarded below 0", "non-integer available")])
+    def test_first_of_two_bad_records_wins(self, tmp_path, first, second):
+        early = FAR - 1
+        path = _file(tmp_path, True, {early: _RAW_ERRORS[first][0], FAR: _RAW_ERRORS[second][0]})
+        with pytest.raises(ParseError) as exc:
+            load_raw_csv(path)
+        assert str(exc.value) == _RAW_ERRORS[first][1].format(path=path, line=_line(early))
+
+    def test_tokenizer_error_comes_after_the_records_before_it(self, tmp_path):
+        too_long = "x" * (csv.field_size_limit() + 1) + ",q0,c0,1,2"
+        path = _file(tmp_path, True, {FAR - 1: _RAW_ERRORS["awarded above available"][0], FAR: too_long})
+        with pytest.raises(ParseError) as exc:
+            load_raw_csv(path)
+        assert str(exc.value) == f"marks_awarded exceeds marks_available at line {_line(FAR - 1)}"
+        with pytest.raises(csv.Error, match="field limit"):
+            load_raw_csv(_file(tmp_path, True, {FAR: too_long}))
+
+    @pytest.mark.parametrize("field", ["marks_awarded", "marks_available"])
+    def test_mark_beyond_int64_names_its_line(self, tmp_path, field):
+        big = "99999999999999999999"
+        record = f"sX,qX,cX,{big},{big}0" if field == "marks_awarded" else f"sX,qX,cX,1,{big}"
+        path = _file(tmp_path, True, {FAR: record})
+        with pytest.raises(ParseError) as exc:
+            load_raw_csv(path)
+        assert str(exc.value) == f"{field} '{big}' does not fit in 64 bits at line {_line(FAR)}"
+
+    @pytest.mark.parametrize("planted,message", [
+        ({FAR: "s0,q0,c0,1,2"}, "duplicate response for student 's0' question 'q0'"),
+        ({FAR: "s0,q9,c9,1,2"}, "student 's0' has conflicting class ids 'c0' and 'c9'"),
+        ({FAR: "s1,q9,c9,1,2", 8: "s0,q1,c0,1,2"}, "duplicate response for student 's0' question 'q1'"),
+        ({FAR: "s1,q0,c1,1,2", 8: "s0,q1,c0,1,2"}, "duplicate response for student 's0' question 'q1'"),
+        ({FAR: "s0,q1,c0,1,2", 8: "s1,q9,c9,1,2"}, "student 's1' has conflicting class ids 'c1' and 'c9'"),
+        ({FAR: "s0,q0,c9,1,2"}, "student 's0' has conflicting class ids 'c0' and 'c9'"),
+    ], ids=["duplicate", "conflict", "duplicate first", "first of two duplicates", "conflict first",
+            "both in one row"])
+    def test_build_dataset_names_first_offending_row(self, tmp_path, planted, message):
+        rows = load_raw_csv(_file(tmp_path, True, planted))
+        with pytest.raises(ValueError) as exc:
+            build_dataset(rows)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("planted,message", [
+        ({FAR: "ghost,q0,c0,1,2"}, "student 'ghost' is not in the checkpoint"),
+        ({FAR: "s0,qghost,c0,1,2"}, "question 'qghost' is not in the checkpoint"),
+        ({FAR: "ghost,q0,c0,1,2", 8: "s1,qghost,c1,1,2"}, "question 'qghost' is not in the checkpoint"),
+        ({FAR: "ghost,qghost,c0,1,2"}, "student 'ghost' is not in the checkpoint"),
+    ], ids=["student", "question", "question first", "both in one row"])
+    def test_align_names_first_unknown_id(self, tmp_path, planted, message):
+        known = build_dataset(load_raw_csv(_file(tmp_path, True, {})))
+        ckpt = Checkpoint(kind="rasch", dims=0, params=Params(np.zeros(known.num_students),
+                                                                np.zeros(known.num_questions)),
+                          student_ids=known.student_ids, question_ids=known.question_ids,
+                          class_ids=known.class_ids, class_of=known.class_of)
+        rows = load_raw_csv(_file(tmp_path, True, planted))
+        with pytest.raises(ValueError) as exc:
+            align_rows_to_checkpoint(rows, ckpt)
+        assert str(exc.value) == message
+
+
+def test_loaders_read_every_block(tmp_path):
+    rows = [r for r in _valid_rows() if r is not None]
+    assert list(load_raw_csv(_file(tmp_path, True, {}))) == rows
+    assert list(load_binary_csv(_file(tmp_path, False, {}))) == [r._replace(marks_awarded=r.marks_awarded % 2,
+                                                                            marks_available=1) for r in rows]
+
+
+@pytest.mark.parametrize("text", [" 2 ", "+2", "\x1c2", "٢", "0_2", " 2"])
+def test_marks_accept_what_int_of_the_stripped_text_accepts(tmp_path, text):
+    path = _write(tmp_path, RAW_HEADER + f"s1,q1,c1,{text},3\ns2,q1,c1,1,{text}\n")
+    assert list(load_raw_csv(path)) == [RawResponse("s1", "q1", "c1", 2, 3), RawResponse("s2", "q1", "c1", 1, 2)]
+
+
+# --- property tests ----------------------------------------------------------------
+
+_ID_CHARS = st.characters(blacklist_categories=("Cs", "Cc")) | st.sampled_from([",", '"', " ", "\n", "\r", "é", "学"])
+_IDS = st.text(_ID_CHARS, min_size=1, max_size=8).filter(lambda s: s == s.strip())
+
+
+@st.composite
+def _binary_rows(draw):
+    students = draw(st.lists(_IDS, min_size=1, max_size=6, unique=True))
+    questions = draw(st.lists(_IDS, min_size=1, max_size=5, unique=True))
+    classes = draw(st.lists(_IDS, min_size=1, max_size=3, unique=True))
+    class_of = draw(st.lists(st.sampled_from(classes), min_size=len(students), max_size=len(students)))
+    cells = draw(st.lists(st.tuples(st.integers(0, len(students) - 1), st.integers(0, len(questions) - 1)),
+                          min_size=1, unique=True))
+    return [RawResponse(students[s], questions[q], class_of[s], draw(st.integers(0, 1)), 1) for s, q in cells]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=_binary_rows())
+def test_csv_round_trip_keeps_ids_indices_and_csv_writer_bytes(tmp_path_factory, rows):
+    d = build_dataset(rows)
+    work = tmp_path_factory.mktemp("csv")
+    path, reference = str(work / "out.csv"), str(work / "reference.csv")
+    write_binary_csv(d, path)
+    csv_writer_binary_csv(d, reference)
+    assert open(path, "rb").read() == open(reference, "rb").read()
+    back = build_dataset(load_binary_csv(path))
+    assert (back.student_ids, back.question_ids, back.class_ids) == (d.student_ids, d.question_ids, d.class_ids)
+    for name in ("student_idx", "question_idx", "y", "class_of"):
+        got, want = getattr(back, name), getattr(d, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_writer_blocks_join_into_csv_writer_bytes(tmp_path, monkeypatch):
+    monkeypatch.setattr(data, "_WRITE_CHARS", 64)   # a few rows per block
+    d = build_dataset([RawResponse(f"s{i % 7}", f"q,{i // 7}", f"c{i % 7 % 2}", i % 3, 2) for i in range(40)])
+    write_binary_csv(d, str(tmp_path / "out.csv"))
+    csv_writer_binary_csv(d, str(tmp_path / "reference.csv"))
+    assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+@st.composite
+def _datasets(draw):
+    num_students = draw(st.integers(1, 8))
+    num_questions = draw(st.integers(1, 6))
+    cells = draw(st.lists(st.tuples(st.integers(0, num_students - 1), st.integers(0, num_questions - 1)),
+                          min_size=2, unique=True))
+    s_idx, q_idx = (np.array(c, dtype=np.int64) for c in zip(*cells))
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=len(cells), max_size=len(cells))))
+    return dataset_from_arrays(s_idx, q_idx, y, class_of=np.zeros(num_students, dtype=np.int64),
+                               question_ids=tuple(f"q{i}" for i in range(num_questions)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=_datasets(), fraction=st.floats(0.01, 0.99), seed=st.integers(0, 2**32 - 1))
+def test_split_is_an_exact_stratified_partition(d, fraction, seed):
+    split = split_train_test(d, fraction, seed)
+
+    def triples(part):
+        return sorted(zip(part.student_idx.tolist(), part.question_idx.tolist(), part.y.tolist()))
+
+    assert sorted(triples(split.train) + triples(split.test)) == triples(d)
+    n = np.bincount(d.student_idx, minlength=d.num_students)
+    in_test = np.bincount(split.test.student_idx, minlength=d.num_students)
+    for s in np.flatnonzero(n):
+        assert in_test[s] == min(int(np.floor(fraction * n[s] + 0.5)), n[s] - 1)
+    assert not np.isin(np.flatnonzero(n == 1), split.test.student_idx).any()
+    again = split_train_test(d, fraction, seed)
+    for a, b in ((split.train, again.train), (split.test, again.test)):
+        assert all(np.array_equal(getattr(a, k), getattr(b, k)) for k in ("student_idx", "question_idx", "y"))

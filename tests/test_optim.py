@@ -192,6 +192,11 @@ class TestSgdTrain:
                                     warm_start=first)
         assert report.final_nll == pytest.approx(nll(spec, first, data), rel=1e-9)
 
+    @pytest.mark.parametrize("lr", [-1.0, 0.0, math.nan, math.inf])
+    def test_config_rejects_learning_rate_not_finite_and_positive(self, lr):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=lr)
+
     def test_copy_params_is_deep(self):
         params = Params(np.zeros(2), np.zeros(2))
         dup = copy_params(params)

@@ -302,6 +302,11 @@ class TestTrainVi:
         with pytest.raises(ValueError, match="learning_rate"):
             VIConfig(learning_rate=lr)
 
+    @pytest.mark.parametrize("sigma", [-1.0, 0.0, math.nan, math.inf])
+    def test_config_rejects_sigma_init_not_finite_and_positive(self, sigma):
+        with pytest.raises(ValueError, match="sigma_init"):
+            VIConfig(sigma_init=sigma)
+
     def test_divergence_raises(self):
         data = _tiny_data()
         cfg = VIConfig(samples=2, learning_rate=1e12, epochs=50, seed=0)
