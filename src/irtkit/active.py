@@ -60,7 +60,7 @@ class ActiveConfig:
 class ActiveResult:
     policy: str
     seed: int
-    questions_revealed: list           # per round, questions revealed per student so far
+    questions_revealed: list           # per round, most answers any pool student has revealed
     overall_accuracy: list             # mean over pool students, per round
     per_student_accuracy: np.ndarray   # (rounds + 1, pool size)
 
@@ -145,6 +145,10 @@ def run_active_loop(state: PoolState, cfg: ActiveConfig) -> ActiveResult:
     scores the reserved holdouts. Rounds that outrun a student's hidden
     answers reveal whatever remains; the loop truncates with a warning
     once every hidden answer is out. The input state is never mutated.
+    The result's questions_revealed holds, per round, the most answers
+    any pool student has revealed so far, read from the reveal order:
+    answers a student arrived with count, and a student whose hidden
+    answers ran out stops adding to it.
     """
     if not state.pool:
         raise ValueError("pool must be non-empty")
@@ -169,6 +173,7 @@ def run_active_loop(state: PoolState, cfg: ActiveConfig) -> ActiveResult:
     class_of = np.concatenate([base.class_of, np.zeros(P, dtype=np.int64)])
     student_ids = base.student_ids + tuple(p.student_id for p in state.pool)
     per_round = []   # holdout accuracy per pool student, one row per round
+    revealed = []    # most answers any pool student has revealed, one entry per round
 
     def combined() -> Dataset:
         """Base responses, then every revealed pool answer in pool and reveal order."""
@@ -184,6 +189,7 @@ def run_active_loop(state: PoolState, cfg: ActiveConfig) -> ActiveResult:
         probs = sigmoid(logits(params, np.s_[base_s:, None], np.s_[:])[0])  # (P, Q), pool x questions
         hits = ((probs >= 0.5) == (label == 1)) & holdout
         per_round.append(hits.sum(axis=1) / holdout.sum(axis=1))
+        revealed.append(int(n_revealed.max()))
         return probs
 
     params, _ = sgd_train(spec, combined(), replace(cfg.retrain, epochs=cfg.initial_epochs, seed=cfg.seed))
@@ -223,7 +229,7 @@ def run_active_loop(state: PoolState, cfg: ActiveConfig) -> ActiveResult:
     return ActiveResult(
         policy=cfg.policy,
         seed=cfg.seed,
-        questions_revealed=[k * cfg.batch_size for k in range(len(per_round))],
+        questions_revealed=revealed,
         overall_accuracy=[float(np.mean(row)) for row in per_student],
         per_student_accuracy=per_student,
     )

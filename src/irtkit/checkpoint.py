@@ -73,27 +73,32 @@ def save_checkpoint(path: str, kind: str, params: Params, data: Dataset) -> None
 def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint, checking every tensor against the kind's tensor table.
 
-    An unknown kind, a missing tensor, a shape that disagrees with the id
-    tables and dims, a non-finite value or a sigma <= 0 is a ValueError
-    naming the file.
+    Text that is not JSON, a top-level value that is not an object, a
+    missing or mistyped field, an unknown kind, a missing tensor, a shape
+    that disagrees with the id tables and dims, a non-finite value or a
+    sigma <= 0 is a ValueError naming the file.
     """
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != FORMAT:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise ValueError(f"{path}: not an {FORMAT} file")
     if doc.get("version") != VERSION:
         raise ValueError(f"{path}: checkpoint version {doc.get('version')!r}, expected {VERSION}")
     kind = doc.get("kind")
     if kind not in FAMILY:
         raise ValueError(f"{path}: unknown model kind {kind!r}")
-    ids = doc["id_tables"]
-    student_ids, question_ids, class_ids = (tuple(ids[k]) for k in ("students", "questions", "classes"))
-    class_of = np.asarray(doc["class_of"], dtype=np.int64)
+    ids = _field(path, doc, "id_tables", dict)
+    student_ids, question_ids, class_ids = (tuple(_field(path, ids, k, list))
+                                            for k in ("students", "questions", "classes"))
+    class_of = np.asarray(_field(path, doc, "class_of", list), dtype=np.int64)
     if class_of.shape != (len(student_ids),) or np.any((class_of < 0) | (class_of >= len(class_ids))):
         raise ValueError(f"{path}: class_of does not match the id tables")
 
-    dims = int(doc["dims"])
-    records = {rec["name"]: rec for rec in doc["tensors"]}
+    dims = _field(path, doc, "dims", int)
+    records = {rec["name"]: rec for rec in _field(path, doc, "tensors", list)}
     tensors = {}
     for name, (record, shape) in tensor_table(kind, dims, len(student_ids), len(question_ids),
                                               len(class_ids)).items():
@@ -114,6 +119,17 @@ def load_checkpoint(path: str) -> Checkpoint:
     params = Params(**tensors) if kind in POINT_KINDS else VIParams(kind=kind, **tensors)
     return Checkpoint(kind=kind, dims=dims, params=params, student_ids=student_ids,
                       question_ids=question_ids, class_ids=class_ids, class_of=class_of)
+
+
+_JSON_TYPES = {dict: "object", list: "array", int: "integer"}
+
+
+def _field(path: str, doc: dict, key: str, kind: type):
+    """doc[key], which must be present and a JSON `kind`; else a ValueError naming the file."""
+    value = doc.get(key)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"{path}: field {key!r} is missing or not a JSON {_JSON_TYPES[kind]}")
+    return value
 
 
 def align_rows_to_checkpoint(rows: Responses | Iterable[RawResponse], ckpt: Checkpoint) -> Dataset:

@@ -10,11 +10,14 @@ comparison on a pool of new students.
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .active import RANDOM, UNCERTAINTY, ActiveConfig, make_pool_state, run_active_loop
+from .active import (RANDOM, UNCERTAINTY, ActiveConfig, ActiveResult, make_pool_state,
+                     run_active_loop)
 from .data import split_train_test, subsample_students
 from .metrics import accuracy
 from .models import CLASS_INTERACTION, INTERACTION, RASCH, ModelSpec, predict_proba_array
@@ -49,6 +52,56 @@ def _heldout_accuracy(spec, params, split) -> float:
     return accuracy(p, split.test.y).accuracy
 
 
+def resolve_workers(workers: int | None = None) -> int:
+    """The worker count a recipe uses: the usable cores for None, else `workers` (>= 1)."""
+    if workers is None:
+        try:
+            return len(os.sched_getaffinity(0))
+        except AttributeError:  # platforms without CPU affinity
+            return os.cpu_count() or 1
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return workers
+
+
+def _recorded(fn, unit: tuple):
+    """Run one unit in a worker; return its result and the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*unit)
+    return result, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
+def _run_units(fn, units: list, workers: int | None) -> list:
+    """fn(*unit) for every unit, in unit order, on up to `workers` processes.
+
+    One process is a plain loop. Otherwise the units go to forked worker
+    processes, one task per unit; each unit's warnings are re-emitted
+    here in unit order, and a unit's exception is raised here. Units are
+    independent and seeded, so the results equal the plain loop's.
+    """
+    workers = min(resolve_workers(workers), len(units))
+    if workers <= 1:
+        return [fn(*unit) for unit in units]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    results = []
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = [pool.submit(_recorded, fn, unit) for unit in units]
+        try:
+            for future in futures:
+                result, caught = future.result()
+                for message, category, filename, lineno in caught:
+                    warnings.warn_explicit(message, category, filename, lineno)
+                results.append(result)
+        finally:
+            for future in futures:
+                future.cancel()
+    return results
+
+
 @dataclass
 class RecoveryRow:
     model: str
@@ -57,30 +110,39 @@ class RecoveryRow:
     accuracy: float
 
 
+def _recovery_unit(seed: int, model: str, students: int, questions: int, test_fraction: float,
+                   epochs: int) -> RecoveryRow:
+    """One (seed, model) fit of the recovery run, from its own seeded data and split."""
+    data, _ = generate_synthetic(SynthConfig(students=students, questions=questions, dims=1,
+                                             mean_bq=-3.0, outcome="threshold",
+                                             seed=seed + SEED_DATA,
+                                             exam_seed=RECOVERY_EXAM_SEED))
+    split = split_train_test(data, test_fraction, seed + SEED_SPLIT)
+    if model == RASCH:
+        spec = ModelSpec(RASCH)
+        cfg = TrainConfig(learning_rate=0.1, epochs=epochs, seed=seed + SEED_TRAIN)
+    else:
+        spec = ModelSpec(INTERACTION, 1)
+        cfg = TrainConfig(learning_rate=0.1, epochs=epochs, init_scale=0.1, seed=seed + SEED_TRAIN)
+    params, _ = sgd_train(spec, split.train, cfg)
+    return RecoveryRow(model, seed, students, _heldout_accuracy(spec, params, split))
+
+
 def recovery_run(students: int = 40_000, questions: int = 24, seeds=(0, 1, 2, 3, 4),
-                 test_fraction: float = 0.2, epochs: int = 60, out_dir: str | None = None):
+                 test_fraction: float = 0.2, epochs: int = 60, out_dir: str | None = None,
+                 workers: int | None = None):
     """Synthetic recovery: dense 1-D interaction data, both point models.
 
     Outcomes are the model's most-likely responses (threshold variant):
     that is the regime in which the recovery accuracies are stable and
     the interaction model reliably beats the ability-difficulty model.
-    Returns the per-seed accuracy rows.
+    Each (seed, model) fit is one unit for `workers` processes (see
+    `resolve_workers`). Returns the per-seed accuracy rows.
     """
-    rows: list[RecoveryRow] = []
-    for seed in seeds:
-        data, _ = generate_synthetic(SynthConfig(students=students, questions=questions, dims=1,
-                                                 mean_bq=-3.0, outcome="threshold",
-                                                 seed=seed + SEED_DATA,
-                                                 exam_seed=RECOVERY_EXAM_SEED))
-        split = split_train_test(data, test_fraction, seed + SEED_SPLIT)
-        for name, spec, cfg in (
-            (RASCH, ModelSpec(RASCH),
-             TrainConfig(learning_rate=0.1, epochs=epochs, seed=seed + SEED_TRAIN)),
-            (INTERACTION, ModelSpec(INTERACTION, 1),
-             TrainConfig(learning_rate=0.1, epochs=epochs, init_scale=0.1, seed=seed + SEED_TRAIN)),
-        ):
-            params, _ = sgd_train(spec, split.train, cfg)
-            rows.append(RecoveryRow(name, seed, students, _heldout_accuracy(spec, params, split)))
+    rows: list[RecoveryRow] = _run_units(
+        partial(_recovery_unit, students=students, questions=questions,
+                test_fraction=test_fraction, epochs=epochs),
+        [(seed, model) for seed in seeds for model in (RASCH, INTERACTION)], workers)
 
     if out_dir:
         _write_csv(os.path.join(out_dir, "recovery.csv"),
@@ -110,36 +172,42 @@ def low_data_synth_config(seed: int) -> SynthConfig:
                        num_classes=40, class_effect_std=1.0, std_xs=0.0, seed=seed)
 
 
+def _low_data_unit(seed: int, fraction: float, dims: int, test_fraction: float, point_epochs: int,
+                   vi_epochs: int, vi_lr: float) -> LowDataRow:
+    """One (seed, fraction) pair of the sweep: the point fit, then its VI twin."""
+    full, _ = generate_synthetic(low_data_synth_config(seed + SEED_DATA))
+    sub = full if fraction == 1.0 else subsample_students(full, fraction, seed + SEED_SPLIT)
+    split = split_train_test(sub, test_fraction, seed + SEED_SPLIT)
+    spec = ModelSpec(CLASS_INTERACTION, dims)
+    point_cfg = TrainConfig(learning_rate=0.1, epochs=point_epochs, init_scale=0.1,
+                            seed=seed + SEED_TRAIN)
+    point_params, _ = sgd_train(spec, split.train, point_cfg)
+    ci_acc = _heldout_accuracy(spec, point_params, split)
+
+    vi_cfg = VIConfig(samples=5, sigma_init=0.8, learning_rate=vi_lr, epochs=vi_epochs,
+                      seed=seed + SEED_TRAIN, warm_start=point_params)
+    vi_params, _ = train_vi(CLASS_INTERACTION_VI, split.train, vi_cfg, dims=dims)
+    p = predict_proba_vi_array(vi_params, split.test.student_idx, split.test.question_idx,
+                               split.test.class_of)
+    return LowDataRow(fraction, sub.num_students, seed, ci_acc, accuracy(p, split.test.y).accuracy)
+
+
 def low_data_sweep(fractions=(1.0, 0.5, 0.25, 0.15), seeds=(0, 1, 2, 3, 4),
                    dims: int = 3, test_fraction: float = 0.2,
                    point_epochs: int = 150, vi_epochs: int = 800, vi_lr: float = 0.002,
-                   out_dir: str | None = None):
+                   out_dir: str | None = None, workers: int | None = None):
     """Point class interaction vs its VI twin across subsample fractions.
 
     The VI model is warm-started from the trained point model with its
     ability standard deviations initialised at 0.8, mirroring the
     low-data protocol. Rows are paired: both models see identical data
-    and splits per (fraction, seed).
+    and splits per (fraction, seed), which is one unit for `workers`
+    processes.
     """
-    rows: list[LowDataRow] = []
-    for seed in seeds:
-        full, _ = generate_synthetic(low_data_synth_config(seed + SEED_DATA))
-        for fraction in fractions:
-            sub = full if fraction == 1.0 else subsample_students(full, fraction, seed + SEED_SPLIT)
-            split = split_train_test(sub, test_fraction, seed + SEED_SPLIT)
-            spec = ModelSpec(CLASS_INTERACTION, dims)
-            point_cfg = TrainConfig(learning_rate=0.1, epochs=point_epochs, init_scale=0.1,
-                                    seed=seed + SEED_TRAIN)
-            point_params, _ = sgd_train(spec, split.train, point_cfg)
-            ci_acc = _heldout_accuracy(spec, point_params, split)
-
-            vi_cfg = VIConfig(samples=5, sigma_init=0.8, learning_rate=vi_lr, epochs=vi_epochs,
-                              seed=seed + SEED_TRAIN, warm_start=point_params)
-            vi_params, _ = train_vi(CLASS_INTERACTION_VI, split.train, vi_cfg, dims=dims)
-            p = predict_proba_vi_array(vi_params, split.test.student_idx, split.test.question_idx,
-                                       split.test.class_of)
-            civi_acc = accuracy(p, split.test.y).accuracy
-            rows.append(LowDataRow(fraction, sub.num_students, seed, ci_acc, civi_acc))
+    rows: list[LowDataRow] = _run_units(
+        partial(_low_data_unit, dims=dims, test_fraction=test_fraction,
+                point_epochs=point_epochs, vi_epochs=vi_epochs, vi_lr=vi_lr),
+        [(seed, fraction) for seed in seeds for fraction in fractions], workers)
 
     if out_dir:
         _write_csv(os.path.join(out_dir, "low_data.csv"),
@@ -161,22 +229,32 @@ def active_synth_config(seed: int) -> SynthConfig:
     return SynthConfig(students=3000, questions=70, dims=0, mean_bq=0.0, std_bq=2.0, seed=seed)
 
 
+def _active_unit(seed: int, policy: str, pool_size: int, rounds: int,
+                 holdout_fraction: float) -> ActiveResult:
+    """One (seed, policy) learning curve, from its own seeded pool."""
+    data, _ = generate_synthetic(active_synth_config(seed + SEED_DATA))
+    state = make_pool_state(data, pool_size, holdout_fraction, seed + SEED_POOL)
+    cfg = ActiveConfig(policy=policy, batch_size=1, rounds=rounds,
+                       retrain=TrainConfig(learning_rate=0.1, epochs=8, convergence_tol=0.0),
+                       initial_epochs=30, seed=seed + SEED_TRAIN)
+    return run_active_loop(state, cfg)
+
+
 def active_vs_random(pool_size: int = 2000, seeds=(0, 1, 2, 3, 4), rounds: int = 56,
-                     holdout_fraction: float = 0.2, out_dir: str | None = None):
+                     holdout_fraction: float = 0.2, out_dir: str | None = None,
+                     workers: int | None = None):
     """Paired uncertainty-vs-random learning curves on a pool of new students.
 
     Both policies share the generator, pool construction, and seeds; only
-    the selection rule differs. Returns {policy: [ActiveResult, ...]}.
+    the selection rule differs. Each (seed, policy) curve is one unit for
+    `workers` processes. Returns {policy: [ActiveResult, ...]}.
     """
-    results = {UNCERTAINTY: [], RANDOM: []}
-    for seed in seeds:
-        data, _ = generate_synthetic(active_synth_config(seed + SEED_DATA))
-        state = make_pool_state(data, pool_size, holdout_fraction, seed + SEED_POOL)
-        for policy in (UNCERTAINTY, RANDOM):
-            cfg = ActiveConfig(policy=policy, batch_size=1, rounds=rounds,
-                               retrain=TrainConfig(learning_rate=0.1, epochs=8, convergence_tol=0.0),
-                               initial_epochs=30, seed=seed + SEED_TRAIN)
-            results[policy].append(run_active_loop(state, cfg))
+    policies = (UNCERTAINTY, RANDOM)
+    curves = _run_units(
+        partial(_active_unit, pool_size=pool_size, rounds=rounds,
+                holdout_fraction=holdout_fraction),
+        [(seed, policy) for seed in seeds for policy in policies], workers)
+    results = {policy: curves[i::len(policies)] for i, policy in enumerate(policies)}
 
     if out_dir:
         rows = []

@@ -184,3 +184,32 @@ def test_out_of_range_value_rejected(tmp_path, kind, name, value, message):
     path = _edited_checkpoint(tmp_path, edit, kind=kind)
     with pytest.raises(ValueError, match=rf"edited\.json: tensor '{name}' holds a {message}"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key", ["dims", "id_tables", "class_of", "tensors"])
+@pytest.mark.parametrize("edit", ["drop", "null"])
+def test_missing_or_null_field_rejected(tmp_path, key, edit):
+    def apply(doc):
+        if edit == "drop":
+            del doc[key]
+        else:
+            doc[key] = None
+    path = _edited_checkpoint(tmp_path, apply)
+    with pytest.raises(ValueError, match=rf"edited\.json: field '{key}' is missing or not a JSON"):
+        load_checkpoint(path)
+
+
+def test_top_level_array_rejected(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text('[{"format": "irtkit-checkpoint"}]', encoding="utf-8")
+    with pytest.raises(ValueError, match=r"list\.json: not an irtkit-checkpoint file"):
+        load_checkpoint(str(path))
+
+
+def test_truncated_json_rejected(tmp_path):
+    path = _edited_checkpoint(tmp_path, lambda doc: None)
+    text = open(path, encoding="utf-8").read()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text[:len(text) // 2])
+    with pytest.raises(ValueError, match=r"edited\.json: not valid JSON"):
+        load_checkpoint(path)
