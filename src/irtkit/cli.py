@@ -27,13 +27,6 @@ from .optim import TrainConfig, sgd_train
 from .synth import SynthConfig, generate_synthetic
 from .vi import VI_KINDS, VIConfig, predict_proba_vi_array, train_vi
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def _load_rows(path: str, fmt: str):
     if fmt == "raw":
         return data_mod.load_raw_csv(path)
@@ -222,8 +215,7 @@ def _cmd_experiment(args, manifest: ManifestWriter) -> int:
     seeds = tuple(int(s) for s in args.seeds.split(","))
     manifest.seeds["experiment"] = list(seeds)
     if args.recipe == "appendix-c-recovery":
-        rows = experiments.recovery_run(students=args.students, seeds=seeds, out_dir=args.out_dir,
-                                        workers=args.workers)
+        rows = experiments.recovery_run(students=args.students, seeds=seeds, out_dir=args.out_dir)
         manifest.add_output(f"{args.out_dir}/recovery.csv")
         manifest.add_output(f"{args.out_dir}/recovery_summary.csv")
         manifest.config = {"students": args.students}
@@ -232,8 +224,7 @@ def _cmd_experiment(args, manifest: ManifestWriter) -> int:
             _print_record({"model": model, "mean_accuracy": float(np.mean(accs))})
     elif args.recipe == "low-data-sweep":
         fractions = tuple(float(f) for f in args.fractions.split(","))
-        rows = experiments.low_data_sweep(fractions=fractions, seeds=seeds, out_dir=args.out_dir,
-                                          workers=args.workers)
+        rows = experiments.low_data_sweep(fractions=fractions, seeds=seeds, out_dir=args.out_dir)
         manifest.add_output(f"{args.out_dir}/low_data.csv")
         manifest.add_output(f"{args.out_dir}/low_data_summary.csv")
         manifest.config = {"fractions": list(fractions)}
@@ -244,14 +235,12 @@ def _cmd_experiment(args, manifest: ManifestWriter) -> int:
                            "civi_accuracy": float(np.mean([r.civi_accuracy for r in sub]))})
     else:
         results = experiments.active_vs_random(pool_size=args.pool_size, seeds=seeds,
-                                               rounds=args.rounds, out_dir=args.out_dir,
-                                               workers=args.workers)
+                                               rounds=args.rounds, out_dir=args.out_dir)
         manifest.add_output(f"{args.out_dir}/active_curves.csv")
         manifest.config = {"pool_size": args.pool_size, "rounds": args.rounds}
         for policy, runs in results.items():
             _print_record({"policy": policy,
                            "final_accuracy": float(np.mean([r.overall_accuracy[-1] for r in runs]))})
-    manifest.config["workers"] = experiments.resolve_workers(args.workers)
     return 0
 
 
@@ -364,8 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fractions", default="1.0,0.5,0.25,0.15")
     p.add_argument("--pool-size", type=int, default=2000)
     p.add_argument("--rounds", type=int, default=56)
-    p.add_argument("--workers", type=_positive_int, default=None,
-                   help="processes for the recipe's independent fits (default: usable cores)")
     add_common(p)
 
     return parser

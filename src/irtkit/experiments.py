@@ -10,9 +10,10 @@ comparison on a pool of new students.
 from __future__ import annotations
 
 import os
+import sys
 import warnings
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -52,16 +53,12 @@ def _heldout_accuracy(spec, params, split) -> float:
     return accuracy(p, split.test.y).accuracy
 
 
-def resolve_workers(workers: int | None = None) -> int:
-    """The worker count a recipe uses: the usable cores for None, else `workers` (>= 1)."""
-    if workers is None:
-        try:
-            return len(os.sched_getaffinity(0))
-        except AttributeError:  # platforms without CPU affinity
-            return os.cpu_count() or 1
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    return workers
+def resolve_workers() -> int:
+    """Processes a recipe runs its units on: the usable cores."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
 
 
 def _recorded(fn, unit: tuple):
@@ -72,29 +69,47 @@ def _recorded(fn, unit: tuple):
     return result, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
 
-def _run_units(fn, units: list, workers: int | None) -> list:
-    """fn(*unit) for every unit, in unit order, on up to `workers` processes.
+def _warn_again(message, category, filename: str, lineno: int) -> None:
+    """Re-emit a worker's warning as the module that raised it would have.
 
-    One process is a plain loop. Otherwise the units go to forked worker
-    processes, one task per unit; each unit's warnings are re-emitted
-    here in unit order, and a unit's exception is raised here. Units are
-    independent and seeded, so the results equal the plain loop's.
+    The module's name and registry are passed on, so filters by module and
+    the once-per-location rule act as they do in the plain loop.
     """
-    workers = min(resolve_workers(workers), len(units))
-    if workers <= 1:
+    for module in list(sys.modules.values()):
+        if getattr(module, "__file__", None) == filename:
+            scope = vars(module)
+            warnings.warn_explicit(message, category, filename, lineno, module.__name__,
+                                   scope.setdefault("__warningregistry__", {}), scope)
+            return
+    warnings.warn_explicit(message, category, filename, lineno)
+
+
+def _run_units(fn, units: list) -> list:
+    """fn(*unit) for every unit, in unit order, on up to `resolve_workers()` processes.
+
+    One process is a plain loop. With n > 1, this process runs the first
+    ceil(len(units) / n) units itself, so its own instrumentation still
+    sees them, while n - 1 forked workers take the rest, one task per
+    unit. Their warnings are re-emitted here in unit order, and the first
+    exception in unit order is raised here. Units are independent and
+    seeded, so the results equal the plain loop's.
+    """
+    workers = min(resolve_workers(), len(units))
+    if workers == 1:
         return [fn(*unit) for unit in units]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    results = []
-    with ProcessPoolExecutor(max_workers=workers,
+    own = -(-len(units) // workers)
+    with ProcessPoolExecutor(max_workers=workers - 1,
                              mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [pool.submit(_recorded, fn, unit) for unit in units]
+        futures = [pool.submit(_recorded, fn, unit) for unit in units[own:]]
         try:
+            results = [fn(*unit) for unit in units[:own]]
             for future in futures:
                 result, caught = future.result()
-                for message, category, filename, lineno in caught:
-                    warnings.warn_explicit(message, category, filename, lineno)
+                for record in caught:
+                    _warn_again(*record)
                 results.append(result)
         finally:
             for future in futures:
@@ -110,14 +125,20 @@ class RecoveryRow:
     accuracy: float
 
 
-def _recovery_unit(seed: int, model: str, students: int, questions: int, test_fraction: float,
-                   epochs: int) -> RecoveryRow:
-    """One (seed, model) fit of the recovery run, from its own seeded data and split."""
+@lru_cache(maxsize=1)
+def _recovery_split(seed: int, students: int, questions: int, test_fraction: float):
+    """A seed's recovery data and split, made once for both of its models."""
     data, _ = generate_synthetic(SynthConfig(students=students, questions=questions, dims=1,
                                              mean_bq=-3.0, outcome="threshold",
                                              seed=seed + SEED_DATA,
                                              exam_seed=RECOVERY_EXAM_SEED))
-    split = split_train_test(data, test_fraction, seed + SEED_SPLIT)
+    return split_train_test(data, test_fraction, seed + SEED_SPLIT)
+
+
+def _recovery_unit(seed: int, model: str, students: int, questions: int, test_fraction: float,
+                   epochs: int) -> RecoveryRow:
+    """One (seed, model) fit of the recovery run."""
+    split = _recovery_split(seed, students, questions, test_fraction)
     if model == RASCH:
         spec = ModelSpec(RASCH)
         cfg = TrainConfig(learning_rate=0.1, epochs=epochs, seed=seed + SEED_TRAIN)
@@ -129,20 +150,20 @@ def _recovery_unit(seed: int, model: str, students: int, questions: int, test_fr
 
 
 def recovery_run(students: int = 40_000, questions: int = 24, seeds=(0, 1, 2, 3, 4),
-                 test_fraction: float = 0.2, epochs: int = 60, out_dir: str | None = None,
-                 workers: int | None = None):
+                 test_fraction: float = 0.2, epochs: int = 60, out_dir: str | None = None):
     """Synthetic recovery: dense 1-D interaction data, both point models.
 
     Outcomes are the model's most-likely responses (threshold variant):
     that is the regime in which the recovery accuracies are stable and
     the interaction model reliably beats the ability-difficulty model.
-    Each (seed, model) fit is one unit for `workers` processes (see
-    `resolve_workers`). Returns the per-seed accuracy rows.
+    Each (seed, model) fit is one unit (see `_run_units`). Returns the
+    per-seed accuracy rows.
     """
     rows: list[RecoveryRow] = _run_units(
         partial(_recovery_unit, students=students, questions=questions,
                 test_fraction=test_fraction, epochs=epochs),
-        [(seed, model) for seed in seeds for model in (RASCH, INTERACTION)], workers)
+        [(seed, model) for seed in seeds for model in (RASCH, INTERACTION)])
+    _recovery_split.cache_clear()
 
     if out_dir:
         _write_csv(os.path.join(out_dir, "recovery.csv"),
@@ -172,10 +193,16 @@ def low_data_synth_config(seed: int) -> SynthConfig:
                        num_classes=40, class_effect_std=1.0, std_xs=0.0, seed=seed)
 
 
+@lru_cache(maxsize=1)
+def _low_data_full(seed: int):
+    """A seed's full low-data population, made once for all of its fractions."""
+    return generate_synthetic(low_data_synth_config(seed + SEED_DATA))[0]
+
+
 def _low_data_unit(seed: int, fraction: float, dims: int, test_fraction: float, point_epochs: int,
                    vi_epochs: int, vi_lr: float) -> LowDataRow:
     """One (seed, fraction) pair of the sweep: the point fit, then its VI twin."""
-    full, _ = generate_synthetic(low_data_synth_config(seed + SEED_DATA))
+    full = _low_data_full(seed)
     sub = full if fraction == 1.0 else subsample_students(full, fraction, seed + SEED_SPLIT)
     split = split_train_test(sub, test_fraction, seed + SEED_SPLIT)
     spec = ModelSpec(CLASS_INTERACTION, dims)
@@ -195,19 +222,19 @@ def _low_data_unit(seed: int, fraction: float, dims: int, test_fraction: float, 
 def low_data_sweep(fractions=(1.0, 0.5, 0.25, 0.15), seeds=(0, 1, 2, 3, 4),
                    dims: int = 3, test_fraction: float = 0.2,
                    point_epochs: int = 150, vi_epochs: int = 800, vi_lr: float = 0.002,
-                   out_dir: str | None = None, workers: int | None = None):
+                   out_dir: str | None = None):
     """Point class interaction vs its VI twin across subsample fractions.
 
     The VI model is warm-started from the trained point model with its
     ability standard deviations initialised at 0.8, mirroring the
     low-data protocol. Rows are paired: both models see identical data
-    and splits per (fraction, seed), which is one unit for `workers`
-    processes.
+    and splits per (fraction, seed), which is one unit (see `_run_units`).
     """
     rows: list[LowDataRow] = _run_units(
         partial(_low_data_unit, dims=dims, test_fraction=test_fraction,
                 point_epochs=point_epochs, vi_epochs=vi_epochs, vi_lr=vi_lr),
-        [(seed, fraction) for seed in seeds for fraction in fractions], workers)
+        [(seed, fraction) for seed in seeds for fraction in fractions])
+    _low_data_full.cache_clear()
 
     if out_dir:
         _write_csv(os.path.join(out_dir, "low_data.csv"),
@@ -229,11 +256,17 @@ def active_synth_config(seed: int) -> SynthConfig:
     return SynthConfig(students=3000, questions=70, dims=0, mean_bq=0.0, std_bq=2.0, seed=seed)
 
 
+@lru_cache(maxsize=1)
+def _active_pool(seed: int, pool_size: int, holdout_fraction: float):
+    """A seed's pool, made once for both policies (`run_active_loop` leaves it as is)."""
+    data, _ = generate_synthetic(active_synth_config(seed + SEED_DATA))
+    return make_pool_state(data, pool_size, holdout_fraction, seed + SEED_POOL)
+
+
 def _active_unit(seed: int, policy: str, pool_size: int, rounds: int,
                  holdout_fraction: float) -> ActiveResult:
-    """One (seed, policy) learning curve, from its own seeded pool."""
-    data, _ = generate_synthetic(active_synth_config(seed + SEED_DATA))
-    state = make_pool_state(data, pool_size, holdout_fraction, seed + SEED_POOL)
+    """One (seed, policy) learning curve."""
+    state = _active_pool(seed, pool_size, holdout_fraction)
     cfg = ActiveConfig(policy=policy, batch_size=1, rounds=rounds,
                        retrain=TrainConfig(learning_rate=0.1, epochs=8, convergence_tol=0.0),
                        initial_epochs=30, seed=seed + SEED_TRAIN)
@@ -241,19 +274,19 @@ def _active_unit(seed: int, policy: str, pool_size: int, rounds: int,
 
 
 def active_vs_random(pool_size: int = 2000, seeds=(0, 1, 2, 3, 4), rounds: int = 56,
-                     holdout_fraction: float = 0.2, out_dir: str | None = None,
-                     workers: int | None = None):
+                     holdout_fraction: float = 0.2, out_dir: str | None = None):
     """Paired uncertainty-vs-random learning curves on a pool of new students.
 
     Both policies share the generator, pool construction, and seeds; only
-    the selection rule differs. Each (seed, policy) curve is one unit for
-    `workers` processes. Returns {policy: [ActiveResult, ...]}.
+    the selection rule differs. Each (seed, policy) curve is one unit (see
+    `_run_units`). Returns {policy: [ActiveResult, ...]}.
     """
     policies = (UNCERTAINTY, RANDOM)
     curves = _run_units(
         partial(_active_unit, pool_size=pool_size, rounds=rounds,
                 holdout_fraction=holdout_fraction),
-        [(seed, policy) for seed in seeds for policy in policies], workers)
+        [(seed, policy) for seed in seeds for policy in policies])
+    _active_pool.cache_clear()
     results = {policy: curves[i::len(policies)] for i, policy in enumerate(policies)}
 
     if out_dir:

@@ -213,27 +213,6 @@ class TestExperimentCli:
         records = [json.loads(line) for line in out.strip().splitlines()]
         assert {r["model"] for r in records} == {"rasch", "interaction"}
 
-    def test_one_worker_writes_the_default_bytes(self, workdir, capsys):
-        tables, workers = {}, {}
-        for name, extra in (("default", []), ("one", ["--workers", "1"])):
-            os.mkdir(name)
-            code, _, _ = run_cli(capsys, "experiment", "appendix-c-recovery", "--students", "400",
-                                 "--seeds", "0,1", "--out-dir", name, *extra)
-            assert code == 0
-            tables[name] = {f: (workdir / name / f).read_bytes()
-                            for f in ("recovery.csv", "recovery_summary.csv")}
-            manifest = json.loads((workdir / name / "experiment.manifest.json").read_text())
-            workers[name] = manifest["config"]["workers"]
-        assert tables["one"] == tables["default"]
-        assert workers == {"default": len(os.sched_getaffinity(0)), "one": 1}
-
-    @pytest.mark.parametrize("value", ["0", "-2", "two"])
-    def test_workers_below_one_is_a_usage_error(self, workdir, capsys, value):
-        code, _, err = run_cli(capsys, "experiment", "active-vs-random", "--workers", value)
-        assert code == 2
-        assert "argument --workers" in err
-        assert not list(workdir.iterdir())
-
 
 class TestRawIngest:
     def test_raw_rows_binarize_on_ingest(self, workdir, capsys):
