@@ -62,7 +62,6 @@ from .active import (
     ActiveConfig,
     ActiveResult,
     PoolState,
-    PoolStudent,
     ability_bucket_report,
     make_pool_state,
     run_active_loop,

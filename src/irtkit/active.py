@@ -6,9 +6,9 @@ picks which of their unanswered questions to query (uncertainty: the
 question whose predicted probability is closest to 0.5; random: a
 uniform draw), the oracle label is revealed, the model is retrained
 warm-started for a capped number of epochs, and accuracy on each pool
-student's reserved holdout questions is recorded. The loop holds the
-pool as (student, question) arrays, so a round is a few whole-pool
-numpy operations rather than a pass over the students.
+student's reserved holdout questions is recorded. The pool is held as
+(pool student, question) arrays, so a round is a few whole-pool numpy
+operations rather than a pass over the students.
 """
 
 from __future__ import annotations
@@ -26,18 +26,33 @@ UNCERTAINTY = "uncertainty"
 RANDOM = "random"
 
 
-@dataclass
-class PoolStudent:
-    student_id: str
-    revealed: dict            # question index -> label, in reveal order
-    hidden: dict              # question index -> label, the queryable oracle
-    test_holdout: dict        # question index -> label, reserved for scoring
-
-
-@dataclass
+@dataclass(frozen=True)
 class PoolState:
-    base: Dataset
-    pool: list                # list[PoolStudent]; disjoint from base students
+    """The labelled base and the pool of new students, as read-only (P, Q) arrays.
+
+    Row i of each array is the pool student student_ids[i]. label holds
+    the int8 answers (0 where there is none); holdout marks the answers
+    reserved for scoring and queryable the ones a policy may reveal.
+    order lists each student's revealed questions in reveal order, -1
+    past the end; a student may arrive with answers revealed.
+    """
+
+    base: Dataset             # disjoint from the pool students
+    student_ids: tuple
+    label: np.ndarray
+    holdout: np.ndarray
+    queryable: np.ndarray
+    order: np.ndarray
+
+    def __post_init__(self):
+        for arr in (self.label, self.holdout, self.queryable, self.order):
+            arr.setflags(write=False)
+
+
+def _require_count(name: str, value, low: int) -> None:
+    """Raise unless value is an integer >= low."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass
@@ -52,8 +67,9 @@ class ActiveConfig:
     def __post_init__(self):
         if self.policy not in (UNCERTAINTY, RANDOM):
             raise ValueError(f"unknown policy {self.policy!r}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        _require_count("batch_size", self.batch_size, 1)
+        _require_count("rounds", self.rounds, 0)
+        _require_count("initial_epochs", self.initial_epochs, 1)
 
 
 @dataclass
@@ -68,70 +84,45 @@ class ActiveResult:
 def make_pool_state(d: Dataset, pool_size: int, holdout_fraction: float = 0.2, seed: int = 0) -> PoolState:
     """Carve pool_size students out of a dataset as unseen newcomers.
 
-    Each pool student's answers are split into a reserved test holdout
-    (about holdout_fraction of them, at least one) and a hidden oracle
-    the policies may query. Remaining students form the labelled base.
+    The pool is drawn from the students with at least one response. Each
+    pool student's answers are split into a reserved test holdout (about
+    holdout_fraction of them, at least one) and a hidden oracle the
+    policies may query. Remaining students form the labelled base.
     """
+    if not 0 < holdout_fraction < 1:
+        raise ValueError(f"holdout_fraction must be in (0, 1), got {holdout_fraction}")
     if not 0 < pool_size < d.num_students:
         raise ValueError("pool_size must leave at least one base student")
+    answered = np.flatnonzero(np.bincount(d.student_idx, minlength=d.num_students))
+    if pool_size > answered.size:
+        raise ValueError(f"pool_size {pool_size} exceeds the {answered.size} students with a response")
     rng = np.random.default_rng(seed)
-    pool_ids = np.sort(rng.choice(d.num_students, size=pool_size, replace=False))
-
-    remap = np.zeros(d.num_students, dtype=np.int64)
-    remap[pool_ids] = -1
-    base_students = np.flatnonzero(remap == 0)
-    remap[base_students] = np.arange(base_students.shape[0])
-    base_mask = remap[d.student_idx] >= 0
-    base = Dataset(
-        student_idx=remap[d.student_idx[base_mask]],
-        question_idx=d.question_idx[base_mask].copy(),
-        y=d.y[base_mask].copy(),
-        num_students=int(base_students.shape[0]),
-        num_questions=d.num_questions,
-        num_classes=d.num_classes,
-        class_of=d.class_of[base_students].copy(),
-        student_ids=tuple(d.student_ids[i] for i in base_students),
-        question_ids=d.question_ids,
-        class_ids=d.class_ids,
-    )
-
-    # rows grouped by student, each group in row order
-    by_student = np.argsort(d.student_idx, kind="stable")
-    bounds = np.searchsorted(d.student_idx[by_student], np.stack([pool_ids, pool_ids + 1]))
-    pool: list[PoolStudent] = []
-    for s, lo, hi in zip(pool_ids, *bounds):
-        rows = by_student[lo:hi]
-        answers = dict(zip(d.question_idx[rows].tolist(), d.y[rows].tolist()))
-        qs = np.array(sorted(answers), dtype=np.int64)
-        k = max(1, int(np.floor(holdout_fraction * qs.size + 0.5)))
-        k = min(k, qs.size - 1) if qs.size > 1 else qs.size
-        held = set(rng.choice(qs, size=k, replace=False).tolist())
-        pool.append(PoolStudent(
-            student_id=d.student_ids[s],
-            revealed={},
-            hidden={q: answers[q] for q in qs.tolist() if q not in held},
-            test_holdout={q: answers[q] for q in sorted(held)},
-        ))
-    return PoolState(base=base, pool=pool)
+    pool_ids = np.sort(answered[rng.choice(answered.size, size=pool_size, replace=False)])
+    pool = d.keep_students(pool_ids)
+    label = np.zeros((pool_size, d.num_questions), dtype=np.int8)
+    label[pool.student_idx, pool.question_idx] = pool.y
+    observed = np.zeros(label.shape, dtype=bool)
+    observed[pool.student_idx, pool.question_idx] = True
+    holdout = np.zeros(label.shape, dtype=bool)
+    for i, row in enumerate(observed):
+        qs = np.flatnonzero(row)
+        k = min(max(1, int(np.floor(holdout_fraction * qs.size + 0.5))), max(1, qs.size - 1))
+        holdout[i, rng.choice(qs, size=k, replace=False)] = True
+    base = d.keep_students(np.setdiff1d(np.arange(d.num_students), pool_ids))
+    return PoolState(base=base, student_ids=pool.student_ids, label=label, holdout=holdout,
+                     queryable=observed & ~holdout, order=np.full(label.shape, -1, dtype=np.int64))
 
 
-def select_next(probabilities: dict, already_revealed: set) -> int:
-    """Uncertainty rule: unrevealed question with probability closest to 0.5.
+def select_next(probs: np.ndarray, open_: np.ndarray) -> np.ndarray:
+    """Uncertainty rule, row by row: the open question with probability closest to 0.5.
 
-    Ties break toward the lowest question index, which also makes the
-    choice independent of map iteration order.
+    probs and open_ are (P, Q); returns one question index per row. Ties
+    break toward the lowest question index. A row with no open question
+    is a ValueError.
     """
-    candidates = [q for q in probabilities if q not in already_revealed]
-    if not candidates:
-        raise ValueError("no unrevealed question to select")
-    return min(candidates, key=lambda q: (abs(probabilities[q] - 0.5), q))
-
-
-def _cells(pool: list, name: str):
-    """(pool row, question, label) arrays of one dict field, pool then dict order."""
-    maps = [getattr(p, name) for p in pool]
-    cells = np.fromiter((qy for m in maps for qy in m.items()), dtype=np.dtype((np.int64, 2)))
-    return np.repeat(np.arange(len(maps)), [len(m) for m in maps]), cells[:, 0], cells[:, 1]
+    if not open_.any(axis=1).all():
+        raise ValueError("no open question to select")
+    return np.argmin(np.where(open_, np.abs(probs - 0.5), np.inf), axis=1)
 
 
 def run_active_loop(state: PoolState, cfg: ActiveConfig) -> ActiveResult:
@@ -139,39 +130,30 @@ def run_active_loop(state: PoolState, cfg: ActiveConfig) -> ActiveResult:
 
     Pool students enter with ability 0 (the population prior mean), so
     round 0 scores question-difficulty-only predictions. Each subsequent
-    round reveals cfg.batch_size answers per student (selected exactly as
-    select_next does, vectorized across students), retrains the
+    round reveals cfg.batch_size answers per student (uncertainty: one
+    select_next call per batch slot over the whole pool), retrains the
     ability-difficulty model warm-started from the previous round, and
     scores the reserved holdouts. Rounds that outrun a student's hidden
     answers reveal whatever remains; the loop truncates with a warning
-    once every hidden answer is out. The input state is never mutated.
+    once every hidden answer is out. The loop works on copies, so the
+    read-only input state is never mutated.
     The result's questions_revealed holds, per round, the most answers
     any pool student has revealed so far, read from the reveal order:
     answers a student arrived with count, and a student whose hidden
     answers ran out stops adding to it.
     """
-    if not state.pool:
+    if not state.student_ids:
         raise ValueError("pool must be non-empty")
     spec = ModelSpec(RASCH)
     rng = np.random.default_rng(cfg.seed)
-    base = state.base
+    base, label, holdout = state.base, state.label, state.holdout
+    queryable, order = state.queryable.copy(), state.order.copy()
     base_s = base.num_students
-    P, Q = len(state.pool), base.num_questions
-
-    label = np.zeros((P, Q), dtype=np.int8)
-    queryable, holdout = np.zeros((2, P, Q), dtype=bool)
-    for name, mask, value in (("test_holdout", holdout, True), ("hidden", queryable, True),
-                              ("revealed", queryable, False)):
-        rows, qs, ys = _cells(state.pool, name)
-        mask[rows, qs] = value
-        label[rows, qs] = ys
-    # reveal order per student, -1 past the end; seeded by the "revealed" pass
-    order = np.full((P, Q), -1, dtype=np.int64)
-    order[rows, np.arange(rows.size) - np.searchsorted(rows, rows)] = qs
-    n_revealed = np.bincount(rows, minlength=P)
+    P = label.shape[0]
+    n_revealed = (order >= 0).sum(axis=1)
 
     class_of = np.concatenate([base.class_of, np.zeros(P, dtype=np.int64)])
-    student_ids = base.student_ids + tuple(p.student_id for p in state.pool)
+    student_ids = base.student_ids + state.student_ids
     per_round = []   # holdout accuracy per pool student, one row per round
     revealed = []    # most answers any pool student has revealed, one entry per round
 
@@ -204,17 +186,14 @@ def run_active_loop(state: PoolState, cfg: ActiveConfig) -> ActiveResult:
             break
         open_counts = queryable.sum(axis=1)
         takes = steps < np.minimum(cfg.batch_size, open_counts)[:, None]
-        if cfg.policy == UNCERTAINTY:
-            scores = np.where(queryable, np.abs(probs - 0.5), np.inf)
-        else:
+        if cfg.policy == RANDOM:
             # one draw per pick, student-major, from the shrinking open count
             draws = np.zeros(takes.shape, dtype=np.int64)
             draws[takes] = rng.integers(0, (open_counts[:, None] - steps)[takes])
         for b in steps:
             j = np.flatnonzero(takes[:, b])
             if cfg.policy == UNCERTAINTY:
-                q_next = np.argmin(scores[j], axis=1)  # first minimum = lowest index
-                scores[j, q_next] = np.inf
+                q_next = select_next(probs[j], queryable[j])
             else:
                 # the draws[j, b]-th still-open question of each student
                 q_next = np.argmax(np.cumsum(queryable[j], axis=1) > draws[j, b, None], axis=1)

@@ -73,14 +73,18 @@ def save_checkpoint(path: str, kind: str, params: Params, data: Dataset) -> None
 def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint, checking every tensor against the kind's tensor table.
 
-    Text that is not JSON, a top-level value that is not an object, a
-    missing or mistyped field, an unknown kind, a missing tensor, a shape
-    that disagrees with the id tables and dims, a non-finite value or a
-    sigma <= 0 is a ValueError naming the file.
+    Text that is not UTF-8 JSON, a top-level value that is not an object,
+    a missing or mistyped field or tensor record, counts that disagree
+    with the id tables, a non-integer class, an unknown kind, a missing
+    tensor, a shape that disagrees with the id tables and dims, a
+    non-numeric or non-finite value or a sigma <= 0 is a ValueError
+    naming the file (and the tensor).
     """
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
@@ -91,22 +95,37 @@ def load_checkpoint(path: str) -> Checkpoint:
     if kind not in FAMILY:
         raise ValueError(f"{path}: unknown model kind {kind!r}")
     ids = _field(path, doc, "id_tables", dict)
-    student_ids, question_ids, class_ids = (tuple(_field(path, ids, k, list))
-                                            for k in ("students", "questions", "classes"))
-    class_of = np.asarray(_field(path, doc, "class_of", list), dtype=np.int64)
-    if class_of.shape != (len(student_ids),) or np.any((class_of < 0) | (class_of >= len(class_ids))):
+    tables = [tuple(_field(path, ids, k, list)) for k in ("students", "questions", "classes")]
+    for key, table in zip(("num_students", "num_questions", "num_classes"), tables):
+        if _field(path, doc, key, int) != len(table):
+            raise ValueError(f"{path}: {key} is {doc[key]}, but the id table holds {len(table)}")
+    student_ids, question_ids, class_ids = tables
+    class_of = _field(path, doc, "class_of", list)
+    if any(type(c) is not int for c in class_of):
+        raise ValueError(f"{path}: class_of holds a non-integer entry")
+    if len(class_of) != len(student_ids) or not all(0 <= c < len(class_ids) for c in class_of):
         raise ValueError(f"{path}: class_of does not match the id tables")
+    class_of = np.array(class_of, dtype=np.int64)
 
     dims = _field(path, doc, "dims", int)
-    records = {rec["name"]: rec for rec in _field(path, doc, "tensors", list)}
+    records = {}
+    for i, rec in enumerate(_field(path, doc, "tensors", list)):
+        if not isinstance(rec, dict) or not isinstance(rec.get("name"), str):
+            raise ValueError(f"{path}: tensor record {i} is not an object with a string 'name'")
+        records[rec["name"]] = rec
     tensors = {}
     for name, (record, shape) in tensor_table(kind, dims, len(student_ids), len(question_ids),
                                               len(class_ids)).items():
         if record not in records:
             raise ValueError(f"{path}: missing tensor {record!r}")
-        values = np.asarray(records[record]["values"], dtype=np.float64)
-        if tuple(records[record]["shape"]) != shape or values.size != np.prod(shape):
-            raise ValueError(f"{path}: tensor {record!r} has shape {records[record]['shape']}, "
+        got, values = (_field(path, records[record], key, list, f"tensor {record!r} ")
+                       for key in ("shape", "values"))
+        try:
+            values = np.asarray(values, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"{path}: tensor {record!r} holds a value that is not a float") from None
+        if tuple(got) != shape or values.size != np.prod(shape):
+            raise ValueError(f"{path}: tensor {record!r} has shape {got}, "
                              f"expected {list(shape)} from the id tables and dims")
         if not np.all(np.isfinite(values)):
             raise ValueError(f"{path}: tensor {record!r} holds a non-finite value")
@@ -124,11 +143,11 @@ def load_checkpoint(path: str) -> Checkpoint:
 _JSON_TYPES = {dict: "object", list: "array", int: "integer"}
 
 
-def _field(path: str, doc: dict, key: str, kind: type):
-    """doc[key], which must be present and a JSON `kind`; else a ValueError naming the file."""
+def _field(path: str, doc: dict, key: str, kind: type, owner: str = ""):
+    """doc[key], which must be present and a JSON `kind`; else a ValueError naming the file and owner."""
     value = doc.get(key)
     if not isinstance(value, kind) or isinstance(value, bool):
-        raise ValueError(f"{path}: field {key!r} is missing or not a JSON {_JSON_TYPES[kind]}")
+        raise ValueError(f"{path}: {owner}field {key!r} is missing or not a JSON {_JSON_TYPES[kind]}")
     return value
 
 

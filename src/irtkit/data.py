@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice, repeat
 from typing import Iterable, NamedTuple
 
@@ -96,6 +96,21 @@ class Dataset:
             question_ids=self.question_ids,
             class_ids=self.class_ids,
         )
+
+    def keep_students(self, students: np.ndarray) -> "Dataset":
+        """Every response of the given sorted students, in row order.
+
+        The kept students are densely reindexed in the given order, with
+        their class_of entries and ids; question and class tables are shared.
+        """
+        students = np.asarray(students, dtype=np.int64)
+        remap = np.full(self.num_students, -1, dtype=np.int64)
+        remap[students] = np.arange(students.size)
+        student_idx = remap[self.student_idx]
+        rows = student_idx >= 0
+        return replace(self, student_idx=student_idx[rows], question_idx=self.question_idx[rows],
+                       y=self.y[rows], num_students=students.size, class_of=self.class_of[students],
+                       student_ids=tuple(map(self.student_ids.__getitem__, students.tolist())))
 
 
 @dataclass(frozen=True)
@@ -425,19 +440,4 @@ def subsample_students(d: Dataset, fraction: float, seed: int) -> Dataset:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     keep = int(np.floor(fraction * d.num_students))
     rng = np.random.default_rng(seed)
-    chosen = np.sort(rng.choice(d.num_students, size=keep, replace=False))
-    remap = np.full(d.num_students, -1, dtype=np.int64)
-    remap[chosen] = np.arange(keep)
-    mask = remap[d.student_idx] >= 0
-    return Dataset(
-        student_idx=remap[d.student_idx[mask]],
-        question_idx=d.question_idx[mask].copy(),
-        y=d.y[mask].copy(),
-        num_students=keep,
-        num_questions=d.num_questions,
-        num_classes=d.num_classes,
-        class_of=d.class_of[chosen].copy(),
-        student_ids=tuple(d.student_ids[i] for i in chosen),
-        question_ids=d.question_ids,
-        class_ids=d.class_ids,
-    )
+    return d.keep_students(np.sort(rng.choice(d.num_students, size=keep, replace=False)))

@@ -213,3 +213,54 @@ def test_truncated_json_rejected(tmp_path):
         fh.write(text[:len(text) // 2])
     with pytest.raises(ValueError, match=r"edited\.json: not valid JSON"):
         load_checkpoint(path)
+
+
+def _set_record(doc, name, value):
+    doc["tensors"][doc["tensors"].index(_record(doc, name))] = value
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: _set_record(doc, "easiness", 7), r"tensor record 1 is not an object with a string 'name'"),
+    (lambda doc: _record(doc, "easiness").pop("name"), r"tensor record 1 is not an object with a string 'name'"),
+    (lambda doc: _record(doc, "easiness").pop("shape"),
+     r"tensor 'easiness' field 'shape' is missing or not a JSON array"),
+    (lambda doc: _record(doc, "easiness").pop("values"),
+     r"tensor 'easiness' field 'values' is missing or not a JSON array"),
+    (lambda doc: _record(doc, "easiness").update(shape=None),
+     r"tensor 'easiness' field 'shape' is missing or not a JSON array"),
+    (lambda doc: _record(doc, "easiness")["values"].__setitem__(0, "x"),
+     r"tensor 'easiness' holds a value that is not a float"),
+    (lambda doc: _record(doc, "easiness")["values"].__setitem__(0, 10**400),
+     r"tensor 'easiness' holds a value that is not a float"),
+    (lambda doc: doc["class_of"].__setitem__(0, 0.5), r"class_of holds a non-integer entry"),
+    (lambda doc: doc["class_of"].__setitem__(0, 10**30), r"class_of does not match the id tables"),
+    (lambda doc: doc["class_of"].__setitem__(0, "0"), r"class_of holds a non-integer entry"),
+])
+def test_malformed_tensor_record_or_class_rejected(tmp_path, edit, message):
+    path = _edited_checkpoint(tmp_path, edit)
+    with pytest.raises(ValueError, match=rf"edited\.json: {message}"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key", ["num_students", "num_questions", "num_classes"])
+@pytest.mark.parametrize("edit", ["drop", "off by one"])
+def test_counts_disagreeing_with_id_tables_rejected(tmp_path, key, edit):
+    def apply(doc):
+        if edit == "drop":
+            del doc[key]
+        else:
+            doc[key] += 1
+    path = _edited_checkpoint(tmp_path, apply)
+    message = "field '{key}' is missing or not a JSON integer" if edit == "drop" else "{key} is \\d+, but"
+    with pytest.raises(ValueError, match=rf"edited\.json: {message.format(key=key)}"):
+        load_checkpoint(path)
+
+
+def test_non_utf8_file_rejected(tmp_path):
+    path = _edited_checkpoint(tmp_path, lambda doc: None)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(raw.replace(b'"students": ["', b'"students": ["\xff', 1))   # a byte no UTF-8 text holds
+    with pytest.raises(ValueError, match=r"edited\.json: not UTF-8 text"):
+        load_checkpoint(path)

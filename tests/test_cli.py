@@ -199,6 +199,14 @@ class TestActiveCli:
         assert len(lines) == 5
         assert (workdir / "c1.csv").read_bytes() == (workdir / "c2.csv").read_bytes()
 
+    def test_nan_holdout_fraction_is_a_named_error(self, workdir, capsys):
+        run_cli(capsys, *_synth_args("data.csv", seed=11, students="60", questions="10"))
+        code, _, err = run_cli(capsys, "active", "--data", "data.csv", "--pool-size", "20",
+                               "--policy", "random", "--holdout-fraction", "nan", "--out", "c.csv")
+        assert code == 1
+        assert err.strip() == "error: holdout_fraction must be in (0, 1), got nan"
+        assert not os.path.exists("c.csv")
+
 
 class TestExperimentCli:
     def test_recovery_recipe_writes_tables(self, workdir, capsys):

@@ -1,6 +1,7 @@
 """Ingestion, binarization, splitting, and subsampling behavior."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -440,3 +441,20 @@ def test_split_is_an_exact_stratified_partition(d, fraction, seed):
     again = split_train_test(d, fraction, seed)
     for a, b in ((split.train, again.train), (split.test, again.test)):
         assert all(np.array_equal(getattr(a, k), getattr(b, k)) for k in ("student_idx", "question_idx", "y"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=_datasets(), picks=st.data())
+def test_keep_students_keeps_each_kept_students_triples_and_class(d, picks):
+    class_of = np.array(picks.draw(st.lists(st.integers(0, 2), min_size=d.num_students, max_size=d.num_students)))
+    d = replace(d, class_of=class_of, num_classes=3, class_ids=("c0", "c1", "c2"))
+    kept = np.array(sorted(picks.draw(st.sets(st.integers(0, d.num_students - 1)))), dtype=np.int64)
+    sub = d.keep_students(kept)
+    assert sub.num_students == kept.size
+    assert sub.student_ids == tuple(d.student_ids[s] for s in kept)
+    assert sub.class_of.tolist() == class_of[kept].tolist()
+    rows = np.isin(d.student_idx, kept)
+    assert kept[sub.student_idx].tolist() == d.student_idx[rows].tolist()   # same rows, same order
+    assert sub.question_idx.tolist() == d.question_idx[rows].tolist()
+    assert sub.y.tolist() == d.y[rows].tolist()
+    assert (sub.question_ids, sub.class_ids, sub.num_questions) == (d.question_ids, d.class_ids, d.num_questions)

@@ -70,7 +70,7 @@ def test_default_processes_are_the_usable_cores():
 def _stub_loop(state, cfg):
     warnings.warn(f"stub {cfg.policy} {cfg.seed}")
     return ActiveResult(cfg.policy, cfg.seed, [os.getpid()], [0.5],
-                        np.full((1, len(state.pool)), 0.5))
+                        np.full((1, len(state.student_ids)), 0.5))
 
 
 def _stub_warnings(caught):
