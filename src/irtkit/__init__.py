@@ -28,7 +28,6 @@ from .models import (
     INTERACTION_VI,
     RASCH,
     RASCH_VI,
-    ModelSpec,
     Params,
     logits,
     predict_proba_array,

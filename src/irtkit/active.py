@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Dataset
-from .models import RASCH, ModelSpec, logits, sigmoid
+from .models import RASCH, logits, require_count, sigmoid
 from .optim import TrainConfig, sgd_train
 
 UNCERTAINTY = "uncertainty"
@@ -49,12 +49,6 @@ class PoolState:
             arr.setflags(write=False)
 
 
-def _require_count(name: str, value, low: int) -> None:
-    """Raise unless value is an integer >= low."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-
-
 @dataclass
 class ActiveConfig:
     policy: str = UNCERTAINTY
@@ -67,9 +61,9 @@ class ActiveConfig:
     def __post_init__(self):
         if self.policy not in (UNCERTAINTY, RANDOM):
             raise ValueError(f"unknown policy {self.policy!r}")
-        _require_count("batch_size", self.batch_size, 1)
-        _require_count("rounds", self.rounds, 0)
-        _require_count("initial_epochs", self.initial_epochs, 1)
+        require_count("batch_size", self.batch_size, 1)
+        require_count("rounds", self.rounds, 0)
+        require_count("initial_epochs", self.initial_epochs, 1)
 
 
 @dataclass
@@ -144,7 +138,6 @@ def run_active_loop(state: PoolState, cfg: ActiveConfig) -> ActiveResult:
     """
     if not state.student_ids:
         raise ValueError("pool must be non-empty")
-    spec = ModelSpec(RASCH)
     rng = np.random.default_rng(cfg.seed)
     base, label, holdout = state.base, state.label, state.holdout
     queryable, order = state.queryable.copy(), state.order.copy()
@@ -174,7 +167,7 @@ def run_active_loop(state: PoolState, cfg: ActiveConfig) -> ActiveResult:
         revealed.append(int(n_revealed.max()))
         return probs
 
-    params, _ = sgd_train(spec, combined(), replace(cfg.retrain, epochs=cfg.initial_epochs, seed=cfg.seed))
+    params, _ = sgd_train(RASCH, combined(), replace(cfg.retrain, epochs=cfg.initial_epochs, seed=cfg.seed))
     # cold-start pool abilities at the prior mean
     params.ability[base_s:] = 0.0
     probs = score(params)
@@ -201,7 +194,7 @@ def run_active_loop(state: PoolState, cfg: ActiveConfig) -> ActiveResult:
             order[j, n_revealed[j]] = q_next
             n_revealed[j] += 1
         retrain_cfg = replace(cfg.retrain, seed=cfg.seed + r)
-        params, _ = sgd_train(spec, combined(), retrain_cfg, warm_start=params)
+        params, _ = sgd_train(RASCH, combined(), retrain_cfg, warm_start=params)
         probs = score(params)
 
     per_student = np.vstack(per_round)

@@ -16,8 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from .data import Dataset, RawResponse, Responses
-from .models import FAMILY, POINT_KINDS, VI_KINDS, Params, tensor_table
-from .vi import VIParams, inv_softplus, softplus
+from .models import FAMILY, RASCH, Params, inv_softplus, make_params, softplus, tensor_table
 
 FORMAT = "irtkit-checkpoint"
 VERSION = 1
@@ -25,17 +24,11 @@ VERSION = 1
 
 @dataclass
 class Checkpoint:
-    kind: str
-    dims: int
-    params: Params               # a VIParams for VI kinds
+    params: Params               # a VIParams for VI kinds; it holds the kind and dims
     student_ids: tuple
     question_ids: tuple
     class_ids: tuple
     class_of: np.ndarray
-
-    @property
-    def is_vi(self) -> bool:
-        return self.kind in VI_KINDS
 
 
 def _tensor_record(name: str, arr: np.ndarray) -> dict:
@@ -43,16 +36,16 @@ def _tensor_record(name: str, arr: np.ndarray) -> dict:
     return {"name": name, "shape": list(arr.shape), "values": arr.reshape(-1).tolist()}
 
 
-def save_checkpoint(path: str, kind: str, params: Params, data: Dataset) -> None:
-    """Write one record per tensor of the kind's tensor table, sigmas for rhos."""
-    table = tensor_table(kind, params.dims, data.num_students, data.num_questions, data.num_classes)
+def save_checkpoint(path: str, params: Params, data: Dataset) -> None:
+    """Write one record per tensor of the params' kind's tensor table, sigmas for rhos."""
+    table = tensor_table(params.kind, params.dims, data.num_students, data.num_questions, data.num_classes)
     tensors = [_tensor_record(record, softplus(getattr(params, name)) if name.endswith("_rho")
                               else getattr(params, name))
                for name, (record, _) in table.items()]
     doc = {
         "format": FORMAT,
         "version": VERSION,
-        "kind": kind,
+        "kind": params.kind,
         "dims": params.dims,
         "num_students": data.num_students,
         "num_questions": data.num_questions,
@@ -75,7 +68,8 @@ def load_checkpoint(path: str) -> Checkpoint:
 
     Text that is not UTF-8 JSON, a top-level value that is not an object,
     a missing or mistyped field or tensor record, counts that disagree
-    with the id tables, a non-integer class, an unknown kind, a missing
+    with the id tables, a non-integer class, an unknown kind, dims that
+    disagree with the kind (0 for rasch kinds, >= 1 otherwise), a missing
     tensor, a shape that disagrees with the id tables and dims, a
     non-numeric or non-finite value or a sigma <= 0 is a ValueError
     naming the file (and the tensor).
@@ -108,6 +102,9 @@ def load_checkpoint(path: str) -> Checkpoint:
     class_of = np.array(class_of, dtype=np.int64)
 
     dims = _field(path, doc, "dims", int)
+    rasch = FAMILY[kind] == RASCH
+    if (dims != 0) if rasch else (dims < 1):
+        raise ValueError(f"{path}: dims is {dims}, but {kind} needs dims {'0' if rasch else '>= 1'}")
     records = {}
     for i, rec in enumerate(_field(path, doc, "tensors", list)):
         if not isinstance(rec, dict) or not isinstance(rec.get("name"), str):
@@ -135,8 +132,7 @@ def load_checkpoint(path: str) -> Checkpoint:
                 raise ValueError(f"{path}: tensor {record!r} holds a sigma <= 0")
             values = np.asarray(inv_softplus(values))
         tensors[name] = values
-    params = Params(**tensors) if kind in POINT_KINDS else VIParams(kind=kind, **tensors)
-    return Checkpoint(kind=kind, dims=dims, params=params, student_ids=student_ids,
+    return Checkpoint(params=make_params(kind, tensors), student_ids=student_ids,
                       question_ids=question_ids, class_ids=class_ids, class_of=class_of)
 
 

@@ -22,10 +22,10 @@ from . import experiments
 from .checkpoint import align_rows_to_checkpoint, load_checkpoint, save_checkpoint
 from .manifest import ManifestWriter
 from .metrics import accuracy, cosine_similarity_matrix, two_proportion_z_test
-from .models import FAMILY, POINT_KINDS, ModelSpec, predict_proba_array
+from .models import POINT_KINDS, VI_KINDS, predict_proba_array
 from .optim import TrainConfig, sgd_train
 from .synth import SynthConfig, generate_synthetic
-from .vi import VI_KINDS, VIConfig, predict_proba_vi_array, train_vi
+from .vi import VIConfig, train_vi
 
 def _load_rows(path: str, fmt: str):
     if fmt == "raw":
@@ -67,14 +67,11 @@ def _cmd_ingest(args, manifest: ManifestWriter) -> int:
 
 
 def _warm_start(args, manifest: ManifestWriter, dataset):
-    """The --warm-start checkpoint's parameters, checked against the model family and id tables."""
+    """The --warm-start checkpoint's parameters, checked against the id tables (training checks the rest)."""
     if not args.warm_start:
         return None
     manifest.add_input(args.warm_start)
     ckpt = load_checkpoint(args.warm_start)
-    if ckpt.kind != FAMILY[args.model]:
-        raise ValueError(f"warm-start checkpoint is {ckpt.kind!r}, expected "
-                         f"{FAMILY[args.model]!r} for {args.model}")
     if ckpt.student_ids != dataset.student_ids or ckpt.question_ids != dataset.question_ids:
         raise ValueError("warm-start id tables do not match the training data")
     return ckpt.params
@@ -82,7 +79,7 @@ def _warm_start(args, manifest: ManifestWriter, dataset):
 
 def _save_trained(args, manifest: ManifestWriter, params, dataset, report) -> None:
     """Write the checkpoint and, next to it, the training report."""
-    save_checkpoint(args.out, args.model, params, dataset)
+    save_checkpoint(args.out, params, dataset)
     manifest.add_output(args.out)
     with open(args.out + ".report.json", "w", encoding="utf-8") as fh:
         json.dump({"final_nll": report.final_nll, "epochs_run": report.epochs_run,
@@ -95,12 +92,12 @@ def _save_trained(args, manifest: ManifestWriter, params, dataset, report) -> No
 def _cmd_train(args, manifest: ManifestWriter) -> int:
     manifest.add_input(args.data)
     dataset = data_mod.build_dataset(_load_rows(args.data, args.format))
-    spec = ModelSpec(args.model, args.dims)
     cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch_size,
                       l2_penalty=args.l2, seed=args.seed, init_scale=args.init_scale)
-    params, report = sgd_train(spec, dataset, cfg, warm_start=_warm_start(args, manifest, dataset))
+    params, report = sgd_train(args.model, dataset, cfg, dims=args.dims,
+                               warm_start=_warm_start(args, manifest, dataset))
     _save_trained(args, manifest, params, dataset, report)
-    manifest.config = {"model": args.model, "dims": spec.dims, "lr": args.lr, "epochs": args.epochs,
+    manifest.config = {"model": args.model, "dims": params.dims, "lr": args.lr, "epochs": args.epochs,
                        "batch_size": args.batch_size, "l2": args.l2, "init_scale": args.init_scale}
     _print_record({"final_nll": report.final_nll, "epochs_run": report.epochs_run})
     return 0
@@ -110,8 +107,9 @@ def _cmd_train_vi(args, manifest: ManifestWriter) -> int:
     manifest.add_input(args.data)
     dataset = data_mod.build_dataset(_load_rows(args.data, args.format))
     cfg = VIConfig(samples=args.samples, sigma_init=args.sigma_init, learning_rate=args.lr,
-                   epochs=args.epochs, seed=args.seed, warm_start=_warm_start(args, manifest, dataset))
-    params, report = train_vi(args.model, dataset, cfg, dims=args.dims)
+                   epochs=args.epochs, seed=args.seed)
+    params, report = train_vi(args.model, dataset, cfg, dims=args.dims,
+                              warm_start=_warm_start(args, manifest, dataset))
     _save_trained(args, manifest, params, dataset, report)
     manifest.config = {"model": args.model, "dims": params.dims, "samples": args.samples,
                        "sigma_init": args.sigma_init, "lr": args.lr, "epochs": args.epochs,
@@ -125,12 +123,7 @@ def _cmd_eval(args, manifest: ManifestWriter) -> int:
     manifest.add_input(args.data)
     ckpt = load_checkpoint(args.checkpoint)
     dataset = align_rows_to_checkpoint(_load_rows(args.data, args.format), ckpt)
-    if ckpt.is_vi:
-        preds = predict_proba_vi_array(ckpt.params, dataset.student_idx, dataset.question_idx,
-                                       dataset.class_of)
-    else:
-        preds = predict_proba_array(ModelSpec(ckpt.kind, ckpt.dims), ckpt.params, dataset.student_idx,
-                                    dataset.question_idx, dataset.class_of)
+    preds = predict_proba_array(ckpt.params, dataset.student_idx, dataset.question_idx, dataset.class_of)
     report = accuracy(preds, dataset.y, args.threshold)
     record = report.to_dict()
     if args.out:
@@ -170,7 +163,7 @@ def _cmd_interpret(args, manifest: ManifestWriter) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     demand = ckpt.params.demand
     if demand is None:
-        raise ValueError(f"checkpoint kind {ckpt.kind!r} has no question embedding vectors")
+        raise ValueError(f"checkpoint kind {ckpt.params.kind!r} has no question embedding vectors")
     sim = cosine_similarity_matrix(demand, ckpt.question_ids, rescale_display=args.rescale_display)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("question_id," + ",".join(sim.question_ids) + "\n")
@@ -198,10 +191,7 @@ def _cmd_active(args, manifest: ManifestWriter) -> int:
                                   retrain=TrainConfig(epochs=5, convergence_tol=0.0, seed=args.seed),
                                   seed=args.seed)
     result = active_mod.run_active_loop(state, cfg)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("questions_revealed,accuracy,policy,seed\n")
-        for k, acc in zip(result.questions_revealed, result.overall_accuracy):
-            fh.write(f"{k},{acc!r},{result.policy},{result.seed}\n")
+    experiments.write_active_curves(args.out, [result])
     manifest.add_output(args.out)
     manifest.config = {"pool_size": args.pool_size, "policy": args.policy, "batch": args.batch,
                        "rounds": args.rounds, "holdout_fraction": args.holdout_fraction}

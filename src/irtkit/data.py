@@ -250,43 +250,58 @@ def _load(path: str, header: list[str], marks) -> Responses:
     `marks(columns, lines)` parses and checks a block's mark columns and
     raises the ParseError of the block's first bad row. File line numbers
     count the header as line 1, and blank records, which are skipped, too.
+    A byte that is not UTF-8 is a ParseError naming the line that holds it.
     """
     tables = (_Interner(str.strip), _Interner(str.strip), _Interner(lambda text: text.strip() or NO_CLASS))
     width = len(header)
     blocks = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        got = next(reader, None)
-        if got is None:
-            raise ParseError(f"{path}: empty file, expected header {','.join(header)}")
-        if [c.strip() for c in got] != header:
-            raise ParseError(f"{path}: bad header {got!r}, expected {','.join(header)}")
-        line = 2
-        while True:
-            fields, counts, torn = [], [], None
-            try:
-                for record in islice(reader, _READ_BLOCK):
-                    counts.append(len(record))
-                    fields += record
-            except csv.Error as exc:   # raised after the records before it are checked
-                torn = exc
-            if not counts and torn is None:
-                break
-            counts = np.array(counts)
-            lines = line + np.flatnonzero(counts)   # of the non-blank records
-            line += counts.size
-            counts = counts[counts > 0]
-            wrong = np.flatnonzero(counts != width)
-            n = int(wrong[0]) if wrong.size else counts.size   # records before the first of another width
-            columns = [fields[i:n * width:width] for i in range(width)]
-            blocks.append((*(t.codes(col) for t, col in zip(tables, columns)), *marks(columns[3:], lines[:n])))
-            if wrong.size:
-                raise ParseError(f"{path}: expected {width} fields at line {lines[n]}, got {counts[n]}")
-            if torn is not None:
-                raise torn
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            got = next(reader, None)
+            if got is None:
+                raise ParseError(f"{path}: empty file, expected header {','.join(header)}")
+            if [c.strip() for c in got] != header:
+                raise ParseError(f"{path}: bad header {got!r}, expected {','.join(header)}")
+            line = 2
+            while True:
+                fields, counts, torn = [], [], None
+                try:
+                    for record in islice(reader, _READ_BLOCK):
+                        counts.append(len(record))
+                        fields += record
+                except csv.Error as exc:   # raised after the records before it are checked
+                    torn = exc
+                if not counts and torn is None:
+                    break
+                counts = np.array(counts)
+                lines = line + np.flatnonzero(counts)   # of the non-blank records
+                line += counts.size
+                counts = counts[counts > 0]
+                wrong = np.flatnonzero(counts != width)
+                n = int(wrong[0]) if wrong.size else counts.size   # records before the first of another width
+                columns = [fields[i:n * width:width] for i in range(width)]
+                blocks.append((*(t.codes(col) for t, col in zip(tables, columns)), *marks(columns[3:], lines[:n])))
+                if wrong.size:
+                    raise ParseError(f"{path}: expected {width} fields at line {lines[n]}, got {counts[n]}")
+                if torn is not None:
+                    raise torn
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text at line {_non_utf8_line(path)}") from None
     columns = ([np.concatenate(col) for col in zip(*blocks)] if blocks
                else [np.empty(0, np.int64) for _ in range(5)])
     return Responses(*columns, *(tuple(t.ids) for t in tables))
+
+
+def _non_utf8_line(path: str) -> int:
+    """The line holding a file's first byte that is not UTF-8, numbered as the loaders number records."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raw = raw[:exc.start] + b"?"   # the text before the byte, and a stand-in for it
+    return sum(1 for _ in csv.reader(io.StringIO(raw.decode("utf-8"), newline="")))
 
 
 def load_raw_csv(path: str) -> Responses:

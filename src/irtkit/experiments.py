@@ -21,7 +21,7 @@ from .active import (RANDOM, UNCERTAINTY, ActiveConfig, ActiveResult, make_pool_
                      run_active_loop)
 from .data import split_train_test, subsample_students
 from .metrics import accuracy
-from .models import CLASS_INTERACTION, INTERACTION, RASCH, ModelSpec, predict_proba_array
+from .models import CLASS_INTERACTION, INTERACTION, RASCH, predict_proba_array
 from .optim import TrainConfig, sgd_train
 from .synth import SynthConfig, generate_synthetic
 from .vi import CLASS_INTERACTION_VI, VIConfig, predict_proba_vi_array, train_vi
@@ -47,8 +47,8 @@ def _write_csv(path: str, header: list[str], rows: list) -> None:
             fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
-def _heldout_accuracy(spec, params, split) -> float:
-    p = predict_proba_array(spec, params, split.test.student_idx, split.test.question_idx,
+def _heldout_accuracy(params, split) -> float:
+    p = predict_proba_array(params, split.test.student_idx, split.test.question_idx,
                             split.test.class_of)
     return accuracy(p, split.test.y).accuracy
 
@@ -140,13 +140,11 @@ def _recovery_unit(seed: int, model: str, students: int, questions: int, test_fr
     """One (seed, model) fit of the recovery run."""
     split = _recovery_split(seed, students, questions, test_fraction)
     if model == RASCH:
-        spec = ModelSpec(RASCH)
         cfg = TrainConfig(learning_rate=0.1, epochs=epochs, seed=seed + SEED_TRAIN)
     else:
-        spec = ModelSpec(INTERACTION, 1)
         cfg = TrainConfig(learning_rate=0.1, epochs=epochs, init_scale=0.1, seed=seed + SEED_TRAIN)
-    params, _ = sgd_train(spec, split.train, cfg)
-    return RecoveryRow(model, seed, students, _heldout_accuracy(spec, params, split))
+    params, _ = sgd_train(model, split.train, cfg, dims=1)
+    return RecoveryRow(model, seed, students, _heldout_accuracy(params, split))
 
 
 def recovery_run(students: int = 40_000, questions: int = 24, seeds=(0, 1, 2, 3, 4),
@@ -205,15 +203,14 @@ def _low_data_unit(seed: int, fraction: float, dims: int, test_fraction: float, 
     full = _low_data_full(seed)
     sub = full if fraction == 1.0 else subsample_students(full, fraction, seed + SEED_SPLIT)
     split = split_train_test(sub, test_fraction, seed + SEED_SPLIT)
-    spec = ModelSpec(CLASS_INTERACTION, dims)
     point_cfg = TrainConfig(learning_rate=0.1, epochs=point_epochs, init_scale=0.1,
                             seed=seed + SEED_TRAIN)
-    point_params, _ = sgd_train(spec, split.train, point_cfg)
-    ci_acc = _heldout_accuracy(spec, point_params, split)
+    point_params, _ = sgd_train(CLASS_INTERACTION, split.train, point_cfg, dims=dims)
+    ci_acc = _heldout_accuracy(point_params, split)
 
     vi_cfg = VIConfig(samples=5, sigma_init=0.8, learning_rate=vi_lr, epochs=vi_epochs,
-                      seed=seed + SEED_TRAIN, warm_start=point_params)
-    vi_params, _ = train_vi(CLASS_INTERACTION_VI, split.train, vi_cfg, dims=dims)
+                      seed=seed + SEED_TRAIN)
+    vi_params, _ = train_vi(CLASS_INTERACTION_VI, split.train, vi_cfg, dims=dims, warm_start=point_params)
     p = predict_proba_vi_array(vi_params, split.test.student_idx, split.test.question_idx,
                                split.test.class_of)
     return LowDataRow(fraction, sub.num_students, seed, ci_acc, accuracy(p, split.test.y).accuracy)
@@ -290,11 +287,13 @@ def active_vs_random(pool_size: int = 2000, seeds=(0, 1, 2, 3, 4), rounds: int =
     results = {policy: curves[i::len(policies)] for i, policy in enumerate(policies)}
 
     if out_dir:
-        rows = []
-        for policy, runs in results.items():
-            for res in runs:
-                for k, acc in zip(res.questions_revealed, res.overall_accuracy):
-                    rows.append((k, acc, policy, res.seed))
-        _write_csv(os.path.join(out_dir, "active_curves.csv"),
-                   ["questions_revealed", "accuracy", "policy", "seed"], rows)
+        write_active_curves(os.path.join(out_dir, "active_curves.csv"),
+                            [res for runs in results.values() for res in runs])
     return results
+
+
+def write_active_curves(path: str, results: list) -> None:
+    """One questions_revealed,accuracy,policy,seed row per round of each ActiveResult, in order."""
+    _write_csv(path, ["questions_revealed", "accuracy", "policy", "seed"],
+               [(k, acc, res.policy, res.seed) for res in results
+                for k, acc in zip(res.questions_revealed, res.overall_accuracy)])

@@ -9,13 +9,16 @@ gives each student its own vec row (owner is the identity); class
 interaction shares one vec row among the students of a class (owner is
 class_of). The variational twins (kinds ending in "-vi") hold the same
 tensors as means, plus transformed standard deviations on the student
-side. One container, one logits kernel and one gradient scatter serve
-all six kinds.
+side. A container carries its kind: it is the one value that says what a
+model is. One container, one logits kernel, one gradient scatter and one
+plug-in predictor serve all six kinds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass, field, fields
+from numbers import Integral, Real
 from typing import Optional
 
 import numpy as np
@@ -56,32 +59,48 @@ def softplus(x, e=None):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class ModelSpec:
-    kind: str
-    dims: int = 0
+def inv_softplus(s):
+    """Inverse of softplus; linear in the tail to avoid expm1 overflow."""
+    s = np.asarray(s, dtype=np.float64)
+    out = np.where(s > 30.0, s, np.log(np.expm1(np.minimum(s, 30.0))))
+    return out if out.ndim else float(out)
 
-    def __post_init__(self):
-        if self.kind not in POINT_KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.kind == RASCH:
-            object.__setattr__(self, "dims", 0)
-        elif self.dims < 1:
-            raise ValueError(f"{self.kind} requires dims >= 1")
+
+def require_count(name: str, value, low: int) -> None:
+    """Raise unless value is an integer >= low."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def require_nonnegative(name: str, value) -> None:
+    """Raise unless value is a finite real number >= 0."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass
 class Params:
-    """The tensors of any model kind.
+    """The tensors of a point model kind.
 
     vec holds one row per student (interaction) or per class
     (class-interaction); rasch holds neither vec nor demand.
     """
 
+    KINDS = POINT_KINDS  # the kinds this container holds
+
     ability: np.ndarray                   # (S,) student ability
     easiness: np.ndarray                  # (Q,) large positive means a simple question
     vec: Optional[np.ndarray] = None      # (S or C, D) strengths and weaknesses
     demand: Optional[np.ndarray] = None   # (Q, D) per-question topic involvement
+    kind: str = field(kw_only=True)
+
+    def __post_init__(self):
+        if self.kind not in self.KINDS:
+            raise ValueError(f"unknown {type(self).__name__} kind {self.kind!r}")
+        rasch = FAMILY[self.kind] == RASCH
+        if (self.vec is None) != rasch or (self.demand is None) != rasch:
+            held = "neither vec nor demand" if rasch else "both vec and demand"
+            raise ValueError(f"{self.kind} params must hold {held}")
 
     @property
     def dims(self) -> int:
@@ -90,6 +109,31 @@ class Params:
     def tensors(self) -> dict:
         """Name -> array of every tensor held, in field order."""
         return {f.name: v for f in fields(self) if isinstance(v := getattr(self, f.name), np.ndarray)}
+
+
+@dataclass
+class VIParams(Params):
+    """Variational posteriors over student-side latents, points elsewhere.
+
+    ability and vec hold the posterior means, with standard deviations
+    softplus(ability_rho) and softplus(vec_rho); easiness and demand are
+    point estimates. Plug-in prediction is the point prediction of the
+    matching family at the means.
+    """
+
+    KINDS = VI_KINDS
+
+    ability_rho: np.ndarray = field(kw_only=True)       # (S,)
+    vec_rho: Optional[np.ndarray] = field(default=None, kw_only=True)  # like vec
+
+    @property
+    def ability_sigma(self) -> np.ndarray:
+        return softplus(self.ability_rho)
+
+
+def make_params(kind: str, tensors: dict) -> Params:
+    """The container of a kind (a VIParams for VI kinds) holding tensors by name."""
+    return (VIParams if kind in VI_KINDS else Params)(kind=kind, **tensors)
 
 
 # Checkpoint record name of each tensor, per point (False) and VI (True)
@@ -107,11 +151,13 @@ def tensor_table(kind: str, dims: int, num_students: int, num_questions: int, nu
     """Name -> (checkpoint record name, shape) of every tensor of a kind.
 
     Entries come in checkpoint order, which is also the order in which
-    initialisation draws them.
+    initialisation draws them. Rasch kinds ignore dims; others need dims >= 1.
     """
     if kind not in FAMILY:
         raise ValueError(f"unknown model kind {kind!r}")
     family = FAMILY[kind]
+    if family != RASCH and dims < 1:
+        raise ValueError(f"{kind} requires dims >= 1, got {dims}")
     rows = {INTERACTION: num_students, CLASS_INTERACTION: num_classes}.get(family)
     shapes = {"ability": (num_students,), "easiness": (num_questions,),
               "vec": (rows, dims), "demand": (num_questions, dims)}
@@ -205,11 +251,6 @@ def grad_scatter(params: Params, s_idx, q_idx, w, gathered, eps=None) -> dict:
     return g
 
 
-def clamped_sigmoid(z) -> np.ndarray:
-    """Probability from logits, clamped to the open interval (0, 1)."""
-    return np.clip(sigmoid(z), _P_LO, _P_HI)
-
-
-def predict_proba_array(spec: ModelSpec, params: Params, s_idx, q_idx, class_of=None) -> np.ndarray:
-    """P(correct) for index arrays; class_of required for class models."""
-    return clamped_sigmoid(logits(params, s_idx, q_idx, vec_rows(spec.kind, s_idx, class_of))[0])
+def predict_proba_array(params: Params, s_idx, q_idx, class_of=None) -> np.ndarray:
+    """P(correct) in the open interval (0, 1), at the means for VI kinds; class_of required for class models."""
+    return np.clip(sigmoid(logits(params, s_idx, q_idx, vec_rows(params.kind, s_idx, class_of))[0]), _P_LO, _P_HI)

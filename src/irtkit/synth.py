@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .data import Dataset, dataset_from_arrays
-from .models import sigmoid
+from .models import require_count, require_nonnegative, sigmoid
 
 
 SAMPLE = "sample"        # y ~ Bernoulli(p), the default generative story
@@ -41,8 +41,10 @@ class SynthConfig:
     exam_seed: Optional[int] = None  # fix the question paper across student seeds
 
     def __post_init__(self):
-        if self.students < 1 or self.questions < 1 or self.dims < 0:
-            raise ValueError("students >= 1, questions >= 1, dims >= 0 required")
+        for name, low in (("students", 1), ("questions", 1), ("dims", 0), ("num_classes", 0)):
+            require_count(name, getattr(self, name), low)
+        for name in ("std_bq", "std_bs", "std_xs", "std_xq", "class_effect_std"):
+            require_nonnegative(name, getattr(self, name))
         if not 0.0 < self.keep_prob <= 1.0:
             raise ValueError("keep_prob must be in (0, 1]")
         if self.outcome not in (SAMPLE, THRESHOLD):

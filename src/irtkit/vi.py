@@ -16,32 +16,26 @@ softplus transform of an unconstrained value rather than by clipping.
 Three variants: "rasch-vi" (variational ability only), "interaction-vi"
 (variational ability and per-student skill vectors), and
 "class-interaction-vi" (variational ability and per-class skill vectors,
-shared by every student of the class).
+shared by every student of the class). Their container, VIParams, is
+a Params plus the rhos; initialisation (optim.init_params) and plug-in
+prediction (models.predict_proba_array) are the point kinds' own.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
-from .models import (_P_HI, _P_LO, CLASS_INTERACTION_VI, FAMILY, VI_KINDS, Params, check_shapes,
-                     clamped_sigmoid, grad_scatter, logits, question_rows, sigmoid, softplus, tensor_table,
-                     vec_rows)
-from .optim import TrainingDiverged, TrainReport, central_difference_error, draw
+from .models import (_P_HI, _P_LO, CLASS_INTERACTION_VI, FAMILY, VI_KINDS, Params, VIParams, grad_scatter,
+                     logits, predict_proba_array, question_rows, require_count, require_nonnegative, sigmoid,
+                     softplus, vec_rows)
+from .optim import TrainingDiverged, TrainReport, central_difference_error, init_params
 
 PLUG_IN_MEAN = "plugin-mean"
 MONTE_CARLO = "monte-carlo"
-
-
-def inv_softplus(s):
-    """Inverse of softplus; linear in the tail to avoid expm1 overflow."""
-    s = np.asarray(s, dtype=np.float64)
-    out = np.where(s > 30.0, s, np.log(np.expm1(np.minimum(s, 30.0))))
-    return out if out.ndim else float(out)
 
 
 def kl_gaussian(mu1, sigma1, mu2, sigma2):
@@ -62,29 +56,6 @@ def draw_latent(mu, rho, eps):
 
 
 @dataclass
-class VIParams(Params):
-    """Variational posteriors over student-side latents, points elsewhere.
-
-    ability and vec hold the posterior means, with standard deviations
-    softplus(ability_rho) and softplus(vec_rho); easiness and demand are
-    point estimates. Plug-in prediction is the point prediction of the
-    matching family at the means.
-    """
-
-    kind: str = field(kw_only=True)
-    ability_rho: np.ndarray = field(kw_only=True)       # (S,)
-    vec_rho: Optional[np.ndarray] = field(default=None, kw_only=True)  # like vec
-
-    def __post_init__(self):
-        if self.kind not in VI_KINDS:
-            raise ValueError(f"unknown VI kind {self.kind!r}")
-
-    @property
-    def ability_sigma(self) -> np.ndarray:
-        return softplus(self.ability_rho)
-
-
-@dataclass
 class VIConfig:
     samples: int = 5            # M, Monte Carlo draws per ELBO estimate
     sigma_init: float = 0.8
@@ -92,11 +63,11 @@ class VIConfig:
     epochs: int = 500
     seed: int = 0
     init_scale: float = 0.01
-    warm_start: object = None   # optional point-model parameter container
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
+        require_count("samples", self.samples, 1)
+        require_count("epochs", self.epochs, 0)
+        require_nonnegative("init_scale", self.init_scale)
         if not 0 < self.sigma_init < math.inf:
             raise ValueError("sigma_init must be finite and > 0")
         if not 0 < self.learning_rate < math.inf:
@@ -135,6 +106,7 @@ def _elbo_core(params: VIParams, responses, eps_ability, eps_vec, want_grads: bo
     M = eps_ability.shape[0]
     s_idx, q_idx, rows, y = responses
     D = params.dims
+    family = FAMILY[params.kind]
 
     sig_a = softplus(params.ability_rho)
     ability_samp = draw_latent(params.ability, params.ability_rho, eps_ability)  # (M, S)
@@ -148,7 +120,7 @@ def _elbo_core(params: VIParams, responses, eps_ability, eps_vec, want_grads: bo
     q_rows = question_rows(params, q_idx)
     loglik = 0.0
     for m in range(M):
-        sample = Params(ability_samp[m], params.easiness, vec_samp[m] if D else None, params.demand)
+        sample = Params(ability_samp[m], params.easiness, vec_samp[m] if D else None, params.demand, kind=family)
         z, gathered = logits(sample, s_idx, q_idx, rows, q_rows)
         e = np.exp(-np.abs(z))
         loglik += float(np.sum(y * z - softplus(z, e)))
@@ -186,35 +158,11 @@ def elbo_grad(params: VIParams, data: Dataset, M: int, seed: int):
     return _elbo_core(params, _responses(params.kind, data), eps_ability, eps_vec, want_grads=True)
 
 
-def init_vi_params(kind: str, data: Dataset, dims: int, cfg: VIConfig, rng) -> VIParams:
-    """Initial tensors in tensor-table order; every sigma starts at sigma_init.
-
-    Means and point tensors are copies of cfg.warm_start when it is set,
-    which must then hold exactly the tensors of the matching point family
-    (rasch for rasch-vi, and so on) at these dims; otherwise they are
-    Normal(0, init_scale^2) draws.
-    """
-    sizes = (dims, data.num_students, data.num_questions, data.num_classes)
-    point = cfg.warm_start
-    if point is not None:
-        check_shapes(point, tensor_table(FAMILY[kind], *sizes))
-    rho = float(inv_softplus(cfg.sigma_init))
-
-    def initial(name, shape):
-        if name.endswith("_rho"):
-            return np.full(shape, rho)
-        if point is None:
-            return draw(rng, cfg.init_scale, shape)
-        return np.array(getattr(point, name), dtype=np.float64)
-
-    return VIParams(kind=kind, **{name: initial(name, shape)
-                                  for name, (_, shape) in tensor_table(kind, *sizes).items()})
-
-
-def train_vi(kind: str, data: Dataset, cfg: VIConfig, dims: int = 1):
+def train_vi(kind: str, data: Dataset, cfg: VIConfig, dims: int = 1, warm_start=None):
     """Full-batch ELBO ascent with fresh reparameterized noise per epoch.
 
-    Every epoch draws M noise samples, forms the Monte Carlo ELBO and its
+    Every sigma starts at sigma_init, the rest as copies of warm_start (a
+    point model of the kind's family) or as draws. Every epoch draws M noise samples, forms the Monte Carlo ELBO and its
     gradient, and takes one ascent step on all variational and point
     parameters. Runs the configured epoch budget (the MC objective is too
     noisy for a relative-change stop). Deterministic given cfg.seed.
@@ -227,7 +175,8 @@ def train_vi(kind: str, data: Dataset, cfg: VIConfig, dims: int = 1):
         raise ValueError("class-interaction-vi requires class labels")
 
     rng = np.random.default_rng(cfg.seed)
-    params = init_vi_params(kind, data, dims, cfg, rng)
+    params = init_params(kind, dims, data.num_students, data.num_questions, data.num_classes, rng,
+                         cfg.init_scale, cfg.sigma_init, warm_start)
 
     responses = _responses(kind, data)
     trace: list[float] = []
@@ -254,9 +203,8 @@ def predict_prob_vi(params: VIParams, s: int, q: int, class_of=None,
     path.
     """
     s_idx, q_idx = np.array([s]), np.array([q])
-    rows = vec_rows(params.kind, s_idx, class_of)
     if mode == PLUG_IN_MEAN:
-        return float(clamped_sigmoid(logits(params, s_idx, q_idx, rows)[0])[0])
+        return float(predict_proba_array(params, s_idx, q_idx, class_of)[0])
     if mode != MONTE_CARLO:
         raise ValueError(f"unknown prediction mode {mode!r}")
     if M < 1:
@@ -264,16 +212,18 @@ def predict_prob_vi(params: VIParams, s: int, q: int, class_of=None,
     # M draws of the student's latents, scored as M students answering q
     rng = np.random.default_rng(seed)
     ability = draw_latent(params.ability[s], params.ability_rho[s], rng.standard_normal(M))
+    rows = vec_rows(params.kind, s_idx, class_of)
     vec = None
     if params.dims:
         vec = draw_latent(params.vec[rows], params.vec_rho[rows], rng.standard_normal((M, params.dims)))
-    z = logits(Params(ability, params.easiness, vec, params.demand), np.arange(M), np.full(M, q))[0]
+    z = logits(Params(ability, params.easiness, vec, params.demand, kind=FAMILY[params.kind]),
+               np.arange(M), np.full(M, q))[0]
     return float(np.clip(np.mean(sigmoid(z)), _P_LO, _P_HI))
 
 
 def predict_proba_vi_array(params: VIParams, s_idx, q_idx, class_of=None) -> np.ndarray:
-    """Vectorized plug-in-mean probabilities (the deterministic default), clamped like the point path."""
-    return clamped_sigmoid(logits(params, s_idx, q_idx, vec_rows(params.kind, s_idx, class_of))[0])
+    """Vectorized plug-in-mean probabilities (the deterministic default): the point predictor at the means."""
+    return predict_proba_array(params, s_idx, q_idx, class_of)
 
 
 def elbo_finite_diff_check(params: VIParams, data: Dataset, M: int, seed: int,

@@ -15,7 +15,7 @@ from irtkit.cli import dispatch
 from irtkit.data import dataset_from_arrays, split_train_test
 from irtkit.experiments import active_vs_random, low_data_sweep, recovery_run
 from irtkit.metrics import cosine_similarity_matrix
-from irtkit.models import ModelSpec, Params, predict_proba_array, sigmoid
+from irtkit.models import Params, predict_proba_array, sigmoid
 from irtkit.optim import finite_diff_check, init_params, nll
 from irtkit.vi import (
     VIConfig,
@@ -112,10 +112,10 @@ def test_criterion_3_kl_closed_form_vs_monte_carlo():
 # ------------------------------------------------------------------ 4 ----
 
 
-def _random_point_instance(spec, seed):
+def _random_point_instance(kind, dims, seed):
     rng = np.random.default_rng(seed)
     S, Q, C = rng.integers(2, 5), rng.integers(2, 5), rng.integers(1, 3)
-    params = init_params(spec, S, Q, C, rng, 1.0)
+    params = init_params(kind, dims, S, Q, C, rng, 1.0)
     cells = [(s, q) for s in range(S) for q in range(Q) if rng.random() < 0.85]
     if not cells:
         cells = [(0, 0)]
@@ -135,26 +135,25 @@ def _random_vi_instance(kind, seed):
     s_idx, q_idx = zip(*cells)
     data = dataset_from_arrays(list(s_idx), list(q_idx), y, class_of=rng.integers(0, C, size=S),
                                class_ids=("c0", "c1"))
-    params = VIParams(kind=kind, ability=rng.normal(size=S),
-                      ability_rho=rng.normal(0.2, 0.3, size=S), easiness=rng.normal(size=Q))
+    tensors = {"ability": rng.normal(size=S), "ability_rho": rng.normal(0.2, 0.3, size=S),
+               "easiness": rng.normal(size=Q)}
     if kind == "interaction-vi":
-        params.demand = rng.normal(size=(Q, D))
-        params.vec = rng.normal(size=(S, D))
-        params.vec_rho = rng.normal(0.0, 0.3, size=(S, D))
+        tensors["demand"] = rng.normal(size=(Q, D))
+        tensors["vec"] = rng.normal(size=(S, D))
+        tensors["vec_rho"] = rng.normal(0.0, 0.3, size=(S, D))
     elif kind == "class-interaction-vi":
-        params.demand = rng.normal(size=(Q, D))
-        params.vec = rng.normal(size=(C, D))
-        params.vec_rho = rng.normal(0.0, 0.3, size=(C, D))
-    return params, data
+        tensors["demand"] = rng.normal(size=(Q, D))
+        tensors["vec"] = rng.normal(size=(C, D))
+        tensors["vec_rho"] = rng.normal(0.0, 0.3, size=(C, D))
+    return VIParams(kind=kind, **tensors), data
 
 
 def test_criterion_4_gradient_fidelity():
     worst_nll = 0.0
     for k, (kind, dims) in enumerate((("rasch", 0), ("interaction", 2), ("class-interaction", 2))):
-        spec = ModelSpec(kind, dims)
         for i in range(20):
-            params, data = _random_point_instance(spec, seed=1000 + 37 * i + k)
-            worst_nll = max(worst_nll, finite_diff_check(spec, params, data, epsilon=1e-5))
+            params, data = _random_point_instance(kind, dims, seed=1000 + 37 * i + k)
+            worst_nll = max(worst_nll, finite_diff_check(params, data, epsilon=1e-5))
     worst_elbo = 0.0
     kinds = ("rasch-vi", "interaction-vi", "class-interaction-vi")
     for i in range(20):
@@ -245,19 +244,18 @@ class TestCriterion8Structural:
         s_idx, q_idx = zip(*cells)
         y = rng.integers(0, 2, size=len(cells))
         data = dataset_from_arrays(list(s_idx), list(q_idx), y, class_of=np.zeros(6, dtype=np.int64))
-        spec = ModelSpec("rasch")
-        base = nll(spec, Params(ability, easiness), data)
-        shifted = nll(spec, Params(ability + 1.7, easiness - 1.7), data)
+        base = nll(Params(ability, easiness, kind="rasch"), data)
+        shifted = nll(Params(ability + 1.7, easiness - 1.7, kind="rasch"), data)
         checks["gauge"] = abs(base - shifted) <= 5e-10
 
         x = rng.uniform(-50, 50, 4000)
         checks["logistic symmetry"] = float(np.max(np.abs(sigmoid(x) + sigmoid(-x) - 1.0))) <= 1e-12
 
-        inter = Params(ability, easiness, np.zeros((6, 2)), rng.normal(size=(5, 2)))
-        rasch = Params(ability, easiness)
+        inter = Params(ability, easiness, np.zeros((6, 2)), rng.normal(size=(5, 2)), kind="interaction")
+        rasch = Params(ability, easiness, kind="rasch")
         checks["zero-interaction reduction"] = all(
-            predict_proba_array(ModelSpec("interaction", 2), inter, [s], [q])[0]
-            == predict_proba_array(spec, rasch, [s], [q])[0]
+            predict_proba_array(inter, [s], [q])[0]
+            == predict_proba_array(rasch, [s], [q])[0]
             for s in range(6) for q in range(5))
 
         m = rng.normal(size=(8, 3))

@@ -8,9 +8,9 @@ import pytest
 from irtkit.checkpoint import VERSION, align_rows_to_checkpoint, load_checkpoint, save_checkpoint
 from irtkit.data import RawResponse
 from irtkit.optim import TrainConfig, init_params, sgd_train
-from irtkit.models import ModelSpec
+from irtkit.models import Params, VIParams, inv_softplus, softplus
 from irtkit.synth import SynthConfig, generate_synthetic
-from irtkit.vi import VIConfig, inv_softplus, softplus, train_vi
+from irtkit.vi import VIConfig, train_vi
 
 
 def _dataset():
@@ -42,13 +42,12 @@ _RECORDS = {
 @pytest.mark.parametrize("kind,dims", [("rasch", 0), ("interaction", 2), ("class-interaction", 2)])
 def test_point_roundtrip(tmp_path, kind, dims):
     data = _dataset()
-    spec = ModelSpec(kind, dims)
-    params = init_params(spec, data.num_students, data.num_questions, data.num_classes,
+    params = init_params(kind, dims, data.num_students, data.num_questions, data.num_classes,
                          np.random.default_rng(1), 0.5)
     path = str(tmp_path / "ckpt.json")
-    save_checkpoint(path, kind, params, data)
+    save_checkpoint(path, params, data)
     ckpt = load_checkpoint(path)
-    assert ckpt.kind == kind and ckpt.dims == dims and not ckpt.is_vi
+    assert ckpt.params.kind == kind and ckpt.params.dims == dims and not isinstance(ckpt.params, VIParams)
     assert _record_names(path) == _RECORDS[kind]
     assert ckpt.params.tensors().keys() == params.tensors().keys()
     for name, arr in params.tensors().items():
@@ -64,9 +63,9 @@ def test_vi_roundtrip(tmp_path, kind, dims):
     params, _ = train_vi(kind, data, VIConfig(samples=2, epochs=3, learning_rate=0.01, seed=2),
                          dims=dims)
     path = str(tmp_path / "vi.json")
-    save_checkpoint(path, kind, params, data)
+    save_checkpoint(path, params, data)
     ckpt = load_checkpoint(path)
-    assert ckpt.is_vi and ckpt.dims == dims
+    assert isinstance(ckpt.params, VIParams) and ckpt.params.dims == dims
     assert _record_names(path) == _RECORDS[kind]
     assert ckpt.params.tensors().keys() == params.tensors().keys()
     for name, arr in params.tensors().items():
@@ -78,22 +77,20 @@ def test_vi_roundtrip(tmp_path, kind, dims):
 
 def test_sgd_accepts_loaded_checkpoint_as_warm_start(tmp_path):
     data = _dataset()
-    spec = ModelSpec("rasch")
-    params, _ = sgd_train(spec, data, TrainConfig(epochs=3, seed=0))
+    params, _ = sgd_train("rasch", data, TrainConfig(epochs=3, seed=0))
     path = str(tmp_path / "warm.json")
-    save_checkpoint(path, "rasch", params, data)
+    save_checkpoint(path, params, data)
     warm = load_checkpoint(path).params
-    again, _ = sgd_train(spec, data, TrainConfig(epochs=1, learning_rate=1e-12, seed=1),
+    again, _ = sgd_train("rasch", data, TrainConfig(epochs=1, learning_rate=1e-12, seed=1),
                          warm_start=warm)
     np.testing.assert_allclose(again.ability, params.ability, atol=1e-9)
 
 
 def test_align_rows_maps_through_checkpoint_tables(tmp_path):
     data = _dataset()
-    spec = ModelSpec("rasch")
-    params, _ = sgd_train(spec, data, TrainConfig(epochs=2, seed=0))
+    params, _ = sgd_train("rasch", data, TrainConfig(epochs=2, seed=0))
     path = str(tmp_path / "ckpt.json")
-    save_checkpoint(path, "rasch", params, data)
+    save_checkpoint(path, params, data)
     ckpt = load_checkpoint(path)
     rows = [RawResponse("s3", "q2", "c0", 1, 1), RawResponse("s0", "q4", "c0", 0, 1)]
     aligned = align_rows_to_checkpoint(rows, ckpt)
@@ -112,11 +109,10 @@ def test_unknown_file_rejected(tmp_path):
 
 def test_other_version_rejected(tmp_path):
     data = _dataset()
-    spec = ModelSpec("rasch")
-    params = init_params(spec, data.num_students, data.num_questions, data.num_classes,
+    params = init_params("rasch", 0, data.num_students, data.num_questions, data.num_classes,
                          np.random.default_rng(1), 0.5)
     path = tmp_path / "future.json"
-    save_checkpoint(str(path), "rasch", params, data)
+    save_checkpoint(str(path), params, data)
     doc = json.loads(path.read_text(encoding="utf-8"))
     doc["version"] = VERSION + 1
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -130,10 +126,10 @@ def _edited_checkpoint(tmp_path, edit, kind="rasch"):
     if kind.endswith("-vi"):
         params, _ = train_vi(kind, data, VIConfig(epochs=0, seed=1), dims=2)
     else:
-        params = init_params(ModelSpec(kind, 2), data.num_students, data.num_questions,
+        params = init_params(kind, 2, data.num_students, data.num_questions,
                              data.num_classes, np.random.default_rng(1), 0.5)
     path = tmp_path / "edited.json"
-    save_checkpoint(str(path), kind, params, data)
+    save_checkpoint(str(path), params, data)
     doc = json.loads(path.read_text(encoding="utf-8"))
     edit(doc)
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -264,3 +260,24 @@ def test_non_utf8_file_rejected(tmp_path):
         fh.write(raw.replace(b'"students": ["', b'"students": ["\xff', 1))   # a byte no UTF-8 text holds
     with pytest.raises(ValueError, match=r"edited\.json: not UTF-8 text"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("kind,dims", [("rasch", 1), ("rasch-vi", 2), ("interaction", 0),
+                                       ("class-interaction-vi", 0)])
+def test_dims_disagreeing_with_kind_rejected(tmp_path, kind, dims):
+    path = _edited_checkpoint(tmp_path, lambda doc: doc.update(dims=dims), kind=kind)
+    with pytest.raises(ValueError, match=rf"edited\.json: dims is {dims}, but {kind} needs dims"):
+        load_checkpoint(path)
+
+
+def test_params_lacking_or_holding_extra_tensors_rejected():
+    """The kind lives in the params, so a checkpoint cannot be written under a kind whose tensors they lack."""
+    data = _dataset()
+    point = init_params("interaction", 2, data.num_students, data.num_questions, data.num_classes,
+                        np.random.default_rng(1), 0.5)
+    with pytest.raises(ValueError, match="interaction params must hold both vec and demand"):
+        Params(point.ability, point.easiness, kind="interaction")
+    with pytest.raises(ValueError, match="rasch params must hold neither vec nor demand"):
+        Params(point.ability, point.easiness, point.vec, point.demand, kind="rasch")
+    with pytest.raises(ValueError, match="unknown Params kind 'rasch-vi'"):
+        Params(point.ability, point.easiness, kind="rasch-vi")

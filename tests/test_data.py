@@ -325,6 +325,18 @@ class TestErrorContract:
             load_raw_csv(path)
         assert str(exc.value) == f"{field} '{big}' does not fit in 64 bits at line {_line(FAR)}"
 
+    @pytest.mark.parametrize("index", [0, FAR])
+    @pytest.mark.parametrize("raw", [True, False], ids=["raw", "binary"])
+    def test_byte_that_is_not_utf8_names_its_line(self, tmp_path, raw, index):
+        path = _file(tmp_path, raw, {index: "sBAD,qX,cX,1" + (",2" if raw else "")})
+        with open(path, "rb") as fh:
+            text = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(text.replace(b"sBAD", b"s\xff"))   # a byte no UTF-8 text holds
+        with pytest.raises(ParseError) as exc:
+            (load_raw_csv if raw else load_binary_csv)(path)
+        assert str(exc.value) == f"{path}: not UTF-8 text at line {_line(index)}"
+
     @pytest.mark.parametrize("planted,message", [
         ({FAR: "s0,q0,c0,1,2"}, "duplicate response for student 's0' question 'q0'"),
         ({FAR: "s0,q9,c9,1,2"}, "student 's0' has conflicting class ids 'c0' and 'c9'"),
@@ -348,8 +360,8 @@ class TestErrorContract:
     ], ids=["student", "question", "question first", "both in one row"])
     def test_align_names_first_unknown_id(self, tmp_path, planted, message):
         known = build_dataset(load_raw_csv(_file(tmp_path, True, {})))
-        ckpt = Checkpoint(kind="rasch", dims=0, params=Params(np.zeros(known.num_students),
-                                                                np.zeros(known.num_questions)),
+        ckpt = Checkpoint(params=Params(np.zeros(known.num_students), np.zeros(known.num_questions),
+                                        kind="rasch"),
                           student_ids=known.student_ids, question_ids=known.question_ids,
                           class_ids=known.class_ids, class_of=known.class_of)
         rows = load_raw_csv(_file(tmp_path, True, planted))

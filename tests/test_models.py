@@ -10,7 +10,8 @@ from hypothesis.extra import numpy as hnp
 from scipy.special import expit
 
 from irtkit.metrics import accuracy
-from irtkit.models import ModelSpec, Params, logits, predict_proba_array, sigmoid, softplus
+from irtkit.models import Params, logits, predict_proba_array, sigmoid, softplus, tensor_table
+from irtkit.optim import init_params
 
 from oracles import two_branch_sigmoid
 
@@ -75,9 +76,9 @@ def _logit(params, s, q, class_of=None):
     return logits(params, [s], [q], None if class_of is None else class_of[[s]])[0][0]
 
 
-def _prob(spec, params, s, q, class_of=None):
+def _prob(params, s, q, class_of=None):
     """P(correct) of one cell through the array prediction path."""
-    return predict_proba_array(spec, params, [s], [q], class_of)[0]
+    return predict_proba_array(params, [s], [q], class_of)[0]
 
 
 def _label(p, threshold=0.5):
@@ -97,38 +98,38 @@ def _assert_zero_term_reduces_to_rasch(kind, zero, S, Q, C, D, seed):
     vec = rng.normal(size=(S if kind == "interaction" else C, D))
     demand = rng.normal(size=(Q, D))
     params = Params(ability, easiness, np.zeros_like(vec) if zero == "vec" else vec,
-                    np.zeros_like(demand) if zero == "demand" else demand)
+                    np.zeros_like(demand) if zero == "demand" else demand, kind=kind)
     s_idx, q_idx = np.repeat(np.arange(S), Q), np.tile(np.arange(Q), S)
-    got = predict_proba_array(ModelSpec(kind, D), params, s_idx, q_idx, class_of)
-    want = predict_proba_array(ModelSpec("rasch"), Params(ability, easiness), s_idx, q_idx)
+    got = predict_proba_array(params, s_idx, q_idx, class_of)
+    want = predict_proba_array(Params(ability, easiness, kind="rasch"), s_idx, q_idx)
     assert got.tobytes() == want.tobytes()
 
 
 class TestRasch:
     def test_zero_gives_half(self):
-        p = Params(np.array([0.0]), np.array([0.0]))
+        p = Params(np.array([0.0]), np.array([0.0]), kind="rasch")
         assert _logit(p, 0, 0) == 0.0
-        assert _prob(ModelSpec("rasch"), p, 0, 0) == 0.5
+        assert _prob(p, 0, 0) == 0.5
 
     def test_logistic_evaluation(self):
-        p = Params(np.array([1.0]), np.array([0.5]))
+        p = Params(np.array([1.0]), np.array([0.5]), kind="rasch")
         assert _logit(p, 0, 0) == 1.5
-        assert _prob(ModelSpec("rasch"), p, 0, 0) == pytest.approx(0.8175744761936437, abs=1e-15)
+        assert _prob(p, 0, 0) == pytest.approx(0.8175744761936437, abs=1e-15)
 
     def test_log3_gives_three_quarters(self):
-        p = Params(np.array([math.log(3)]), np.array([0.0]))
-        assert _prob(ModelSpec("rasch"), p, 0, 0) == pytest.approx(0.75, abs=1e-15)
+        p = Params(np.array([math.log(3)]), np.array([0.0]), kind="rasch")
+        assert _prob(p, 0, 0) == pytest.approx(0.75, abs=1e-15)
 
 
 class TestInteraction:
     def test_all_zeros(self):
-        p = Params(np.zeros(1), np.zeros(1), np.zeros((1, 1)), np.zeros((1, 1)))
+        p = Params(np.zeros(1), np.zeros(1), np.zeros((1, 1)), np.zeros((1, 1)), kind="interaction")
         assert _logit(p, 0, 0) == 0.0
 
     def test_unit_product(self):
-        p = Params(np.zeros(1), np.zeros(1), np.ones((1, 1)), np.ones((1, 1)))
+        p = Params(np.zeros(1), np.zeros(1), np.ones((1, 1)), np.ones((1, 1)), kind="interaction")
         assert _logit(p, 0, 0) == 1.0
-        assert _prob(ModelSpec("interaction", 1), p, 0, 0) == pytest.approx(
+        assert _prob(p, 0, 0) == pytest.approx(
             0.7310585786300049, abs=1e-15)
 
     @given(kind=st.sampled_from(["interaction", "class-interaction"]), **_SIZES)
@@ -144,13 +145,13 @@ class TestClassInteraction:
     def test_same_class_same_logits(self):
         class_of = np.array([0, 0, 1])
         p = Params(np.array([0.4, 0.4, 0.1]), np.array([0.0, -1.0]),
-                   np.array([[1.5], [-0.5]]), np.array([[0.3], [2.0]]))
+                   np.array([[1.5], [-0.5]]), np.array([[0.3], [2.0]]), kind="class-interaction")
         for q in range(2):
             assert _logit(p, 0, q, class_of) == _logit(p, 1, q, class_of)
 
     def test_arithmetic(self):
         class_of = np.array([0])
-        p = Params(np.zeros(1), np.zeros(1), np.array([[2.0]]), np.array([[-1.0]]))
+        p = Params(np.zeros(1), np.zeros(1), np.array([[2.0]]), np.array([[-1.0]]), kind="class-interaction")
         assert _logit(p, 0, 0, class_of) == -2.0
 
     @given(**_SIZES)
@@ -160,21 +161,21 @@ class TestClassInteraction:
     def test_permuting_students_within_class_is_invariant(self):
         class_of = np.array([0, 0])
         p = Params(np.array([0.7, 0.7]), np.array([0.2]),
-                   np.array([[1.0, -2.0]]), np.array([[0.5, 0.5]]))
+                   np.array([[1.0, -2.0]]), np.array([[0.5, 0.5]]), kind="class-interaction")
         assert _logit(p, 0, 0, class_of) == _logit(p, 1, 0, class_of)
 
 
 class TestPredictProb:
     def test_saturation_without_overflow(self):
-        p = Params(np.array([40.0]), np.array([0.0]))
-        val = _prob(ModelSpec("rasch"), p, 0, 0)
+        p = Params(np.array([40.0]), np.array([0.0]), kind="rasch")
+        val = _prob(p, 0, 0)
         assert val < 1.0
         assert val > 1.0 - 1e-15
 
     def test_extreme_logits_stay_in_open_interval(self):
         for logit in (-500.0, -100.0, 100.0, 500.0):
-            p = Params(np.array([logit]), np.array([0.0]))
-            val = _prob(ModelSpec("rasch"), p, 0, 0)
+            p = Params(np.array([logit]), np.array([0.0]), kind="rasch")
+            val = _prob(p, 0, 0)
             assert 0.0 < val < 1.0
             assert math.isfinite(val)
 
@@ -192,7 +193,7 @@ class TestPredictLabel:
 
 def test_model_spec_validation():
     with pytest.raises(ValueError):
-        ModelSpec("unknown")
+        Params(np.zeros(1), np.zeros(1), kind="unknown")
     with pytest.raises(ValueError):
-        ModelSpec("interaction", 0)
-    assert ModelSpec("rasch", 7).dims == 0
+        tensor_table("interaction", 0, 1, 1, 1)
+    assert init_params("rasch", 7, 1, 1, 1, np.random.default_rng(0), 0.01).dims == 0

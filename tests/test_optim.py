@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from irtkit.data import dataset_from_arrays
-from irtkit.models import ModelSpec, Params
+from irtkit.models import Params
 from irtkit.optim import (
     TrainConfig,
     TrainingDiverged,
@@ -20,6 +20,8 @@ from irtkit.optim import (
     sgd_train,
 )
 
+from irtkit.vi import VIConfig, train_vi
+
 from oracles import grid_search_rasch_nll
 
 
@@ -27,9 +29,9 @@ def _single_obs(y):
     return dataset_from_arrays([0], [0], [y], class_of=np.zeros(1, dtype=np.int64))
 
 
-def _random_instance(spec, S, Q, C, seed, density=1.0):
+def _random_instance(kind, dims, S, Q, C, seed, density=1.0):
     rng = np.random.default_rng(seed)
-    params = init_params(spec, S, Q, C, rng, 1.0)
+    params = init_params(kind, dims, S, Q, C, rng, 1.0)
     s_idx, q_idx, y = [], [], []
     for s in range(S):
         for q in range(Q):
@@ -46,16 +48,15 @@ def _random_instance(spec, S, Q, C, seed, density=1.0):
 
 class TestNll:
     def test_single_observation_at_even_odds(self):
-        params = Params(np.zeros(1), np.zeros(1))
-        assert nll(ModelSpec("rasch"), params, _single_obs(1)) == pytest.approx(math.log(2), abs=1e-12)
+        params = Params(np.zeros(1), np.zeros(1), kind="rasch")
+        assert nll(params, _single_obs(1)) == pytest.approx(math.log(2), abs=1e-12)
 
     def test_saturated_correct_prediction(self):
-        params = Params(np.array([30.0]), np.array([0.0]))
-        assert nll(ModelSpec("rasch"), params, _single_obs(1)) < 1e-12
+        params = Params(np.array([30.0]), np.array([0.0]), kind="rasch")
+        assert nll(params, _single_obs(1)) < 1e-12
 
     def test_additivity_under_duplication(self):
-        spec = ModelSpec("rasch")
-        params, data = _random_instance(spec, 3, 4, 1, seed=0)
+        params, data = _random_instance("rasch", 0, 3, 4, 1, seed=0)
         doubled = dataset_from_arrays(
             np.concatenate([data.student_idx, data.student_idx]),
             np.concatenate([data.question_idx, data.question_idx]),
@@ -63,70 +64,64 @@ class TestNll:
             class_of=data.class_of,
             question_ids=data.question_ids,
         )
-        assert nll(spec, params, doubled) == pytest.approx(2 * nll(spec, params, data), rel=1e-12)
+        assert nll(params, doubled) == pytest.approx(2 * nll(params, data), rel=1e-12)
 
     def test_order_invariance(self):
-        spec = ModelSpec("interaction", 2)
-        params, data = _random_instance(spec, 4, 5, 1, seed=1)
+        params, data = _random_instance("interaction", 2, 4, 5, 1, seed=1)
         perm = np.random.default_rng(2).permutation(data.n_responses)
         shuffled = data.select(perm)
-        assert nll(spec, params, shuffled) == pytest.approx(nll(spec, params, data), rel=1e-10)
+        assert nll(params, shuffled) == pytest.approx(nll(params, data), rel=1e-10)
 
-    @given(spec=st.sampled_from([ModelSpec("rasch"), ModelSpec("interaction", 2),
-                                 ModelSpec("class-interaction", 3)]),
+    @given(spec=st.sampled_from([("rasch", 0), ("interaction", 2), ("class-interaction", 3)]),
            shift=st.floats(-5.0, 5.0), seed=st.integers(0, 2**32 - 1))
     def test_rasch_gauge_freedom(self, spec, shift, seed):
         """Moving a constant from easiness to ability leaves every kind's logits alone."""
-        params, data = _random_instance(spec, 5, 6, 2, seed=seed)
-        shifted = Params(params.ability + shift, params.easiness - shift, params.vec, params.demand)
+        params, data = _random_instance(*spec, 5, 6, 2, seed=seed)
+        shifted = Params(params.ability + shift, params.easiness - shift, params.vec, params.demand,
+                         kind=params.kind)
         # exact identity up to float rounding of the shifted parameters
-        assert nll(spec, shifted, data) == pytest.approx(nll(spec, params, data), abs=5e-10)
+        assert nll(shifted, data) == pytest.approx(nll(params, data), abs=5e-10)
 
 
 class TestGradNll:
     def test_residual_formula_at_even_odds(self):
-        params = Params(np.zeros(1), np.zeros(1))
-        g = grad_nll(ModelSpec("rasch"), params, _single_obs(1))
+        params = Params(np.zeros(1), np.zeros(1), kind="rasch")
+        g = grad_nll(params, _single_obs(1))
         assert g.ability[0] == pytest.approx(-0.5, abs=1e-15)
         assert g.easiness[0] == pytest.approx(-0.5, abs=1e-15)
 
     def test_gradient_vanishes_at_perfect_fit(self):
-        params = Params(np.array([35.0]), np.array([0.0]))
-        g = grad_nll(ModelSpec("rasch"), params, _single_obs(1))
+        params = Params(np.array([35.0]), np.array([0.0]), kind="rasch")
+        g = grad_nll(params, _single_obs(1))
         assert abs(g.ability[0]) < 1e-12
 
     def test_interaction_gradient_matches_finite_differences(self):
-        spec = ModelSpec("interaction", 1)
-        params, data = _random_instance(spec, 3, 3, 1, seed=4)
-        assert finite_diff_check(spec, params, data, epsilon=1e-5) < 1e-4
+        params, data = _random_instance("interaction", 1, 3, 3, 1, seed=4)
+        assert finite_diff_check(params, data, epsilon=1e-5) < 1e-4
 
     def test_empty_batch_rejected(self):
-        spec = ModelSpec("rasch")
-        params, data = _random_instance(spec, 2, 2, 1, seed=5)
+        params, data = _random_instance("rasch", 0, 2, 2, 1, seed=5)
         with pytest.raises(ValueError):
-            grad_nll(spec, params, data.select(np.array([], dtype=np.int64)))
+            grad_nll(params, data.select(np.array([], dtype=np.int64)))
 
-    @pytest.mark.parametrize("spec", [ModelSpec("rasch"), ModelSpec("interaction", 3),
-                                      ModelSpec("class-interaction", 2)])
+    @pytest.mark.parametrize("spec", [("rasch", 0), ("interaction", 3), ("class-interaction", 2)])
     def test_finite_differences_all_kinds(self, spec):
-        params, data = _random_instance(spec, 4, 5, 2, seed=6, density=0.8)
-        assert finite_diff_check(spec, params, data, epsilon=1e-5) < 1e-4
-        assert finite_diff_check(spec, params, data, epsilon=1e-5, l2_penalty=0.05) < 1e-4
+        params, data = _random_instance(*spec, 4, 5, 2, seed=6, density=0.8)
+        assert finite_diff_check(params, data, epsilon=1e-5) < 1e-4
+        assert finite_diff_check(params, data, epsilon=1e-5, l2_penalty=0.05) < 1e-4
 
     def test_single_cell_instance(self):
-        spec = ModelSpec("rasch")
-        params = Params(np.array([0.3]), np.array([-0.2]))
-        assert finite_diff_check(spec, params, _single_obs(1), epsilon=1e-5) < 1e-4
+        params = Params(np.array([0.3]), np.array([-0.2]), kind="rasch")
+        assert finite_diff_check(params, _single_obs(1), epsilon=1e-5) < 1e-4
 
 
 class TestSgdTrain:
     def test_separable_data_with_l2_gets_positive_logits(self):
         data = dataset_from_arrays([0, 0, 1, 1], [0, 1, 0, 1], [1, 1, 1, 1],
                                    class_of=np.zeros(2, dtype=np.int64))
-        spec = ModelSpec("rasch")
         cfg = TrainConfig(learning_rate=0.5, epochs=400, batch_size=8, l2_penalty=1e-3,
                           convergence_tol=0.0, seed=0)
-        params, _ = sgd_train(spec, data, cfg)
+        params, _ = sgd_train("rasch", data, cfg)
         for s in range(2):
             for q in range(2):
                 assert params.ability[s] + params.easiness[q] > 0
@@ -136,7 +131,7 @@ class TestSgdTrain:
                                    class_of=np.zeros(2, dtype=np.int64))
         cfg = TrainConfig(learning_rate=0.5, epochs=800, batch_size=16, l2_penalty=1e-4,
                           convergence_tol=0.0, init_scale=0.0, seed=1)
-        params, _ = sgd_train(ModelSpec("rasch"), data, cfg)
+        params, _ = sgd_train("rasch", data, cfg)
         assert params.ability[0] == pytest.approx(params.ability[1], abs=1e-6)
 
     def test_reaches_grid_search_optimum_on_3x3(self):
@@ -145,60 +140,78 @@ class TestSgdTrain:
                                    y_matrix.reshape(-1), class_of=np.zeros(3, dtype=np.int64))
         cfg = TrainConfig(learning_rate=0.5, epochs=4000, batch_size=64, l2_penalty=1e-4,
                           convergence_tol=0.0, seed=5)
-        params, report = sgd_train(ModelSpec("rasch"), data, cfg)
+        params, report = sgd_train("rasch", data, cfg)
         grid_opt = grid_search_rasch_nll(y_matrix)
         assert abs(report.final_nll - grid_opt) < 1e-3
 
     def test_deterministic_given_seed(self):
-        spec = ModelSpec("interaction", 2)
-        _, data = _random_instance(spec, 6, 5, 1, seed=7)
+        _, data = _random_instance("interaction", 2, 6, 5, 1, seed=7)
         cfg = TrainConfig(learning_rate=0.1, epochs=5, batch_size=4, seed=42)
-        a, _ = sgd_train(spec, data, cfg)
-        b, _ = sgd_train(spec, data, cfg)
+        a, _ = sgd_train("interaction", data, cfg, dims=2)
+        b, _ = sgd_train("interaction", data, cfg, dims=2)
         assert np.array_equal(a.vec, b.vec)
         assert np.array_equal(a.easiness, b.easiness)
 
     def test_divergence_names_the_epoch(self):
         # product terms overflow under an absurd learning rate; the plain
         # rasch objective is linear in |logit| and stays finite
-        spec = ModelSpec("interaction", 2)
-        _, data = _random_instance(spec, 4, 4, 1, seed=8)
+        _, data = _random_instance("interaction", 2, 4, 4, 1, seed=8)
         cfg = TrainConfig(learning_rate=1e9, epochs=10, batch_size=4, init_scale=0.1, seed=0)
         with pytest.raises(TrainingDiverged, match="epoch"):
             with np.errstate(all="ignore"):
-                sgd_train(spec, data, cfg)
+                sgd_train("interaction", data, cfg, dims=2)
 
     def test_best_nll_not_worse_than_initial(self):
-        spec = ModelSpec("rasch")
-        _, data = _random_instance(spec, 5, 4, 1, seed=9)
+        _, data = _random_instance("rasch", 0, 5, 4, 1, seed=9)
         cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=8, seed=3)
-        params, report = sgd_train(spec, data, cfg)
-        fresh = init_params(spec, 5, 4, 1, np.random.default_rng(3), cfg.init_scale)
-        assert report.final_nll <= nll(spec, fresh, data) + 1e-9
+        params, report = sgd_train("rasch", data, cfg)
+        fresh = init_params("rasch", 0, 5, 4, 1, np.random.default_rng(3), cfg.init_scale)
+        assert report.final_nll <= nll(fresh, data) + 1e-9
 
     def test_warm_start_shape_mismatch(self):
-        spec = ModelSpec("rasch")
-        _, data = _random_instance(spec, 5, 4, 1, seed=10)
-        bad = Params(np.zeros(3), np.zeros(4))
+        _, data = _random_instance("rasch", 0, 5, 4, 1, seed=10)
+        bad = Params(np.zeros(3), np.zeros(4), kind="rasch")
         with pytest.raises(ValueError, match="warm-start shape mismatch"):
-            sgd_train(spec, data, TrainConfig(epochs=1), warm_start=bad)
+            sgd_train("rasch", data, TrainConfig(epochs=1), warm_start=bad)
 
     def test_warm_start_resumes_from_given_params(self):
-        spec = ModelSpec("rasch")
-        _, data = _random_instance(spec, 5, 4, 1, seed=11)
+        _, data = _random_instance("rasch", 0, 5, 4, 1, seed=11)
         cfg = TrainConfig(learning_rate=0.2, epochs=50, batch_size=8, seed=0, convergence_tol=0.0)
-        first, _ = sgd_train(spec, data, cfg)
-        resumed, report = sgd_train(spec, data, TrainConfig(epochs=1, learning_rate=1e-9, seed=1),
+        first, _ = sgd_train("rasch", data, cfg)
+        resumed, report = sgd_train("rasch", data, TrainConfig(epochs=1, learning_rate=1e-9, seed=1),
                                     warm_start=first)
-        assert report.final_nll == pytest.approx(nll(spec, first, data), rel=1e-9)
+        assert report.final_nll == pytest.approx(nll(first, data), rel=1e-9)
+
+    def test_warm_start_of_another_family_rejected(self):
+        # every student its own class: interaction params have class-interaction shapes
+        data = dataset_from_arrays([0, 1, 2], [0, 1, 0], [1, 0, 1], class_of=np.arange(3),
+                                   class_ids=("c0", "c1", "c2"))
+        inter, _ = sgd_train("interaction", data, TrainConfig(epochs=1), dims=1)
+        with pytest.raises(ValueError, match="warm-start params are 'interaction', expected 'class-interaction'"):
+            sgd_train("class-interaction", data, TrainConfig(epochs=1), dims=1, warm_start=inter)
+
+    def test_vi_warm_start_names_the_families(self):
+        data = _single_obs(1)
+        vi_params, _ = train_vi("rasch-vi", data, VIConfig(epochs=0))
+        with pytest.raises(ValueError, match="warm-start params are 'rasch-vi', expected 'rasch' for rasch"):
+            sgd_train("rasch", data, TrainConfig(epochs=1), warm_start=vi_params)
 
     @pytest.mark.parametrize("lr", [-1.0, 0.0, math.nan, math.inf])
     def test_config_rejects_learning_rate_not_finite_and_positive(self, lr):
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=lr)
 
+    @pytest.mark.parametrize("name,value", [
+        ("epochs", -1), ("epochs", 1.5), ("batch_size", 2.0), ("init_scale", math.nan),
+        ("init_scale", -0.01), ("l2_penalty", math.inf), ("l2_penalty", -1e-4),
+        ("convergence_tol", math.nan), ("convergence_tol", -1e-5),
+    ])
+    def test_config_rejects_bad_numeric_field(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be"):
+            TrainConfig(**{name: value})
+
     def test_copy_params_is_deep(self):
-        params = Params(np.zeros(2), np.zeros(2))
+        params = Params(np.zeros(2), np.zeros(2), kind="rasch")
         dup = copy_params(params)
         dup.ability[0] = 5.0
         assert params.ability[0] == 0.0

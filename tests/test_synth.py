@@ -5,7 +5,7 @@ import pytest
 
 from irtkit.data import split_train_test
 from irtkit.metrics import log_loss
-from irtkit.models import ModelSpec, predict_proba_array, sigmoid
+from irtkit.models import predict_proba_array, sigmoid
 from irtkit.optim import TrainConfig, sgd_train
 from irtkit.synth import SynthConfig, generate_synthetic
 
@@ -75,6 +75,16 @@ def test_exam_seed_fixes_question_side_across_student_seeds():
     assert not np.array_equal(a.ability, b.ability)
 
 
+@pytest.mark.parametrize("name,value", [
+    ("students", float("nan")), ("students", 2.5), ("questions", True), ("dims", 1.5), ("num_classes", -1),
+    ("std_bq", float("nan")), ("std_bs", -1.0), ("std_xs", float("inf")), ("std_xq", -0.5),
+    ("class_effect_std", float("nan")),
+])
+def test_config_rejects_bad_numeric_field(name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        SynthConfig(**{name: value})
+
+
 def test_rasch_limit_logloss_approaches_generative_entropy():
     """With no interaction structure the trained model's held-out log-loss
     should come within 5% of the true-parameter log-loss. Fifty questions
@@ -82,10 +92,9 @@ def test_rasch_limit_logloss_approaches_generative_entropy():
     data, truth = generate_synthetic(SynthConfig(students=5000, questions=50, dims=0,
                                                  mean_bq=0.0, seed=6))
     split = split_train_test(data, 0.2, seed=7)
-    spec = ModelSpec("rasch")
-    params, _ = sgd_train(spec, split.train, TrainConfig(learning_rate=0.1, epochs=60, seed=8))
+    params, _ = sgd_train("rasch", split.train, TrainConfig(learning_rate=0.1, epochs=60, seed=8))
     te = split.test
-    fitted = log_loss(predict_proba_array(spec, params, te.student_idx, te.question_idx), te.y)
+    fitted = log_loss(predict_proba_array(params, te.student_idx, te.question_idx), te.y)
     true_p = sigmoid(truth.ability[te.student_idx] + truth.easiness[te.question_idx])
     reference = log_loss(true_p, te.y)
     assert fitted <= reference * 1.05

@@ -6,13 +6,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irtkit import vi
 from irtkit.data import dataset_from_arrays
 from irtkit.metrics import log_loss
-from irtkit.models import VI_KINDS, ModelSpec, Params, tensor_table
+from irtkit.models import FAMILY, VI_KINDS, Params, inv_softplus, predict_proba_array, tensor_table
 from irtkit.optim import TrainingDiverged, nll
 from irtkit.synth import SynthConfig, generate_synthetic
 from irtkit.vi import (
@@ -22,7 +22,6 @@ from irtkit.vi import (
     elbo_finite_diff_check,
     elbo_grad,
     elbo_mc,
-    inv_softplus,
     kl_gaussian,
     predict_prob_vi,
     predict_proba_vi_array,
@@ -109,7 +108,7 @@ class TestElboMc:
         easiness = np.array([0.1, -0.3, 0.6])
         params = _rasch_vi_params(mu, [1e-9, 1e-9], easiness)
         kl_sum = sum(kl_gaussian(m, 1e-9, 0.0, 1.0) for m in mu)
-        point_nll = nll(ModelSpec("rasch"), Params(mu, easiness), data)
+        point_nll = nll(Params(mu, easiness, kind="rasch"), data)
         assert elbo_mc(params, data, M=3, seed=1) + kl_sum == pytest.approx(-point_nll, abs=1e-6)
 
     def test_matches_quadrature_within_mc_error(self):
@@ -179,7 +178,7 @@ class TestElboGradients:
 def _vi_instance(draw):
     """A random VI model with random responses, eps draws and sizes."""
     kind = draw(st.sampled_from(VI_KINDS))
-    dims = 0 if kind == "rasch-vi" else draw(st.integers(0, 3))
+    dims = 0 if kind == "rasch-vi" else draw(st.integers(1, 3))
     S, Q, C, N = (draw(st.integers(1, 6)), draw(st.integers(1, 5)), draw(st.integers(1, 3)),
                   draw(st.integers(0, 40)))
     M = draw(st.integers(1, 5))
@@ -194,6 +193,30 @@ def _vi_instance(draw):
     eps_ability = rng.standard_normal((M, S))
     eps_vec = rng.standard_normal((M, *params.vec.shape)) if params.dims else None
     return params, data, eps_ability, eps_vec
+
+
+class TestPlugInContract:
+    """A VI model's plug-in prediction is its family's point prediction at the means."""
+
+    @pytest.mark.parametrize("kind", VI_KINDS)
+    @settings(max_examples=40, deadline=None)
+    @given(S=st.integers(1, 6), Q=st.integers(1, 5), C=st.integers(1, 3), D=st.integers(1, 3),
+           scale=st.sampled_from([0.5, 3.0, 40.0]), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_point_and_vi_predictions_agree(self, kind, S, Q, C, D, scale, seed, data):
+        rng = np.random.default_rng(seed)
+        tensors = {name: rng.normal(0.0, scale, shape)
+                   for name, (_, shape) in tensor_table(kind, D, S, Q, C).items()}
+        vi_params = VIParams(kind=kind, **tensors)
+        point = Params(**{k: v for k, v in tensors.items() if not k.endswith("_rho")}, kind=FAMILY[kind])
+        class_of = rng.integers(0, C, S)
+        s_idx, q_idx = np.repeat(np.arange(S), Q), np.tile(np.arange(Q), S)
+        want = predict_proba_array(point, s_idx, q_idx, class_of)
+        assert predict_proba_array(vi_params, s_idx, q_idx, class_of).tobytes() == want.tobytes()
+        assert predict_proba_vi_array(vi_params, s_idx, q_idx, class_of).tobytes() == want.tobytes()
+        assert np.all((want > 0.0) & (want < 1.0))
+        cell = data.draw(st.integers(0, want.size - 1))
+        s, q = int(s_idx[cell]), int(q_idx[cell])
+        assert predict_prob_vi(vi_params, s, q, class_of, mode="plugin-mean") == want[cell]
 
 
 class TestElboCoreMatchesPerSampleOracle:
@@ -224,12 +247,11 @@ class TestTrainVi:
         np.testing.assert_allclose(params.ability, 0.0, atol=1e-2)
         np.testing.assert_allclose(params.ability_sigma, 1.0, atol=1e-2)
 
-    def test_interaction_vi_with_zero_dims_matches_rasch_vi_trace(self):
-        data = _tiny_data()
+    def test_interaction_vi_with_zero_dims_rejected(self):
         cfg = VIConfig(samples=3, sigma_init=0.8, learning_rate=0.05, epochs=40, seed=4)
-        _, rasch_report = train_vi("rasch-vi", data, cfg)
-        _, inter_report = train_vi("interaction-vi", data, cfg, dims=0)
-        assert rasch_report.nll_trace == inter_report.nll_trace
+        for kind in ("interaction-vi", "class-interaction-vi"):
+            with pytest.raises(ValueError, match=f"{kind} requires dims >= 1, got 0"):
+                train_vi(kind, _tiny_data(), cfg, dims=0)
 
     def test_converged_elbo_stays_below_log_evidence(self):
         data = _tiny_data()
@@ -242,9 +264,9 @@ class TestTrainVi:
 
     def test_warm_start_takes_point_estimates(self):
         data = _tiny_data()
-        point = Params(np.array([0.9, -1.1]), np.array([0.2, 0.3, -0.8]))
-        cfg = VIConfig(samples=2, sigma_init=0.8, epochs=0, seed=0, warm_start=point)
-        params, report = train_vi("rasch-vi", data, cfg)
+        point = Params(np.array([0.9, -1.1]), np.array([0.2, 0.3, -0.8]), kind="rasch")
+        cfg = VIConfig(samples=2, sigma_init=0.8, epochs=0, seed=0)
+        params, report = train_vi("rasch-vi", data, cfg, warm_start=point)
         np.testing.assert_array_equal(params.ability, point.ability)
         np.testing.assert_array_equal(params.easiness, point.easiness)
         np.testing.assert_allclose(params.ability_sigma, 0.8, rtol=1e-12)
@@ -252,17 +274,25 @@ class TestTrainVi:
 
     def test_warm_start_shape_mismatch(self):
         data = _tiny_data()
-        bad = Params(np.zeros(5), np.zeros(3))
-        cfg = VIConfig(samples=2, epochs=1, warm_start=bad)
+        bad = Params(np.zeros(5), np.zeros(3), kind="rasch")
+        cfg = VIConfig(samples=2, epochs=1)
         with pytest.raises(ValueError, match="warm-start shape mismatch"):
-            train_vi("rasch-vi", data, cfg)
+            train_vi("rasch-vi", data, cfg, warm_start=bad)
 
     def test_wrong_family_warm_start_rejected(self):
         data = _tiny_data()
-        point = Params(np.zeros(2), np.zeros(3))
-        cfg = VIConfig(samples=2, epochs=1, warm_start=point)
+        point = Params(np.zeros(2), np.zeros(3), kind="rasch")
+        cfg = VIConfig(samples=2, epochs=1)
         with pytest.raises(ValueError, match="warm-start"):
-            train_vi("class-interaction-vi", data, cfg, dims=1)
+            train_vi("class-interaction-vi", data, cfg, dims=1, warm_start=point)
+
+    def test_warm_start_of_another_family_rejected(self):
+        # every student its own class: interaction params have class-interaction shapes
+        data = dataset_from_arrays([0, 1, 2], [0, 1, 0], [1, 0, 1], class_of=np.arange(3),
+                                   class_ids=("c0", "c1", "c2"))
+        inter = Params(np.zeros(3), np.zeros(2), np.zeros((3, 1)), np.zeros((2, 1)), kind="interaction")
+        with pytest.raises(ValueError, match="warm-start params are 'interaction', expected 'class-interaction'"):
+            train_vi("class-interaction-vi", data, VIConfig(epochs=1), dims=1, warm_start=inter)
 
     def test_deterministic_given_seed(self):
         data = _tiny_data()
@@ -306,6 +336,13 @@ class TestTrainVi:
     def test_config_rejects_sigma_init_not_finite_and_positive(self, sigma):
         with pytest.raises(ValueError, match="sigma_init"):
             VIConfig(sigma_init=sigma)
+
+    @pytest.mark.parametrize("name,value", [
+        ("epochs", -3), ("epochs", 2.5), ("samples", 1.5), ("init_scale", math.nan), ("init_scale", -0.01),
+    ])
+    def test_config_rejects_bad_numeric_field(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be"):
+            VIConfig(**{name: value})
 
     def test_divergence_raises(self):
         data = _tiny_data()
