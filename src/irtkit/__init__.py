@@ -66,6 +66,6 @@ from .active import (
     run_active_loop,
     select_next,
 )
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 
 __version__ = "0.1.0"

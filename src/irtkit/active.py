@@ -61,9 +61,8 @@ class ActiveConfig:
     def __post_init__(self):
         if self.policy not in (UNCERTAINTY, RANDOM):
             raise ValueError(f"unknown policy {self.policy!r}")
-        require_count("batch_size", self.batch_size, 1)
-        require_count("rounds", self.rounds, 0)
-        require_count("initial_epochs", self.initial_epochs, 1)
+        for name, low in (("batch_size", 1), ("rounds", 0), ("initial_epochs", 1), ("seed", 0)):
+            require_count(name, getattr(self, name), low)
 
 
 @dataclass
@@ -87,6 +86,7 @@ def make_pool_state(d: Dataset, pool_size: int, holdout_fraction: float = 0.2, s
         raise ValueError(f"holdout_fraction must be in (0, 1), got {holdout_fraction}")
     if not 0 < pool_size < d.num_students:
         raise ValueError("pool_size must leave at least one base student")
+    require_count("seed", seed, 0)
     answered = np.flatnonzero(np.bincount(d.student_idx, minlength=d.num_students))
     if pool_size > answered.size:
         raise ValueError(f"pool_size {pool_size} exceeds the {answered.size} students with a response")
@@ -156,8 +156,7 @@ def run_active_loop(state: PoolState, cfg: ActiveConfig) -> ActiveResult:
         q = order[j, slot]
         return replace(base, student_idx=np.concatenate([base.student_idx, base_s + j]),
                        question_idx=np.concatenate([base.question_idx, q]),
-                       y=np.concatenate([base.y, label[j, q]]),
-                       num_students=base_s + P, class_of=class_of, student_ids=student_ids)
+                       y=np.concatenate([base.y, label[j, q]]), class_of=class_of, student_ids=student_ids)
 
     def score(params) -> np.ndarray:
         """Record holdout accuracy per pool student; return the pool's probabilities."""

@@ -1,34 +1,28 @@
 """Language-neutral JSON checkpoints for point and variational models.
 
 One record per parameter tensor (name, shape, row-major values) plus the
-model kind, interaction dimension count, and the id tables of the
-training dataset, so any language can round-trip a checkpoint and map
-opaque ids back to dense indices.
+model kind, interaction dimension count, and the index of the training
+dataset (its id tables and class_of), so any language can round-trip a
+checkpoint and map opaque ids back to dense indices. A checkpoint loads
+as the params and that index: a Dataset without responses, through
+which align_rows_to_checkpoint indexes new rows.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import replace
 from itertools import repeat
 from typing import Iterable
 
 import numpy as np
 
-from .data import Dataset, RawResponse, Responses
+from .data import Dataset, RawResponse, Responses, dataset_from_arrays
 from .models import FAMILY, RASCH, Params, inv_softplus, make_params, softplus, tensor_table
 
 FORMAT = "irtkit-checkpoint"
 VERSION = 1
-
-
-@dataclass
-class Checkpoint:
-    params: Params               # a VIParams for VI kinds; it holds the kind and dims
-    student_ids: tuple
-    question_ids: tuple
-    class_ids: tuple
-    class_of: np.ndarray
 
 
 def _tensor_record(name: str, arr: np.ndarray) -> dict:
@@ -63,12 +57,14 @@ def save_checkpoint(path: str, params: Params, data: Dataset) -> None:
         fh.write("\n")
 
 
-def load_checkpoint(path: str) -> Checkpoint:
-    """Read a checkpoint, checking every tensor against the kind's tensor table.
+def load_checkpoint(path: str) -> tuple[Params, Dataset]:
+    """Read a checkpoint as its params and its index, a Dataset without responses.
 
-    Text that is not UTF-8 JSON, a top-level value that is not an object,
-    a missing or mistyped field or tensor record, counts that disagree
-    with the id tables, a non-integer class, an unknown kind, dims that
+    Every tensor is checked against the kind's tensor table. Text that is
+    not UTF-8 JSON, a top-level value that is not an object, a missing or
+    mistyped field or tensor record, an id table that is not a list of
+    distinct strings, counts that disagree with the id tables, a
+    non-integer class, a kind that is not a known kind's name, dims that
     disagree with the kind (0 for rasch kinds, >= 1 otherwise), a missing
     tensor, a shape that disagrees with the id tables and dims, a
     non-numeric or non-finite value or a sigma <= 0 is a ValueError
@@ -85,19 +81,19 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise ValueError(f"{path}: not an {FORMAT} file")
     if doc.get("version") != VERSION:
         raise ValueError(f"{path}: checkpoint version {doc.get('version')!r}, expected {VERSION}")
-    kind = doc.get("kind")
+    kind = _field(path, doc, "kind", str)
     if kind not in FAMILY:
         raise ValueError(f"{path}: unknown model kind {kind!r}")
     ids = _field(path, doc, "id_tables", dict)
-    tables = [tuple(_field(path, ids, k, list)) for k in ("students", "questions", "classes")]
+    tables = [_id_table(path, ids, k) for k in ("students", "questions", "classes")]
     for key, table in zip(("num_students", "num_questions", "num_classes"), tables):
         if _field(path, doc, key, int) != len(table):
             raise ValueError(f"{path}: {key} is {doc[key]}, but the id table holds {len(table)}")
-    student_ids, question_ids, class_ids = tables
+    S, Q, C = map(len, tables)
     class_of = _field(path, doc, "class_of", list)
     if any(type(c) is not int for c in class_of):
         raise ValueError(f"{path}: class_of holds a non-integer entry")
-    if len(class_of) != len(student_ids) or not all(0 <= c < len(class_ids) for c in class_of):
+    if len(class_of) != S or not all(0 <= c < C for c in class_of):
         raise ValueError(f"{path}: class_of does not match the id tables")
     class_of = np.array(class_of, dtype=np.int64)
 
@@ -111,8 +107,7 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise ValueError(f"{path}: tensor record {i} is not an object with a string 'name'")
         records[rec["name"]] = rec
     tensors = {}
-    for name, (record, shape) in tensor_table(kind, dims, len(student_ids), len(question_ids),
-                                              len(class_ids)).items():
+    for name, (record, shape) in tensor_table(kind, dims, S, Q, C).items():
         if record not in records:
             raise ValueError(f"{path}: missing tensor {record!r}")
         got, values = (_field(path, records[record], key, list, f"tensor {record!r} ")
@@ -132,11 +127,10 @@ def load_checkpoint(path: str) -> Checkpoint:
                 raise ValueError(f"{path}: tensor {record!r} holds a sigma <= 0")
             values = np.asarray(inv_softplus(values))
         tensors[name] = values
-    return Checkpoint(params=make_params(kind, tensors), student_ids=student_ids,
-                      question_ids=question_ids, class_ids=class_ids, class_of=class_of)
+    return make_params(kind, tensors), dataset_from_arrays((), (), (), class_of, *tables)
 
 
-_JSON_TYPES = {dict: "object", list: "array", int: "integer"}
+_JSON_TYPES = {dict: "object", list: "array", int: "integer", str: "string"}
 
 
 def _field(path: str, doc: dict, key: str, kind: type, owner: str = ""):
@@ -147,7 +141,18 @@ def _field(path: str, doc: dict, key: str, kind: type, owner: str = ""):
     return value
 
 
-def align_rows_to_checkpoint(rows: Responses | Iterable[RawResponse], ckpt: Checkpoint) -> Dataset:
+def _id_table(path: str, ids: dict, key: str) -> tuple:
+    """The id table ids[key], which must be a JSON array of distinct strings."""
+    table = tuple(_field(path, ids, key, list, "id_tables "))
+    if not all(isinstance(i, str) for i in table):
+        raise ValueError(f"{path}: id table {key!r} holds an id that is not a string")
+    if len(set(table)) != len(table):
+        twice = next(i for i, n in Counter(table).items() if n > 1)
+        raise ValueError(f"{path}: id table {key!r} holds {twice!r} twice")
+    return table
+
+
+def align_rows_to_checkpoint(rows: Responses | Iterable[RawResponse], index: Dataset) -> Dataset:
     """Index loaded rows through a checkpoint's id tables.
 
     Every id in the rows must already exist in the checkpoint; predicting
@@ -155,26 +160,15 @@ def align_rows_to_checkpoint(rows: Responses | Iterable[RawResponse], ckpt: Chec
     first in row order).
     """
     r = rows if isinstance(rows, Responses) else Responses.from_rows(rows)
-    s_idx = _index_in(ckpt.student_ids, r.student_ids)[r.student_idx]
-    q_idx = _index_in(ckpt.question_ids, r.question_ids)[r.question_idx]
+    s_idx = _index_in(index.student_ids, r.student_ids)[r.student_idx]
+    q_idx = _index_in(index.question_ids, r.question_ids)[r.question_idx]
     unknown = (s_idx < 0) | (q_idx < 0)
     if unknown.any():
         i = int(np.argmax(unknown))
         if s_idx[i] < 0:
             raise ValueError(f"student {r.student_ids[r.student_idx[i]]!r} is not in the checkpoint")
         raise ValueError(f"question {r.question_ids[r.question_idx[i]]!r} is not in the checkpoint")
-    return Dataset(
-        student_idx=s_idx,
-        question_idx=q_idx,
-        y=r.y,
-        num_students=len(ckpt.student_ids),
-        num_questions=len(ckpt.question_ids),
-        num_classes=len(ckpt.class_ids),
-        class_of=ckpt.class_of,
-        student_ids=ckpt.student_ids,
-        question_ids=ckpt.question_ids,
-        class_ids=ckpt.class_ids,
-    )
+    return replace(index, student_idx=s_idx, question_idx=q_idx, y=r.y)
 
 
 def _index_in(table: tuple, ids: tuple) -> np.ndarray:

@@ -71,10 +71,10 @@ def _warm_start(args, manifest: ManifestWriter, dataset):
     if not args.warm_start:
         return None
     manifest.add_input(args.warm_start)
-    ckpt = load_checkpoint(args.warm_start)
-    if ckpt.student_ids != dataset.student_ids or ckpt.question_ids != dataset.question_ids:
+    params, index = load_checkpoint(args.warm_start)
+    if index.student_ids != dataset.student_ids or index.question_ids != dataset.question_ids:
         raise ValueError("warm-start id tables do not match the training data")
-    return ckpt.params
+    return params
 
 
 def _save_trained(args, manifest: ManifestWriter, params, dataset, report) -> None:
@@ -121,9 +121,9 @@ def _cmd_train_vi(args, manifest: ManifestWriter) -> int:
 def _cmd_eval(args, manifest: ManifestWriter) -> int:
     manifest.add_input(args.checkpoint)
     manifest.add_input(args.data)
-    ckpt = load_checkpoint(args.checkpoint)
-    dataset = align_rows_to_checkpoint(_load_rows(args.data, args.format), ckpt)
-    preds = predict_proba_array(ckpt.params, dataset.student_idx, dataset.question_idx, dataset.class_of)
+    params, index = load_checkpoint(args.checkpoint)
+    dataset = align_rows_to_checkpoint(_load_rows(args.data, args.format), index)
+    preds = predict_proba_array(params, dataset.student_idx, dataset.question_idx, dataset.class_of)
     report = accuracy(preds, dataset.y, args.threshold)
     record = report.to_dict()
     if args.out:
@@ -160,11 +160,10 @@ def _cmd_synth(args, manifest: ManifestWriter) -> int:
 
 def _cmd_interpret(args, manifest: ManifestWriter) -> int:
     manifest.add_input(args.checkpoint)
-    ckpt = load_checkpoint(args.checkpoint)
-    demand = ckpt.params.demand
-    if demand is None:
-        raise ValueError(f"checkpoint kind {ckpt.params.kind!r} has no question embedding vectors")
-    sim = cosine_similarity_matrix(demand, ckpt.question_ids, rescale_display=args.rescale_display)
+    params, index = load_checkpoint(args.checkpoint)
+    if params.demand is None:
+        raise ValueError(f"checkpoint kind {params.kind!r} has no question embedding vectors")
+    sim = cosine_similarity_matrix(params.demand, index.question_ids, rescale_display=args.rescale_display)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("question_id," + ",".join(sim.question_ids) + "\n")
         for qid, row in zip(sim.question_ids, sim.values):

@@ -35,8 +35,8 @@ class TrainConfig:
     def __post_init__(self):
         if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be finite and > 0")
-        require_count("epochs", self.epochs, 0)
-        require_count("batch_size", self.batch_size, 1)
+        for name, low in (("epochs", 0), ("batch_size", 1), ("seed", 0)):
+            require_count(name, getattr(self, name), low)
         for name in ("l2_penalty", "init_scale", "convergence_tol"):
             require_nonnegative(name, getattr(self, name))
 

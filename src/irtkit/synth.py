@@ -11,6 +11,7 @@ random for sparsity experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 from typing import Optional
 
 import numpy as np
@@ -41,8 +42,12 @@ class SynthConfig:
     exam_seed: Optional[int] = None  # fix the question paper across student seeds
 
     def __post_init__(self):
-        for name, low in (("students", 1), ("questions", 1), ("dims", 0), ("num_classes", 0)):
+        for name, low in (("students", 1), ("questions", 1), ("dims", 0), ("num_classes", 0), ("seed", 0)):
             require_count(name, getattr(self, name), low)
+        if self.exam_seed is not None:
+            require_count("exam_seed", self.exam_seed, 0)
+        if isinstance(self.mean_bq, bool) or not isinstance(self.mean_bq, Real) or not abs(self.mean_bq) < np.inf:
+            raise ValueError(f"mean_bq must be a finite real number, got {self.mean_bq!r}")
         for name in ("std_bq", "std_bs", "std_xs", "std_xq", "class_effect_std"):
             require_nonnegative(name, getattr(self, name))
         if not 0.0 < self.keep_prob <= 1.0:

@@ -65,8 +65,8 @@ class VIConfig:
     init_scale: float = 0.01
 
     def __post_init__(self):
-        require_count("samples", self.samples, 1)
-        require_count("epochs", self.epochs, 0)
+        for name, low in (("samples", 1), ("epochs", 0), ("seed", 0)):
+            require_count(name, getattr(self, name), low)
         require_nonnegative("init_scale", self.init_scale)
         if not 0 < self.sigma_init < math.inf:
             raise ValueError("sigma_init must be finite and > 0")

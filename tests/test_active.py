@@ -127,6 +127,11 @@ class TestMakePoolState:
         with pytest.raises(ValueError, match=r"holdout_fraction must be in \(0, 1\)"):
             make_pool_state(data, pool_size=10, holdout_fraction=fraction, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_seed_that_is_not_a_nonnegative_integer_rejected(self, seed):
+        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0"):
+            make_pool_state(_small_world()[0], pool_size=10, seed=seed)
+
     def test_student_without_responses_stays_in_base(self):
         data, _ = _small_world(students=30, questions=8)
         rows = data.student_idx != 0
@@ -152,7 +157,7 @@ class TestMakePoolState:
 class TestActiveConfig:
     @pytest.mark.parametrize("field,value", [
         ("batch_size", 0), ("batch_size", 1.5), ("batch_size", float("nan")), ("batch_size", True),
-        ("rounds", -1), ("rounds", 2.0), ("initial_epochs", -3), ("initial_epochs", 0),
+        ("rounds", -1), ("rounds", 2.0), ("initial_epochs", -3), ("initial_epochs", 0), ("seed", -1), ("seed", 1.5),
     ])
     def test_bad_counts_rejected(self, field, value):
         with pytest.raises(ValueError, match=rf"{field} must be an integer >= "):

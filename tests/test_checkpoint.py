@@ -1,14 +1,18 @@
 """Checkpoint serialization round-trips for point and variational models."""
 
+import copy
 import json
+from itertools import cycle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irtkit.checkpoint import VERSION, align_rows_to_checkpoint, load_checkpoint, save_checkpoint
 from irtkit.data import RawResponse
 from irtkit.optim import TrainConfig, init_params, sgd_train
-from irtkit.models import Params, VIParams, inv_softplus, softplus
+from irtkit.models import Params, VIParams, inv_softplus, predict_proba_array, softplus
 from irtkit.synth import SynthConfig, generate_synthetic
 from irtkit.vi import VIConfig, train_vi
 
@@ -46,14 +50,14 @@ def test_point_roundtrip(tmp_path, kind, dims):
                          np.random.default_rng(1), 0.5)
     path = str(tmp_path / "ckpt.json")
     save_checkpoint(path, params, data)
-    ckpt = load_checkpoint(path)
-    assert ckpt.params.kind == kind and ckpt.params.dims == dims and not isinstance(ckpt.params, VIParams)
+    loaded, index = load_checkpoint(path)
+    assert loaded.kind == kind and loaded.dims == dims and not isinstance(loaded, VIParams)
     assert _record_names(path) == _RECORDS[kind]
-    assert ckpt.params.tensors().keys() == params.tensors().keys()
+    assert loaded.tensors().keys() == params.tensors().keys()
     for name, arr in params.tensors().items():
-        _assert_same_bits(getattr(ckpt.params, name), arr)
-    assert ckpt.student_ids == data.student_ids
-    assert np.array_equal(ckpt.class_of, data.class_of)
+        _assert_same_bits(getattr(loaded, name), arr)
+    assert index.student_ids == data.student_ids
+    assert np.array_equal(index.class_of, data.class_of)
 
 
 @pytest.mark.parametrize("kind,dims", [("rasch-vi", 0), ("interaction-vi", 2),
@@ -64,15 +68,15 @@ def test_vi_roundtrip(tmp_path, kind, dims):
                          dims=dims)
     path = str(tmp_path / "vi.json")
     save_checkpoint(path, params, data)
-    ckpt = load_checkpoint(path)
-    assert isinstance(ckpt.params, VIParams) and ckpt.params.dims == dims
+    loaded, _ = load_checkpoint(path)
+    assert isinstance(loaded, VIParams) and loaded.dims == dims
     assert _record_names(path) == _RECORDS[kind]
-    assert ckpt.params.tensors().keys() == params.tensors().keys()
+    assert loaded.tensors().keys() == params.tensors().keys()
     for name, arr in params.tensors().items():
         # the file holds sigma = softplus(rho); loading inverts exactly that
         want = inv_softplus(softplus(arr)) if name.endswith("_rho") else arr
-        _assert_same_bits(getattr(ckpt.params, name), want)
-    np.testing.assert_allclose(ckpt.params.ability_sigma, params.ability_sigma, rtol=1e-12)
+        _assert_same_bits(getattr(loaded, name), want)
+    np.testing.assert_allclose(loaded.ability_sigma, params.ability_sigma, rtol=1e-12)
 
 
 def test_sgd_accepts_loaded_checkpoint_as_warm_start(tmp_path):
@@ -80,7 +84,7 @@ def test_sgd_accepts_loaded_checkpoint_as_warm_start(tmp_path):
     params, _ = sgd_train("rasch", data, TrainConfig(epochs=3, seed=0))
     path = str(tmp_path / "warm.json")
     save_checkpoint(path, params, data)
-    warm = load_checkpoint(path).params
+    warm, _ = load_checkpoint(path)
     again, _ = sgd_train("rasch", data, TrainConfig(epochs=1, learning_rate=1e-12, seed=1),
                          warm_start=warm)
     np.testing.assert_allclose(again.ability, params.ability, atol=1e-9)
@@ -91,13 +95,13 @@ def test_align_rows_maps_through_checkpoint_tables(tmp_path):
     params, _ = sgd_train("rasch", data, TrainConfig(epochs=2, seed=0))
     path = str(tmp_path / "ckpt.json")
     save_checkpoint(path, params, data)
-    ckpt = load_checkpoint(path)
+    _, index = load_checkpoint(path)
     rows = [RawResponse("s3", "q2", "c0", 1, 1), RawResponse("s0", "q4", "c0", 0, 1)]
-    aligned = align_rows_to_checkpoint(rows, ckpt)
+    aligned = align_rows_to_checkpoint(rows, index)
     assert aligned.student_idx.tolist() == [3, 0]
     assert aligned.question_idx.tolist() == [2, 4]
     with pytest.raises(ValueError, match="not in the checkpoint"):
-        align_rows_to_checkpoint([RawResponse("ghost", "q0", "c0", 1, 1)], ckpt)
+        align_rows_to_checkpoint([RawResponse("ghost", "q0", "c0", 1, 1)], index)
 
 
 def test_unknown_file_rejected(tmp_path):
@@ -120,16 +124,21 @@ def test_other_version_rejected(tmp_path):
         load_checkpoint(str(path))
 
 
-def _edited_checkpoint(tmp_path, edit, kind="rasch"):
-    """Save a small checkpoint of a kind, apply edit to its JSON document, write it back."""
+def _save_small(path, kind):
+    """Save a small checkpoint of a kind (2 dims unless rasch) to path."""
     data = _dataset()
     if kind.endswith("-vi"):
         params, _ = train_vi(kind, data, VIConfig(epochs=0, seed=1), dims=2)
     else:
         params = init_params(kind, 2, data.num_students, data.num_questions,
                              data.num_classes, np.random.default_rng(1), 0.5)
-    path = tmp_path / "edited.json"
     save_checkpoint(str(path), params, data)
+
+
+def _edited_checkpoint(tmp_path, edit, kind="rasch"):
+    """Save a small checkpoint of a kind, apply edit to its JSON document, write it back."""
+    path = tmp_path / "edited.json"
+    _save_small(path, kind)
     doc = json.loads(path.read_text(encoding="utf-8"))
     edit(doc)
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -281,3 +290,88 @@ def test_params_lacking_or_holding_extra_tensors_rejected():
         Params(point.ability, point.easiness, point.vec, point.demand, kind="rasch")
     with pytest.raises(ValueError, match="unknown Params kind 'rasch-vi'"):
         Params(point.ability, point.easiness, kind="rasch-vi")
+
+
+@pytest.mark.parametrize("kind", [{"name": "rasch"}, ["rasch"]], ids=["object", "array"])
+def test_kind_that_is_not_a_string_rejected(tmp_path, kind):
+    path = _edited_checkpoint(tmp_path, lambda doc: doc.update(kind=kind))
+    with pytest.raises(ValueError, match=r"edited\.json: field 'kind' is missing or not a JSON string"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("table,edit,message", [
+    ("students", lambda ids: ids.__setitem__(2, ids[1]), "holds 's1' twice"),
+    ("questions", lambda ids: ids.append(ids[0]), "holds 'q0' twice"),
+    ("classes", lambda ids: ids.__setitem__(0, ids[2]), "holds 'c2' twice"),
+    ("students", lambda ids: ids.__setitem__(1, ["s1"]), "holds an id that is not a string"),
+    ("students", lambda ids: ids.__setitem__(1, 1), "holds an id that is not a string"),
+    ("questions", lambda ids: ids.__setitem__(0, None), "holds an id that is not a string"),
+], ids=["duplicate student", "duplicate question", "duplicate class", "array id", "integer id", "null id"])
+def test_id_table_that_is_not_distinct_strings_rejected(tmp_path, table, edit, message):
+    """A duplicate id would align rows to the wrong index; another type would fail at alignment."""
+    path = _edited_checkpoint(tmp_path, lambda doc: edit(doc["id_tables"][table]))
+    with pytest.raises(ValueError, match=rf"edited\.json: id table '{table}' {message}"):
+        load_checkpoint(path)
+
+
+_FUZZED_KINDS = ("rasch", "class-interaction", "interaction-vi")
+# stand-ins of every JSON type, for a value whose type is changed
+_OTHER_VALUES = (None, True, 7, 1.5, "x", [], {}, [1, "x"], {"a": 1})
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A directory and the text of a valid checkpoint of each fuzzed kind."""
+    directory = tmp_path_factory.mktemp("fuzz")
+    texts = {}
+    for kind in _FUZZED_KINDS:
+        _save_small(directory / "valid.json", kind)
+        texts[kind] = (directory / "valid.json").read_text(encoding="utf-8")
+    return directory, texts
+
+
+def _mutated(text: str, picks) -> str:
+    """The text of a checkpoint with one drawn mutation: a value at any depth is dropped,
+    set to null, given another type or reshaped, or the text is cut short."""
+    mutation = picks.draw(st.sampled_from(["drop", "null", "retype", "reshape", "cut"]))
+    if mutation == "cut":
+        return text[:picks.draw(st.integers(0, len(text) - 1))]
+    holder = [json.loads(text)]
+    parent, key = holder, 0
+    while isinstance(parent[key], (dict, list)) and parent[key] and picks.draw(st.integers(0, 3)):
+        parent, key = parent[key], picks.draw(st.sampled_from(list(
+            parent[key] if isinstance(parent[key], dict) else range(len(parent[key])))))
+    node = parent[key]
+    if mutation == "drop":
+        del parent[key]
+    elif mutation == "null":
+        parent[key] = None
+    elif mutation == "retype":
+        parent[key] = picks.draw(st.sampled_from([v for v in _OTHER_VALUES if type(v) is not type(node)]))
+    elif isinstance(node, list) and node:   # reshape: one more entry, a copy of a drawn one
+        node.append(copy.deepcopy(node[picks.draw(st.integers(0, len(node) - 1))]))
+    elif isinstance(node, dict):
+        node["extra"] = 1
+    else:
+        parent[key] = [node]
+    return json.dumps(holder[0]) if holder else ""
+
+
+@settings(max_examples=400, deadline=None)
+@given(kind=st.sampled_from(_FUZZED_KINDS), picks=st.data())
+def test_mutated_checkpoint_loads_or_names_the_file(fuzz_dir, kind, picks):
+    """A mutated checkpoint either loads, and its index aligns rows and predicts, or is one ValueError naming the file."""
+    directory, texts = fuzz_dir
+    path = directory / "mutated.json"
+    path.write_text(_mutated(texts[kind], picks), encoding="utf-8")
+    try:
+        params, index = load_checkpoint(str(path))
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}: ")
+        return
+    rows = [RawResponse(s, q, "c", 1, 1) for s, q in zip(index.student_ids, cycle(index.question_ids))]
+    aligned = align_rows_to_checkpoint(rows, index)
+    assert [index.student_ids[i] for i in aligned.student_idx] == [r.student_id for r in rows]
+    assert [index.question_ids[i] for i in aligned.question_idx] == [r.question_id for r in rows]
+    p = predict_proba_array(params, aligned.student_idx, aligned.question_idx, aligned.class_of)
+    assert p.shape == (len(rows),) and np.all((p > 0) & (p < 1))

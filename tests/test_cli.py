@@ -84,6 +84,12 @@ class TestSynthCli:
         assert manifest["outputs"] == ["data.csv"]
         assert manifest["seeds"] == {"synth": 0}
 
+    def test_negative_seed_is_a_named_error(self, workdir, capsys):
+        code, _, err = run_cli(capsys, *_synth_args("data.csv", seed=-1))
+        assert code == 1
+        assert err.strip() == "error: seed must be an integer >= 0, got -1"
+        assert not os.path.exists("data.csv")
+
 
 class TestPipeline:
     def test_train_eval_interpret_and_vi(self, workdir, capsys):

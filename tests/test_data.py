@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irtkit import data
-from irtkit.checkpoint import Checkpoint, align_rows_to_checkpoint
+from irtkit.checkpoint import align_rows_to_checkpoint
 from irtkit.data import (
     _READ_BLOCK,
     NO_CLASS,
@@ -24,7 +24,6 @@ from irtkit.data import (
     subsample_students,
     write_binary_csv,
 )
-from irtkit.models import Params
 
 from oracles import csv_writer_binary_csv
 
@@ -184,6 +183,11 @@ class TestSplit:
             with pytest.raises(ValueError):
                 split_train_test(d, bad, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_seed_that_is_not_a_nonnegative_integer_rejected(self, seed):
+        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0"):
+            split_train_test(_toy_dataset(), 0.2, seed=seed)
+
 
 class TestSubsample:
     def test_full_fraction_is_identity(self):
@@ -211,6 +215,11 @@ class TestSubsample:
     def test_zero_fraction_rejected(self):
         with pytest.raises(ValueError):
             subsample_students(_toy_dataset(), 0.0, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_seed_that_is_not_a_nonnegative_integer_rejected(self, seed):
+        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0"):
+            subsample_students(_toy_dataset(), 0.5, seed=seed)
 
     def test_deterministic(self):
         d = _toy_dataset()
@@ -360,13 +369,10 @@ class TestErrorContract:
     ], ids=["student", "question", "question first", "both in one row"])
     def test_align_names_first_unknown_id(self, tmp_path, planted, message):
         known = build_dataset(load_raw_csv(_file(tmp_path, True, {})))
-        ckpt = Checkpoint(params=Params(np.zeros(known.num_students), np.zeros(known.num_questions),
-                                        kind="rasch"),
-                          student_ids=known.student_ids, question_ids=known.question_ids,
-                          class_ids=known.class_ids, class_of=known.class_of)
+        index = known.select(np.array([], dtype=np.int64))
         rows = load_raw_csv(_file(tmp_path, True, planted))
         with pytest.raises(ValueError) as exc:
-            align_rows_to_checkpoint(rows, ckpt)
+            align_rows_to_checkpoint(rows, index)
         assert str(exc.value) == message
 
 
@@ -459,7 +465,7 @@ def test_split_is_an_exact_stratified_partition(d, fraction, seed):
 @given(d=_datasets(), picks=st.data())
 def test_keep_students_keeps_each_kept_students_triples_and_class(d, picks):
     class_of = np.array(picks.draw(st.lists(st.integers(0, 2), min_size=d.num_students, max_size=d.num_students)))
-    d = replace(d, class_of=class_of, num_classes=3, class_ids=("c0", "c1", "c2"))
+    d = replace(d, class_of=class_of, class_ids=("c0", "c1", "c2"))
     kept = np.array(sorted(picks.draw(st.sets(st.integers(0, d.num_students - 1)))), dtype=np.int64)
     sub = d.keep_students(kept)
     assert sub.num_students == kept.size

@@ -204,7 +204,7 @@ class TestSgdTrain:
     @pytest.mark.parametrize("name,value", [
         ("epochs", -1), ("epochs", 1.5), ("batch_size", 2.0), ("init_scale", math.nan),
         ("init_scale", -0.01), ("l2_penalty", math.inf), ("l2_penalty", -1e-4),
-        ("convergence_tol", math.nan), ("convergence_tol", -1e-5),
+        ("convergence_tol", math.nan), ("convergence_tol", -1e-5), ("seed", -1), ("seed", 1.5),
     ])
     def test_config_rejects_bad_numeric_field(self, name, value):
         with pytest.raises(ValueError, match=rf"^{name} must be"):

@@ -339,6 +339,7 @@ class TestTrainVi:
 
     @pytest.mark.parametrize("name,value", [
         ("epochs", -3), ("epochs", 2.5), ("samples", 1.5), ("init_scale", math.nan), ("init_scale", -0.01),
+        ("seed", -1), ("seed", 1.5),
     ])
     def test_config_rejects_bad_numeric_field(self, name, value):
         with pytest.raises(ValueError, match=rf"^{name} must be"):
