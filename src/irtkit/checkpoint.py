@@ -79,8 +79,9 @@ def load_checkpoint(path: str) -> tuple[Params, Dataset]:
             raise ValueError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise ValueError(f"{path}: not an {FORMAT} file")
-    if doc.get("version") != VERSION:
-        raise ValueError(f"{path}: checkpoint version {doc.get('version')!r}, expected {VERSION}")
+    version = doc.get("version")
+    if type(version) is not int or version != VERSION:  # JSON true and 1.0 also equal 1
+        raise ValueError(f"{path}: checkpoint version {version!r}, expected {VERSION}")
     kind = _field(path, doc, "kind", str)
     if kind not in FAMILY:
         raise ValueError(f"{path}: unknown model kind {kind!r}")

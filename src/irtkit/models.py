@@ -78,6 +78,12 @@ def require_nonnegative(name: str, value) -> None:
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
+def require_positive(name: str, value) -> None:
+    """Raise unless value is a finite real number > 0."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
 @dataclass
 class Params:
     """The tensors of a point model kind.
@@ -189,11 +195,12 @@ def _take_rows(table: np.ndarray, idx) -> np.ndarray:
     """table[idx] along axis 0, by numpy's faster path for the row width.
 
     np.take gathers rows of two or more floats 3-7x faster than fancy
-    indexing. For one-float rows fancy indexing is the safe choice: with
-    a read-only index array, as every Dataset holds, np.take is then
-    slower than it (2.5x at 30,000 entries, 3.4x at 240,000; numpy 2.4).
+    indexing. One-float rows are gathered as the 1-D column: 2-D fancy
+    indexing is about 2x slower than that at 8,192 entries, and np.take
+    is slower too with a read-only index array, as every Dataset holds
+    (numpy 2.4).
     """
-    return table[idx] if table.shape[1] == 1 else np.take(table, idx, axis=0)
+    return table[:, 0][idx][:, None] if table.shape[1] == 1 else np.take(table, idx, axis=0)
 
 
 def logits(params: Params, s_idx, q_idx, rows=None, q_rows=None):

@@ -8,14 +8,18 @@ form sigma(z) - y) and checked against central finite differences.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import Dataset
 from .models import (FAMILY, Params, check_shapes, grad_scatter, inv_softplus, logits, make_params,
-                     require_count, require_nonnegative, sigmoid, softplus, tensor_table, vec_rows)
+                     require_count, require_nonnegative, require_positive, sigmoid, softplus, tensor_table,
+                     vec_rows)
+
+# Rows per nll chunk: its float64 temporaries are 64 KB each, below glibc's
+# mmap threshold, so they come from the heap whatever its history.
+_NLL_CHUNK = 8192
 
 
 class TrainingDiverged(RuntimeError):
@@ -33,8 +37,7 @@ class TrainConfig:
     convergence_tol: float = 1e-5
 
     def __post_init__(self):
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError("learning_rate must be finite and > 0")
+        require_positive("learning_rate", self.learning_rate)
         for name, low in (("epochs", 0), ("batch_size", 1), ("seed", 0)):
             require_count(name, getattr(self, name), low)
         for name in ("l2_penalty", "init_scale", "convergence_tol"):
@@ -77,11 +80,22 @@ def copy_params(params):
     return replace(params, **{name: arr.copy() for name, arr in params.tensors().items()})
 
 
-def nll(params, data: Dataset) -> float:
-    """Total Bernoulli negative log-likelihood over the observed cells."""
-    s_idx = data.student_idx
-    z = logits(params, s_idx, data.question_idx, vec_rows(params.kind, s_idx, data.class_of))[0]
-    return float(np.sum(softplus(z) - data.y * z))
+def nll(params, data: Dataset, out=None) -> float:
+    """Total Bernoulli negative log-likelihood over the observed cells.
+
+    The per-row losses go, _NLL_CHUNK rows at a time, into out (a float64
+    buffer of n_responses entries, made here when not given) and are
+    summed by one np.sum: the bits of the one-shot pairwise sum, with no
+    temporary longer than a chunk.
+    """
+    n = data.n_responses
+    loss = np.empty(n) if out is None else out
+    for lo in range(0, n, _NLL_CHUNK):
+        rows = slice(lo, lo + _NLL_CHUNK)
+        s_idx = data.student_idx[rows]
+        z = logits(params, s_idx, data.question_idx[rows], vec_rows(params.kind, s_idx, data.class_of))[0]
+        np.subtract(softplus(z), data.y[rows] * z, out=loss[rows])
+    return float(np.sum(loss))
 
 
 def _grad_arrays(params, s_idx, q_idx, y, class_of) -> dict:
@@ -94,8 +108,7 @@ def grad_nll(params, batch: Dataset, l2_penalty: float = 0.0) -> Params:
     """Analytic gradient of the batch NLL, plus l2_penalty * param per tensor."""
     if batch.n_responses == 0:
         raise ValueError("batch must be non-empty")
-    g = _grad_arrays(params, batch.student_idx, batch.question_idx,
-                     batch.y.astype(np.float64), batch.class_of)
+    g = _grad_arrays(params, batch.student_idx, batch.question_idx, batch.y, batch.class_of)
     if l2_penalty:
         for name, arr in g.items():
             arr += l2_penalty * getattr(params, name)
@@ -120,23 +133,41 @@ def sgd_train(kind: str, data: Dataset, cfg: TrainConfig, dims: int = 1, warm_st
     params = init_params(kind, dims, data.num_students, data.num_questions, data.num_classes, rng,
                          cfg.init_scale, warm_start=warm_start)
 
-    y = data.y.astype(np.float64)
-    n = data.n_responses
-    initial_nll = nll(params, data)
+    n, size = data.n_responses, cfg.batch_size
+    loss = np.empty(n)
+    initial_nll = nll(params, data, loss)
     best_nll = initial_nll
     best = copy_params(params)
     trace: list[float] = []
     prev = initial_nll
 
+    # Each epoch gathers the responses in its shuffled order once. The
+    # tensors become views into one flat array, so each L2 step,
+    # arr -= lr * (grad + l2 * arr), runs operation by operation over all
+    # of them at once through one buffer: apart from the gradients, a
+    # batch step allocates nothing longer than a batch.
+    sources = (data.student_idx, data.question_idx, data.y)
+    s_idx, q_idx, y = shuffled = [np.empty_like(src) for src in sources]
+    flat = np.concatenate([arr.ravel() for arr in params.tensors().values()])
+    buf = np.empty_like(flat)
+    held, step, at = {}, {}, 0
+    for name, arr in params.tensors().items():
+        held[name], step[name] = (whole[at:at + arr.size].reshape(arr.shape) for whole in (flat, buf))
+        at += arr.size
+    params = replace(params, **held)
     for epoch in range(1, cfg.epochs + 1):
         perm = rng.permutation(n)
-        for lo in range(0, n, cfg.batch_size):
-            b = perm[lo:lo + cfg.batch_size]
-            g = _grad_arrays(params, data.student_idx[b], data.question_idx[b], y[b], data.class_of)
+        for src, out in zip(sources, shuffled):
+            np.take(src, perm, out=out, mode="clip")  # perm is in range; "raise" would buffer the gather
+        for lo in range(0, n, size):
+            g = _grad_arrays(params, s_idx[lo:lo + size], q_idx[lo:lo + size], y[lo:lo + size],
+                             data.class_of)
+            np.multiply(flat, cfg.l2_penalty, out=buf)
             for name, grad in g.items():
-                arr = getattr(params, name)
-                arr -= cfg.learning_rate * (grad + cfg.l2_penalty * arr)
-        epoch_nll = nll(params, data)
+                step[name] += grad
+            buf *= cfg.learning_rate
+            flat -= buf
+        epoch_nll = nll(params, data, loss)
         if not np.isfinite(epoch_nll):
             raise TrainingDiverged(f"non-finite training NLL at epoch {epoch} (learning rate too high?)")
         trace.append(epoch_nll)

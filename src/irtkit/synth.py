@@ -50,8 +50,8 @@ class SynthConfig:
             raise ValueError(f"mean_bq must be a finite real number, got {self.mean_bq!r}")
         for name in ("std_bq", "std_bs", "std_xs", "std_xq", "class_effect_std"):
             require_nonnegative(name, getattr(self, name))
-        if not 0.0 < self.keep_prob <= 1.0:
-            raise ValueError("keep_prob must be in (0, 1]")
+        if isinstance(self.keep_prob, bool) or not isinstance(self.keep_prob, Real) or not 0 < self.keep_prob <= 1:
+            raise ValueError(f"keep_prob must be in (0, 1], got {self.keep_prob!r}")
         if self.outcome not in (SAMPLE, THRESHOLD):
             raise ValueError(f"outcome must be {SAMPLE!r} or {THRESHOLD!r}")
 

@@ -30,8 +30,8 @@ import numpy as np
 
 from .data import Dataset
 from .models import (_P_HI, _P_LO, CLASS_INTERACTION_VI, FAMILY, VI_KINDS, Params, VIParams, grad_scatter,
-                     logits, predict_proba_array, question_rows, require_count, require_nonnegative, sigmoid,
-                     softplus, vec_rows)
+                     logits, predict_proba_array, question_rows, require_count, require_nonnegative,
+                     require_positive, sigmoid, softplus, vec_rows)
 from .optim import TrainingDiverged, TrainReport, central_difference_error, init_params
 
 PLUG_IN_MEAN = "plugin-mean"
@@ -68,10 +68,8 @@ class VIConfig:
         for name, low in (("samples", 1), ("epochs", 0), ("seed", 0)):
             require_count(name, getattr(self, name), low)
         require_nonnegative("init_scale", self.init_scale)
-        if not 0 < self.sigma_init < math.inf:
-            raise ValueError("sigma_init must be finite and > 0")
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError("learning_rate must be finite and > 0")
+        for name in ("sigma_init", "learning_rate"):
+            require_positive(name, getattr(self, name))
 
 
 def _draw_eps(params: VIParams, M: int, rng):

@@ -124,6 +124,15 @@ def test_other_version_rejected(tmp_path):
         load_checkpoint(str(path))
 
 
+@pytest.mark.parametrize("version", [True, float(VERSION), str(VERSION)])
+def test_version_that_is_not_an_integer_rejected(tmp_path, version):
+    def edit(doc):
+        doc["version"] = version
+
+    with pytest.raises(ValueError, match=rf"edited\.json: checkpoint version {version!r}, expected {VERSION}$"):
+        load_checkpoint(_edited_checkpoint(tmp_path, edit))
+
+
 def _save_small(path, kind):
     """Save a small checkpoint of a kind (2 dims unless rasch) to path."""
     data = _dataset()

@@ -1,6 +1,8 @@
 """NLL, analytic gradients, the SGD loop, and its oracles."""
 
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from irtkit.data import dataset_from_arrays
-from irtkit.models import Params
+from irtkit.models import Params, logits, softplus, vec_rows
 from irtkit.optim import (
+    _NLL_CHUNK,
     TrainConfig,
     TrainingDiverged,
     copy_params,
@@ -81,6 +84,21 @@ class TestNll:
                          kind=params.kind)
         # exact identity up to float rounding of the shifted parameters
         assert nll(shifted, data) == pytest.approx(nll(params, data), abs=5e-10)
+
+    @pytest.mark.parametrize("n", [0, 1, _NLL_CHUNK, _NLL_CHUNK + 1, 5 * _NLL_CHUNK // 2])
+    @pytest.mark.parametrize("spec", [("rasch", 0), ("class-interaction", 2)])
+    def test_chunked_sum_is_the_one_shot_sum(self, spec, n):
+        """nll's chunks and single np.sum give the bits of the sum over all rows at once."""
+        rng = np.random.default_rng(n)
+        params = init_params(*spec, 50, 7, 3, rng, 2.0)
+        data = dataset_from_arrays(rng.integers(0, 50, n), rng.integers(0, 7, n), rng.integers(0, 2, n),
+                                   class_of=rng.integers(0, 3, 50), question_ids=tuple(f"q{i}" for i in range(7)),
+                                   class_ids=("c0", "c1", "c2"))
+        z = logits(params, data.student_idx, data.question_idx,
+                   vec_rows(params.kind, data.student_idx, data.class_of))[0]
+        want = float(np.sum(softplus(z) - data.y * z))
+        assert nll(params, data) == want
+        assert nll(params, data, np.full(n, np.nan)) == want
 
 
 class TestGradNll:
@@ -195,6 +213,40 @@ class TestSgdTrain:
         vi_params, _ = train_vi("rasch-vi", data, VIConfig(epochs=0))
         with pytest.raises(ValueError, match="warm-start params are 'rasch-vi', expected 'rasch' for rasch"):
             sgd_train("rasch", data, TrainConfig(epochs=1), warm_start=vi_params)
+
+    # SHA-256 over every final tensor (name, then float64 bytes) and the
+    # nll_trace of a 6-epoch run with an l2 term on 40 x 12 cells at
+    # density 0.7, in batches of 64 that leave a short last batch;
+    # recorded before the batch step reused per-call buffers (numpy 2.4,
+    # x86-64). "interaction-warm" is a 1-D fit warm-started from another.
+    PINNED = {
+        "rasch": "03b000e5ecaa033c6a8050f1447fde2f8a6cefd9228a6b70c698a28a52da879b",
+        "interaction": "0cfa851b7036779d6d49aef19d1813a695ef1178febe6fc6d3d3b09892446d48",
+        "class-interaction": "a41742f06831b9e0d6264874f4e1a4bf269213fb99e193739a054d0f4d57c971",
+        "interaction-warm": "8420d86dad03c54c2bc5591f816a09ccd4f717b122b438851012fe4df50455ca",
+    }
+
+    @staticmethod
+    def _digest(case):
+        _, data = _random_instance("rasch", 0, 40, 12, 3, seed=12, density=0.7)
+        assert data.n_responses % 64
+        cfg = TrainConfig(learning_rate=0.05, epochs=6, batch_size=64, l2_penalty=0.01, seed=3,
+                          init_scale=0.1, convergence_tol=0.0)
+        if case == "interaction-warm":
+            start, _ = sgd_train("interaction", data, cfg, dims=1)
+            params, report = sgd_train("interaction", data, replace(cfg, seed=4), dims=1, warm_start=start)
+        else:
+            params, report = sgd_train(case, data, cfg, dims=2)
+        h = hashlib.sha256()
+        for name, arr in params.tensors().items():
+            h.update(name.encode())
+            h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+        h.update(np.asarray(report.nll_trace, dtype=np.float64).tobytes())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_pinned_digest(self, case):
+        assert self._digest(case) == self.PINNED[case]
 
     @pytest.mark.parametrize("lr", [-1.0, 0.0, math.nan, math.inf])
     def test_config_rejects_learning_rate_not_finite_and_positive(self, lr):
