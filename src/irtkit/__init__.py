@@ -40,7 +40,6 @@ from .vi import (
     VIConfig,
     VIParams,
     elbo_finite_diff_check,
-    elbo_grad,
     elbo_mc,
     kl_gaussian,
     predict_prob_vi,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -125,7 +126,7 @@ def _cmd_eval(args, manifest: ManifestWriter) -> int:
     dataset = align_rows_to_checkpoint(_load_rows(args.data, args.format), index)
     preds = predict_proba_array(params, dataset.student_idx, dataset.question_idx, dataset.class_of)
     report = accuracy(preds, dataset.y, args.threshold)
-    record = report.to_dict()
+    record = asdict(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(record, fh)
@@ -178,7 +179,7 @@ def _cmd_significance(args, manifest: ManifestWriter) -> int:
     result = two_proportion_z_test(args.x1, args.n1, args.x2, args.n2, alphas=args.alpha)
     manifest.config = {"x1": args.x1, "n1": args.n1, "x2": args.x2, "n2": args.n2,
                        "alpha": args.alpha}
-    _print_record(result.to_dict())
+    _print_record(asdict(result))
     return 0
 
 

@@ -18,10 +18,6 @@ class MetricsReport:
     recall: float
     threshold: float
 
-    def to_dict(self) -> dict:
-        return {"n": self.n, "correct": self.correct, "accuracy": self.accuracy,
-                "precision": self.precision, "recall": self.recall, "threshold": self.threshold}
-
 
 @dataclass
 class ZTestResult:
@@ -30,10 +26,6 @@ class ZTestResult:
     z: float
     p_value: float
     significant_at: list
-
-    def to_dict(self) -> dict:
-        return {"p_hat": self.p_hat, "se": self.se, "z": self.z,
-                "p_value": self.p_value, "significant_at": self.significant_at}
 
 
 @dataclass

@@ -12,6 +12,11 @@ tensors as means, plus transformed standard deviations on the student
 side. A container carries its kind: it is the one value that says what a
 model is. One container, one logits kernel, one gradient scatter and one
 plug-in predictor serve all six kinds.
+Full-data ELBO evaluations of class kinds with fewer (class, question)
+cells than responses take the cell route (class_cells): vec . demand
+depends only on the cell, so it is scored and its gradient summed per
+cell. That matches the per-response row route to rounding, not bit for
+bit, so SGD batches, nll and prediction keep the row route.
 """
 
 from __future__ import annotations
@@ -203,7 +208,15 @@ def _take_rows(table: np.ndarray, idx) -> np.ndarray:
     return table[:, 0][idx][:, None] if table.shape[1] == 1 else np.take(table, idx, axis=0)
 
 
-def logits(params: Params, s_idx, q_idx, rows=None, q_rows=None):
+def class_cells(kind: str, rows, q_idx, num_rows: int, num_questions: int):
+    """The (vec row, question) cell of each response where the cell route pays, else None:
+    only class kinds share vec rows, and only fewer cells than responses save work."""
+    if FAMILY[kind] != CLASS_INTERACTION or num_rows * num_questions >= len(rows):
+        return None
+    return rows * num_questions + q_idx
+
+
+def logits(params: Params, s_idx, q_idx, rows=None, q_rows=None, cells=None):
     """Logit of every (s_idx, q_idx) pair; rows are the vec rows (default s_idx).
 
     q_rows = question_rows(params, q_idx) spares the question-side
@@ -213,12 +226,17 @@ def logits(params: Params, s_idx, q_idx, rows=None, q_rows=None):
     Those rows are as long as the index arrays, so a caller that needs
     only the logits should take [0] and let them go at once. When
     D = 0 the indices may also be slices or broadcast against each other.
+    Given cells = class_cells(...), it gathers from the scored vec .
+    demand table instead, and the scatter reuses cells.
     """
     ease, dem = question_rows(params, q_idx) if q_rows is None else q_rows
     z = params.ability[s_idx] + ease
     del ease  # a gather made here is freed before the vec rows add to the peak
     if not params.dims:
         return z, None
+    if cells is not None:
+        z += np.take(params.vec @ params.demand.T, cells)
+        return z, cells
     rows = s_idx if rows is None else rows
     own = _take_rows(params.vec, rows)
     return z + np.einsum("nd,nd->n", own, dem), (rows, own, dem)
@@ -244,8 +262,14 @@ def grad_scatter(params: Params, s_idx, q_idx, w, gathered, eps=None) -> dict:
         g["ability_rho"] = np.bincount(s_idx, weights=w * eps[0][s_idx], minlength=S)
     if gathered is None:
         return g
-    rows, own, dem = gathered
     R = params.vec.shape[0]
+    if isinstance(gathered, np.ndarray):  # the cell route: residual sums per (vec row, question) cell
+        W = np.bincount(gathered, weights=w, minlength=R * Q).reshape(R, Q)
+        g["vec"], g["demand"] = W @ params.demand, W.T @ params.vec
+        if eps is not None:
+            g["vec_rho"] = g["vec"] * eps[1]
+        return g
+    rows, own, dem = gathered
     g["vec"], g["demand"] = np.empty_like(params.vec), np.empty_like(params.demand)
     if eps is not None:
         g["vec_rho"], eps_own = np.empty_like(params.vec), _take_rows(eps[1], rows)

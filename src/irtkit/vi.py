@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .models import (_P_HI, _P_LO, CLASS_INTERACTION_VI, FAMILY, VI_KINDS, Params, VIParams, grad_scatter,
-                     logits, predict_proba_array, question_rows, require_count, require_nonnegative,
+from .models import (_P_HI, _P_LO, CLASS_INTERACTION_VI, FAMILY, VI_KINDS, Params, VIParams, class_cells,
+                     grad_scatter, logits, predict_proba_array, question_rows, require_count, require_nonnegative,
                      require_positive, sigmoid, softplus, vec_rows)
 from .optim import TrainingDiverged, TrainReport, central_difference_error, init_params
 
@@ -87,9 +87,11 @@ def _kl_to_prior(mu, sigma):
 
 
 def _responses(kind: str, data: Dataset):
-    """What every ELBO evaluation on data reads: student, question and vec row indices, and y."""
-    s_idx = data.student_idx
-    return s_idx, data.question_idx, vec_rows(kind, s_idx, data.class_of), data.y.astype(np.float64)
+    """What every ELBO evaluation on data reads: student, question and vec row indices, cells, and y."""
+    s_idx, q_idx = data.student_idx, data.question_idx
+    rows = vec_rows(kind, s_idx, data.class_of)
+    cells = class_cells(kind, rows, q_idx, data.num_classes, data.num_questions)
+    return s_idx, q_idx, rows, cells, data.y.astype(np.float64)
 
 
 def _elbo_core(params: VIParams, responses, eps_ability, eps_vec, want_grads: bool):
@@ -102,7 +104,7 @@ def _elbo_core(params: VIParams, responses, eps_ability, eps_vec, want_grads: bo
     softplus chain rule), and to the question point tensors directly.
     """
     M = eps_ability.shape[0]
-    s_idx, q_idx, rows, y = responses
+    s_idx, q_idx, rows, cells, y = responses
     D = params.dims
     family = FAMILY[params.kind]
 
@@ -119,7 +121,7 @@ def _elbo_core(params: VIParams, responses, eps_ability, eps_vec, want_grads: bo
     loglik = 0.0
     for m in range(M):
         sample = Params(ability_samp[m], params.easiness, vec_samp[m] if D else None, params.demand, kind=family)
-        z, gathered = logits(sample, s_idx, q_idx, rows, q_rows)
+        z, gathered = logits(sample, s_idx, q_idx, rows, q_rows, cells)
         e = np.exp(-np.abs(z))
         loglik += float(np.sum(y * z - softplus(z, e)))
         if want_grads:
@@ -144,16 +146,10 @@ def _elbo_core(params: VIParams, responses, eps_ability, eps_vec, want_grads: bo
     return elbo, grads
 
 
-def elbo_mc(params: VIParams, data: Dataset, M: int, seed: int) -> float:
-    """Monte Carlo ELBO estimate with fresh noise, deterministic per seed."""
+def elbo_mc(params: VIParams, data: Dataset, M: int, seed: int, want_grads: bool = False):
+    """Monte Carlo ELBO estimate and, with want_grads, its gradients (else None); the noise depends on seed alone."""
     eps_ability, eps_vec = _draw_eps(params, M, np.random.default_rng(seed))
-    return _elbo_core(params, _responses(params.kind, data), eps_ability, eps_vec, want_grads=False)[0]
-
-
-def elbo_grad(params: VIParams, data: Dataset, M: int, seed: int):
-    """ELBO estimate and analytic gradients under the same noise draws."""
-    eps_ability, eps_vec = _draw_eps(params, M, np.random.default_rng(seed))
-    return _elbo_core(params, _responses(params.kind, data), eps_ability, eps_vec, want_grads=True)
+    return _elbo_core(params, _responses(params.kind, data), eps_ability, eps_vec, want_grads)
 
 
 def train_vi(kind: str, data: Dataset, cfg: VIConfig, dims: int = 1, warm_start=None):
@@ -232,5 +228,5 @@ def elbo_finite_diff_check(params: VIParams, data: Dataset, M: int, seed: int,
     draws are common random numbers and the comparison is exact up to
     discretization.
     """
-    _, grads = elbo_grad(params, data, M, seed)
-    return central_difference_error(lambda: elbo_mc(params, data, M, seed), params, grads, epsilon)
+    _, grads = elbo_mc(params, data, M, seed, want_grads=True)
+    return central_difference_error(lambda: elbo_mc(params, data, M, seed)[0], params, grads, epsilon)

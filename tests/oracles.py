@@ -172,7 +172,7 @@ def _softplus(x):
 
 
 def per_sample_elbo_core(params, data, eps_ability, eps_vec, want_grads: bool):
-    """The Monte Carlo ELBO and its gradient, as vi._elbo_core must compute them bit for bit.
+    """The Monte Carlo ELBO and its gradient, as vi._elbo_core must compute them bit for bit on the row route.
 
     Written out in the operation order the library used when every sample
     re-gathered every row with plain fancy indexing and took separate

@@ -9,9 +9,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import expit
 
+from irtkit.data import split_train_test, subsample_students
+from irtkit.experiments import SEED_DATA, SEED_SPLIT, low_data_synth_config
 from irtkit.metrics import accuracy
-from irtkit.models import Params, logits, predict_proba_array, sigmoid, softplus, tensor_table
+from irtkit.models import (Params, class_cells, logits, predict_proba_array, sigmoid, softplus, tensor_table,
+                           vec_rows)
 from irtkit.optim import init_params
+from irtkit.synth import generate_synthetic
 
 from oracles import two_branch_sigmoid
 
@@ -163,6 +167,45 @@ class TestClassInteraction:
         p = Params(np.array([0.7, 0.7]), np.array([0.2]),
                    np.array([[1.0, -2.0]]), np.array([[0.5, 0.5]]), kind="class-interaction")
         assert _logit(p, 0, 0, class_of) == _logit(p, 1, 0, class_of)
+
+
+class TestClassCells:
+    """The cell route serves class kinds only, and only with fewer cells than responses."""
+
+    @staticmethod
+    def _cells(kind, data):
+        return class_cells(kind, vec_rows(kind, data.student_idx, data.class_of), data.question_idx,
+                           data.num_classes, data.num_questions)
+
+    @staticmethod
+    def _low_data_train():
+        """The training set of the low-data sweep at fraction 0.15, seed 0."""
+        full = generate_synthetic(low_data_synth_config(SEED_DATA))[0]
+        return split_train_test(subsample_students(full, 0.15, SEED_SPLIT), 0.2, SEED_SPLIT).train
+
+    @pytest.mark.parametrize("kind", ["class-interaction", "class-interaction-vi"])
+    def test_class_kinds_take_cells_when_fewer_than_responses(self, kind):
+        data = self._low_data_train()
+        assert data.num_classes * data.num_questions < data.n_responses
+        want = data.class_of[data.student_idx] * data.num_questions + data.question_idx
+        assert np.array_equal(self._cells(kind, data), want)
+
+    @pytest.mark.parametrize("kind", ["rasch", "rasch-vi", "interaction", "interaction-vi"])
+    def test_other_kinds_keep_rows(self, kind):
+        # the same sizes that give a class kind cells
+        assert self._cells(kind, self._low_data_train()) is None
+
+    @pytest.mark.parametrize("kind", ["class-interaction", "class-interaction-vi"])
+    @pytest.mark.parametrize("n, cells", [(0, False), (5, False), (6, False), (7, True)])
+    def test_rows_unless_cells_are_fewer_than_responses(self, kind, n, cells):
+        # 3 classes x 2 questions = 6 cells
+        rng = np.random.default_rng(n)
+        s_idx, q_idx = np.arange(n) % 4, rng.integers(0, 2, n)
+        rows = np.array([0, 1, 2, 0])[s_idx]
+        got = class_cells(kind, rows, q_idx, 3, 2)
+        assert (got is not None) == cells
+        if cells:
+            assert np.array_equal(got, rows * 2 + q_idx)
 
 
 class TestPredictProb:

@@ -20,7 +20,6 @@ from irtkit.vi import (
     VIParams,
     draw_latent,
     elbo_finite_diff_check,
-    elbo_grad,
     elbo_mc,
     kl_gaussian,
     predict_prob_vi,
@@ -100,7 +99,7 @@ class TestElboMc:
         data = dataset_from_arrays([], [], [], class_of=np.zeros(2, dtype=np.int64),
                                    question_ids=("q0",))
         params = _rasch_vi_params([0.0, 0.0], [1.0, 1.0], [0.0])
-        assert elbo_mc(params, data, M=4, seed=0) == 0.0
+        assert elbo_mc(params, data, M=4, seed=0)[0] == 0.0
 
     def test_degenerate_variance_matches_point_nll(self):
         data = _tiny_data()
@@ -109,15 +108,15 @@ class TestElboMc:
         params = _rasch_vi_params(mu, [1e-9, 1e-9], easiness)
         kl_sum = sum(kl_gaussian(m, 1e-9, 0.0, 1.0) for m in mu)
         point_nll = nll(Params(mu, easiness, kind="rasch"), data)
-        assert elbo_mc(params, data, M=3, seed=1) + kl_sum == pytest.approx(-point_nll, abs=1e-6)
+        assert elbo_mc(params, data, M=3, seed=1)[0] + kl_sum == pytest.approx(-point_nll, abs=1e-6)
 
     def test_matches_quadrature_within_mc_error(self):
         data = _tiny_data()
         params = _rasch_vi_params([0.3, -0.4], [0.9, 0.7], [0.2, -0.5, 0.1])
         exact = exact_elbo_rasch_vi(params, data)
-        est = elbo_mc(params, data, M=10**5, seed=3)
+        est = elbo_mc(params, data, M=10**5, seed=3)[0]
         # standard error of the M-sample mean, scaled from repeated small runs
-        small = [elbo_mc(params, data, M=100, seed=s) for s in range(100, 200)]
+        small = [elbo_mc(params, data, M=100, seed=s)[0] for s in range(100, 200)]
         se = float(np.std(small, ddof=1)) / math.sqrt(10**5 / 100)
         assert abs(est - exact) <= 3 * se
 
@@ -125,14 +124,14 @@ class TestElboMc:
         data = _tiny_data()
         params = _rasch_vi_params([0.5, -0.2], [1.1, 0.6], [0.3, 0.0, -0.4])
         exact = exact_elbo_rasch_vi(params, data)
-        ests = np.array([elbo_mc(params, data, M=1, seed=s) for s in range(200)])
+        ests = np.array([elbo_mc(params, data, M=1, seed=s)[0] for s in range(200)])
         se = float(np.std(ests, ddof=1)) / math.sqrt(len(ests))
         assert abs(float(np.mean(ests)) - exact) <= 4 * se
 
     def test_deterministic_given_seed(self):
         data = _tiny_data()
         params = _rasch_vi_params([0.3, -0.4], [0.9, 0.7], [0.2, -0.5, 0.1])
-        assert elbo_mc(params, data, M=7, seed=11) == elbo_mc(params, data, M=7, seed=11)
+        assert elbo_mc(params, data, M=7, seed=11)[0] == elbo_mc(params, data, M=7, seed=11)[0]
 
 
 class TestElboGradients:
@@ -161,7 +160,7 @@ class TestElboGradients:
     def test_elbo_grad_rejects_fewer_than_one_sample(self, M):
         params = _rasch_vi_params([0.3, -0.4], [0.9, 0.7], [0.2, -0.5, 0.1])
         with pytest.raises(ValueError, match="M must be >= 1"):
-            elbo_grad(params, _tiny_data(), M=M, seed=0)
+            elbo_mc(params, _tiny_data(), M=M, seed=0, want_grads=True)
 
     def test_class_interaction_vi_gradient(self):
         rng = np.random.default_rng(10)
@@ -221,21 +220,35 @@ class TestPlugInContract:
 
 class TestElboCoreMatchesPerSampleOracle:
     """The ELBO gathers question rows once per call and shares exp(-|z|)
-    between softplus and sigmoid; every bit must match the per-sample form."""
+    between softplus and sigmoid; on the row route every bit must match
+    the per-sample form. The cell route sums in another order, so there
+    the ELBO must match to 1e-12 relative and every gradient entry to
+    1e-12 of the largest gradient magnitude of the instance: an entry,
+    or a whole small tensor (one class, D = 1), can be a cancelling sum
+    with no relative bound."""
 
     @given(_vi_instance(), st.booleans())
     def test_same_bits_as_per_sample_reference(self, instance, want_grads):
         params, data, eps_ability, eps_vec = instance
-        got_elbo, got = vi._elbo_core(params, vi._responses(params.kind, data), eps_ability, eps_vec, want_grads)
+        responses = vi._responses(params.kind, data)
+        got_elbo, got = vi._elbo_core(params, responses, eps_ability, eps_vec, want_grads)
         want_elbo, want = per_sample_elbo_core(params, data, eps_ability, eps_vec, want_grads)
-        assert np.float64(got_elbo).tobytes() == np.float64(want_elbo).tobytes()
+        bitwise = responses[3] is None  # no cells: the row route
+        if bitwise:
+            assert np.float64(got_elbo).tobytes() == np.float64(want_elbo).tobytes()
+        else:
+            assert abs(got_elbo - want_elbo) <= 1e-12 * abs(want_elbo)
         if not want_grads:
             assert got is None and want is None
             return
         assert list(got) == list(want)
+        scale = max(float(np.max(np.abs(g))) for g in want.values())
         for name in want:
             assert got[name].shape == want[name].shape
-            assert got[name].tobytes() == want[name].tobytes(), name
+            if bitwise:
+                assert got[name].tobytes() == want[name].tobytes(), name
+            else:
+                assert np.max(np.abs(got[name] - want[name])) <= 1e-12 * scale, name
 
 
 class TestTrainVi:
@@ -304,11 +317,14 @@ class TestTrainVi:
 
     # SHA-256 over every final tensor (name, then float64 bytes) and the
     # nll_trace of a 20-epoch run, recorded before the ELBO gathered
-    # question rows once per call (numpy 2.4, x86-64).
+    # question rows once per call (numpy 2.4, x86-64). class-interaction-vi
+    # was re-recorded when its ELBO took the cell route (6 classes x 10
+    # questions = 60 cells against 478 responses), whose sums run in
+    # another order; the row-route digests did not move.
     PINNED = {
         "rasch-vi": "6afdd53f9ea8efc91ea03ba13fc692514ea7389e6b7787e8dd63554b971c5316",
         "interaction-vi": "91b461eefb00509ca85ba144d0380cdee56083cb616565f86397e9a7a2489fed",
-        "class-interaction-vi": "d6a59caccf324b1f85a91f771aa3d0421e2f4389255f07f744bfa38022f52154",
+        "class-interaction-vi": "07e4753b5c5823678c9f01708318fd3b1bffe06c547875a03cfc5eb2ddb8f896",
     }
 
     @staticmethod
