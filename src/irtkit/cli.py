@@ -23,15 +23,16 @@ from . import experiments
 from .checkpoint import align_rows_to_checkpoint, load_checkpoint, save_checkpoint
 from .manifest import ManifestWriter
 from .metrics import accuracy, cosine_similarity_matrix, two_proportion_z_test
-from .models import POINT_KINDS, VI_KINDS, predict_proba_array
+from .models import CLASS_INTERACTION, FAMILY, POINT_KINDS, VI_KINDS, predict_proba_array
 from .optim import TrainConfig, sgd_train
 from .synth import SynthConfig, generate_synthetic
 from .vi import VIConfig, train_vi
 
-def _load_rows(path: str, fmt: str):
-    if fmt == "raw":
-        return data_mod.load_raw_csv(path)
-    return data_mod.load_binary_csv(path)
+
+def _load_rows(manifest: ManifestWriter, path: str, fmt: str):
+    """The rows of a data file, recorded as an input of the run."""
+    manifest.add_input(path)
+    return (data_mod.load_raw_csv if fmt == "raw" else data_mod.load_binary_csv)(path)
 
 
 def _manifest_path(args, default_anchor: str | None) -> str:
@@ -49,8 +50,7 @@ def _print_record(record: dict) -> None:
 def _cmd_ingest(args, manifest: ManifestWriter) -> int:
     if args.test_fraction is not None and not (args.train_out and args.test_out):
         raise ValueError("--test-fraction requires --train-out and --test-out")
-    manifest.add_input(args.input)
-    dataset = data_mod.build_dataset(_load_rows(args.input, args.format))
+    dataset = data_mod.build_dataset(_load_rows(manifest, args.input, args.format))
     # Split before writing anything, so a bad fraction leaves no output behind.
     split = (data_mod.split_train_test(dataset, args.test_fraction, args.seed)
              if args.test_fraction is not None else None)
@@ -73,7 +73,8 @@ def _warm_start(args, manifest: ManifestWriter, dataset):
         return None
     manifest.add_input(args.warm_start)
     params, index = load_checkpoint(args.warm_start)
-    if index.student_ids != dataset.student_ids or index.question_ids != dataset.question_ids:
+    tables = ("student_ids", "question_ids") + (("class_ids",) if FAMILY[args.model] == CLASS_INTERACTION else ())
+    if any(getattr(index, t) != getattr(dataset, t) for t in tables):   # class vec rows follow class_ids
         raise ValueError("warm-start id tables do not match the training data")
     return params
 
@@ -91,8 +92,7 @@ def _save_trained(args, manifest: ManifestWriter, params, dataset, report) -> No
 
 
 def _cmd_train(args, manifest: ManifestWriter) -> int:
-    manifest.add_input(args.data)
-    dataset = data_mod.build_dataset(_load_rows(args.data, args.format))
+    dataset = data_mod.build_dataset(_load_rows(manifest, args.data, args.format))
     cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch_size,
                       l2_penalty=args.l2, seed=args.seed, init_scale=args.init_scale)
     params, report = sgd_train(args.model, dataset, cfg, dims=args.dims,
@@ -105,8 +105,7 @@ def _cmd_train(args, manifest: ManifestWriter) -> int:
 
 
 def _cmd_train_vi(args, manifest: ManifestWriter) -> int:
-    manifest.add_input(args.data)
-    dataset = data_mod.build_dataset(_load_rows(args.data, args.format))
+    dataset = data_mod.build_dataset(_load_rows(manifest, args.data, args.format))
     cfg = VIConfig(samples=args.samples, sigma_init=args.sigma_init, learning_rate=args.lr,
                    epochs=args.epochs, seed=args.seed)
     params, report = train_vi(args.model, dataset, cfg, dims=args.dims,
@@ -121,9 +120,8 @@ def _cmd_train_vi(args, manifest: ManifestWriter) -> int:
 
 def _cmd_eval(args, manifest: ManifestWriter) -> int:
     manifest.add_input(args.checkpoint)
-    manifest.add_input(args.data)
     params, index = load_checkpoint(args.checkpoint)
-    dataset = align_rows_to_checkpoint(_load_rows(args.data, args.format), index)
+    dataset = align_rows_to_checkpoint(_load_rows(manifest, args.data, args.format), index)
     preds = predict_proba_array(params, dataset.student_idx, dataset.question_idx, dataset.class_of)
     report = accuracy(preds, dataset.y, args.threshold)
     record = asdict(report)
@@ -184,8 +182,7 @@ def _cmd_significance(args, manifest: ManifestWriter) -> int:
 
 
 def _cmd_active(args, manifest: ManifestWriter) -> int:
-    manifest.add_input(args.data)
-    dataset = data_mod.build_dataset(_load_rows(args.data, args.format))
+    dataset = data_mod.build_dataset(_load_rows(manifest, args.data, args.format))
     state = active_mod.make_pool_state(dataset, args.pool_size, args.holdout_fraction, args.seed)
     cfg = active_mod.ActiveConfig(policy=args.policy, batch_size=args.batch, rounds=args.rounds,
                                   retrain=TrainConfig(epochs=5, convergence_tol=0.0, seed=args.seed),
@@ -239,10 +236,16 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Latent-trait models for binary exam responses.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def command(name, summary, data_format=None):
+        """A subcommand with --manifest, and --data and --format when it reads a data file."""
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--manifest", default=None, help="manifest path (default: <out>.manifest.json)")
+        if data_format:
+            p.add_argument("--data", required=True)
+            p.add_argument("--format", choices=("raw", "binary"), default=data_format)
+        return p
 
-    p = sub.add_parser("ingest", help="normalize a response CSV and optionally split it")
+    p = command("ingest", "normalize a response CSV and optionally split it")
     p.add_argument("--input", required=True)
     p.add_argument("--format", choices=("raw", "binary"), default="raw")
     p.add_argument("--out", required=True, help="normalized pre-binarized CSV")
@@ -250,11 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-out", default=None)
     p.add_argument("--test-out", default=None)
     p.add_argument("--seed", type=int, default=0)
-    add_common(p)
 
-    p = sub.add_parser("train", help="train a point-estimate model by SGD")
-    p.add_argument("--data", required=True)
-    p.add_argument("--format", choices=("raw", "binary"), default="binary")
+    p = command("train", "train a point-estimate model by SGD", "binary")
     p.add_argument("--model", choices=POINT_KINDS, required=True)
     p.add_argument("--dims", type=int, default=1)
     p.add_argument("--lr", type=float, default=0.1)
@@ -265,11 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--warm-start", default=None, help="checkpoint to initialize from")
     p.add_argument("--out", required=True, help="checkpoint path")
-    add_common(p)
 
-    p = sub.add_parser("train-vi", help="train a variational model by ELBO ascent")
-    p.add_argument("--data", required=True)
-    p.add_argument("--format", choices=("raw", "binary"), default="binary")
+    p = command("train-vi", "train a variational model by ELBO ascent", "binary")
     p.add_argument("--model", choices=VI_KINDS, required=True)
     p.add_argument("--dims", type=int, default=1)
     p.add_argument("--samples", type=int, default=5, help="Monte Carlo samples per ELBO estimate")
@@ -279,17 +276,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--warm-start", default=None, help="point-model checkpoint to initialize from")
     p.add_argument("--out", required=True)
-    add_common(p)
 
-    p = sub.add_parser("eval", help="score a checkpoint on a data file")
+    p = command("eval", "score a checkpoint on a data file", "binary")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--format", choices=("raw", "binary"), default="binary")
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--out", default=None, help="optional metrics JSON path")
-    add_common(p)
 
-    p = sub.add_parser("synth", help="generate a synthetic response dataset")
+    p = command("synth", "generate a synthetic response dataset")
     p.add_argument("--students", type=int, required=True)
     p.add_argument("--questions", type=int, required=True)
     p.add_argument("--dims", type=int, default=1)
@@ -305,26 +298,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="optional separate seed fixing the question paper")
     p.add_argument("--out", required=True, help="pre-binarized CSV path")
     p.add_argument("--truth", default=None, help="optional JSON path for generating latents")
-    add_common(p)
 
-    p = sub.add_parser("interpret", help="emit the question-embedding cosine similarity matrix")
+    p = command("interpret", "emit the question-embedding cosine similarity matrix")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True, help="Q x Q CSV with question-id headers")
     p.add_argument("--rescale-display", action="store_true",
                    help="min-max rescale off-diagonal entries for heatmap display")
-    add_common(p)
 
-    p = sub.add_parser("significance", help="two-proportion z-test")
+    p = command("significance", "two-proportion z-test")
     p.add_argument("--x1", type=int, required=True)
     p.add_argument("--n1", type=int, required=True)
     p.add_argument("--x2", type=int, required=True)
     p.add_argument("--n2", type=int, required=True)
     p.add_argument("--alpha", type=float, action="append", default=None)
-    add_common(p)
 
-    p = sub.add_parser("active", help="run one active learning curve")
-    p.add_argument("--data", required=True)
-    p.add_argument("--format", choices=("raw", "binary"), default="binary")
+    p = command("active", "run one active learning curve", "binary")
     p.add_argument("--pool-size", type=int, default=2000)
     p.add_argument("--policy", choices=(active_mod.UNCERTAINTY, active_mod.RANDOM), required=True)
     p.add_argument("--batch", type=int, default=1)
@@ -332,9 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--holdout-fraction", type=float, default=0.2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="curve CSV path")
-    add_common(p)
 
-    p = sub.add_parser("experiment", help="run a named multi-step protocol")
+    p = command("experiment", "run a named multi-step protocol")
     p.add_argument("recipe", choices=experiments.RECIPES)
     p.add_argument("--out-dir", default=".")
     p.add_argument("--seeds", default="0,1,2,3,4", help="comma-separated seed list")
@@ -343,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fractions", default="1.0,0.5,0.25,0.15")
     p.add_argument("--pool-size", type=int, default=2000)
     p.add_argument("--rounds", type=int, default=56)
-    add_common(p)
 
     return parser
 

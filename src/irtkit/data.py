@@ -35,7 +35,11 @@ _WRITE_CHARS = 1 << 17     # characters of output write_binary_csv assembles at 
 
 
 class ParseError(ValueError):
-    """Raised when an input file violates the expected schema."""
+    """An input file that violates the expected schema, at `line` (1 for the header) of the file `path`."""
+
+    def __init__(self, message: str, line: int | None = None, path: str | None = None):
+        super().__init__(message)
+        self.line, self.path = None if line is None else int(line), path
 
 
 class RawResponse(NamedTuple):
@@ -122,27 +126,25 @@ class Split:
     test: Dataset
 
 
-class _Interner:
-    """Codes of one id column, numbering ids in first-appearance order.
+def _interner(canonical):
+    """(codes, ids) of one id column: codes(texts) numbers the ids in first-appearance order in ids.
 
     Each distinct field text is turned into its id (`canonical`) once;
     rows are coded through a text -> code dict.
     """
+    ids, code_of = {}, {}   # id -> code, field text -> code of its id
 
-    def __init__(self, canonical):
-        self.ids: dict = {}          # id -> code
-        self._code_of: dict = {}     # field text -> code of its id
-        self._canonical = canonical
-
-    def codes(self, texts) -> np.ndarray:
-        codes = np.fromiter(map(self._code_of.get, texts, repeat(-1)), np.int64, len(texts))
-        miss = np.flatnonzero(codes < 0)
+    def codes(texts) -> np.ndarray:
+        out = np.fromiter(map(code_of.get, texts, repeat(-1)), np.int64, len(texts))
+        miss = np.flatnonzero(out < 0)
         if miss.size:
             fresh = list(map(texts.__getitem__, miss.tolist()))
             for text in dict.fromkeys(fresh):
-                self._code_of[text] = self.ids.setdefault(self._canonical(text), len(self.ids))
-            codes[miss] = np.fromiter(map(self._code_of.__getitem__, fresh), np.int64, miss.size)
-        return codes
+                code_of[text] = ids.setdefault(canonical(text), len(ids))
+            out[miss] = np.fromiter(map(code_of.__getitem__, fresh), np.int64, miss.size)
+        return out
+
+    return codes, ids
 
 
 @dataclass(frozen=True)
@@ -185,10 +187,9 @@ class Responses:
     def from_rows(cls, rows: Iterable[RawResponse]) -> "Responses":
         """Columns of in-memory rows; ids are taken as they are."""
         columns = list(zip(*rows)) or [()] * 5
-        tables = [_Interner(lambda text: text) for _ in range(3)]
-        return cls(*(t.codes(col) for t, col in zip(tables, columns)),
-                   *(np.fromiter(col, np.int64, len(col)) for col in columns[3:]),
-                   *(tuple(t.ids) for t in tables))
+        coders, tables = zip(*(_interner(lambda text: text) for _ in range(3)))
+        return cls(*(code(col) for code, col in zip(coders, columns)),
+                   *(np.fromiter(col, np.int64, len(col)) for col in columns[3:]), *map(tuple, tables))
 
 
 def _ints(texts: list) -> tuple[np.ndarray, int]:
@@ -210,9 +211,9 @@ def _int_error(field: str, text: str, line, too_big: str | None = None) -> Parse
     try:
         int(text)
     except ValueError:
-        return ParseError(f"non-integer {field} {text!r} at line {line}")
+        return ParseError(f"non-integer {field} {text!r} at line {line}", line)
     message = too_big or f"{field} {text!r} does not fit in 64 bits"
-    return ParseError(f"{message} at line {line}")
+    return ParseError(f"{message} at line {line}", line)
 
 
 def _check(lines: np.ndarray, checks) -> None:
@@ -223,7 +224,7 @@ def _check(lines: np.ndarray, checks) -> None:
     failed = [(int(np.argmax(bad)), i) for i, (bad, _) in enumerate(checks) if bad.any()]
     if failed:
         row, i = min(failed)
-        raise ParseError(f"{checks[i][1]} at line {lines[row]}")
+        raise ParseError(f"{checks[i][1]} at line {lines[row]}", lines[row])
 
 
 def _raw_marks(columns: list, lines: np.ndarray):
@@ -254,8 +255,9 @@ def _load(path: str, header: list[str], marks) -> Responses:
     raises the ParseError of the block's first bad row. File line numbers
     count the header as line 1, and blank records, which are skipped, too.
     A byte that is not UTF-8 is a ParseError naming the line that holds it.
+    Every ParseError raised here holds the file in its path.
     """
-    tables = (_Interner(str.strip), _Interner(str.strip), _Interner(lambda text: text.strip() or NO_CLASS))
+    coders, tables = zip(_interner(str.strip), _interner(str.strip), _interner(lambda text: text.strip() or NO_CLASS))
     width = len(header)
     blocks = []
     try:
@@ -263,9 +265,9 @@ def _load(path: str, header: list[str], marks) -> Responses:
             reader = csv.reader(fh)
             got = next(reader, None)
             if got is None:
-                raise ParseError(f"{path}: empty file, expected header {','.join(header)}")
+                raise ParseError(f"{path}: empty file, expected header {','.join(header)}", 1)
             if [c.strip() for c in got] != header:
-                raise ParseError(f"{path}: bad header {got!r}, expected {','.join(header)}")
+                raise ParseError(f"{path}: bad header {got!r}, expected {','.join(header)}", 1)
             line = 2
             while True:
                 fields, counts, torn = [], [], None
@@ -284,16 +286,20 @@ def _load(path: str, header: list[str], marks) -> Responses:
                 wrong = np.flatnonzero(counts != width)
                 n = int(wrong[0]) if wrong.size else counts.size   # records before the first of another width
                 columns = [fields[i:n * width:width] for i in range(width)]
-                blocks.append((*(t.codes(col) for t, col in zip(tables, columns)), *marks(columns[3:], lines[:n])))
+                blocks.append((*(code(col) for code, col in zip(coders, columns)), *marks(columns[3:], lines[:n])))
                 if wrong.size:
-                    raise ParseError(f"{path}: expected {width} fields at line {lines[n]}, got {counts[n]}")
+                    raise ParseError(f"{path}: expected {width} fields at line {lines[n]}, got {counts[n]}", lines[n])
                 if torn is not None:
                     raise torn
+    except ParseError as exc:
+        exc.path = path
+        raise
     except UnicodeDecodeError:
-        raise ParseError(f"{path}: not UTF-8 text at line {_non_utf8_line(path)}") from None
+        line = _non_utf8_line(path)
+        raise ParseError(f"{path}: not UTF-8 text at line {line}", line, path) from None
     columns = ([np.concatenate(col) for col in zip(*blocks)] if blocks
                else [np.empty(0, np.int64) for _ in range(5)])
-    return Responses(*columns, *(tuple(t.ids) for t in tables))
+    return Responses(*columns, *map(tuple, tables))
 
 
 def _non_utf8_line(path: str) -> int:

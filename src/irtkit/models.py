@@ -13,10 +13,12 @@ side. A container carries its kind: it is the one value that says what a
 model is. One container, one logits kernel, one gradient scatter and one
 plug-in predictor serve all six kinds.
 Full-data ELBO evaluations of class kinds with fewer (class, question)
-cells than responses take the cell route (class_cells): vec . demand
-depends only on the cell, so it is scored and its gradient summed per
-cell. That matches the per-response row route to rounding, not bit for
-bit, so SGD batches, nll and prediction keep the row route.
+cells than responses take the cell route (class_cells): easiness + vec .
+demand depends only on the cell, so it is scored per cell and no
+question rows are read; the easiness gradient and both sigma gradients
+come from the per-cell residual table and the mean gradients. That
+matches the row route to rounding, not bit for bit, so SGD batches, nll
+and prediction keep the row route.
 """
 
 from __future__ import annotations
@@ -226,17 +228,16 @@ def logits(params: Params, s_idx, q_idx, rows=None, q_rows=None, cells=None):
     Those rows are as long as the index arrays, so a caller that needs
     only the logits should take [0] and let them go at once. When
     D = 0 the indices may also be slices or broadcast against each other.
-    Given cells = class_cells(...), it gathers from the scored vec .
-    demand table instead, and the scatter reuses cells.
+    Given cells = class_cells(...), it reads no question rows: it gathers
+    from the scored easiness + vec . demand table, and the scatter reuses cells.
     """
+    if cells is not None:
+        return params.ability[s_idx] + np.take(params.easiness + params.vec @ params.demand.T, cells), cells
     ease, dem = question_rows(params, q_idx) if q_rows is None else q_rows
     z = params.ability[s_idx] + ease
     del ease  # a gather made here is freed before the vec rows add to the peak
     if not params.dims:
         return z, None
-    if cells is not None:
-        z += np.take(params.vec @ params.demand.T, cells)
-        return z, cells
     rows = s_idx if rows is None else rows
     own = _take_rows(params.vec, rows)
     return z + np.einsum("nd,nd->n", own, dem), (rows, own, dem)
@@ -253,22 +254,27 @@ def grad_scatter(params: Params, s_idx, q_idx, w, gathered, eps=None) -> dict:
     gathered is what logits returned beside z. eps = (eps_ability,
     eps_vec) is the noise of a reparameterised sample (params holding
     mu + sigma * eps); it adds the gradients w.r.t. those sigmas under
-    "ability_rho" and "vec_rho", before the d sigma / d rho factor.
+    "ability_rho" and "vec_rho", before the d sigma / d rho factor. On
+    the cell route easiness comes from the per-cell residual table, and
+    each sigma gradient is its mean gradient times its (per-row) eps.
     """
     S, Q = params.ability.shape[0], params.easiness.shape[0]
-    g = {"ability": np.bincount(s_idx, weights=w, minlength=S),
-         "easiness": np.bincount(q_idx, weights=w, minlength=Q)}
+    g = {"ability": np.bincount(s_idx, weights=w, minlength=S)}
+    if isinstance(gathered, np.ndarray):  # the cell route: residual sums per (vec row, question) cell
+        W = np.bincount(gathered, weights=w, minlength=len(params.vec) * Q).reshape(len(params.vec), Q)
+        g["easiness"] = W.sum(axis=0)
+        if eps is not None:
+            g["ability_rho"] = g["ability"] * eps[0]
+        g["vec"], g["demand"] = W @ params.demand, W.T @ params.vec
+        if eps is not None:
+            g["vec_rho"] = g["vec"] * eps[1]
+        return g
+    g["easiness"] = np.bincount(q_idx, weights=w, minlength=Q)
     if eps is not None:
         g["ability_rho"] = np.bincount(s_idx, weights=w * eps[0][s_idx], minlength=S)
     if gathered is None:
         return g
     R = params.vec.shape[0]
-    if isinstance(gathered, np.ndarray):  # the cell route: residual sums per (vec row, question) cell
-        W = np.bincount(gathered, weights=w, minlength=R * Q).reshape(R, Q)
-        g["vec"], g["demand"] = W @ params.demand, W.T @ params.vec
-        if eps is not None:
-            g["vec_rho"] = g["vec"] * eps[1]
-        return g
     rows, own, dem = gathered
     g["vec"], g["demand"] = np.empty_like(params.vec), np.empty_like(params.demand)
     if eps is not None:

@@ -99,7 +99,9 @@ def _elbo_core(params: VIParams, responses, eps_ability, eps_vec, want_grads: bo
 
     The likelihood part is averaged over the M reparameterized samples,
     each scored by the shared logits kernel on question rows gathered
-    once; per-sample residuals y - sigma(z) propagate to mu via the
+    once (none on the cell route, which scores a per-sample cell table
+    and takes easiness and both sigma gradients from it and the mean
+    gradients); per-sample residuals y - sigma(z) propagate to mu via the
     identity path, to sigma via the eps factor (then through the
     softplus chain rule), and to the question point tensors directly.
     """
@@ -117,7 +119,7 @@ def _elbo_core(params: VIParams, responses, eps_ability, eps_vec, want_grads: bo
     if want_grads:
         grads = {name: np.zeros_like(arr) for name, arr in params.tensors().items()}
 
-    q_rows = question_rows(params, q_idx)
+    q_rows = question_rows(params, q_idx) if cells is None else None
     loglik = 0.0
     for m in range(M):
         sample = Params(ability_samp[m], params.easiness, vec_samp[m] if D else None, params.demand, kind=family)

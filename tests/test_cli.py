@@ -189,6 +189,47 @@ class TestPipeline:
         assert "warm-start shape mismatch" in err
         assert not os.path.exists("v.json")
 
+    @staticmethod
+    def _three_students(name, classes, students=("s1", "s2", "s3"), questions=("q0", "q1")):
+        rows = [f"{s},{q},{c},{(i + j) % 2}" for i, (s, c) in enumerate(zip(students, classes))
+                for j, q in enumerate(questions)]
+        with open(name, "w", encoding="utf-8") as fh:
+            fh.write("student_id,question_id,class_id,y\n" + "\n".join(rows) + "\n")
+
+    def _warm_start(self, capsys, family, command, model, **relabelled):
+        self._three_students("a.csv", ("cA", "cB", "cA"))
+        self._three_students("b.csv", relabelled.pop("classes", ("cA", "cB", "cA")), **relabelled)
+        assert run_cli(capsys, "train", "--data", "a.csv", "--model", family, "--dims", "1",
+                       "--epochs", "3", "--out", "w.json")[0] == 0
+        return run_cli(capsys, command, "--data", "b.csv", "--model", model, "--dims", "1", "--epochs", "3",
+                       "--warm-start", "w.json", "--out", "v.json")
+
+    @pytest.mark.parametrize("command,model", [("train", "class-interaction"),
+                                               ("train-vi", "class-interaction-vi")])
+    def test_warm_start_class_table_mismatch_fails(self, workdir, capsys, command, model):
+        # the same classes, first seen in the other order: vec row 0 would be another class's
+        code, _, err = self._warm_start(capsys, "class-interaction", command, model, classes=("cB", "cA", "cB"))
+        assert code == 1
+        assert "warm-start id tables do not match" in err
+        assert not os.path.exists("v.json")
+
+    @pytest.mark.parametrize("relabelled", [{"students": ("s1", "s3", "s2")}, {"questions": ("q1", "q0")}],
+                             ids=["students", "questions"])
+    @pytest.mark.parametrize("command,model", [("train", "rasch"), ("train-vi", "rasch-vi")])
+    def test_warm_start_student_or_question_table_mismatch_fails(self, workdir, capsys, command, model,
+                                                                  relabelled):
+        code, _, err = self._warm_start(capsys, "rasch", command, model, **relabelled)
+        assert code == 1
+        assert "warm-start id tables do not match" in err
+        assert not os.path.exists("v.json")
+
+    @pytest.mark.parametrize("command,model", [("train", "rasch"), ("train", "interaction"),
+                                               ("train-vi", "rasch-vi"), ("train-vi", "interaction-vi")])
+    def test_warm_start_without_class_rows_ignores_class_table(self, workdir, capsys, command, model):
+        code, _, _ = self._warm_start(capsys, model.removesuffix("-vi"), command, model, classes=("cB", "cA", "cB"))
+        assert code == 0
+        assert os.path.exists("v.json")
+
 
 class TestActiveCli:
     def test_curve_csv_schema_and_determinism(self, workdir, capsys):

@@ -1,6 +1,7 @@
 """Ingestion, binarization, splitting, and subsampling behavior."""
 
 import csv
+import io
 from dataclasses import replace
 
 import numpy as np
@@ -476,3 +477,90 @@ def test_keep_students_keeps_each_kept_students_triples_and_class(d, picks):
     assert sub.question_idx.tolist() == d.question_idx[rows].tolist()
     assert sub.y.tolist() == d.y[rows].tolist()
     assert (sub.question_ids, sub.class_ids, sub.num_questions) == (d.question_ids, d.class_ids, d.num_questions)
+
+
+# --- CSV mutation property -----------------------------------------------------------
+
+_VALID_TEXT = {   # header and records: plain, quoted, empty-class, multi-line, padded and blank ones
+    True: RAW_HEADER + "".join(f"s{i},q{i % 3},c{i % 2},{i % 3},2\n" for i in range(6))
+          + '"s,2",q1,,1,2\n é ,q2,c2,0,1\n\n"a""b",q2, c2 ,3,3\n"two\nlines",q1,c1, 1 ,1\n',
+    False: "student_id,question_id,class_id,y\n" + "".join(f"s{i},q{i % 3},c{i % 2},{i % 2}\n" for i in range(6))
+           + '"s,2",q1,,0\n é ,q2,c2,1\n\n"a""b",q2, c2 ,0\n"two\nlines",q1,c1, 1 \n',
+}
+_TOKENS = ['"', '""', ",", " ", "\n", "\r", "\r\n", "-1", "0", "1_0", "٢", "99999999999999999999", "\x00", "\x1c",
+           "\ufeff", "é"]
+_ENCODINGS = ["utf-16", "utf-32", "latin-1", "cp1252", "utf-8-sig"]
+
+
+@st.composite
+def _mutated_csv(draw):
+    """A valid raw or binary file with 1-2 edits of its bytes, quoting, field counts, line ends or encoding."""
+    raw = draw(st.booleans())
+    blob = _VALID_TEXT[raw].encode()
+    for _ in range(draw(st.integers(1, 2))):
+        at = draw(st.sampled_from(range(len(blob) + 1)))   # integers() would favour the header's start
+        edit = draw(st.sampled_from(["bytes", "token", "token", "drop field", "encoding"]))
+        if edit == "bytes":   # replace up to 3 bytes by up to 3 arbitrary bytes or characters
+            new = draw(st.binary(max_size=3) | st.text(max_size=3).map(str.encode))
+            blob = blob[:at] + new + blob[at + draw(st.integers(0, 3)):]
+        elif edit == "token":
+            blob = blob[:at] + draw(st.sampled_from(_TOKENS)).encode() + blob[at:]
+        elif edit == "drop field" and b"," in blob[at:]:
+            comma = blob.index(b",", at)
+            blob = blob[:comma] + blob[comma + 1:]
+        elif edit == "encoding":
+            blob = blob.decode("utf-8", "replace").encode(draw(st.sampled_from(_ENCODINGS)), "replace")
+    return raw, blob
+
+
+def _csv_reader_oracle(blob: bytes, raw: bool):
+    """(rows, None) as csv.reader reads the UTF-8 text and the loaders' rules take it, or (None, lines):
+    the lines an error may name: the first faulty record's line (1 for the header) or, when the file is
+    not UTF-8, the line holding the first such byte, or the first faulty line if that comes before it."""
+    text = blob.decode("utf-8", "surrogateescape")   # each byte that is not UTF-8 becomes a lone surrogate
+    records = list(csv.reader(io.StringIO(text, newline="")))
+    header = data.RAW_HEADER if raw else data.BINARY_HEADER
+    width = len(header)
+    undecodable = [i + 1 for i, r in enumerate(records) if any("\udc80" <= c <= "\udcff" for c in "".join(r))]
+    rows, bad = [], None
+    if not records or [c.strip() for c in records[0]] != header:
+        bad = 1
+    for line, r in enumerate(records[1:], start=2):
+        if bad is not None:
+            break
+        if not r:
+            continue
+        try:
+            marks = [int(t.strip()) for t in r[3:]] if len(r) == width else None
+        except ValueError:
+            marks = None
+        if marks is None or any(not -2**63 <= m < 2**63 for m in marks):
+            bad = line
+        elif (raw and (marks[1] < 1 or not 0 <= marks[0] <= marks[1])) or (not raw and marks[0] not in (0, 1)):
+            bad = line
+        else:
+            marks = marks if raw else [marks[0], 1]   # y out of 1
+            rows.append(RawResponse(r[0].strip(), r[1].strip(), r[2].strip() or NO_CLASS, *marks))
+    if undecodable:
+        return None, {undecodable[0]} | ({bad} if bad is not None and bad < undecodable[0] else set())
+    return (rows, None) if bad is None else (None, {bad})
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_mutated_csv())
+def test_mutated_csv_loads_as_csv_reader_reads_it_or_names_file_and_line(tmp_path_factory, case):
+    raw, blob = case
+    path = str(tmp_path_factory.mktemp("mutated") / "data.csv")
+    with open(path, "wb") as fh:
+        fh.write(blob)
+    rows, lines = _csv_reader_oracle(blob, raw)
+    try:
+        got = list((load_raw_csv if raw else load_binary_csv)(path))
+    except ParseError as exc:
+        message = str(exc)
+        assert lines is not None, message
+        assert exc.path == path and exc.line in lines, (message, lines)
+        assert "\n" not in message
+        assert f"at line {exc.line}" in message or (exc.line == 1 and message.startswith(f"{path}: "))
+    else:
+        assert got == rows

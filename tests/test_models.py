@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import expit
 
+from irtkit import models, vi
 from irtkit.data import split_train_test, subsample_students
 from irtkit.experiments import SEED_DATA, SEED_SPLIT, low_data_synth_config
 from irtkit.metrics import accuracy
@@ -206,6 +207,25 @@ class TestClassCells:
         assert (got is not None) == cells
         if cells:
             assert np.array_equal(got, rows * 2 + q_idx)
+
+    @pytest.mark.parametrize("kind", ["class-interaction-vi", "rasch-vi"])
+    def test_cell_route_reads_no_question_rows(self, monkeypatch, kind):
+        # the same data gives class-interaction-vi cells and rasch-vi rows
+        data = self._low_data_train()
+        params = init_params(kind, 3, data.num_students, data.num_questions, data.num_classes,
+                             np.random.default_rng(0), 0.1, 0.8)
+
+        def question_rows(*args):
+            raise AssertionError("question_rows called")
+
+        for module in (models, vi):
+            monkeypatch.setattr(module, "question_rows", question_rows)
+        if kind == "rasch-vi":
+            with pytest.raises(AssertionError, match="question_rows called"):
+                vi.elbo_mc(params, data, 5, 0, want_grads=True)
+        else:
+            elbo, grads = vi.elbo_mc(params, data, 5, 0, want_grads=True)
+            assert np.isfinite(elbo) and all(np.isfinite(g).all() for g in grads.values())
 
 
 class TestPredictProb:
