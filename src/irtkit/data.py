@@ -6,19 +6,31 @@ strictly more than half the available marks; everything downstream works
 on the resulting 0/1 outcomes stored in a sparse triplet layout
 (student index, question index, outcome).
 
-CSV files are read and written as columns: `csv` tokenizes the records
-a block at a time, each block is flattened into one list of fields, and
-ids, marks and checks are handled per column, so no Python object is
-kept per row.
+CSV files are read and written as columns, so no Python object is kept
+per row. A loader first tries the byte path: numpy finds the line ends
+and commas of a block of whole lines, parses the mark columns as ASCII
+digits and looks each id up by its bytes, packed into uint64 words, in a
+table of the ids met so far, so only ids not met before become Python
+strings. It takes a regular file whose bytes are printable ASCII
+without '"', with '\n' line ends ('\r' only directly before '\n'), the
+exact header, mark fields of 1-18 digits that pass the mark checks, and
+id fields of at most 64 bytes and no longer than `csv.field_size_limit()`.
+Any other file, and any file with an error, is read by the csv path:
+`csv.reader` tokenizes it a block of records at a time, and ids, marks
+and checks are handled per column. Only the csv path raises a
+ParseError. Both skip one leading UTF-8 byte-order mark.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import operator
+import os
 from dataclasses import dataclass, replace
-from itertools import islice, repeat
+from functools import partial
+from itertools import chain, islice, repeat
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -30,7 +42,11 @@ BINARY_HEADER = ["student_id", "question_id", "class_id", "y"]
 
 # Class label assigned to raw rows with an empty class_id field.
 NO_CLASS = "__none__"
-_READ_BLOCK = 8192         # records a loader turns into columns at a time
+_READ_BLOCK = 8192         # records the csv path turns into columns at a time
+_READ_BYTES = 1 << 17      # bytes of whole lines the byte path turns into columns at a time
+_KEY_WORDS = 8             # the byte path's longest id key, in uint64 words (64 bytes)
+_MIX = np.uint64(0x9E3779B97F4A7C15) ** np.arange(_KEY_WORDS, dtype=np.uint64)   # key word weights of a hash
+_LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], "<u8")   # a key word's first n bytes
 _WRITE_CHARS = 1 << 17     # characters of output write_binary_csv assembles at a time
 
 
@@ -227,41 +243,201 @@ def _check(lines: np.ndarray, checks) -> None:
         raise ParseError(f"{checks[i][1]} at line {lines[row]}", lines[row])
 
 
-def _raw_marks(columns: list, lines: np.ndarray):
-    awarded, bad_awarded = _ints(columns[0])
-    available, bad_available = _ints(columns[1])
-    n = min(bad_awarded, bad_available)
-    a, b = awarded[:n], available[:n]
-    _check(lines, [(b < 1, "marks_available must be >= 1"), (a < 0, "marks_awarded must be >= 0"),
-                   (a > b, "marks_awarded exceeds marks_available")])
+def _raw_rules(awarded, available):
+    """A raw block's (awarded, available), and its checks in the order a row is checked."""
+    return (awarded, available), [(available < 1, "marks_available must be >= 1"),
+                                  (awarded < 0, "marks_awarded must be >= 0"),
+                                  (awarded > available, "marks_awarded exceeds marks_available")]
+
+
+def _binary_rules(y):
+    """A binary block's y as marks out of 1, and its check."""
+    return (y, np.ones_like(y)), [((y != 0) & (y != 1), "y must be 0 or 1")]
+
+
+def _marks(columns: list, lines: np.ndarray, fields: list, rules, too_big):
+    """Parse and check a csv block's mark columns; raise the ParseError of its first bad row."""
+    parsed = [_ints(col) for col in columns]
+    n = min(bad for _, bad in parsed)
+    marks, checks = rules(*(values[:n] for values, _ in parsed))
+    _check(lines, checks)
     if n < len(lines):
-        field, texts = ("marks_awarded", columns[0]) if bad_awarded == n else ("marks_available", columns[1])
-        raise _int_error(field, texts[n], lines[n])
-    return awarded, available
+        i = next(i for i, (_, bad) in enumerate(parsed) if bad == n)
+        raise _int_error(fields[i], columns[i][n], lines[n], too_big)
+    return marks
 
 
-def _binary_marks(columns: list, lines: np.ndarray):
-    y, bad = _ints(columns[0])
-    _check(lines, [((y != 0) & (y != 1), "y must be 0 or 1")])
-    if bad < len(lines):
-        raise _int_error("y", columns[0][bad], lines[bad], too_big="y must be 0 or 1")
-    return y, np.ones_like(y)
+def _id_coders():
+    """(coders, tables) of the student, question and class columns."""
+    return zip(_interner(str.strip), _interner(str.strip), _interner(lambda text: text.strip() or NO_CLASS))
 
 
-def _load(path: str, header: list[str], marks) -> Responses:
-    """Read a response CSV into columns, a block of records at a time.
+def _load(path: str, header: list[str], rules, too_big: str | None = None) -> Responses:
+    """Read a response CSV into columns: the byte path if the file is in its grammar, else the csv path.
 
-    `marks(columns, lines)` parses and checks a block's mark columns and
+    `rules(*mark_columns)` gives a block's (awarded, available) and its
+    mark checks. `too_big` replaces the message for a mark beyond int64.
+    """
+    got = _load_bytes(path, header, rules)
+    return _load_csv(path, header, rules, too_big) if got is None else got
+
+
+def _load_bytes(path: str, header: list[str], rules) -> Responses | None:
+    """The byte path: a file's columns, or None when it leaves the grammar; only file I/O raises.
+
+    The five columns are allocated once from a newline count; the file is
+    then read in blocks of about _READ_BYTES, each cut after its last line end.
+    """
+    if not os.path.isfile(path):   # a pipe can be read only once: by the csv path
+        return None
+    head = ",".join(header).encode()
+    with open(path, "rb") as fh:
+        first = fh.readline().removeprefix(codecs.BOM_UTF8)
+        if first not in (head, head + b"\n", head + b"\r\n") or max(map(len, header)) > csv.field_size_limit():
+            return None
+        body = fh.tell()
+        chunks = partial(iter, partial(fh.read, _READ_BYTES), b"")
+        size = sum(chunk.count(b"\n") for chunk in chunks()) + 1
+        out = [np.empty(size, np.int64) for _ in range(5)]
+        fh.seek(body)
+        coders, tables = _id_coders()
+        coders = list(map(_key_coder, coders))
+        n, rest = 0, b""
+        for chunk in chain(chunks(), [b""]):   # the empty chunk ends the last line
+            text = rest + chunk
+            cut = text.rfind(b"\n") + 1 if chunk else len(text)
+            text, rest = text[:cut], text[cut:]
+            if text:
+                block = _read_block(np.frombuffer(text, np.uint8), len(header), rules, coders)
+                if block is None:
+                    return None
+                for col, values in zip(out, block):
+                    col[n:n + values.size] = values
+                n += values.size
+    return Responses(*(col[:n] for col in out), *map(tuple, tables))
+
+
+def _read_block(b: np.ndarray, width: int, rules, coders) -> list | None:
+    """The five columns of a block of whole lines (the file's last may lack its line end), or None."""
+    nl = np.flatnonzero(b == 10)
+    cr = np.flatnonzero(b == 13)
+    if np.count_nonzero(b < 32) != nl.size + cr.size or b.max() > 126 or (b == 34).any():
+        return None   # a byte other than printable ASCII, '\n' and '\r', or a quote
+    if cr.size and (cr[-1] + 1 == b.size or (b[cr + 1] != 10).any()):
+        return None   # a '\r' not directly before a '\n'
+    if not nl.size or nl[-1] != b.size - 1:
+        nl = np.append(nl, b.size)
+    starts = np.concatenate(([0], nl[:-1] + 1))
+    stops = nl - (b[nl - 1] == 13)
+    filled = stops > starts   # blank lines are skipped
+    commas = np.flatnonzero(b == 44)
+    if not np.array_equal(np.diff(np.searchsorted(commas, nl), prepend=0), filled * (width - 1)):
+        return None
+    commas = commas.reshape(-1, width - 1).T
+    lo = np.vstack((starts[filled], commas + 1))   # (width, records) field starts
+    length = np.vstack((commas, stops[filled])) - lo
+    if not lo.shape[1]:
+        return [np.empty(0, np.int64)] * 5
+    if length.max() > csv.field_size_limit():
+        return None
+    b = np.concatenate((b, np.zeros(8 * _KEY_WORDS, np.uint8)))   # room for the last field's words
+    marks = [_digits(b, lo[k], length[k]) for k in range(3, width)]
+    if any(m is None for m in marks):
+        return None
+    marks, checks = rules(*marks)
+    if any(bad.any() for bad, _ in checks):
+        return None
+    ids = [codes(b, lo[k], length[k]) for k, codes in enumerate(coders)]
+    return None if any(c is None for c in ids) else ids + list(marks)
+
+
+def _digits(b: np.ndarray, lo: np.ndarray, length: np.ndarray) -> np.ndarray | None:
+    """The int64 values of fields of 1-18 ASCII digits, or None."""
+    if length.min() < 1 or length.max() > 18:
+        return None
+    value = np.zeros(lo.size, np.int64)
+    for j in range(int(length.max())):
+        digit = b[lo + j] - np.uint8(48)
+        more = j < length
+        if (more & (digit > 9)).any():
+            return None
+        value = np.where(more, value * 10 + digit, value)
+    return value
+
+
+def _key_coder(code):
+    """The byte path's coder of one id column, over the interner's `code`.
+
+    codes(b, lo, length) gives the codes of the fields b[lo:lo + length], or
+    None for a field over _KEY_WORDS words or two new texts of a block with
+    one hash. A field's key is its bytes zero-padded into little-endian
+    uint64 words, and its hash the words weighted by _MIX. A block's rows
+    are sorted by hash and looked up in a hash-sorted table of the keys
+    met so far; only the distinct texts it lacks go through `code`, in
+    first-appearance order.
+    """
+    never = np.full((1, 1), ~np.uint64(0))   # the largest hash, on a key no field has: searches stay in the table
+    table = (never[0], never, np.full(1, -1))   # hashes (sorted), keys, codes
+
+    def codes(b: np.ndarray, lo: np.ndarray, length: np.ndarray) -> np.ndarray | None:
+        nonlocal table
+        words = (int(length.max()) + 7) // 8 or 1
+        if words > _KEY_WORDS:
+            return None
+        keys = np.lib.stride_tricks.sliding_window_view(b, 8 * words)[lo].view("<u8")
+        keys &= _LOW_BYTES[np.clip(length[:, None] - 8 * np.arange(words), 0, 8)]   # zero the bytes past the field
+        hashes, known, known_codes = table
+        width = max(words, known.shape[1])
+        if width > words:
+            keys = np.pad(keys, ((0, 0), (0, width - words)))
+        if width > known.shape[1]:
+            known = np.pad(known, ((0, 0), (0, width - known.shape[1])))
+        h = keys @ _MIX[:width]
+        order = np.argsort(h)   # sorted queries search faster
+        keys, h = keys[order], h[order]
+        at = np.searchsorted(hashes, h)
+        got = known_codes[at]
+        new = np.flatnonzero((known[at] != keys).any(axis=1))
+        if new.size:
+            first = np.ones(new.size, bool)
+            first[1:] = h[new[1:]] != h[new[:-1]]
+            if (~first[1:] & (keys[new[1:]] != keys[new[:-1]]).any(axis=1)).any():
+                return None   # two new texts with one hash
+            heads = new[first]
+            appear = np.argsort(np.minimum.reduceat(order[new], np.flatnonzero(first)))   # by each text's first row
+            texts = keys[heads[appear]].view(f"S{8 * width}").astype(f"U{8 * width}")   # the padding drops
+            group_code = np.empty(heads.size, np.int64)
+            group_code[appear] = code(texts.ravel().tolist())
+            got[new] = group_code[np.cumsum(first) - 1]
+            hashes = np.concatenate((hashes, h[heads]))
+            by = np.argsort(hashes)
+            hashes, known, known_codes = (hashes[by], np.concatenate((known, keys[heads]))[by],
+                                          np.concatenate((known_codes, group_code))[by])
+        table = (hashes, known, known_codes)
+        out = np.empty(lo.size, np.int64)
+        out[order] = got
+        return out
+
+    return codes
+
+
+def _load_csv(path: str, header: list[str], rules, too_big: str | None) -> Responses:
+    """The csv path: read a response CSV into columns, a block of records at a time.
+
+    Each block's mark columns are parsed and checked by `_marks`, which
     raises the ParseError of the block's first bad row. File line numbers
     count the header as line 1, and blank records, which are skipped, too.
-    A byte that is not UTF-8 is a ParseError naming the line that holds it.
-    Every ParseError raised here holds the file in its path.
+    A byte that is not UTF-8 is a ParseError naming the line that holds it,
+    and so is a field longer than csv.field_size_limit(), after the records
+    before it are checked. Every ParseError raised here holds the file in
+    its path.
     """
-    coders, tables = zip(_interner(str.strip), _interner(str.strip), _interner(lambda text: text.strip() or NO_CLASS))
+    coders, tables = _id_coders()
     width = len(header)
     blocks = []
+    line = 1
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             got = next(reader, None)
             if got is None:
@@ -286,7 +462,8 @@ def _load(path: str, header: list[str], marks) -> Responses:
                 wrong = np.flatnonzero(counts != width)
                 n = int(wrong[0]) if wrong.size else counts.size   # records before the first of another width
                 columns = [fields[i:n * width:width] for i in range(width)]
-                blocks.append((*(code(col) for code, col in zip(coders, columns)), *marks(columns[3:], lines[:n])))
+                blocks.append((*(code(col) for code, col in zip(coders, columns)),
+                               *_marks(columns[3:], lines[:n], header[3:], rules, too_big)))
                 if wrong.size:
                     raise ParseError(f"{path}: expected {width} fields at line {lines[n]}, got {counts[n]}", lines[n])
                 if torn is not None:
@@ -294,6 +471,8 @@ def _load(path: str, header: list[str], marks) -> Responses:
     except ParseError as exc:
         exc.path = path
         raise
+    except csv.Error as exc:   # the tokenizer's, on the record at `line`
+        raise ParseError(f"{path}: {exc} at line {line}", line, path) from None
     except UnicodeDecodeError:
         line = _non_utf8_line(path)
         raise ParseError(f"{path}: not UTF-8 text at line {line}", line, path) from None
@@ -315,12 +494,12 @@ def _non_utf8_line(path: str) -> int:
 
 def load_raw_csv(path: str) -> Responses:
     """Load raw marked responses (marks awarded / available per question)."""
-    return _load(path, RAW_HEADER, _raw_marks)
+    return _load(path, RAW_HEADER, _raw_rules)
 
 
 def load_binary_csv(path: str) -> Responses:
     """Load pre-binarized responses; y is encoded as marks (y out of 1)."""
-    return _load(path, BINARY_HEADER, _binary_marks)
+    return _load(path, BINARY_HEADER, _binary_rules, too_big="y must be 0 or 1")
 
 
 def build_dataset(rows: Responses | Iterable[RawResponse]) -> Dataset:

@@ -1,7 +1,10 @@
 """Ingestion, binarization, splitting, and subsampling behavior."""
 
+import codecs
 import csv
 import io
+import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -323,8 +326,12 @@ class TestErrorContract:
         with pytest.raises(ParseError) as exc:
             load_raw_csv(path)
         assert str(exc.value) == f"marks_awarded exceeds marks_available at line {_line(FAR - 1)}"
-        with pytest.raises(csv.Error, match="field limit"):
-            load_raw_csv(_file(tmp_path, True, {FAR: too_long}))
+        path = _file(tmp_path, True, {FAR: too_long})
+        with pytest.raises(ParseError) as exc:
+            load_raw_csv(path)
+        assert (exc.value.path, exc.value.line) == (path, _line(FAR))
+        limit = csv.field_size_limit()
+        assert str(exc.value) == f"{path}: field larger than field limit ({limit}) at line {_line(FAR)}"
 
     @pytest.mark.parametrize("field", ["marks_awarded", "marks_available"])
     def test_mark_beyond_int64_names_its_line(self, tmp_path, field):
@@ -516,8 +523,10 @@ def _mutated_csv(draw):
 def _csv_reader_oracle(blob: bytes, raw: bool):
     """(rows, None) as csv.reader reads the UTF-8 text and the loaders' rules take it, or (None, lines):
     the lines an error may name: the first faulty record's line (1 for the header) or, when the file is
-    not UTF-8, the line holding the first such byte, or the first faulty line if that comes before it."""
-    text = blob.decode("utf-8", "surrogateescape")   # each byte that is not UTF-8 becomes a lone surrogate
+    not UTF-8, the line holding the first such byte, or the first faulty line if that comes before it.
+    One leading UTF-8 byte-order mark is not part of the text."""
+    # each byte that is not UTF-8 becomes a lone surrogate
+    text = blob.removeprefix(codecs.BOM_UTF8).decode("utf-8", "surrogateescape")
     records = list(csv.reader(io.StringIO(text, newline="")))
     header = data.RAW_HEADER if raw else data.BINARY_HEADER
     width = len(header)
@@ -564,3 +573,194 @@ def test_mutated_csv_loads_as_csv_reader_reads_it_or_names_file_and_line(tmp_pat
         assert f"at line {exc.line}" in message or (exc.line == 1 and message.startswith(f"{path}: "))
     else:
         assert got == rows
+
+
+# --- the byte path ---------------------------------------------------------------------
+
+_BINARY_HEADER = "student_id,question_id,class_id,y\n"
+_PLAIN_IDS = st.text(st.characters(min_codepoint=32, max_codepoint=126, blacklist_characters='",'),
+                     min_size=1, max_size=20)   # packed keys of 1-3 words
+_PLAIN_TOKENS = [t for t in _TOKENS if '"' not in t]
+
+
+@st.composite
+def _plain_csv(draw):
+    """A quote-free valid raw or binary file with 0-2 edits, and whether it was edited.
+
+    Records may be blank or padded, have a blank class, leading zeros or several digits in
+    their marks, and end in '\n' or '\r\n'; the last line end may be missing.
+    """
+    raw = draw(st.booleans())
+    pools = [draw(st.lists(_PLAIN_IDS, min_size=1, max_size=n, unique=True)) for n in (6, 4)]
+    pools.append(draw(st.lists(_PLAIN_IDS | st.just(""), min_size=1, max_size=3, unique=True)))
+    pad = st.sampled_from(["", " ", "  "])
+    lead = st.sampled_from(["", "0", "00"])
+    text = RAW_HEADER if raw else _BINARY_HEADER
+    for _ in range(draw(st.integers(0, 10))):
+        if draw(st.integers(0, 4)):
+            ids = [draw(pad) + draw(st.sampled_from(pool)) + draw(pad) for pool in pools]
+            available = draw(st.integers(1, 999))
+            marks = ([draw(lead) + str(draw(st.integers(0, available))), draw(lead) + str(available)] if raw
+                     else [draw(lead) + str(draw(st.integers(0, 1)))])
+            text += ",".join(ids + marks)
+        text += draw(st.sampled_from(["\n", "\r\n"]))
+    if draw(st.booleans()):
+        text = text.removesuffix("\n").removesuffix("\r")
+    blob = text.encode()
+    edits = draw(st.integers(0, 2))
+    for _ in range(edits):   # a token anywhere, or a digit at a field's end, where it scales a mark
+        ends = [i for i, c in enumerate(blob) if c in b",\r\n"] or [len(blob)]
+        at, token = draw(st.tuples(st.sampled_from(range(len(blob) + 1)), st.sampled_from(_PLAIN_TOKENS))
+                         | st.tuples(st.sampled_from(ends), st.sampled_from("0123456789")))
+        blob = blob[:at] + token.encode() + blob[at:]
+    return raw, blob, edits > 0
+
+
+def _tables(rows) -> tuple:
+    """The id tables of rows: each column's ids in first-appearance order."""
+    return tuple(tuple(dict.fromkeys(r[k] for r in rows)) for k in range(3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_plain_csv())
+def test_byte_path_loads_as_csv_reader_reads_it(tmp_path_factory, case):
+    raw, blob, edited = case
+    path = str(tmp_path_factory.mktemp("plain") / "data.csv")
+    with open(path, "wb") as fh:
+        fh.write(blob)
+    rows, lines = _csv_reader_oracle(blob, raw)
+    header, rules = (data.RAW_HEADER, data._raw_rules) if raw else (data.BINARY_HEADER, data._binary_rules)
+    fast = data._load_bytes(path, header, rules)
+    assert fast is not None or edited   # every unedited file is in the grammar
+    if fast is not None:
+        assert rows is not None and list(fast) == rows
+        assert (fast.student_ids, fast.question_ids, fast.class_ids) == _tables(rows)
+    try:
+        got = (load_raw_csv if raw else load_binary_csv)(path)
+    except ParseError as exc:
+        message = str(exc)
+        assert lines is not None, message
+        assert exc.path == path and exc.line in lines, (message, lines)
+        assert f"at line {exc.line}" in message or (exc.line == 1 and message.startswith(f"{path}: "))
+    else:
+        assert list(got) == rows
+        assert (got.student_ids, got.question_ids, got.class_ids) == _tables(rows)
+
+
+def _no_reader(*args, **kwargs):
+    raise AssertionError("csv.reader called")
+
+
+def _assert_same(got, want):
+    for name in ("student_idx", "question_idx", "class_idx", "awarded", "available"):
+        assert getattr(got, name).dtype == np.int64 and np.array_equal(getattr(got, name), getattr(want, name))
+    assert (got.student_ids, got.question_ids, got.class_ids) == (want.student_ids, want.question_ids, want.class_ids)
+
+
+def test_quote_free_files_load_without_csv_reader(tmp_path, monkeypatch):
+    raw = _write(tmp_path, RAW_HEADER + "s1,q1,c1,2,3\r\n\n s2 ,q1,,0,01", "raw.csv")
+    binary = _write(tmp_path, _BINARY_HEADER + "s1,q1,c1,1\n", "binary.csv")
+    quoted = _write(tmp_path, RAW_HEADER + 's1,q1,c1,2,3\n"s,2",q1,,0,1\n', "quoted.csv")
+    long_id = _write(tmp_path, RAW_HEADER + "s" * 65 + ",q1,c1,2,3\n", "long.csv")   # over 8 key words
+    monkeypatch.setattr(data.csv, "reader", _no_reader)
+    assert list(load_raw_csv(raw)) == [RawResponse("s1", "q1", "c1", 2, 3), RawResponse("s2", "q1", NO_CLASS, 0, 1)]
+    assert list(load_binary_csv(binary)) == [RawResponse("s1", "q1", "c1", 1, 1)]
+    for path in (quoted, long_id):
+        with pytest.raises(AssertionError, match="csv.reader called"):
+            load_raw_csv(path)
+    monkeypatch.undo()
+    assert list(load_raw_csv(quoted)) == [RawResponse("s1", "q1", "c1", 2, 3), RawResponse("s,2", "q1", NO_CLASS, 0, 1)]
+    assert list(load_raw_csv(long_id)) == [RawResponse("s" * 65, "q1", "c1", 2, 3)]
+
+
+@pytest.mark.parametrize("raw", [True, False], ids=["raw", "binary"])
+def test_byte_path_blocks_join_into_the_csv_path_result(tmp_path, monkeypatch, raw):
+    monkeypatch.setattr(data, "_READ_BYTES", 40)   # a few records a block
+    records = [f"s{i % 7},q{i % 3},c{i % 7 % 3},{i % 2}" + (",2" if raw else "") for i in range(40)]
+    records[30] = "a_student_first_seen_in_a_late_block,q0,c0,1" + (",2" if raw else "")   # longer than a block
+    records[12] = ""
+    header = RAW_HEADER if raw else _BINARY_HEADER
+    path = _write(tmp_path, header + "\r\n".join(records) + "\r\n")
+    ends = np.cumsum([len(r) + 2 for r in records])   # offsets after the header
+    assert (np.concatenate(([0], ends[:-1])) // 40 != (ends - 1) // 40).any()   # a record straddles a cut
+    schema = ((data.RAW_HEADER, data._raw_rules, None) if raw
+              else (data.BINARY_HEADER, data._binary_rules, "y must be 0 or 1"))
+    want = data._load_csv(path, *schema)
+    monkeypatch.setattr(data.csv, "reader", _no_reader)
+    got = (load_raw_csv if raw else load_binary_csv)(path)
+    _assert_same(got, want)
+    assert len(got) == 39 and got.student_ids[-1] == "a_student_first_seen_in_a_late_block"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_a_named_pipe_is_read_once_by_the_csv_path(tmp_path):
+    pipe = str(tmp_path / "pipe.csv")
+    os.mkfifo(pipe)
+    got = []
+
+    def write():
+        with open(pipe, "w", encoding="utf-8") as fh:
+            fh.write(RAW_HEADER + "s1,q1,c1,2,3\n")
+
+    threads = [threading.Thread(target=lambda: got.append(list(load_raw_csv(pipe))), daemon=True),
+               threading.Thread(target=write, daemon=True)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [[RawResponse("s1", "q1", "c1", 2, 3)]]
+
+
+def test_texts_with_one_hash_are_coded_apart(tmp_path, monkeypatch):
+    monkeypatch.setattr(data, "_MIX", np.zeros(data._KEY_WORDS, np.uint64))   # every key hashes to 0
+    path = _write(tmp_path, RAW_HEADER + "".join(f"s{i % 3},q{i % 2},c,1,2\n" for i in range(9)))
+    want = data._load_csv(path, data.RAW_HEADER, data._raw_rules, None)
+    with monkeypatch.context() as patch:   # new texts of one block: the csv path
+        patch.setattr(data.csv, "reader", _no_reader)
+        with pytest.raises(AssertionError, match="csv.reader called"):
+            load_raw_csv(path)
+    monkeypatch.setattr(data, "_READ_BYTES", 12)   # a record a block: each new text meets the table alone
+    monkeypatch.setattr(data.csv, "reader", _no_reader)
+    _assert_same(load_raw_csv(path), want)
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["byte path", "csv path"])
+@pytest.mark.parametrize("raw", [True, False], ids=["raw", "binary"])
+def test_one_leading_byte_order_mark_is_skipped(tmp_path, raw, quoted):
+    marks = ",1,2" if raw else ",1"
+    text = ((RAW_HEADER if raw else _BINARY_HEADER) + f"s1,q1,c1{marks}\n"
+            + ('"s,2"' if quoted else "s2") + f",q2,{marks}\n")
+    load = load_raw_csv if raw else load_binary_csv
+    plain = _write(tmp_path, text, "plain.csv")
+    marked = str(tmp_path / "marked.csv")
+    with open(marked, "wb") as fh:
+        fh.write(codecs.BOM_UTF8 + text.encode())
+    _assert_same(load(marked), load(plain))
+    with open(marked, "wb") as fh:   # a second mark is text: the header's first field
+        fh.write(codecs.BOM_UTF8 * 2 + text.encode())
+    with pytest.raises(ParseError, match="bad header") as exc:
+        load(marked)
+    assert (exc.value.path, exc.value.line) == (marked, 1)
+
+
+def test_byte_order_mark_after_the_start_is_text(tmp_path):
+    path = _write(tmp_path, "\ufeff" + RAW_HEADER + "\ufeffs1,q1,c1,1,2\n")
+    assert list(load_raw_csv(path)) == [RawResponse("\ufeffs1", "q1", "c1", 1, 2)]
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["byte path", "csv path"])
+def test_field_over_the_field_size_limit_names_file_and_line(tmp_path, quoted):
+    first = ('"s,1"' if quoted else "s1") + ",q1,c1,{},2\n\n"
+    limit = csv.field_size_limit(20)   # the header's longest field has 15 characters
+    try:
+        assert len(load_raw_csv(_write(tmp_path, RAW_HEADER + first.format(1) + "s" * 20 + ",q1,c1,1,2\n"))) == 2
+        with pytest.raises(ParseError, match="marks_awarded exceeds"):   # the records before it come first
+            load_raw_csv(_write(tmp_path, RAW_HEADER + first.format(3) + "s" * 21 + ",q1,c1,1,2\n"))
+        path = _write(tmp_path, RAW_HEADER + first.format(1) + "s" * 21 + ",q1,c1,1,2\n")
+        with pytest.raises(ParseError) as exc:
+            load_raw_csv(path)
+    finally:
+        csv.field_size_limit(limit)
+    assert str(exc.value) == f"{path}: field larger than field limit (20) at line 4"
+    assert (exc.value.path, exc.value.line) == (path, 4)
