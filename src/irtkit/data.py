@@ -9,15 +9,15 @@ on the resulting 0/1 outcomes stored in a sparse triplet layout
 CSV files are read and written as columns, so no Python object is kept
 per row. A loader first tries the byte path: numpy finds the line ends
 and commas of a block of whole lines, parses the mark columns as ASCII
-digits and looks each id up by its bytes, packed into uint64 words, in a
-table of the ids met so far, so only ids not met before become Python
-strings. It takes a regular file whose bytes are printable ASCII
-without '"', with '\n' line ends ('\r' only directly before '\n'), the
-exact header, mark fields of 1-18 digits that pass the mark checks, and
-id fields of at most 64 bytes and no longer than `csv.field_size_limit()`.
-Any other file, and any file with an error, is read by the csv path:
-`csv.reader` tokenizes it a block of records at a time, and ids, marks
-and checks are handled per column. Only the csv path raises a
+digits and looks each id up by its bytes in a table of the ids met so
+far, so only ids not met before become Python strings. Its grammar is a
+regular file of printable ASCII without '"', with '\n' line ends ('\r'
+only directly before '\n'), the exact header, mark fields of 1-18 digits
+that pass the mark checks, and id fields of at most 64 bytes and no
+longer than `csv.field_size_limit()`. At the first block outside it, or
+with an error, the byte path stops and the csv path reads on from that
+block: `csv.reader` tokenizes a block of records at a time, and ids,
+marks and checks are handled per column. Only the csv path raises a
 ParseError. Both skip one leading UTF-8 byte-order mark.
 """
 
@@ -44,8 +44,8 @@ BINARY_HEADER = ["student_id", "question_id", "class_id", "y"]
 NO_CLASS = "__none__"
 _READ_BLOCK = 8192         # records the csv path turns into columns at a time
 _READ_BYTES = 1 << 17      # bytes of whole lines the byte path turns into columns at a time
-_KEY_WORDS = 8             # the byte path's longest id key, in uint64 words (64 bytes)
-_MIX = np.uint64(0x9E3779B97F4A7C15) ** np.arange(_KEY_WORDS, dtype=np.uint64)   # key word weights of a hash
+_KEY_BYTES = 64            # the byte path's longest id field
+_MIX = np.uint64(0x9E3779B97F4A7C15) ** np.arange(_KEY_BYTES // 8, dtype=np.uint64)   # key word weights of a hash
 _LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], "<u8")   # a key word's first n bytes
 _WRITE_CHARS = 1 << 17     # characters of output write_binary_csv assembles at a time
 
@@ -273,48 +273,69 @@ def _id_coders():
 
 
 def _load(path: str, header: list[str], rules, too_big: str | None = None) -> Responses:
-    """Read a response CSV into columns: the byte path if the file is in its grammar, else the csv path.
+    """Read a response CSV into columns: the byte path while the file keeps to its grammar, then the csv path.
 
     `rules(*mark_columns)` gives a block's (awarded, available) and its
     mark checks. `too_big` replaces the message for a mark beyond int64.
+    Both paths code ids through the same interners, so ids keep their
+    first-appearance numbers when the csv path reads on from a block the
+    byte path stopped at.
     """
-    got = _load_bytes(path, header, rules)
-    return _load_csv(path, header, rules, too_big) if got is None else got
+    coders, tables = _id_coders()
+    columns, at, line = _load_bytes(path, header, rules, list(map(_key_coder, coders)))
+    if at is not None:
+        blocks = _load_csv(path, header, rules, too_big, coders, at, line)
+        columns = [np.concatenate(col) for col in zip(columns, *blocks)]
+    return Responses(*columns, *map(tuple, tables))
 
 
-def _load_bytes(path: str, header: list[str], rules) -> Responses | None:
-    """The byte path: a file's columns, or None when it leaves the grammar; only file I/O raises.
+def _load_bytes(path: str, header: list[str], rules, coders) -> tuple[list, int | None, int]:
+    """The byte path: the columns of a file's records before the first block outside its grammar.
 
-    The five columns are allocated once from a newline count; the file is
-    then read in blocks of about _READ_BYTES, each cut after its last line end.
+    `coders` are the id columns' `_key_coder`s. Returns the columns, and
+    the byte offset and line number of that block, or None for the offset
+    when the whole file was read. The five columns are allocated once from
+    a line count; the file is then read in blocks of about _READ_BYTES,
+    each cut after its last line end. Only file I/O raises.
     """
+    columns = [np.empty(0, np.int64)] * 5
     if not os.path.isfile(path):   # a pipe can be read only once: by the csv path
-        return None
+        return columns, 0, 1
     head = ",".join(header).encode()
+    longest = len(header) * (csv.field_size_limit() + 1)   # a record of the grammar, without its '\n'
     with open(path, "rb") as fh:
-        first = fh.readline().removeprefix(codecs.BOM_UTF8)
+        first = fh.readline(len(codecs.BOM_UTF8) + len(head) + 2).removeprefix(codecs.BOM_UTF8)
         if first not in (head, head + b"\n", head + b"\r\n") or max(map(len, header)) > csv.field_size_limit():
-            return None
-        body = fh.tell()
-        chunks = partial(iter, partial(fh.read, _READ_BYTES), b"")
-        size = sum(chunk.count(b"\n") for chunk in chunks()) + 1
+            return columns, 0, 1
+        at, line = fh.tell(), 2
+        size = _line_count(fh)
         out = [np.empty(size, np.int64) for _ in range(5)]
-        fh.seek(body)
-        coders, tables = _id_coders()
-        coders = list(map(_key_coder, coders))
+        fh.seek(at)
         n, rest = 0, b""
-        for chunk in chain(chunks(), [b""]):   # the empty chunk ends the last line
+        for chunk in chain(iter(partial(fh.read, _READ_BYTES), b""), [b""]):   # the empty chunk ends the last line
             text = rest + chunk
             cut = text.rfind(b"\n") + 1 if chunk else len(text)
             text, rest = text[:cut], text[cut:]
             if text:
+                lines = text.count(b"\n")
+                if line - 2 + lines >= size:   # more line ends than were counted: the file grew
+                    break
                 block = _read_block(np.frombuffer(text, np.uint8), len(header), rules, coders)
                 if block is None:
-                    return None
+                    break
                 for col, values in zip(out, block):
                     col[n:n + values.size] = values
-                n += values.size
-    return Responses(*(col[:n] for col in out), *map(tuple, tables))
+                n, at, line = n + values.size, at + len(text), line + lines
+            if len(rest) > longest:   # a line no record of the grammar fills
+                break
+        else:
+            at = None
+    return [col[:n] for col in out], at, line
+
+
+def _line_count(fh) -> int:
+    """The line ends from a binary file's position to its end, plus one for a last line without one."""
+    return sum(chunk.count(b"\n") for chunk in iter(partial(fh.read, _READ_BYTES), b"")) + 1
 
 
 def _read_block(b: np.ndarray, width: int, rules, coders) -> list | None:
@@ -338,17 +359,16 @@ def _read_block(b: np.ndarray, width: int, rules, coders) -> list | None:
     length = np.vstack((commas, stops[filled])) - lo
     if not lo.shape[1]:
         return [np.empty(0, np.int64)] * 5
-    if length.max() > csv.field_size_limit():
+    if length.max() > csv.field_size_limit() or length[:3].max() > _KEY_BYTES:
         return None
-    b = np.concatenate((b, np.zeros(8 * _KEY_WORDS, np.uint8)))   # room for the last field's words
+    b = np.concatenate((b, np.zeros(_KEY_BYTES, np.uint8)))   # room for the last field's digits and key
     marks = [_digits(b, lo[k], length[k]) for k in range(3, width)]
     if any(m is None for m in marks):
         return None
     marks, checks = rules(*marks)
     if any(bad.any() for bad, _ in checks):
         return None
-    ids = [codes(b, lo[k], length[k]) for k, codes in enumerate(coders)]
-    return None if any(c is None for c in ids) else ids + list(marks)
+    return [codes(b, lo[k], length[k]) for k, codes in enumerate(coders)] + list(marks)
 
 
 def _digits(b: np.ndarray, lo: np.ndarray, length: np.ndarray) -> np.ndarray | None:
@@ -368,83 +388,71 @@ def _digits(b: np.ndarray, lo: np.ndarray, length: np.ndarray) -> np.ndarray | N
 def _key_coder(code):
     """The byte path's coder of one id column, over the interner's `code`.
 
-    codes(b, lo, length) gives the codes of the fields b[lo:lo + length], or
-    None for a field over _KEY_WORDS words or two new texts of a block with
-    one hash. A field's key is its bytes zero-padded into little-endian
-    uint64 words, and its hash the words weighted by _MIX. A block's rows
-    are sorted by hash and looked up in a hash-sorted table of the keys
-    met so far; only the distinct texts it lacks go through `code`, in
-    first-appearance order.
+    codes(b, lo, length) gives the codes of the fields b[lo:lo + length].
+    A field's key is its bytes, and its hash the key's little-endian
+    uint64 words weighted by _MIX. The keys met so far are kept sorted by
+    hash, with their codes. A block's keys that are not the table's key
+    at their hash go through `code` once each, in first-appearance order,
+    and join the table; a hash that two keys share costs time, never a
+    wrong code.
     """
-    never = np.full((1, 1), ~np.uint64(0))   # the largest hash, on a key no field has: searches stay in the table
-    table = (never[0], never, np.full(1, -1))   # hashes (sorted), keys, codes
+    hashes, known, known_codes = np.full(1, ~np.uint64(0)), np.array([b"\x7f"]), np.full(1, -1)   # a key no field has
 
-    def codes(b: np.ndarray, lo: np.ndarray, length: np.ndarray) -> np.ndarray | None:
-        nonlocal table
+    def codes(b: np.ndarray, lo: np.ndarray, length: np.ndarray) -> np.ndarray:
+        nonlocal hashes, known, known_codes
         words = (int(length.max()) + 7) // 8 or 1
-        if words > _KEY_WORDS:
-            return None
         keys = np.lib.stride_tricks.sliding_window_view(b, 8 * words)[lo].view("<u8")
         keys &= _LOW_BYTES[np.clip(length[:, None] - 8 * np.arange(words), 0, 8)]   # zero the bytes past the field
-        hashes, known, known_codes = table
-        width = max(words, known.shape[1])
-        if width > words:
-            keys = np.pad(keys, ((0, 0), (0, width - words)))
-        if width > known.shape[1]:
-            known = np.pad(known, ((0, 0), (0, width - known.shape[1])))
-        h = keys @ _MIX[:width]
+        h = keys @ _MIX[:words]
+        keys = keys.view(f"S{8 * words}").ravel()   # the zero padding drops
         order = np.argsort(h)   # sorted queries search faster
-        keys, h = keys[order], h[order]
-        at = np.searchsorted(hashes, h)
-        got = known_codes[at]
-        new = np.flatnonzero((known[at] != keys).any(axis=1))
-        if new.size:
-            first = np.ones(new.size, bool)
-            first[1:] = h[new[1:]] != h[new[:-1]]
-            if (~first[1:] & (keys[new[1:]] != keys[new[:-1]]).any(axis=1)).any():
-                return None   # two new texts with one hash
-            heads = new[first]
-            appear = np.argsort(np.minimum.reduceat(order[new], np.flatnonzero(first)))   # by each text's first row
-            texts = keys[heads[appear]].view(f"S{8 * width}").astype(f"U{8 * width}")   # the padding drops
-            group_code = np.empty(heads.size, np.int64)
-            group_code[appear] = code(texts.ravel().tolist())
-            got[new] = group_code[np.cumsum(first) - 1]
-            hashes = np.concatenate((hashes, h[heads]))
-            by = np.argsort(hashes)
-            hashes, known, known_codes = (hashes[by], np.concatenate((known, keys[heads]))[by],
-                                          np.concatenate((known_codes, group_code))[by])
-        table = (hashes, known, known_codes)
-        out = np.empty(lo.size, np.int64)
-        out[order] = got
+        at = np.empty_like(order)
+        at[order] = np.searchsorted(hashes, h[order])
+        out = known_codes[at]
+        miss = np.flatnonzero(known[at] != keys)
+        if miss.size:   # keys not met before: coded in first-appearance order, then added to the table
+            new, first, inverse = np.unique(keys[miss], return_index=True, return_inverse=True)
+            appear = np.argsort(first)
+            new_codes = np.empty(new.size, np.int64)
+            new_codes[appear] = code(new[appear].astype(str).tolist())
+            out[miss] = new_codes[inverse]
+            new_h = h[miss[first]]
+            by = np.argsort(new_h)
+            at = np.searchsorted(hashes, new_h[by])
+            hashes = np.insert(hashes, at, new_h[by])
+            known = np.insert(known.astype(np.result_type(known, keys)), at, new[by])
+            known_codes = np.insert(known_codes, at, new_codes[by])
         return out
 
     return codes
 
 
-def _load_csv(path: str, header: list[str], rules, too_big: str | None) -> Responses:
-    """The csv path: read a response CSV into columns, a block of records at a time.
+def _load_csv(path: str, header: list[str], rules, too_big: str | None, coders, at: int = 0, line: int = 1) -> list:
+    """The csv path: the column blocks of a response CSV from byte `at`, the start of line `line`.
 
-    Each block's mark columns are parsed and checked by `_marks`, which
-    raises the ParseError of the block's first bad row. File line numbers
-    count the header as line 1, and blank records, which are skipped, too.
-    A byte that is not UTF-8 is a ParseError naming the line that holds it,
-    and so is a field longer than csv.field_size_limit(), after the records
+    At byte 0 the header is read and checked first. Each block's mark
+    columns are parsed and checked by `_marks`, which raises the
+    ParseError of the block's first bad row. File line numbers count the
+    header as line 1, and blank records, which are skipped, too. A byte
+    that is not UTF-8 is a ParseError naming the line that holds it, and
+    so is a field longer than csv.field_size_limit(), after the records
     before it are checked. Every ParseError raised here holds the file in
     its path.
     """
-    coders, tables = _id_coders()
     width = len(header)
     blocks = []
-    line = 1
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
+        with open(path, newline="", encoding="utf-8" if at else "utf-8-sig") as fh:
+            if at:
+                fh.buffer.seek(at)
             reader = csv.reader(fh)
-            got = next(reader, None)
-            if got is None:
-                raise ParseError(f"{path}: empty file, expected header {','.join(header)}", 1)
-            if [c.strip() for c in got] != header:
-                raise ParseError(f"{path}: bad header {got!r}, expected {','.join(header)}", 1)
-            line = 2
+            if not at:
+                got = next(reader, None)
+                if got is None:
+                    raise ParseError(f"{path}: empty file, expected header {','.join(header)}", 1)
+                if [c.strip() for c in got] != header:
+                    raise ParseError(f"{path}: bad header {got!r}, expected {','.join(header)}", 1)
+                line = 2
             while True:
                 fields, counts, torn = [], [], None
                 try:
@@ -476,9 +484,7 @@ def _load_csv(path: str, header: list[str], rules, too_big: str | None) -> Respo
     except UnicodeDecodeError:
         line = _non_utf8_line(path)
         raise ParseError(f"{path}: not UTF-8 text at line {line}", line, path) from None
-    columns = ([np.concatenate(col) for col in zip(*blocks)] if blocks
-               else [np.empty(0, np.int64) for _ in range(5)])
-    return Responses(*columns, *map(tuple, tables))
+    return blocks
 
 
 def _non_utf8_line(path: str) -> int:

@@ -6,6 +6,7 @@ import io
 import os
 import threading
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -585,7 +586,7 @@ _PLAIN_TOKENS = [t for t in _TOKENS if '"' not in t]
 
 @st.composite
 def _plain_csv(draw):
-    """A quote-free valid raw or binary file with 0-2 edits, and whether it was edited.
+    """A quote-free valid raw or binary file with 0-2 edits, whether it was edited, and a block size.
 
     Records may be blank or padded, have a blank class, leading zeros or several digits in
     their marks, and end in '\n' or '\r\n'; the last line end may be missing.
@@ -613,7 +614,7 @@ def _plain_csv(draw):
         at, token = draw(st.tuples(st.sampled_from(range(len(blob) + 1)), st.sampled_from(_PLAIN_TOKENS))
                          | st.tuples(st.sampled_from(ends), st.sampled_from("0123456789")))
         blob = blob[:at] + token.encode() + blob[at:]
-    return raw, blob, edits > 0
+    return raw, blob, edits > 0, draw(st.sampled_from([data._READ_BYTES, 16, 40]))
 
 
 def _tables(rows) -> tuple:
@@ -621,30 +622,52 @@ def _tables(rows) -> tuple:
     return tuple(tuple(dict.fromkeys(r[k] for r in rows)) for k in range(3))
 
 
+_SCHEMA = {True: (data.RAW_HEADER, data._raw_rules, None),
+           False: (data.BINARY_HEADER, data._binary_rules, "y must be 0 or 1")}
+
+
+def _bytes_read(path, raw):
+    """What the byte path reads of a file: its rows, as Responses, and where it stopped."""
+    header, rules, _ = _SCHEMA[raw]
+    coders, tables = data._id_coders()
+    columns, at, line = data._load_bytes(path, header, rules, list(map(data._key_coder, coders)))
+    return data.Responses(*columns, *map(tuple, tables)), at, line
+
+
+def _csv_read(path, raw):
+    """What the csv path reads of a whole file."""
+    coders, tables = data._id_coders()
+    blocks = data._load_csv(path, *_SCHEMA[raw], coders)
+    return data.Responses(*[np.concatenate(col) for col in zip(*blocks)], *map(tuple, tables))
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=_plain_csv())
 def test_byte_path_loads_as_csv_reader_reads_it(tmp_path_factory, case):
-    raw, blob, edited = case
+    raw, blob, edited, block = case
     path = str(tmp_path_factory.mktemp("plain") / "data.csv")
     with open(path, "wb") as fh:
         fh.write(blob)
     rows, lines = _csv_reader_oracle(blob, raw)
-    header, rules = (data.RAW_HEADER, data._raw_rules) if raw else (data.BINARY_HEADER, data._binary_rules)
-    fast = data._load_bytes(path, header, rules)
-    assert fast is not None or edited   # every unedited file is in the grammar
-    if fast is not None:
-        assert rows is not None and list(fast) == rows
-        assert (fast.student_ids, fast.question_ids, fast.class_ids) == _tables(rows)
-    try:
-        got = (load_raw_csv if raw else load_binary_csv)(path)
-    except ParseError as exc:
-        message = str(exc)
-        assert lines is not None, message
-        assert exc.path == path and exc.line in lines, (message, lines)
-        assert f"at line {exc.line}" in message or (exc.line == 1 and message.startswith(f"{path}: "))
-    else:
-        assert list(got) == rows
-        assert (got.student_ids, got.question_ids, got.class_ids) == _tables(rows)
+    with mock.patch.object(data, "_READ_BYTES", block):
+        fast, at, line = _bytes_read(path, raw)
+        assert at is None or edited   # every unedited file is in the grammar
+        if at is not None:   # the csv path reads on from the start of a line
+            assert line == blob[:at].count(b"\n") + 1 and (not at or blob[at - 1] == ord("\n"))
+        assert at is not None or list(fast) == rows
+        if rows is not None:
+            assert list(fast) == rows[:len(fast)]
+            assert (fast.student_ids, fast.question_ids, fast.class_ids) == _tables(rows[:len(fast)])
+        try:
+            got = (load_raw_csv if raw else load_binary_csv)(path)
+        except ParseError as exc:
+            message = str(exc)
+            assert lines is not None, message
+            assert exc.path == path and exc.line in lines, (message, lines)
+            assert f"at line {exc.line}" in message or (exc.line == 1 and message.startswith(f"{path}: "))
+        else:
+            assert list(got) == rows
+            assert (got.student_ids, got.question_ids, got.class_ids) == _tables(rows)
 
 
 def _no_reader(*args, **kwargs):
@@ -683,9 +706,7 @@ def test_byte_path_blocks_join_into_the_csv_path_result(tmp_path, monkeypatch, r
     path = _write(tmp_path, header + "\r\n".join(records) + "\r\n")
     ends = np.cumsum([len(r) + 2 for r in records])   # offsets after the header
     assert (np.concatenate(([0], ends[:-1])) // 40 != (ends - 1) // 40).any()   # a record straddles a cut
-    schema = ((data.RAW_HEADER, data._raw_rules, None) if raw
-              else (data.BINARY_HEADER, data._binary_rules, "y must be 0 or 1"))
-    want = data._load_csv(path, *schema)
+    want = _csv_read(path, raw)
     monkeypatch.setattr(data.csv, "reader", _no_reader)
     got = (load_raw_csv if raw else load_binary_csv)(path)
     _assert_same(got, want)
@@ -713,16 +734,65 @@ def test_a_named_pipe_is_read_once_by_the_csv_path(tmp_path):
 
 
 def test_texts_with_one_hash_are_coded_apart(tmp_path, monkeypatch):
-    monkeypatch.setattr(data, "_MIX", np.zeros(data._KEY_WORDS, np.uint64))   # every key hashes to 0
+    monkeypatch.setattr(data, "_MIX", np.zeros_like(data._MIX))   # every key hashes to 0
     path = _write(tmp_path, RAW_HEADER + "".join(f"s{i % 3},q{i % 2},c,1,2\n" for i in range(9)))
-    want = data._load_csv(path, data.RAW_HEADER, data._raw_rules, None)
-    with monkeypatch.context() as patch:   # new texts of one block: the csv path
-        patch.setattr(data.csv, "reader", _no_reader)
-        with pytest.raises(AssertionError, match="csv.reader called"):
-            load_raw_csv(path)
-    monkeypatch.setattr(data, "_READ_BYTES", 12)   # a record a block: each new text meets the table alone
+    want = _csv_read(path, True)
     monkeypatch.setattr(data.csv, "reader", _no_reader)
+    for size in (data._READ_BYTES, 12):   # one block, and a record a block
+        monkeypatch.setattr(data, "_READ_BYTES", size)
+        _assert_same(load_raw_csv(path), want)
+
+
+@pytest.mark.parametrize("raw", [True, False], ids=["raw", "binary"])
+def test_csv_path_reads_on_from_the_block_the_byte_path_stopped_at(tmp_path, monkeypatch, raw):
+    monkeypatch.setattr(data, "_READ_BYTES", 40)
+    tail = ",2" if raw else ""
+    records = [f"s{i % 7},q{i % 3},c{i % 3},1{tail}" for i in range(30)]
+    records[25] = '"s,' + records[25].replace(",", '",', 1)   # a quoted id in a late block
+    path = _write(tmp_path, (RAW_HEADER if raw else _BINARY_HEADER) + "\n".join(records) + "\n")
+    want = _csv_read(path, raw)
+    fast, _, line = _bytes_read(path, raw)
+    assert 20 <= len(fast) == line - 2 <= 25
+    seen, real = [], csv.reader
+
+    def reader(fh):
+        for record in real(fh):
+            seen.append(record)
+            yield record
+
+    monkeypatch.setattr(data.csv, "reader", reader)
+    _assert_same((load_raw_csv if raw else load_binary_csv)(path), want)
+    assert seen == list(real(records[line - 2:]))   # from the block holding the quote on
+    records[27] = records[27].replace("s", "s,")   # an error after the quote
+    path = _write(tmp_path, (RAW_HEADER if raw else _BINARY_HEADER) + "\n".join(records) + "\n")
+    with pytest.raises(ParseError, match="at line 29") as exc:
+        (load_raw_csv if raw else load_binary_csv)(path)
+    assert (exc.value.path, exc.value.line) == (path, 29)
+
+
+def test_byte_path_stops_where_the_file_outgrows_its_line_count(tmp_path, monkeypatch):
+    monkeypatch.setattr(data, "_READ_BYTES", 40)
+    path = _write(tmp_path, RAW_HEADER + "".join(f"s{i % 5},q{i % 4},c,1,2\n" for i in range(30)))
+    want = _csv_read(path, True)
+    monkeypatch.setattr(data, "_line_count", lambda fh: 4)   # lines appended after the count
+    fast, at, line = _bytes_read(path, True)
+    assert 0 < len(fast) <= 4 and line == len(fast) + 2 and at == len(RAW_HEADER) + 12 * len(fast)
     _assert_same(load_raw_csv(path), want)
+
+
+def test_byte_path_stops_at_a_line_no_record_fills(tmp_path):
+    body = "s1,q1,c1,1,2\r" * 50   # bare '\r' line ends after a '\n' header: csv.reader's records
+    path = _write(tmp_path, RAW_HEADER + body)
+    limit = csv.field_size_limit(15)   # the header's longest field: no record is longer than 80 characters
+    try:
+        with mock.patch.object(data, "_READ_BYTES", 16), mock.patch.object(data, "_read_block") as parse:
+            assert _bytes_read(path, True)[1:] == (len(RAW_HEADER), 2)
+            assert not parse.called   # given up before the file's end
+        with mock.patch.object(data, "_READ_BYTES", 16):
+            _assert_same(load_raw_csv(path), _csv_read(path, True))
+    finally:
+        csv.field_size_limit(limit)
+    assert list(load_raw_csv(path)) == [RawResponse("s1", "q1", "c1", 1, 2)] * 50
 
 
 @pytest.mark.parametrize("quoted", [False, True], ids=["byte path", "csv path"])
