@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, choice_per_group
 from .models import RASCH, logits, require_count, sigmoid
 from .optim import TrainConfig, sgd_train
 
@@ -81,6 +81,9 @@ def make_pool_state(d: Dataset, pool_size: int, holdout_fraction: float = 0.2, s
     pool student's answers are split into a reserved test holdout (about
     holdout_fraction of them, at least one) and a hidden oracle the
     policies may query. Remaining students form the labelled base.
+    The holdouts are Generator.choice's draws: pool student by pool
+    student, the picks of rng.choice(answered questions, size=k,
+    replace=False), reproduced in bulk by `choice_per_group`.
     """
     if not 0 < holdout_fraction < 1:
         raise ValueError(f"holdout_fraction must be in (0, 1), got {holdout_fraction}")
@@ -97,11 +100,11 @@ def make_pool_state(d: Dataset, pool_size: int, holdout_fraction: float = 0.2, s
     label[pool.student_idx, pool.question_idx] = pool.y
     observed = np.zeros(label.shape, dtype=bool)
     observed[pool.student_idx, pool.question_idx] = True
+    sizes = np.count_nonzero(observed, axis=1)
+    ks = np.minimum(np.maximum(1, np.floor(holdout_fraction * sizes + 0.5).astype(np.int64)),
+                    np.maximum(1, sizes - 1))
     holdout = np.zeros(label.shape, dtype=bool)
-    for i, row in enumerate(observed):
-        qs = np.flatnonzero(row)
-        k = min(max(1, int(np.floor(holdout_fraction * qs.size + 0.5))), max(1, qs.size - 1))
-        holdout[i, rng.choice(qs, size=k, replace=False)] = True
+    holdout[observed] = choice_per_group(rng, sizes, ks)   # the groups are the rows' answered cells
     base = d.keep_students(np.setdiff1d(np.arange(d.num_students), pool_ids))
     return PoolState(base=base, student_ids=pool.student_ids, label=label, holdout=holdout,
                      queryable=observed & ~holdout, order=np.full(label.shape, -1, dtype=np.int64))

@@ -19,6 +19,12 @@ with an error, the byte path stops and the csv path reads on from that
 block: `csv.reader` tokenizes a block of records at a time, and ids,
 marks and checks are handled per column. Only the csv path raises a
 ParseError. Both skip one leading UTF-8 byte-order mark.
+
+The stable sorts over response rows (grouping a student's rows for the
+split, ordering cells for the duplicate check) sort uint8 or uint16
+codes when the id counts fit 16 bits, so numpy takes its radix sort;
+wider codes keep the int64 key. The split's per-student draws are
+Generator.choice's, made in bulk by `choice_per_group`.
 """
 
 from __future__ import annotations
@@ -48,6 +54,9 @@ _KEY_BYTES = 64            # the byte path's longest id field
 _MIX = np.uint64(0x9E3779B97F4A7C15) ** np.arange(_KEY_BYTES // 8, dtype=np.uint64)   # key word weights of a hash
 _LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], "<u8")   # a key word's first n bytes
 _WRITE_CHARS = 1 << 17     # characters of output write_binary_csv assembles at a time
+_FLOYD_LIMIT = 10_000      # Generator.choice draws by Floyd's method up to this population (or k <= n // 50)
+_WORD = 1 << 32            # a bounded draw takes 32-bit words of the generator's stream
+_CHOICE_DRAWS = 1 << 13    # bounded draws choice_per_group makes in bulk at a time (plus one group's)
 
 
 class ParseError(ValueError):
@@ -513,15 +522,23 @@ def build_dataset(rows: Responses | Iterable[RawResponse]) -> Dataset:
 
     Raises ValueError on duplicate (student, question) cells or on a
     student appearing under two different class ids, naming the first
-    offending row in row order.
+    offending row in row order, and on student codes that are not
+    numbered in first-appearance order (as the loaders and
+    Responses.from_rows number them).
     """
     r = rows if isinstance(rows, Responses) else Responses.from_rows(rows)
     n, num_questions = len(r), len(r.question_ids)
-    class_of = r.class_idx[np.unique(r.student_idx, return_index=True)[1]]   # each student's first row
+    cell = np.maximum.accumulate(r.student_idx)   # rises at each student's first row (first-appearance codes)
+    first = np.flatnonzero(np.diff(cell, prepend=-1))
+    if not np.array_equal(r.student_idx[first], np.arange(len(r.student_ids))):
+        raise ValueError("student codes are not numbered in first-appearance order")
+    class_of = r.class_idx[first]
     conflict = np.flatnonzero(r.class_idx != class_of[r.student_idx])
-    cell = r.student_idx * num_questions + r.question_idx
-    order = np.argsort(cell, kind="stable")
-    repeated = order[1:][cell[order[1:]] == cell[order[:-1]]]   # every row but the first of its cell
+    np.multiply(r.student_idx, num_questions, out=cell)
+    cell += r.question_idx
+    order = _stable_order(cell, (r.student_idx, len(r.student_ids)), (r.question_idx, num_questions))
+    cell = cell[order]   # the row-order keys are freed before the gathers below
+    repeated = order[1:][cell[1:] == cell[:-1]]   # every row but the first of its cell
     first_conflict = int(conflict[0]) if conflict.size else n
     first_repeat = int(repeated.min()) if repeated.size else n
     if first_conflict < n and first_conflict <= first_repeat:
@@ -596,12 +613,113 @@ def write_binary_csv(d: Dataset, path: str) -> None:
             fh.write("".join(rows.tolist()))
 
 
+def _stable_order(key: np.ndarray, *columns) -> np.ndarray:
+    """argsort(key, kind="stable") for an int64 key that orders rows as their (codes, count) columns do, first column first.
+
+    When every column's codes fit 16 bits, it is a lexsort of the columns
+    as uint8 or uint16, which numpy radix-sorts; a stable sort's
+    permutation is unique, so it is the same one. Wider codes keep the
+    int64 sort, which a 32-bit lexsort does not beat.
+    """
+    dtypes = [np.min_scalar_type(max(count - 1, 0)) for _, count in columns]
+    if max(dtype.itemsize for dtype in dtypes) > 2:
+        return np.argsort(key, kind="stable")
+    return np.lexsort([codes.astype(dtype) for (codes, _), dtype in zip(columns[::-1], dtypes[::-1])])
+
+
+def choice_per_group(rng: np.random.Generator, sizes, ks) -> np.ndarray:
+    """The picks of rng.choice(n, size=k, replace=False) for each group (n, k) in turn, as one mask.
+
+    Group i is the slice of the returned bool array that follows the
+    sizes of the groups before it; its k picked positions are True. rng's
+    stream is continued exactly as the per-group calls continue it, and
+    left where they leave it, for groups of fewer than 2**32 rows.
+    Groups in the Floyd branch of numpy 2.4's Generator.choice
+    (n <= 10,000 or k <= n // 50) are drawn in bulk by `_floyd`, about
+    _CHOICE_DRAWS draws at a time so that memory stays bounded; a group in
+    its other branch is drawn by rng.choice itself, in its turn.
+    """
+    sizes, ks = np.asarray(sizes, dtype=np.int64), np.asarray(ks, dtype=np.int64)
+    start = np.cumsum(sizes) - sizes
+    mask = np.zeros(int(sizes.sum()), dtype=bool)
+    other = np.flatnonzero((sizes > _FLOYD_LIMIT) & (ks > sizes // 50))
+    draws = np.cumsum(np.maximum(2 * ks - 1, 0))
+    blocks = np.searchsorted(draws, np.arange(_CHOICE_DRAWS, draws[-1] if draws.size else 0, _CHOICE_DRAWS))
+    cuts = sorted({0, sizes.size, *other.tolist(), *(other + 1).tolist(), *blocks.tolist()})
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if lo in other:   # a piece of its own
+            mask[start[lo] + rng.choice(int(sizes[lo]), size=int(ks[lo]), replace=False)] = True
+        else:
+            _floyd(rng, sizes[lo:hi], ks[lo:hi], start[lo:hi], mask)
+    return mask
+
+
+def _floyd(rng: np.random.Generator, n: np.ndarray, k: np.ndarray, start: np.ndarray, mask: np.ndarray) -> None:
+    """Set in mask, at each group's start, the picks Generator.choice's Floyd branch makes for groups (n, k).
+
+    Per group, pick t is a draw v in [0, j] with j = n - k + t, or j if v
+    was picked before; then k - 1 draws with bounds k - 1 .. 1 shuffle
+    the picks, which consumes the stream but not the set. v was picked
+    before iff an earlier draw of the group was v, or v is the j of an
+    earlier pick that took its j; those chains are followed by pointer
+    jumping, so no step is taken per pick.
+    """
+    span = np.maximum(2 * k - 1, 0)   # each group's draws: k picks, then k - 1 shuffle draws
+    group = np.repeat(np.arange(n.size), span)
+    t = np.arange(group.size) - np.repeat(np.cumsum(span) - span, span)
+    kg, low = k[group], (n - k)[group]
+    picks = t < kg
+    bound = np.where(picks, low + t, 2 * kg - 1 - t)
+    v = np.zeros(group.size, dtype=np.int64)
+    live = bound > 0   # a bound of 0 (the first pick of a group with k == n) draws no word
+    v[live] = _bounded(rng, bound[live])
+    group, t, v, low = group[picks], t[picks], v[picks], low[picks]
+    at = start[group] + v
+    order = np.argsort(at, kind="stable")
+    taken = np.zeros(v.size, dtype=bool)
+    taken[order[1:]] = at[order[1:]] == at[order[:-1]]   # an earlier draw of the group was v
+    follow = ~taken & (v >= low) & (v < low + t)          # v is the j of pick v - low: taken iff that pick took its j
+    ptr = np.arange(v.size) - t + (v - low)
+    while follow.any():
+        i = np.flatnonzero(follow)
+        p = ptr[i]
+        done = ~follow[p]
+        taken[i[done]] = taken[p[done]]
+        follow[i[done]] = False
+        ptr[i[~done]] = ptr[p[~done]]
+    mask[np.where(taken, start[group] + low + t, at)] = True
+
+
+def _bounded(rng: np.random.Generator, bound: np.ndarray) -> np.ndarray:
+    """Draws in [0, bound] for bounds 1 .. 2**32 - 2, word for word as numpy's bounded integers make them.
+
+    Each is Lemire's method on 32-bit words u of rng's stream:
+    (u * (bound + 1)) >> 32, with u redrawn while (u * (bound + 1))
+    mod 2**32 < 2**32 mod (bound + 1). A redraw (in at most bound of
+    2**32 draws) shifts every later draw by a word.
+    """
+    span = bound.astype(np.uint64) + np.uint64(1)
+    low_limit = np.uint64(_WORD) % span
+    words = rng.integers(0, _WORD, size=bound.size, dtype=np.uint32)   # the stream's next words
+    m = words * span
+    at = 0
+    while (bad := np.flatnonzero((m[at:] & np.uint64(_WORD - 1)) < low_limit[at:])).size:
+        at += int(bad[0])
+        words = np.concatenate([words[:at], words[at + 1:], rng.integers(0, _WORD, size=1, dtype=np.uint32)])
+        m[at:] = words[at:] * span[at:]
+    return (m >> np.uint64(32)).view(np.int64)
+
+
 def split_train_test(d: Dataset, test_fraction: float, seed: int) -> Split:
     """Per-observation random holdout, stratified per student.
 
     Each student's responses are split so that round(test_fraction * n)
     of them land in test, capped so at least one stays in train. A
-    student with a single response always trains. Deterministic per seed.
+    student with a single response always trains. Deterministic per seed:
+    student by student, the test rows are the picks of
+    rng.choice(n, size=k, replace=False) over the student's rows in row
+    order, reproduced in bulk by `choice_per_group` (a student of over
+    10,000 responses in numpy's other branch is drawn by rng.choice).
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
@@ -610,16 +728,11 @@ def split_train_test(d: Dataset, test_fraction: float, seed: int) -> Split:
     require_count("seed", seed, 0)
 
     rng = np.random.default_rng(seed)
-    order = np.argsort(d.student_idx, kind="stable")  # each student's responses in row order
+    order = _stable_order(d.student_idx, (d.student_idx, d.num_students))  # each student's responses in row order
     sizes = np.bincount(d.student_idx, minlength=d.num_students)
-    starts = np.cumsum(sizes) - sizes
-    ks = np.minimum(np.floor(test_fraction * sizes + 0.5).astype(np.int64), sizes - 1)
-    drawn = ks > 0
-    # the draws of rng.choice(group, size=k, replace=False), student by student
-    picks = [start + rng.choice(n, size=k, replace=False)
-             for start, n, k in zip(starts[drawn].tolist(), sizes[drawn].tolist(), ks[drawn].tolist())]
+    ks = np.minimum(np.floor(test_fraction * sizes + 0.5).astype(np.int64), np.maximum(sizes - 1, 0))
     test_mask = np.zeros(d.n_responses, dtype=bool)
-    test_mask[order[np.concatenate([np.empty(0, np.int64), *picks])]] = True
+    test_mask[order[choice_per_group(rng, sizes, ks)]] = True
 
     return Split(train=d.select(np.flatnonzero(~test_mask)), test=d.select(np.flatnonzero(test_mask)))
 
@@ -635,5 +748,7 @@ def subsample_students(d: Dataset, fraction: float, seed: int) -> Dataset:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     require_count("seed", seed, 0)
     keep = int(np.floor(fraction * d.num_students))
+    if keep == 0:
+        raise ValueError(f"fraction {fraction} of {d.num_students} students keeps no student")
     rng = np.random.default_rng(seed)
     return d.keep_students(np.sort(rng.choice(d.num_students, size=keep, replace=False)))

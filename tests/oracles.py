@@ -239,3 +239,8 @@ def csv_writer_binary_csv(d, path: str) -> None:
         writer.writerow(["student_id", "question_id", "class_id", "y"])
         writer.writerows([d.student_ids[s], d.question_ids[q], d.class_ids[class_of[s]], y]
                          for s, q, y in zip(d.student_idx.tolist(), d.question_idx.tolist(), d.y.tolist()))
+
+
+def choice_per_group(rng, sizes, ks) -> list:
+    """Each group's picks of rng.choice(n, size=k, replace=False), group by group: what data.choice_per_group must draw."""
+    return [rng.choice(n, size=k, replace=False) for n, k in zip(sizes, ks)]

@@ -22,6 +22,7 @@ from irtkit.data import (
     RawResponse,
     binarize,
     build_dataset,
+    choice_per_group,
     dataset_from_arrays,
     load_binary_csv,
     load_raw_csv,
@@ -30,6 +31,7 @@ from irtkit.data import (
     write_binary_csv,
 )
 
+import oracles
 from oracles import csv_writer_binary_csv
 
 RAW_HEADER = "student_id,question_id,class_id,marks_awarded,marks_available\n"
@@ -105,6 +107,12 @@ class TestBuildDataset:
         rows = [RawResponse("s1", "q1", "c1", 1, 1), RawResponse("s1", "q1", "c1", 0, 1)]
         with pytest.raises(ValueError, match="duplicate response"):
             build_dataset(rows)
+
+    def test_student_codes_out_of_first_appearance_order_rejected(self):
+        r = data.Responses.from_rows([RawResponse("a", "x", "c1", 1, 1), RawResponse("b", "x", "c2", 0, 1)])
+        swapped = replace(r, student_idx=r.student_idx[::-1].copy())
+        with pytest.raises(ValueError, match="not numbered in first-appearance order"):
+            build_dataset(swapped)
 
     def test_first_appearance_indexing(self):
         rows = [RawResponse("b", "y", "c1", 1, 1), RawResponse("a", "x", "c2", 0, 1)]
@@ -220,6 +228,10 @@ class TestSubsample:
     def test_zero_fraction_rejected(self):
         with pytest.raises(ValueError):
             subsample_students(_toy_dataset(), 0.0, seed=0)
+
+    def test_fraction_that_keeps_no_student_rejected(self):
+        with pytest.raises(ValueError, match=r"^fraction 0.1 of 3 students keeps no student$"):
+            subsample_students(_toy_dataset(num_students=3), 0.1, seed=0)
 
     @pytest.mark.parametrize("seed", [-1, 1.5])
     def test_seed_that_is_not_a_nonnegative_integer_rejected(self, seed):
@@ -468,6 +480,94 @@ def test_split_is_an_exact_stratified_partition(d, fraction, seed):
     again = split_train_test(d, fraction, seed)
     for a, b in ((split.train, again.train), (split.test, again.test)):
         assert all(np.array_equal(getattr(a, k), getattr(b, k)) for k in ("student_idx", "question_idx", "y"))
+
+
+# --- the bulk Generator.choice kernel and the radix-width sort keys ------------------
+
+def _words(rng, count):
+    """The next count 32-bit words of rng's stream (a buffered half-word first)."""
+    return rng.integers(0, 2**32, size=count, dtype=np.uint32)
+
+
+def _assert_draws_as_oracle(seed, sizes, ks, pre=0):
+    """choice_per_group marks the oracle's picks, group by group, and leaves the generator where the oracle does."""
+    kernel, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+    for rng in (kernel, loop):
+        _words(rng, pre)   # an odd count leaves a buffered half-word
+    mask = choice_per_group(kernel, np.array(sizes, dtype=np.int64), np.array(ks, dtype=np.int64))
+    picks = oracles.choice_per_group(loop, sizes, ks)
+    assert mask.size == sum(sizes)
+    for lo, n, expected in zip(np.cumsum([0, *sizes]).tolist(), sizes, picks):
+        assert np.flatnonzero(mask[lo:lo + n]).tolist() == sorted(expected.tolist())
+    assert kernel.bit_generator.state == loop.bit_generator.state
+    assert _words(kernel, 3).tolist() == _words(loop, 3).tolist()
+    assert kernel.random() == loop.random()
+
+
+@st.composite
+def _group_draws(draw):
+    sizes = draw(st.lists(st.one_of(st.integers(1, 40), st.integers(1, 10_000)), max_size=6))
+    ks = [int(np.floor(draw(st.floats(0.0, 0.9)) * n + 0.5)) for n in sizes]
+    return draw(st.integers(0, 2**64 - 1)), sizes, ks, draw(st.integers(0, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_group_draws())
+def test_choice_per_group_draws_as_generator_choice_does(case):
+    _assert_draws_as_oracle(*case)
+
+
+class TestChoicePerGroup:
+    def test_groups_drawn_whole(self):   # k == n
+        _assert_draws_as_oracle(3, [1, 2, 7, 1, 30], [1, 2, 7, 0, 30])   # a bound of 0 draws no word
+        _assert_draws_as_oracle(4, [1, 1, 1], [1, 1, 1], pre=1)
+
+    def test_no_groups(self):
+        rng = np.random.default_rng(5)
+        _words(rng, 1)
+        state = rng.bit_generator.state
+        assert choice_per_group(rng, np.zeros(0, np.int64), np.zeros(0, np.int64)).size == 0
+        assert rng.bit_generator.state == state
+        _assert_draws_as_oracle(5, [], [], pre=1)
+
+    def test_group_in_numpys_other_branch_is_drawn_by_choice(self):
+        assert 1_000 > 20_000 // 50   # n > 10,000 and k > n // 50: the tail-shuffle branch
+        _assert_draws_as_oracle(6, [9, 20_000, 12, 20_000, 10_001], [3, 1_000, 5, 400, 201], pre=1)
+
+    @pytest.mark.parametrize("seed,in_picks", [(321, True), (609, False)])
+    def test_a_rejected_word_shifts_every_later_draw(self, seed, in_picks):
+        n, k = 10_000, 9_000
+        choice, words = np.random.default_rng(seed), np.random.default_rng(seed)
+        choice.choice(n, size=k, replace=False)
+        _words(words, 2 * k - 1)   # a word a draw, without a rejection
+        assert choice.bit_generator.state != words.bit_generator.state
+        span = np.r_[n - k + np.arange(k), np.arange(k - 1, 0, -1)].astype(np.uint64) + 1   # picks, then the shuffle
+        u = _words(np.random.default_rng(seed), span.size).astype(np.uint64)
+        assert (np.flatnonzero(u * span % 2**32 < 2**32 % span)[0] < k) == in_picks   # where the first one is
+        _assert_draws_as_oracle(seed, [n, 25, 3], [k, 5, 2])
+
+
+@st.composite
+def _cells(draw):
+    num_students = draw(st.sampled_from([1, 3, 256, 257, 65_536, 65_537, 200_000]))
+    num_questions = draw(st.sampled_from([1, 2, 256, 300, 70_000]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.integers(0, 300))
+    columns = []
+    for count in (num_students, num_questions):   # a few codes, the largest among them, so cells repeat
+        codes = np.append(rng.integers(0, count, draw(st.integers(1, 8))), count - 1)
+        columns.append(codes[rng.integers(0, codes.size, rows)])
+    return columns[0], num_students, columns[1], num_questions
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_cells())
+def test_narrow_sort_keys_order_rows_as_the_int64_stable_sort(case):
+    s, num_students, q, num_questions = case
+    cell = s * num_questions + q
+    assert data._stable_order(cell, (s, num_students), (q, num_questions)).tolist() == \
+        np.argsort(cell, kind="stable").tolist()
+    assert data._stable_order(s, (s, num_students)).tolist() == np.argsort(s, kind="stable").tolist()
 
 
 @settings(max_examples=100, deadline=None)
