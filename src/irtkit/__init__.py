@@ -12,7 +12,6 @@ from .data import (
     ParseError,
     RawResponse,
     Responses,
-    Split,
     binarize,
     build_dataset,
     load_binary_csv,

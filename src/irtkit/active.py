@@ -105,7 +105,7 @@ def make_pool_state(d: Dataset, pool_size: int, holdout_fraction: float = 0.2, s
                     np.maximum(1, sizes - 1))
     holdout = np.zeros(label.shape, dtype=bool)
     holdout[observed] = choice_per_group(rng, sizes, ks)   # the groups are the rows' answered cells
-    base = d.keep_students(np.setdiff1d(np.arange(d.num_students), pool_ids))
+    base = d.keep_students(np.flatnonzero(np.bincount(pool_ids, minlength=d.num_students) == 0))
     return PoolState(base=base, student_ids=pool.student_ids, label=label, holdout=holdout,
                      queryable=observed & ~holdout, order=np.full(label.shape, -1, dtype=np.int64))
 

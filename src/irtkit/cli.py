@@ -1,17 +1,21 @@
 """Command-line entry point.
 
 Subcommands: ingest, train, train-vi, eval, synth, interpret,
-significance, active, experiment. Every run writes its outputs plus one
-JSON manifest (command line, config snapshot, seeds, input digests,
-output paths, duration) so results can be reproduced exactly. All
-randomness is driven by explicit --seed flags; environment variables are
-never consulted.
+significance, active, experiment. `dispatch` is the one exit path: it
+checks that every output directory exists before any work, runs the
+subcommand's handler, which writes the outputs and returns the JSON
+records the run reports, writes one JSON manifest (command line, config
+snapshot, seeds, input digests, output paths, duration) so results can
+be reproduced exactly, and prints the records. Any failure is one
+`error:` line on stderr and exit code 1. All randomness is driven by
+explicit --seed flags; environment variables are never consulted.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -35,36 +39,41 @@ def _load_rows(manifest: ManifestWriter, path: str, fmt: str):
     return (data_mod.load_raw_csv if fmt == "raw" else data_mod.load_binary_csv)(path)
 
 
-def _manifest_path(args, default_anchor: str | None) -> str:
-    if args.manifest:
-        return args.manifest
-    if default_anchor:
-        return default_anchor + ".manifest.json"
-    return "run_manifest.json"
+def _write_json(manifest: ManifestWriter, path: str, doc) -> None:
+    """Write one JSON artifact and record it as an output of the run."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+        fh.write("\n")
+    manifest.add_output(path)
 
 
-def _print_record(record: dict) -> None:
-    print(json.dumps(record))
+def _parse_list(flag: str, text: str, parse, ok, wanted: str) -> tuple:
+    """The items of a comma-separated list flag, each parsed and checked before any work."""
+    try:
+        values = tuple(map(parse, text.split(",")))
+    except ValueError:
+        values = ()
+    if not values or not all(map(ok, values)):
+        raise ValueError(f"{flag} must be a comma-separated list of {wanted}, got {text!r}")
+    return values
 
 
-def _cmd_ingest(args, manifest: ManifestWriter) -> int:
-    if args.test_fraction is not None and not (args.train_out and args.test_out):
-        raise ValueError("--test-fraction requires --train-out and --test-out")
+def _cmd_ingest(args, manifest: ManifestWriter) -> list:
+    given = (args.test_fraction is not None, bool(args.train_out), bool(args.test_out))
+    if any(given) and not all(given):
+        raise ValueError("--test-fraction, --train-out and --test-out must be given together")
     dataset = data_mod.build_dataset(_load_rows(manifest, args.input, args.format))
     # Split before writing anything, so a bad fraction leaves no output behind.
     split = (data_mod.split_train_test(dataset, args.test_fraction, args.seed)
-             if args.test_fraction is not None else None)
+             if args.test_fraction is not None else ())
     data_mod.write_binary_csv(dataset, args.out)
     manifest.add_output(args.out)
-    if split is not None:
-        data_mod.write_binary_csv(split.train, args.train_out)
-        data_mod.write_binary_csv(split.test, args.test_out)
-        manifest.add_output(args.train_out)
-        manifest.add_output(args.test_out)
+    for part, path in zip(split, (args.train_out, args.test_out)):
+        data_mod.write_binary_csv(part, path)
+        manifest.add_output(path)
     manifest.seeds["split"] = args.seed
-    _print_record({"students": dataset.num_students, "questions": dataset.num_questions,
-                   "classes": dataset.num_classes, "responses": dataset.n_responses})
-    return 0
+    return [{"students": dataset.num_students, "questions": dataset.num_questions,
+             "classes": dataset.num_classes, "responses": dataset.n_responses}]
 
 
 def _warm_start(args, manifest: ManifestWriter, dataset):
@@ -83,15 +92,12 @@ def _save_trained(args, manifest: ManifestWriter, params, dataset, report) -> No
     """Write the checkpoint and, next to it, the training report."""
     save_checkpoint(args.out, params, dataset)
     manifest.add_output(args.out)
-    with open(args.out + ".report.json", "w", encoding="utf-8") as fh:
-        json.dump({"final_nll": report.final_nll, "epochs_run": report.epochs_run,
-                   "nll_trace": report.nll_trace}, fh)
-        fh.write("\n")
-    manifest.add_output(args.out + ".report.json")
+    _write_json(manifest, args.out + ".report.json",
+                {"final_nll": report.final_nll, "epochs_run": report.epochs_run, "nll_trace": report.nll_trace})
     manifest.seeds["train"] = args.seed
 
 
-def _cmd_train(args, manifest: ManifestWriter) -> int:
+def _cmd_train(args, manifest: ManifestWriter) -> list:
     dataset = data_mod.build_dataset(_load_rows(manifest, args.data, args.format))
     cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch_size,
                       l2_penalty=args.l2, seed=args.seed, init_scale=args.init_scale)
@@ -100,11 +106,10 @@ def _cmd_train(args, manifest: ManifestWriter) -> int:
     _save_trained(args, manifest, params, dataset, report)
     manifest.config = {"model": args.model, "dims": params.dims, "lr": args.lr, "epochs": args.epochs,
                        "batch_size": args.batch_size, "l2": args.l2, "init_scale": args.init_scale}
-    _print_record({"final_nll": report.final_nll, "epochs_run": report.epochs_run})
-    return 0
+    return [{"final_nll": report.final_nll, "epochs_run": report.epochs_run}]
 
 
-def _cmd_train_vi(args, manifest: ManifestWriter) -> int:
+def _cmd_train_vi(args, manifest: ManifestWriter) -> list:
     dataset = data_mod.build_dataset(_load_rows(manifest, args.data, args.format))
     cfg = VIConfig(samples=args.samples, sigma_init=args.sigma_init, learning_rate=args.lr,
                    epochs=args.epochs, seed=args.seed)
@@ -114,28 +119,22 @@ def _cmd_train_vi(args, manifest: ManifestWriter) -> int:
     manifest.config = {"model": args.model, "dims": params.dims, "samples": args.samples,
                        "sigma_init": args.sigma_init, "lr": args.lr, "epochs": args.epochs,
                        "warm_start": bool(args.warm_start)}
-    _print_record({"final_negative_elbo": report.final_nll, "epochs_run": report.epochs_run})
-    return 0
+    return [{"final_negative_elbo": report.final_nll, "epochs_run": report.epochs_run}]
 
 
-def _cmd_eval(args, manifest: ManifestWriter) -> int:
+def _cmd_eval(args, manifest: ManifestWriter) -> list:
     manifest.add_input(args.checkpoint)
     params, index = load_checkpoint(args.checkpoint)
     dataset = align_rows_to_checkpoint(_load_rows(manifest, args.data, args.format), index)
     preds = predict_proba_array(params, dataset.student_idx, dataset.question_idx, dataset.class_of)
-    report = accuracy(preds, dataset.y, args.threshold)
-    record = asdict(report)
+    record = asdict(accuracy(preds, dataset.y, args.threshold))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(record, fh)
-            fh.write("\n")
-        manifest.add_output(args.out)
+        _write_json(manifest, args.out, record)
     manifest.config = {"threshold": args.threshold}
-    _print_record(record)
-    return 0
+    return [record]
 
 
-def _cmd_synth(args, manifest: ManifestWriter) -> int:
+def _cmd_synth(args, manifest: ManifestWriter) -> list:
     cfg = SynthConfig(students=args.students, questions=args.questions, dims=args.dims,
                       mean_bq=args.mean_bq, std_bq=args.std_bq, num_classes=args.classes,
                       class_effect_std=args.class_effect_std, keep_prob=args.keep_prob,
@@ -144,91 +143,74 @@ def _cmd_synth(args, manifest: ManifestWriter) -> int:
     data_mod.write_binary_csv(dataset, args.out)
     manifest.add_output(args.out)
     if args.truth:
-        with open(args.truth, "w", encoding="utf-8") as fh:
-            json.dump(truth.to_dict(), fh)
-            fh.write("\n")
-        manifest.add_output(args.truth)
+        _write_json(manifest, args.truth, truth.to_dict())
     manifest.config = {k: getattr(args, k) for k in
                        ("students", "questions", "dims", "mean_bq", "std_bq", "classes",
                         "class_effect_std", "keep_prob", "outcome")}
     manifest.seeds["synth"] = args.seed
-    _print_record({"responses": dataset.n_responses, "students": dataset.num_students,
-                   "questions": dataset.num_questions})
-    return 0
+    return [{"responses": dataset.n_responses, "students": dataset.num_students,
+             "questions": dataset.num_questions}]
 
 
-def _cmd_interpret(args, manifest: ManifestWriter) -> int:
+def _cmd_interpret(args, manifest: ManifestWriter) -> list:
     manifest.add_input(args.checkpoint)
     params, index = load_checkpoint(args.checkpoint)
     if params.demand is None:
         raise ValueError(f"checkpoint kind {params.kind!r} has no question embedding vectors")
     sim = cosine_similarity_matrix(params.demand, index.question_ids, rescale_display=args.rescale_display)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("question_id," + ",".join(sim.question_ids) + "\n")
-        for qid, row in zip(sim.question_ids, sim.values):
-            fh.write(qid + "," + ",".join(repr(float(v)) for v in row) + "\n")
+    experiments.write_csv(args.out, ["question_id", *sim.question_ids],
+                          [(qid, *row) for qid, row in zip(sim.question_ids, sim.values.tolist())])
     manifest.add_output(args.out)
     manifest.config = {"rescale_display": sim.rescaled, "zero_rows": list(sim.zero_rows)}
-    _print_record({"questions": len(sim.question_ids), "rescaled": sim.rescaled})
-    return 0
+    return [{"questions": len(sim.question_ids), "rescaled": sim.rescaled}]
 
 
-def _cmd_significance(args, manifest: ManifestWriter) -> int:
-    result = two_proportion_z_test(args.x1, args.n1, args.x2, args.n2, alphas=args.alpha)
-    manifest.config = {"x1": args.x1, "n1": args.n1, "x2": args.x2, "n2": args.n2,
-                       "alpha": args.alpha}
-    _print_record(asdict(result))
-    return 0
+def _cmd_significance(args, manifest: ManifestWriter) -> list:
+    alphas = args.alpha or [0.01]
+    result = two_proportion_z_test(args.x1, args.n1, args.x2, args.n2, alphas=alphas)
+    manifest.config = {"x1": args.x1, "n1": args.n1, "x2": args.x2, "n2": args.n2, "alpha": alphas}
+    return [asdict(result)]
 
 
-def _cmd_active(args, manifest: ManifestWriter) -> int:
+def _cmd_active(args, manifest: ManifestWriter) -> list:
     dataset = data_mod.build_dataset(_load_rows(manifest, args.data, args.format))
     state = active_mod.make_pool_state(dataset, args.pool_size, args.holdout_fraction, args.seed)
     cfg = active_mod.ActiveConfig(policy=args.policy, batch_size=args.batch, rounds=args.rounds,
                                   retrain=TrainConfig(epochs=5, convergence_tol=0.0, seed=args.seed),
                                   seed=args.seed)
     result = active_mod.run_active_loop(state, cfg)
-    experiments.write_active_curves(args.out, [result])
+    experiments.write_csv(args.out, *experiments.active_curve_table([result]))
     manifest.add_output(args.out)
     manifest.config = {"pool_size": args.pool_size, "policy": args.policy, "batch": args.batch,
                        "rounds": args.rounds, "holdout_fraction": args.holdout_fraction}
     manifest.seeds["active"] = args.seed
-    _print_record({"rounds_run": len(result.questions_revealed) - 1,
-                   "final_accuracy": result.overall_accuracy[-1]})
-    return 0
+    return [{"rounds_run": len(result.questions_revealed) - 1,
+             "final_accuracy": result.overall_accuracy[-1]}]
 
 
-def _cmd_experiment(args, manifest: ManifestWriter) -> int:
-    seeds = tuple(int(s) for s in args.seeds.split(","))
+def _cmd_experiment(args, manifest: ManifestWriter) -> list:
+    seeds = _parse_list("--seeds", args.seeds, int, lambda s: s >= 0, "integers >= 0")
     manifest.seeds["experiment"] = list(seeds)
+    for name in experiments.TABLES[args.recipe]:
+        manifest.add_output(f"{args.out_dir}/{name}")
     if args.recipe == "appendix-c-recovery":
         rows = experiments.recovery_run(students=args.students, seeds=seeds, out_dir=args.out_dir)
-        manifest.add_output(f"{args.out_dir}/recovery.csv")
-        manifest.add_output(f"{args.out_dir}/recovery_summary.csv")
         manifest.config = {"students": args.students}
-        for model in ("rasch", "interaction"):
-            accs = [r.accuracy for r in rows if r.model == model]
-            _print_record({"model": model, "mean_accuracy": float(np.mean(accs))})
-    elif args.recipe == "low-data-sweep":
-        fractions = tuple(float(f) for f in args.fractions.split(","))
+        return [{"model": model, "mean_accuracy": float(np.mean([r.accuracy for r in rows if r.model == model]))}
+                for model in ("rasch", "interaction")]
+    if args.recipe == "low-data-sweep":
+        fractions = _parse_list("--fractions", args.fractions, float, lambda f: 0 < f <= 1, "numbers in (0, 1]")
         rows = experiments.low_data_sweep(fractions=fractions, seeds=seeds, out_dir=args.out_dir)
-        manifest.add_output(f"{args.out_dir}/low_data.csv")
-        manifest.add_output(f"{args.out_dir}/low_data_summary.csv")
         manifest.config = {"fractions": list(fractions)}
-        for fraction in fractions:
-            sub = [r for r in rows if r.fraction == fraction]
-            _print_record({"fraction": fraction,
-                           "ci_accuracy": float(np.mean([r.ci_accuracy for r in sub])),
-                           "civi_accuracy": float(np.mean([r.civi_accuracy for r in sub]))})
-    else:
-        results = experiments.active_vs_random(pool_size=args.pool_size, seeds=seeds,
-                                               rounds=args.rounds, out_dir=args.out_dir)
-        manifest.add_output(f"{args.out_dir}/active_curves.csv")
-        manifest.config = {"pool_size": args.pool_size, "rounds": args.rounds}
-        for policy, runs in results.items():
-            _print_record({"policy": policy,
-                           "final_accuracy": float(np.mean([r.overall_accuracy[-1] for r in runs]))})
-    return 0
+        return [{"fraction": fraction,
+                 "ci_accuracy": float(np.mean([r.ci_accuracy for r in rows if r.fraction == fraction])),
+                 "civi_accuracy": float(np.mean([r.civi_accuracy for r in rows if r.fraction == fraction]))}
+                for fraction in fractions]
+    results = experiments.active_vs_random(pool_size=args.pool_size, seeds=seeds,
+                                           rounds=args.rounds, out_dir=args.out_dir)
+    manifest.config = {"pool_size": args.pool_size, "rounds": args.rounds}
+    return [{"policy": policy, "final_accuracy": float(np.mean([r.overall_accuracy[-1] for r in runs]))}
+            for policy, runs in results.items()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -236,25 +218,26 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Latent-trait models for binary exam responses.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, summary, data_format=None):
-        """A subcommand with --manifest, and --data and --format when it reads a data file."""
+    def command(name, summary, data_format=None, seed=False):
+        """A subcommand with --manifest; --data and --format when it reads a data file; --seed when seeded."""
         p = sub.add_parser(name, help=summary)
         p.add_argument("--manifest", default=None, help="manifest path (default: <out>.manifest.json)")
         if data_format:
             p.add_argument("--data", required=True)
             p.add_argument("--format", choices=("raw", "binary"), default=data_format)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
         return p
 
-    p = command("ingest", "normalize a response CSV and optionally split it")
+    p = command("ingest", "normalize a response CSV and optionally split it", seed=True)
     p.add_argument("--input", required=True)
     p.add_argument("--format", choices=("raw", "binary"), default="raw")
     p.add_argument("--out", required=True, help="normalized pre-binarized CSV")
     p.add_argument("--test-fraction", type=float, default=None)
     p.add_argument("--train-out", default=None)
     p.add_argument("--test-out", default=None)
-    p.add_argument("--seed", type=int, default=0)
 
-    p = command("train", "train a point-estimate model by SGD", "binary")
+    p = command("train", "train a point-estimate model by SGD", "binary", seed=True)
     p.add_argument("--model", choices=POINT_KINDS, required=True)
     p.add_argument("--dims", type=int, default=1)
     p.add_argument("--lr", type=float, default=0.1)
@@ -262,18 +245,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=1024)
     p.add_argument("--l2", type=float, default=1e-4)
     p.add_argument("--init-scale", type=float, default=0.01)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--warm-start", default=None, help="checkpoint to initialize from")
     p.add_argument("--out", required=True, help="checkpoint path")
 
-    p = command("train-vi", "train a variational model by ELBO ascent", "binary")
+    p = command("train-vi", "train a variational model by ELBO ascent", "binary", seed=True)
     p.add_argument("--model", choices=VI_KINDS, required=True)
     p.add_argument("--dims", type=int, default=1)
     p.add_argument("--samples", type=int, default=5, help="Monte Carlo samples per ELBO estimate")
     p.add_argument("--sigma-init", type=float, default=0.8)
     p.add_argument("--lr", type=float, default=0.02)
     p.add_argument("--epochs", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--warm-start", default=None, help="point-model checkpoint to initialize from")
     p.add_argument("--out", required=True)
 
@@ -282,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--out", default=None, help="optional metrics JSON path")
 
-    p = command("synth", "generate a synthetic response dataset")
+    p = command("synth", "generate a synthetic response dataset", seed=True)
     p.add_argument("--students", type=int, required=True)
     p.add_argument("--questions", type=int, required=True)
     p.add_argument("--dims", type=int, default=1)
@@ -293,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--keep-prob", type=float, default=1.0)
     p.add_argument("--outcome", choices=("sample", "threshold"), default="sample",
                    help="Bernoulli draws (default) or the most-likely outcome per cell")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--exam-seed", type=int, default=None,
                    help="optional separate seed fixing the question paper")
     p.add_argument("--out", required=True, help="pre-binarized CSV path")
@@ -312,17 +292,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n2", type=int, required=True)
     p.add_argument("--alpha", type=float, action="append", default=None)
 
-    p = command("active", "run one active learning curve", "binary")
+    p = command("active", "run one active learning curve", "binary", seed=True)
     p.add_argument("--pool-size", type=int, default=2000)
     p.add_argument("--policy", choices=(active_mod.UNCERTAINTY, active_mod.RANDOM), required=True)
     p.add_argument("--batch", type=int, default=1)
     p.add_argument("--rounds", type=int, default=70)
     p.add_argument("--holdout-fraction", type=float, default=0.2)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="curve CSV path")
 
     p = command("experiment", "run a named multi-step protocol")
-    p.add_argument("recipe", choices=experiments.RECIPES)
+    p.add_argument("recipe", choices=experiments.TABLES)
     p.add_argument("--out-dir", default=".")
     p.add_argument("--seeds", default="0,1,2,3,4", help="comma-separated seed list")
     p.add_argument("--students", type=int, default=40_000,
@@ -348,28 +327,33 @@ _HANDLERS = {
 
 
 def dispatch(argv) -> int:
-    """Parse argv, run the subcommand, write its manifest; return exit code."""
+    """Parse argv, check the output directories, run the subcommand; return the exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "significance" and args.alpha is None:
-        args.alpha = [0.01]
+    anchor = getattr(args, "out", None) or getattr(args, "out_dir", None)
+    if anchor and anchor != ".":
+        anchor = anchor.rstrip("/") + ("/experiment" if args.command == "experiment" else "")
+    manifest_path = args.manifest or (anchor + ".manifest.json" if anchor else "run_manifest.json")
+    outputs = {"--" + dest.replace("_", "-"): getattr(args, dest, None)
+               for dest in ("out", "train_out", "test_out", "truth", "out_dir")}
+    outputs["--manifest"] = manifest_path
     manifest = ManifestWriter(["irtkit"] + list(argv))
     try:
-        code = _HANDLERS[args.command](args, manifest)
+        for flag, path in outputs.items():
+            folder = path if flag == "--out-dir" else os.path.dirname(path or "") or "."
+            if path and not os.path.isdir(folder):
+                raise ValueError(f"{flag} {path}: no such directory {folder!r}")
+        records = _HANDLERS[args.command](args, manifest)
+        manifest.write(manifest_path)
     except Exception as exc:  # noqa: BLE001 - single-line machine-parseable error contract
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    anchor = getattr(args, "out", None) or getattr(args, "out_dir", None)
-    if anchor and anchor != ".":
-        anchor = anchor.rstrip("/")
-        if args.command == "experiment":
-            anchor = anchor + "/experiment"
-    manifest_path = _manifest_path(args, anchor)
-    manifest.write(manifest_path)
-    return code
+    for record in records:
+        print(json.dumps(record))
+    return 0
 
 
 def main() -> None:

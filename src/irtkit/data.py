@@ -145,12 +145,6 @@ class Dataset:
                        student_ids=tuple(map(self.student_ids.__getitem__, students.tolist())))
 
 
-@dataclass(frozen=True)
-class Split:
-    train: Dataset
-    test: Dataset
-
-
 def _interner(canonical):
     """(codes, ids) of one id column: codes(texts) numbers the ids in first-appearance order in ids.
 
@@ -710,8 +704,8 @@ def _bounded(rng: np.random.Generator, bound: np.ndarray) -> np.ndarray:
     return (m >> np.uint64(32)).view(np.int64)
 
 
-def split_train_test(d: Dataset, test_fraction: float, seed: int) -> Split:
-    """Per-observation random holdout, stratified per student.
+def split_train_test(d: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
+    """(train, test): a per-observation random holdout, stratified per student.
 
     Each student's responses are split so that round(test_fraction * n)
     of them land in test, capped so at least one stays in train. A
@@ -734,7 +728,7 @@ def split_train_test(d: Dataset, test_fraction: float, seed: int) -> Split:
     test_mask = np.zeros(d.n_responses, dtype=bool)
     test_mask[order[choice_per_group(rng, sizes, ks)]] = True
 
-    return Split(train=d.select(np.flatnonzero(~test_mask)), test=d.select(np.flatnonzero(test_mask)))
+    return d.select(np.flatnonzero(~test_mask)), d.select(np.flatnonzero(test_mask))
 
 
 def subsample_students(d: Dataset, fraction: float, seed: int) -> Dataset:

@@ -26,7 +26,10 @@ from .optim import TrainConfig, sgd_train
 from .synth import SynthConfig, generate_synthetic
 from .vi import CLASS_INTERACTION_VI, VIConfig, predict_proba_vi_array, train_vi
 
-RECIPES = ("appendix-c-recovery", "low-data-sweep", "active-vs-random")
+# The tables each recipe writes into its out_dir, in the order it writes them.
+TABLES = {"appendix-c-recovery": ("recovery.csv", "recovery_summary.csv"),
+          "low-data-sweep": ("low_data.csv", "low_data_summary.csv"),
+          "active-vs-random": ("active_curves.csv",)}
 
 # Derived sub-seed offsets so one --seed drives every component distinctly.
 SEED_DATA = 1000
@@ -40,17 +43,23 @@ SEED_POOL = 4000
 RECOVERY_EXAM_SEED = 60
 
 
-def _write_csv(path: str, header: list[str], rows: list) -> None:
+def write_csv(path: str, header: list[str], rows: list) -> None:
+    """One header line, then one line per row; floats are written as their repr."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
-def _heldout_accuracy(params, split) -> float:
-    p = predict_proba_array(params, split.test.student_idx, split.test.question_idx,
-                            split.test.class_of)
-    return accuracy(p, split.test.y).accuracy
+def _write_tables(out_dir: str, recipe: str, *tables) -> None:
+    """Write a recipe's (header, rows) tables under their TABLES names in out_dir."""
+    for name, table in zip(TABLES[recipe], tables, strict=True):
+        write_csv(os.path.join(out_dir, name), *table)
+
+
+def _heldout_accuracy(params, test) -> float:
+    p = predict_proba_array(params, test.student_idx, test.question_idx, test.class_of)
+    return accuracy(p, test.y).accuracy
 
 
 def resolve_workers() -> int:
@@ -127,7 +136,7 @@ class RecoveryRow:
 
 @lru_cache(maxsize=1)
 def _recovery_split(seed: int, students: int, questions: int, test_fraction: float):
-    """A seed's recovery data and split, made once for both of its models."""
+    """A seed's recovery data, split into (train, test) once for both of its models."""
     data, _ = generate_synthetic(SynthConfig(students=students, questions=questions, dims=1,
                                              mean_bq=-3.0, outcome="threshold",
                                              seed=seed + SEED_DATA,
@@ -138,13 +147,11 @@ def _recovery_split(seed: int, students: int, questions: int, test_fraction: flo
 def _recovery_unit(seed: int, model: str, students: int, questions: int, test_fraction: float,
                    epochs: int) -> RecoveryRow:
     """One (seed, model) fit of the recovery run."""
-    split = _recovery_split(seed, students, questions, test_fraction)
-    if model == RASCH:
-        cfg = TrainConfig(learning_rate=0.1, epochs=epochs, seed=seed + SEED_TRAIN)
-    else:
-        cfg = TrainConfig(learning_rate=0.1, epochs=epochs, init_scale=0.1, seed=seed + SEED_TRAIN)
-    params, _ = sgd_train(model, split.train, cfg, dims=1)
-    return RecoveryRow(model, seed, students, _heldout_accuracy(params, split))
+    train, test = _recovery_split(seed, students, questions, test_fraction)
+    cfg = TrainConfig(learning_rate=0.1, epochs=epochs, seed=seed + SEED_TRAIN,
+                      init_scale=TrainConfig.init_scale if model == RASCH else 0.1)
+    params, _ = sgd_train(model, train, cfg, dims=1)
+    return RecoveryRow(model, seed, students, _heldout_accuracy(params, test))
 
 
 def recovery_run(students: int = 40_000, questions: int = 24, seeds=(0, 1, 2, 3, 4),
@@ -164,15 +171,14 @@ def recovery_run(students: int = 40_000, questions: int = 24, seeds=(0, 1, 2, 3,
     _recovery_split.cache_clear()
 
     if out_dir:
-        _write_csv(os.path.join(out_dir, "recovery.csv"),
-                   ["model", "seed", "students", "accuracy"],
-                   [(r.model, r.seed, r.students, r.accuracy) for r in rows])
         summary = []
         for name in (RASCH, INTERACTION):
             accs = [r.accuracy for r in rows if r.model == name]
             summary.append((name, students, float(np.mean(accs)), float(min(accs)), float(max(accs))))
-        _write_csv(os.path.join(out_dir, "recovery_summary.csv"),
-                   ["model", "students", "mean_accuracy", "min_accuracy", "max_accuracy"], summary)
+        _write_tables(out_dir, "appendix-c-recovery",
+                      (["model", "seed", "students", "accuracy"],
+                       [(r.model, r.seed, r.students, r.accuracy) for r in rows]),
+                      (["model", "students", "mean_accuracy", "min_accuracy", "max_accuracy"], summary))
     return rows
 
 
@@ -202,18 +208,17 @@ def _low_data_unit(seed: int, fraction: float, dims: int, test_fraction: float, 
     """One (seed, fraction) pair of the sweep: the point fit, then its VI twin."""
     full = _low_data_full(seed)
     sub = full if fraction == 1.0 else subsample_students(full, fraction, seed + SEED_SPLIT)
-    split = split_train_test(sub, test_fraction, seed + SEED_SPLIT)
+    train, test = split_train_test(sub, test_fraction, seed + SEED_SPLIT)
     point_cfg = TrainConfig(learning_rate=0.1, epochs=point_epochs, init_scale=0.1,
                             seed=seed + SEED_TRAIN)
-    point_params, _ = sgd_train(CLASS_INTERACTION, split.train, point_cfg, dims=dims)
-    ci_acc = _heldout_accuracy(point_params, split)
+    point_params, _ = sgd_train(CLASS_INTERACTION, train, point_cfg, dims=dims)
+    ci_acc = _heldout_accuracy(point_params, test)
 
     vi_cfg = VIConfig(samples=5, sigma_init=0.8, learning_rate=vi_lr, epochs=vi_epochs,
                       seed=seed + SEED_TRAIN)
-    vi_params, _ = train_vi(CLASS_INTERACTION_VI, split.train, vi_cfg, dims=dims, warm_start=point_params)
-    p = predict_proba_vi_array(vi_params, split.test.student_idx, split.test.question_idx,
-                               split.test.class_of)
-    return LowDataRow(fraction, sub.num_students, seed, ci_acc, accuracy(p, split.test.y).accuracy)
+    vi_params, _ = train_vi(CLASS_INTERACTION_VI, train, vi_cfg, dims=dims, warm_start=point_params)
+    p = predict_proba_vi_array(vi_params, test.student_idx, test.question_idx, test.class_of)
+    return LowDataRow(fraction, sub.num_students, seed, ci_acc, accuracy(p, test.y).accuracy)
 
 
 def low_data_sweep(fractions=(1.0, 0.5, 0.25, 0.15), seeds=(0, 1, 2, 3, 4),
@@ -234,17 +239,16 @@ def low_data_sweep(fractions=(1.0, 0.5, 0.25, 0.15), seeds=(0, 1, 2, 3, 4),
     _low_data_full.cache_clear()
 
     if out_dir:
-        _write_csv(os.path.join(out_dir, "low_data.csv"),
-                   ["fraction", "students", "seed", "ci_accuracy", "civi_accuracy"],
-                   [(r.fraction, r.students, r.seed, r.ci_accuracy, r.civi_accuracy) for r in rows])
         summary = []
         for fraction in fractions:
             sub_rows = [r for r in rows if r.fraction == fraction]
             summary.append((fraction, sub_rows[0].students,
                             float(np.mean([r.ci_accuracy for r in sub_rows])),
                             float(np.mean([r.civi_accuracy for r in sub_rows]))))
-        _write_csv(os.path.join(out_dir, "low_data_summary.csv"),
-                   ["fraction", "students", "ci_accuracy", "civi_accuracy"], summary)
+        _write_tables(out_dir, "low-data-sweep",
+                      (["fraction", "students", "seed", "ci_accuracy", "civi_accuracy"],
+                       [(r.fraction, r.students, r.seed, r.ci_accuracy, r.civi_accuracy) for r in rows]),
+                      (["fraction", "students", "ci_accuracy", "civi_accuracy"], summary))
     return rows
 
 
@@ -287,13 +291,13 @@ def active_vs_random(pool_size: int = 2000, seeds=(0, 1, 2, 3, 4), rounds: int =
     results = {policy: curves[i::len(policies)] for i, policy in enumerate(policies)}
 
     if out_dir:
-        write_active_curves(os.path.join(out_dir, "active_curves.csv"),
-                            [res for runs in results.values() for res in runs])
+        _write_tables(out_dir, "active-vs-random",
+                      active_curve_table([res for runs in results.values() for res in runs]))
     return results
 
 
-def write_active_curves(path: str, results: list) -> None:
-    """One questions_revealed,accuracy,policy,seed row per round of each ActiveResult, in order."""
-    _write_csv(path, ["questions_revealed", "accuracy", "policy", "seed"],
-               [(k, acc, res.policy, res.seed) for res in results
-                for k, acc in zip(res.questions_revealed, res.overall_accuracy)])
+def active_curve_table(results: list) -> tuple[list[str], list]:
+    """(header, rows): one questions_revealed,accuracy,policy,seed row per round of each ActiveResult."""
+    return (["questions_revealed", "accuracy", "policy", "seed"],
+            [(k, acc, res.policy, res.seed) for res in results
+             for k, acc in zip(res.questions_revealed, res.overall_accuracy)])

@@ -10,7 +10,7 @@ random for sparsity experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from numbers import Real
 from typing import Optional
 
@@ -68,12 +68,8 @@ class SynthTruth:
     class_of: Optional[np.ndarray] = None
 
     def to_dict(self) -> dict:
-        out = {"ability": self.ability.tolist(), "easiness": self.easiness.tolist(),
-               "skill": self.skill.tolist(), "demand": self.demand.tolist()}
-        if self.class_skill is not None:
-            out["class_skill"] = self.class_skill.tolist()
-            out["class_of"] = self.class_of.tolist()
-        return out
+        """Every latent that is set, as nested lists, in field order."""
+        return {f.name: v.tolist() for f in fields(self) if (v := getattr(self, f.name)) is not None}
 
 
 def generate_synthetic(cfg: SynthConfig) -> tuple[Dataset, SynthTruth]:

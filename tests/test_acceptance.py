@@ -265,12 +265,12 @@ class TestCriterion8Structural:
                             and np.all(np.diag(sim.values) == 1.0)
                             and bool(np.max(np.abs(sim.values - scaled.values)) <= 1e-12))
 
-        split = split_train_test(data, 0.3, seed=5)
+        train, test = split_train_test(data, 0.3, seed=5)
         cells_all = set(zip(data.student_idx, data.question_idx))
-        tr = set(zip(split.train.student_idx, split.train.question_idx))
-        te = set(zip(split.test.student_idx, split.test.question_idx))
+        tr = set(zip(train.student_idx, train.question_idx))
+        te = set(zip(test.student_idx, test.question_idx))
         checks["split partition"] = (tr | te == cells_all and not (tr & te)
-                                     and split.train.n_responses + split.test.n_responses
+                                     and train.n_responses + test.n_responses
                                      == data.n_responses)
 
         passed = all(checks.values())

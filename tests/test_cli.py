@@ -1,5 +1,6 @@
 """End-to-end command-line flows via the dispatcher."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import irtkit
-from irtkit.cli import dispatch
+from irtkit.cli import build_parser, dispatch
 
 
 def run_cli(capsys, *argv):
@@ -58,6 +59,122 @@ class TestSignificance:
         assert "\n" not in err.strip()
 
 
+# Every subcommand's options: {option string: (default, required, choices, type name)}.
+PARSER_CONTRACT = {
+    "ingest": {
+        "--manifest": (None, False, None, None),
+        "--input": (None, True, None, None),
+        "--format": ("raw", False, ("raw", "binary"), None),
+        "--out": (None, True, None, None),
+        "--test-fraction": (None, False, None, "float"),
+        "--train-out": (None, False, None, None),
+        "--test-out": (None, False, None, None),
+        "--seed": (0, False, None, "int"),
+    },
+    "train": {
+        "--manifest": (None, False, None, None),
+        "--data": (None, True, None, None),
+        "--format": ("binary", False, ("raw", "binary"), None),
+        "--model": (None, True, ("rasch", "interaction", "class-interaction"), None),
+        "--dims": (1, False, None, "int"),
+        "--lr": (0.1, False, None, "float"),
+        "--epochs": (50, False, None, "int"),
+        "--batch-size": (1024, False, None, "int"),
+        "--l2": (0.0001, False, None, "float"),
+        "--init-scale": (0.01, False, None, "float"),
+        "--seed": (0, False, None, "int"),
+        "--warm-start": (None, False, None, None),
+        "--out": (None, True, None, None),
+    },
+    "train-vi": {
+        "--manifest": (None, False, None, None),
+        "--data": (None, True, None, None),
+        "--format": ("binary", False, ("raw", "binary"), None),
+        "--model": (None, True, ("rasch-vi", "interaction-vi", "class-interaction-vi"), None),
+        "--dims": (1, False, None, "int"),
+        "--samples": (5, False, None, "int"),
+        "--sigma-init": (0.8, False, None, "float"),
+        "--lr": (0.02, False, None, "float"),
+        "--epochs": (500, False, None, "int"),
+        "--seed": (0, False, None, "int"),
+        "--warm-start": (None, False, None, None),
+        "--out": (None, True, None, None),
+    },
+    "eval": {
+        "--manifest": (None, False, None, None),
+        "--data": (None, True, None, None),
+        "--format": ("binary", False, ("raw", "binary"), None),
+        "--checkpoint": (None, True, None, None),
+        "--threshold": (0.5, False, None, "float"),
+        "--out": (None, False, None, None),
+    },
+    "synth": {
+        "--manifest": (None, False, None, None),
+        "--students": (None, True, None, "int"),
+        "--questions": (None, True, None, "int"),
+        "--dims": (1, False, None, "int"),
+        "--mean-bq": (-3.0, False, None, "float"),
+        "--std-bq": (1.0, False, None, "float"),
+        "--classes": (0, False, None, "int"),
+        "--class-effect-std": (0.0, False, None, "float"),
+        "--keep-prob": (1.0, False, None, "float"),
+        "--outcome": ("sample", False, ("sample", "threshold"), None),
+        "--seed": (0, False, None, "int"),
+        "--exam-seed": (None, False, None, "int"),
+        "--out": (None, True, None, None),
+        "--truth": (None, False, None, None),
+    },
+    "interpret": {
+        "--manifest": (None, False, None, None),
+        "--checkpoint": (None, True, None, None),
+        "--out": (None, True, None, None),
+        "--rescale-display": (False, False, None, None),
+    },
+    "significance": {
+        "--manifest": (None, False, None, None),
+        "--x1": (None, True, None, "int"),
+        "--n1": (None, True, None, "int"),
+        "--x2": (None, True, None, "int"),
+        "--n2": (None, True, None, "int"),
+        "--alpha": (None, False, None, "float"),
+    },
+    "active": {
+        "--manifest": (None, False, None, None),
+        "--data": (None, True, None, None),
+        "--format": ("binary", False, ("raw", "binary"), None),
+        "--pool-size": (2000, False, None, "int"),
+        "--policy": (None, True, ("uncertainty", "random"), None),
+        "--batch": (1, False, None, "int"),
+        "--rounds": (70, False, None, "int"),
+        "--holdout-fraction": (0.2, False, None, "float"),
+        "--seed": (0, False, None, "int"),
+        "--out": (None, True, None, None),
+    },
+    "experiment": {
+        "--manifest": (None, False, None, None),
+        "recipe": (None, True, ("appendix-c-recovery", "low-data-sweep", "active-vs-random"), None),
+        "--out-dir": (".", False, None, None),
+        "--seeds": ("0,1,2,3,4", False, None, None),
+        "--students": (40000, False, None, "int"),
+        "--fractions": ("1.0,0.5,0.25,0.15", False, None, None),
+        "--pool-size": (2000, False, None, "int"),
+        "--rounds": (56, False, None, "int"),
+    },
+}
+
+
+def test_parser_contract():
+    """Each subcommand keeps its option strings, defaults, required flags, choices and types."""
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    found = {name: {(a.option_strings or [a.dest])[0]:
+                    (a.default, a.required, None if a.choices is None else tuple(a.choices),
+                     getattr(a.type, "__name__", None))
+                    for a in sub._actions if not isinstance(a, argparse._HelpAction)}
+             for name, sub in subparsers.choices.items()}
+    assert found == PARSER_CONTRACT
+
+
 class TestDispatch:
     def test_unknown_subcommand_exits_2(self, workdir, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 2
@@ -67,6 +184,37 @@ class TestDispatch:
 
     def test_unknown_recipe_exits_2(self, workdir, capsys):
         assert run_cli(capsys, "experiment", "not-a-recipe")[0] == 2
+
+    @pytest.mark.parametrize("argv,flag,path", [
+        (["train-vi", "--data", "data.csv", "--model", "rasch-vi", "--out", "nodir/v.json"],
+         "--out", "nodir/v.json"),
+        (["train", "--data", "data.csv", "--model", "rasch", "--out", "m.json",
+          "--manifest", "nodir/m.json"], "--manifest", "nodir/m.json"),
+        (["ingest", "--input", "data.csv", "--format", "binary", "--out", "all.csv",
+          "--test-fraction", "0.2", "--train-out", "train.csv", "--test-out", "nodir/test.csv"],
+         "--test-out", "nodir/test.csv"),
+        (["ingest", "--input", "data.csv", "--format", "binary", "--out", "all.csv",
+          "--test-fraction", "0.2", "--train-out", "nodir/train.csv", "--test-out", "test.csv"],
+         "--train-out", "nodir/train.csv"),
+        (_synth_args("s.csv") + ["--truth", "nodir/t.json"], "--truth", "nodir/t.json"),
+        (["experiment", "active-vs-random", "--seeds", "0", "--pool-size", "20", "--rounds", "1",
+          "--out-dir", "nodir"], "--out-dir", "nodir"),
+    ], ids=["train-vi out", "train manifest", "ingest test-out", "ingest train-out", "synth truth",
+            "experiment out-dir"])
+    def test_missing_output_directory_fails_before_any_work(self, workdir, capsys, argv, flag, path):
+        run_cli(capsys, *_synth_args("data.csv", students="30", questions="4"))
+        before = sorted(p.name for p in workdir.iterdir())
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {flag} {path}:") and err.count("\n") == 1
+        assert sorted(p.name for p in workdir.iterdir()) == before
+
+    def test_unwritable_manifest_is_an_error_line(self, workdir, capsys):
+        (workdir / "taken").mkdir()
+        code, out, err = run_cli(capsys, "significance", "--x1", "4", "--n1", "10", "--x2", "6", "--n2", "10",
+                                 "--manifest", "taken")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestSynthCli:
@@ -256,6 +404,22 @@ class TestActiveCli:
 
 
 class TestExperimentCli:
+    @pytest.mark.parametrize("argv,flag", [
+        (["--seeds", "0,,1"], "--seeds"),
+        (["--seeds=-1"], "--seeds"),
+        (["--seeds", "0,1.5"], "--seeds"),
+        (["--fractions", "0.5,abc"], "--fractions"),
+        (["--fractions", "0.5,0.25,1.5"], "--fractions"),
+        (["--fractions", "0.5,nan"], "--fractions"),
+        (["--fractions", "0.5,0"], "--fractions"),
+    ], ids=["empty seed", "negative seed", "fractional seed", "fraction not a number",
+            "fraction above 1 last", "nan fraction", "zero fraction"])
+    def test_bad_list_is_a_named_error_before_any_unit(self, workdir, capsys, argv, flag):
+        code, out, err = run_cli(capsys, "experiment", "low-data-sweep", *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {flag} must be") and err.count("\n") == 1
+        assert list(workdir.iterdir()) == []
+
     def test_recovery_recipe_writes_tables(self, workdir, capsys):
         code, out, _ = run_cli(capsys, "experiment", "appendix-c-recovery",
                                "--students", "500", "--seeds", "0,1", "--out-dir", ".")
@@ -294,8 +458,9 @@ class TestRawIngest:
     @pytest.mark.parametrize("split_args", [["--test-fraction", "0.2"],
                                             ["--test-fraction", "0.2", "--train-out", "train.csv"],
                                             ["--test-fraction", "1.5", "--train-out", "train.csv",
-                                             "--test-out", "test.csv"]],
-                             ids=["no outputs", "no test output", "fraction above 1"])
+                                             "--test-out", "test.csv"],
+                                            ["--train-out", "train.csv", "--test-out", "test.csv"]],
+                             ids=["no outputs", "no test output", "fraction above 1", "no fraction"])
     def test_bad_split_arguments_write_no_file(self, workdir, capsys, split_args):
         (workdir / "raw.csv").write_text(
             "student_id,question_id,class_id,marks_awarded,marks_available\n"

@@ -157,38 +157,38 @@ def _toy_dataset(num_students=12, num_questions=8, seed=1):
 class TestSplit:
     def test_partition_is_exact(self):
         d = _toy_dataset()
-        split = split_train_test(d, 0.25, seed=3)
-        assert split.train.n_responses + split.test.n_responses == d.n_responses
+        train, test = split_train_test(d, 0.25, seed=3)
+        assert train.n_responses + test.n_responses == d.n_responses
         cells = set(zip(d.student_idx, d.question_idx))
-        train_cells = set(zip(split.train.student_idx, split.train.question_idx))
-        test_cells = set(zip(split.test.student_idx, split.test.question_idx))
+        train_cells = set(zip(train.student_idx, train.question_idx))
+        test_cells = set(zip(test.student_idx, test.question_idx))
         assert train_cells | test_cells == cells
         assert not (train_cells & test_cells)
 
     def test_deterministic_given_seed(self):
         d = _toy_dataset()
-        a = split_train_test(d, 0.2, seed=9)
-        b = split_train_test(d, 0.2, seed=9)
-        assert np.array_equal(a.train.student_idx, b.train.student_idx)
-        assert np.array_equal(a.test.question_idx, b.test.question_idx)
+        a_train, a_test = split_train_test(d, 0.2, seed=9)
+        b_train, b_test = split_train_test(d, 0.2, seed=9)
+        assert np.array_equal(a_train.student_idx, b_train.student_idx)
+        assert np.array_equal(a_test.question_idx, b_test.question_idx)
 
     def test_proportions_near_fraction(self):
         d = dataset_from_arrays(np.zeros(10, dtype=np.int64), np.arange(10), np.ones(10, dtype=np.int8),
                                 class_of=np.zeros(1, dtype=np.int64))
-        split = split_train_test(d, 0.2, seed=0)
-        assert split.test.n_responses == 2
+        _, test = split_train_test(d, 0.2, seed=0)
+        assert test.n_responses == 2
 
     def test_single_response_student_lands_in_train(self):
         d = dataset_from_arrays([0, 1, 1, 1], [0, 0, 1, 2], [1, 0, 1, 0],
                                 class_of=np.zeros(2, dtype=np.int64))
         for seed in range(10):
-            split = split_train_test(d, 0.5, seed=seed)
-            assert 0 in split.train.student_idx
+            train, _ = split_train_test(d, 0.5, seed=seed)
+            assert 0 in train.student_idx
 
     def test_every_student_keeps_a_training_response(self):
         d = _toy_dataset(seed=4)
-        split = split_train_test(d, 0.9, seed=2)
-        assert set(d.student_idx) == set(split.train.student_idx)
+        train, _ = split_train_test(d, 0.9, seed=2)
+        assert set(d.student_idx) == set(train.student_idx)
 
     def test_fraction_bounds(self):
         d = _toy_dataset()
@@ -466,19 +466,19 @@ def _datasets(draw):
 @settings(max_examples=200, deadline=None)
 @given(d=_datasets(), fraction=st.floats(0.01, 0.99), seed=st.integers(0, 2**32 - 1))
 def test_split_is_an_exact_stratified_partition(d, fraction, seed):
-    split = split_train_test(d, fraction, seed)
+    train, test = split_train_test(d, fraction, seed)
 
     def triples(part):
         return sorted(zip(part.student_idx.tolist(), part.question_idx.tolist(), part.y.tolist()))
 
-    assert sorted(triples(split.train) + triples(split.test)) == triples(d)
+    assert sorted(triples(train) + triples(test)) == triples(d)
     n = np.bincount(d.student_idx, minlength=d.num_students)
-    in_test = np.bincount(split.test.student_idx, minlength=d.num_students)
+    in_test = np.bincount(test.student_idx, minlength=d.num_students)
     for s in np.flatnonzero(n):
         assert in_test[s] == min(int(np.floor(fraction * n[s] + 0.5)), n[s] - 1)
-    assert not np.isin(np.flatnonzero(n == 1), split.test.student_idx).any()
+    assert not np.isin(np.flatnonzero(n == 1), test.student_idx).any()
     again = split_train_test(d, fraction, seed)
-    for a, b in ((split.train, again.train), (split.test, again.test)):
+    for a, b in zip((train, test), again):
         assert all(np.array_equal(getattr(a, k), getattr(b, k)) for k in ("student_idx", "question_idx", "y"))
 
 

@@ -182,7 +182,7 @@ class TestClassCells:
     def _low_data_train():
         """The training set of the low-data sweep at fraction 0.15, seed 0."""
         full = generate_synthetic(low_data_synth_config(SEED_DATA))[0]
-        return split_train_test(subsample_students(full, 0.15, SEED_SPLIT), 0.2, SEED_SPLIT).train
+        return split_train_test(subsample_students(full, 0.15, SEED_SPLIT), 0.2, SEED_SPLIT)[0]
 
     @pytest.mark.parametrize("kind", ["class-interaction", "class-interaction-vi"])
     def test_class_kinds_take_cells_when_fewer_than_responses(self, kind):

@@ -92,9 +92,8 @@ def test_rasch_limit_logloss_approaches_generative_entropy():
     keep the per-student estimation noise small enough for that margin."""
     data, truth = generate_synthetic(SynthConfig(students=5000, questions=50, dims=0,
                                                  mean_bq=0.0, seed=6))
-    split = split_train_test(data, 0.2, seed=7)
-    params, _ = sgd_train("rasch", split.train, TrainConfig(learning_rate=0.1, epochs=60, seed=8))
-    te = split.test
+    train, te = split_train_test(data, 0.2, seed=7)
+    params, _ = sgd_train("rasch", train, TrainConfig(learning_rate=0.1, epochs=60, seed=8))
     fitted = log_loss(predict_proba_array(params, te.student_idx, te.question_idx), te.y)
     true_p = sigmoid(truth.ability[te.student_idx] + truth.easiness[te.question_idx])
     reference = log_loss(true_p, te.y)
