@@ -10,9 +10,7 @@ learning, all behind one CLI.
 from .data import (
     Dataset,
     ParseError,
-    RawResponse,
     Responses,
-    binarize,
     build_dataset,
     load_binary_csv,
     load_raw_csv,

@@ -14,11 +14,10 @@ import json
 from collections import Counter
 from dataclasses import replace
 from itertools import repeat
-from typing import Iterable
 
 import numpy as np
 
-from .data import Dataset, RawResponse, Responses, dataset_from_arrays
+from .data import Dataset, Responses, dataset_from_arrays
 from .models import FAMILY, RASCH, Params, inv_softplus, make_params, softplus, tensor_table
 
 FORMAT = "irtkit-checkpoint"
@@ -153,23 +152,22 @@ def _id_table(path: str, ids: dict, key: str) -> tuple:
     return table
 
 
-def align_rows_to_checkpoint(rows: Responses | Iterable[RawResponse], index: Dataset) -> Dataset:
+def align_rows_to_checkpoint(rows: Responses, index: Dataset) -> Dataset:
     """Index loaded rows through a checkpoint's id tables.
 
     Every id in the rows must already exist in the checkpoint; predicting
     for ids the model never saw is a hard error naming the offender (the
     first in row order).
     """
-    r = rows if isinstance(rows, Responses) else Responses.from_rows(rows)
-    s_idx = _index_in(index.student_ids, r.student_ids)[r.student_idx]
-    q_idx = _index_in(index.question_ids, r.question_ids)[r.question_idx]
+    s_idx = _index_in(index.student_ids, rows.student_ids)[rows.student_idx]
+    q_idx = _index_in(index.question_ids, rows.question_ids)[rows.question_idx]
     unknown = (s_idx < 0) | (q_idx < 0)
     if unknown.any():
         i = int(np.argmax(unknown))
         if s_idx[i] < 0:
-            raise ValueError(f"student {r.student_ids[r.student_idx[i]]!r} is not in the checkpoint")
-        raise ValueError(f"question {r.question_ids[r.question_idx[i]]!r} is not in the checkpoint")
-    return replace(index, student_idx=s_idx, question_idx=q_idx, y=r.y)
+            raise ValueError(f"student {rows.student_ids[rows.student_idx[i]]!r} is not in the checkpoint")
+        raise ValueError(f"question {rows.question_ids[rows.question_idx[i]]!r} is not in the checkpoint")
+    return replace(index, student_idx=s_idx, question_idx=q_idx, y=rows.y)
 
 
 def _index_in(table: tuple, ids: tuple) -> np.ndarray:

@@ -334,7 +334,7 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     anchor = getattr(args, "out", None) or getattr(args, "out_dir", None)
-    if anchor and anchor != ".":
+    if anchor:
         anchor = anchor.rstrip("/") + ("/experiment" if args.command == "experiment" else "")
     manifest_path = args.manifest or (anchor + ".manifest.json" if anchor else "run_manifest.json")
     outputs = {"--" + dest.replace("_", "-"): getattr(args, dest, None)

@@ -37,7 +37,6 @@ import os
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain, islice, repeat
-from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -65,24 +64,6 @@ class ParseError(ValueError):
     def __init__(self, message: str, line: int | None = None, path: str | None = None):
         super().__init__(message)
         self.line, self.path = None if line is None else int(line), path
-
-
-class RawResponse(NamedTuple):
-    student_id: str
-    question_id: str
-    class_id: str
-    marks_awarded: int
-    marks_available: int
-
-
-def _correct(awarded, available):
-    """The binarization rule, for ints or int64 arrays: 2 * awarded > available, without the overflow."""
-    return awarded > available // 2
-
-
-def binarize(r: RawResponse) -> int:
-    """Return 1 iff strictly more than half the available marks were earned."""
-    return int(_correct(r.marks_awarded, r.marks_available))
 
 
 @dataclass(frozen=True)
@@ -170,9 +151,7 @@ def _interner(canonical):
 class Responses:
     """Response rows as columns: int64 codes into id tables, and the marks.
 
-    Ids are numbered in first-appearance order. `len()` is the row count,
-    and iterating yields one RawResponse per row, so
-    `list(load_raw_csv(path))` is the file's rows.
+    Ids are numbered in first-appearance order. `len()` is the row count.
     """
 
     student_idx: np.ndarray
@@ -191,24 +170,10 @@ class Responses:
     def __len__(self) -> int:
         return int(self.awarded.shape[0])
 
-    def __iter__(self):
-        return map(RawResponse, map(self.student_ids.__getitem__, self.student_idx.tolist()),
-                   map(self.question_ids.__getitem__, self.question_idx.tolist()),
-                   map(self.class_ids.__getitem__, self.class_idx.tolist()),
-                   self.awarded.tolist(), self.available.tolist())
-
     @property
     def y(self) -> np.ndarray:
-        """Each row's binarized outcome."""
-        return _correct(self.awarded, self.available).astype(np.int8)
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[RawResponse]) -> "Responses":
-        """Columns of in-memory rows; ids are taken as they are."""
-        columns = list(zip(*rows)) or [()] * 5
-        coders, tables = zip(*(_interner(lambda text: text) for _ in range(3)))
-        return cls(*(code(col) for code, col in zip(coders, columns)),
-                   *(np.fromiter(col, np.int64, len(col)) for col in columns[3:]), *map(tuple, tables))
+        """Each row's binarized outcome: 2 * awarded > available, without the overflow."""
+        return (self.awarded > self.available // 2).astype(np.int8)
 
 
 def _ints(texts: list) -> tuple[np.ndarray, int]:
@@ -511,39 +476,37 @@ def load_binary_csv(path: str) -> Responses:
     return _load(path, BINARY_HEADER, _binary_rules, too_big="y must be 0 or 1")
 
 
-def build_dataset(rows: Responses | Iterable[RawResponse]) -> Dataset:
+def build_dataset(rows: Responses) -> Dataset:
     """Binarize loaded rows into a Dataset, keeping their first-appearance ids.
 
     Raises ValueError on duplicate (student, question) cells or on a
     student appearing under two different class ids, naming the first
     offending row in row order, and on student codes that are not
-    numbered in first-appearance order (as the loaders and
-    Responses.from_rows number them).
+    numbered in first-appearance order (as the loaders number them).
     """
-    r = rows if isinstance(rows, Responses) else Responses.from_rows(rows)
-    n, num_questions = len(r), len(r.question_ids)
-    cell = np.maximum.accumulate(r.student_idx)   # rises at each student's first row (first-appearance codes)
+    n, num_questions = len(rows), len(rows.question_ids)
+    cell = np.maximum.accumulate(rows.student_idx)   # rises at each student's first row (first-appearance codes)
     first = np.flatnonzero(np.diff(cell, prepend=-1))
-    if not np.array_equal(r.student_idx[first], np.arange(len(r.student_ids))):
+    if not np.array_equal(rows.student_idx[first], np.arange(len(rows.student_ids))):
         raise ValueError("student codes are not numbered in first-appearance order")
-    class_of = r.class_idx[first]
-    conflict = np.flatnonzero(r.class_idx != class_of[r.student_idx])
-    np.multiply(r.student_idx, num_questions, out=cell)
-    cell += r.question_idx
-    order = _stable_order(cell, (r.student_idx, len(r.student_ids)), (r.question_idx, num_questions))
+    class_of = rows.class_idx[first]
+    conflict = np.flatnonzero(rows.class_idx != class_of[rows.student_idx])
+    np.multiply(rows.student_idx, num_questions, out=cell)
+    cell += rows.question_idx
+    order = _stable_order(cell, (rows.student_idx, len(rows.student_ids)), (rows.question_idx, num_questions))
     cell = cell[order]   # the row-order keys are freed before the gathers below
     repeated = order[1:][cell[1:] == cell[:-1]]   # every row but the first of its cell
     first_conflict = int(conflict[0]) if conflict.size else n
     first_repeat = int(repeated.min()) if repeated.size else n
     if first_conflict < n and first_conflict <= first_repeat:
-        s = r.student_idx[first_conflict]
-        raise ValueError(f"student {r.student_ids[s]!r} has conflicting class ids "
-                         f"{r.class_ids[class_of[s]]!r} and {r.class_ids[r.class_idx[first_conflict]]!r}")
+        s = rows.student_idx[first_conflict]
+        raise ValueError(f"student {rows.student_ids[s]!r} has conflicting class ids "
+                         f"{rows.class_ids[class_of[s]]!r} and {rows.class_ids[rows.class_idx[first_conflict]]!r}")
     if first_repeat < n:
-        raise ValueError(f"duplicate response for student {r.student_ids[r.student_idx[first_repeat]]!r} "
-                         f"question {r.question_ids[r.question_idx[first_repeat]]!r}")
-    return Dataset(student_idx=r.student_idx, question_idx=r.question_idx, y=r.y, class_of=class_of,
-                   student_ids=r.student_ids, question_ids=r.question_ids, class_ids=r.class_ids)
+        raise ValueError(f"duplicate response for student {rows.student_ids[rows.student_idx[first_repeat]]!r} "
+                         f"question {rows.question_ids[rows.question_idx[first_repeat]]!r}")
+    return Dataset(student_idx=rows.student_idx, question_idx=rows.question_idx, y=rows.y, class_of=class_of,
+                   student_ids=rows.student_ids, question_ids=rows.question_ids, class_ids=rows.class_ids)
 
 
 def dataset_from_arrays(
@@ -731,6 +694,16 @@ def split_train_test(d: Dataset, test_fraction: float, seed: int) -> tuple[Datas
     return d.select(np.flatnonzero(~test_mask)), d.select(np.flatnonzero(test_mask))
 
 
+def students_kept(fraction: float, num_students: int) -> int:
+    """floor(fraction * num_students); a ValueError for a fraction outside (0, 1] or one that keeps no student."""
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+    keep = int(np.floor(fraction * num_students))
+    if keep == 0:
+        raise ValueError(f"fraction {fraction} of {num_students} students keeps no student")
+    return keep
+
+
 def subsample_students(d: Dataset, fraction: float, seed: int) -> Dataset:
     """Keep floor(fraction * S) students chosen uniformly at random.
 
@@ -738,11 +711,7 @@ def subsample_students(d: Dataset, fraction: float, seed: int) -> Dataset:
     reindexed (in ascending original order); question and class indexing
     is left untouched so checkpoints stay comparable across fractions.
     """
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+    keep = students_kept(fraction, d.num_students)
     require_count("seed", seed, 0)
-    keep = int(np.floor(fraction * d.num_students))
-    if keep == 0:
-        raise ValueError(f"fraction {fraction} of {d.num_students} students keeps no student")
     rng = np.random.default_rng(seed)
     return d.keep_students(np.sort(rng.choice(d.num_students, size=keep, replace=False)))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .active import (RANDOM, UNCERTAINTY, ActiveConfig, ActiveResult, make_pool_state,
                      run_active_loop)
-from .data import split_train_test, subsample_students
+from .data import split_train_test, students_kept, subsample_students
 from .metrics import accuracy
 from .models import CLASS_INTERACTION, INTERACTION, RASCH, predict_proba_array
 from .optim import TrainConfig, sgd_train
@@ -231,7 +231,10 @@ def low_data_sweep(fractions=(1.0, 0.5, 0.25, 0.15), seeds=(0, 1, 2, 3, 4),
     ability standard deviations initialised at 0.8, mirroring the
     low-data protocol. Rows are paired: both models see identical data
     and splits per (fraction, seed), which is one unit (see `_run_units`).
+    Every fraction is checked against the population before any unit runs.
     """
+    for fraction in fractions:
+        students_kept(fraction, low_data_synth_config(0).students)
     rows: list[LowDataRow] = _run_units(
         partial(_low_data_unit, dims=dims, test_fraction=test_fraction,
                 point_epochs=point_epochs, vi_epochs=vi_epochs, vi_lr=vi_lr),

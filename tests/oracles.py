@@ -4,15 +4,26 @@ Everything here is implemented against scipy / brute force rather than
 the library under test, so expected values come from a separate path:
 Gauss-Hermite quadrature for exact ELBOs and marginal likelihoods, dense
 grid search for the small Rasch optimum, plain Monte Carlo for KL
-estimates, and csv.writer row by row for the bytes of a written CSV.
+estimates, csv.writer row by row for the bytes of a written CSV, and a
+dict per id column for the columns of in-memory rows.
 """
 
 from __future__ import annotations
 
 import csv
+from collections import namedtuple
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy.special import expit, logsumexp
+
+from irtkit.data import Responses
+
+# Ids a CSV round trip must keep: commas, quotes, CR/LF and non-ASCII text, with no edge space for strip().
+_ID_CHARS = st.characters(blacklist_categories=("Cs", "Cc")) | st.sampled_from([",", '"', " ", "\n", "\r", "é", "学"])
+IDS = st.text(_ID_CHARS, min_size=1, max_size=8).filter(lambda s: s == s.strip())
+
+Row = namedtuple("Row", "student_id question_id class_id marks_awarded marks_available")
 
 GH_NODES = 64
 
@@ -244,3 +255,18 @@ def csv_writer_binary_csv(d, path: str) -> None:
 def choice_per_group(rng, sizes, ks) -> list:
     """Each group's picks of rng.choice(n, size=k, replace=False), group by group: what data.choice_per_group must draw."""
     return [rng.choice(n, size=k, replace=False) for n, k in zip(sizes, ks)]
+
+
+def rows_of(r: Responses) -> list:
+    """The rows of loaded Responses, one Row each, in row order."""
+    return list(map(Row, map(r.student_ids.__getitem__, r.student_idx.tolist()),
+                    map(r.question_ids.__getitem__, r.question_idx.tolist()),
+                    map(r.class_ids.__getitem__, r.class_idx.tolist()), r.awarded.tolist(), r.available.tolist()))
+
+
+def responses(rows) -> Responses:
+    """In-memory rows as Responses: each id column numbered by first appearance with a dict, ids as they are."""
+    tables = ({}, {}, {})
+    codes = [[table.setdefault(row[k], len(table)) for row in rows] for k, table in enumerate(tables)]
+    marks = [[row[k] for row in rows] for k in (3, 4)]
+    return Responses(*(np.array(col, dtype=np.int64) for col in codes + marks), *map(tuple, tables))

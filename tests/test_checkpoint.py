@@ -10,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irtkit.checkpoint import VERSION, align_rows_to_checkpoint, load_checkpoint, save_checkpoint
-from irtkit.data import RawResponse
+from irtkit.data import dataset_from_arrays, load_binary_csv, write_binary_csv
 from irtkit.optim import TrainConfig, init_params, sgd_train
 from irtkit.models import Params, VIParams, inv_softplus, predict_proba_array, softplus
 from irtkit.synth import SynthConfig, generate_synthetic
 from irtkit.vi import VIConfig, train_vi
+
+from oracles import IDS, Row, responses
 
 
 def _dataset():
@@ -90,18 +92,56 @@ def test_sgd_accepts_loaded_checkpoint_as_warm_start(tmp_path):
     np.testing.assert_allclose(again.ability, params.ability, atol=1e-9)
 
 
+@st.composite
+def _indexed_fits(draw):
+    """Params of a drawn kind over a dataset whose id tables hold commas, quotes, CR/LF and non-ASCII ids."""
+    tables = [draw(st.lists(IDS, min_size=1, max_size=n, unique=True)) for n in (6, 5, 3)]
+    num_students, num_questions, num_classes = map(len, tables)
+    class_of = draw(st.lists(st.integers(0, num_classes - 1), min_size=num_students, max_size=num_students))
+    cells = draw(st.lists(st.tuples(st.integers(0, num_students - 1), st.integers(0, num_questions - 1)),
+                          min_size=1, unique=True))
+    y = draw(st.lists(st.integers(0, 1), min_size=len(cells), max_size=len(cells)))
+    data = dataset_from_arrays(*zip(*cells), y, class_of, *tables)
+    kind = draw(st.sampled_from(sorted(_RECORDS)))
+    dims = 0 if kind.startswith("rasch") else draw(st.integers(1, 2))
+    params = init_params(kind, dims, num_students, num_questions, num_classes,
+                         np.random.default_rng(draw(st.integers(0, 2**32 - 1))), 0.5, sigma_init=0.8)
+    return params, data
+
+
+@settings(max_examples=50, deadline=None)
+@given(fit=_indexed_fits())
+def test_roundtrip_keeps_id_tables_tensors_and_row_alignment(tmp_path_factory, fit):
+    params, data = fit
+    work = tmp_path_factory.mktemp("ckpt")
+    path, rows = str(work / "ckpt.json"), str(work / "rows.csv")
+    save_checkpoint(path, params, data)
+    loaded, index = load_checkpoint(path)
+    assert (index.student_ids, index.question_ids, index.class_ids) == \
+        (data.student_ids, data.question_ids, data.class_ids)
+    assert index.class_of.tolist() == data.class_of.tolist()
+    assert loaded.tensors().keys() == params.tensors().keys()
+    for name, arr in params.tensors().items():
+        # the file holds sigma = softplus(rho); loading inverts exactly that
+        _assert_same_bits(getattr(loaded, name), inv_softplus(softplus(arr)) if name.endswith("_rho") else arr)
+    write_binary_csv(data, rows)
+    aligned = align_rows_to_checkpoint(load_binary_csv(rows), index)
+    for name in ("student_idx", "question_idx", "y"):
+        assert getattr(aligned, name).tolist() == getattr(data, name).tolist()
+
+
 def test_align_rows_maps_through_checkpoint_tables(tmp_path):
     data = _dataset()
     params, _ = sgd_train("rasch", data, TrainConfig(epochs=2, seed=0))
     path = str(tmp_path / "ckpt.json")
     save_checkpoint(path, params, data)
     _, index = load_checkpoint(path)
-    rows = [RawResponse("s3", "q2", "c0", 1, 1), RawResponse("s0", "q4", "c0", 0, 1)]
-    aligned = align_rows_to_checkpoint(rows, index)
+    rows = [Row("s3", "q2", "c0", 1, 1), Row("s0", "q4", "c0", 0, 1)]
+    aligned = align_rows_to_checkpoint(responses(rows), index)
     assert aligned.student_idx.tolist() == [3, 0]
     assert aligned.question_idx.tolist() == [2, 4]
     with pytest.raises(ValueError, match="not in the checkpoint"):
-        align_rows_to_checkpoint([RawResponse("ghost", "q0", "c0", 1, 1)], index)
+        align_rows_to_checkpoint(responses([Row("ghost", "q0", "c0", 1, 1)]), index)
 
 
 def test_unknown_file_rejected(tmp_path):
@@ -378,8 +418,8 @@ def test_mutated_checkpoint_loads_or_names_the_file(fuzz_dir, kind, picks):
     except ValueError as exc:
         assert str(exc).startswith(f"{path}: ")
         return
-    rows = [RawResponse(s, q, "c", 1, 1) for s, q in zip(index.student_ids, cycle(index.question_ids))]
-    aligned = align_rows_to_checkpoint(rows, index)
+    rows = [Row(s, q, "c", 1, 1) for s, q in zip(index.student_ids, cycle(index.question_ids))]
+    aligned = align_rows_to_checkpoint(responses(rows), index)
     assert [index.student_ids[i] for i in aligned.student_idx] == [r.student_id for r in rows]
     assert [index.question_ids[i] for i in aligned.question_idx] == [r.question_id for r in rows]
     p = predict_proba_array(params, aligned.student_idx, aligned.question_idx, aligned.class_of)

@@ -431,6 +431,7 @@ class TestExperimentCli:
         assert summary.startswith("model,students,mean_accuracy")
         records = [json.loads(line) for line in out.strip().splitlines()]
         assert {r["model"] for r in records} == {"rasch", "interaction"}
+        assert (workdir / "experiment.manifest.json").is_file() and not (workdir / "..manifest.json").exists()
 
 
 class TestRawIngest:
@@ -471,11 +472,35 @@ class TestRawIngest:
         assert sorted(p.name for p in workdir.iterdir()) == ["raw.csv"]
 
 
-def test_module_entry_point_runs_the_cli(tmp_path):
+def _python(tmp_path, *argv):
+    """Run a fresh Python in tmp_path that imports this irtkit."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(irtkit.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-m", "irtkit", "significance", "--x1", "94440", "--n1", "120000",
-                           "--x2", "95280", "--n2", "120000"], cwd=tmp_path, env=env, capture_output=True,
-                          text=True, timeout=120)
+    return subprocess.run([sys.executable, *argv], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    done = _python(tmp_path, "-m", "irtkit", "significance", "--x1", "94440", "--n1", "120000",
+                   "--x2", "95280", "--n2", "120000")
     assert done.returncode == 0, done.stderr
     assert last_record(done.stdout)["z"] == pytest.approx(4.21, abs=0.01)
+
+
+_INGEST_TRAIN_EVAL = """
+import json, sys
+from irtkit.cli import dispatch
+codes = [dispatch(argv.split()) for argv in (
+    "ingest --input raw.csv --out all.csv --test-fraction 0.2 --train-out train.csv --test-out test.csv",
+    "train --data train.csv --model interaction --epochs 1 --out m.json",
+    "eval --checkpoint m.json --data test.csv --out eval.json")]
+print(json.dumps({"codes": codes, "numpy.ma": "numpy.ma" in sys.modules}))
+"""
+
+
+def test_ingest_train_eval_leave_numpy_ma_unimported(tmp_path):
+    """numpy.ma costs about 1.7 MB of peak memory; no step of a CLI session needs it."""
+    (tmp_path / "raw.csv").write_text("student_id,question_id,class_id,marks_awarded,marks_available\n" + "".join(
+        f"s{s},q{q},c{s % 3},{s * q % 3},2\n" for s in range(30) for q in range(6)), encoding="utf-8")
+    done = _python(tmp_path, "-c", _INGEST_TRAIN_EVAL)
+    assert done.returncode == 0, done.stderr
+    assert last_record(done.stdout) == {"codes": [0, 0, 0], "numpy.ma": False}

@@ -19,8 +19,6 @@ from irtkit.data import (
     _READ_BLOCK,
     NO_CLASS,
     ParseError,
-    RawResponse,
-    binarize,
     build_dataset,
     choice_per_group,
     dataset_from_arrays,
@@ -32,7 +30,7 @@ from irtkit.data import (
 )
 
 import oracles
-from oracles import csv_writer_binary_csv
+from oracles import IDS, Row, csv_writer_binary_csv, responses, rows_of
 
 RAW_HEADER = "student_id,question_id,class_id,marks_awarded,marks_available\n"
 
@@ -46,10 +44,10 @@ def _write(tmp_path, text, name="data.csv"):
 class TestLoadRawCsv:
     def test_direct_field_mapping(self, tmp_path):
         path = _write(tmp_path, RAW_HEADER + "s1,q1,c1,2,3\n")
-        assert list(load_raw_csv(path)) == [RawResponse("s1", "q1", "c1", 2, 3)]
+        assert rows_of(load_raw_csv(path)) == [Row("s1", "q1", "c1", 2, 3)]
 
     def test_header_only_gives_empty_list(self, tmp_path):
-        assert list(load_raw_csv(_write(tmp_path, RAW_HEADER))) == []
+        assert rows_of(load_raw_csv(_write(tmp_path, RAW_HEADER))) == []
 
     def test_awarded_above_available_names_line(self, tmp_path):
         path = _write(tmp_path, RAW_HEADER + "s1,q1,c1,4,3\n")
@@ -73,50 +71,56 @@ class TestLoadRawCsv:
 
     def test_empty_class_id_maps_to_sentinel(self, tmp_path):
         path = _write(tmp_path, RAW_HEADER + "s1,q1,,2,3\n")
-        assert list(load_raw_csv(path))[0].class_id == NO_CLASS
+        assert rows_of(load_raw_csv(path))[0].class_id == NO_CLASS
+
+
+def _bits(tmp_path, marks) -> list:
+    """The binarized outcome `Responses.y` gives each (awarded, available) pair, one loaded row per pair."""
+    records = "".join(f"s{i},q,c,{a},{m}\n" for i, (a, m) in enumerate(marks))
+    return load_raw_csv(_write(tmp_path, RAW_HEADER + records)).y.tolist()
 
 
 class TestBinarize:
-    def test_more_than_half_is_correct(self):
-        assert binarize(RawResponse("s", "q", "c", 2, 3)) == 1
+    def test_more_than_half_is_correct(self, tmp_path):
+        assert _bits(tmp_path, [(2, 3)]) == [1]
 
-    def test_exactly_half_is_incorrect(self):
-        assert binarize(RawResponse("s", "q", "c", 1, 2)) == 0
+    def test_exactly_half_is_incorrect(self, tmp_path):
+        assert _bits(tmp_path, [(1, 2)]) == [0]
 
-    def test_zero_marks(self):
-        assert binarize(RawResponse("s", "q", "c", 0, 5)) == 0
+    def test_zero_marks(self, tmp_path):
+        assert _bits(tmp_path, [(0, 5)]) == [0]
 
-    def test_monotone_in_marks_awarded(self):
+    def test_monotone_in_marks_awarded(self, tmp_path):
         for available in range(1, 11):
-            bits = [binarize(RawResponse("s", "q", "c", a, available)) for a in range(available + 1)]
+            bits = _bits(tmp_path, [(a, available) for a in range(available + 1)])
             assert bits == sorted(bits)
 
 
 class TestBuildDataset:
     def test_counts(self):
-        rows = [RawResponse("s1", "q1", "c1", 1, 1), RawResponse("s2", "q1", "c1", 0, 1)]
-        d = build_dataset(rows)
+        rows = [Row("s1", "q1", "c1", 1, 1), Row("s2", "q1", "c1", 0, 1)]
+        d = build_dataset(responses(rows))
         assert (d.num_students, d.num_questions, d.n_responses) == (2, 1, 2)
 
     def test_conflicting_class_is_an_error(self):
-        rows = [RawResponse("s1", "q1", "c1", 1, 1), RawResponse("s1", "q2", "c2", 0, 1)]
+        rows = [Row("s1", "q1", "c1", 1, 1), Row("s1", "q2", "c2", 0, 1)]
         with pytest.raises(ValueError, match="conflicting class ids 'c1' and 'c2'"):
-            build_dataset(rows)
+            build_dataset(responses(rows))
 
     def test_duplicate_cell_is_an_error(self):
-        rows = [RawResponse("s1", "q1", "c1", 1, 1), RawResponse("s1", "q1", "c1", 0, 1)]
+        rows = [Row("s1", "q1", "c1", 1, 1), Row("s1", "q1", "c1", 0, 1)]
         with pytest.raises(ValueError, match="duplicate response"):
-            build_dataset(rows)
+            build_dataset(responses(rows))
 
     def test_student_codes_out_of_first_appearance_order_rejected(self):
-        r = data.Responses.from_rows([RawResponse("a", "x", "c1", 1, 1), RawResponse("b", "x", "c2", 0, 1)])
+        r = responses([Row("a", "x", "c1", 1, 1), Row("b", "x", "c2", 0, 1)])
         swapped = replace(r, student_idx=r.student_idx[::-1].copy())
         with pytest.raises(ValueError, match="not numbered in first-appearance order"):
             build_dataset(swapped)
 
     def test_first_appearance_indexing(self):
-        rows = [RawResponse("b", "y", "c1", 1, 1), RawResponse("a", "x", "c2", 0, 1)]
-        d = build_dataset(rows)
+        rows = [Row("b", "y", "c1", 1, 1), Row("a", "x", "c2", 0, 1)]
+        d = build_dataset(responses(rows))
         assert d.student_ids == ("b", "a")
         assert d.question_ids == ("y", "x")
 
@@ -127,13 +131,12 @@ class TestBuildDataset:
             for q in range(5):
                 if rng.random() < 0.7:
                     avail = int(rng.integers(1, 5))
-                    rows.append(RawResponse(f"s{s}", f"q{q}", f"c{s % 2}",
-                                            int(rng.integers(0, avail + 1)), avail))
-        d = build_dataset(rows)
+                    rows.append(Row(f"s{s}", f"q{q}", f"c{s % 2}", int(rng.integers(0, avail + 1)), avail))
+        d = build_dataset(responses(rows))
         path = str(tmp_path / "out.csv")
         write_binary_csv(d, path)
         d2 = build_dataset(load_binary_csv(path))
-        original = sorted((r.student_id, r.question_id, binarize(r)) for r in rows)
+        original = sorted((r.student_id, r.question_id, int(2 * r.marks_awarded > r.marks_available)) for r in rows)
         reloaded = sorted(
             (d2.student_ids[s], d2.question_ids[q], y)
             for s, q, y in zip(d2.student_idx.tolist(), d2.question_idx.tolist(), d2.y.tolist())
@@ -253,11 +256,11 @@ _TWO_LINES = (5, FAR - 2)    # records whose quoted student id spans two lines
 
 def _valid_rows() -> list:
     """Distinct cells, one class per student; None where a record is blank."""
-    rows = [RawResponse(f"s{i // 6}", f"q{i % 6}", f"c{i // 6 % 5}", i % 3, 2) for i in range(_N_ROWS)]
+    rows = [Row(f"s{i // 6}", f"q{i % 6}", f"c{i // 6 % 5}", i % 3, 2) for i in range(_N_ROWS)]
     for i in _BLANK:
         rows[i] = None
     for i in _TWO_LINES:
-        rows[i] = RawResponse(f"line\nbreak {i}", "q0", "c0", 1, 2)
+        rows[i] = Row(f"line\nbreak {i}", "q0", "c0", 1, 2)
     return rows
 
 
@@ -399,38 +402,34 @@ class TestErrorContract:
 
 def test_loaders_read_every_block(tmp_path):
     rows = [r for r in _valid_rows() if r is not None]
-    assert list(load_raw_csv(_file(tmp_path, True, {}))) == rows
-    assert list(load_binary_csv(_file(tmp_path, False, {}))) == [r._replace(marks_awarded=r.marks_awarded % 2,
-                                                                            marks_available=1) for r in rows]
+    assert rows_of(load_raw_csv(_file(tmp_path, True, {}))) == rows
+    assert rows_of(load_binary_csv(_file(tmp_path, False, {}))) == [r._replace(marks_awarded=r.marks_awarded % 2,
+                                                                               marks_available=1) for r in rows]
 
 
 @pytest.mark.parametrize("text", [" 2 ", "+2", "\x1c2", "٢", "0_2", " 2"])
 def test_marks_accept_what_int_of_the_stripped_text_accepts(tmp_path, text):
     path = _write(tmp_path, RAW_HEADER + f"s1,q1,c1,{text},3\ns2,q1,c1,1,{text}\n")
-    assert list(load_raw_csv(path)) == [RawResponse("s1", "q1", "c1", 2, 3), RawResponse("s2", "q1", "c1", 1, 2)]
+    assert rows_of(load_raw_csv(path)) == [Row("s1", "q1", "c1", 2, 3), Row("s2", "q1", "c1", 1, 2)]
 
 
 # --- property tests ----------------------------------------------------------------
 
-_ID_CHARS = st.characters(blacklist_categories=("Cs", "Cc")) | st.sampled_from([",", '"', " ", "\n", "\r", "é", "学"])
-_IDS = st.text(_ID_CHARS, min_size=1, max_size=8).filter(lambda s: s == s.strip())
-
-
 @st.composite
 def _binary_rows(draw):
-    students = draw(st.lists(_IDS, min_size=1, max_size=6, unique=True))
-    questions = draw(st.lists(_IDS, min_size=1, max_size=5, unique=True))
-    classes = draw(st.lists(_IDS, min_size=1, max_size=3, unique=True))
+    students = draw(st.lists(IDS, min_size=1, max_size=6, unique=True))
+    questions = draw(st.lists(IDS, min_size=1, max_size=5, unique=True))
+    classes = draw(st.lists(IDS, min_size=1, max_size=3, unique=True))
     class_of = draw(st.lists(st.sampled_from(classes), min_size=len(students), max_size=len(students)))
     cells = draw(st.lists(st.tuples(st.integers(0, len(students) - 1), st.integers(0, len(questions) - 1)),
                           min_size=1, unique=True))
-    return [RawResponse(students[s], questions[q], class_of[s], draw(st.integers(0, 1)), 1) for s, q in cells]
+    return [Row(students[s], questions[q], class_of[s], draw(st.integers(0, 1)), 1) for s, q in cells]
 
 
 @settings(max_examples=200, deadline=None)
 @given(rows=_binary_rows())
 def test_csv_round_trip_keeps_ids_indices_and_csv_writer_bytes(tmp_path_factory, rows):
-    d = build_dataset(rows)
+    d = build_dataset(responses(rows))
     work = tmp_path_factory.mktemp("csv")
     path, reference = str(work / "out.csv"), str(work / "reference.csv")
     write_binary_csv(d, path)
@@ -445,7 +444,7 @@ def test_csv_round_trip_keeps_ids_indices_and_csv_writer_bytes(tmp_path_factory,
 
 def test_writer_blocks_join_into_csv_writer_bytes(tmp_path, monkeypatch):
     monkeypatch.setattr(data, "_WRITE_CHARS", 64)   # a few rows per block
-    d = build_dataset([RawResponse(f"s{i % 7}", f"q,{i // 7}", f"c{i % 7 % 2}", i % 3, 2) for i in range(40)])
+    d = build_dataset(responses([Row(f"s{i % 7}", f"q,{i // 7}", f"c{i % 7 % 2}", i % 3, 2) for i in range(40)]))
     write_binary_csv(d, str(tmp_path / "out.csv"))
     csv_writer_binary_csv(d, str(tmp_path / "reference.csv"))
     assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
@@ -650,7 +649,7 @@ def _csv_reader_oracle(blob: bytes, raw: bool):
             bad = line
         else:
             marks = marks if raw else [marks[0], 1]   # y out of 1
-            rows.append(RawResponse(r[0].strip(), r[1].strip(), r[2].strip() or NO_CLASS, *marks))
+            rows.append(Row(r[0].strip(), r[1].strip(), r[2].strip() or NO_CLASS, *marks))
     if undecodable:
         return None, {undecodable[0]} | ({bad} if bad is not None and bad < undecodable[0] else set())
     return (rows, None) if bad is None else (None, {bad})
@@ -665,7 +664,7 @@ def test_mutated_csv_loads_as_csv_reader_reads_it_or_names_file_and_line(tmp_pat
         fh.write(blob)
     rows, lines = _csv_reader_oracle(blob, raw)
     try:
-        got = list((load_raw_csv if raw else load_binary_csv)(path))
+        got = rows_of((load_raw_csv if raw else load_binary_csv)(path))
     except ParseError as exc:
         message = str(exc)
         assert lines is not None, message
@@ -754,9 +753,9 @@ def test_byte_path_loads_as_csv_reader_reads_it(tmp_path_factory, case):
         assert at is None or edited   # every unedited file is in the grammar
         if at is not None:   # the csv path reads on from the start of a line
             assert line == blob[:at].count(b"\n") + 1 and (not at or blob[at - 1] == ord("\n"))
-        assert at is not None or list(fast) == rows
+        assert at is not None or rows_of(fast) == rows
         if rows is not None:
-            assert list(fast) == rows[:len(fast)]
+            assert rows_of(fast) == rows[:len(fast)]
             assert (fast.student_ids, fast.question_ids, fast.class_ids) == _tables(rows[:len(fast)])
         try:
             got = (load_raw_csv if raw else load_binary_csv)(path)
@@ -766,7 +765,7 @@ def test_byte_path_loads_as_csv_reader_reads_it(tmp_path_factory, case):
             assert exc.path == path and exc.line in lines, (message, lines)
             assert f"at line {exc.line}" in message or (exc.line == 1 and message.startswith(f"{path}: "))
         else:
-            assert list(got) == rows
+            assert rows_of(got) == rows
             assert (got.student_ids, got.question_ids, got.class_ids) == _tables(rows)
 
 
@@ -786,14 +785,14 @@ def test_quote_free_files_load_without_csv_reader(tmp_path, monkeypatch):
     quoted = _write(tmp_path, RAW_HEADER + 's1,q1,c1,2,3\n"s,2",q1,,0,1\n', "quoted.csv")
     long_id = _write(tmp_path, RAW_HEADER + "s" * 65 + ",q1,c1,2,3\n", "long.csv")   # over 8 key words
     monkeypatch.setattr(data.csv, "reader", _no_reader)
-    assert list(load_raw_csv(raw)) == [RawResponse("s1", "q1", "c1", 2, 3), RawResponse("s2", "q1", NO_CLASS, 0, 1)]
-    assert list(load_binary_csv(binary)) == [RawResponse("s1", "q1", "c1", 1, 1)]
+    assert rows_of(load_raw_csv(raw)) == [Row("s1", "q1", "c1", 2, 3), Row("s2", "q1", NO_CLASS, 0, 1)]
+    assert rows_of(load_binary_csv(binary)) == [Row("s1", "q1", "c1", 1, 1)]
     for path in (quoted, long_id):
         with pytest.raises(AssertionError, match="csv.reader called"):
             load_raw_csv(path)
     monkeypatch.undo()
-    assert list(load_raw_csv(quoted)) == [RawResponse("s1", "q1", "c1", 2, 3), RawResponse("s,2", "q1", NO_CLASS, 0, 1)]
-    assert list(load_raw_csv(long_id)) == [RawResponse("s" * 65, "q1", "c1", 2, 3)]
+    assert rows_of(load_raw_csv(quoted)) == [Row("s1", "q1", "c1", 2, 3), Row("s,2", "q1", NO_CLASS, 0, 1)]
+    assert rows_of(load_raw_csv(long_id)) == [Row("s" * 65, "q1", "c1", 2, 3)]
 
 
 @pytest.mark.parametrize("raw", [True, False], ids=["raw", "binary"])
@@ -823,14 +822,14 @@ def test_a_named_pipe_is_read_once_by_the_csv_path(tmp_path):
         with open(pipe, "w", encoding="utf-8") as fh:
             fh.write(RAW_HEADER + "s1,q1,c1,2,3\n")
 
-    threads = [threading.Thread(target=lambda: got.append(list(load_raw_csv(pipe))), daemon=True),
+    threads = [threading.Thread(target=lambda: got.append(rows_of(load_raw_csv(pipe))), daemon=True),
                threading.Thread(target=write, daemon=True)]
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join(timeout=10)
     assert not any(thread.is_alive() for thread in threads)
-    assert got == [[RawResponse("s1", "q1", "c1", 2, 3)]]
+    assert got == [[Row("s1", "q1", "c1", 2, 3)]]
 
 
 def test_texts_with_one_hash_are_coded_apart(tmp_path, monkeypatch):
@@ -892,7 +891,7 @@ def test_byte_path_stops_at_a_line_no_record_fills(tmp_path):
             _assert_same(load_raw_csv(path), _csv_read(path, True))
     finally:
         csv.field_size_limit(limit)
-    assert list(load_raw_csv(path)) == [RawResponse("s1", "q1", "c1", 1, 2)] * 50
+    assert rows_of(load_raw_csv(path)) == [Row("s1", "q1", "c1", 1, 2)] * 50
 
 
 @pytest.mark.parametrize("quoted", [False, True], ids=["byte path", "csv path"])
@@ -916,7 +915,7 @@ def test_one_leading_byte_order_mark_is_skipped(tmp_path, raw, quoted):
 
 def test_byte_order_mark_after_the_start_is_text(tmp_path):
     path = _write(tmp_path, "\ufeff" + RAW_HEADER + "\ufeffs1,q1,c1,1,2\n")
-    assert list(load_raw_csv(path)) == [RawResponse("\ufeffs1", "q1", "c1", 1, 2)]
+    assert rows_of(load_raw_csv(path)) == [Row("\ufeffs1", "q1", "c1", 1, 2)]
 
 
 @pytest.mark.parametrize("quoted", [False, True], ids=["byte path", "csv path"])

@@ -126,3 +126,13 @@ def test_first_failing_unit_reraises_in_the_caller(monkeypatch, first):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             active_vs_random(pool_size=40, seeds=(0, 1), rounds=3)
+
+
+def _no_unit(*args, **kwargs):
+    raise AssertionError("a unit ran")
+
+
+def test_every_fraction_is_checked_before_any_unit(monkeypatch):
+    monkeypatch.setattr(experiments, "_low_data_unit", _no_unit)
+    with pytest.raises(ValueError, match=r"^fraction 0\.0002 of 4000 students keeps no student$"):
+        low_data_sweep(fractions=(0.15, 0.0002), seeds=(0,))
