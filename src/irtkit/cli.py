@@ -66,11 +66,8 @@ def _cmd_ingest(args, manifest: ManifestWriter) -> list:
     # Split before writing anything, so a bad fraction leaves no output behind.
     split = (data_mod.split_train_test(dataset, args.test_fraction, args.seed)
              if args.test_fraction is not None else ())
-    data_mod.write_binary_csv(dataset, args.out)
-    manifest.add_output(args.out)
-    for part, path in zip(split, (args.train_out, args.test_out)):
+    for part, path in zip((dataset, *split), (args.out, args.train_out, args.test_out)):
         data_mod.write_binary_csv(part, path)
-        manifest.add_output(path)
     manifest.seeds["split"] = args.seed
     return [{"students": dataset.num_students, "questions": dataset.num_questions,
              "classes": dataset.num_classes, "responses": dataset.n_responses}]
@@ -91,7 +88,6 @@ def _warm_start(args, manifest: ManifestWriter, dataset):
 def _save_trained(args, manifest: ManifestWriter, params, dataset, report) -> None:
     """Write the checkpoint and, next to it, the training report."""
     save_checkpoint(args.out, params, dataset)
-    manifest.add_output(args.out)
     _write_json(manifest, args.out + ".report.json",
                 {"final_nll": report.final_nll, "epochs_run": report.epochs_run, "nll_trace": report.nll_trace})
     manifest.seeds["train"] = args.seed
@@ -141,7 +137,6 @@ def _cmd_synth(args, manifest: ManifestWriter) -> list:
                       outcome=args.outcome, seed=args.seed, exam_seed=args.exam_seed)
     dataset, truth = generate_synthetic(cfg)
     data_mod.write_binary_csv(dataset, args.out)
-    manifest.add_output(args.out)
     if args.truth:
         _write_json(manifest, args.truth, truth.to_dict())
     manifest.config = {k: getattr(args, k) for k in
@@ -160,7 +155,6 @@ def _cmd_interpret(args, manifest: ManifestWriter) -> list:
     sim = cosine_similarity_matrix(params.demand, index.question_ids, rescale_display=args.rescale_display)
     experiments.write_csv(args.out, ["question_id", *sim.question_ids],
                           [(qid, *row) for qid, row in zip(sim.question_ids, sim.values.tolist())])
-    manifest.add_output(args.out)
     manifest.config = {"rescale_display": sim.rescaled, "zero_rows": list(sim.zero_rows)}
     return [{"questions": len(sim.question_ids), "rescaled": sim.rescaled}]
 
@@ -180,7 +174,6 @@ def _cmd_active(args, manifest: ManifestWriter) -> list:
                                   seed=args.seed)
     result = active_mod.run_active_loop(state, cfg)
     experiments.write_csv(args.out, *experiments.active_curve_table([result]))
-    manifest.add_output(args.out)
     manifest.config = {"pool_size": args.pool_size, "policy": args.policy, "batch": args.batch,
                        "rounds": args.rounds, "holdout_fraction": args.holdout_fraction}
     manifest.seeds["active"] = args.seed
@@ -327,7 +320,7 @@ _HANDLERS = {
 
 
 def dispatch(argv) -> int:
-    """Parse argv, check the output directories, run the subcommand; return the exit code."""
+    """Parse argv, check the output directories, record the output files, run the subcommand; return the exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -337,15 +330,17 @@ def dispatch(argv) -> int:
     if anchor:
         anchor = anchor.rstrip("/") + ("/experiment" if args.command == "experiment" else "")
     manifest_path = args.manifest or (anchor + ".manifest.json" if anchor else "run_manifest.json")
-    outputs = {"--" + dest.replace("_", "-"): getattr(args, dest, None)
-               for dest in ("out", "train_out", "test_out", "truth", "out_dir")}
-    outputs["--manifest"] = manifest_path
+    files = {"--" + dest.replace("_", "-"): getattr(args, dest, None)
+             for dest in ("out", "train_out", "test_out", "truth")}
+    outputs = {**files, "--out-dir": getattr(args, "out_dir", None), "--manifest": manifest_path}
     manifest = ManifestWriter(["irtkit"] + list(argv))
     try:
         for flag, path in outputs.items():
             folder = path if flag == "--out-dir" else os.path.dirname(path or "") or "."
             if path and not os.path.isdir(folder):
                 raise ValueError(f"{flag} {path}: no such directory {folder!r}")
+        for path in filter(None, files.values()):   # the files a handler writes (_write_json records derived ones)
+            manifest.add_output(path)
         records = _HANDLERS[args.command](args, manifest)
         manifest.write(manifest_path)
     except Exception as exc:  # noqa: BLE001 - single-line machine-parseable error contract

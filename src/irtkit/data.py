@@ -54,7 +54,6 @@ _MIX = np.uint64(0x9E3779B97F4A7C15) ** np.arange(_KEY_BYTES // 8, dtype=np.uint
 _LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], "<u8")   # a key word's first n bytes
 _WRITE_CHARS = 1 << 17     # characters of output write_binary_csv assembles at a time
 _FLOYD_LIMIT = 10_000      # Generator.choice draws by Floyd's method up to this population (or k <= n // 50)
-_WORD = 1 << 32            # a bounded draw takes 32-bit words of the generator's stream
 _CHOICE_DRAWS = 1 << 13    # bounded draws choice_per_group makes in bulk at a time (plus one group's)
 
 
@@ -594,7 +593,9 @@ def choice_per_group(rng: np.random.Generator, sizes, ks) -> np.ndarray:
     Groups in the Floyd branch of numpy 2.4's Generator.choice
     (n <= 10,000 or k <= n // 50) are drawn in bulk by `_floyd`, about
     _CHOICE_DRAWS draws at a time so that memory stays bounded; a group in
-    its other branch is drawn by rng.choice itself, in its turn.
+    its other branch is drawn by rng.choice itself, in its turn. The
+    bounded draws come from Generator.integers; only the choice of
+    Floyd's branch and the order of the draws tie this to numpy 2.4.
     """
     sizes, ks = np.asarray(sizes, dtype=np.int64), np.asarray(ks, dtype=np.int64)
     start = np.cumsum(sizes) - sizes
@@ -616,10 +617,11 @@ def _floyd(rng: np.random.Generator, n: np.ndarray, k: np.ndarray, start: np.nda
 
     Per group, pick t is a draw v in [0, j] with j = n - k + t, or j if v
     was picked before; then k - 1 draws with bounds k - 1 .. 1 shuffle
-    the picks, which consumes the stream but not the set. v was picked
-    before iff an earlier draw of the group was v, or v is the j of an
-    earlier pick that took its j; those chains are followed by pointer
-    jumping, so no step is taken per pick.
+    the picks, which consumes the stream but not the set. One
+    rng.integers call makes every group's draws, in that order. v was
+    picked before iff an earlier draw of the group was v, or v is the j
+    of an earlier pick that took its j; those chains are followed by
+    pointer jumping, so no step is taken per pick.
     """
     span = np.maximum(2 * k - 1, 0)   # each group's draws: k picks, then k - 1 shuffle draws
     group = np.repeat(np.arange(n.size), span)
@@ -627,9 +629,7 @@ def _floyd(rng: np.random.Generator, n: np.ndarray, k: np.ndarray, start: np.nda
     kg, low = k[group], (n - k)[group]
     picks = t < kg
     bound = np.where(picks, low + t, 2 * kg - 1 - t)
-    v = np.zeros(group.size, dtype=np.int64)
-    live = bound > 0   # a bound of 0 (the first pick of a group with k == n) draws no word
-    v[live] = _bounded(rng, bound[live])
+    v = rng.integers(0, bound, endpoint=True, dtype=np.uint32).astype(np.int64)   # a bound of 0 draws no word
     group, t, v, low = group[picks], t[picks], v[picks], low[picks]
     at = start[group] + v
     order = np.argsort(at, kind="stable")
@@ -645,26 +645,6 @@ def _floyd(rng: np.random.Generator, n: np.ndarray, k: np.ndarray, start: np.nda
         follow[i[done]] = False
         ptr[i[~done]] = ptr[p[~done]]
     mask[np.where(taken, start[group] + low + t, at)] = True
-
-
-def _bounded(rng: np.random.Generator, bound: np.ndarray) -> np.ndarray:
-    """Draws in [0, bound] for bounds 1 .. 2**32 - 2, word for word as numpy's bounded integers make them.
-
-    Each is Lemire's method on 32-bit words u of rng's stream:
-    (u * (bound + 1)) >> 32, with u redrawn while (u * (bound + 1))
-    mod 2**32 < 2**32 mod (bound + 1). A redraw (in at most bound of
-    2**32 draws) shifts every later draw by a word.
-    """
-    span = bound.astype(np.uint64) + np.uint64(1)
-    low_limit = np.uint64(_WORD) % span
-    words = rng.integers(0, _WORD, size=bound.size, dtype=np.uint32)   # the stream's next words
-    m = words * span
-    at = 0
-    while (bad := np.flatnonzero((m[at:] & np.uint64(_WORD - 1)) < low_limit[at:])).size:
-        at += int(bad[0])
-        words = np.concatenate([words[:at], words[at + 1:], rng.integers(0, _WORD, size=1, dtype=np.uint32)])
-        m[at:] = words[at:] * span[at:]
-    return (m >> np.uint64(32)).view(np.int64)
 
 
 def split_train_test(d: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

@@ -9,11 +9,13 @@ comparison on a pool of new students.
 
 from __future__ import annotations
 
+import csv
 import os
 import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -44,11 +46,10 @@ RECOVERY_EXAM_SEED = 60
 
 
 def write_csv(path: str, header: list[str], rows: list) -> None:
-    """One header line, then one line per row; floats are written as their repr."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+    """A header line, then a line per row, as csv.writer quotes them (floats as their repr), each ended by \\n."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        # One write a row; a \r\n line end (written as \n) makes csv.writer quote a field holding a \r, as \n would not.
+        csv.writer(SimpleNamespace(write=lambda line: fh.write(line[:-2] + "\n"))).writerows([header, *rows])
 
 
 def _write_tables(out_dir: str, recipe: str, *tables) -> None:

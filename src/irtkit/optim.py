@@ -46,7 +46,7 @@ class TrainConfig:
 
 @dataclass
 class TrainReport:
-    final_nll: float
+    final_nll: float | None   # None from train_vi when no epoch ran
     epochs_run: int
     nll_trace: list
 

@@ -23,7 +23,6 @@ prediction (models.predict_proba_array) are the point kinds' own.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,9 +183,7 @@ def train_vi(kind: str, data: Dataset, cfg: VIConfig, dims: int = 1, warm_start=
         trace.append(-elbo)
         for name, g in grads.items():
             getattr(params, name)[...] += cfg.learning_rate * g
-    report = TrainReport(final_nll=trace[-1] if trace else math.nan,
-                         epochs_run=len(trace), nll_trace=trace)
-    return params, report
+    return params, TrainReport(final_nll=trace[-1] if trace else None, epochs_run=len(trace), nll_trace=trace)
 
 
 def predict_prob_vi(params: VIParams, s: int, q: int, class_of=None,

@@ -4,8 +4,9 @@ Everything here is implemented against scipy / brute force rather than
 the library under test, so expected values come from a separate path:
 Gauss-Hermite quadrature for exact ELBOs and marginal likelihoods, dense
 grid search for the small Rasch optimum, plain Monte Carlo for KL
-estimates, csv.writer row by row for the bytes of a written CSV, and a
-dict per id column for the columns of in-memory rows.
+estimates, csv.writer row by row for the bytes of a written CSV, fields
+joined by hand for the bytes of a quote-free table, and a dict per id
+column for the columns of in-memory rows.
 """
 
 from __future__ import annotations
@@ -250,6 +251,14 @@ def csv_writer_binary_csv(d, path: str) -> None:
         writer.writerow(["student_id", "question_id", "class_id", "y"])
         writer.writerows([d.student_ids[s], d.question_ids[q], d.class_ids[class_of[s]], y]
                          for s, q, y in zip(d.student_idx.tolist(), d.question_idx.tolist(), d.y.tolist()))
+
+
+def hand_joined_csv(path: str, header: list, rows: list) -> None:
+    """A table's lines joined by hand, floats as their repr: what write_csv must write when no field needs quoting."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
 def choice_per_group(rng, sizes, ks) -> list:

@@ -1,6 +1,7 @@
 """End-to-end command-line flows via the dispatcher."""
 
 import argparse
+import csv
 import json
 import os
 import subprocess
@@ -377,6 +378,48 @@ class TestPipeline:
         code, _, _ = self._warm_start(capsys, model.removesuffix("-vi"), command, model, classes=("cB", "cA", "cB"))
         assert code == 0
         assert os.path.exists("v.json")
+
+    def test_interpret_quotes_question_ids(self, workdir, capsys):
+        questions = ["q,1", 'q"2', "q\n3", "q\r4", "é5"]
+        with open("odd.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["student_id", "question_id", "class_id", "y"])
+            writer.writerows([f"s{s}", q, "c0", (s + j) % 2] for s in range(6) for j, q in enumerate(questions))
+        assert run_cli(capsys, "train", "--data", "odd.csv", "--model", "interaction", "--dims", "2",
+                       "--epochs", "3", "--out", "odd.json")[0] == 0
+        assert run_cli(capsys, "interpret", "--checkpoint", "odd.json", "--out", "m.csv")[0] == 0
+        with open("m.csv", newline="", encoding="utf-8") as fh:
+            lines = list(csv.reader(fh))
+        header, rows = lines[0], lines[1:]
+        assert header[0] == "question_id" and sorted(header[1:]) == sorted(questions)
+        assert [row[0] for row in rows] == header[1:]
+        assert all(len(row) == len(header) and all(-1.0 <= float(v) <= 1.0 for v in row[1:]) for row in rows)
+
+    def test_zero_epoch_vi_writes_strict_json(self, workdir, capsys):
+        def strict(constant):
+            raise ValueError(f"{constant} is not JSON")
+        run_cli(capsys, *_synth_args("data.csv"))
+        code, out, _ = run_cli(capsys, "train-vi", "--data", "data.csv", "--model", "rasch-vi",
+                               "--epochs", "0", "--out", "v.json")
+        assert code == 0
+        assert json.loads(out, parse_constant=strict) == {"final_negative_elbo": None, "epochs_run": 0}
+        assert json.loads((workdir / "v.json.report.json").read_text(), parse_constant=strict) == \
+            {"final_nll": None, "epochs_run": 0, "nll_trace": []}
+
+    def test_manifests_list_outputs_in_write_order(self, workdir, capsys):
+        run_cli(capsys, *_synth_args("data.csv"), "--truth", "truth.json")
+        run_cli(capsys, "ingest", "--input", "data.csv", "--format", "binary", "--out", "norm.csv",
+                "--test-fraction", "0.25", "--train-out", "train.csv", "--test-out", "test.csv")
+        run_cli(capsys, "train", "--data", "train.csv", "--model", "rasch", "--epochs", "2", "--out", "m.json")
+        run_cli(capsys, "eval", "--checkpoint", "m.json", "--data", "test.csv", "--out", "metrics.json")
+        run_cli(capsys, "eval", "--checkpoint", "m.json", "--data", "test.csv", "--manifest", "plain.json")
+        outputs = {name: json.loads((workdir / name).read_text())["outputs"] for name in
+                   ("data.csv.manifest.json", "norm.csv.manifest.json", "m.json.manifest.json",
+                    "metrics.json.manifest.json", "plain.json")}
+        assert outputs == {"data.csv.manifest.json": ["data.csv", "truth.json"],
+                           "norm.csv.manifest.json": ["norm.csv", "train.csv", "test.csv"],
+                           "m.json.manifest.json": ["m.json", "m.json.report.json"],
+                           "metrics.json.manifest.json": ["metrics.json"], "plain.json": []}
 
 
 class TestActiveCli:

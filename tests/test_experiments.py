@@ -1,5 +1,6 @@
-"""Recipe units on worker processes: same rows, same bytes, same errors and warnings."""
+"""Recipe units on worker processes: same rows, same bytes, same errors and warnings; the table writer."""
 
+import csv
 import os
 import re
 import sys
@@ -7,11 +8,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irtkit import experiments
 from irtkit.active import ActiveResult
-from irtkit.experiments import active_vs_random, low_data_sweep, recovery_run, resolve_workers
+from irtkit.experiments import active_vs_random, low_data_sweep, recovery_run, resolve_workers, write_csv
 from irtkit.optim import TrainingDiverged
+from oracles import IDS, hand_joined_csv
 
 SMALL = {
     "recovery.csv": (recovery_run, {"students": 400, "epochs": 3, "seeds": (0, 1)}),
@@ -136,3 +140,31 @@ def test_every_fraction_is_checked_before_any_unit(monkeypatch):
     monkeypatch.setattr(experiments, "_low_data_unit", _no_unit)
     with pytest.raises(ValueError, match=r"^fraction 0\.0002 of 4000 students keeps no student$"):
         low_data_sweep(fractions=(0.15, 0.0002), seeds=(0,))
+
+
+# Text no field of a table needs quoted: no delimiter, quote or line break.
+_PLAIN = st.text(st.characters(blacklist_categories=("Cs", "Cc"), blacklist_characters=',"'), min_size=1, max_size=8)
+
+
+def _tables_of(text):
+    """A header of text fields, then rows of text, int and float fields."""
+    fields = st.lists(st.one_of(text, st.integers(), st.floats()), min_size=1, max_size=4)
+    return st.tuples(st.lists(text, min_size=1, max_size=4), st.lists(fields, max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(plain=_tables_of(_PLAIN), table=_tables_of(IDS))
+def test_write_csv_joins_plain_fields_and_reads_back_any(tmp_path_factory, plain, table):
+    directory = tmp_path_factory.mktemp("tables")
+    write_csv(str(directory / "got.csv"), *plain)
+    hand_joined_csv(str(directory / "want.csv"), *plain)
+    assert (directory / "got.csv").read_bytes() == (directory / "want.csv").read_bytes()
+
+    header, rows = table
+    write_csv(str(directory / "any.csv"), header, rows)
+    with open(directory / "any.csv", newline="", encoding="utf-8") as fh:
+        lines = list(csv.reader(fh))
+    assert [len(line) for line in lines] == [len(row) for row in [header, *rows]]
+    for line, row in zip(lines, [header, *rows]):
+        assert [repr(float(f)) if isinstance(v, float) else f for f, v in zip(line, row)] == \
+            [repr(v) if isinstance(v, float) else str(v) for v in row]
