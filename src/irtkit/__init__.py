@@ -32,8 +32,6 @@ from .models import (
 )
 from .optim import TrainConfig, TrainReport, TrainingDiverged, finite_diff_check, grad_nll, nll, sgd_train
 from .vi import (
-    MONTE_CARLO,
-    PLUG_IN_MEAN,
     VIConfig,
     VIParams,
     elbo_finite_diff_check,

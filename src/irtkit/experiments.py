@@ -136,27 +136,26 @@ class RecoveryRow:
 
 
 @lru_cache(maxsize=1)
-def _recovery_split(seed: int, students: int, questions: int, test_fraction: float):
+def _recovery_split(seed: int, students: int):
     """A seed's recovery data, split into (train, test) once for both of its models."""
-    data, _ = generate_synthetic(SynthConfig(students=students, questions=questions, dims=1,
+    data, _ = generate_synthetic(SynthConfig(students=students, questions=24, dims=1,
                                              mean_bq=-3.0, outcome="threshold",
                                              seed=seed + SEED_DATA,
                                              exam_seed=RECOVERY_EXAM_SEED))
-    return split_train_test(data, test_fraction, seed + SEED_SPLIT)
+    return split_train_test(data, 0.2, seed + SEED_SPLIT)
 
 
-def _recovery_unit(seed: int, model: str, students: int, questions: int, test_fraction: float,
-                   epochs: int) -> RecoveryRow:
+def _recovery_unit(seed: int, model: str, students: int, epochs: int) -> RecoveryRow:
     """One (seed, model) fit of the recovery run."""
-    train, test = _recovery_split(seed, students, questions, test_fraction)
+    train, test = _recovery_split(seed, students)
     cfg = TrainConfig(learning_rate=0.1, epochs=epochs, seed=seed + SEED_TRAIN,
                       init_scale=TrainConfig.init_scale if model == RASCH else 0.1)
     params, _ = sgd_train(model, train, cfg, dims=1)
     return RecoveryRow(model, seed, students, _heldout_accuracy(params, test))
 
 
-def recovery_run(students: int = 40_000, questions: int = 24, seeds=(0, 1, 2, 3, 4),
-                 test_fraction: float = 0.2, epochs: int = 60, out_dir: str | None = None):
+def recovery_run(students: int = 40_000, seeds=(0, 1, 2, 3, 4), epochs: int = 60,
+                 out_dir: str | None = None):
     """Synthetic recovery: dense 1-D interaction data, both point models.
 
     Outcomes are the model's most-likely responses (threshold variant):
@@ -166,8 +165,7 @@ def recovery_run(students: int = 40_000, questions: int = 24, seeds=(0, 1, 2, 3,
     per-seed accuracy rows.
     """
     rows: list[RecoveryRow] = _run_units(
-        partial(_recovery_unit, students=students, questions=questions,
-                test_fraction=test_fraction, epochs=epochs),
+        partial(_recovery_unit, students=students, epochs=epochs),
         [(seed, model) for seed in seeds for model in (RASCH, INTERACTION)])
     _recovery_split.cache_clear()
 
@@ -204,28 +202,25 @@ def _low_data_full(seed: int):
     return generate_synthetic(low_data_synth_config(seed + SEED_DATA))[0]
 
 
-def _low_data_unit(seed: int, fraction: float, dims: int, test_fraction: float, point_epochs: int,
-                   vi_epochs: int, vi_lr: float) -> LowDataRow:
+def _low_data_unit(seed: int, fraction: float, point_epochs: int, vi_epochs: int) -> LowDataRow:
     """One (seed, fraction) pair of the sweep: the point fit, then its VI twin."""
     full = _low_data_full(seed)
     sub = full if fraction == 1.0 else subsample_students(full, fraction, seed + SEED_SPLIT)
-    train, test = split_train_test(sub, test_fraction, seed + SEED_SPLIT)
+    train, test = split_train_test(sub, 0.2, seed + SEED_SPLIT)
     point_cfg = TrainConfig(learning_rate=0.1, epochs=point_epochs, init_scale=0.1,
                             seed=seed + SEED_TRAIN)
-    point_params, _ = sgd_train(CLASS_INTERACTION, train, point_cfg, dims=dims)
+    point_params, _ = sgd_train(CLASS_INTERACTION, train, point_cfg, dims=3)
     ci_acc = _heldout_accuracy(point_params, test)
 
-    vi_cfg = VIConfig(samples=5, sigma_init=0.8, learning_rate=vi_lr, epochs=vi_epochs,
+    vi_cfg = VIConfig(samples=5, sigma_init=0.8, learning_rate=0.002, epochs=vi_epochs,
                       seed=seed + SEED_TRAIN)
-    vi_params, _ = train_vi(CLASS_INTERACTION_VI, train, vi_cfg, dims=dims, warm_start=point_params)
+    vi_params, _ = train_vi(CLASS_INTERACTION_VI, train, vi_cfg, dims=3, warm_start=point_params)
     p = predict_proba_vi_array(vi_params, test.student_idx, test.question_idx, test.class_of)
     return LowDataRow(fraction, sub.num_students, seed, ci_acc, accuracy(p, test.y).accuracy)
 
 
 def low_data_sweep(fractions=(1.0, 0.5, 0.25, 0.15), seeds=(0, 1, 2, 3, 4),
-                   dims: int = 3, test_fraction: float = 0.2,
-                   point_epochs: int = 150, vi_epochs: int = 800, vi_lr: float = 0.002,
-                   out_dir: str | None = None):
+                   point_epochs: int = 150, vi_epochs: int = 800, out_dir: str | None = None):
     """Point class interaction vs its VI twin across subsample fractions.
 
     The VI model is warm-started from the trained point model with its
@@ -237,8 +232,7 @@ def low_data_sweep(fractions=(1.0, 0.5, 0.25, 0.15), seeds=(0, 1, 2, 3, 4),
     for fraction in fractions:
         students_kept(fraction, low_data_synth_config(0).students)
     rows: list[LowDataRow] = _run_units(
-        partial(_low_data_unit, dims=dims, test_fraction=test_fraction,
-                point_epochs=point_epochs, vi_epochs=vi_epochs, vi_lr=vi_lr),
+        partial(_low_data_unit, point_epochs=point_epochs, vi_epochs=vi_epochs),
         [(seed, fraction) for seed in seeds for fraction in fractions])
     _low_data_full.cache_clear()
 
@@ -262,16 +256,15 @@ def active_synth_config(seed: int) -> SynthConfig:
 
 
 @lru_cache(maxsize=1)
-def _active_pool(seed: int, pool_size: int, holdout_fraction: float):
+def _active_pool(seed: int, pool_size: int):
     """A seed's pool, made once for both policies (`run_active_loop` leaves it as is)."""
     data, _ = generate_synthetic(active_synth_config(seed + SEED_DATA))
-    return make_pool_state(data, pool_size, holdout_fraction, seed + SEED_POOL)
+    return make_pool_state(data, pool_size, 0.2, seed + SEED_POOL)
 
 
-def _active_unit(seed: int, policy: str, pool_size: int, rounds: int,
-                 holdout_fraction: float) -> ActiveResult:
+def _active_unit(seed: int, policy: str, pool_size: int, rounds: int) -> ActiveResult:
     """One (seed, policy) learning curve."""
-    state = _active_pool(seed, pool_size, holdout_fraction)
+    state = _active_pool(seed, pool_size)
     cfg = ActiveConfig(policy=policy, batch_size=1, rounds=rounds,
                        retrain=TrainConfig(learning_rate=0.1, epochs=8, convergence_tol=0.0),
                        initial_epochs=30, seed=seed + SEED_TRAIN)
@@ -279,7 +272,7 @@ def _active_unit(seed: int, policy: str, pool_size: int, rounds: int,
 
 
 def active_vs_random(pool_size: int = 2000, seeds=(0, 1, 2, 3, 4), rounds: int = 56,
-                     holdout_fraction: float = 0.2, out_dir: str | None = None):
+                     out_dir: str | None = None):
     """Paired uncertainty-vs-random learning curves on a pool of new students.
 
     Both policies share the generator, pool construction, and seeds; only
@@ -288,8 +281,7 @@ def active_vs_random(pool_size: int = 2000, seeds=(0, 1, 2, 3, 4), rounds: int =
     """
     policies = (UNCERTAINTY, RANDOM)
     curves = _run_units(
-        partial(_active_unit, pool_size=pool_size, rounds=rounds,
-                holdout_fraction=holdout_fraction),
+        partial(_active_unit, pool_size=pool_size, rounds=rounds),
         [(seed, policy) for seed in seeds for policy in policies])
     _active_pool.cache_clear()
     results = {policy: curves[i::len(policies)] for i, policy in enumerate(policies)}

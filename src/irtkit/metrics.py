@@ -44,6 +44,8 @@ def accuracy(preds, labels, threshold: float = 0.5) -> MetricsReport:
         raise ValueError("preds and labels must have equal length")
     if preds.size == 0:
         raise ValueError("cannot score an empty prediction set")
+    if not 0 <= threshold <= 1:
+        raise ValueError(f"threshold must be in [0, 1], got {threshold!r}")
     hard = preds >= threshold
     pos = labels == 1
     correct = int(np.sum(hard == pos))
@@ -74,6 +76,8 @@ def two_proportion_z_test(x1: int, n1: int, x2: int, n2: int,
         raise ValueError("sample sizes must be >= 1")
     if not (0 <= x1 <= n1 and 0 <= x2 <= n2):
         raise ValueError("counts must satisfy 0 <= x <= n")
+    if not all(0 < a < 1 for a in alphas):
+        raise ValueError(f"every alpha must be in (0, 1), got {list(alphas)!r}")
     p_hat = (x1 + x2) / (n1 + n2)
     if p_hat in (0.0, 1.0):
         raise ValueError("pooled proportion is degenerate (0 or 1), SE undefined")

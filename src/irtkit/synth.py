@@ -1,11 +1,11 @@
 """Seeded synthetic response generation for recovery and low-data experiments.
 
-Latents are drawn from configurable normals (question easiness defaults
-to Normal(-3, 1), everything else to Normal(0, 1)); each cell's outcome
-is a Bernoulli draw of the logistic of ability + easiness + skill dot
-demand, plus a class-vector term when class structure is enabled. The
-generated matrix is dense by default; keep_prob < 1 drops cells at
-random for sparsity experiments.
+Ability and question demand are drawn from Normal(0, 1), easiness and
+skill from configurable normals (by default Normal(-3, 1), Normal(0, 1));
+each cell's outcome is a Bernoulli draw of the logistic of ability +
+easiness + skill dot demand, plus a class-vector term when class
+structure is enabled. The generated matrix is dense by default;
+keep_prob < 1 drops cells at random for sparsity experiments.
 """
 
 from __future__ import annotations
@@ -31,9 +31,7 @@ class SynthConfig:
     dims: int = 1
     mean_bq: float = -3.0
     std_bq: float = 1.0
-    std_bs: float = 1.0
     std_xs: float = 1.0
-    std_xq: float = 1.0
     num_classes: int = 0            # 0 disables class structure
     class_effect_std: float = 0.0
     keep_prob: float = 1.0
@@ -48,7 +46,7 @@ class SynthConfig:
             require_count("exam_seed", self.exam_seed, 0)
         if isinstance(self.mean_bq, bool) or not isinstance(self.mean_bq, Real) or not abs(self.mean_bq) < np.inf:
             raise ValueError(f"mean_bq must be a finite real number, got {self.mean_bq!r}")
-        for name in ("std_bq", "std_bs", "std_xs", "std_xq", "class_effect_std"):
+        for name in ("std_bq", "std_xs", "class_effect_std"):
             require_nonnegative(name, getattr(self, name))
         if isinstance(self.keep_prob, bool) or not isinstance(self.keep_prob, Real) or not 0 < self.keep_prob <= 1:
             raise ValueError(f"keep_prob must be in (0, 1], got {self.keep_prob!r}")
@@ -83,10 +81,10 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[Dataset, SynthTruth]:
     rng = np.random.default_rng(cfg.seed)
     exam_rng = rng if cfg.exam_seed is None else np.random.default_rng(cfg.exam_seed)
     S, Q, D = cfg.students, cfg.questions, cfg.dims
-    ability = rng.normal(0.0, cfg.std_bs, S)
+    ability = rng.normal(0.0, 1.0, S)
     easiness = exam_rng.normal(cfg.mean_bq, cfg.std_bq, Q)
     skill = rng.normal(0.0, cfg.std_xs, (S, D))
-    demand = exam_rng.normal(0.0, cfg.std_xq, (Q, D))
+    demand = exam_rng.normal(0.0, 1.0, (Q, D))
 
     logits = ability[:, None] + easiness[None, :]
     if D > 0:

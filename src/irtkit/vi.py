@@ -29,12 +29,9 @@ import numpy as np
 
 from .data import Dataset
 from .models import (_P_HI, _P_LO, CLASS_INTERACTION_VI, FAMILY, VI_KINDS, Params, VIParams, class_cells,
-                     grad_scatter, logits, predict_proba_array, question_rows, require_count, require_nonnegative,
-                     require_positive, sigmoid, softplus, vec_rows)
+                     grad_scatter, logits, predict_proba_array, question_rows, require_count, require_positive,
+                     sigmoid, softplus, vec_rows)
 from .optim import TrainingDiverged, TrainReport, central_difference_error, init_params
-
-PLUG_IN_MEAN = "plugin-mean"
-MONTE_CARLO = "monte-carlo"
 
 
 def kl_gaussian(mu1, sigma1, mu2, sigma2):
@@ -61,12 +58,10 @@ class VIConfig:
     learning_rate: float = 0.01  # ascent is on the total ELBO; scale down for large datasets
     epochs: int = 500
     seed: int = 0
-    init_scale: float = 0.01
 
     def __post_init__(self):
         for name, low in (("samples", 1), ("epochs", 0), ("seed", 0)):
             require_count(name, getattr(self, name), low)
-        require_nonnegative("init_scale", self.init_scale)
         for name in ("sigma_init", "learning_rate"):
             require_positive(name, getattr(self, name))
 
@@ -157,10 +152,11 @@ def train_vi(kind: str, data: Dataset, cfg: VIConfig, dims: int = 1, warm_start=
     """Full-batch ELBO ascent with fresh reparameterized noise per epoch.
 
     Every sigma starts at sigma_init, the rest as copies of warm_start (a
-    point model of the kind's family) or as draws. Every epoch draws M noise samples, forms the Monte Carlo ELBO and its
-    gradient, and takes one ascent step on all variational and point
-    parameters. Runs the configured epoch budget (the MC objective is too
-    noisy for a relative-change stop). Deterministic given cfg.seed.
+    point model of the kind's family) or as Normal(0, 0.01^2) draws. Every
+    epoch draws M noise samples, forms the Monte Carlo ELBO and its gradient,
+    and takes one ascent step on all variational and point parameters. Runs
+    the configured epoch budget (the MC objective is too noisy for a
+    relative-change stop). Deterministic given cfg.seed.
     """
     if kind not in VI_KINDS:
         raise ValueError(f"unknown VI kind {kind!r}")
@@ -171,7 +167,7 @@ def train_vi(kind: str, data: Dataset, cfg: VIConfig, dims: int = 1, warm_start=
 
     rng = np.random.default_rng(cfg.seed)
     params = init_params(kind, dims, data.num_students, data.num_questions, data.num_classes, rng,
-                         cfg.init_scale, cfg.sigma_init, warm_start)
+                         0.01, cfg.sigma_init, warm_start)
 
     responses = _responses(kind, data)
     trace: list[float] = []
@@ -186,26 +182,17 @@ def train_vi(kind: str, data: Dataset, cfg: VIConfig, dims: int = 1, warm_start=
     return params, TrainReport(final_nll=trace[-1] if trace else None, epochs_run=len(trace), nll_trace=trace)
 
 
-def predict_prob_vi(params: VIParams, s: int, q: int, class_of=None,
-                    mode: str = PLUG_IN_MEAN, M: int = 1000, seed: int = 0) -> float:
-    """Test-time probability for one cell.
+def predict_prob_vi(params: VIParams, s: int, q: int, class_of=None, M: int = 1000, seed: int = 0) -> float:
+    """Monte Carlo probability for one cell: sigma(z) over M sampled latents, averaged and clamped to (0, 1).
 
-    Plug-in mean evaluates the logistic at the posterior means (and point
-    tensors); Monte Carlo averages sigma(z) over M sampled latents. Either
-    way the output is clamped to the open interval (0, 1), as on the point
-    path.
+    The plug-in mean is the point predictor, `predict_proba_array`, at the means.
     """
-    s_idx, q_idx = np.array([s]), np.array([q])
-    if mode == PLUG_IN_MEAN:
-        return float(predict_proba_array(params, s_idx, q_idx, class_of)[0])
-    if mode != MONTE_CARLO:
-        raise ValueError(f"unknown prediction mode {mode!r}")
     if M < 1:
         raise ValueError("M must be >= 1")
     # M draws of the student's latents, scored as M students answering q
     rng = np.random.default_rng(seed)
     ability = draw_latent(params.ability[s], params.ability_rho[s], rng.standard_normal(M))
-    rows = vec_rows(params.kind, s_idx, class_of)
+    rows = vec_rows(params.kind, np.array([s]), class_of)
     vec = None
     if params.dims:
         vec = draw_latent(params.vec[rows], params.vec_rho[rows], rng.standard_normal((M, params.dims)))
@@ -215,7 +202,7 @@ def predict_prob_vi(params: VIParams, s: int, q: int, class_of=None,
 
 
 def predict_proba_vi_array(params: VIParams, s_idx, q_idx, class_of=None) -> np.ndarray:
-    """Vectorized plug-in-mean probabilities (the deterministic default): the point predictor at the means."""
+    """Vectorized plug-in-mean probabilities: the point predictor at the means."""
     return predict_proba_array(params, s_idx, q_idx, class_of)
 
 

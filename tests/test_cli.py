@@ -52,6 +52,14 @@ class TestSignificance:
         assert 0.01 in record["significant_at"]
         assert os.path.exists("run_manifest.json")
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "0", "1", "-0.05"])
+    def test_alpha_outside_open_unit_interval_is_a_named_error(self, workdir, capsys, alpha):
+        code, out, err = run_cli(capsys, "significance", "--x1", "30", "--n1", "100",
+                                 "--x2", "40", "--n2", "100", "--alpha", "0.05", f"--alpha={alpha}")
+        assert code == 1 and out == ""
+        assert err == f"error: every alpha must be in (0, 1), got [0.05, {float(alpha)!r}]\n"
+        assert list(workdir.iterdir()) == []
+
     def test_degenerate_input_fails_cleanly(self, workdir, capsys):
         code, _, err = run_cli(capsys, "significance", "--x1", "0", "--n1", "5",
                                "--x2", "0", "--n2", "5")
@@ -292,6 +300,17 @@ class TestPipeline:
         code, _, err = run_cli(capsys, "interpret", "--checkpoint", "r.json", "--out", "m.csv")
         assert code == 1
         assert "no question embedding vectors" in err
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-0.5", "1.5"])
+    def test_threshold_outside_unit_interval_is_a_named_error(self, workdir, capsys, threshold):
+        run_cli(capsys, *_synth_args("data.csv"))
+        run_cli(capsys, "train", "--data", "data.csv", "--model", "rasch",
+                "--epochs", "5", "--out", "r.json")
+        code, out, err = run_cli(capsys, "eval", "--checkpoint", "r.json", "--data", "data.csv",
+                                 f"--threshold={threshold}", "--out", "m.json")
+        assert code == 1 and out == ""
+        assert err == f"error: threshold must be in [0, 1], got {float(threshold)!r}\n"
+        assert not os.path.exists("m.json") and not os.path.exists("m.json.manifest.json")
 
     def test_eval_unknown_id_fails(self, workdir, capsys):
         run_cli(capsys, *_synth_args("data.csv"))

@@ -44,8 +44,22 @@ class TestAccuracy:
         report = accuracy([0.5], [1], threshold=0.5)
         assert report.accuracy == 1.0
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, -0.01, 1.01])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        with pytest.raises(ValueError, match=r"^threshold must be in \[0, 1\]"):
+            accuracy([0.2, 0.8], [0, 1], threshold=threshold)
+
+    def test_closed_interval_ends_are_thresholds(self):
+        assert accuracy([0.0, 1.0], [0, 1], threshold=0.0).correct == 1
+        assert accuracy([0.0, 1.0], [0, 1], threshold=1.0).correct == 2
+
 
 class TestTwoProportionZTest:
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0, 1.0, -0.05])
+    def test_alpha_outside_open_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError, match=r"^every alpha must be in \(0, 1\)"):
+            two_proportion_z_test(30, 100, 40, 100, alphas=(0.05, alpha))
+
     def test_reported_comparison(self):
         result = two_proportion_z_test(94_440, 120_000, 95_280, 120_000, alphas=[0.01])
         assert result.p_hat == pytest.approx(0.7905, abs=1e-4)

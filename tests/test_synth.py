@@ -77,7 +77,7 @@ def test_exam_seed_fixes_question_side_across_student_seeds():
 
 @pytest.mark.parametrize("name,value", [
     ("students", float("nan")), ("students", 2.5), ("questions", True), ("dims", 1.5), ("num_classes", -1),
-    ("std_bq", float("nan")), ("std_bs", -1.0), ("std_xs", float("inf")), ("std_xq", -0.5),
+    ("std_bq", float("nan")), ("std_xs", float("inf")),
     ("class_effect_std", float("nan")), ("seed", -1), ("seed", 1.5), ("exam_seed", -2), ("exam_seed", 1.5),
     ("mean_bq", float("nan")), ("mean_bq", float("inf")), ("mean_bq", float("-inf")), ("mean_bq", "-3"),
 ])
