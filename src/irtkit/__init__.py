@@ -33,7 +33,6 @@ from .models import (
 from .optim import TrainConfig, TrainReport, TrainingDiverged, finite_diff_check, grad_nll, nll, sgd_train
 from .vi import (
     VIConfig,
-    VIParams,
     elbo_finite_diff_check,
     elbo_mc,
     kl_gaussian,

@@ -18,7 +18,7 @@ from itertools import repeat
 import numpy as np
 
 from .data import Dataset, Responses, dataset_from_arrays
-from .models import FAMILY, RASCH, Params, inv_softplus, make_params, softplus, tensor_table
+from .models import FAMILY, RASCH, Params, check_shapes, inv_softplus, softplus, tensor_table
 
 FORMAT = "irtkit-checkpoint"
 VERSION = 1
@@ -30,8 +30,9 @@ def _tensor_record(name: str, arr: np.ndarray) -> dict:
 
 
 def save_checkpoint(path: str, params: Params, data: Dataset) -> None:
-    """Write one record per tensor of the params' kind's tensor table, sigmas for rhos."""
+    """Write one record per tensor of the params' kind's tensor table, sigmas for rhos, once shapes match data."""
     table = tensor_table(params.kind, params.dims, data.num_students, data.num_questions, data.num_classes)
+    check_shapes(params, table, "checkpoint")
     tensors = [_tensor_record(record, softplus(getattr(params, name)) if name.endswith("_rho")
                               else getattr(params, name))
                for name, (record, _) in table.items()]
@@ -127,7 +128,7 @@ def load_checkpoint(path: str) -> tuple[Params, Dataset]:
                 raise ValueError(f"{path}: tensor {record!r} holds a sigma <= 0")
             values = np.asarray(inv_softplus(values))
         tensors[name] = values
-    return make_params(kind, tensors), dataset_from_arrays((), (), (), class_of, *tables)
+    return Params(kind=kind, **tensors), dataset_from_arrays((), (), (), class_of, *tables)
 
 
 _JSON_TYPES = {dict: "object", list: "array", int: "integer", str: "string"}

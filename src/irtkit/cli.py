@@ -6,8 +6,9 @@ checks that every output directory exists before any work, runs the
 subcommand's handler, which writes the outputs and returns the JSON
 records the run reports, writes one JSON manifest (command line, config
 snapshot, seeds, input digests, output paths, duration) so results can
-be reproduced exactly, and prints the records. Any failure is one
-`error:` line on stderr and exit code 1. All randomness is driven by
+be reproduced exactly, and prints the records. A run with no --out or
+--out-dir writes a manifest only where --manifest says. Any failure is
+one `error:` line on stderr and exit code 1. All randomness is driven by
 explicit --seed flags; environment variables are never consulted.
 """
 
@@ -214,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, summary, data_format=None, seed=False):
         """A subcommand with --manifest; --data and --format when it reads a data file; --seed when seeded."""
         p = sub.add_parser(name, help=summary)
-        p.add_argument("--manifest", default=None, help="manifest path (default: <out>.manifest.json)")
+        p.add_argument("--manifest", default=None,
+                       help="manifest path (default: <out>.manifest.json; none without --out)")
         if data_format:
             p.add_argument("--data", required=True)
             p.add_argument("--format", choices=("raw", "binary"), default=data_format)
@@ -329,7 +331,7 @@ def dispatch(argv) -> int:
     anchor = getattr(args, "out", None) or getattr(args, "out_dir", None)
     if anchor:
         anchor = anchor.rstrip("/") + ("/experiment" if args.command == "experiment" else "")
-    manifest_path = args.manifest or (anchor + ".manifest.json" if anchor else "run_manifest.json")
+    manifest_path = args.manifest or (anchor and anchor + ".manifest.json")   # None: no manifest
     files = {"--" + dest.replace("_", "-"): getattr(args, dest, None)
              for dest in ("out", "train_out", "test_out", "truth")}
     outputs = {**files, "--out-dir": getattr(args, "out_dir", None), "--manifest": manifest_path}
@@ -342,7 +344,8 @@ def dispatch(argv) -> int:
         for path in filter(None, files.values()):   # the files a handler writes (_write_json records derived ones)
             manifest.add_output(path)
         records = _HANDLERS[args.command](args, manifest)
-        manifest.write(manifest_path)
+        if manifest_path:
+            manifest.write(manifest_path)
     except Exception as exc:  # noqa: BLE001 - single-line machine-parseable error contract
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,4 @@
-"""Point-estimate likelihood heads for binary response prediction.
+"""The model container and likelihood heads for binary response prediction.
 
 Every model kind is one logistic regression on
 
@@ -8,10 +8,11 @@ with D-dimensional vec and demand rows. rasch has D = 0; interaction
 gives each student its own vec row (owner is the identity); class
 interaction shares one vec row among the students of a class (owner is
 class_of). The variational twins (kinds ending in "-vi") hold the same
-tensors as means, plus transformed standard deviations on the student
-side. A container carries its kind: it is the one value that says what a
-model is. One container, one logits kernel, one gradient scatter and one
-plug-in predictor serve all six kinds.
+tensors as means, plus transformed standard deviations (rhos) on the
+student side. The one container, Params, carries its kind, which fixes
+the tensors it holds (checked once, on construction). One container, one
+logits kernel, one gradient scatter and one plug-in predictor serve all
+six kinds.
 Full-data ELBO evaluations of class kinds with fewer (class, question)
 cells than responses take the cell route (class_cells): easiness + vec .
 demand depends only on the cell, so it is scored per cell and no
@@ -93,60 +94,46 @@ def require_positive(name: str, value) -> None:
 
 @dataclass
 class Params:
-    """The tensors of a point model kind.
+    """The tensors of a model of any kind.
 
-    vec holds one row per student (interaction) or per class
-    (class-interaction); rasch holds neither vec nor demand.
+    vec holds one row per student (interaction kinds) or per class
+    (class-interaction kinds); rasch kinds hold neither vec nor demand.
+    VI kinds hold posterior means in ability and vec, with standard deviations
+    softplus(ability_rho) and softplus(vec_rho); point kinds hold no rho.
     """
-
-    KINDS = POINT_KINDS  # the kinds this container holds
 
     ability: np.ndarray                   # (S,) student ability
     easiness: np.ndarray                  # (Q,) large positive means a simple question
     vec: Optional[np.ndarray] = None      # (S or C, D) strengths and weaknesses
     demand: Optional[np.ndarray] = None   # (Q, D) per-question topic involvement
     kind: str = field(kw_only=True)
+    ability_rho: Optional[np.ndarray] = field(default=None, kw_only=True)  # (S,), VI kinds
+    vec_rho: Optional[np.ndarray] = field(default=None, kw_only=True)      # like vec, VI kinds but rasch-vi
 
     def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ValueError(f"unknown {type(self).__name__} kind {self.kind!r}")
+        if self.kind not in FAMILY:
+            raise ValueError(f"unknown model kind {self.kind!r}")
         rasch = FAMILY[self.kind] == RASCH
         if (self.vec is None) != rasch or (self.demand is None) != rasch:
             held = "neither vec nor demand" if rasch else "both vec and demand"
+            raise ValueError(f"{self.kind} params must hold {held}")
+        vi = self.kind in VI_KINDS
+        if (self.ability_rho is None) == vi or (self.vec_rho is None) == (vi and not rasch):
+            held = "neither ability_rho nor vec_rho" if not vi else \
+                "ability_rho but not vec_rho" if rasch else "both ability_rho and vec_rho"
             raise ValueError(f"{self.kind} params must hold {held}")
 
     @property
     def dims(self) -> int:
         return 0 if self.demand is None else int(self.demand.shape[1])
 
-    def tensors(self) -> dict:
-        """Name -> array of every tensor held, in field order."""
-        return {f.name: v for f in fields(self) if isinstance(v := getattr(self, f.name), np.ndarray)}
-
-
-@dataclass
-class VIParams(Params):
-    """Variational posteriors over student-side latents, points elsewhere.
-
-    ability and vec hold the posterior means, with standard deviations
-    softplus(ability_rho) and softplus(vec_rho); easiness and demand are
-    point estimates. Plug-in prediction is the point prediction of the
-    matching family at the means.
-    """
-
-    KINDS = VI_KINDS
-
-    ability_rho: np.ndarray = field(kw_only=True)       # (S,)
-    vec_rho: Optional[np.ndarray] = field(default=None, kw_only=True)  # like vec
-
     @property
     def ability_sigma(self) -> np.ndarray:
         return softplus(self.ability_rho)
 
-
-def make_params(kind: str, tensors: dict) -> Params:
-    """The container of a kind (a VIParams for VI kinds) holding tensors by name."""
-    return (VIParams if kind in VI_KINDS else Params)(kind=kind, **tensors)
+    def tensors(self) -> dict:
+        """Name -> array of every tensor held, in field order."""
+        return {f.name: v for f in fields(self) if isinstance(v := getattr(self, f.name), np.ndarray)}
 
 
 # Checkpoint record name of each tensor, per point (False) and VI (True)
@@ -179,14 +166,11 @@ def tensor_table(kind: str, dims: int, num_students: int, num_questions: int, nu
             if rows is not None or name.startswith(("ability", "easiness"))}
 
 
-def check_shapes(params, table: dict) -> None:
-    """Raise unless a warm start holds exactly the table's tensors, each in its shape."""
-    held = params.tensors()
-    for name in dict.fromkeys([*table, *held]):
-        want = table[name][1] if name in table else None
-        got = held[name].shape if name in held else None
-        if got != want:
-            raise ValueError(f"warm-start shape mismatch for {name}: expected {want}, got {got}")
+def check_shapes(params: Params, table: dict, owner: str) -> None:
+    """Raise, naming owner and tensor, unless each tensor has its shape in table, its kind's tensor table."""
+    for name, (_, want) in table.items():
+        if (got := getattr(params, name).shape) != want:
+            raise ValueError(f"{owner} shape mismatch for {name}: expected {want}, got {got}")
 
 
 def vec_rows(kind: str, s_idx, class_of=None):

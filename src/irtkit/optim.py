@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset
-from .models import (FAMILY, Params, check_shapes, grad_scatter, inv_softplus, logits, make_params,
+from .models import (FAMILY, POINT_KINDS, Params, check_shapes, grad_scatter, inv_softplus, logits,
                      require_count, require_nonnegative, require_positive, sigmoid, softplus, tensor_table,
                      vec_rows)
 
@@ -64,7 +64,8 @@ def init_params(kind: str, dims: int, num_students: int, num_questions: int, num
     if warm_start is not None:
         if warm_start.kind != FAMILY[kind]:
             raise ValueError(f"warm-start params are {warm_start.kind!r}, expected {FAMILY[kind]!r} for {kind}")
-        check_shapes(warm_start, tensor_table(FAMILY[kind], dims, num_students, num_questions, num_classes))
+        check_shapes(warm_start, tensor_table(FAMILY[kind], dims, num_students, num_questions, num_classes),
+                     "warm-start")
 
     def initial(name, shape):
         if name.endswith("_rho"):
@@ -73,7 +74,7 @@ def init_params(kind: str, dims: int, num_students: int, num_questions: int, num
             return rng.normal(0.0, init_scale, size=shape) if init_scale > 0 else np.zeros(shape)
         return np.array(getattr(warm_start, name), dtype=np.float64)
 
-    return make_params(kind, {name: initial(name, shape) for name, (_, shape) in table.items()})
+    return Params(kind=kind, **{name: initial(name, shape) for name, (_, shape) in table.items()})
 
 
 def copy_params(params):
@@ -127,7 +128,7 @@ def sgd_train(kind: str, data: Dataset, cfg: TrainConfig, dims: int = 1, warm_st
     """
     if data.n_responses == 0:
         raise ValueError("training data must be non-empty")
-    if kind not in Params.KINDS:
+    if kind not in POINT_KINDS:
         raise ValueError(f"unknown point model kind {kind!r}")
     rng = np.random.default_rng(cfg.seed)
     params = init_params(kind, dims, data.num_students, data.num_questions, data.num_classes, rng,

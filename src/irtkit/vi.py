@@ -16,9 +16,10 @@ softplus transform of an unconstrained value rather than by clipping.
 Three variants: "rasch-vi" (variational ability only), "interaction-vi"
 (variational ability and per-student skill vectors), and
 "class-interaction-vi" (variational ability and per-class skill vectors,
-shared by every student of the class). Their container, VIParams, is
-a Params plus the rhos; initialisation (optim.init_params) and plug-in
-prediction (models.predict_proba_array) are the point kinds' own.
+shared by every student of the class). Their container is the point
+kinds' Params, holding the rhos beside the means; initialisation
+(optim.init_params) and plug-in prediction (models.predict_proba_array)
+are the point kinds' own.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .models import (_P_HI, _P_LO, CLASS_INTERACTION_VI, FAMILY, VI_KINDS, Params, VIParams, class_cells,
+from .models import (_P_HI, _P_LO, CLASS_INTERACTION_VI, FAMILY, VI_KINDS, Params, class_cells,
                      grad_scatter, logits, predict_proba_array, question_rows, require_count, require_positive,
                      sigmoid, softplus, vec_rows)
 from .optim import TrainingDiverged, TrainReport, central_difference_error, init_params
@@ -66,7 +67,7 @@ class VIConfig:
             require_positive(name, getattr(self, name))
 
 
-def _draw_eps(params: VIParams, M: int, rng):
+def _draw_eps(params: Params, M: int, rng):
     """Noise draws in a fixed order so common random numbers line up."""
     if M < 1:
         raise ValueError("M must be >= 1")
@@ -88,7 +89,7 @@ def _responses(kind: str, data: Dataset):
     return s_idx, q_idx, rows, cells, data.y.astype(np.float64)
 
 
-def _elbo_core(params: VIParams, responses, eps_ability, eps_vec, want_grads: bool):
+def _elbo_core(params: Params, responses, eps_ability, eps_vec, want_grads: bool):
     """Monte Carlo ELBO and (optionally) its analytic gradient.
 
     The likelihood part is averaged over the M reparameterized samples,
@@ -142,7 +143,7 @@ def _elbo_core(params: VIParams, responses, eps_ability, eps_vec, want_grads: bo
     return elbo, grads
 
 
-def elbo_mc(params: VIParams, data: Dataset, M: int, seed: int, want_grads: bool = False):
+def elbo_mc(params: Params, data: Dataset, M: int, seed: int, want_grads: bool = False):
     """Monte Carlo ELBO estimate and, with want_grads, its gradients (else None); the noise depends on seed alone."""
     eps_ability, eps_vec = _draw_eps(params, M, np.random.default_rng(seed))
     return _elbo_core(params, _responses(params.kind, data), eps_ability, eps_vec, want_grads)
@@ -182,7 +183,7 @@ def train_vi(kind: str, data: Dataset, cfg: VIConfig, dims: int = 1, warm_start=
     return params, TrainReport(final_nll=trace[-1] if trace else None, epochs_run=len(trace), nll_trace=trace)
 
 
-def predict_prob_vi(params: VIParams, s: int, q: int, class_of=None, M: int = 1000, seed: int = 0) -> float:
+def predict_prob_vi(params: Params, s: int, q: int, class_of=None, M: int = 1000, seed: int = 0) -> float:
     """Monte Carlo probability for one cell: sigma(z) over M sampled latents, averaged and clamped to (0, 1).
 
     The plug-in mean is the point predictor, `predict_proba_array`, at the means.
@@ -201,12 +202,12 @@ def predict_prob_vi(params: VIParams, s: int, q: int, class_of=None, M: int = 10
     return float(np.clip(np.mean(sigmoid(z)), _P_LO, _P_HI))
 
 
-def predict_proba_vi_array(params: VIParams, s_idx, q_idx, class_of=None) -> np.ndarray:
+def predict_proba_vi_array(params: Params, s_idx, q_idx, class_of=None) -> np.ndarray:
     """Vectorized plug-in-mean probabilities: the point predictor at the means."""
     return predict_proba_array(params, s_idx, q_idx, class_of)
 
 
-def elbo_finite_diff_check(params: VIParams, data: Dataset, M: int, seed: int,
+def elbo_finite_diff_check(params: Params, data: Dataset, M: int, seed: int,
                            epsilon: float = 1e-5) -> float:
     """Max relative error of the analytic ELBO gradient vs central differences.
 

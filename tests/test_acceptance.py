@@ -19,7 +19,6 @@ from irtkit.models import Params, predict_proba_array, sigmoid
 from irtkit.optim import finite_diff_check, init_params, nll
 from irtkit.vi import (
     VIConfig,
-    VIParams,
     elbo_finite_diff_check,
     kl_gaussian,
     train_vi,
@@ -145,7 +144,7 @@ def _random_vi_instance(kind, seed):
         tensors["demand"] = rng.normal(size=(Q, D))
         tensors["vec"] = rng.normal(size=(C, D))
         tensors["vec_rho"] = rng.normal(0.0, 0.3, size=(C, D))
-    return VIParams(kind=kind, **tensors), data
+    return Params(kind=kind, **tensors), data
 
 
 def test_criterion_4_gradient_fidelity():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from irtkit.checkpoint import VERSION, align_rows_to_checkpoint, load_checkpoint, save_checkpoint
 from irtkit.data import dataset_from_arrays, load_binary_csv, write_binary_csv
 from irtkit.optim import TrainConfig, init_params, sgd_train
-from irtkit.models import Params, VIParams, inv_softplus, predict_proba_array, softplus
+from irtkit.models import VI_KINDS, Params, inv_softplus, predict_proba_array, softplus
 from irtkit.synth import SynthConfig, generate_synthetic
 from irtkit.vi import VIConfig, train_vi
 
@@ -53,7 +53,7 @@ def test_point_roundtrip(tmp_path, kind, dims):
     path = str(tmp_path / "ckpt.json")
     save_checkpoint(path, params, data)
     loaded, index = load_checkpoint(path)
-    assert loaded.kind == kind and loaded.dims == dims and not isinstance(loaded, VIParams)
+    assert loaded.kind == kind and loaded.dims == dims and loaded.kind not in VI_KINDS
     assert _record_names(path) == _RECORDS[kind]
     assert loaded.tensors().keys() == params.tensors().keys()
     for name, arr in params.tensors().items():
@@ -71,7 +71,7 @@ def test_vi_roundtrip(tmp_path, kind, dims):
     path = str(tmp_path / "vi.json")
     save_checkpoint(path, params, data)
     loaded, _ = load_checkpoint(path)
-    assert isinstance(loaded, VIParams) and loaded.dims == dims
+    assert loaded.kind in VI_KINDS and loaded.dims == dims
     assert _record_names(path) == _RECORDS[kind]
     assert loaded.tensors().keys() == params.tensors().keys()
     for name, arr in params.tensors().items():
@@ -337,8 +337,21 @@ def test_params_lacking_or_holding_extra_tensors_rejected():
         Params(point.ability, point.easiness, kind="interaction")
     with pytest.raises(ValueError, match="rasch params must hold neither vec nor demand"):
         Params(point.ability, point.easiness, point.vec, point.demand, kind="rasch")
-    with pytest.raises(ValueError, match="unknown Params kind 'rasch-vi'"):
+    with pytest.raises(ValueError, match="rasch-vi params must hold ability_rho"):
         Params(point.ability, point.easiness, kind="rasch-vi")
+
+
+@pytest.mark.parametrize("kind", ["rasch", "interaction", "class-interaction-vi"])
+def test_save_against_another_index_is_refused_before_the_file_opens(tmp_path, kind):
+    """A checkpoint whose tensors disagree with its id tables would not load, so it is not written."""
+    data = _dataset()
+    params = init_params(kind, 2, data.num_students + 1, data.num_questions, data.num_classes,
+                         np.random.default_rng(1), 0.5)
+    path, S = tmp_path / "ckpt.json", data.num_students
+    with pytest.raises(ValueError, match=rf"^checkpoint shape mismatch for ability: expected \({S},\), "
+                                         rf"got \({S + 1},\)$"):
+        save_checkpoint(str(path), params, data)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("kind", [{"name": "rasch"}, ["rasch"]], ids=["object", "array"])

@@ -50,7 +50,15 @@ class TestSignificance:
         assert record["z"] == pytest.approx(4.21, abs=0.01)
         assert record["p_hat"] == pytest.approx(0.7905, abs=1e-4)
         assert 0.01 in record["significant_at"]
-        assert os.path.exists("run_manifest.json")
+        # no --out and no --manifest: no manifest, so no earlier run's is replaced
+        assert not os.path.exists("run_manifest.json") and os.listdir() == []
+
+    def test_manifest_flag_writes_the_manifest(self, workdir, capsys):
+        code, _, _ = run_cli(capsys, "significance", "--x1", "30", "--n1", "100",
+                             "--x2", "40", "--n2", "100", "--manifest", "m.json")
+        assert code == 0 and os.listdir() == ["m.json"]
+        manifest = json.loads((workdir / "m.json").read_text())
+        assert manifest["config"]["x1"] == 30 and manifest["outputs"] == []
 
     @pytest.mark.parametrize("alpha", ["nan", "inf", "0", "1", "-0.05"])
     def test_alpha_outside_open_unit_interval_is_a_named_error(self, workdir, capsys, alpha):

@@ -1,6 +1,7 @@
 """The logits kernel, the stable logistic, and the decision rule."""
 
 import math
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from irtkit import models, vi
 from irtkit.data import split_train_test, subsample_students
 from irtkit.experiments import SEED_DATA, SEED_SPLIT, low_data_synth_config
 from irtkit.metrics import accuracy
-from irtkit.models import (Params, class_cells, logits, predict_proba_array, sigmoid, softplus, tensor_table,
-                           vec_rows)
+from irtkit.models import (FAMILY, Params, class_cells, logits, predict_proba_array, sigmoid, softplus,
+                           tensor_table, vec_rows)
 from irtkit.optim import init_params
 from irtkit.synth import generate_synthetic
 
@@ -260,3 +261,19 @@ def test_model_spec_validation():
     with pytest.raises(ValueError):
         tensor_table("interaction", 0, 1, 1, 1)
     assert init_params("rasch", 7, 1, 1, 1, np.random.default_rng(0), 0.01).dims == 0
+
+
+@pytest.mark.parametrize("kind", FAMILY)
+@given(dims=st.integers(1, 3), S=st.integers(1, 4), Q=st.integers(1, 4), C=st.integers(1, 3))
+def test_params_builds_iff_it_holds_its_kinds_tensor_table(kind, dims, S, Q, C):
+    """For every subset of the optional tensors, a container builds exactly when it holds its kind's table."""
+    rows = C if FAMILY[kind] == "class-interaction" else S
+    shapes = {"vec": (rows, dims), "demand": (Q, dims), "ability_rho": (S,), "vec_rho": (rows, dims)}
+    table = tensor_table(kind, dims, S, Q, C)
+    for held in chain.from_iterable(combinations(shapes, r) for r in range(len(shapes) + 1)):
+        tensors = {name: np.zeros(shapes[name]) for name in held}
+        if {"ability", "easiness", *held} == table.keys():
+            assert Params(np.zeros(S), np.zeros(Q), kind=kind, **tensors).tensors().keys() == table.keys()
+        else:
+            with pytest.raises(ValueError, match=f"^{kind} params must hold "):
+                Params(np.zeros(S), np.zeros(Q), kind=kind, **tensors)

@@ -17,7 +17,6 @@ from irtkit.optim import TrainingDiverged, nll
 from irtkit.synth import SynthConfig, generate_synthetic
 from irtkit.vi import (
     VIConfig,
-    VIParams,
     draw_latent,
     elbo_finite_diff_check,
     elbo_mc,
@@ -40,9 +39,9 @@ def _tiny_data():
 
 def _rasch_vi_params(mu, sigma, easiness):
     mu = np.asarray(mu, dtype=np.float64)
-    return VIParams(kind="rasch-vi", ability=mu,
-                    ability_rho=np.asarray(inv_softplus(np.asarray(sigma, dtype=np.float64))),
-                    easiness=np.asarray(easiness, dtype=np.float64))
+    return Params(kind="rasch-vi", ability=mu,
+                  ability_rho=np.asarray(inv_softplus(np.asarray(sigma, dtype=np.float64))),
+                  easiness=np.asarray(easiness, dtype=np.float64))
 
 
 class TestKlGaussian:
@@ -148,7 +147,7 @@ class TestElboGradients:
 
     def test_interaction_vi_gradient(self):
         rng = np.random.default_rng(8)
-        params = VIParams(
+        params = Params(
             kind="interaction-vi",
             ability=rng.normal(size=3), ability_rho=np.full(3, 0.2),
             easiness=rng.normal(size=2), demand=rng.normal(size=(2, 2)),
@@ -164,7 +163,7 @@ class TestElboGradients:
 
     def test_class_interaction_vi_gradient(self):
         rng = np.random.default_rng(10)
-        params = VIParams(
+        params = Params(
             kind="class-interaction-vi",
             ability=rng.normal(size=3), ability_rho=np.full(3, 0.3),
             easiness=rng.normal(size=2), demand=rng.normal(size=(2, 1)),
@@ -188,7 +187,7 @@ def _vi_instance(draw):
                                class_ids=[f"c{i}" for i in range(C)])
     tensors = {name: rng.normal(0.0, 2.0 if name.endswith("_rho") else scale, shape)
                for name, (_, shape) in tensor_table(kind, dims, S, Q, C).items()}
-    params = VIParams(kind=kind, **tensors)
+    params = Params(kind=kind, **tensors)
     eps_ability = rng.standard_normal((M, S))
     eps_vec = rng.standard_normal((M, *params.vec.shape)) if params.dims else None
     return params, data, eps_ability, eps_vec
@@ -205,7 +204,7 @@ class TestPlugInContract:
         rng = np.random.default_rng(seed)
         tensors = {name: rng.normal(0.0, scale, shape)
                    for name, (_, shape) in tensor_table(kind, D, S, Q, C).items()}
-        vi_params = VIParams(kind=kind, **tensors)
+        vi_params = Params(kind=kind, **tensors)
         point = Params(**{k: v for k, v in tensors.items() if not k.endswith("_rho")}, kind=FAMILY[kind])
         class_of = rng.integers(0, C, S)
         s_idx, q_idx = np.repeat(np.arange(S), Q), np.tile(np.arange(Q), S)
