@@ -40,21 +40,12 @@ from .vi import (
     predict_proba_vi_array,
     train_vi,
 )
-from .metrics import (
-    MetricsReport,
-    SimilarityMatrix,
-    ZTestResult,
-    accuracy,
-    cosine_similarity_matrix,
-    log_loss,
-    two_proportion_z_test,
-)
+from .metrics import SimilarityMatrix, accuracy, cosine_similarity_matrix, log_loss, two_proportion_z_test
 from .synth import SynthConfig, SynthTruth, generate_synthetic
 from .active import (
     ActiveConfig,
     ActiveResult,
     PoolState,
-    ability_bucket_report,
     make_pool_state,
     run_active_loop,
     select_next,

@@ -208,27 +208,3 @@ def run_active_loop(state: PoolState, cfg: ActiveConfig) -> ActiveResult:
         per_student_accuracy=per_student,
     )
 
-
-def ability_bucket_report(result: ActiveResult, abilities, cut_points) -> dict:
-    """Split the pool by ability and average each bucket's learning curve.
-
-    Buckets are the half-open intervals between consecutive cut points
-    (outermost buckets unbounded). Empty buckets are omitted. The
-    bucket-size-weighted mean of the bucket curves equals the overall
-    curve.
-    """
-    abilities = np.asarray(abilities, dtype=np.float64)
-    if abilities.shape[0] != result.per_student_accuracy.shape[1]:
-        raise ValueError("need one ability value per pool student")
-    edges = [-np.inf] + sorted(float(c) for c in cut_points) + [np.inf]
-    report = {}
-    for i in range(len(edges) - 1):
-        mask = (abilities > edges[i]) & (abilities <= edges[i + 1])
-        if not mask.any():
-            continue
-        label = f"({edges[i]:g}, {edges[i + 1]:g}]"
-        report[label] = {
-            "count": int(mask.sum()),
-            "curve": [float(v) for v in result.per_student_accuracy[:, mask].mean(axis=1)],
-        }
-    return report

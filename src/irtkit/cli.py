@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -49,13 +48,13 @@ def _write_json(manifest: ManifestWriter, path: str, doc) -> None:
 
 
 def _parse_list(flag: str, text: str, parse, ok, wanted: str) -> tuple:
-    """The items of a comma-separated list flag, each parsed and checked before any work."""
+    """The distinct items of a comma-separated list flag (a repeat would run and count a unit twice)."""
     try:
         values = tuple(map(parse, text.split(",")))
     except ValueError:
         values = ()
-    if not values or not all(map(ok, values)):
-        raise ValueError(f"{flag} must be a comma-separated list of {wanted}, got {text!r}")
+    if not values or not all(map(ok, values)) or len(set(values)) < len(values):
+        raise ValueError(f"{flag} must be a comma-separated list of distinct {wanted}, got {text!r}")
     return values
 
 
@@ -124,7 +123,7 @@ def _cmd_eval(args, manifest: ManifestWriter) -> list:
     params, index = load_checkpoint(args.checkpoint)
     dataset = align_rows_to_checkpoint(_load_rows(manifest, args.data, args.format), index)
     preds = predict_proba_array(params, dataset.student_idx, dataset.question_idx, dataset.class_of)
-    record = asdict(accuracy(preds, dataset.y, args.threshold))
+    record = accuracy(preds, dataset.y, args.threshold)
     if args.out:
         _write_json(manifest, args.out, record)
     manifest.config = {"threshold": args.threshold}
@@ -153,18 +152,18 @@ def _cmd_interpret(args, manifest: ManifestWriter) -> list:
     params, index = load_checkpoint(args.checkpoint)
     if params.demand is None:
         raise ValueError(f"checkpoint kind {params.kind!r} has no question embedding vectors")
-    sim = cosine_similarity_matrix(params.demand, index.question_ids, rescale_display=args.rescale_display)
-    experiments.write_csv(args.out, ["question_id", *sim.question_ids],
-                          [(qid, *row) for qid, row in zip(sim.question_ids, sim.values.tolist())])
+    sim = cosine_similarity_matrix(params.demand, rescale_display=args.rescale_display)
+    experiments.write_csv(args.out, ["question_id", *index.question_ids],
+                          [(qid, *row) for qid, row in zip(index.question_ids, sim.values.tolist())])
     manifest.config = {"rescale_display": sim.rescaled, "zero_rows": list(sim.zero_rows)}
-    return [{"questions": len(sim.question_ids), "rescaled": sim.rescaled}]
+    return [{"questions": index.num_questions, "rescaled": sim.rescaled}]
 
 
 def _cmd_significance(args, manifest: ManifestWriter) -> list:
     alphas = args.alpha or [0.01]
-    result = two_proportion_z_test(args.x1, args.n1, args.x2, args.n2, alphas=alphas)
+    record = two_proportion_z_test(args.x1, args.n1, args.x2, args.n2, alphas=alphas)
     manifest.config = {"x1": args.x1, "n1": args.n1, "x2": args.x2, "n2": args.n2, "alpha": alphas}
-    return [asdict(result)]
+    return [record]
 
 
 def _cmd_active(args, manifest: ManifestWriter) -> list:

@@ -60,7 +60,7 @@ def _write_tables(out_dir: str, recipe: str, *tables) -> None:
 
 def _heldout_accuracy(params, test) -> float:
     p = predict_proba_array(params, test.student_idx, test.question_idx, test.class_of)
-    return accuracy(p, test.y).accuracy
+    return accuracy(p, test.y)["accuracy"]
 
 
 def resolve_workers() -> int:
@@ -216,7 +216,7 @@ def _low_data_unit(seed: int, fraction: float, point_epochs: int, vi_epochs: int
                       seed=seed + SEED_TRAIN)
     vi_params, _ = train_vi(CLASS_INTERACTION_VI, train, vi_cfg, dims=3, warm_start=point_params)
     p = predict_proba_vi_array(vi_params, test.student_idx, test.question_idx, test.class_of)
-    return LowDataRow(fraction, sub.num_students, seed, ci_acc, accuracy(p, test.y).accuracy)
+    return LowDataRow(fraction, sub.num_students, seed, ci_acc, accuracy(p, test.y)["accuracy"])
 
 
 def low_data_sweep(fractions=(1.0, 0.5, 0.25, 0.15), seeds=(0, 1, 2, 3, 4),

@@ -10,34 +10,17 @@ import numpy as np
 
 
 @dataclass
-class MetricsReport:
-    n: int
-    correct: int
-    accuracy: float
-    precision: float
-    recall: float
-    threshold: float
-
-
-@dataclass
-class ZTestResult:
-    p_hat: float
-    se: float
-    z: float
-    p_value: float
-    significant_at: list
-
-
-@dataclass
 class SimilarityMatrix:
     values: np.ndarray
-    question_ids: tuple
     zero_rows: tuple = ()
     rescaled: bool = False
 
 
-def accuracy(preds, labels, threshold: float = 0.5) -> MetricsReport:
-    """Thresholded accuracy with precision and recall at the same threshold."""
+def accuracy(preds, labels, threshold: float = 0.5) -> dict:
+    """Thresholded accuracy with precision and recall at the same threshold.
+
+    Returns the JSON record {n, correct, accuracy, precision, recall, threshold}.
+    """
     preds = np.asarray(preds, dtype=np.float64)
     labels = np.asarray(labels)
     if preds.shape != labels.shape:
@@ -54,8 +37,8 @@ def accuracy(preds, labels, threshold: float = 0.5) -> MetricsReport:
     fn = int(np.sum(~hard & pos))
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
-    return MetricsReport(n=preds.size, correct=correct, accuracy=correct / preds.size,
-                         precision=precision, recall=recall, threshold=threshold)
+    return {"n": preds.size, "correct": correct, "accuracy": correct / preds.size,
+            "precision": precision, "recall": recall, "threshold": threshold}
 
 
 def log_loss(preds, labels) -> float:
@@ -66,11 +49,13 @@ def log_loss(preds, labels) -> float:
 
 
 def two_proportion_z_test(x1: int, n1: int, x2: int, n2: int,
-                          alphas=(0.01, 0.05)) -> ZTestResult:
+                          alphas=(0.01, 0.05)) -> dict:
     """Pooled two-proportion z-test with a two-sided normal p-value.
 
-    z is signed as (x2/n2 - x1/n1) / SE, so a positive z means the second
-    sample has the higher proportion.
+    Returns the JSON record {p_hat, se, z, p_value, significant_at}, the
+    last listing the alphas the p-value falls below. z is signed as
+    (x2/n2 - x1/n1) / SE, so a positive z means the second sample has
+    the higher proportion.
     """
     if n1 < 1 or n2 < 1:
         raise ValueError("sample sizes must be >= 1")
@@ -84,11 +69,11 @@ def two_proportion_z_test(x1: int, n1: int, x2: int, n2: int,
     se = math.sqrt(p_hat * (1.0 - p_hat) * (1.0 / n1 + 1.0 / n2))
     z = (x2 / n2 - x1 / n1) / se
     p_value = math.erfc(abs(z) / math.sqrt(2.0))
-    return ZTestResult(p_hat=p_hat, se=se, z=z, p_value=p_value,
-                       significant_at=[a for a in alphas if p_value < a])
+    return {"p_hat": p_hat, "se": se, "z": z, "p_value": p_value,
+            "significant_at": [a for a in alphas if p_value < a]}
 
 
-def cosine_similarity_matrix(demand, question_ids=None, rescale_display: bool = False) -> SimilarityMatrix:
+def cosine_similarity_matrix(demand, rescale_display: bool = False) -> SimilarityMatrix:
     """Pairwise cosine similarity between question embedding rows.
 
     All-zero rows get 0 off-diagonal similarity (flagged, with a warning)
@@ -119,7 +104,4 @@ def cosine_similarity_matrix(demand, question_ids=None, rescale_display: bool = 
         if hi > lo:
             values[off] = (values[off] - lo) / (hi - lo)
             rescaled = True
-    ids = tuple(question_ids) if question_ids is not None else tuple(str(i) for i in range(q))
-    if len(ids) != q:
-        raise ValueError("question_ids length must match the number of rows")
-    return SimilarityMatrix(values=values, question_ids=ids, zero_rows=zero_rows, rescaled=rescaled)
+    return SimilarityMatrix(values=values, zero_rows=zero_rows, rescaled=rescaled)

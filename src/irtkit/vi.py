@@ -35,15 +35,18 @@ from .models import (_P_HI, _P_LO, CLASS_INTERACTION_VI, FAMILY, VI_KINDS, Param
 from .optim import TrainingDiverged, TrainReport, central_difference_error, init_params
 
 
+def _kl_to_prior(mu, sigma):
+    """KL(N(mu, sigma^2) || N(0, 1)), entry by entry: the one Gaussian KL kernel."""
+    return -np.log(sigma) + (sigma**2 + mu**2) / 2.0 - 0.5
+
+
 def kl_gaussian(mu1, sigma1, mu2, sigma2):
-    """KL(N(mu1, sigma1^2) || N(mu2, sigma2^2)), closed form."""
+    """KL(N(mu1, sigma1^2) || N(mu2, sigma2^2)), closed form: the prior KL of the standardised first Gaussian."""
     sigma1 = np.asarray(sigma1, dtype=np.float64)
     sigma2 = np.asarray(sigma2, dtype=np.float64)
-    if np.any(sigma1 <= 0) or np.any(sigma2 <= 0):
-        raise ValueError("standard deviations must be positive")
-    mu1 = np.asarray(mu1, dtype=np.float64)
-    mu2 = np.asarray(mu2, dtype=np.float64)
-    out = np.log(sigma2 / sigma1) + (sigma1**2 + (mu1 - mu2) ** 2) / (2.0 * sigma2**2) - 0.5
+    if not all(np.all((0 < s) & (s < np.inf)) for s in (sigma1, sigma2)):   # nan fails both comparisons
+        raise ValueError("standard deviations must be finite and positive")
+    out = _kl_to_prior((np.asarray(mu1, dtype=np.float64) - mu2) / sigma2, sigma1 / sigma2)
     return out if out.ndim else float(out)
 
 
@@ -74,11 +77,6 @@ def _draw_eps(params: Params, M: int, rng):
     eps_ability = rng.standard_normal((M, params.ability.shape[0]))
     eps_vec = rng.standard_normal((M, *params.vec.shape)) if params.dims else None
     return eps_ability, eps_vec
-
-
-def _kl_to_prior(mu, sigma):
-    """Sum of KL(N(mu, sigma^2) || N(0, 1)) over all entries."""
-    return float(np.sum(-np.log(sigma) + (sigma**2 + mu**2) / 2.0 - 0.5))
 
 
 def _responses(kind: str, data: Dataset):
@@ -127,9 +125,9 @@ def _elbo_core(params: Params, responses, eps_ability, eps_vec, want_grads: bool
                 grads[name] += g
     loglik /= M
 
-    kl = _kl_to_prior(params.ability, sig_a)
+    kl = float(np.sum(_kl_to_prior(params.ability, sig_a)))
     if D:
-        kl += _kl_to_prior(params.vec, sig_v)
+        kl += float(np.sum(_kl_to_prior(params.vec, sig_v)))
     elbo = loglik - kl
 
     if want_grads:

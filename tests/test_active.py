@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from irtkit.active import (
     ActiveConfig,
-    ability_bucket_report,
     make_pool_state,
     run_active_loop,
     select_next,
@@ -339,35 +338,7 @@ class TestSparsePool:
 
 
 class TestAbilityBucketReport:
-    def _result(self):
-        data, truth = _small_world(students=90)
-        state = make_pool_state(data, pool_size=30, seed=8)
-        result = run_active_loop(state, _loop_config("uncertainty", rounds=3))
-        order = {sid: i for i, sid in enumerate(data.student_ids)}
-        abilities = np.array([truth.ability[order[sid]] for sid in state.student_ids])
-        return result, abilities
-
-    def test_single_bucket_equals_overall_curve(self):
-        result, abilities = self._result()
-        report = ability_bucket_report(result, abilities, cut_points=[])
-        (label, bucket), = report.items()
-        np.testing.assert_allclose(bucket["curve"], result.overall_accuracy, atol=1e-12)
-
-    def test_weighted_bucket_mean_recovers_overall(self):
-        result, abilities = self._result()
-        cuts = np.quantile(abilities, [1 / 3, 2 / 3])
-        report = ability_bucket_report(result, abilities, cut_points=list(cuts))
-        total = np.zeros(len(result.overall_accuracy))
-        n = 0
-        for bucket in report.values():
-            total += np.array(bucket["curve"]) * bucket["count"]
-            n += bucket["count"]
-        np.testing.assert_allclose(total / n, result.overall_accuracy, atol=1e-9)
-
-    def test_empty_bucket_is_omitted(self):
-        result, abilities = self._result()
-        report = ability_bucket_report(result, abilities, cut_points=[100.0])
-        assert len(report) == 1
+    """Learning curves split by true ability, bucketed inline over (lo, hi] intervals."""
 
     def test_mid_tertile_is_hardest_once_abilities_are_learned(self):
         """Mid-ability students sit nearest p = 0.5, so once the loop has
@@ -385,9 +356,10 @@ class TestAbilityBucketReport:
             result = run_active_loop(state, cfg)
             order = {sid: i for i, sid in enumerate(data.student_ids)}
             abilities = np.array([truth.ability[order[sid]] for sid in state.student_ids])
-            cuts = np.quantile(abilities, [1 / 3, 2 / 3])
-            rep = ability_bucket_report(result, abilities, list(cuts))
-            low, mid, high = (rep[k]["curve"][-1] for k in rep)
+            edges = [-np.inf, *np.quantile(abilities, [1 / 3, 2 / 3]), np.inf]
+            final = result.per_student_accuracy[-1]
+            low, mid, high = (final[(abilities > lo) & (abilities <= hi)].mean()
+                              for lo, hi in zip(edges, edges[1:]))
             lows.append(low)
             mids.append(mid)
             highs.append(high)

@@ -47,6 +47,7 @@ class TestSignificance:
                                "--x2", "95280", "--n2", "120000")
         assert code == 0
         record = last_record(out)
+        assert list(record) == ["p_hat", "se", "z", "p_value", "significant_at"]
         assert record["z"] == pytest.approx(4.21, abs=0.01)
         assert record["p_hat"] == pytest.approx(0.7905, abs=1e-4)
         assert 0.01 in record["significant_at"]
@@ -277,6 +278,9 @@ class TestPipeline:
         record = last_record(out)
         assert 0.0 <= record["accuracy"] <= 1.0
         assert record["n"] == 80
+        written = json.loads((workdir / "metrics.json").read_text())
+        assert list(written) == ["n", "correct", "accuracy", "precision", "recall", "threshold"]
+        assert written == record
 
         code, _, _ = run_cli(capsys, "interpret", "--checkpoint", "point.json",
                              "--out", "matrix.csv")
@@ -482,12 +486,20 @@ class TestExperimentCli:
         (["--fractions", "0.5,0.25,1.5"], "--fractions"),
         (["--fractions", "0.5,nan"], "--fractions"),
         (["--fractions", "0.5,0"], "--fractions"),
+        (["--seeds", "0", "--fractions", "0.5,0.25,0.5"], "--fractions"),
     ], ids=["empty seed", "negative seed", "fractional seed", "fraction not a number",
-            "fraction above 1 last", "nan fraction", "zero fraction"])
+            "fraction above 1 last", "nan fraction", "zero fraction", "repeated fraction"])
     def test_bad_list_is_a_named_error_before_any_unit(self, workdir, capsys, argv, flag):
         code, out, err = run_cli(capsys, "experiment", "low-data-sweep", *argv)
         assert code == 1 and out == ""
         assert err.startswith(f"error: {flag} must be") and err.count("\n") == 1
+        assert list(workdir.iterdir()) == []
+
+    def test_repeated_seed_is_a_named_error_before_any_unit(self, workdir, capsys):
+        code, out, err = run_cli(capsys, "experiment", "appendix-c-recovery", "--students", "100",
+                                 "--seeds", "0,1,0")
+        assert (code, out) == (1, "")
+        assert err == "error: --seeds must be a comma-separated list of distinct integers >= 0, got '0,1,0'\n"
         assert list(workdir.iterdir()) == []
 
     def test_recovery_recipe_writes_tables(self, workdir, capsys):

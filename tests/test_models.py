@@ -89,7 +89,7 @@ def _prob(params, s, q, class_of=None):
 
 def _label(p, threshold=0.5):
     """The accuracy decision rule applied to one probability: 1 predicts correct."""
-    return accuracy([p], [1], threshold).correct
+    return accuracy([p], [1], threshold)["correct"]
 
 
 _SIZES = dict(S=st.integers(1, 7), Q=st.integers(1, 7), C=st.integers(1, 4), D=st.integers(1, 4),

@@ -69,10 +69,10 @@ class TestKlGaussian:
                 assert val > 0.0
 
     def test_rejects_nonpositive_sigma(self):
-        with pytest.raises(ValueError):
-            kl_gaussian(0.0, 0.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            kl_gaussian(0.0, 1.0, 0.0, -2.0)
+        for sigma1, sigma2 in [(0.0, 1.0), (1.0, -2.0), (math.nan, 1.0), (math.inf, 1.0),
+                               (1.0, math.nan), (1.0, math.inf), ([1.0, math.nan], 1.0)]:
+            with pytest.raises(ValueError, match="^standard deviations must be finite and positive$"):
+                kl_gaussian(0.0, sigma1, 0.0, sigma2)
 
 
 class TestReparameterize:
