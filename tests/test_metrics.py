@@ -1,5 +1,6 @@
 """Accuracy metrics, the two-proportion z-test, and cosine similarity."""
 
+import json
 import math
 
 import numpy as np
@@ -53,6 +54,12 @@ class TestAccuracy:
         assert accuracy([0.0, 1.0], [0, 1], threshold=0.0)["correct"] == 1
         assert accuracy([0.0, 1.0], [0, 1], threshold=1.0)["correct"] == 2
 
+    def test_report_is_the_json_record(self):
+        report = accuracy(np.array([0.9, 0.2, 0.7]), np.array([1, 0, 0]), threshold=0.6)
+        assert list(report) == ["n", "correct", "accuracy", "precision", "recall", "threshold"]
+        assert type(report["n"]) is int and type(report["correct"]) is int
+        assert json.loads(json.dumps(report)) == report
+
 
 class TestTwoProportionZTest:
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0, 1.0, -0.05])
@@ -94,6 +101,12 @@ class TestTwoProportionZTest:
     def test_count_bounds(self):
         with pytest.raises(ValueError):
             two_proportion_z_test(11, 10, 5, 10)
+
+    def test_result_is_the_json_record(self):
+        result = two_proportion_z_test(50, 120, 70, 130, alphas=(0.01, 0.05))
+        assert list(result) == ["p_hat", "se", "z", "p_value", "significant_at"]
+        assert result["significant_at"] == [a for a in (0.01, 0.05) if result["p_value"] < a]
+        assert json.loads(json.dumps(result)) == result
 
 
 class TestCosineSimilarity:

@@ -68,6 +68,15 @@ class TestKlGaussian:
             if (mu1, s1) != (mu2, s2):
                 assert val > 0.0
 
+    def test_elementwise_over_arrays_matches_textbook_form(self):
+        rng = np.random.default_rng(4)
+        mu1, mu2 = rng.normal(size=(2, 3, 4))
+        s1, s2 = rng.uniform(0.1, 3.0, size=(2, 3, 4))
+        textbook = np.log(s2 / s1) + (s1**2 + (mu1 - mu2) ** 2) / (2.0 * s2**2) - 0.5
+        out = kl_gaussian(mu1, s1, mu2, s2)
+        assert out.shape == (3, 4)
+        np.testing.assert_allclose(out, textbook, rtol=1e-12, atol=1e-14)
+
     def test_rejects_nonpositive_sigma(self):
         for sigma1, sigma2 in [(0.0, 1.0), (1.0, -2.0), (math.nan, 1.0), (math.inf, 1.0),
                                (1.0, math.nan), (1.0, math.inf), ([1.0, math.nan], 1.0)]:
