@@ -1,15 +1,18 @@
 """Command-line entry point.
 
 Subcommands: ingest, train, train-vi, eval, synth, interpret,
-significance, active, experiment. `dispatch` is the one exit path: it
-checks that every output directory exists before any work, runs the
-subcommand's handler, which writes the outputs and returns the JSON
-records the run reports, writes one JSON manifest (command line, config
-snapshot, seeds, input digests, output paths, duration) so results can
-be reproduced exactly, and prints the records. A run with no --out or
---out-dir writes a manifest only where --manifest says. Any failure is
-one `error:` line on stderr and exit code 1. All randomness is driven by
-explicit --seed flags; environment variables are never consulted.
+significance, active, experiment. `dispatch` is the one exit path and
+the one writer of the run manifest. It checks that every output
+directory exists, digests every input file, runs the subcommand's
+handler, which takes only the parsed arguments, writes the outputs and
+returns the JSON records the run reports, then writes the manifest and
+prints the records. The manifest holds the command line, the config (the
+parsed flags other than file paths and seeds), the seeds, the input
+digests, the output paths and the duration, so results can be reproduced
+exactly. A run with no --out or --out-dir writes a manifest only where
+--manifest says. Any failure is one `error:` line on stderr and exit
+code 1. All randomness is driven by explicit --seed flags; environment
+variables are never consulted.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -25,26 +29,29 @@ from . import active as active_mod
 from . import data as data_mod
 from . import experiments
 from .checkpoint import align_rows_to_checkpoint, load_checkpoint, save_checkpoint
-from .manifest import ManifestWriter
+from .manifest import file_digest, write_manifest
 from .metrics import accuracy, cosine_similarity_matrix, two_proportion_z_test
 from .models import CLASS_INTERACTION, FAMILY, POINT_KINDS, VI_KINDS, predict_proba_array
 from .optim import TrainConfig, sgd_train
 from .synth import SynthConfig, generate_synthetic
 from .vi import VIConfig, train_vi
 
+# Flag destinations: files read (digested) and written (directory checked, listed), and seeds; the rest is config.
+_INPUTS = ("input", "data", "checkpoint", "warm_start")
+_OUTPUTS = ("out", "train_out", "test_out", "truth")
+_SEEDS = ("seed", "exam_seed", "seeds")
+_NOT_CONFIG = {*_INPUTS, *_OUTPUTS, *_SEEDS, "out_dir", "command", "manifest"}
+_REPORT = ".report.json"   # the trainers write <out>.report.json next to the checkpoint
 
-def _load_rows(manifest: ManifestWriter, path: str, fmt: str):
-    """The rows of a data file, recorded as an input of the run."""
-    manifest.add_input(path)
+
+def _load_rows(path: str, fmt: str):
     return (data_mod.load_raw_csv if fmt == "raw" else data_mod.load_binary_csv)(path)
 
 
-def _write_json(manifest: ManifestWriter, path: str, doc) -> None:
-    """Write one JSON artifact and record it as an output of the run."""
+def _write_json(path: str, doc) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
         fh.write("\n")
-    manifest.add_output(path)
 
 
 def _parse_list(flag: str, text: str, parse, ok, wanted: str) -> tuple:
@@ -58,26 +65,24 @@ def _parse_list(flag: str, text: str, parse, ok, wanted: str) -> tuple:
     return values
 
 
-def _cmd_ingest(args, manifest: ManifestWriter) -> list:
+def _cmd_ingest(args) -> list:
     given = (args.test_fraction is not None, bool(args.train_out), bool(args.test_out))
     if any(given) and not all(given):
         raise ValueError("--test-fraction, --train-out and --test-out must be given together")
-    dataset = data_mod.build_dataset(_load_rows(manifest, args.input, args.format))
+    dataset = data_mod.build_dataset(_load_rows(args.input, args.format))
     # Split before writing anything, so a bad fraction leaves no output behind.
     split = (data_mod.split_train_test(dataset, args.test_fraction, args.seed)
              if args.test_fraction is not None else ())
     for part, path in zip((dataset, *split), (args.out, args.train_out, args.test_out)):
         data_mod.write_binary_csv(part, path)
-    manifest.seeds["split"] = args.seed
     return [{"students": dataset.num_students, "questions": dataset.num_questions,
              "classes": dataset.num_classes, "responses": dataset.n_responses}]
 
 
-def _warm_start(args, manifest: ManifestWriter, dataset):
+def _warm_start(args, dataset):
     """The --warm-start checkpoint's parameters, checked against the id tables (training checks the rest)."""
     if not args.warm_start:
         return None
-    manifest.add_input(args.warm_start)
     params, index = load_checkpoint(args.warm_start)
     tables = ("student_ids", "question_ids") + (("class_ids",) if FAMILY[args.model] == CLASS_INTERACTION else ())
     if any(getattr(index, t) != getattr(dataset, t) for t in tables):   # class vec rows follow class_ids
@@ -85,52 +90,38 @@ def _warm_start(args, manifest: ManifestWriter, dataset):
     return params
 
 
-def _save_trained(args, manifest: ManifestWriter, params, dataset, report) -> None:
-    """Write the checkpoint and, next to it, the training report."""
+def _train(args, fit, cfg, objective: str) -> list:
+    """Fit on --data (from --warm-start if given), write the checkpoint and its training report; the run's record."""
+    dataset = data_mod.build_dataset(_load_rows(args.data, args.format))
+    params, report = fit(args.model, dataset, cfg, dims=args.dims, warm_start=_warm_start(args, dataset))
     save_checkpoint(args.out, params, dataset)
-    _write_json(manifest, args.out + ".report.json",
+    _write_json(args.out + _REPORT,
                 {"final_nll": report.final_nll, "epochs_run": report.epochs_run, "nll_trace": report.nll_trace})
-    manifest.seeds["train"] = args.seed
+    return [{objective: report.final_nll, "epochs_run": report.epochs_run}]
 
 
-def _cmd_train(args, manifest: ManifestWriter) -> list:
-    dataset = data_mod.build_dataset(_load_rows(manifest, args.data, args.format))
-    cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch_size,
-                      l2_penalty=args.l2, seed=args.seed, init_scale=args.init_scale)
-    params, report = sgd_train(args.model, dataset, cfg, dims=args.dims,
-                               warm_start=_warm_start(args, manifest, dataset))
-    _save_trained(args, manifest, params, dataset, report)
-    manifest.config = {"model": args.model, "dims": params.dims, "lr": args.lr, "epochs": args.epochs,
-                       "batch_size": args.batch_size, "l2": args.l2, "init_scale": args.init_scale}
-    return [{"final_nll": report.final_nll, "epochs_run": report.epochs_run}]
+def _cmd_train(args) -> list:
+    return _train(args, sgd_train, TrainConfig(learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch_size,
+                                               l2_penalty=args.l2, seed=args.seed, init_scale=args.init_scale),
+                  "final_nll")
 
 
-def _cmd_train_vi(args, manifest: ManifestWriter) -> list:
-    dataset = data_mod.build_dataset(_load_rows(manifest, args.data, args.format))
-    cfg = VIConfig(samples=args.samples, sigma_init=args.sigma_init, learning_rate=args.lr,
-                   epochs=args.epochs, seed=args.seed)
-    params, report = train_vi(args.model, dataset, cfg, dims=args.dims,
-                              warm_start=_warm_start(args, manifest, dataset))
-    _save_trained(args, manifest, params, dataset, report)
-    manifest.config = {"model": args.model, "dims": params.dims, "samples": args.samples,
-                       "sigma_init": args.sigma_init, "lr": args.lr, "epochs": args.epochs,
-                       "warm_start": bool(args.warm_start)}
-    return [{"final_negative_elbo": report.final_nll, "epochs_run": report.epochs_run}]
+def _cmd_train_vi(args) -> list:
+    return _train(args, train_vi, VIConfig(samples=args.samples, sigma_init=args.sigma_init, learning_rate=args.lr,
+                                           epochs=args.epochs, seed=args.seed), "final_negative_elbo")
 
 
-def _cmd_eval(args, manifest: ManifestWriter) -> list:
-    manifest.add_input(args.checkpoint)
+def _cmd_eval(args) -> list:
     params, index = load_checkpoint(args.checkpoint)
-    dataset = align_rows_to_checkpoint(_load_rows(manifest, args.data, args.format), index)
+    dataset = align_rows_to_checkpoint(_load_rows(args.data, args.format), index)
     preds = predict_proba_array(params, dataset.student_idx, dataset.question_idx, dataset.class_of)
     record = accuracy(preds, dataset.y, args.threshold)
     if args.out:
-        _write_json(manifest, args.out, record)
-    manifest.config = {"threshold": args.threshold}
+        _write_json(args.out, record)
     return [record]
 
 
-def _cmd_synth(args, manifest: ManifestWriter) -> list:
+def _cmd_synth(args) -> list:
     cfg = SynthConfig(students=args.students, questions=args.questions, dims=args.dims,
                       mean_bq=args.mean_bq, std_bq=args.std_bq, num_classes=args.classes,
                       class_effect_std=args.class_effect_std, keep_prob=args.keep_prob,
@@ -138,70 +129,52 @@ def _cmd_synth(args, manifest: ManifestWriter) -> list:
     dataset, truth = generate_synthetic(cfg)
     data_mod.write_binary_csv(dataset, args.out)
     if args.truth:
-        _write_json(manifest, args.truth, truth.to_dict())
-    manifest.config = {k: getattr(args, k) for k in
-                       ("students", "questions", "dims", "mean_bq", "std_bq", "classes",
-                        "class_effect_std", "keep_prob", "outcome")}
-    manifest.seeds["synth"] = args.seed
+        _write_json(args.truth, truth.to_dict())
     return [{"responses": dataset.n_responses, "students": dataset.num_students,
              "questions": dataset.num_questions}]
 
 
-def _cmd_interpret(args, manifest: ManifestWriter) -> list:
-    manifest.add_input(args.checkpoint)
+def _cmd_interpret(args) -> list:
     params, index = load_checkpoint(args.checkpoint)
     if params.demand is None:
         raise ValueError(f"checkpoint kind {params.kind!r} has no question embedding vectors")
     sim = cosine_similarity_matrix(params.demand, rescale_display=args.rescale_display)
     experiments.write_csv(args.out, ["question_id", *index.question_ids],
                           [(qid, *row) for qid, row in zip(index.question_ids, sim.values.tolist())])
-    manifest.config = {"rescale_display": sim.rescaled, "zero_rows": list(sim.zero_rows)}
-    return [{"questions": index.num_questions, "rescaled": sim.rescaled}]
+    return [{"questions": index.num_questions, "rescaled": sim.rescaled, "zero_rows": list(sim.zero_rows)}]
 
 
-def _cmd_significance(args, manifest: ManifestWriter) -> list:
-    alphas = args.alpha or [0.01]
-    record = two_proportion_z_test(args.x1, args.n1, args.x2, args.n2, alphas=alphas)
-    manifest.config = {"x1": args.x1, "n1": args.n1, "x2": args.x2, "n2": args.n2, "alpha": alphas}
-    return [record]
+def _cmd_significance(args) -> list:
+    return [two_proportion_z_test(args.x1, args.n1, args.x2, args.n2, alphas=args.alpha or [0.01])]
 
 
-def _cmd_active(args, manifest: ManifestWriter) -> list:
-    dataset = data_mod.build_dataset(_load_rows(manifest, args.data, args.format))
+def _cmd_active(args) -> list:
+    dataset = data_mod.build_dataset(_load_rows(args.data, args.format))
     state = active_mod.make_pool_state(dataset, args.pool_size, args.holdout_fraction, args.seed)
     cfg = active_mod.ActiveConfig(policy=args.policy, batch_size=args.batch, rounds=args.rounds,
                                   retrain=TrainConfig(epochs=5, convergence_tol=0.0, seed=args.seed),
                                   seed=args.seed)
     result = active_mod.run_active_loop(state, cfg)
     experiments.write_csv(args.out, *experiments.active_curve_table([result]))
-    manifest.config = {"pool_size": args.pool_size, "policy": args.policy, "batch": args.batch,
-                       "rounds": args.rounds, "holdout_fraction": args.holdout_fraction}
-    manifest.seeds["active"] = args.seed
     return [{"rounds_run": len(result.questions_revealed) - 1,
              "final_accuracy": result.overall_accuracy[-1]}]
 
 
-def _cmd_experiment(args, manifest: ManifestWriter) -> list:
+def _cmd_experiment(args) -> list:
     seeds = _parse_list("--seeds", args.seeds, int, lambda s: s >= 0, "integers >= 0")
-    manifest.seeds["experiment"] = list(seeds)
-    for name in experiments.TABLES[args.recipe]:
-        manifest.add_output(f"{args.out_dir}/{name}")
     if args.recipe == "appendix-c-recovery":
         rows = experiments.recovery_run(students=args.students, seeds=seeds, out_dir=args.out_dir)
-        manifest.config = {"students": args.students}
         return [{"model": model, "mean_accuracy": float(np.mean([r.accuracy for r in rows if r.model == model]))}
                 for model in ("rasch", "interaction")]
     if args.recipe == "low-data-sweep":
         fractions = _parse_list("--fractions", args.fractions, float, lambda f: 0 < f <= 1, "numbers in (0, 1]")
         rows = experiments.low_data_sweep(fractions=fractions, seeds=seeds, out_dir=args.out_dir)
-        manifest.config = {"fractions": list(fractions)}
         return [{"fraction": fraction,
                  "ci_accuracy": float(np.mean([r.ci_accuracy for r in rows if r.fraction == fraction])),
                  "civi_accuracy": float(np.mean([r.civi_accuracy for r in rows if r.fraction == fraction]))}
                 for fraction in fractions]
     results = experiments.active_vs_random(pool_size=args.pool_size, seeds=seeds,
                                            rounds=args.rounds, out_dir=args.out_dir)
-    manifest.config = {"pool_size": args.pool_size, "rounds": args.rounds}
     return [{"policy": policy, "final_accuracy": float(np.mean([r.overall_accuracy[-1] for r in runs]))}
             for policy, runs in results.items()]
 
@@ -321,30 +294,36 @@ _HANDLERS = {
 
 
 def dispatch(argv) -> int:
-    """Parse argv, check the output directories, record the output files, run the subcommand; return the exit code."""
+    """Parse argv, check output directories, digest inputs, run the subcommand, write its manifest; the exit code."""
+    started = time.time()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    anchor = getattr(args, "out", None) or getattr(args, "out_dir", None)
+    given = vars(args)
+    anchor = given.get("out") or given.get("out_dir")
     if anchor:
         anchor = anchor.rstrip("/") + ("/experiment" if args.command == "experiment" else "")
     manifest_path = args.manifest or (anchor and anchor + ".manifest.json")   # None: no manifest
-    files = {"--" + dest.replace("_", "-"): getattr(args, dest, None)
-             for dest in ("out", "train_out", "test_out", "truth")}
-    outputs = {**files, "--out-dir": getattr(args, "out_dir", None), "--manifest": manifest_path}
-    manifest = ManifestWriter(["irtkit"] + list(argv))
+    checked = {dest: given.get(dest) for dest in (*_OUTPUTS, "out_dir")} | {"manifest": manifest_path}
+    outputs = [given[dest] for dest in _OUTPUTS if given.get(dest)]
+    if args.command in ("train", "train-vi"):
+        outputs.append(args.out + _REPORT)
+    elif args.command == "experiment":
+        outputs += experiments.table_paths(args.out_dir, args.recipe)
     try:
-        for flag, path in outputs.items():
-            folder = path if flag == "--out-dir" else os.path.dirname(path or "") or "."
+        for dest, path in checked.items():
+            folder = path if dest == "out_dir" else os.path.dirname(path or "") or "."
             if path and not os.path.isdir(folder):
-                raise ValueError(f"{flag} {path}: no such directory {folder!r}")
-        for path in filter(None, files.values()):   # the files a handler writes (_write_json records derived ones)
-            manifest.add_output(path)
-        records = _HANDLERS[args.command](args, manifest)
+                raise ValueError(f"--{dest.replace('_', '-')} {path}: no such directory {folder!r}")
+        digests = {path: file_digest(path) for path in (given.get(dest) for dest in _INPUTS) if path}
+        records = _HANDLERS[args.command](args)
         if manifest_path:
-            manifest.write(manifest_path)
+            write_manifest(manifest_path, command=["irtkit", *argv], started=started,
+                           config={k: v for k, v in given.items() if k not in _NOT_CONFIG},
+                           seeds={k: given[k] for k in _SEEDS if k in given},
+                           input_digests=digests, outputs=list(dict.fromkeys(outputs)))
     except Exception as exc:  # noqa: BLE001 - single-line machine-parseable error contract
         print(f"error: {exc}", file=sys.stderr)
         return 1

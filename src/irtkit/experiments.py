@@ -52,10 +52,15 @@ def write_csv(path: str, header: list[str], rows: list) -> None:
         csv.writer(SimpleNamespace(write=lambda line: fh.write(line[:-2] + "\n"))).writerows([header, *rows])
 
 
+def table_paths(out_dir: str, recipe: str) -> list[str]:
+    """The paths of a recipe's TABLES in out_dir, in the order it writes them."""
+    return [os.path.join(out_dir, name) for name in TABLES[recipe]]
+
+
 def _write_tables(out_dir: str, recipe: str, *tables) -> None:
-    """Write a recipe's (header, rows) tables under their TABLES names in out_dir."""
-    for name, table in zip(TABLES[recipe], tables, strict=True):
-        write_csv(os.path.join(out_dir, name), *table)
+    """Write a recipe's (header, rows) tables to its table_paths."""
+    for path, table in zip(table_paths(out_dir, recipe), tables, strict=True):
+        write_csv(path, *table)
 
 
 def _heldout_accuracy(params, test) -> float:
@@ -102,8 +107,12 @@ def _run_units(fn, units: list) -> list:
     sees them, while n - 1 forked workers take the rest, one task per
     unit. Their warnings are re-emitted here in unit order, and the first
     exception in unit order is raised here. Units are independent and
-    seeded, so the results equal the plain loop's.
+    seeded, so the results equal the plain loop's. A repeated unit (a
+    recipe's seed or fraction given twice) is refused before any runs.
     """
+    repeated = next((unit for i, unit in enumerate(units) if unit in units[:i]), None)
+    if repeated is not None:
+        raise ValueError(f"unit {repeated} repeats: a recipe's seeds and fractions must be distinct")
     workers = min(resolve_workers(), len(units))
     if workers == 1:
         return [fn(*unit) for unit in units]

@@ -1,4 +1,9 @@
-"""Run manifests: enough provenance to re-run any result exactly."""
+"""Run manifests: enough provenance to re-run any result exactly.
+
+`cli.dispatch` is the one writer: it digests the input files with
+`file_digest` before the handler runs and calls `write_manifest` once
+the outputs are written.
+"""
 
 from __future__ import annotations
 
@@ -15,33 +20,11 @@ def file_digest(path: str) -> str:
     return h.hexdigest()
 
 
-class ManifestWriter:
-    """Collects inputs/outputs during a run and writes one JSON manifest."""
-
-    def __init__(self, command: list[str]):
-        self.command = list(command)
-        self.started = time.time()
-        self.inputs: dict[str, str] = {}
-        self.outputs: list[str] = []
-        self.config: dict = {}
-        self.seeds: dict = {}
-
-    def add_input(self, path: str) -> None:
-        self.inputs[path] = file_digest(path)
-
-    def add_output(self, path: str) -> None:
-        if path not in self.outputs:
-            self.outputs.append(path)
-
-    def write(self, path: str) -> None:
-        doc = {
-            "command": self.command,
-            "config": self.config,
-            "seeds": self.seeds,
-            "input_digests": self.inputs,
-            "outputs": self.outputs,
-            "duration_seconds": time.time() - self.started,
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+def write_manifest(path: str, command: list, config: dict, seeds: dict, input_digests: dict,
+                   outputs: list, started: float) -> None:
+    """Write one run's manifest as indented JSON with sorted keys; its duration runs from `started` (time.time())."""
+    doc = {"command": command, "config": config, "seeds": seeds, "input_digests": input_digests,
+           "outputs": outputs, "duration_seconds": time.time() - started}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -29,6 +29,8 @@ def accuracy(preds, labels, threshold: float = 0.5) -> dict:
         raise ValueError("cannot score an empty prediction set")
     if not 0 <= threshold <= 1:
         raise ValueError(f"threshold must be in [0, 1], got {threshold!r}")
+    if not np.all((0 <= preds) & (preds <= 1)):   # NaN fails both comparisons
+        raise ValueError("predictions must be probabilities in [0, 1]")
     hard = preds >= threshold
     pos = labels == 1
     correct = int(np.sum(hard == pos))

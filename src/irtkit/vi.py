@@ -42,11 +42,12 @@ def _kl_to_prior(mu, sigma):
 
 def kl_gaussian(mu1, sigma1, mu2, sigma2):
     """KL(N(mu1, sigma1^2) || N(mu2, sigma2^2)), closed form: the prior KL of the standardised first Gaussian."""
-    sigma1 = np.asarray(sigma1, dtype=np.float64)
-    sigma2 = np.asarray(sigma2, dtype=np.float64)
+    mu1, sigma1, mu2, sigma2 = (np.asarray(v, dtype=np.float64) for v in (mu1, sigma1, mu2, sigma2))
     if not all(np.all((0 < s) & (s < np.inf)) for s in (sigma1, sigma2)):   # nan fails both comparisons
         raise ValueError("standard deviations must be finite and positive")
-    out = _kl_to_prior((np.asarray(mu1, dtype=np.float64) - mu2) / sigma2, sigma1 / sigma2)
+    if not (np.all(np.isfinite(mu1)) and np.all(np.isfinite(mu2))):
+        raise ValueError("means must be finite")
+    out = _kl_to_prior((mu1 - mu2) / sigma2, sigma1 / sigma2)
     return out if out.ndim else float(out)
 
 

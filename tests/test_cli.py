@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -248,13 +249,48 @@ class TestSynthCli:
         run_cli(capsys, *_synth_args("data.csv"))
         manifest = json.loads((workdir / "data.csv.manifest.json").read_text())
         assert manifest["outputs"] == ["data.csv"]
-        assert manifest["seeds"] == {"synth": 0}
+        assert manifest["seeds"] == {"seed": 0, "exam_seed": None}
 
     def test_negative_seed_is_a_named_error(self, workdir, capsys):
         code, _, err = run_cli(capsys, *_synth_args("data.csv", seed=-1))
         assert code == 1
         assert err.strip() == "error: seed must be an integer >= 0, got -1"
         assert not os.path.exists("data.csv")
+
+
+class TestManifest:
+    def test_ingest_records_the_split_flags(self, workdir, capsys):
+        run_cli(capsys, *_synth_args("data.csv"))
+        assert run_cli(capsys, "ingest", "--input", "data.csv", "--format", "binary", "--out", "all.csv",
+                       "--test-fraction", "0.2", "--train-out", "train.csv", "--test-out", "test.csv",
+                       "--seed", "4")[0] == 0
+        manifest = json.loads((workdir / "all.csv.manifest.json").read_text())
+        assert manifest["config"] == {"format": "binary", "test_fraction": 0.2}
+        assert manifest["seeds"] == {"seed": 4}
+
+    def test_synth_records_the_exam_seed(self, workdir, capsys):
+        assert run_cli(capsys, *_synth_args("data.csv", seed=3), "--exam-seed", "7")[0] == 0
+        manifest = json.loads((workdir / "data.csv.manifest.json").read_text())
+        assert manifest["seeds"] == {"seed": 3, "exam_seed": 7}
+        assert "exam_seed" not in manifest["config"] and manifest["config"]["students"] == 40
+
+    def test_input_digests_are_the_sha256_of_each_input(self, workdir, capsys):
+        run_cli(capsys, *_synth_args("data.csv"))
+        run_cli(capsys, "train", "--data", "data.csv", "--model", "interaction", "--epochs", "2", "--out", "w.json")
+        assert run_cli(capsys, "train", "--data", "data.csv", "--model", "interaction", "--epochs", "2",
+                       "--warm-start", "w.json", "--out", "m.json")[0] == 0
+        assert run_cli(capsys, "eval", "--checkpoint", "m.json", "--data", "data.csv", "--out", "e.json")[0] == 0
+        for manifest, inputs in (("m.json.manifest.json", ("data.csv", "w.json")),
+                                 ("e.json.manifest.json", ("m.json", "data.csv"))):
+            assert json.loads((workdir / manifest).read_text())["input_digests"] == \
+                {path: hashlib.sha256((workdir / path).read_bytes()).hexdigest() for path in inputs}
+
+    def test_interpret_reports_zero_rows_and_records_the_flag(self, workdir, capsys):
+        run_cli(capsys, *_synth_args("data.csv"))
+        run_cli(capsys, "train", "--data", "data.csv", "--model", "interaction", "--epochs", "2", "--out", "m.json")
+        code, out, _ = run_cli(capsys, "interpret", "--checkpoint", "m.json", "--out", "q.csv", "--rescale-display")
+        assert code == 0 and last_record(out) == {"questions": 8, "rescaled": True, "zero_rows": []}
+        assert json.loads((workdir / "q.csv.manifest.json").read_text())["config"] == {"rescale_display": True}
 
 
 class TestPipeline:

@@ -142,6 +142,19 @@ def test_every_fraction_is_checked_before_any_unit(monkeypatch):
         low_data_sweep(fractions=(0.15, 0.0002), seeds=(0,))
 
 
+@pytest.mark.parametrize("recipe,unit,kwargs", [
+    (recovery_run, "_recovery_unit", {"students": 200, "seeds": (0, 0)}),
+    (low_data_sweep, "_low_data_unit", {"fractions": (0.5, 0.25), "seeds": (0, 1, 0)}),
+    (low_data_sweep, "_low_data_unit", {"fractions": (0.5, 0.25, 0.5), "seeds": (0,)}),
+    (active_vs_random, "_active_unit", {"seeds": (1, 1)}),
+], ids=["recovery seeds", "low-data seeds", "low-data fractions", "active seeds"])
+def test_repeated_seed_or_fraction_is_refused_before_any_unit(monkeypatch, tmp_path, recipe, unit, kwargs):
+    monkeypatch.setattr(experiments, unit, _no_unit)
+    with pytest.raises(ValueError, match=r"^unit \(.+\) repeats: a recipe's seeds and fractions must be distinct$"):
+        recipe(out_dir=str(tmp_path), **kwargs)
+    assert list(tmp_path.iterdir()) == []
+
+
 # Text no field of a table needs quoted: no delimiter, quote or line break.
 _PLAIN = st.text(st.characters(blacklist_categories=("Cs", "Cc"), blacklist_characters=',"'), min_size=1, max_size=8)
 

@@ -50,6 +50,11 @@ class TestAccuracy:
         with pytest.raises(ValueError, match=r"^threshold must be in \[0, 1\]"):
             accuracy([0.2, 0.8], [0, 1], threshold=threshold)
 
+    @pytest.mark.parametrize("preds", [[math.nan, 0.7], [0.2, math.inf], [-0.01, 0.5], [0.5, 1.01]])
+    def test_prediction_outside_unit_interval_rejected(self, preds):
+        with pytest.raises(ValueError, match=r"^predictions must be probabilities in \[0, 1\]$"):
+            accuracy(preds, [1, 1])
+
     def test_closed_interval_ends_are_thresholds(self):
         assert accuracy([0.0, 1.0], [0, 1], threshold=0.0)["correct"] == 1
         assert accuracy([0.0, 1.0], [0, 1], threshold=1.0)["correct"] == 2

@@ -83,6 +83,11 @@ class TestKlGaussian:
             with pytest.raises(ValueError, match="^standard deviations must be finite and positive$"):
                 kl_gaussian(0.0, sigma1, 0.0, sigma2)
 
+    @pytest.mark.parametrize("mu1,mu2", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.0), ([0.0, math.nan], 0.0)])
+    def test_rejects_nonfinite_mean(self, mu1, mu2):
+        with pytest.raises(ValueError, match="^means must be finite$"):
+            kl_gaussian(mu1, 1.0, mu2, 1.0)
+
 
 class TestReparameterize:
     def test_zero_noise_returns_mean(self):
