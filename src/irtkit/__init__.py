@@ -40,8 +40,8 @@ from .vi import (
     predict_proba_vi_array,
     train_vi,
 )
-from .metrics import SimilarityMatrix, accuracy, cosine_similarity_matrix, log_loss, two_proportion_z_test
-from .synth import SynthConfig, SynthTruth, generate_synthetic
+from .metrics import accuracy, cosine_similarity_matrix, log_loss, two_proportion_z_test
+from .synth import SynthConfig, generate_synthetic
 from .active import (
     ActiveConfig,
     ActiveResult,

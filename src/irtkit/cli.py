@@ -129,7 +129,7 @@ def _cmd_synth(args) -> list:
     dataset, truth = generate_synthetic(cfg)
     data_mod.write_binary_csv(dataset, args.out)
     if args.truth:
-        _write_json(args.truth, truth.to_dict())
+        _write_json(args.truth, {name: array.tolist() for name, array in truth.items()})
     return [{"responses": dataset.n_responses, "students": dataset.num_students,
              "questions": dataset.num_questions}]
 
@@ -138,10 +138,10 @@ def _cmd_interpret(args) -> list:
     params, index = load_checkpoint(args.checkpoint)
     if params.demand is None:
         raise ValueError(f"checkpoint kind {params.kind!r} has no question embedding vectors")
-    sim = cosine_similarity_matrix(params.demand, rescale_display=args.rescale_display)
+    values, record = cosine_similarity_matrix(params.demand, rescale_display=args.rescale_display)
     experiments.write_csv(args.out, ["question_id", *index.question_ids],
-                          [(qid, *row) for qid, row in zip(index.question_ids, sim.values.tolist())])
-    return [{"questions": index.num_questions, "rescaled": sim.rescaled, "zero_rows": list(sim.zero_rows)}]
+                          [(qid, *row) for qid, row in zip(index.question_ids, values.tolist())])
+    return [{"questions": index.num_questions, **record}]
 
 
 def _cmd_significance(args) -> list:
@@ -304,7 +304,7 @@ def dispatch(argv) -> int:
     given = vars(args)
     anchor = given.get("out") or given.get("out_dir")
     if anchor:
-        anchor = anchor.rstrip("/") + ("/experiment" if args.command == "experiment" else "")
+        anchor = anchor.rstrip("/") + (f"/{args.recipe}" if args.command == "experiment" else "")
     manifest_path = args.manifest or (anchor and anchor + ".manifest.json")   # None: no manifest
     checked = {dest: given.get(dest) for dest in (*_OUTPUTS, "out_dir")} | {"manifest": manifest_path}
     outputs = [given[dest] for dest in _OUTPUTS if given.get(dest)]

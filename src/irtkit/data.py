@@ -55,6 +55,7 @@ _LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], "<u8")   # a key wor
 _WRITE_CHARS = 1 << 17     # characters of output write_binary_csv assembles at a time
 _FLOYD_LIMIT = 10_000      # Generator.choice draws by Floyd's method up to this population (or k <= n // 50)
 _CHOICE_DRAWS = 1 << 13    # bounded draws choice_per_group makes in bulk at a time (plus one group's)
+_BULK_CHOICE = np.lib.NumpyVersion(np.__version__).version.startswith("2.4.")   # _floyd reproduces 2.4's choice
 
 
 class ParseError(ValueError):
@@ -595,11 +596,16 @@ def choice_per_group(rng: np.random.Generator, sizes, ks) -> np.ndarray:
     _CHOICE_DRAWS draws at a time so that memory stays bounded; a group in
     its other branch is drawn by rng.choice itself, in its turn. The
     bounded draws come from Generator.integers; only the choice of
-    Floyd's branch and the order of the draws tie this to numpy 2.4.
+    Floyd's branch and the order of the draws tie this to numpy 2.4, so
+    on any other numpy every group is drawn by rng.choice itself.
     """
     sizes, ks = np.asarray(sizes, dtype=np.int64), np.asarray(ks, dtype=np.int64)
     start = np.cumsum(sizes) - sizes
     mask = np.zeros(int(sizes.sum()), dtype=bool)
+    if not _BULK_CHOICE:
+        for lo, n, k in zip(start.tolist(), sizes.tolist(), ks.tolist()):
+            mask[lo + rng.choice(n, size=k, replace=False)] = True
+        return mask
     other = np.flatnonzero((sizes > _FLOYD_LIMIT) & (ks > sizes // 50))
     draws = np.cumsum(np.maximum(2 * ks - 1, 0))
     blocks = np.searchsorted(draws, np.arange(_CHOICE_DRAWS, draws[-1] if draws.size else 0, _CHOICE_DRAWS))

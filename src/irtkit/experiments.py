@@ -99,6 +99,13 @@ def _warn_again(message, category, filename: str, lineno: int) -> None:
     warnings.warn_explicit(message, category, filename, lineno)
 
 
+def _require_nonempty(**lists) -> None:
+    """Refuse an empty seed or fraction list before any unit runs: a recipe with no units has nothing to report."""
+    for name, values in lists.items():
+        if len(values) == 0:
+            raise ValueError(f"{name} must not be empty")
+
+
 def _run_units(fn, units: list) -> list:
     """fn(*unit) for every unit, in unit order, on up to `resolve_workers()` processes.
 
@@ -173,6 +180,7 @@ def recovery_run(students: int = 40_000, seeds=(0, 1, 2, 3, 4), epochs: int = 60
     Each (seed, model) fit is one unit (see `_run_units`). Returns the
     per-seed accuracy rows.
     """
+    _require_nonempty(seeds=seeds)
     rows: list[RecoveryRow] = _run_units(
         partial(_recovery_unit, students=students, epochs=epochs),
         [(seed, model) for seed in seeds for model in (RASCH, INTERACTION)])
@@ -238,6 +246,7 @@ def low_data_sweep(fractions=(1.0, 0.5, 0.25, 0.15), seeds=(0, 1, 2, 3, 4),
     and splits per (fraction, seed), which is one unit (see `_run_units`).
     Every fraction is checked against the population before any unit runs.
     """
+    _require_nonempty(fractions=fractions, seeds=seeds)
     for fraction in fractions:
         students_kept(fraction, low_data_synth_config(0).students)
     rows: list[LowDataRow] = _run_units(
@@ -288,6 +297,7 @@ def active_vs_random(pool_size: int = 2000, seeds=(0, 1, 2, 3, 4), rounds: int =
     the selection rule differs. Each (seed, policy) curve is one unit (see
     `_run_units`). Returns {policy: [ActiveResult, ...]}.
     """
+    _require_nonempty(seeds=seeds)
     policies = (UNCERTAINTY, RANDOM)
     curves = _run_units(
         partial(_active_unit, pool_size=pool_size, rounds=rounds),

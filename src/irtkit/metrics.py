@@ -1,19 +1,11 @@
-"""Classification metrics, the two-proportion z-test, and embedding similarity."""
+"""Classification metrics, the two-proportion z-test, and embedding similarity, as the records the CLI prints."""
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass
-class SimilarityMatrix:
-    values: np.ndarray
-    zero_rows: tuple = ()
-    rescaled: bool = False
 
 
 def accuracy(preds, labels, threshold: float = 0.5) -> dict:
@@ -75,13 +67,13 @@ def two_proportion_z_test(x1: int, n1: int, x2: int, n2: int,
             "significant_at": [a for a in alphas if p_value < a]}
 
 
-def cosine_similarity_matrix(demand, rescale_display: bool = False) -> SimilarityMatrix:
-    """Pairwise cosine similarity between question embedding rows.
+def cosine_similarity_matrix(demand, rescale_display: bool = False) -> tuple[np.ndarray, dict]:
+    """Pairwise cosine similarity between question embedding rows: (values, record).
 
-    All-zero rows get 0 off-diagonal similarity (flagged, with a warning)
-    rather than an error, since early training snapshots can contain
-    them. The optional min-max rescale maps off-diagonal entries to
-    [0, 1] for heatmap display only and is flagged in the result.
+    values is Q x Q; record is interpret's {rescaled, zero_rows}. All-zero rows get 0
+    off-diagonal similarity (listed in zero_rows, with a warning) rather than an error,
+    since early training snapshots can contain them. The optional min-max rescale maps
+    off-diagonal entries to [0, 1] for heatmap display only; rescaled says whether it did.
     """
     demand = np.asarray(demand, dtype=np.float64)
     if demand.ndim != 2:
@@ -106,4 +98,4 @@ def cosine_similarity_matrix(demand, rescale_display: bool = False) -> Similarit
         if hi > lo:
             values[off] = (values[off] - lo) / (hi - lo)
             rescaled = True
-    return SimilarityMatrix(values=values, zero_rows=zero_rows, rescaled=rescaled)
+    return values, {"rescaled": rescaled, "zero_rows": list(zero_rows)}

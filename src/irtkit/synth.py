@@ -5,12 +5,13 @@ skill from configurable normals (by default Normal(-3, 1), Normal(0, 1));
 each cell's outcome is a Bernoulli draw of the logistic of ability +
 easiness + skill dot demand, plus a class-vector term when class
 structure is enabled. The generated matrix is dense by default;
-keep_prob < 1 drops cells at random for sparsity experiments.
+keep_prob < 1 drops cells at random for sparsity experiments. The
+generating latents are a dict of arrays, which `synth --truth` writes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from numbers import Real
 from typing import Optional
 
@@ -54,25 +55,11 @@ class SynthConfig:
             raise ValueError(f"outcome must be {SAMPLE!r} or {THRESHOLD!r}")
 
 
-@dataclass
-class SynthTruth:
-    """Generating latents, kept for recovery inspection, never for training."""
+def generate_synthetic(cfg: SynthConfig) -> tuple[Dataset, dict]:
+    """Sample latents, then Bernoulli responses for every (student, question) cell; (dataset, truth).
 
-    ability: np.ndarray                      # (S,)
-    easiness: np.ndarray                     # (Q,)
-    skill: np.ndarray                        # (S, D)
-    demand: np.ndarray                       # (Q, D)
-    class_skill: Optional[np.ndarray] = None  # (C, D) when classes enabled
-    class_of: Optional[np.ndarray] = None
-
-    def to_dict(self) -> dict:
-        """Every latent that is set, as nested lists, in field order."""
-        return {f.name: v.tolist() for f in fields(self) if (v := getattr(self, f.name)) is not None}
-
-
-def generate_synthetic(cfg: SynthConfig) -> tuple[Dataset, SynthTruth]:
-    """Sample latents, then Bernoulli responses for every (student, question) cell.
-
+    truth, for recovery inspection only, maps ability (S,), easiness (Q,), skill (S, D), demand (Q, D)
+    and, with classes, class_skill (C, D) and class_of (S,) to their arrays, in that order.
     Students are assigned to classes round-robin when num_classes > 0.
     Deterministic per seed; the same seed yields byte-identical outputs.
     When exam_seed is set, the question-side latents come from their own
@@ -90,15 +77,16 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[Dataset, SynthTruth]:
     if D > 0:
         logits = logits + skill @ demand.T
 
+    truth = {"ability": ability, "easiness": easiness, "skill": skill, "demand": demand}
     if cfg.num_classes > 0:
         class_of = np.arange(S, dtype=np.int64) % cfg.num_classes
         class_skill = rng.normal(0.0, cfg.class_effect_std, (cfg.num_classes, D))
         if D > 0:
             logits = logits + class_skill[class_of] @ demand.T
         class_ids = tuple(f"c{i}" for i in range(cfg.num_classes))
+        truth |= {"class_skill": class_skill, "class_of": class_of}
     else:
         class_of = np.zeros(S, dtype=np.int64)
-        class_skill = None
         class_ids = ("c0",)
 
     p = sigmoid(logits)
@@ -120,7 +108,4 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[Dataset, SynthTruth]:
         question_ids=tuple(f"q{i}" for i in range(Q)),
         class_ids=class_ids,
     )
-    truth = SynthTruth(ability=ability, easiness=easiness, skill=skill, demand=demand,
-                       class_skill=class_skill,
-                       class_of=class_of if cfg.num_classes > 0 else None)
     return dataset, truth

@@ -258,11 +258,11 @@ class TestCriterion8Structural:
             for s in range(6) for q in range(5))
 
         m = rng.normal(size=(8, 3))
-        sim = cosine_similarity_matrix(m)
-        scaled = cosine_similarity_matrix(m * np.array([3.7] * 3))
-        checks["cosine"] = (np.array_equal(sim.values, sim.values.T)
-                            and np.all(np.diag(sim.values) == 1.0)
-                            and bool(np.max(np.abs(sim.values - scaled.values)) <= 1e-12))
+        sim, _ = cosine_similarity_matrix(m)
+        scaled, _ = cosine_similarity_matrix(m * np.array([3.7] * 3))
+        checks["cosine"] = (np.array_equal(sim, sim.T)
+                            and np.all(np.diag(sim) == 1.0)
+                            and bool(np.max(np.abs(sim - scaled)) <= 1e-12))
 
         train, test = split_train_test(data, 0.3, seed=5)
         cells_all = set(zip(data.student_idx, data.question_idx))

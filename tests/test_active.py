@@ -355,7 +355,7 @@ class TestAbilityBucketReport:
                                initial_epochs=50, seed=seed + 90)
             result = run_active_loop(state, cfg)
             order = {sid: i for i, sid in enumerate(data.student_ids)}
-            abilities = np.array([truth.ability[order[sid]] for sid in state.student_ids])
+            abilities = np.array([truth["ability"][order[sid]] for sid in state.student_ids])
             edges = [-np.inf, *np.quantile(abilities, [1 / 3, 2 / 3]), np.inf]
             final = result.per_student_accuracy[-1]
             low, mid, high = (final[(abilities > lo) & (abilities <= hi)].mean()

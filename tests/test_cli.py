@@ -549,7 +549,18 @@ class TestExperimentCli:
         assert summary.startswith("model,students,mean_accuracy")
         records = [json.loads(line) for line in out.strip().splitlines()]
         assert {r["model"] for r in records} == {"rasch", "interaction"}
-        assert (workdir / "experiment.manifest.json").is_file() and not (workdir / "..manifest.json").exists()
+        assert (workdir / "appendix-c-recovery.manifest.json").is_file() and not (workdir / "..manifest.json").exists()
+
+    def test_each_recipe_writes_its_own_manifest(self, workdir, capsys):
+        """Two recipes into one directory leave two manifests, each listing only its own tables."""
+        (workdir / "exp").mkdir()
+        for argv in (["active-vs-random", "--pool-size", "40", "--rounds", "3"],
+                     ["appendix-c-recovery", "--students", "200"]):
+            assert run_cli(capsys, "experiment", *argv, "--seeds", "0", "--out-dir", "exp")[0] == 0
+        outputs = {path.name: json.loads(path.read_text())["outputs"]
+                   for path in (workdir / "exp").glob("*.manifest.json")}
+        assert outputs == {"active-vs-random.manifest.json": ["exp/active_curves.csv"],
+                           "appendix-c-recovery.manifest.json": ["exp/recovery.csv", "exp/recovery_summary.csv"]}
 
 
 class TestRawIngest:

@@ -529,6 +529,13 @@ class TestChoicePerGroup:
         assert rng.bit_generator.state == state
         _assert_draws_as_oracle(5, [], [], pre=1)
 
+    def test_other_numpy_draws_each_group_by_choice(self, monkeypatch):
+        """Off numpy 2.4 the bulk kernel is not used: the oracle's rng.choice calls, group by group."""
+        monkeypatch.setattr(data, "_BULK_CHOICE", False)
+        monkeypatch.setattr(data, "_floyd", None)
+        _assert_draws_as_oracle(7, [1, 2, 7, 40, 20_000, 3], [0, 1, 3, 39, 1_000, 2], pre=1)
+        _assert_draws_as_oracle(8, [], [])
+
     def test_group_in_numpys_other_branch_is_drawn_by_choice(self):
         assert 1_000 > 20_000 // 50   # n > 10,000 and k > n // 50: the tail-shuffle branch
         _assert_draws_as_oracle(6, [9, 20_000, 12, 20_000, 10_001], [3, 1_000, 5, 400, 201], pre=1)

@@ -155,6 +155,20 @@ def test_repeated_seed_or_fraction_is_refused_before_any_unit(monkeypatch, tmp_p
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("recipe,unit,kwargs,name", [
+    (recovery_run, "_recovery_unit", {"students": 100, "seeds": ()}, "seeds"),
+    (low_data_sweep, "_low_data_unit", {"seeds": ()}, "seeds"),
+    (low_data_sweep, "_low_data_unit", {"fractions": ()}, "fractions"),
+    (active_vs_random, "_active_unit", {"seeds": ()}, "seeds"),
+], ids=["recovery seeds", "low-data seeds", "low-data fractions", "active seeds"])
+def test_empty_seed_or_fraction_list_is_a_named_error_before_any_unit(monkeypatch, tmp_path, recipe, unit, kwargs,
+                                                                     name):
+    monkeypatch.setattr(experiments, unit, _no_unit)
+    with pytest.raises(ValueError, match=rf"^{name} must not be empty$"):
+        recipe(out_dir=str(tmp_path), **kwargs)
+    assert list(tmp_path.iterdir()) == []
+
+
 # Text no field of a table needs quoted: no delimiter, quote or line break.
 _PLAIN = st.text(st.characters(blacklist_categories=("Cs", "Cc"), blacklist_characters=',"'), min_size=1, max_size=8)
 

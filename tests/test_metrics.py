@@ -2,9 +2,12 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irtkit.metrics import accuracy, cosine_similarity_matrix, log_loss, two_proportion_z_test
 
@@ -116,49 +119,85 @@ class TestTwoProportionZTest:
 
 class TestCosineSimilarity:
     def test_identical_rows(self):
-        sim = cosine_similarity_matrix(np.array([[1.0, 2.0], [1.0, 2.0]]))
-        assert sim.values[0, 1] == pytest.approx(1.0, abs=1e-12)
+        sim, _ = cosine_similarity_matrix(np.array([[1.0, 2.0], [1.0, 2.0]]))
+        assert sim[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_rows(self):
-        sim = cosine_similarity_matrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        assert sim.values[0, 1] == pytest.approx(0.0, abs=1e-12)
+        sim, _ = cosine_similarity_matrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        assert sim[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_computed_value(self):
-        sim = cosine_similarity_matrix(np.array([[1.0, 1.0], [1.0, 0.0]]))
-        assert sim.values[0, 1] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
+        sim, _ = cosine_similarity_matrix(np.array([[1.0, 1.0], [1.0, 0.0]]))
+        assert sim[0, 1] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
 
     def test_symmetry_unit_diagonal_and_range(self):
         rng = np.random.default_rng(1)
         m = rng.normal(size=(12, 4))
-        sim = cosine_similarity_matrix(m)
-        assert np.array_equal(sim.values, sim.values.T)
-        assert np.all(np.diag(sim.values) == 1.0)
-        assert np.all(sim.values >= -1.0) and np.all(sim.values <= 1.0)
+        sim, _ = cosine_similarity_matrix(m)
+        assert np.array_equal(sim, sim.T)
+        assert np.all(np.diag(sim) == 1.0)
+        assert np.all(sim >= -1.0) and np.all(sim <= 1.0)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(2)
         m = rng.normal(size=(6, 3))
         scaled = m.copy()
         scaled[2] *= 37.5
-        a = cosine_similarity_matrix(m)
-        b = cosine_similarity_matrix(scaled)
-        np.testing.assert_allclose(a.values, b.values, atol=1e-12)
+        a, _ = cosine_similarity_matrix(m)
+        b, _ = cosine_similarity_matrix(scaled)
+        np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_zero_row_is_flagged_not_fatal(self):
         m = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 2.0]])
         with pytest.warns(UserWarning, match="zero embedding rows"):
-            sim = cosine_similarity_matrix(m)
-        assert sim.zero_rows == (1,)
-        assert sim.values[1, 1] == 1.0
-        assert sim.values[1, 0] == 0.0 and sim.values[0, 1] == 0.0
+            sim, record = cosine_similarity_matrix(m)
+        assert record["zero_rows"] == [1]
+        assert sim[1, 1] == 1.0
+        assert sim[1, 0] == 0.0 and sim[0, 1] == 0.0
 
     def test_display_rescale_is_flagged(self):
         rng = np.random.default_rng(3)
-        sim = cosine_similarity_matrix(rng.normal(size=(5, 3)), rescale_display=True)
-        assert sim.rescaled
-        off = sim.values[~np.eye(5, dtype=bool)]
+        sim, record = cosine_similarity_matrix(rng.normal(size=(5, 3)), rescale_display=True)
+        assert record["rescaled"]
+        off = sim[~np.eye(5, dtype=bool)]
         assert off.min() == pytest.approx(0.0, abs=1e-12)
         assert off.max() == pytest.approx(1.0, abs=1e-12)
+
+
+@st.composite
+def _demands(draw):
+    """A random Q x D embedding matrix (Q 1-8, D 1-4), some rows all zero, and positive row scales."""
+    q, d = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    m = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(q, d))
+    zero = np.array(draw(st.lists(st.booleans(), min_size=q, max_size=q)))
+    m[zero] = 0.0
+    scales = np.array(draw(st.lists(st.floats(1e-3, 1e3), min_size=q, max_size=q)))
+    return m, np.flatnonzero(zero).tolist(), scales, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_demands())
+def test_similarity_record_properties(case):
+    """Symmetric, unit diagonal, in [-1, 1], invariant to positive row scales; zero rows listed and 0
+    off the diagonal; rescaled exactly when asked for, Q > 1 and the off-diagonal entries differ."""
+    m, zero_rows, scales, rescale = case
+    q = m.shape[0]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        values, record = cosine_similarity_matrix(m)
+        scaled, _ = cosine_similarity_matrix(m * scales[:, None])
+        shown, shown_record = cosine_similarity_matrix(m, rescale_display=rescale)
+    assert len(caught) == (3 if zero_rows else 0)
+    assert list(record) == ["rescaled", "zero_rows"] and record == {"rescaled": False, "zero_rows": zero_rows}
+    assert np.array_equal(values, values.T) and np.all(np.diag(values) == 1.0)
+    assert np.all(values >= -1.0) and np.all(values <= 1.0)
+    np.testing.assert_allclose(scaled, values, rtol=0, atol=1e-12)
+    off = ~np.eye(q, dtype=bool)
+    for i in zero_rows:
+        assert np.all(values[i][off[i]] == 0.0) and np.all(values[:, i][off[:, i]] == 0.0)
+    assert shown_record == {"rescaled": bool(rescale and q > 1 and np.ptp(values[off]) > 0), "zero_rows": zero_rows}
+    if not shown_record["rescaled"]:
+        assert np.array_equal(shown, values)
 
 
 def test_log_loss_matches_hand_value():

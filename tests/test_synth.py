@@ -1,8 +1,15 @@
-"""Synthetic data generation: determinism, scale, and generative sanity."""
+"""Synthetic data generation: determinism, scale, generative sanity, and the truth record."""
+
+import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from irtkit.cli import dispatch
 from irtkit.data import split_train_test
 from irtkit.metrics import log_loss
 from irtkit.models import predict_proba_array, sigmoid
@@ -16,8 +23,8 @@ def test_same_seed_is_byte_identical():
     d2, t2 = generate_synthetic(cfg)
     assert np.array_equal(d1.y, d2.y)
     assert np.array_equal(d1.student_idx, d2.student_idx)
-    assert np.array_equal(t1.ability, t2.ability)
-    assert np.array_equal(t1.class_skill, t2.class_skill)
+    assert np.array_equal(t1["ability"], t2["ability"])
+    assert np.array_equal(t1["class_skill"], t2["class_skill"])
 
 
 def test_single_cell_dataset():
@@ -33,7 +40,7 @@ def test_reference_scale_is_dense():
 
 def test_easiness_sample_mean_obeys_lln():
     _, truth = generate_synthetic(SynthConfig(students=1, questions=10_000, dims=0, seed=5))
-    assert abs(float(np.mean(truth.easiness)) - (-3.0)) <= 3.0 / np.sqrt(10_000)
+    assert abs(float(np.mean(truth["easiness"])) - (-3.0)) <= 3.0 / np.sqrt(10_000)
 
 
 def test_correct_rate_monotone_in_mean_easiness():
@@ -57,22 +64,22 @@ def test_round_robin_class_assignment():
     d, truth = generate_synthetic(SynthConfig(students=10, questions=2, num_classes=3,
                                               class_effect_std=1.0, seed=2))
     np.testing.assert_array_equal(d.class_of, np.arange(10) % 3)
-    assert truth.class_skill.shape == (3, 1)
+    assert truth["class_skill"].shape == (3, 1)
 
 
 def test_threshold_outcome_is_deterministic_given_latents():
     cfg = SynthConfig(students=30, questions=5, dims=1, outcome="threshold", seed=4)
     d, truth = generate_synthetic(cfg)
-    z = (truth.ability[:, None] + truth.easiness[None, :] + truth.skill @ truth.demand.T)
+    z = (truth["ability"][:, None] + truth["easiness"][None, :] + truth["skill"] @ truth["demand"].T)
     np.testing.assert_array_equal(d.y.reshape(30, 5), (z > 0).astype(np.int8))
 
 
 def test_exam_seed_fixes_question_side_across_student_seeds():
     a = generate_synthetic(SynthConfig(students=20, questions=6, dims=1, seed=1, exam_seed=77))[1]
     b = generate_synthetic(SynthConfig(students=20, questions=6, dims=1, seed=2, exam_seed=77))[1]
-    np.testing.assert_array_equal(a.easiness, b.easiness)
-    np.testing.assert_array_equal(a.demand, b.demand)
-    assert not np.array_equal(a.ability, b.ability)
+    np.testing.assert_array_equal(a["easiness"], b["easiness"])
+    np.testing.assert_array_equal(a["demand"], b["demand"])
+    assert not np.array_equal(a["ability"], b["ability"])
 
 
 @pytest.mark.parametrize("name,value", [
@@ -95,7 +102,7 @@ def test_rasch_limit_logloss_approaches_generative_entropy():
     train, te = split_train_test(data, 0.2, seed=7)
     params, _ = sgd_train("rasch", train, TrainConfig(learning_rate=0.1, epochs=60, seed=8))
     fitted = log_loss(predict_proba_array(params, te.student_idx, te.question_idx), te.y)
-    true_p = sigmoid(truth.ability[te.student_idx] + truth.easiness[te.question_idx])
+    true_p = sigmoid(truth["ability"][te.student_idx] + truth["easiness"][te.question_idx])
     reference = log_loss(true_p, te.y)
     assert fitted <= reference * 1.05
 
@@ -107,3 +114,27 @@ def test_config_validation():
         SynthConfig(keep_prob=0.0)
     with pytest.raises(ValueError):
         SynthConfig(outcome="coinflip")
+
+
+@settings(max_examples=40, deadline=None)
+@given(students=st.integers(1, 6), questions=st.integers(1, 5), dims=st.integers(0, 3),
+       classes=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+def test_truth_record_keys_order_and_shapes_and_what_synth_writes(students, questions, dims, classes, seed):
+    cfg = SynthConfig(students=students, questions=questions, dims=dims, num_classes=classes,
+                      class_effect_std=0.5, seed=seed)
+    _, truth = generate_synthetic(cfg)
+    shapes = {"ability": (students,), "easiness": (questions,), "skill": (students, dims),
+              "demand": (questions, dims)}
+    if classes:
+        shapes |= {"class_skill": (classes, dims), "class_of": (students,)}
+    assert list(truth) == list(shapes)
+    assert {name: array.shape for name, array in truth.items()} == shapes
+    with tempfile.TemporaryDirectory() as tmp:
+        out, path = os.path.join(tmp, "data.csv"), os.path.join(tmp, "truth.json")
+        assert dispatch(["synth", "--students", str(students), "--questions", str(questions), "--dims", str(dims),
+                         "--classes", str(classes), "--class-effect-std", "0.5", "--seed", str(seed),
+                         "--out", out, "--truth", path]) == 0
+        with open(path, encoding="utf-8") as fh:
+            written = json.load(fh)
+    assert list(written) == list(truth)
+    assert written == {name: array.tolist() for name, array in truth.items()}
