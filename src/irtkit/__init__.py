@@ -30,17 +30,9 @@ from .models import (
     predict_proba_array,
     sigmoid,
 )
-from .optim import TrainConfig, TrainReport, TrainingDiverged, finite_diff_check, grad_nll, nll, sgd_train
-from .vi import (
-    VIConfig,
-    elbo_finite_diff_check,
-    elbo_mc,
-    kl_gaussian,
-    predict_prob_vi,
-    predict_proba_vi_array,
-    train_vi,
-)
-from .metrics import accuracy, cosine_similarity_matrix, log_loss, two_proportion_z_test
+from .optim import TrainConfig, TrainReport, TrainingDiverged, nll, sgd_train
+from .vi import VIConfig, elbo_mc, predict_proba_vi_array, train_vi
+from .metrics import accuracy, cosine_similarity_matrix, two_proportion_z_test
 from .synth import SynthConfig, generate_synthetic
 from .active import (
     ActiveConfig,

@@ -51,6 +51,10 @@ class PoolState:
 
 @dataclass
 class ActiveConfig:
+    """The loop's settings. retrain is the SGD schedule of every fit, but the loop sets
+    each fit's seed (seed for the initial fit, seed + r for round r's retrain) and the
+    initial fit's epochs (initial_epochs): retrain.seed is never read."""
+
     policy: str = UNCERTAINTY
     batch_size: int = 1
     rounds: int = 10

@@ -152,7 +152,7 @@ def _cmd_active(args) -> list:
     dataset = data_mod.build_dataset(_load_rows(args.data, args.format))
     state = active_mod.make_pool_state(dataset, args.pool_size, args.holdout_fraction, args.seed)
     cfg = active_mod.ActiveConfig(policy=args.policy, batch_size=args.batch, rounds=args.rounds,
-                                  retrain=TrainConfig(epochs=5, convergence_tol=0.0, seed=args.seed),
+                                  retrain=TrainConfig(epochs=5, convergence_tol=0.0),
                                   seed=args.seed)
     result = active_mod.run_active_loop(state, cfg)
     experiments.write_csv(args.out, *experiments.active_curve_table([result]))

@@ -7,6 +7,9 @@ import warnings
 
 import numpy as np
 
+# Below this norm the sum of squares is subnormal (or 0), so it has lost bits
+_TINY_NORM = math.sqrt(np.finfo(np.float64).tiny)
+
 
 def accuracy(preds, labels, threshold: float = 0.5) -> dict:
     """Thresholded accuracy with precision and recall at the same threshold.
@@ -33,13 +36,6 @@ def accuracy(preds, labels, threshold: float = 0.5) -> dict:
     recall = tp / (tp + fn) if tp + fn else 0.0
     return {"n": preds.size, "correct": correct, "accuracy": correct / preds.size,
             "precision": precision, "recall": recall, "threshold": threshold}
-
-
-def log_loss(preds, labels) -> float:
-    """Mean per-observation negative log-likelihood of the labels."""
-    preds = np.asarray(preds, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    return float(-np.mean(labels * np.log(preds) + (1.0 - labels) * np.log1p(-preds)))
 
 
 def two_proportion_z_test(x1: int, n1: int, x2: int, n2: int,
@@ -72,19 +68,27 @@ def cosine_similarity_matrix(demand, rescale_display: bool = False) -> tuple[np.
 
     values is Q x Q; record is interpret's {rescaled, zero_rows}. All-zero rows get 0
     off-diagonal similarity (listed in zero_rows, with a warning) rather than an error,
-    since early training snapshots can contain them. The optional min-max rescale maps
-    off-diagonal entries to [0, 1] for heatmap display only; rescaled says whether it did.
+    since early training snapshots can contain them. A row whose sum of squares
+    overflows, or underflows below the smallest normal float, is first divided by its
+    largest magnitude; every other row is normalised as it is. The optional min-max
+    rescale maps off-diagonal entries to [0, 1] for heatmap display only; rescaled
+    says whether it did.
     """
     demand = np.asarray(demand, dtype=np.float64)
     if demand.ndim != 2:
         raise ValueError("expected a Q x D matrix of embedding rows")
     q = demand.shape[0]
-    norms = np.linalg.norm(demand, axis=1)
-    zero_rows = tuple(int(i) for i in np.flatnonzero(norms == 0))
+    with np.errstate(over="ignore"):   # an overflowed row is rescaled below
+        norms = np.linalg.norm(demand, axis=1)
+    peak = np.max(np.abs(demand), axis=1, initial=0.0)
+    zero_rows = tuple(int(i) for i in np.flatnonzero(peak == 0))
     if zero_rows:
         warnings.warn(f"zero embedding rows at question indices {zero_rows}; similarities set to 0")
     safe = np.where(norms == 0, 1.0, norms)
     unit = demand / safe[:, None]
+    lost = ((peak > 0) & (norms < _TINY_NORM)) | ((norms == np.inf) & (peak < np.inf))
+    scaled = demand[lost] / peak[lost, None]
+    unit[lost] = scaled / np.linalg.norm(scaled, axis=1)[:, None]
     values = unit @ unit.T
     values = np.clip((values + values.T) / 2.0, -1.0, 1.0)
     for i in zero_rows:

@@ -3,7 +3,7 @@
 The objective is the Bernoulli negative log-likelihood summed over
 observed responses, computed in the cancellation-free form
 log(1 + e^z) - y*z per observation. Gradients are analytic (residual
-form sigma(z) - y) and checked against central finite differences.
+form sigma(z) - y); the test suite checks them against central differences.
 """
 
 from __future__ import annotations
@@ -105,17 +105,6 @@ def _grad_arrays(params, s_idx, q_idx, y, class_of) -> dict:
     return grad_scatter(params, s_idx, q_idx, sigmoid(z) - y, gathered)
 
 
-def grad_nll(params, batch: Dataset, l2_penalty: float = 0.0) -> Params:
-    """Analytic gradient of the batch NLL, plus l2_penalty * param per tensor."""
-    if batch.n_responses == 0:
-        raise ValueError("batch must be non-empty")
-    g = _grad_arrays(params, batch.student_idx, batch.question_idx, batch.y, batch.class_of)
-    if l2_penalty:
-        for name, arr in g.items():
-            arr += l2_penalty * getattr(params, name)
-    return Params(**g, kind=params.kind)
-
-
 def sgd_train(kind: str, data: Dataset, cfg: TrainConfig, dims: int = 1, warm_start=None):
     """Shuffled mini-batch SGD on the summed NLL; returns best-NLL params seen.
 
@@ -181,45 +170,3 @@ def sgd_train(kind: str, data: Dataset, cfg: TrainConfig, dims: int = 1, warm_st
 
     assert best_nll <= initial_nll
     return best, TrainReport(final_nll=best_nll, epochs_run=len(trace), nll_trace=trace)
-
-
-def central_difference_error(objective, params, grads: dict, epsilon: float) -> float:
-    """Max relative discrepancy between grads and central differences of objective.
-
-    Every entry of each tensor of params named in grads is moved by
-    +-epsilon in place (and restored) while objective() is evaluated.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
-    worst = 0.0
-    for name, g in grads.items():
-        arr = getattr(params, name)
-        it = np.nditer(arr, flags=["multi_index", "zerosize_ok"])
-        for _ in it:
-            ix = it.multi_index
-            orig = arr[ix]
-            arr[ix] = orig + epsilon
-            hi = objective()
-            arr[ix] = orig - epsilon
-            lo = objective()
-            arr[ix] = orig
-            fd = (hi - lo) / (2.0 * epsilon)
-            worst = max(worst, abs(g[ix] - fd) / max(abs(g[ix]), abs(fd), 1e-6))
-    return worst
-
-
-def finite_diff_check(params, data: Dataset, epsilon: float = 1e-5,
-                      l2_penalty: float = 0.0) -> float:
-    """Max relative discrepancy between grad_nll and central differences.
-
-    The differenced objective matches grad_nll exactly: batch NLL plus
-    (l2_penalty / 2) * sum of squared parameters.
-    """
-    def objective():
-        val = nll(params, data)
-        if l2_penalty:
-            val += 0.5 * l2_penalty * sum(float(np.sum(a ** 2)) for a in params.tensors().values())
-        return val
-
-    return central_difference_error(objective, params, grad_nll(params, data, l2_penalty).tensors(),
-                                    epsilon)

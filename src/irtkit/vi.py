@@ -19,7 +19,9 @@ Three variants: "rasch-vi" (variational ability only), "interaction-vi"
 shared by every student of the class). Their container is the point
 kinds' Params, holding the rhos beside the means; initialisation
 (optim.init_params) and plug-in prediction (models.predict_proba_array)
-are the point kinds' own.
+are the point kinds' own. The plug-in prediction is the one VI predictor:
+a cell's logit is Gaussian under the posterior, with the plug-in logit as
+its mean, so E[sigmoid(z)] makes the same 0.5 decision.
 """
 
 from __future__ import annotations
@@ -29,26 +31,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .models import (_P_HI, _P_LO, CLASS_INTERACTION_VI, FAMILY, VI_KINDS, Params, class_cells,
-                     grad_scatter, logits, predict_proba_array, question_rows, require_count, require_positive,
-                     sigmoid, softplus, vec_rows)
-from .optim import TrainingDiverged, TrainReport, central_difference_error, init_params
+from .models import (CLASS_INTERACTION_VI, FAMILY, VI_KINDS, Params, class_cells, grad_scatter, logits,
+                     predict_proba_array, question_rows, require_count, require_positive, sigmoid, softplus,
+                     vec_rows)
+from .optim import TrainingDiverged, TrainReport, init_params
 
 
 def _kl_to_prior(mu, sigma):
     """KL(N(mu, sigma^2) || N(0, 1)), entry by entry: the one Gaussian KL kernel."""
     return -np.log(sigma) + (sigma**2 + mu**2) / 2.0 - 0.5
-
-
-def kl_gaussian(mu1, sigma1, mu2, sigma2):
-    """KL(N(mu1, sigma1^2) || N(mu2, sigma2^2)), closed form: the prior KL of the standardised first Gaussian."""
-    mu1, sigma1, mu2, sigma2 = (np.asarray(v, dtype=np.float64) for v in (mu1, sigma1, mu2, sigma2))
-    if not all(np.all((0 < s) & (s < np.inf)) for s in (sigma1, sigma2)):   # nan fails both comparisons
-        raise ValueError("standard deviations must be finite and positive")
-    if not (np.all(np.isfinite(mu1)) and np.all(np.isfinite(mu2))):
-        raise ValueError("means must be finite")
-    out = _kl_to_prior((mu1 - mu2) / sigma2, sigma1 / sigma2)
-    return out if out.ndim else float(out)
 
 
 def draw_latent(mu, rho, eps):
@@ -160,8 +151,8 @@ def train_vi(kind: str, data: Dataset, cfg: VIConfig, dims: int = 1, warm_start=
     """
     if kind not in VI_KINDS:
         raise ValueError(f"unknown VI kind {kind!r}")
-    if data.num_students < 1:
-        raise ValueError("dataset must declare at least one student")
+    if data.n_responses == 0:
+        raise ValueError("training data must be non-empty")
     if kind == CLASS_INTERACTION_VI and data.num_classes < 1:
         raise ValueError("class-interaction-vi requires class labels")
 
@@ -182,37 +173,6 @@ def train_vi(kind: str, data: Dataset, cfg: VIConfig, dims: int = 1, warm_start=
     return params, TrainReport(final_nll=trace[-1] if trace else None, epochs_run=len(trace), nll_trace=trace)
 
 
-def predict_prob_vi(params: Params, s: int, q: int, class_of=None, M: int = 1000, seed: int = 0) -> float:
-    """Monte Carlo probability for one cell: sigma(z) over M sampled latents, averaged and clamped to (0, 1).
-
-    The plug-in mean is the point predictor, `predict_proba_array`, at the means.
-    """
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    # M draws of the student's latents, scored as M students answering q
-    rng = np.random.default_rng(seed)
-    ability = draw_latent(params.ability[s], params.ability_rho[s], rng.standard_normal(M))
-    rows = vec_rows(params.kind, np.array([s]), class_of)
-    vec = None
-    if params.dims:
-        vec = draw_latent(params.vec[rows], params.vec_rho[rows], rng.standard_normal((M, params.dims)))
-    z = logits(Params(ability, params.easiness, vec, params.demand, kind=FAMILY[params.kind]),
-               np.arange(M), np.full(M, q))[0]
-    return float(np.clip(np.mean(sigmoid(z)), _P_LO, _P_HI))
-
-
 def predict_proba_vi_array(params: Params, s_idx, q_idx, class_of=None) -> np.ndarray:
     """Vectorized plug-in-mean probabilities: the point predictor at the means."""
     return predict_proba_array(params, s_idx, q_idx, class_of)
-
-
-def elbo_finite_diff_check(params: Params, data: Dataset, M: int, seed: int,
-                           epsilon: float = 1e-5) -> float:
-    """Max relative error of the analytic ELBO gradient vs central differences.
-
-    Both sides of every difference reuse the same seed, so the noise
-    draws are common random numbers and the comparison is exact up to
-    discretization.
-    """
-    _, grads = elbo_mc(params, data, M, seed, want_grads=True)
-    return central_difference_error(lambda: elbo_mc(params, data, M, seed)[0], params, grads, epsilon)

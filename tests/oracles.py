@@ -7,6 +7,13 @@ grid search for the small Rasch optimum, plain Monte Carlo for KL
 estimates, csv.writer row by row for the bytes of a written CSV, fields
 joined by hand for the bytes of a quote-free table, and a dict per id
 column for the columns of in-memory rows.
+
+The checkers are the exception: no run of the library calls them, and
+they call the library. finite_diff_check and elbo_finite_diff_check
+compare its analytic gradients (the NLL's through optim._grad_arrays,
+the step sgd_train takes) with central differences of its own
+objectives; kl_gaussian is the general two-Gaussian KL over
+vi._kl_to_prior, and log_loss the mean log loss of predictions.
 """
 
 from __future__ import annotations
@@ -18,7 +25,10 @@ import numpy as np
 from hypothesis import strategies as st
 from scipy.special import expit, logsumexp
 
-from irtkit.data import Responses
+from irtkit.data import Dataset, Responses, dataset_from_arrays
+from irtkit.models import FAMILY, Params, tensor_table
+from irtkit.optim import _grad_arrays, nll
+from irtkit.vi import _kl_to_prior, elbo_mc
 
 # Ids a CSV round trip must keep: commas, quotes, CR/LF and non-ASCII text, with no edge space for strip().
 _ID_CHARS = st.characters(blacklist_categories=("Cs", "Cc")) | st.sampled_from([",", '"', " ", "\n", "\r", "é", "学"])
@@ -241,6 +251,112 @@ def per_sample_elbo_core(params, data, eps_ability, eps_vec, want_grads: bool):
             grads[name + "_rho"] -= sig - 1.0 / sig
             grads[name + "_rho"] *= two_branch_sigmoid(getattr(params, name + "_rho"))
     return elbo, grads
+
+
+def central_difference_error(objective, params, grads: dict, epsilon: float) -> float:
+    """Max relative discrepancy between grads and central differences of objective.
+
+    Every entry of each tensor of params named in grads is moved by
+    +-epsilon in place (and restored) while objective() is evaluated.
+    """
+    if epsilon <= 0:
+        raise ValueError("epsilon must be > 0")
+    worst = 0.0
+    for name, g in grads.items():
+        arr = getattr(params, name)
+        it = np.nditer(arr, flags=["multi_index", "zerosize_ok"])
+        for _ in it:
+            ix = it.multi_index
+            orig = arr[ix]
+            arr[ix] = orig + epsilon
+            hi = objective()
+            arr[ix] = orig - epsilon
+            lo = objective()
+            arr[ix] = orig
+            fd = (hi - lo) / (2.0 * epsilon)
+            worst = max(worst, abs(g[ix] - fd) / max(abs(g[ix]), abs(fd), 1e-6))
+    return worst
+
+
+def grad_nll(params, batch: Dataset, l2_penalty: float = 0.0) -> Params:
+    """Analytic gradient of the batch NLL, plus l2_penalty * param per tensor."""
+    if batch.n_responses == 0:
+        raise ValueError("batch must be non-empty")
+    g = _grad_arrays(params, batch.student_idx, batch.question_idx, batch.y, batch.class_of)
+    if l2_penalty:
+        for name, arr in g.items():
+            arr += l2_penalty * getattr(params, name)
+    return Params(**g, kind=params.kind)
+
+
+def finite_diff_check(params, data: Dataset, epsilon: float = 1e-5,
+                      l2_penalty: float = 0.0) -> float:
+    """Max relative discrepancy between grad_nll and central differences.
+
+    The differenced objective matches grad_nll exactly: batch NLL plus
+    (l2_penalty / 2) * sum of squared parameters.
+    """
+    def objective():
+        val = nll(params, data)
+        if l2_penalty:
+            val += 0.5 * l2_penalty * sum(float(np.sum(a ** 2)) for a in params.tensors().values())
+        return val
+
+    return central_difference_error(objective, params, grad_nll(params, data, l2_penalty).tensors(),
+                                    epsilon)
+
+
+def elbo_finite_diff_check(params: Params, data: Dataset, M: int, seed: int,
+                           epsilon: float = 1e-5) -> float:
+    """Max relative error of the analytic ELBO gradient vs central differences.
+
+    Both sides of every difference reuse the same seed, so the noise
+    draws are common random numbers and the comparison is exact up to
+    discretization.
+    """
+    _, grads = elbo_mc(params, data, M, seed, want_grads=True)
+    return central_difference_error(lambda: elbo_mc(params, data, M, seed)[0], params, grads, epsilon)
+
+
+def kl_gaussian(mu1, sigma1, mu2, sigma2):
+    """KL(N(mu1, sigma1^2) || N(mu2, sigma2^2)), closed form: the prior KL of the standardised first Gaussian."""
+    mu1, sigma1, mu2, sigma2 = (np.asarray(v, dtype=np.float64) for v in (mu1, sigma1, mu2, sigma2))
+    if not all(np.all((0 < s) & (s < np.inf)) for s in (sigma1, sigma2)):   # nan fails both comparisons
+        raise ValueError("standard deviations must be finite and positive")
+    if not (np.all(np.isfinite(mu1)) and np.all(np.isfinite(mu2))):
+        raise ValueError("means must be finite")
+    out = _kl_to_prior((mu1 - mu2) / sigma2, sigma1 / sigma2)
+    return out if out.ndim else float(out)
+
+
+def log_loss(preds, labels) -> float:
+    """Mean per-observation negative log-likelihood of the labels."""
+    preds = np.asarray(preds, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.float64)
+    return float(-np.mean(labels * np.log(preds) + (1.0 - labels) * np.log1p(-preds)))
+
+
+@st.composite
+def gradient_instances(draw, kinds):
+    """A small random model of one of kinds, a batch for its gradient check, and whether the batch takes the
+    ELBO's cell route (class-interaction-vi only, with more responses than class x question cells).
+
+    S 1-4 students, any of them absent or answering several times, Q 1-3 questions, C 1-2 classes, D 1-2,
+    1-13 responses, a cell possibly repeated; means, easiness, vec and demand in [-2, 2], rhos in [-1, 1].
+    """
+    kind = draw(st.sampled_from(kinds))
+    S, Q, C, D = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    cells = kind == "class-interaction-vi" and draw(st.booleans())
+    low, high = (C * Q + 1, C * Q + 7) if cells else (1, C * Q if kind == "class-interaction-vi" else 12)
+    N = draw(st.integers(low, high))
+    column = lambda n: st.lists(st.integers(0, n - 1), min_size=N, max_size=N)
+    s_idx, q_idx, y = draw(column(S)), draw(column(Q)), draw(column(2))
+    data = dataset_from_arrays(s_idx, q_idx, y, class_of=draw(st.lists(st.integers(0, C - 1), min_size=S, max_size=S)),
+                               question_ids=[f"q{i}" for i in range(Q)], class_ids=[f"c{i}" for i in range(C)])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = Params(kind=kind, **{name: rng.uniform(-1.0, 1.0, shape) * (1.0 if name.endswith("_rho") else 2.0)
+                                  for name, (_, shape) in tensor_table(kind, D, S, Q, C).items()})
+    return params, data, cells
 
 
 def csv_writer_binary_csv(d, path: str) -> None:

@@ -16,17 +16,15 @@ from irtkit.data import dataset_from_arrays, split_train_test
 from irtkit.experiments import active_vs_random, low_data_sweep, recovery_run
 from irtkit.metrics import cosine_similarity_matrix
 from irtkit.models import Params, predict_proba_array, sigmoid
-from irtkit.optim import finite_diff_check, init_params, nll
-from irtkit.vi import (
-    VIConfig,
-    elbo_finite_diff_check,
-    kl_gaussian,
-    train_vi,
-)
+from irtkit.optim import init_params, nll
+from irtkit.vi import VIConfig, train_vi
 
 from oracles import (
+    elbo_finite_diff_check,
     exact_elbo_class_vi,
     exact_elbo_rasch_vi,
+    finite_diff_check,
+    kl_gaussian,
     log_evidence_class_vi,
     log_evidence_rasch,
     mc_kl_estimate,

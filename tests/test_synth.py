@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 
 from irtkit.cli import dispatch
 from irtkit.data import split_train_test
-from irtkit.metrics import log_loss
 from irtkit.models import predict_proba_array, sigmoid
 from irtkit.optim import TrainConfig, sgd_train
 from irtkit.synth import SynthConfig, generate_synthetic
+
+from oracles import log_loss
 
 
 def test_same_seed_is_byte_identical():
