@@ -22,11 +22,40 @@ from .models import FAMILY, RASCH, Params, check_shapes, inv_softplus, softplus,
 
 FORMAT = "irtkit-checkpoint"
 VERSION = 1
+_JSON_ITEMS = 1024   # list items a checkpoint's json.dumps calls encode at a time
 
 
 def _tensor_record(name: str, arr: np.ndarray) -> dict:
     arr = np.asarray(arr, dtype=np.float64)
     return {"name": name, "shape": list(arr.shape), "values": arr.reshape(-1).tolist()}
+
+
+def _dump(value, fh) -> None:
+    """Write json.dump(value, fh)'s text, each scalar or run of up to _JSON_ITEMS scalars through json.dumps.
+
+    json.dumps's C encoder is about twice as fast as json.dump's Python
+    one, but holds about 70 bytes an item until it joins them: a whole
+    checkpoint in one call would hold six times its text.
+    """
+    if isinstance(value, dict):
+        fh.write("{")
+        for i, (key, item) in enumerate(value.items()):
+            fh.write(f"{', ' * bool(i)}{json.dumps(key)}: ")
+            _dump(item, fh)
+        fh.write("}")
+    elif isinstance(value, list) and value and isinstance(value[0], (dict, list)):
+        fh.write("[")
+        for i, item in enumerate(value):
+            fh.write(", " * bool(i))
+            _dump(item, fh)
+        fh.write("]")
+    elif isinstance(value, list):
+        fh.write("[")
+        for lo in range(0, len(value), _JSON_ITEMS):
+            fh.write(", " * bool(lo) + json.dumps(value[lo:lo + _JSON_ITEMS])[1:-1])
+        fh.write("]")
+    else:
+        fh.write(json.dumps(value))
 
 
 def save_checkpoint(path: str, params: Params, data: Dataset) -> None:
@@ -53,7 +82,7 @@ def save_checkpoint(path: str, params: Params, data: Dataset) -> None:
         "tensors": tensors,
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        _dump(doc, fh)
         fh.write("\n")
 
 

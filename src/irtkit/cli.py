@@ -50,7 +50,7 @@ def _load_rows(path: str, fmt: str):
 
 def _write_json(path: str, doc) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))   # one C-encoded string: json.dump writes piece by piece in Python
         fh.write("\n")
 
 

@@ -9,12 +9,13 @@ on the resulting 0/1 outcomes stored in a sparse triplet layout
 CSV files are read and written as columns, so no Python object is kept
 per row. A loader first tries the byte path: numpy finds the line ends
 and commas of a block of whole lines, parses the mark columns as ASCII
-digits and looks each id up by its bytes in a table of the ids met so
-far, so only ids not met before become Python strings. Its grammar is a
-regular file of printable ASCII without '"', with '\n' line ends ('\r'
-only directly before '\n'), the exact header, mark fields of 1-18 digits
-that pass the mark checks, and id fields of at most 64 bytes and no
-longer than `csv.field_size_limit()`. At the first block outside it, or
+digits and looks each id up by its bytes in a direct-mapped hash table
+of the ids met so far, so only ids not met before, or whose slot another
+id holds, become Python strings. Its grammar is a regular file of
+printable ASCII without '"', with '\n' line ends ('\r' only directly
+before '\n'), the exact header, mark fields of 1-18 digits that pass the
+mark checks, and id fields of at most 64 bytes and no longer than
+`csv.field_size_limit()`. At the first block outside it, or
 with an error, the byte path stops and the csv path reads on from that
 block: `csv.reader` tokenizes a block of records at a time, and ids,
 marks and checks are handled per column. Only the csv path raises a
@@ -34,6 +35,7 @@ import csv
 import io
 import operator
 import os
+import re
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain, islice, repeat
@@ -50,9 +52,13 @@ NO_CLASS = "__none__"
 _READ_BLOCK = 8192         # records the csv path turns into columns at a time
 _READ_BYTES = 1 << 17      # bytes of whole lines the byte path turns into columns at a time
 _KEY_BYTES = 64            # the byte path's longest id field
-_MIX = np.uint64(0x9E3779B97F4A7C15) ** np.arange(_KEY_BYTES // 8, dtype=np.uint64)   # key word weights of a hash
-_LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], "<u8")   # a key word's first n bytes
-_WRITE_CHARS = 1 << 17     # characters of output write_binary_csv assembles at a time
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)   # 2**64 / golden ratio: Knuth's multiplicative hashing
+_MIX = _GOLDEN ** np.arange(_KEY_BYTES // 8, dtype=np.uint64)   # key word weights of a hash
+_FIRST_SLOTS = 1 << 12     # slots of an id column's first table; a table grows to 8 slots an entry or more
+_LOW_BYTES = np.array([[(1 << 8 * min(max(n - 8 * w, 0), 8)) - 1 for n in range(_KEY_BYTES + 1)]
+                       for w in range(_KEY_BYTES // 8)], "<u8")   # [w, n]: the bytes of word w in an n-byte key
+_WRITE_CHARS = 1 << 17     # bytes of output write_binary_csv assembles at a time
+_QUOTED = re.compile(r'[,"\r\n]')   # the characters of an id that csv.writer quotes
 _FLOYD_LIMIT = 10_000      # Generator.choice draws by Floyd's method up to this population (or k <= n // 50)
 _CHOICE_DRAWS = 1 << 13    # bounded draws choice_per_group makes in bulk at a time (plus one group's)
 _BULK_CHOICE = np.lib.NumpyVersion(np.__version__).version.startswith("2.4.")   # _floyd reproduces 2.4's choice
@@ -336,7 +342,8 @@ def _read_block(b: np.ndarray, width: int, rules, coders) -> list | None:
     marks, checks = rules(*marks)
     if any(bad.any() for bad, _ in checks):
         return None
-    return [codes(b, lo[k], length[k]) for k, codes in enumerate(coders)] + list(marks)
+    words = np.lib.stride_tricks.sliding_window_view(b, 8).view("<u8")[:, 0]   # the unaligned word at each byte
+    return [codes(words, lo[k], length[k]) for k, codes in enumerate(coders)] + list(marks)
 
 
 def _digits(b: np.ndarray, lo: np.ndarray, length: np.ndarray) -> np.ndarray | None:
@@ -356,40 +363,53 @@ def _digits(b: np.ndarray, lo: np.ndarray, length: np.ndarray) -> np.ndarray | N
 def _key_coder(code):
     """The byte path's coder of one id column, over the interner's `code`.
 
-    codes(b, lo, length) gives the codes of the fields b[lo:lo + length].
-    A field's key is its bytes, and its hash the key's little-endian
-    uint64 words weighted by _MIX. The keys met so far are kept sorted by
-    hash, with their codes. A block's keys that are not the table's key
-    at their hash go through `code` once each, in first-appearance order,
-    and join the table; a hash that two keys share costs time, never a
-    wrong code.
+    codes(words, lo, length) gives the codes of the fields b[lo:lo + length]
+    of a block b, whose little-endian uint64 word at byte i is words[i]. A
+    field's key is its words, zero past its end, and its hash the words
+    weighted by _MIX. The keys met so far are entries of a direct-mapped
+    table: a key's slot, the top bits of its hash times _GOLDEN, holds the
+    entry of one key (entry 0, a key no field has, when empty), and a hit
+    is checked against that entry's length and words. A block's other
+    keys (new ones, and ones whose slot another key holds) go through
+    `code` once each, in first-appearance order, and take their slots
+    where empty; a slot that two keys share costs time, never a wrong code.
     """
-    hashes, known, known_codes = np.full(1, ~np.uint64(0)), np.array([b"\x7f"]), np.full(1, -1)   # a key no field has
+    slots = np.zeros(_FIRST_SLOTS, np.int32)
+    words_of, length_of, code_of = np.zeros((1, 1), "<u8"), np.full(1, -1), np.zeros(1, np.int64)   # per entry
 
-    def codes(b: np.ndarray, lo: np.ndarray, length: np.ndarray) -> np.ndarray:
-        nonlocal hashes, known, known_codes
-        words = (int(length.max()) + 7) // 8 or 1
-        keys = np.lib.stride_tricks.sliding_window_view(b, 8 * words)[lo].view("<u8")
-        keys &= _LOW_BYTES[np.clip(length[:, None] - 8 * np.arange(words), 0, 8)]   # zero the bytes past the field
-        h = keys @ _MIX[:words]
-        keys = keys.view(f"S{8 * words}").ravel()   # the zero padding drops
-        order = np.argsort(h)   # sorted queries search faster
-        at = np.empty_like(order)
-        at[order] = np.searchsorted(hashes, h[order])
-        out = known_codes[at]
-        miss = np.flatnonzero(known[at] != keys)
-        if miss.size:   # keys not met before: coded in first-appearance order, then added to the table
-            new, first, inverse = np.unique(keys[miss], return_index=True, return_inverse=True)
+    def slot(h: np.ndarray) -> np.ndarray:
+        return (h * _GOLDEN >> np.uint64(65 - slots.size.bit_length())).view(np.int64)
+
+    def codes(words: np.ndarray, lo: np.ndarray, length: np.ndarray) -> np.ndarray:
+        nonlocal slots, words_of, length_of, code_of
+        keys = [words[lo + 8 * w] & _LOW_BYTES[w][length] for w in range((int(length.max()) + 7) // 8 or 1)]
+        where = slot(sum(map(operator.mul, keys, _MIX)))
+        entry = slots[where].astype(np.intp)
+        hit = length_of[entry] == length
+        for key, known in zip(keys, words_of):   # an equal length has as many words on both sides
+            hit &= known[entry] == key
+        out = code_of[entry]
+        miss = np.flatnonzero(~hit)
+        if miss.size:
+            rows = np.stack([key[miss] for key in keys], axis=1)
+            new, first, inverse = np.unique(rows.view(f"S{rows[0].nbytes}").ravel(), return_index=True,
+                                            return_inverse=True)   # the zero padding drops
             appear = np.argsort(first)
             new_codes = np.empty(new.size, np.int64)
             new_codes[appear] = code(new[appear].astype(str).tolist())
             out[miss] = new_codes[inverse]
-            new_h = h[miss[first]]
-            by = np.argsort(new_h)
-            at = np.searchsorted(hashes, new_h[by])
-            hashes = np.insert(hashes, at, new_h[by])
-            known = np.insert(known.astype(np.result_type(known, keys)), at, new[by])
-            known_codes = np.insert(known_codes, at, new_codes[by])
+            put = miss[first]
+            put = put[slots[where[put]] == 0]
+            if put.size:
+                put = put[np.unique(where[put], return_index=True)[1]]   # one key a slot
+                width = max(len(words_of), len(keys))
+                added = np.stack([key[put] for key in keys])
+                words_of = np.hstack([np.pad(w, ((0, width - len(w)), (0, 0))) for w in (words_of, added)])
+                length_of, code_of = np.append(length_of, length[put]), np.append(code_of, out[put])
+                slots[where[put]] = np.arange(code_of.size - put.size, code_of.size)
+                if 8 * code_of.size > slots.size:
+                    slots = np.zeros(1 << (8 * code_of.size - 1).bit_length(), np.int32)
+                    slots[slot(sum(map(operator.mul, words_of[:, 1:], _MIX)))] = np.arange(1, code_of.size)
         return out
 
     return codes
@@ -532,16 +552,21 @@ def dataset_from_arrays(
 
 
 def _escaped(ids) -> np.ndarray:
-    """Each id as csv.writer writes it in a row of several fields, with the delimiter after it."""
+    """Each id in UTF-8 as csv.writer writes it in a row of several fields, with the delimiter after it.
+
+    An id holding none of ',', '"', '\\r' and '\\n' is written as it is;
+    only the others go through csv.writer.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf)
-    out = []
-    for i in ids:
+
+    def escape(i: str) -> str:
         buf.seek(0)
         buf.truncate()
         writer.writerow((i, ""))
-        out.append(buf.getvalue()[:-2])   # "<escaped id>," without the line end
-    return np.array(out, dtype=str)
+        return buf.getvalue()[:-2]   # "<escaped id>," without the line end
+
+    return np.array([(escape(i) if _QUOTED.search(i) else i + ",").encode() for i in ids], dtype=bytes)
 
 
 def write_binary_csv(d: Dataset, path: str) -> None:
@@ -549,25 +574,24 @@ def write_binary_csv(d: Dataset, path: str) -> None:
 
     The bytes are csv.writer's (minimal quoting, \\r\\n line ends). Each id
     table is escaped once; rows are assembled a block at a time by
-    gathering the escaped ids and adding the strings. A block holds about
-    _WRITE_CHARS characters, because a fixed-width string array is as wide
-    as its longest id.
+    gathering the escaped UTF-8 ids and adding the byte strings. A block
+    holds about _WRITE_CHARS bytes, because a fixed-width byte string
+    array is as wide as its longest id.
     """
     if d.n_responses and (d.y.min() < 0 or d.y.max() > 1):
         raise ValueError("y must be 0 or 1")
     student = _escaped(d.student_ids)
     question = _escaped(d.question_ids)
     klass = _escaped(d.class_ids)[d.class_of]
-    tail = np.array(["0\r\n", "1\r\n"])
-    row_bytes = student.itemsize + question.itemsize + klass.itemsize + tail.itemsize   # 4 bytes a character
-    block = max(1, _WRITE_CHARS * 4 // row_bytes)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(BINARY_HEADER) + "\r\n")
+    tail = np.array([b"0\r\n", b"1\r\n"])
+    block = max(1, _WRITE_CHARS // (student.itemsize + question.itemsize + klass.itemsize + tail.itemsize))
+    with open(path, "wb") as fh:
+        fh.write(",".join(BINARY_HEADER).encode() + b"\r\n")
         for lo in range(0, d.n_responses, block):
             s = d.student_idx[lo:lo + block]
             rows = np.char.add(np.char.add(student[s], question[d.question_idx[lo:lo + block]]),
                                   np.char.add(klass[s], tail[d.y[lo:lo + block]]))
-            fh.write("".join(rows.tolist()))
+            fh.write(b"".join(rows.tolist()))   # each row ends in '\n', so no trailing NUL is dropped
 
 
 def _stable_order(key: np.ndarray, *columns) -> np.ndarray:

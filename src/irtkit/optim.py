@@ -145,28 +145,29 @@ def sgd_train(kind: str, data: Dataset, cfg: TrainConfig, dims: int = 1, warm_st
         held[name], step[name] = (whole[at:at + arr.size].reshape(arr.shape) for whole in (flat, buf))
         at += arr.size
     params = replace(params, **held)
-    for epoch in range(1, cfg.epochs + 1):
-        perm = rng.permutation(n)
-        for src, out in zip(sources, shuffled):
-            np.take(src, perm, out=out, mode="clip")  # perm is in range; "raise" would buffer the gather
-        for lo in range(0, n, size):
-            g = _grad_arrays(params, s_idx[lo:lo + size], q_idx[lo:lo + size], y[lo:lo + size],
-                             data.class_of)
-            np.multiply(flat, cfg.l2_penalty, out=buf)
-            for name, grad in g.items():
-                step[name] += grad
-            buf *= cfg.learning_rate
-            flat -= buf
-        epoch_nll = nll(params, data, loss)
-        if not np.isfinite(epoch_nll):
-            raise TrainingDiverged(f"non-finite training NLL at epoch {epoch} (learning rate too high?)")
-        trace.append(epoch_nll)
-        if epoch_nll < best_nll:
-            best_nll = epoch_nll
-            best = copy_params(params)
-        if abs(epoch_nll - prev) <= cfg.convergence_tol * max(abs(prev), 1e-12):
-            break
-        prev = epoch_nll
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):   # a non-finite NLL raises TrainingDiverged
+        for epoch in range(1, cfg.epochs + 1):
+            perm = rng.permutation(n)
+            for src, out in zip(sources, shuffled):
+                np.take(src, perm, out=out, mode="clip")  # perm is in range; "raise" would buffer the gather
+            for lo in range(0, n, size):
+                g = _grad_arrays(params, s_idx[lo:lo + size], q_idx[lo:lo + size], y[lo:lo + size],
+                                 data.class_of)
+                np.multiply(flat, cfg.l2_penalty, out=buf)
+                for name, grad in g.items():
+                    step[name] += grad
+                buf *= cfg.learning_rate
+                flat -= buf
+            epoch_nll = nll(params, data, loss)
+            if not np.isfinite(epoch_nll):
+                raise TrainingDiverged(f"non-finite training NLL at epoch {epoch} (learning rate too high?)")
+            trace.append(epoch_nll)
+            if epoch_nll < best_nll:
+                best_nll = epoch_nll
+                best = copy_params(params)
+            if abs(epoch_nll - prev) <= cfg.convergence_tol * max(abs(prev), 1e-12):
+                break
+            prev = epoch_nll
 
     assert best_nll <= initial_nll
     return best, TrainReport(final_nll=best_nll, epochs_run=len(trace), nll_trace=trace)

@@ -162,14 +162,15 @@ def train_vi(kind: str, data: Dataset, cfg: VIConfig, dims: int = 1, warm_start=
 
     responses = _responses(kind, data)
     trace: list[float] = []
-    for epoch in range(1, cfg.epochs + 1):
-        eps_ability, eps_vec = _draw_eps(params, cfg.samples, rng)
-        elbo, grads = _elbo_core(params, responses, eps_ability, eps_vec, want_grads=True)
-        if not np.isfinite(elbo):
-            raise TrainingDiverged(f"non-finite ELBO at epoch {epoch} (learning rate too high?)")
-        trace.append(-elbo)
-        for name, g in grads.items():
-            getattr(params, name)[...] += cfg.learning_rate * g
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):   # a non-finite ELBO raises TrainingDiverged
+        for epoch in range(1, cfg.epochs + 1):
+            eps_ability, eps_vec = _draw_eps(params, cfg.samples, rng)
+            elbo, grads = _elbo_core(params, responses, eps_ability, eps_vec, want_grads=True)
+            if not np.isfinite(elbo):
+                raise TrainingDiverged(f"non-finite ELBO at epoch {epoch} (learning rate too high?)")
+            trace.append(-elbo)
+            for name, g in grads.items():
+                getattr(params, name)[...] += cfg.learning_rate * g
     return params, TrainReport(final_nll=trace[-1] if trace else None, epochs_run=len(trace), nll_trace=trace)
 
 

@@ -1,14 +1,17 @@
 """Checkpoint serialization round-trips for point and variational models."""
 
 import copy
+import io
 import json
 from itertools import cycle
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from irtkit import checkpoint
 from irtkit.checkpoint import VERSION, align_rows_to_checkpoint, load_checkpoint, save_checkpoint
 from irtkit.data import dataset_from_arrays, load_binary_csv, write_binary_csv
 from irtkit.optim import TrainConfig, init_params, sgd_train
@@ -437,3 +440,17 @@ def test_mutated_checkpoint_loads_or_names_the_file(fuzz_dir, kind, picks):
     assert [index.question_ids[i] for i in aligned.question_idx] == [r.question_id for r in rows]
     p = predict_proba_array(params, aligned.student_idx, aligned.question_idx, aligned.class_of)
     assert p.shape == (len(rows),) and np.all((p > 0) & (p < 1))
+
+
+_JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+                     lambda inner: st.lists(inner, max_size=8) | st.dictionaries(st.text(), inner, max_size=4),
+                     max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_JSON)
+def test_checkpoint_json_is_json_dumps_text(value):
+    buf = io.StringIO()
+    with mock.patch.object(checkpoint, "_JSON_ITEMS", 3):   # lists in several runs
+        checkpoint._dump(value, buf)
+    assert buf.getvalue() == json.dumps(value)

@@ -615,6 +615,19 @@ def test_module_entry_point_runs_the_cli(tmp_path):
     assert last_record(done.stdout)["z"] == pytest.approx(4.21, abs=0.01)
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["train", "--model", "rasch", "--lr", "1e300"], "non-finite training NLL at epoch 1"),
+    (["train-vi", "--model", "interaction-vi", "--lr", "1e12", "--epochs", "5"], "non-finite ELBO at epoch 2"),
+], ids=["train", "train-vi"])
+def test_a_diverging_fit_prints_only_its_error_line(tmp_path, monkeypatch, capsys, argv, error):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, *_synth_args("data.csv", students="300"))[0] == 0
+    done = _python(tmp_path, "-W", "always", "-m", "irtkit", argv[0], "--data", "data.csv", *argv[1:],
+                   "--out", "m.json")
+    assert done.returncode == 1
+    assert done.stderr == f"error: {error} (learning rate too high?)\n"
+
+
 _INGEST_TRAIN_EVAL = """
 import json, sys
 from irtkit.cli import dispatch

@@ -442,6 +442,17 @@ def test_csv_round_trip_keeps_ids_indices_and_csv_writer_bytes(tmp_path_factory,
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+@settings(max_examples=300, deadline=None)
+@given(ids=st.lists(st.text(st.characters(codec="utf-8") | st.sampled_from([",", '"', "\r", "\n", "\x00", "é"]))))
+def test_escaped_ids_are_csv_writers_fields(ids):
+    want = []
+    for i in ids:
+        buf = io.StringIO()
+        csv.writer(buf).writerow((i, ""))
+        want.append(buf.getvalue().removesuffix("\r\n").encode())
+    assert data._escaped(ids).tolist() == want
+
+
 def test_writer_blocks_join_into_csv_writer_bytes(tmp_path, monkeypatch):
     monkeypatch.setattr(data, "_WRITE_CHARS", 64)   # a few rows per block
     d = build_dataset(responses([Row(f"s{i % 7}", f"q,{i // 7}", f"c{i % 7 % 2}", i % 3, 2) for i in range(40)]))
@@ -847,6 +858,40 @@ def test_texts_with_one_hash_are_coded_apart(tmp_path, monkeypatch):
     for size in (data._READ_BYTES, 12):   # one block, and a record a block
         monkeypatch.setattr(data, "_READ_BYTES", size)
         _assert_same(load_raw_csv(path), want)
+
+
+_KEY_TEXT = st.characters(min_codepoint=32, max_codepoint=126, blacklist_characters='",')
+
+
+@st.composite
+def _many_keys_csv(draw):
+    """A quote-free raw or binary file whose student ids outnumber a coder's first table's slots.
+
+    Ids have 0-64 bytes, edge spaces included; some share all their key
+    words but the last byte; class fields may be blank.
+    """
+    stems = draw(st.lists(st.integers(1, 8).map(lambda words: "s" * (8 * words - 1)), min_size=1, max_size=3))
+    near = [stem + last for stem in stems for last in draw(st.lists(_KEY_TEXT, min_size=2, max_size=4, unique=True))]
+    students = draw(st.lists(st.text(_KEY_TEXT, max_size=64), min_size=9, max_size=40, unique=True))
+    students = list(dict.fromkeys(students + near))
+    questions = draw(st.lists(st.text(_KEY_TEXT, max_size=64), min_size=1, max_size=4, unique=True))
+    classes = draw(st.lists(st.text(_KEY_TEXT, max_size=9), min_size=1, max_size=3, unique=True)) + [""]
+    raw = draw(st.booleans())
+    order = draw(st.permutations(students * 2))
+    records = [",".join([s, draw(st.sampled_from(questions)), draw(st.sampled_from(classes)),
+                         *(["1", "2"] if raw else ["1"])]) for s in order]
+    return raw, (RAW_HEADER if raw else _BINARY_HEADER) + "\n".join(records) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_many_keys_csv())
+def test_byte_path_codes_ids_as_the_csv_path_does(tmp_path_factory, case):
+    raw, text = case
+    path = _write(tmp_path_factory.mktemp("keys"), text)
+    with mock.patch.object(data, "_READ_BYTES", 40), mock.patch.object(data, "_FIRST_SLOTS", 8):
+        fast, at, _ = _bytes_read(path, raw)
+    assert at is None
+    _assert_same(fast, _csv_read(path, raw))
 
 
 @pytest.mark.parametrize("raw", [True, False], ids=["raw", "binary"])
