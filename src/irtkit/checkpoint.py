@@ -17,7 +17,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .data import Dataset, Responses, dataset_from_arrays
+from .data import Dataset, Responses, check_rows, dataset_from_arrays
 from .models import FAMILY, RASCH, Params, check_shapes, inv_softplus, softplus, tensor_table
 
 FORMAT = "irtkit-checkpoint"
@@ -185,10 +185,13 @@ def _id_table(path: str, ids: dict, key: str) -> tuple:
 def align_rows_to_checkpoint(rows: Responses, index: Dataset) -> Dataset:
     """Index loaded rows through a checkpoint's id tables.
 
-    Every id in the rows must already exist in the checkpoint; predicting
-    for ids the model never saw is a hard error naming the offender (the
-    first in row order).
+    The rows must first pass build_dataset's checks (`check_rows`, with
+    its errors): no student in two classes, no repeated (student,
+    question) cell. Every id in the rows must already exist in the
+    checkpoint; predicting for ids the model never saw is a hard error
+    naming the offender (the first in row order).
     """
+    check_rows(rows)
     s_idx = _index_in(index.student_ids, rows.student_ids)[rows.student_idx]
     q_idx = _index_in(index.question_ids, rows.question_ids)[rows.question_idx]
     unknown = (s_idx < 0) | (q_idx < 0)

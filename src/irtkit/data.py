@@ -2,9 +2,10 @@
 
 Raw rows carry partial-credit scores (marks awarded out of marks
 available). A response counts as correct only when the student earned
-strictly more than half the available marks; everything downstream works
-on the resulting 0/1 outcomes stored in a sparse triplet layout
-(student index, question index, outcome).
+strictly more than half the available marks; the loaders check each
+block's marks and keep only that 0/1 outcome, beside the id codes (25
+bytes a response). Everything downstream works on the sparse triplet
+layout (student index, question index, outcome).
 
 CSV files are read and written as columns, so no Python object is kept
 per row. A loader first tries the byte path: numpy finds the line ends
@@ -22,9 +23,9 @@ marks and checks are handled per column. Only the csv path raises a
 ParseError. Both skip one leading UTF-8 byte-order mark.
 
 The stable sorts over response rows (grouping a student's rows for the
-split, ordering cells for the duplicate check) sort uint8 or uint16
-codes when the id counts fit 16 bits, so numpy takes its radix sort;
-wider codes keep the int64 key. The split's per-student draws are
+split, finding repeated cells for the row checks) sort and compare uint8
+or uint16 codes when the id counts fit 16 bits, so numpy takes its radix
+sort; wider codes keep the int64 key. The split's per-student draws are
 Generator.choice's, made in bulk by `choice_per_group`.
 """
 
@@ -62,6 +63,7 @@ _QUOTED = re.compile(r'[,"\r\n]')   # the characters of an id that csv.writer qu
 _FLOYD_LIMIT = 10_000      # Generator.choice draws by Floyd's method up to this population (or k <= n // 50)
 _CHOICE_DRAWS = 1 << 13    # bounded draws choice_per_group makes in bulk at a time (plus one group's)
 _BULK_CHOICE = np.lib.NumpyVersion(np.__version__).version.startswith("2.4.")   # _floyd reproduces 2.4's choice
+_COLUMNS = (np.int64, np.int64, np.int64, np.int8)   # a Responses' student, question and class codes and y
 
 
 class ParseError(ValueError):
@@ -155,31 +157,27 @@ def _interner(canonical):
 
 @dataclass(frozen=True)
 class Responses:
-    """Response rows as columns: int64 codes into id tables, and the marks.
+    """Response rows as columns: int64 codes into id tables, and each row's int8 outcome y.
 
-    Ids are numbered in first-appearance order. `len()` is the row count.
+    Ids are numbered in first-appearance order. For raw marks y is 1 iff
+    2 * awarded > available; the marks are not kept, so a row holds 25
+    bytes. `len()` is the row count.
     """
 
     student_idx: np.ndarray
     question_idx: np.ndarray
     class_idx: np.ndarray
-    awarded: np.ndarray
-    available: np.ndarray
+    y: np.ndarray
     student_ids: tuple
     question_ids: tuple
     class_ids: tuple
 
     def __post_init__(self):
-        for arr in (self.student_idx, self.question_idx, self.class_idx, self.awarded, self.available):
+        for arr in (self.student_idx, self.question_idx, self.class_idx, self.y):
             arr.setflags(write=False)
 
     def __len__(self) -> int:
-        return int(self.awarded.shape[0])
-
-    @property
-    def y(self) -> np.ndarray:
-        """Each row's binarized outcome: 2 * awarded > available, without the overflow."""
-        return (self.awarded > self.available // 2).astype(np.int8)
+        return int(self.y.shape[0])
 
 
 def _ints(texts: list) -> tuple[np.ndarray, int]:
@@ -218,27 +216,28 @@ def _check(lines: np.ndarray, checks) -> None:
 
 
 def _raw_rules(awarded, available):
-    """A raw block's (awarded, available), and its checks in the order a row is checked."""
-    return (awarded, available), [(available < 1, "marks_available must be >= 1"),
-                                  (awarded < 0, "marks_awarded must be >= 0"),
-                                  (awarded > available, "marks_awarded exceeds marks_available")]
+    """A raw block's int8 outcome 2 * awarded > available, as the overflow-free awarded > available // 2, and its
+    checks in the order a row is checked."""
+    return (awarded > available // 2).astype(np.int8), [(available < 1, "marks_available must be >= 1"),
+                                                        (awarded < 0, "marks_awarded must be >= 0"),
+                                                        (awarded > available, "marks_awarded exceeds marks_available")]
 
 
 def _binary_rules(y):
-    """A binary block's y as marks out of 1, and its check."""
-    return (y, np.ones_like(y)), [((y != 0) & (y != 1), "y must be 0 or 1")]
+    """A binary block's y as int8, and its check."""
+    return y.astype(np.int8), [((y != 0) & (y != 1), "y must be 0 or 1")]
 
 
-def _marks(columns: list, lines: np.ndarray, fields: list, rules, too_big):
-    """Parse and check a csv block's mark columns; raise the ParseError of its first bad row."""
+def _marks(columns: list, lines: np.ndarray, fields: list, rules, too_big) -> np.ndarray:
+    """Parse and check a csv block's mark columns; its outcome, or the ParseError of its first bad row."""
     parsed = [_ints(col) for col in columns]
     n = min(bad for _, bad in parsed)
-    marks, checks = rules(*(values[:n] for values, _ in parsed))
+    y, checks = rules(*(values[:n] for values, _ in parsed))
     _check(lines, checks)
     if n < len(lines):
         i = next(i for i, (_, bad) in enumerate(parsed) if bad == n)
         raise _int_error(fields[i], columns[i][n], lines[n], too_big)
-    return marks
+    return y
 
 
 def _id_coders():
@@ -249,8 +248,8 @@ def _id_coders():
 def _load(path: str, header: list[str], rules, too_big: str | None = None) -> Responses:
     """Read a response CSV into columns: the byte path while the file keeps to its grammar, then the csv path.
 
-    `rules(*mark_columns)` gives a block's (awarded, available) and its
-    mark checks. `too_big` replaces the message for a mark beyond int64.
+    `rules(*mark_columns)` gives a block's int8 outcome and its mark
+    checks. `too_big` replaces the message for a mark beyond int64.
     Both paths code ids through the same interners, so ids keep their
     first-appearance numbers when the csv path reads on from a block the
     byte path stopped at.
@@ -268,11 +267,11 @@ def _load_bytes(path: str, header: list[str], rules, coders) -> tuple[list, int 
 
     `coders` are the id columns' `_key_coder`s. Returns the columns, and
     the byte offset and line number of that block, or None for the offset
-    when the whole file was read. The five columns are allocated once from
+    when the whole file was read. The four columns are allocated once from
     a line count; the file is then read in blocks of about _READ_BYTES,
     each cut after its last line end. Only file I/O raises.
     """
-    columns = [np.empty(0, np.int64)] * 5
+    columns = [np.empty(0, dtype) for dtype in _COLUMNS]
     if not os.path.isfile(path):   # a pipe can be read only once: by the csv path
         return columns, 0, 1
     head = ",".join(header).encode()
@@ -283,7 +282,7 @@ def _load_bytes(path: str, header: list[str], rules, coders) -> tuple[list, int 
             return columns, 0, 1
         at, line = fh.tell(), 2
         size = _line_count(fh)
-        out = [np.empty(size, np.int64) for _ in range(5)]
+        out = [np.empty(size, dtype) for dtype in _COLUMNS]
         fh.seek(at)
         n, rest = 0, b""
         for chunk in chain(iter(partial(fh.read, _READ_BYTES), b""), [b""]):   # the empty chunk ends the last line
@@ -313,7 +312,7 @@ def _line_count(fh) -> int:
 
 
 def _read_block(b: np.ndarray, width: int, rules, coders) -> list | None:
-    """The five columns of a block of whole lines (the file's last may lack its line end), or None."""
+    """The four columns of a block of whole lines (the file's last may lack its line end), or None."""
     nl = np.flatnonzero(b == 10)
     cr = np.flatnonzero(b == 13)
     if np.count_nonzero(b < 32) != nl.size + cr.size or b.max() > 126 or (b == 34).any():
@@ -332,18 +331,18 @@ def _read_block(b: np.ndarray, width: int, rules, coders) -> list | None:
     lo = np.vstack((starts[filled], commas + 1))   # (width, records) field starts
     length = np.vstack((commas, stops[filled])) - lo
     if not lo.shape[1]:
-        return [np.empty(0, np.int64)] * 5
+        return [np.empty(0, dtype) for dtype in _COLUMNS]
     if length.max() > csv.field_size_limit() or length[:3].max() > _KEY_BYTES:
         return None
     b = np.concatenate((b, np.zeros(_KEY_BYTES, np.uint8)))   # room for the last field's digits and key
     marks = [_digits(b, lo[k], length[k]) for k in range(3, width)]
     if any(m is None for m in marks):
         return None
-    marks, checks = rules(*marks)
+    y, checks = rules(*marks)
     if any(bad.any() for bad, _ in checks):
         return None
     words = np.lib.stride_tricks.sliding_window_view(b, 8).view("<u8")[:, 0]   # the unaligned word at each byte
-    return [codes(words, lo[k], length[k]) for k, codes in enumerate(coders)] + list(marks)
+    return [codes(words, lo[k], length[k]) for k, codes in enumerate(coders)] + [y]
 
 
 def _digits(b: np.ndarray, lo: np.ndarray, length: np.ndarray) -> np.ndarray | None:
@@ -459,7 +458,7 @@ def _load_csv(path: str, header: list[str], rules, too_big: str | None, coders, 
                 n = int(wrong[0]) if wrong.size else counts.size   # records before the first of another width
                 columns = [fields[i:n * width:width] for i in range(width)]
                 blocks.append((*(code(col) for code, col in zip(coders, columns)),
-                               *_marks(columns[3:], lines[:n], header[3:], rules, too_big)))
+                               _marks(columns[3:], lines[:n], header[3:], rules, too_big)))
                 if wrong.size:
                     raise ParseError(f"{path}: expected {width} fields at line {lines[n]}, got {counts[n]}", lines[n])
                 if torn is not None:
@@ -492,30 +491,34 @@ def load_raw_csv(path: str) -> Responses:
 
 
 def load_binary_csv(path: str) -> Responses:
-    """Load pre-binarized responses; y is encoded as marks (y out of 1)."""
+    """Load pre-binarized responses."""
     return _load(path, BINARY_HEADER, _binary_rules, too_big="y must be 0 or 1")
 
 
-def build_dataset(rows: Responses) -> Dataset:
-    """Binarize loaded rows into a Dataset, keeping their first-appearance ids.
+def check_rows(rows: Responses) -> np.ndarray:
+    """Each student's class code in loaded rows, once they pass the checks of a response index.
 
-    Raises ValueError on duplicate (student, question) cells or on a
-    student appearing under two different class ids, naming the first
-    offending row in row order, and on student codes that are not
-    numbered in first-appearance order (as the loaders number them).
+    Raises ValueError on a student appearing under two different class
+    ids or on a repeated (student, question) cell, naming the first
+    offending row in row order (the class first when one row is both),
+    and on student codes that are not numbered in first-appearance order
+    (as the loaders number them).
     """
-    n, num_questions = len(rows), len(rows.question_ids)
-    cell = np.maximum.accumulate(rows.student_idx)   # rises at each student's first row (first-appearance codes)
-    first = np.flatnonzero(np.diff(cell, prepend=-1))
+    n = len(rows)
+    top = np.maximum.accumulate(rows.student_idx)   # rises at each student's first row (first-appearance codes)
+    first = np.concatenate(([0], np.flatnonzero(top[1:] != top[:-1]) + 1))[:n]
+    del top
     if not np.array_equal(rows.student_idx[first], np.arange(len(rows.student_ids))):
         raise ValueError("student codes are not numbered in first-appearance order")
     class_of = rows.class_idx[first]
     conflict = np.flatnonzero(rows.class_idx != class_of[rows.student_idx])
-    np.multiply(rows.student_idx, num_questions, out=cell)
-    cell += rows.question_idx
-    order = _stable_order(cell, (rows.student_idx, len(rows.student_ids)), (rows.question_idx, num_questions))
-    cell = cell[order]   # the row-order keys are freed before the gathers below
-    repeated = order[1:][cell[1:] == cell[:-1]]   # every row but the first of its cell
+    order, keys = _stable_order((rows.student_idx, len(rows.student_ids)),
+                                (rows.question_idx, len(rows.question_ids)))
+    same = np.ones(max(n - 1, 0), dtype=bool)   # a row's cell is its sorted predecessor's
+    for key in keys:
+        key = key[order]
+        same &= key[1:] == key[:-1]
+    repeated = order[1:][same]   # every row but the first of its cell
     first_conflict = int(conflict[0]) if conflict.size else n
     first_repeat = int(repeated.min()) if repeated.size else n
     if first_conflict < n and first_conflict <= first_repeat:
@@ -525,7 +528,12 @@ def build_dataset(rows: Responses) -> Dataset:
     if first_repeat < n:
         raise ValueError(f"duplicate response for student {rows.student_ids[rows.student_idx[first_repeat]]!r} "
                          f"question {rows.question_ids[rows.question_idx[first_repeat]]!r}")
-    return Dataset(student_idx=rows.student_idx, question_idx=rows.question_idx, y=rows.y, class_of=class_of,
+    return class_of
+
+
+def build_dataset(rows: Responses) -> Dataset:
+    """A Dataset of loaded rows: their code and outcome arrays and first-appearance ids, once they pass `check_rows`."""
+    return Dataset(student_idx=rows.student_idx, question_idx=rows.question_idx, y=rows.y, class_of=check_rows(rows),
                    student_ids=rows.student_ids, question_ids=rows.question_ids, class_ids=rows.class_ids)
 
 
@@ -594,18 +602,23 @@ def write_binary_csv(d: Dataset, path: str) -> None:
             fh.write(b"".join(rows.tolist()))   # each row ends in '\n', so no trailing NUL is dropped
 
 
-def _stable_order(key: np.ndarray, *columns) -> np.ndarray:
-    """argsort(key, kind="stable") for an int64 key that orders rows as their (codes, count) columns do, first column first.
+def _stable_order(*columns) -> tuple[np.ndarray, list]:
+    """(order, keys): the stable sort of rows by their (codes, count) columns, first column first, and keys
+    that are equal in two rows iff all their codes are.
 
-    When every column's codes fit 16 bits, it is a lexsort of the columns
-    as uint8 or uint16, which numpy radix-sorts; a stable sort's
-    permutation is unique, so it is the same one. Wider codes keep the
-    int64 sort, which a 32-bit lexsort does not beat.
+    When every column's codes fit 16 bits, the keys are the columns as
+    uint8 or uint16, which numpy lexsort radix-sorts. Wider codes make one
+    int64 key in mixed radix, which a 32-bit lexsort does not beat; a
+    stable sort's permutation is unique, so both give the same order.
     """
     dtypes = [np.min_scalar_type(max(count - 1, 0)) for _, count in columns]
     if max(dtype.itemsize for dtype in dtypes) > 2:
-        return np.argsort(key, kind="stable")
-    return np.lexsort([codes.astype(dtype) for (codes, _), dtype in zip(columns[::-1], dtypes[::-1])])
+        key = columns[0][0]
+        for codes, count in columns[1:]:
+            key = key * count + codes
+        return np.argsort(key, kind="stable"), [key]
+    keys = [codes.astype(dtype) for (codes, _), dtype in zip(columns, dtypes)]
+    return np.lexsort(keys[::-1]), keys
 
 
 def choice_per_group(rng: np.random.Generator, sizes, ks) -> np.ndarray:
@@ -695,13 +708,14 @@ def split_train_test(d: Dataset, test_fraction: float, seed: int) -> tuple[Datas
     require_count("seed", seed, 0)
 
     rng = np.random.default_rng(seed)
-    order = _stable_order(d.student_idx, (d.student_idx, d.num_students))  # each student's responses in row order
+    order = _stable_order((d.student_idx, d.num_students))[0]   # each student's responses in row order
     sizes = np.bincount(d.student_idx, minlength=d.num_students)
     ks = np.minimum(np.floor(test_fraction * sizes + 0.5).astype(np.int64), np.maximum(sizes - 1, 0))
-    test_mask = np.zeros(d.n_responses, dtype=bool)
-    test_mask[order[choice_per_group(rng, sizes, ks)]] = True
+    test = np.empty(d.n_responses, dtype=bool)
+    test[order] = choice_per_group(rng, sizes, ks)   # order is a permutation: every row is written
+    del order   # freed before the selections
 
-    return d.select(np.flatnonzero(~test_mask)), d.select(np.flatnonzero(test_mask))
+    return d.select(np.flatnonzero(~test)), d.select(np.flatnonzero(test))
 
 
 def students_kept(fraction: float, num_students: int) -> int:

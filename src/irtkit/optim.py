@@ -150,6 +150,7 @@ def sgd_train(kind: str, data: Dataset, cfg: TrainConfig, dims: int = 1, warm_st
             perm = rng.permutation(n)
             for src, out in zip(sources, shuffled):
                 np.take(src, perm, out=out, mode="clip")  # perm is in range; "raise" would buffer the gather
+            del perm   # freed before the batches
             for lo in range(0, n, size):
                 g = _grad_arrays(params, s_idx[lo:lo + size], q_idx[lo:lo + size], y[lo:lo + size],
                                  data.class_of)

@@ -5,8 +5,9 @@ the library under test, so expected values come from a separate path:
 Gauss-Hermite quadrature for exact ELBOs and marginal likelihoods, dense
 grid search for the small Rasch optimum, plain Monte Carlo for KL
 estimates, csv.writer row by row for the bytes of a written CSV, fields
-joined by hand for the bytes of a quote-free table, and a dict per id
-column for the columns of in-memory rows.
+joined by hand for the bytes of a quote-free table, a dict per id
+column for the columns of in-memory rows, and dicts row by row for the
+Dataset of rows or the error naming their first offending row.
 
 The checkers are the exception: no run of the library calls them, and
 they call the library. finite_diff_check and elbo_finite_diff_check
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import csv
 from collections import namedtuple
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import strategies as st
@@ -35,6 +37,7 @@ _ID_CHARS = st.characters(blacklist_categories=("Cs", "Cc")) | st.sampled_from([
 IDS = st.text(_ID_CHARS, min_size=1, max_size=8).filter(lambda s: s == s.strip())
 
 Row = namedtuple("Row", "student_id question_id class_id marks_awarded marks_available")
+Cell = namedtuple("Cell", "student_id question_id class_id y")   # a loaded row: the outcome, not the marks
 
 GH_NODES = 64
 
@@ -382,16 +385,54 @@ def choice_per_group(rng, sizes, ks) -> list:
     return [rng.choice(n, size=k, replace=False) for n, k in zip(sizes, ks)]
 
 
+def cells(rows) -> list:
+    """What a loader must give for rows: their marks binarized on Python ints, y = 1 iff 2 * awarded > available."""
+    return [Cell(r.student_id, r.question_id, r.class_id, int(2 * r.marks_awarded > r.marks_available)) for r in rows]
+
+
+def dataset_of(rows, index: Dataset | None = None) -> Dataset | str:
+    """The Dataset build_dataset must make of rows or, given a checkpoint's index, align_rows_to_checkpoint must;
+    else the message of the ValueError naming the first offending row.
+
+    Row by row, with a dict of each student's class and a set of the cells seen: a student under a class other
+    than its first, then a cell seen before, is the error. Aligned rows are then indexed through dicts of the
+    index's id tables, where a student, then a question, the index lacks is the error.
+    """
+    class_of, seen = {}, set()
+    for r in rows:
+        if class_of.setdefault(r.student_id, r.class_id) != r.class_id:
+            return f"student {r.student_id!r} has conflicting class ids {class_of[r.student_id]!r} and {r.class_id!r}"
+        if (r.student_id, r.question_id) in seen:
+            return f"duplicate response for student {r.student_id!r} question {r.question_id!r}"
+        seen.add((r.student_id, r.question_id))
+    y = [cell.y for cell in cells(rows)]
+    if index is None:
+        students, questions, classes = ({key: i for i, key in enumerate(dict.fromkeys(r[k] for r in rows))}
+                                        for k in range(3))   # first-appearance codes
+        return dataset_from_arrays([students[r.student_id] for r in rows], [questions[r.question_id] for r in rows], y,
+                                   [classes[c] for c in class_of.values()], tuple(students), tuple(questions),
+                                   tuple(classes))
+    students, questions = ({key: i for i, key in enumerate(table)} for table in (index.student_ids, index.question_ids))
+    for r in rows:
+        if r.student_id not in students:
+            return f"student {r.student_id!r} is not in the checkpoint"
+        if r.question_id not in questions:
+            return f"question {r.question_id!r} is not in the checkpoint"
+    return replace(index, student_idx=np.array([students[r.student_id] for r in rows], dtype=np.int64),
+                   question_idx=np.array([questions[r.question_id] for r in rows], dtype=np.int64),
+                   y=np.array(y, dtype=np.int8))
+
+
 def rows_of(r: Responses) -> list:
-    """The rows of loaded Responses, one Row each, in row order."""
-    return list(map(Row, map(r.student_ids.__getitem__, r.student_idx.tolist()),
+    """The rows of loaded Responses, one Cell each, in row order."""
+    return list(map(Cell, map(r.student_ids.__getitem__, r.student_idx.tolist()),
                     map(r.question_ids.__getitem__, r.question_idx.tolist()),
-                    map(r.class_ids.__getitem__, r.class_idx.tolist()), r.awarded.tolist(), r.available.tolist()))
+                    map(r.class_ids.__getitem__, r.class_idx.tolist()), r.y.tolist()))
 
 
 def responses(rows) -> Responses:
     """In-memory rows as Responses: each id column numbered by first appearance with a dict, ids as they are."""
     tables = ({}, {}, {})
     codes = [[table.setdefault(row[k], len(table)) for row in rows] for k, table in enumerate(tables)]
-    marks = [[row[k] for row in rows] for k in (3, 4)]
-    return Responses(*(np.array(col, dtype=np.int64) for col in codes + marks), *map(tuple, tables))
+    y = np.array([cell.y for cell in cells(rows)], dtype=np.int8)
+    return Responses(*(np.array(col, dtype=np.int64) for col in codes), y, *map(tuple, tables))

@@ -370,6 +370,21 @@ class TestPipeline:
         assert code == 1
         assert "ghost" in err
 
+    @pytest.mark.parametrize("rows,error", [
+        ("s1,q1,c1,1\ns1,q1,c1,0\ns2,q2,c1,1\n", "duplicate response for student 's1' question 'q1'"),
+        ("s1,q1,c1,1\ns1,q2,c2,0\n", "student 's1' has conflicting class ids 'c1' and 'c2'"),
+    ], ids=["repeated cell", "two classes"])
+    def test_eval_refuses_rows_build_dataset_refuses(self, workdir, capsys, rows, error):
+        header = "student_id,question_id,class_id,y\n"
+        (workdir / "train.csv").write_text(header + "s1,q1,c1,1\ns1,q2,c1,0\ns2,q1,c2,0\ns2,q2,c2,1\n",
+                                           encoding="utf-8")
+        assert run_cli(capsys, "train", "--data", "train.csv", "--model", "rasch", "--epochs", "5",
+                       "--out", "r.json")[0] == 0
+        (workdir / "test.csv").write_text(header + rows, encoding="utf-8")
+        code, out, err = run_cli(capsys, "eval", "--checkpoint", "r.json", "--data", "test.csv", "--out", "e.json")
+        assert (code, out, err) == (1, "", f"error: {error}\n")
+        assert not os.path.exists("e.json")
+
     def test_warm_start_kind_mismatch(self, workdir, capsys):
         run_cli(capsys, *_synth_args("data.csv"))
         run_cli(capsys, "train", "--data", "data.csv", "--model", "rasch",

@@ -30,7 +30,7 @@ from irtkit.data import (
 )
 
 import oracles
-from oracles import IDS, Row, csv_writer_binary_csv, responses, rows_of
+from oracles import IDS, Row, cells, csv_writer_binary_csv, responses, rows_of
 
 RAW_HEADER = "student_id,question_id,class_id,marks_awarded,marks_available\n"
 
@@ -44,7 +44,7 @@ def _write(tmp_path, text, name="data.csv"):
 class TestLoadRawCsv:
     def test_direct_field_mapping(self, tmp_path):
         path = _write(tmp_path, RAW_HEADER + "s1,q1,c1,2,3\n")
-        assert rows_of(load_raw_csv(path)) == [Row("s1", "q1", "c1", 2, 3)]
+        assert rows_of(load_raw_csv(path)) == cells([Row("s1", "q1", "c1", 2, 3)])
 
     def test_header_only_gives_empty_list(self, tmp_path):
         assert rows_of(load_raw_csv(_write(tmp_path, RAW_HEADER))) == []
@@ -402,15 +402,15 @@ class TestErrorContract:
 
 def test_loaders_read_every_block(tmp_path):
     rows = [r for r in _valid_rows() if r is not None]
-    assert rows_of(load_raw_csv(_file(tmp_path, True, {}))) == rows
-    assert rows_of(load_binary_csv(_file(tmp_path, False, {}))) == [r._replace(marks_awarded=r.marks_awarded % 2,
-                                                                               marks_available=1) for r in rows]
+    assert rows_of(load_raw_csv(_file(tmp_path, True, {}))) == cells(rows)
+    assert rows_of(load_binary_csv(_file(tmp_path, False, {}))) == cells(r._replace(marks_awarded=r.marks_awarded % 2,
+                                                                                    marks_available=1) for r in rows)
 
 
 @pytest.mark.parametrize("text", [" 2 ", "+2", "\x1c2", "٢", "0_2", " 2"])
 def test_marks_accept_what_int_of_the_stripped_text_accepts(tmp_path, text):
     path = _write(tmp_path, RAW_HEADER + f"s1,q1,c1,{text},3\ns2,q1,c1,1,{text}\n")
-    assert rows_of(load_raw_csv(path)) == [Row("s1", "q1", "c1", 2, 3), Row("s2", "q1", "c1", 1, 2)]
+    assert rows_of(load_raw_csv(path)) == cells([Row("s1", "q1", "c1", 2, 3), Row("s2", "q1", "c1", 1, 2)])
 
 
 # --- property tests ----------------------------------------------------------------
@@ -490,6 +490,75 @@ def test_split_is_an_exact_stratified_partition(d, fraction, seed):
     again = split_train_test(d, fraction, seed)
     for a, b in zip((train, test), again):
         assert all(np.array_equal(getattr(a, k), getattr(b, k)) for k in ("student_idx", "question_idx", "y"))
+
+
+# --- the row checks of build_dataset and align_rows_to_checkpoint --------------------
+
+_WIDE = [f"\x00{i}" for i in range(65_536)]   # with one student more, codes need 17 bits (IDS holds no "\x00")
+
+
+@st.composite
+def _checked_rows(draw, wide: bool):
+    """Rows with 0-2 planted faults (a repeated cell, a student under a second class), and a checkpoint index.
+
+    The rows answer distinct cells of small id pools, each student in one class, before the plants. When
+    `wide`, the _WIDE students are mixed in, one row each, so the row checks take the int64 key. The index
+    holds the pools' ids in a drawn order, at times without one student or one question, and the _WIDE ones.
+    """
+    students, questions, classes = (draw(st.lists(IDS, min_size=1, max_size=n, unique=True)) for n in (6, 4, 3))
+    home = {s: draw(st.sampled_from(classes)) for s in students}
+    answered = draw(st.lists(st.tuples(st.sampled_from(students), st.sampled_from(questions)), min_size=1,
+                             max_size=12, unique=True))
+    rows = [Row(s, q, home[s], draw(st.integers(0, 3)), 3) for s, q in answered]
+    for fault in draw(st.lists(st.sampled_from(["repeat", "class"]), max_size=2)):
+        if fault == "repeat":   # a cell answered before, in its student's class
+            s, q = draw(st.sampled_from(answered))
+            c = home[s]
+        else:                   # any cell, in any class
+            s, q, c = draw(st.sampled_from(students)), draw(st.sampled_from(questions)), draw(st.sampled_from(classes))
+        rows.insert(draw(st.integers(0, len(rows))), Row(s, q, c, draw(st.integers(0, 3)), 3))
+    index_students = draw(st.permutations(students))[draw(st.integers(0, 1)):]
+    index_questions = draw(st.permutations(questions))[draw(st.integers(0, 1)):]
+    if wide:
+        extra = [Row(s, questions[0], classes[0], 1, 3) for s in _WIDE]
+        cut = draw(st.integers(0, len(extra)))
+        rows = extra[:cut] + rows + extra[cut:]
+        index_students += _WIDE[::-1]
+    index = dataset_from_arrays((), (), (), np.zeros(len(index_students), np.int64), index_students,
+                                index_questions, classes)
+    return rows, index
+
+
+def _assert_same_dataset(got, want):
+    for name in ("student_idx", "question_idx", "y", "class_of"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert (got.student_ids, got.question_ids, got.class_ids) == (want.student_ids, want.question_ids, want.class_ids)
+
+
+def _assert_row_checks_as_oracle(rows, index):
+    loaded = responses(rows)
+    for check, want in ((lambda: build_dataset(loaded), oracles.dataset_of(rows)),
+                        (lambda: align_rows_to_checkpoint(loaded, index), oracles.dataset_of(rows, index))):
+        try:
+            got = check()
+        except ValueError as exc:
+            assert str(exc) == want
+        else:
+            assert not isinstance(want, str), want
+            _assert_same_dataset(got, want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_checked_rows(wide=False))
+def test_row_checks_give_the_oracles_dataset_or_its_error(case):
+    _assert_row_checks_as_oracle(*case)
+
+
+@settings(max_examples=6, deadline=None)
+@given(case=_checked_rows(wide=True))
+def test_row_checks_on_the_int64_key_give_the_oracles_dataset_or_its_error(case):
+    _assert_row_checks_as_oracle(*case)
 
 
 # --- the bulk Generator.choice kernel and the radix-width sort keys ------------------
@@ -582,9 +651,11 @@ def _cells(draw):
 def test_narrow_sort_keys_order_rows_as_the_int64_stable_sort(case):
     s, num_students, q, num_questions = case
     cell = s * num_questions + q
-    assert data._stable_order(cell, (s, num_students), (q, num_questions)).tolist() == \
-        np.argsort(cell, kind="stable").tolist()
-    assert data._stable_order(s, (s, num_students)).tolist() == np.argsort(s, kind="stable").tolist()
+    order, keys = data._stable_order((s, num_students), (q, num_questions))
+    assert order.tolist() == np.argsort(cell, kind="stable").tolist()
+    same = np.logical_and.reduce([key[:, None] == key[None, :] for key in keys])   # rows equal in every key
+    assert np.array_equal(same, cell[:, None] == cell[None, :])
+    assert data._stable_order((s, num_students))[0].tolist() == np.argsort(s, kind="stable").tolist()
 
 
 @settings(max_examples=100, deadline=None)
@@ -670,7 +741,7 @@ def _csv_reader_oracle(blob: bytes, raw: bool):
             rows.append(Row(r[0].strip(), r[1].strip(), r[2].strip() or NO_CLASS, *marks))
     if undecodable:
         return None, {undecodable[0]} | ({bad} if bad is not None and bad < undecodable[0] else set())
-    return (rows, None) if bad is None else (None, {bad})
+    return (cells(rows), None) if bad is None else (None, {bad})
 
 
 @settings(max_examples=200, deadline=None)
@@ -791,9 +862,52 @@ def _no_reader(*args, **kwargs):
     raise AssertionError("csv.reader called")
 
 
+_DIGITS = st.text("0123456789", min_size=1, max_size=18)   # a mark field of the byte path's grammar
+_PAD = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(fields=st.lists(_DIGITS, min_size=1, max_size=12), pads=st.data())
+def test_mark_fields_parse_to_the_values_of_int(fields, pads):
+    want = list(map(int, fields))
+    length = np.array(list(map(len, fields)))
+    lo = np.cumsum(length + 1) - length - 1
+    b = np.frombuffer(",".join(fields).encode() + bytes(data._KEY_BYTES), np.uint8)   # padded as _read_block pads
+    assert data._digits(b, lo, length).tolist() == want
+    values, parsed = data._ints([pads.draw(_PAD) + field + pads.draw(_PAD) for field in fields])
+    assert (values.tolist(), parsed) == (want, len(fields))
+
+
+@st.composite
+def _mark_texts(draw):
+    """(awarded, available) fields of 1-18 digits, leading zeros included, many at or by 2 * awarded == available."""
+    texts = []
+    for _ in range(draw(st.integers(1, 10))):
+        available = draw(st.integers(1, 10**18 - 1))
+        half = available // 2
+        awarded = draw(st.integers(0, available) | st.sampled_from([half, min(half + 1, available), max(half - 1, 0)]))
+        texts.append(tuple("0" * draw(st.integers(0, 18 - len(str(v)))) + str(v) for v in (awarded, available)))
+    return texts
+
+
+@settings(max_examples=100, deadline=None)
+@given(marks=_mark_texts())
+def test_loaders_binarize_marks_as_python_ints_do(tmp_path_factory, marks):
+    want = [int(2 * int(awarded) > int(available)) for awarded, available in marks]
+    work = tmp_path_factory.mktemp("marks")
+    raw = _write(work, RAW_HEADER + "".join(f"s{i},q,c,{a},{m}\n" for i, (a, m) in enumerate(marks)), "raw.csv")
+    binary = _write(work, _BINARY_HEADER + "".join(f"s{i},q,c,{'0' * i}{y}\n" for i, y in enumerate(want)),
+                    "binary.csv")
+    with mock.patch.object(data.csv, "reader", _no_reader):   # the byte path
+        assert load_raw_csv(raw).y.tolist() == want
+        assert load_binary_csv(binary).y.tolist() == want
+    assert _csv_read(raw, True).y.tolist() == want
+    assert _csv_read(binary, False).y.tolist() == want
+
+
 def _assert_same(got, want):
-    for name in ("student_idx", "question_idx", "class_idx", "awarded", "available"):
-        assert getattr(got, name).dtype == np.int64 and np.array_equal(getattr(got, name), getattr(want, name))
+    for name, dtype in zip(("student_idx", "question_idx", "class_idx", "y"), (np.int64, np.int64, np.int64, np.int8)):
+        assert getattr(got, name).dtype == dtype and np.array_equal(getattr(got, name), getattr(want, name))
     assert (got.student_ids, got.question_ids, got.class_ids) == (want.student_ids, want.question_ids, want.class_ids)
 
 
@@ -803,14 +917,14 @@ def test_quote_free_files_load_without_csv_reader(tmp_path, monkeypatch):
     quoted = _write(tmp_path, RAW_HEADER + 's1,q1,c1,2,3\n"s,2",q1,,0,1\n', "quoted.csv")
     long_id = _write(tmp_path, RAW_HEADER + "s" * 65 + ",q1,c1,2,3\n", "long.csv")   # over 8 key words
     monkeypatch.setattr(data.csv, "reader", _no_reader)
-    assert rows_of(load_raw_csv(raw)) == [Row("s1", "q1", "c1", 2, 3), Row("s2", "q1", NO_CLASS, 0, 1)]
-    assert rows_of(load_binary_csv(binary)) == [Row("s1", "q1", "c1", 1, 1)]
+    assert rows_of(load_raw_csv(raw)) == cells([Row("s1", "q1", "c1", 2, 3), Row("s2", "q1", NO_CLASS, 0, 1)])
+    assert rows_of(load_binary_csv(binary)) == cells([Row("s1", "q1", "c1", 1, 1)])
     for path in (quoted, long_id):
         with pytest.raises(AssertionError, match="csv.reader called"):
             load_raw_csv(path)
     monkeypatch.undo()
-    assert rows_of(load_raw_csv(quoted)) == [Row("s1", "q1", "c1", 2, 3), Row("s,2", "q1", NO_CLASS, 0, 1)]
-    assert rows_of(load_raw_csv(long_id)) == [Row("s" * 65, "q1", "c1", 2, 3)]
+    assert rows_of(load_raw_csv(quoted)) == cells([Row("s1", "q1", "c1", 2, 3), Row("s,2", "q1", NO_CLASS, 0, 1)])
+    assert rows_of(load_raw_csv(long_id)) == cells([Row("s" * 65, "q1", "c1", 2, 3)])
 
 
 @pytest.mark.parametrize("raw", [True, False], ids=["raw", "binary"])
@@ -847,7 +961,7 @@ def test_a_named_pipe_is_read_once_by_the_csv_path(tmp_path):
     for thread in threads:
         thread.join(timeout=10)
     assert not any(thread.is_alive() for thread in threads)
-    assert got == [[Row("s1", "q1", "c1", 2, 3)]]
+    assert got == [cells([Row("s1", "q1", "c1", 2, 3)])]
 
 
 def test_texts_with_one_hash_are_coded_apart(tmp_path, monkeypatch):
@@ -943,7 +1057,7 @@ def test_byte_path_stops_at_a_line_no_record_fills(tmp_path):
             _assert_same(load_raw_csv(path), _csv_read(path, True))
     finally:
         csv.field_size_limit(limit)
-    assert rows_of(load_raw_csv(path)) == [Row("s1", "q1", "c1", 1, 2)] * 50
+    assert rows_of(load_raw_csv(path)) == cells([Row("s1", "q1", "c1", 1, 2)] * 50)
 
 
 @pytest.mark.parametrize("quoted", [False, True], ids=["byte path", "csv path"])
@@ -967,7 +1081,7 @@ def test_one_leading_byte_order_mark_is_skipped(tmp_path, raw, quoted):
 
 def test_byte_order_mark_after_the_start_is_text(tmp_path):
     path = _write(tmp_path, "\ufeff" + RAW_HEADER + "\ufeffs1,q1,c1,1,2\n")
-    assert rows_of(load_raw_csv(path)) == [Row("\ufeffs1", "q1", "c1", 1, 2)]
+    assert rows_of(load_raw_csv(path)) == cells([Row("\ufeffs1", "q1", "c1", 1, 2)])
 
 
 @pytest.mark.parametrize("quoted", [False, True], ids=["byte path", "csv path"])
