@@ -113,10 +113,10 @@ class Dataset:
     def n_responses(self) -> int:
         return int(self.student_idx.shape[0])
 
-    def select(self, positions: np.ndarray) -> "Dataset":
-        """The responses at the given positions; class_of and the id tables are shared."""
-        return replace(self, student_idx=self.student_idx[positions],
-                       question_idx=self.question_idx[positions], y=self.y[positions])
+    def select(self, rows: np.ndarray) -> "Dataset":
+        """The responses at the given positions, or where a boolean mask is True; the rest is shared."""
+        return replace(self, student_idx=self.student_idx[rows], question_idx=self.question_idx[rows],
+                       y=self.y[rows])
 
     def keep_students(self, students: np.ndarray) -> "Dataset":
         """Every response of the given sorted students, in row order.
@@ -715,7 +715,7 @@ def split_train_test(d: Dataset, test_fraction: float, seed: int) -> tuple[Datas
     test[order] = choice_per_group(rng, sizes, ks)   # order is a permutation: every row is written
     del order   # freed before the selections
 
-    return d.select(np.flatnonzero(~test)), d.select(np.flatnonzero(test))
+    return d.select(~test), d.select(test)
 
 
 def students_kept(fraction: float, num_students: int) -> int:

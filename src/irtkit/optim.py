@@ -81,16 +81,16 @@ def copy_params(params):
     return replace(params, **{name: arr.copy() for name, arr in params.tensors().items()})
 
 
-def nll(params, data: Dataset, out=None) -> float:
+def nll(params, data: Dataset) -> float:
     """Total Bernoulli negative log-likelihood over the observed cells.
 
-    The per-row losses go, _NLL_CHUNK rows at a time, into out (a float64
-    buffer of n_responses entries, made here when not given) and are
-    summed by one np.sum: the bits of the one-shot pairwise sum, with no
-    temporary longer than a chunk.
+    The per-row losses go, _NLL_CHUNK rows at a time, into one float64
+    array of n_responses entries, made per call, and are summed by one
+    np.sum: the bits of the one-shot pairwise sum, with no temporary
+    longer than a chunk.
     """
     n = data.n_responses
-    loss = np.empty(n) if out is None else out
+    loss = np.empty(n)
     for lo in range(0, n, _NLL_CHUNK):
         rows = slice(lo, lo + _NLL_CHUNK)
         s_idx = data.student_idx[rows]
@@ -124,20 +124,23 @@ def sgd_train(kind: str, data: Dataset, cfg: TrainConfig, dims: int = 1, warm_st
                          cfg.init_scale, warm_start=warm_start)
 
     n, size = data.n_responses, cfg.batch_size
-    loss = np.empty(n)
-    initial_nll = nll(params, data, loss)
+    initial_nll = nll(params, data)
     best_nll = initial_nll
     best = copy_params(params)
     trace: list[float] = []
     prev = initial_nll
 
-    # Each epoch gathers the responses in its shuffled order once. The
-    # tensors become views into one flat array, so each L2 step,
-    # arr -= lr * (grad + l2 * arr), runs operation by operation over all
-    # of them at once through one buffer: apart from the gradients, a
-    # batch step allocates nothing longer than a batch.
-    sources = (data.student_idx, data.question_idx, data.y)
-    s_idx, q_idx, y = shuffled = [np.empty_like(src) for src in sources]
+    # Each epoch packs every row into one int64 code, (student << b |
+    # question) << 1 | y, and shuffles the codes in place: Generator.shuffle
+    # makes the swaps of the rng.permutation(n) it stands for, so the batches
+    # are those of gathers through that permutation, while the codes are the
+    # one response-length array they hold (gathering a chunk at a time took
+    # a tenth longer, its random reads missing the caches). The codes are
+    # freed before nll makes its own. The tensors are views into one flat
+    # array, so each L2 step, arr -= lr * (grad + l2 * arr), runs over all
+    # of them at once through one buffer, operation by operation.
+    b = max(data.num_questions - 1, 0).bit_length()   # bits of a question code
+    q_mask = (1 << b) - 1
     flat = np.concatenate([arr.ravel() for arr in params.tensors().values()])
     buf = np.empty_like(flat)
     held, step, at = {}, {}, 0
@@ -147,19 +150,21 @@ def sgd_train(kind: str, data: Dataset, cfg: TrainConfig, dims: int = 1, warm_st
     params = replace(params, **held)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):   # a non-finite NLL raises TrainingDiverged
         for epoch in range(1, cfg.epochs + 1):
-            perm = rng.permutation(n)
-            for src, out in zip(sources, shuffled):
-                np.take(src, perm, out=out, mode="clip")  # perm is in range; "raise" would buffer the gather
-            del perm   # freed before the batches
+            code = np.left_shift(data.student_idx, b)
+            code |= data.question_idx
+            code <<= 1
+            code |= data.y
+            rng.shuffle(code)
             for lo in range(0, n, size):
-                g = _grad_arrays(params, s_idx[lo:lo + size], q_idx[lo:lo + size], y[lo:lo + size],
-                                 data.class_of)
+                c = code[lo:lo + size]
+                g = _grad_arrays(params, c >> (b + 1), (c >> 1) & q_mask, c & 1, data.class_of)
                 np.multiply(flat, cfg.l2_penalty, out=buf)
                 for name, grad in g.items():
                     step[name] += grad
                 buf *= cfg.learning_rate
                 flat -= buf
-            epoch_nll = nll(params, data, loss)
+            del code, c   # freed before nll
+            epoch_nll = nll(params, data)
             if not np.isfinite(epoch_nll):
                 raise TrainingDiverged(f"non-finite training NLL at epoch {epoch} (learning rate too high?)")
             trace.append(epoch_nll)

@@ -13,8 +13,10 @@ The checkers are the exception: no run of the library calls them, and
 they call the library. finite_diff_check and elbo_finite_diff_check
 compare its analytic gradients (the NLL's through optim._grad_arrays,
 the step sgd_train takes) with central differences of its own
-objectives; kl_gaussian is the general two-Gaussian KL over
-vi._kl_to_prior, and log_loss the mean log loss of predictions.
+objectives; sgd_reference is sgd_train's loop written plainly over the
+library's initialisation and batch gradients; kl_gaussian is the
+general two-Gaussian KL over vi._kl_to_prior, and log_loss the mean log
+loss of predictions.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from hypothesis import strategies as st
 from scipy.special import expit, logsumexp
 
 from irtkit.data import Dataset, Responses, dataset_from_arrays
-from irtkit.models import FAMILY, Params, tensor_table
-from irtkit.optim import _grad_arrays, nll
+from irtkit.models import FAMILY, Params, logits, softplus, tensor_table, vec_rows
+from irtkit.optim import TrainingDiverged, _grad_arrays, copy_params, init_params, nll
 from irtkit.vi import _kl_to_prior, elbo_mc
 
 # Ids a CSV round trip must keep: commas, quotes, CR/LF and non-ASCII text, with no edge space for strip().
@@ -307,6 +309,45 @@ def finite_diff_check(params, data: Dataset, epsilon: float = 1e-5,
 
     return central_difference_error(objective, params, grad_nll(params, data, l2_penalty).tensors(),
                                     epsilon)
+
+
+def sgd_reference(kind: str, data: Dataset, cfg, dims: int = 1, warm_start=None) -> tuple[Params, list]:
+    """(best params, NLL trace) of sgd_train's loop written plainly.
+
+    Each epoch gathers the three response columns through
+    rng.permutation(n), then each batch steps every tensor by
+    arr -= lr * (grad + l2 * arr); the NLL is the one-shot sum over every
+    row, and the best copy, divergence check and stop rule are sgd_train's.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    params = init_params(kind, dims, data.num_students, data.num_questions, data.num_classes, rng,
+                         cfg.init_scale, warm_start=warm_start)
+
+    def objective():
+        z = logits(params, data.student_idx, data.question_idx,
+                   vec_rows(kind, data.student_idx, data.class_of))[0]
+        return float(np.sum(softplus(z) - data.y * z))
+
+    best_nll = prev = objective()
+    best, trace = copy_params(params), []
+    for epoch in range(1, cfg.epochs + 1):
+        perm = rng.permutation(data.n_responses)
+        s_idx, q_idx, y = data.student_idx[perm], data.question_idx[perm], data.y[perm]
+        for lo in range(0, data.n_responses, cfg.batch_size):
+            batch = slice(lo, lo + cfg.batch_size)
+            g = _grad_arrays(params, s_idx[batch], q_idx[batch], y[batch], data.class_of)
+            for name, arr in params.tensors().items():
+                arr -= cfg.learning_rate * (g[name] + cfg.l2_penalty * arr)
+        epoch_nll = objective()
+        if not np.isfinite(epoch_nll):
+            raise TrainingDiverged(f"non-finite training NLL at epoch {epoch}")
+        trace.append(epoch_nll)
+        if epoch_nll < best_nll:
+            best_nll, best = epoch_nll, copy_params(params)
+        if abs(epoch_nll - prev) <= cfg.convergence_tol * max(abs(prev), 1e-12):
+            break
+        prev = epoch_nll
+    return best, trace
 
 
 def elbo_finite_diff_check(params: Params, data: Dataset, M: int, seed: int,

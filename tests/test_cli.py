@@ -385,6 +385,27 @@ class TestPipeline:
         assert (code, out, err) == (1, "", f"error: {error}\n")
         assert not os.path.exists("e.json")
 
+    @pytest.mark.parametrize("rows,error", [
+        ("s1,q1,c2,1\n", "student 's1' is in class 'c1' in the checkpoint, not 'c2'"),
+        ("s1,q1,c1,1\ns2,q2,zz,1\n", "student 's2' is in class 'c2' in the checkpoint, not 'zz'"),
+        ("s1,q1,c2,1\ns2,q2,zz,1\n", None),
+    ], ids=["other class", "unknown class", "rasch ignores classes"])
+    def test_eval_of_a_class_kind_refuses_a_row_of_another_class(self, workdir, capsys, rows, error):
+        """A class model predicts through the checkpoint's class of each student; rasch has no class rows."""
+        header = "student_id,question_id,class_id,y\n"
+        (workdir / "train.csv").write_text(header + "s1,q1,c1,1\ns1,q2,c1,0\ns2,q1,c2,0\ns2,q2,c2,1\n",
+                                           encoding="utf-8")
+        model = "rasch" if error is None else "class-interaction"
+        assert run_cli(capsys, "train", "--data", "train.csv", "--model", model, "--epochs", "5",
+                       "--out", "m.json")[0] == 0
+        (workdir / "test.csv").write_text(header + rows, encoding="utf-8")
+        code, out, err = run_cli(capsys, "eval", "--checkpoint", "m.json", "--data", "test.csv", "--out", "e.json")
+        if error is None:
+            assert (code, err) == (0, "") and last_record(out)["n"] == 2
+        else:
+            assert (code, out, err) == (1, "", f"error: {error}\n")
+            assert not os.path.exists("e.json")
+
     def test_warm_start_kind_mismatch(self, workdir, capsys):
         run_cli(capsys, *_synth_args("data.csv"))
         run_cli(capsys, "train", "--data", "data.csv", "--model", "rasch",

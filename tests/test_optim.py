@@ -2,15 +2,18 @@
 
 import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from irtkit import optim
 from irtkit.data import dataset_from_arrays
-from irtkit.models import POINT_KINDS, Params, logits, softplus, vec_rows
+from irtkit.models import POINT_KINDS, Params, logits, softplus, tensor_table, vec_rows
 from irtkit.optim import (
     _NLL_CHUNK,
     TrainConfig,
@@ -23,7 +26,7 @@ from irtkit.optim import (
 
 from irtkit.vi import VIConfig, train_vi
 
-from oracles import finite_diff_check, grad_nll, gradient_instances, grid_search_rasch_nll
+from oracles import finite_diff_check, grad_nll, gradient_instances, grid_search_rasch_nll, sgd_reference
 
 
 def _single_obs(y):
@@ -96,7 +99,6 @@ class TestNll:
                    vec_rows(params.kind, data.student_idx, data.class_of))[0]
         want = float(np.sum(softplus(z) - data.y * z))
         assert nll(params, data) == want
-        assert nll(params, data, np.full(n, np.nan)) == want
 
 
 class TestGradNll:
@@ -137,6 +139,43 @@ class TestGradNll:
         """Every point kind, on small batches with repeated and absent students, within the fixed cases' 1e-4."""
         params, data, _ = instance
         assert finite_diff_check(params, data, epsilon=1e-5, l2_penalty=l2_penalty) < 1e-4
+
+
+@st.composite
+def sgd_instances(draw):
+    """A point kind, its data, a config and maybe a warm start, for comparing sgd_train with sgd_reference.
+
+    S 1-6 students (any of them absent or answering several times), Q 1-6
+    questions (question codes of 0-3 bits), C 1-3 classes, D 1-2, 1-60
+    responses, batches of 1-7 that often leave a short last one, and nll
+    chunks (the patched _NLL_CHUNK) of 1-16 rows; warm starts hold exact
+    -0.0 entries, and a convergence_tol up to 0.05 stops some fits early.
+    """
+    kind = draw(st.sampled_from(POINT_KINDS))
+    S, Q, C, D = (draw(st.integers(1, high)) for high in (6, 6, 3, 2))
+    N = draw(st.integers(1, 60))
+    column = lambda n: st.lists(st.integers(0, n - 1), min_size=N, max_size=N)
+    data = dataset_from_arrays(draw(column(S)), draw(column(Q)), draw(column(2)),
+                               class_of=draw(st.lists(st.integers(0, C - 1), min_size=S, max_size=S)),
+                               question_ids=[f"q{i}" for i in range(Q)], class_ids=[f"c{i}" for i in range(C)])
+    cfg = TrainConfig(learning_rate=draw(st.sampled_from([0.05, 0.3])), epochs=draw(st.integers(1, 6)),
+                      batch_size=draw(st.integers(1, 7)), l2_penalty=draw(st.sampled_from([0.0, 0.01])),
+                      seed=draw(st.integers(0, 2**32 - 1)), init_scale=draw(st.sampled_from([0.0, 0.1])),
+                      convergence_tol=draw(st.sampled_from([0.0, 1e-3, 0.05])))
+    warm = None
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        tensors = {}
+        for name, (_, shape) in tensor_table(kind, D, S, Q, C).items():
+            arr = rng.uniform(-1.0, 1.0, shape)
+            arr[rng.random(shape) < 0.3] = -0.0
+            tensors[name] = arr
+        warm = Params(kind=kind, **tensors)
+    return kind, data, cfg, D, warm, draw(st.integers(1, 16))
+
+
+def _bits(params, trace) -> list:
+    return [(name, arr.tobytes()) for name, arr in params.tensors().items()] + [np.asarray(trace).tobytes()]
 
 
 class TestSgdTrain:
@@ -260,6 +299,38 @@ class TestSgdTrain:
     @pytest.mark.parametrize("case", sorted(PINNED))
     def test_pinned_digest(self, case):
         assert self._digest(case) == self.PINNED[case]
+
+    @settings(max_examples=150, deadline=None)
+    @given(instance=sgd_instances())
+    def test_every_step_is_the_plain_loops(self, instance):
+        """Shuffled row codes, the flat L2 step and chunked nll give the plain loop's tensors and trace, bit for bit."""
+        kind, data, cfg, dims, warm, chunk = instance
+        with mock.patch.object(optim, "_NLL_CHUNK", chunk):
+            params, report = sgd_train(kind, data, cfg, dims=dims, warm_start=warm)
+        assert _bits(params, report.nll_trace) == _bits(*sgd_reference(kind, data, cfg, dims=dims, warm_start=warm))
+
+    @pytest.mark.parametrize("kind", POINT_KINDS)
+    def test_a_fit_holds_one_response_length_array_at_a_time(self, kind):
+        """Above what it was given, a fit's traced peak is one int64 array of its n rows plus chunk-sized slack.
+
+        The shuffled row codes are the one such array the batches hold, and
+        nll's per-row losses the one it holds; each is freed before the other
+        is made. Whole-epoch gathers beside a loss buffer kept for the whole
+        fit held about 33 B a row.
+        """
+        S, Q = 2000, 100
+        rng = np.random.default_rng(0)
+        data = dataset_from_arrays(np.repeat(np.arange(S), Q), np.tile(np.arange(Q), S), rng.integers(0, 2, S * Q),
+                                   class_of=rng.integers(0, 4, S))
+        cfg = TrainConfig(epochs=2, convergence_tol=0.0)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            sgd_train(kind, data, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * data.n_responses + 16 * _NLL_CHUNK * 8, peak
 
     @pytest.mark.parametrize("lr", [-1.0, 0.0, math.nan, math.inf])
     def test_config_rejects_learning_rate_not_finite_and_positive(self, lr):
