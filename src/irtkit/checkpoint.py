@@ -18,7 +18,7 @@ from itertools import repeat
 import numpy as np
 
 from .data import Dataset, Responses, check_rows, dataset_from_arrays
-from .models import FAMILY, RASCH, Params, check_shapes, inv_softplus, softplus, tensor_table
+from .models import CLASS_INTERACTION, FAMILY, RASCH, Params, check_shapes, inv_softplus, softplus, tensor_table
 
 FORMAT = "irtkit-checkpoint"
 VERSION = 1
@@ -182,14 +182,17 @@ def _id_table(path: str, ids: dict, key: str) -> tuple:
     return table
 
 
-def align_rows_to_checkpoint(rows: Responses, index: Dataset) -> Dataset:
-    """Index loaded rows through a checkpoint's id tables.
+def align_rows_to_checkpoint(rows: Responses, index: Dataset, kind: str) -> Dataset:
+    """Index loaded rows through a checkpoint's id tables, for a model of the given kind.
 
     The rows must first pass build_dataset's checks (`check_rows`, with
     its errors): no student in two classes, no repeated (student,
     question) cell. Every id in the rows must already exist in the
     checkpoint; predicting for ids the model never saw is a hard error
-    naming the offender (the first in row order).
+    naming the offender (the first in row order). A class kind predicts
+    through the checkpoint's class of each student, so for one the first
+    row whose class is not its student's class in the index (an unknown
+    class included) is a ValueError naming the student and both classes.
     """
     check_rows(rows)
     s_idx = _index_in(index.student_ids, rows.student_ids)[rows.student_idx]
@@ -200,6 +203,13 @@ def align_rows_to_checkpoint(rows: Responses, index: Dataset) -> Dataset:
         if s_idx[i] < 0:
             raise ValueError(f"student {rows.student_ids[rows.student_idx[i]]!r} is not in the checkpoint")
         raise ValueError(f"question {rows.question_ids[rows.question_idx[i]]!r} is not in the checkpoint")
+    if FAMILY[kind] == CLASS_INTERACTION:
+        trained = index.class_of[s_idx]
+        if (wrong := np.flatnonzero(_index_in(index.class_ids, rows.class_ids)[rows.class_idx] != trained)).size:
+            i = wrong[0]
+            student, had, got = (rows.student_ids[rows.student_idx[i]], index.class_ids[trained[i]],
+                                 rows.class_ids[rows.class_idx[i]])
+            raise ValueError(f"student {student!r} is in class {had!r} in the checkpoint, not {got!r}")
     return replace(index, student_idx=s_idx, question_idx=q_idx, y=rows.y)
 
 

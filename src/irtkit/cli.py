@@ -111,24 +111,9 @@ def _cmd_train_vi(args) -> list:
                                            epochs=args.epochs, seed=args.seed), "final_negative_elbo")
 
 
-def _check_classes(rows, dataset) -> None:
-    """Refuse the first row whose class id is not its student's class in the checkpoint's index."""
-    trained = dataset.class_of[dataset.student_idx]
-    code = {c: i for i, c in enumerate(dataset.class_ids)}
-    given = np.array([code.get(c, -1) for c in rows.class_ids], dtype=np.int64)[rows.class_idx]
-    if (wrong := np.flatnonzero(given != trained)).size:
-        i = wrong[0]
-        student, had, got = (dataset.student_ids[dataset.student_idx[i]], dataset.class_ids[trained[i]],
-                             rows.class_ids[rows.class_idx[i]])
-        raise ValueError(f"student {student!r} is in class {had!r} in the checkpoint, not {got!r}")
-
-
 def _cmd_eval(args) -> list:
     params, index = load_checkpoint(args.checkpoint)
-    rows = _load_rows(args.data, args.format)
-    dataset = align_rows_to_checkpoint(rows, index)
-    if FAMILY[params.kind] == CLASS_INTERACTION:   # class vec rows follow the checkpoint's class_of
-        _check_classes(rows, dataset)
+    dataset = align_rows_to_checkpoint(_load_rows(args.data, args.format), index, params.kind)
     preds = predict_proba_array(params, dataset.student_idx, dataset.question_idx, dataset.class_of)
     record = accuracy(preds, dataset.y, args.threshold)
     if args.out:

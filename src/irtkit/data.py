@@ -20,7 +20,8 @@ mark checks, and id fields of at most 64 bytes and no longer than
 with an error, the byte path stops and the csv path reads on from that
 block: `csv.reader` tokenizes a block of records at a time, and ids,
 marks and checks are handled per column. Only the csv path raises a
-ParseError. Both skip one leading UTF-8 byte-order mark.
+ParseError: it walks a block whose marks fail again, record by record,
+to name its first bad row. Both skip one leading UTF-8 byte-order mark.
 
 The stable sorts over response rows (grouping a student's rows for the
 split, finding repeated cells for the row checks) sort and compare uint8
@@ -180,41 +181,6 @@ class Responses:
         return int(self.y.shape[0])
 
 
-def _ints(texts: list) -> tuple[np.ndarray, int]:
-    """int64 values of the stripped texts up to the first that int() rejects or int64 cannot hold.
-
-    Returns the values and that text's index, len(texts) when all parse.
-    """
-    rest = iter(texts)
-    try:
-        return np.fromiter(map(int, map(str.strip, rest)), np.int64, len(texts)), len(texts)
-    except (ValueError, OverflowError):
-        bad = len(texts) - 1 - operator.length_hint(rest)   # the text being converted when it failed
-        return np.fromiter(map(int, map(str.strip, texts[:bad])), np.int64, bad), bad
-
-
-def _int_error(field: str, text: str, line, too_big: str | None = None) -> ParseError:
-    """The error for a text _ints stopped at: not an integer, or beyond int64 (`too_big`)."""
-    text = text.strip()
-    try:
-        int(text)
-    except ValueError:
-        return ParseError(f"non-integer {field} {text!r} at line {line}", line)
-    message = too_big or f"{field} {text!r} does not fit in 64 bits"
-    return ParseError(f"{message} at line {line}", line)
-
-
-def _check(lines: np.ndarray, checks) -> None:
-    """Raise the ParseError of the first row failing a check.
-
-    `checks` are (failing rows, message) pairs in the order a row is checked.
-    """
-    failed = [(int(np.argmax(bad)), i) for i, (bad, _) in enumerate(checks) if bad.any()]
-    if failed:
-        row, i = min(failed)
-        raise ParseError(f"{checks[i][1]} at line {lines[row]}", lines[row])
-
-
 def _raw_rules(awarded, available):
     """A raw block's int8 outcome 2 * awarded > available, as the overflow-free awarded > available // 2, and its
     checks in the order a row is checked."""
@@ -229,15 +195,30 @@ def _binary_rules(y):
 
 
 def _marks(columns: list, lines: np.ndarray, fields: list, rules, too_big) -> np.ndarray:
-    """Parse and check a csv block's mark columns; its outcome, or the ParseError of its first bad row."""
-    parsed = [_ints(col) for col in columns]
-    n = min(bad for _, bad in parsed)
-    y, checks = rules(*(values[:n] for values, _ in parsed))
-    _check(lines, checks)
-    if n < len(lines):
-        i = next(i for i, (_, bad) in enumerate(parsed) if bad == n)
-        raise _int_error(fields[i], columns[i][n], lines[n], too_big)
-    return y
+    """A csv block's outcome from its mark columns, parsed whole as int() of each stripped text.
+
+    A block that fails is walked again, record by record, field by field
+    and check by check, to raise the ParseError of its first bad row.
+    """
+    try:
+        y, checks = rules(*(np.fromiter(map(int, map(str.strip, col)), np.int64, len(col)) for col in columns))
+        if not any(bad.any() for bad, _ in checks):
+            return y
+    except (ValueError, OverflowError):
+        pass
+    for line, texts in zip(lines.tolist(), zip(*columns)):
+        values = []
+        for field, text in zip(fields, map(str.strip, texts)):
+            try:
+                values.append(np.int64(int(text)))
+            except ValueError:
+                raise ParseError(f"non-integer {field} {text!r} at line {line}", line) from None
+            except OverflowError:
+                message = too_big or f"{field} {text!r} does not fit in 64 bits"
+                raise ParseError(f"{message} at line {line}", line) from None
+        for bad, message in rules(*values)[1]:
+            if bad:
+                raise ParseError(f"{message} at line {line}", line)
 
 
 def _id_coders():
@@ -418,13 +399,13 @@ def _load_csv(path: str, header: list[str], rules, too_big: str | None, coders, 
     """The csv path: the column blocks of a response CSV from byte `at`, the start of line `line`.
 
     At byte 0 the header is read and checked first. Each block's mark
-    columns are parsed and checked by `_marks`, which raises the
-    ParseError of the block's first bad row. File line numbers count the
-    header as line 1, and blank records, which are skipped, too. A byte
-    that is not UTF-8 is a ParseError naming the line that holds it, and
-    so is a field longer than csv.field_size_limit(), after the records
-    before it are checked. Every ParseError raised here holds the file in
-    its path.
+    columns are parsed and checked whole by `_marks`, which walks a
+    failing block again to raise the ParseError of its first bad row.
+    File line numbers count the header as line 1, and blank records,
+    which are skipped, too. A byte that is not UTF-8 is a ParseError
+    naming the line that holds it, and so is a field longer than
+    csv.field_size_limit(), after the records before it are checked.
+    Every ParseError raised here holds the file in its path.
     """
     width = len(header)
     blocks = []
@@ -562,19 +543,11 @@ def dataset_from_arrays(
 def _escaped(ids) -> np.ndarray:
     """Each id in UTF-8 as csv.writer writes it in a row of several fields, with the delimiter after it.
 
-    An id holding none of ',', '"', '\\r' and '\\n' is written as it is;
-    only the others go through csv.writer.
+    An id holding ',', '"', '\\r' or '\\n' is quoted, with each '"'
+    doubled; any other id is written as it is.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-
-    def escape(i: str) -> str:
-        buf.seek(0)
-        buf.truncate()
-        writer.writerow((i, ""))
-        return buf.getvalue()[:-2]   # "<escaped id>," without the line end
-
-    return np.array([(escape(i) if _QUOTED.search(i) else i + ",").encode() for i in ids], dtype=bytes)
+    return np.array([('"' + i.replace('"', '""') + '",' if _QUOTED.search(i) else i + ",").encode() for i in ids],
+                    dtype=bytes)
 
 
 def write_binary_csv(d: Dataset, path: str) -> None:
@@ -628,30 +601,26 @@ def choice_per_group(rng: np.random.Generator, sizes, ks) -> np.ndarray:
     sizes of the groups before it; its k picked positions are True. rng's
     stream is continued exactly as the per-group calls continue it, and
     left where they leave it, for groups of fewer than 2**32 rows.
-    Groups in the Floyd branch of numpy 2.4's Generator.choice
-    (n <= 10,000 or k <= n // 50) are drawn in bulk by `_floyd`, about
-    _CHOICE_DRAWS draws at a time so that memory stays bounded; a group in
-    its other branch is drawn by rng.choice itself, in its turn. The
-    bounded draws come from Generator.integers; only the choice of
-    Floyd's branch and the order of the draws tie this to numpy 2.4, so
-    on any other numpy every group is drawn by rng.choice itself.
+    When every group is in the Floyd branch of numpy 2.4's
+    Generator.choice (n <= 10,000 or k <= n // 50), the groups are drawn
+    in bulk by `_floyd`, about _CHOICE_DRAWS draws at a time so that
+    memory stays bounded. The bounded draws come from Generator.integers;
+    only the choice of Floyd's branch and the order of the draws tie this
+    to numpy 2.4. So on any other numpy, and in a call holding a group in
+    numpy's other branch, every group is drawn by rng.choice itself.
     """
     sizes, ks = np.asarray(sizes, dtype=np.int64), np.asarray(ks, dtype=np.int64)
     start = np.cumsum(sizes) - sizes
     mask = np.zeros(int(sizes.sum()), dtype=bool)
-    if not _BULK_CHOICE:
+    if not _BULK_CHOICE or ((sizes > _FLOYD_LIMIT) & (ks > sizes // 50)).any():
         for lo, n, k in zip(start.tolist(), sizes.tolist(), ks.tolist()):
             mask[lo + rng.choice(n, size=k, replace=False)] = True
         return mask
-    other = np.flatnonzero((sizes > _FLOYD_LIMIT) & (ks > sizes // 50))
     draws = np.cumsum(np.maximum(2 * ks - 1, 0))
     blocks = np.searchsorted(draws, np.arange(_CHOICE_DRAWS, draws[-1] if draws.size else 0, _CHOICE_DRAWS))
-    cuts = sorted({0, sizes.size, *other.tolist(), *(other + 1).tolist(), *blocks.tolist()})
+    cuts = sorted({0, sizes.size, *blocks.tolist()})
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if lo in other:   # a piece of its own
-            mask[start[lo] + rng.choice(int(sizes[lo]), size=int(ks[lo]), replace=False)] = True
-        else:
-            _floyd(rng, sizes[lo:hi], ks[lo:hi], start[lo:hi], mask)
+        _floyd(rng, sizes[lo:hi], ks[lo:hi], start[lo:hi], mask)
     return mask
 
 
@@ -698,8 +667,9 @@ def split_train_test(d: Dataset, test_fraction: float, seed: int) -> tuple[Datas
     student with a single response always trains. Deterministic per seed:
     student by student, the test rows are the picks of
     rng.choice(n, size=k, replace=False) over the student's rows in row
-    order, reproduced in bulk by `choice_per_group` (a student of over
-    10,000 responses in numpy's other branch is drawn by rng.choice).
+    order, reproduced in bulk by `choice_per_group` (a split holding a
+    student of over 10,000 responses in numpy's other branch draws every
+    student by rng.choice).
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")

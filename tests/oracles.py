@@ -432,8 +432,8 @@ def cells(rows) -> list:
 
 
 def dataset_of(rows, index: Dataset | None = None) -> Dataset | str:
-    """The Dataset build_dataset must make of rows or, given a checkpoint's index, align_rows_to_checkpoint must;
-    else the message of the ValueError naming the first offending row.
+    """The Dataset build_dataset must make of rows or, given a checkpoint's index, align_rows_to_checkpoint must for
+    a kind without classes; else the message of the ValueError naming the first offending row.
 
     Row by row, with a dict of each student's class and a set of the cells seen: a student under a class other
     than its first, then a cell seen before, is the error. Aligned rows are then indexed through dicts of the

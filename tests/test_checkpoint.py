@@ -128,7 +128,7 @@ def test_roundtrip_keeps_id_tables_tensors_and_row_alignment(tmp_path_factory, f
         # the file holds sigma = softplus(rho); loading inverts exactly that
         _assert_same_bits(getattr(loaded, name), inv_softplus(softplus(arr)) if name.endswith("_rho") else arr)
     write_binary_csv(data, rows)
-    aligned = align_rows_to_checkpoint(load_binary_csv(rows), index)
+    aligned = align_rows_to_checkpoint(load_binary_csv(rows), index, params.kind)
     for name in ("student_idx", "question_idx", "y"):
         assert getattr(aligned, name).tolist() == getattr(data, name).tolist()
 
@@ -140,11 +140,25 @@ def test_align_rows_maps_through_checkpoint_tables(tmp_path):
     save_checkpoint(path, params, data)
     _, index = load_checkpoint(path)
     rows = [Row("s3", "q2", "c0", 1, 1), Row("s0", "q4", "c0", 0, 1)]
-    aligned = align_rows_to_checkpoint(responses(rows), index)
+    aligned = align_rows_to_checkpoint(responses(rows), index, "rasch")
     assert aligned.student_idx.tolist() == [3, 0]
     assert aligned.question_idx.tolist() == [2, 4]
     with pytest.raises(ValueError, match="not in the checkpoint"):
-        align_rows_to_checkpoint(responses([Row("ghost", "q0", "c0", 1, 1)]), index)
+        align_rows_to_checkpoint(responses([Row("ghost", "q0", "c0", 1, 1)]), index, "rasch")
+
+
+@pytest.mark.parametrize("klass", ["c1", "c9"], ids=["relabelled", "unknown"])
+def test_class_kinds_refuse_a_row_outside_its_students_class(klass):
+    """A class kind predicts through the index's class of each student, so a row must give that class."""
+    index = dataset_from_arrays((), (), (), [0, 1], ("s0", "s1"), ("q0",), ("c0", "c1"))
+    rows = responses([Row("s1", "q0", "c1", 1, 1), Row("s0", "q0", klass, 1, 1)])
+    for kind in ("class-interaction", "class-interaction-vi"):
+        with pytest.raises(ValueError) as exc:
+            align_rows_to_checkpoint(rows, index, kind)
+        assert str(exc.value) == f"student 's0' is in class 'c0' in the checkpoint, not {klass!r}"
+    for kind in ("rasch", "interaction-vi"):   # the rows' classes are not used
+        aligned = align_rows_to_checkpoint(rows, index, kind)
+        assert aligned.student_idx.tolist() == [1, 0] and aligned.class_of.tolist() == [0, 1]
 
 
 def test_unknown_file_rejected(tmp_path):
@@ -434,8 +448,9 @@ def test_mutated_checkpoint_loads_or_names_the_file(fuzz_dir, kind, picks):
     except ValueError as exc:
         assert str(exc).startswith(f"{path}: ")
         return
-    rows = [Row(s, q, "c", 1, 1) for s, q in zip(index.student_ids, cycle(index.question_ids))]
-    aligned = align_rows_to_checkpoint(responses(rows), index)
+    rows = [Row(s, q, index.class_ids[c], 1, 1) for s, c, q in zip(index.student_ids, index.class_of.tolist(),
+                                                                    cycle(index.question_ids))]
+    aligned = align_rows_to_checkpoint(responses(rows), index, params.kind)
     assert [index.student_ids[i] for i in aligned.student_idx] == [r.student_id for r in rows]
     assert [index.question_ids[i] for i in aligned.question_idx] == [r.question_id for r in rows]
     p = predict_proba_array(params, aligned.student_idx, aligned.question_idx, aligned.class_of)

@@ -396,7 +396,7 @@ class TestErrorContract:
         index = known.select(np.array([], dtype=np.int64))
         rows = load_raw_csv(_file(tmp_path, True, planted))
         with pytest.raises(ValueError) as exc:
-            align_rows_to_checkpoint(rows, index)
+            align_rows_to_checkpoint(rows, index, "rasch")
         assert str(exc.value) == message
 
 
@@ -539,7 +539,7 @@ def _assert_same_dataset(got, want):
 def _assert_row_checks_as_oracle(rows, index):
     loaded = responses(rows)
     for check, want in ((lambda: build_dataset(loaded), oracles.dataset_of(rows)),
-                        (lambda: align_rows_to_checkpoint(loaded, index), oracles.dataset_of(rows, index))):
+                        (lambda: align_rows_to_checkpoint(loaded, index, "rasch"), oracles.dataset_of(rows, index))):
         try:
             got = check()
         except ValueError as exc:
@@ -686,16 +686,17 @@ _VALID_TEXT = {   # header and records: plain, quoted, empty-class, multi-line, 
 _TOKENS = ['"', '""', ",", " ", "\n", "\r", "\r\n", "-1", "0", "1_0", "٢", "99999999999999999999", "\x00", "\x1c",
            "\ufeff", "é"]
 _ENCODINGS = ["utf-16", "utf-32", "latin-1", "cp1252", "utf-8-sig"]
+_MARKS = ["x", "", "1.5", "99999999999999999999", "-1", "0", "7"]   # mark texts that fail to parse, or may break a rule
 
 
 @st.composite
 def _mutated_csv(draw):
-    """A valid raw or binary file with 1-2 edits of its bytes, quoting, field counts, line ends or encoding."""
+    """A valid raw or binary file with 1-3 edits of its bytes, quoting, field counts, marks, line ends or encoding."""
     raw = draw(st.booleans())
     blob = _VALID_TEXT[raw].encode()
-    for _ in range(draw(st.integers(1, 2))):
+    for _ in range(draw(st.integers(1, 3))):
         at = draw(st.sampled_from(range(len(blob) + 1)))   # integers() would favour the header's start
-        edit = draw(st.sampled_from(["bytes", "token", "token", "drop field", "encoding"]))
+        edit = draw(st.sampled_from(["bytes", "token", "token", "drop field", "encoding", "marks", "marks"]))
         if edit == "bytes":   # replace up to 3 bytes by up to 3 arbitrary bytes or characters
             new = draw(st.binary(max_size=3) | st.text(max_size=3).map(str.encode))
             blob = blob[:at] + new + blob[at + draw(st.integers(0, 3)):]
@@ -706,21 +707,30 @@ def _mutated_csv(draw):
             blob = blob[:comma] + blob[comma + 1:]
         elif edit == "encoding":
             blob = blob.decode("utf-8", "replace").encode(draw(st.sampled_from(_ENCODINGS)), "replace")
+        elif edit == "marks" and blob.count(b"\n") > 2:   # one of the last two fields, a mark, of two lines
+            lines = blob.split(b"\n")
+            for i in draw(st.sets(st.integers(1, len(lines) - 2), min_size=2, max_size=2)):
+                fields = lines[i].split(b",")
+                fields[-draw(st.integers(1, min(2, len(fields))))] = draw(st.sampled_from(_MARKS)).encode()
+                lines[i] = b",".join(fields)
+            blob = b"\n".join(lines)
     return raw, blob
 
 
-def _csv_reader_oracle(blob: bytes, raw: bool):
-    """(rows, None) as csv.reader reads the UTF-8 text and the loaders' rules take it, or (None, lines):
+def _csv_reader_oracle(blob: bytes, raw: bool, path: str = ""):
+    """(rows, None, None) as csv.reader reads the UTF-8 text and the loaders' rules take it, or (None, lines, message):
     the lines an error may name: the first faulty record's line (1 for the header) or, when the file is
     not UTF-8, the line holding the first such byte, or the first faulty line if that comes before it.
-    One leading UTF-8 byte-order mark is not part of the text."""
+    One leading UTF-8 byte-order mark is not part of the text. The message is the error's, record by
+    record, field by field and check by check, for a field-count, integer, int64-range or mark-rule
+    fault of a UTF-8 file, else None."""
     # each byte that is not UTF-8 becomes a lone surrogate
     text = blob.removeprefix(codecs.BOM_UTF8).decode("utf-8", "surrogateescape")
     records = list(csv.reader(io.StringIO(text, newline="")))
     header = data.RAW_HEADER if raw else data.BINARY_HEADER
     width = len(header)
     undecodable = [i + 1 for i, r in enumerate(records) if any("\udc80" <= c <= "\udcff" for c in "".join(r))]
-    rows, bad = [], None
+    rows, bad, message = [], None, None
     if not records or [c.strip() for c in records[0]] != header:
         bad = 1
     for line, r in enumerate(records[1:], start=2):
@@ -728,38 +738,52 @@ def _csv_reader_oracle(blob: bytes, raw: bool):
             break
         if not r:
             continue
-        try:
-            marks = [int(t.strip()) for t in r[3:]] if len(r) == width else None
-        except ValueError:
-            marks = None
-        if marks is None or any(not -2**63 <= m < 2**63 for m in marks):
-            bad = line
-        elif (raw and (marks[1] < 1 or not 0 <= marks[0] <= marks[1])) or (not raw and marks[0] not in (0, 1)):
-            bad = line
+        if len(r) != width:
+            bad, message = line, f"{path}: expected {width} fields at line {line}, got {len(r)}"
+            break
+        marks = []
+        for field, t in zip(header[3:], map(str.strip, r[3:])):
+            try:
+                marks.append(int(t))
+            except ValueError:
+                message = f"non-integer {field} {t!r}"
+                break
+            if not -2**63 <= marks[-1] < 2**63:
+                message = f"{field} {t!r} does not fit in 64 bits" if raw else "y must be 0 or 1"
+                break
+        else:
+            checks = ([(marks[1] < 1, "marks_available must be >= 1"), (marks[0] < 0, "marks_awarded must be >= 0"),
+                       (marks[0] > marks[1], "marks_awarded exceeds marks_available")] if raw
+                      else [(marks[0] not in (0, 1), "y must be 0 or 1")])
+            message = next((m for failed, m in checks if failed), None)
+        if message is not None:
+            bad, message = line, f"{message} at line {line}"
         else:
             marks = marks if raw else [marks[0], 1]   # y out of 1
             rows.append(Row(r[0].strip(), r[1].strip(), r[2].strip() or NO_CLASS, *marks))
     if undecodable:
-        return None, {undecodable[0]} | ({bad} if bad is not None and bad < undecodable[0] else set())
-    return (cells(rows), None) if bad is None else (None, {bad})
+        return None, {undecodable[0]} | ({bad} if bad is not None and bad < undecodable[0] else set()), None
+    return (cells(rows), None, None) if bad is None else (None, {bad}, message)
 
 
 @settings(max_examples=200, deadline=None)
-@given(case=_mutated_csv())
-def test_mutated_csv_loads_as_csv_reader_reads_it_or_names_file_and_line(tmp_path_factory, case):
+@given(case=_mutated_csv(), records=st.sampled_from([3, _READ_BLOCK]))
+def test_mutated_csv_loads_as_csv_reader_reads_it_or_names_file_and_line(tmp_path_factory, case, records):
     raw, blob = case
     path = str(tmp_path_factory.mktemp("mutated") / "data.csv")
     with open(path, "wb") as fh:
         fh.write(blob)
-    rows, lines = _csv_reader_oracle(blob, raw)
-    try:
-        got = rows_of((load_raw_csv if raw else load_binary_csv)(path))
+    rows, lines, want = _csv_reader_oracle(blob, raw, path)
+    try:   # a few records and bytes a block, so a fault can sit in a later block of either path, or one csv block
+        with mock.patch.object(data, "_READ_BLOCK", records), mock.patch.object(data, "_READ_BYTES", 40):
+            got = rows_of((load_raw_csv if raw else load_binary_csv)(path))
     except ParseError as exc:
         message = str(exc)
         assert lines is not None, message
         assert exc.path == path and exc.line in lines, (message, lines)
         assert "\n" not in message
         assert f"at line {exc.line}" in message or (exc.line == 1 and message.startswith(f"{path}: "))
+        assert want is None or message == want, (message, want)
     else:
         assert got == rows
 
@@ -836,7 +860,7 @@ def test_byte_path_loads_as_csv_reader_reads_it(tmp_path_factory, case):
     path = str(tmp_path_factory.mktemp("plain") / "data.csv")
     with open(path, "wb") as fh:
         fh.write(blob)
-    rows, lines = _csv_reader_oracle(blob, raw)
+    rows, lines, _ = _csv_reader_oracle(blob, raw)
     with mock.patch.object(data, "_READ_BYTES", block):
         fast, at, line = _bytes_read(path, raw)
         assert at is None or edited   # every unedited file is in the grammar
@@ -868,13 +892,19 @@ _PAD = st.sampled_from(["", " ", "  ", "\t"])
 
 @settings(max_examples=200, deadline=None)
 @given(fields=st.lists(_DIGITS, min_size=1, max_size=12), pads=st.data())
-def test_mark_fields_parse_to_the_values_of_int(fields, pads):
+def test_mark_fields_parse_to_the_values_of_int(tmp_path_factory, fields, pads):
     want = list(map(int, fields))
     length = np.array(list(map(len, fields)))
     lo = np.cumsum(length + 1) - length - 1
     b = np.frombuffer(",".join(fields).encode() + bytes(data._KEY_BYTES), np.uint8)   # padded as _read_block pads
     assert data._digits(b, lo, length).tolist() == want
-    values, parsed = data._ints([pads.draw(_PAD) + field + pads.draw(_PAD) for field in fields])
+    header = ["student_id", "question_id", "class_id", "v"]   # one mark column, whose parsed values are the outcome
+    records = "".join(f"s{i},q,c,{pads.draw(_PAD) + field + pads.draw(_PAD)}\n" for i, field in enumerate(fields))
+    path = _write(tmp_path_factory.mktemp("padded"), ",".join(header) + "\n" + records)
+    coders, _ = data._id_coders()
+    blocks = data._load_csv(path, header, lambda v: (v, []), None, coders)
+    values = np.concatenate([block[3] for block in blocks])
+    parsed = values.size
     assert (values.tolist(), parsed) == (want, len(fields))
 
 
