@@ -35,7 +35,6 @@ from .vi import VIConfig, elbo_mc, predict_proba_vi_array, train_vi
 from .metrics import accuracy, cosine_similarity_matrix, two_proportion_z_test
 from .synth import SynthConfig, generate_synthetic
 from .active import (
-    ActiveConfig,
     ActiveResult,
     PoolState,
     make_pool_state,

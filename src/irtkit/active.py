@@ -14,7 +14,7 @@ operations rather than a pass over the students.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,26 +47,6 @@ class PoolState:
     def __post_init__(self):
         for arr in (self.label, self.holdout, self.queryable, self.order):
             arr.setflags(write=False)
-
-
-@dataclass
-class ActiveConfig:
-    """The loop's settings. retrain is the SGD schedule of every fit, but the loop sets
-    each fit's seed (seed for the initial fit, seed + r for round r's retrain) and the
-    initial fit's epochs (initial_epochs): retrain.seed is never read."""
-
-    policy: str = UNCERTAINTY
-    batch_size: int = 1
-    rounds: int = 10
-    retrain: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=5))
-    initial_epochs: int = 30  # fuller schedule for the round-0 base fit
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.policy not in (UNCERTAINTY, RANDOM):
-            raise ValueError(f"unknown policy {self.policy!r}")
-        for name, low in (("batch_size", 1), ("rounds", 0), ("initial_epochs", 1), ("seed", 0)):
-            require_count(name, getattr(self, name), low)
 
 
 @dataclass
@@ -126,12 +106,17 @@ def select_next(probs: np.ndarray, open_: np.ndarray) -> np.ndarray:
     return np.argmin(np.where(open_, np.abs(probs - 0.5), np.inf), axis=1)
 
 
-def run_active_loop(state: PoolState, cfg: ActiveConfig) -> ActiveResult:
-    """Reveal-retrain loop; returns the learning curve for cfg.policy.
+def run_active_loop(state: PoolState, policy: str, rounds: int, retrain: TrainConfig,
+                    initial_epochs: int = 30, batch_size: int = 1) -> ActiveResult:
+    """Reveal-retrain loop; returns the learning curve for policy.
 
+    Every fit runs retrain's SGD schedule, and retrain.seed is the loop's
+    one seed: the initial fit runs initial_epochs epochs from it, round r
+    retrains from retrain.seed + r, and the random policy draws from
+    default_rng(retrain.seed).
     Pool students enter with ability 0 (the population prior mean), so
     round 0 scores question-difficulty-only predictions. Each subsequent
-    round reveals cfg.batch_size answers per student (uncertainty: one
+    round reveals batch_size answers per student (uncertainty: one
     select_next call per batch slot over the whole pool), retrains the
     ability-difficulty model warm-started from the previous round, and
     scores the reserved holdouts. Rounds that outrun a student's hidden
@@ -143,9 +128,14 @@ def run_active_loop(state: PoolState, cfg: ActiveConfig) -> ActiveResult:
     answers a student arrived with count, and a student whose hidden
     answers ran out stops adding to it.
     """
+    if policy not in (UNCERTAINTY, RANDOM):
+        raise ValueError(f"unknown policy {policy!r}")
+    for name, value, low in (("batch_size", batch_size, 1), ("rounds", rounds, 0),
+                             ("initial_epochs", initial_epochs, 1)):
+        require_count(name, value, low)
     if not state.student_ids:
         raise ValueError("pool must be non-empty")
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(retrain.seed)
     base, label, holdout = state.base, state.label, state.holdout
     queryable, order = state.queryable.copy(), state.order.copy()
     base_s = base.num_students
@@ -173,25 +163,25 @@ def run_active_loop(state: PoolState, cfg: ActiveConfig) -> ActiveResult:
         revealed.append(int(n_revealed.max()))
         return probs
 
-    params, _ = sgd_train(RASCH, combined(), replace(cfg.retrain, epochs=cfg.initial_epochs, seed=cfg.seed))
+    params, _ = sgd_train(RASCH, combined(), replace(retrain, epochs=initial_epochs))
     # cold-start pool abilities at the prior mean
     params.ability[base_s:] = 0.0
     probs = score(params)
-    steps = np.arange(cfg.batch_size)
+    steps = np.arange(batch_size)
 
-    for r in range(1, cfg.rounds + 1):
+    for r in range(1, rounds + 1):
         if not queryable.any():
             warnings.warn(f"all hidden answers revealed after {r - 1} rounds; truncating")
             break
         open_counts = queryable.sum(axis=1)
-        takes = steps < np.minimum(cfg.batch_size, open_counts)[:, None]
-        if cfg.policy == RANDOM:
+        takes = steps < np.minimum(batch_size, open_counts)[:, None]
+        if policy == RANDOM:
             # one draw per pick, student-major, from the shrinking open count
             draws = np.zeros(takes.shape, dtype=np.int64)
             draws[takes] = rng.integers(0, (open_counts[:, None] - steps)[takes])
         for b in steps:
             j = np.flatnonzero(takes[:, b])
-            if cfg.policy == UNCERTAINTY:
+            if policy == UNCERTAINTY:
                 q_next = select_next(probs[j], queryable[j])
             else:
                 # the draws[j, b]-th still-open question of each student
@@ -199,14 +189,13 @@ def run_active_loop(state: PoolState, cfg: ActiveConfig) -> ActiveResult:
             queryable[j, q_next] = False
             order[j, n_revealed[j]] = q_next
             n_revealed[j] += 1
-        retrain_cfg = replace(cfg.retrain, seed=cfg.seed + r)
-        params, _ = sgd_train(RASCH, combined(), retrain_cfg, warm_start=params)
+        params, _ = sgd_train(RASCH, combined(), replace(retrain, seed=retrain.seed + r), warm_start=params)
         probs = score(params)
 
     per_student = np.vstack(per_round)
     return ActiveResult(
-        policy=cfg.policy,
-        seed=cfg.seed,
+        policy=policy,
+        seed=retrain.seed,
         questions_revealed=revealed,
         overall_accuracy=[float(np.mean(row)) for row in per_student],
         per_student_accuracy=per_student,

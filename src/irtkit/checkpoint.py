@@ -58,6 +58,13 @@ def _dump(value, fh) -> None:
         fh.write(json.dumps(value))
 
 
+def write_json(path: str, doc) -> None:
+    """Write json.dumps(doc)'s text and a newline, through _dump."""
+    with open(path, "w", encoding="utf-8") as fh:
+        _dump(doc, fh)
+        fh.write("\n")
+
+
 def save_checkpoint(path: str, params: Params, data: Dataset) -> None:
     """Write one record per tensor of the params' kind's tensor table, sigmas for rhos, once shapes match data."""
     table = tensor_table(params.kind, params.dims, data.num_students, data.num_questions, data.num_classes)
@@ -81,9 +88,7 @@ def save_checkpoint(path: str, params: Params, data: Dataset) -> None:
         "class_of": data.class_of.tolist(),
         "tensors": tensors,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        _dump(doc, fh)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_checkpoint(path: str) -> tuple[Params, Dataset]:

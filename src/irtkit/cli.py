@@ -22,13 +22,14 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
 from . import active as active_mod
 from . import data as data_mod
 from . import experiments
-from .checkpoint import align_rows_to_checkpoint, load_checkpoint, save_checkpoint
+from .checkpoint import align_rows_to_checkpoint, load_checkpoint, save_checkpoint, write_json
 from .manifest import file_digest, write_manifest
 from .metrics import accuracy, cosine_similarity_matrix, two_proportion_z_test
 from .models import CLASS_INTERACTION, FAMILY, POINT_KINDS, VI_KINDS, predict_proba_array
@@ -46,12 +47,6 @@ _REPORT = ".report.json"   # the trainers write <out>.report.json next to the ch
 
 def _load_rows(path: str, fmt: str):
     return (data_mod.load_raw_csv if fmt == "raw" else data_mod.load_binary_csv)(path)
-
-
-def _write_json(path: str, doc) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc))   # one C-encoded string: json.dump writes piece by piece in Python
-        fh.write("\n")
 
 
 def _parse_list(flag: str, text: str, parse, ok, wanted: str) -> tuple:
@@ -95,8 +90,7 @@ def _train(args, fit, cfg, objective: str) -> list:
     dataset = data_mod.build_dataset(_load_rows(args.data, args.format))
     params, report = fit(args.model, dataset, cfg, dims=args.dims, warm_start=_warm_start(args, dataset))
     save_checkpoint(args.out, params, dataset)
-    _write_json(args.out + _REPORT,
-                {"final_nll": report.final_nll, "epochs_run": report.epochs_run, "nll_trace": report.nll_trace})
+    write_json(args.out + _REPORT, asdict(report))
     return [{objective: report.final_nll, "epochs_run": report.epochs_run}]
 
 
@@ -117,7 +111,7 @@ def _cmd_eval(args) -> list:
     preds = predict_proba_array(params, dataset.student_idx, dataset.question_idx, dataset.class_of)
     record = accuracy(preds, dataset.y, args.threshold)
     if args.out:
-        _write_json(args.out, record)
+        write_json(args.out, record)
     return [record]
 
 
@@ -129,7 +123,7 @@ def _cmd_synth(args) -> list:
     dataset, truth = generate_synthetic(cfg)
     data_mod.write_binary_csv(dataset, args.out)
     if args.truth:
-        _write_json(args.truth, {name: array.tolist() for name, array in truth.items()})
+        write_json(args.truth, {name: array.tolist() for name, array in truth.items()})
     return [{"responses": dataset.n_responses, "students": dataset.num_students,
              "questions": dataset.num_questions}]
 
@@ -151,10 +145,9 @@ def _cmd_significance(args) -> list:
 def _cmd_active(args) -> list:
     dataset = data_mod.build_dataset(_load_rows(args.data, args.format))
     state = active_mod.make_pool_state(dataset, args.pool_size, args.holdout_fraction, args.seed)
-    cfg = active_mod.ActiveConfig(policy=args.policy, batch_size=args.batch, rounds=args.rounds,
-                                  retrain=TrainConfig(epochs=5, convergence_tol=0.0),
-                                  seed=args.seed)
-    result = active_mod.run_active_loop(state, cfg)
+    result = active_mod.run_active_loop(state, args.policy, args.rounds,
+                                        TrainConfig(epochs=5, convergence_tol=0.0, seed=args.seed),
+                                        batch_size=args.batch)
     experiments.write_csv(args.out, *experiments.active_curve_table([result]))
     return [{"rounds_run": len(result.questions_revealed) - 1,
              "final_accuracy": result.overall_accuracy[-1]}]

@@ -19,8 +19,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .active import (RANDOM, UNCERTAINTY, ActiveConfig, ActiveResult, make_pool_state,
-                     run_active_loop)
+from .active import RANDOM, UNCERTAINTY, ActiveResult, make_pool_state, run_active_loop
 from .data import split_train_test, students_kept, subsample_students
 from .metrics import accuracy
 from .models import CLASS_INTERACTION, INTERACTION, RASCH, predict_proba_array
@@ -282,11 +281,8 @@ def _active_pool(seed: int, pool_size: int):
 
 def _active_unit(seed: int, policy: str, pool_size: int, rounds: int) -> ActiveResult:
     """One (seed, policy) learning curve."""
-    state = _active_pool(seed, pool_size)
-    cfg = ActiveConfig(policy=policy, batch_size=1, rounds=rounds,
-                       retrain=TrainConfig(learning_rate=0.1, epochs=8, convergence_tol=0.0),
-                       initial_epochs=30, seed=seed + SEED_TRAIN)
-    return run_active_loop(state, cfg)
+    return run_active_loop(_active_pool(seed, pool_size), policy, rounds,
+                           TrainConfig(learning_rate=0.1, epochs=8, convergence_tol=0.0, seed=seed + SEED_TRAIN))
 
 
 def active_vs_random(pool_size: int = 2000, seeds=(0, 1, 2, 3, 4), rounds: int = 56,

@@ -60,6 +60,8 @@ class VIConfig:
             require_count(name, getattr(self, name), low)
         for name in ("sigma_init", "learning_rate"):
             require_positive(name, getattr(self, name))
+        if 1 / self.sigma_init == np.inf:   # the sigma gradient's 1 / sigma would overflow
+            raise ValueError(f"sigma_init must be above about 5.56e-309 (1/sigma_init finite), got {self.sigma_init!r}")
 
 
 def _draw_eps(params: Params, M: int, rng):

@@ -14,7 +14,8 @@ they call the library. finite_diff_check and elbo_finite_diff_check
 compare its analytic gradients (the NLL's through optim._grad_arrays,
 the step sgd_train takes) with central differences of its own
 objectives; sgd_reference is sgd_train's loop written plainly over the
-library's initialisation and batch gradients; kl_gaussian is the
+library's initialisation and batch gradients, and vi_reference train_vi's
+over its initialisation and per_sample_elbo_core; kl_gaussian is the
 general two-Gaussian KL over vi._kl_to_prior, and log_loss the mean log
 loss of predictions.
 """
@@ -348,6 +349,30 @@ def sgd_reference(kind: str, data: Dataset, cfg, dims: int = 1, warm_start=None)
             break
         prev = epoch_nll
     return best, trace
+
+
+def vi_reference(kind: str, data: Dataset, cfg, dims: int = 1, warm_start=None) -> tuple[Params, list]:
+    """(params, negative-ELBO trace) of train_vi's loop written plainly.
+
+    The same init_params call; then each epoch draws the ability noise
+    rng.standard_normal((M, S)), then the vec noise when D > 0, takes
+    per_sample_elbo_core's ELBO and gradient, stops on a non-finite ELBO,
+    and steps each tensor by arr += lr * g.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    params = init_params(kind, dims, data.num_students, data.num_questions, data.num_classes, rng, 0.01,
+                         cfg.sigma_init, warm_start)
+    trace = []
+    for epoch in range(1, cfg.epochs + 1):
+        eps_ability = rng.standard_normal((cfg.samples, data.num_students))
+        eps_vec = rng.standard_normal((cfg.samples, *params.vec.shape)) if params.dims else None
+        elbo, grads = per_sample_elbo_core(params, data, eps_ability, eps_vec, want_grads=True)
+        if not np.isfinite(elbo):
+            raise TrainingDiverged(f"non-finite ELBO at epoch {epoch}")
+        trace.append(-elbo)
+        for name, arr in params.tensors().items():
+            arr += cfg.learning_rate * grads[name]
+    return params, trace
 
 
 def elbo_finite_diff_check(params: Params, data: Dataset, M: int, seed: int,

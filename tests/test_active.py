@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irtkit.active import (
-    ActiveConfig,
     make_pool_state,
     run_active_loop,
     select_next,
@@ -138,7 +137,7 @@ class TestMakePoolState:
                                    class_of=data.class_of)
         state = make_pool_state(data, pool_size=10, seed=0)
         assert "s0" in state.base.student_ids
-        result = run_active_loop(state, _loop_config("uncertainty", rounds=2))
+        result = run_active_loop(state, **_loop_config("uncertainty", rounds=2))
         assert np.isfinite(result.overall_accuracy).all()
 
     def test_pool_larger_than_the_answering_students_rejected(self):
@@ -154,40 +153,44 @@ class TestMakePoolState:
 
 
 class TestActiveConfig:
+    """run_active_loop's settings, checked before any fit."""
+
     @pytest.mark.parametrize("field,value", [
         ("batch_size", 0), ("batch_size", 1.5), ("batch_size", float("nan")), ("batch_size", True),
-        ("rounds", -1), ("rounds", 2.0), ("initial_epochs", -3), ("initial_epochs", 0), ("seed", -1), ("seed", 1.5),
+        ("rounds", -1), ("rounds", 2.0), ("initial_epochs", -3), ("initial_epochs", 0),
     ])
     def test_bad_counts_rejected(self, field, value):
+        state = make_pool_state(_small_world()[0], pool_size=10, seed=0)
         with pytest.raises(ValueError, match=rf"{field} must be an integer >= "):
-            ActiveConfig(**{field: value})
+            run_active_loop(state, **{**_loop_config("random", rounds=1), field: value})
 
     def test_zero_rounds_scores_round_zero_only(self):
         state = make_pool_state(_small_world()[0], pool_size=10, seed=0)
-        result = run_active_loop(state, _loop_config("random", rounds=0))
+        result = run_active_loop(state, **_loop_config("random", rounds=0))
         assert result.questions_revealed == [0]
 
 
 def _loop_config(policy, rounds, seed=0, epochs=40, batch_size=1):
-    return ActiveConfig(policy=policy, batch_size=batch_size, rounds=rounds,
-                        retrain=TrainConfig(learning_rate=0.3, epochs=epochs, batch_size=256,
-                                            convergence_tol=0.0),
-                        initial_epochs=60, seed=seed)
+    """run_active_loop's keyword arguments; seed is the retrain schedule's."""
+    return dict(policy=policy, rounds=rounds,
+                retrain=TrainConfig(learning_rate=0.3, epochs=epochs, batch_size=256, convergence_tol=0.0,
+                                    seed=seed),
+                initial_epochs=60, batch_size=batch_size)
 
 
 class TestRunActiveLoop:
     def test_round_zero_identical_across_policies(self):
         data, _ = _small_world()
         state = make_pool_state(data, pool_size=15, seed=3)
-        unc = run_active_loop(state, _loop_config("uncertainty", rounds=2))
-        rnd = run_active_loop(state, _loop_config("random", rounds=2))
+        unc = run_active_loop(state, **_loop_config("uncertainty", rounds=2))
+        rnd = run_active_loop(state, **_loop_config("random", rounds=2))
         assert unc.overall_accuracy[0] == rnd.overall_accuracy[0]
 
     def test_input_state_is_not_mutated(self):
         data, _ = _small_world()
         state = make_pool_state(data, pool_size=10, seed=4)
         before = [arr.copy() for arr in (state.label, state.holdout, state.queryable, state.order)]
-        run_active_loop(state, _loop_config("uncertainty", rounds=3))
+        run_active_loop(state, **_loop_config("uncertainty", rounds=3))
         assert (state.order == -1).all()
         for arr, old in zip((state.label, state.holdout, state.queryable, state.order), before):
             assert np.array_equal(arr, old)
@@ -195,8 +198,8 @@ class TestRunActiveLoop:
     def test_curves_are_bit_reproducible(self):
         data, _ = _small_world()
         state = make_pool_state(data, pool_size=12, seed=5)
-        a = run_active_loop(state, _loop_config("random", rounds=4, seed=9))
-        b = run_active_loop(state, _loop_config("random", rounds=4, seed=9))
+        a = run_active_loop(state, **_loop_config("random", rounds=4, seed=9))
+        b = run_active_loop(state, **_loop_config("random", rounds=4, seed=9))
         assert a.overall_accuracy == b.overall_accuracy
         assert np.array_equal(a.per_student_accuracy, b.per_student_accuracy)
 
@@ -204,7 +207,7 @@ class TestRunActiveLoop:
         data, _ = _small_world()
         state = make_pool_state(data, pool_size=8, holdout_fraction=0.25, seed=6)
         with pytest.warns(UserWarning, match="truncating"):
-            result = run_active_loop(state, _loop_config("uncertainty", rounds=50))
+            result = run_active_loop(state, **_loop_config("uncertainty", rounds=50))
         assert len(result.questions_revealed) <= 11
 
     def test_policies_converge_once_everything_is_revealed(self):
@@ -215,7 +218,7 @@ class TestRunActiveLoop:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 curves[policy] = run_active_loop(
-                    state, _loop_config(policy, rounds=9, epochs=120, seed=11)).overall_accuracy
+                    state, **_loop_config(policy, rounds=9, epochs=120, seed=11)).overall_accuracy
         assert abs(curves["uncertainty"][-1] - curves["random"][-1]) <= 0.002
 
 
@@ -249,7 +252,7 @@ class TestPinnedCurves:
     ])
     def test_curves(self, policy, batch_size, revealed, hits):
         state = self._state()
-        result = run_active_loop(state, _loop_config(policy, rounds=4, seed=9, batch_size=batch_size))
+        result = run_active_loop(state, **_loop_config(policy, rounds=4, seed=9, batch_size=batch_size))
         assert result.questions_revealed == revealed
         assert _holdout_hits(state, result) == hits
 
@@ -268,7 +271,7 @@ class TestPinnedCurves:
         order[0, :3] = prior
         queryable[0, prior] = False
         state = replace(state, order=order, queryable=queryable)
-        result = run_active_loop(state, _loop_config(policy, rounds=3, seed=2, batch_size=batch_size))
+        result = run_active_loop(state, **_loop_config(policy, rounds=3, seed=2, batch_size=batch_size))
         assert result.questions_revealed == revealed
         assert _holdout_hits(state, result) == hits
         assert state.order[0, :4].tolist() == [0, 1, 4, -1]
@@ -276,7 +279,7 @@ class TestPinnedCurves:
     def test_truncation(self):
         state = make_pool_state(_small_world()[0], pool_size=8, holdout_fraction=0.25, seed=6)
         with pytest.warns(UserWarning, match="after 5 rounds; truncating"):
-            result = run_active_loop(state, _loop_config("random", rounds=50, seed=3, batch_size=2))
+            result = run_active_loop(state, **_loop_config("random", rounds=50, seed=3, batch_size=2))
         # 9 hidden answers per student: the last round reveals one
         assert result.questions_revealed == [0, 2, 4, 6, 8, 9]
         assert _holdout_hits(state, result) == ["22231322", "12130223", "12231222", "22231222",
@@ -329,7 +332,7 @@ class TestSparsePool:
         state = self._state()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            result = run_active_loop(state, _loop_config(policy, rounds=rounds, seed=9,
+            result = run_active_loop(state, **_loop_config(policy, rounds=rounds, seed=9,
                                                          batch_size=batch_size))
         assert result.questions_revealed == revealed
         assert _holdout_hits(state, result) == hits
@@ -349,11 +352,10 @@ class TestAbilityBucketReport:
             data, truth = generate_synthetic(SynthConfig(students=150, questions=20, dims=0,
                                                          mean_bq=0.0, std_bq=1.5, seed=seed))
             state = make_pool_state(data, pool_size=60, holdout_fraction=0.3, seed=seed + 50)
-            cfg = ActiveConfig(policy="uncertainty", batch_size=1, rounds=14,
-                               retrain=TrainConfig(learning_rate=0.3, epochs=40, batch_size=256,
-                                                   convergence_tol=0.0),
-                               initial_epochs=50, seed=seed + 90)
-            result = run_active_loop(state, cfg)
+            result = run_active_loop(state, "uncertainty", 14,
+                                     TrainConfig(learning_rate=0.3, epochs=40, batch_size=256,
+                                                 convergence_tol=0.0, seed=seed + 90),
+                                     initial_epochs=50)
             order = {sid: i for i, sid in enumerate(data.student_ids)}
             abilities = np.array([truth["ability"][order[sid]] for sid in state.student_ids])
             edges = [-np.inf, *np.quantile(abilities, [1 / 3, 2 / 3]), np.inf]

@@ -9,12 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irtkit.active import ActiveConfig
 from irtkit.optim import TrainConfig
 from irtkit.synth import SynthConfig
 from irtkit.vi import VIConfig
 
-NUMERIC = [(cls, f.name) for cls in (TrainConfig, VIConfig, SynthConfig, ActiveConfig)
+NUMERIC = [(cls, f.name) for cls in (TrainConfig, VIConfig, SynthConfig)
            for f in fields(cls) if get_type_hints(cls)[f.name] in (int, float, Optional[int])]
 
 VALUES = st.one_of(
@@ -25,7 +24,7 @@ VALUES = st.one_of(
 
 
 def test_every_config_has_numeric_fields():
-    assert {cls for cls, _ in NUMERIC} == {TrainConfig, VIConfig, SynthConfig, ActiveConfig}
+    assert {cls for cls, _ in NUMERIC} == {TrainConfig, VIConfig, SynthConfig}
     assert (SynthConfig, "exam_seed") in NUMERIC and (TrainConfig, "learning_rate") in NUMERIC
 
 

@@ -71,9 +71,9 @@ def test_default_processes_are_the_usable_cores():
     assert resolve_workers() == len(os.sched_getaffinity(0))
 
 
-def _stub_loop(state, cfg):
-    warnings.warn(f"stub {cfg.policy} {cfg.seed}")
-    return ActiveResult(cfg.policy, cfg.seed, [os.getpid()], [0.5],
+def _stub_loop(state, policy, rounds, retrain):
+    warnings.warn(f"stub {policy} {retrain.seed}")
+    return ActiveResult(policy, retrain.seed, [os.getpid()], [0.5],
                         np.full((1, len(state.student_ids)), 0.5))
 
 
@@ -120,10 +120,10 @@ def test_module_filters_act_on_worker_warnings(monkeypatch, n):
 def test_first_failing_unit_reraises_in_the_caller(monkeypatch, first):
     units = ["uncertainty 3000", "random 3000", "uncertainty 3001", "random 3001"]
 
-    def diverge(state, cfg):  # every unit from `first` on fails
-        if units.index(f"{cfg.policy} {cfg.seed}") >= first:
-            raise TrainingDiverged(f"non-finite objective for {cfg.policy} {cfg.seed}")
-        return _stub_loop(state, cfg)
+    def diverge(state, policy, rounds, retrain):  # every unit from `first` on fails
+        if units.index(f"{policy} {retrain.seed}") >= first:
+            raise TrainingDiverged(f"non-finite objective for {policy} {retrain.seed}")
+        return _stub_loop(state, policy, rounds, retrain)
     monkeypatch.setattr(experiments, "run_active_loop", diverge)
     _processes(monkeypatch, 2)  # units 0-1 in the caller, 2-3 in the worker
     with pytest.raises(TrainingDiverged, match=f"^non-finite objective for {units[first]}$"):

@@ -24,7 +24,7 @@ from irtkit.vi import (
 )
 
 from oracles import (elbo_finite_diff_check, exact_elbo_rasch_vi, expected_sigmoid, gradient_instances, kl_gaussian,
-                     log_evidence_rasch, log_loss, mc_kl_estimate, per_sample_elbo_core)
+                     log_evidence_rasch, log_loss, mc_kl_estimate, per_sample_elbo_core, vi_reference)
 
 
 def _tiny_data():
@@ -272,7 +272,44 @@ class TestElboCoreMatchesPerSampleOracle:
                 assert np.max(np.abs(got[name] - want[name])) <= 1e-12 * scale, name
 
 
+@st.composite
+def _vi_fit(draw, kind):
+    """Data, a config, dims and maybe a point warm start, for comparing train_vi with vi_reference.
+
+    S 1-6 students, Q 1-5 questions, C 1-3 classes, D 1-2, 1-30 responses
+    (for class-interaction-vi at most C * Q, the ELBO's row route, where
+    per_sample_elbo_core is exact), 1-3 samples and 0-5 epochs.
+    """
+    S, Q, C, D = (draw(st.integers(1, high)) for high in (6, 5, 3, 2))
+    N = draw(st.integers(1, C * Q if kind == "class-interaction-vi" else 30))
+    column = lambda n: st.lists(st.integers(0, n - 1), min_size=N, max_size=N)
+    data = dataset_from_arrays(draw(column(S)), draw(column(Q)), draw(column(2)),
+                               class_of=draw(st.lists(st.integers(0, C - 1), min_size=S, max_size=S)),
+                               question_ids=[f"q{i}" for i in range(Q)], class_ids=[f"c{i}" for i in range(C)])
+    cfg = VIConfig(samples=draw(st.integers(1, 3)), sigma_init=draw(st.sampled_from([0.3, 0.8])),
+                   learning_rate=draw(st.sampled_from([0.01, 0.1])), epochs=draw(st.integers(0, 5)),
+                   seed=draw(st.integers(0, 2**32 - 1)))
+    warm = None
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        warm = Params(kind=FAMILY[kind], **{name: rng.uniform(-1.0, 1.0, shape)
+                                            for name, (_, shape) in tensor_table(FAMILY[kind], D, S, Q, C).items()})
+    return data, cfg, D, warm
+
+
 class TestTrainVi:
+    @pytest.mark.parametrize("kind", VI_KINDS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_every_epoch_is_the_plain_loops(self, kind, data):
+        """Noise draws, the ELBO kernels and the in-place steps give the plain loop's tensors and trace, bit for bit."""
+        data, cfg, dims, warm = data.draw(_vi_fit(kind))
+        params, report = train_vi(kind, data, cfg, dims=dims, warm_start=warm)
+        want, trace = vi_reference(kind, data, cfg, dims=dims, warm_start=warm)
+        assert [(name, arr.tobytes()) for name, arr in params.tensors().items()] == \
+            [(name, arr.tobytes()) for name, arr in want.tensors().items()]
+        assert np.asarray(report.nll_trace).tobytes() == np.asarray(trace).tobytes()
+
     def test_no_observations_converges_to_prior(self):
         """Students 1 and 2 answer nothing, so only their prior KL moves them: the same
         steps, bit for bit, as when nobody answered, which train_vi refuses."""
@@ -385,6 +422,12 @@ class TestTrainVi:
     def test_config_rejects_sigma_init_not_finite_and_positive(self, sigma):
         with pytest.raises(ValueError, match="sigma_init"):
             VIConfig(sigma_init=sigma)
+
+    def test_config_rejects_sigma_init_whose_inverse_overflows(self):
+        with pytest.raises(ValueError, match=r"^sigma_init must be"):
+            VIConfig(sigma_init=1e-309)
+        _, report = train_vi("rasch-vi", _tiny_data(), VIConfig(sigma_init=1e-308, epochs=2))
+        assert report.epochs_run == 2
 
     @pytest.mark.parametrize("name,value", [
         ("epochs", -3), ("epochs", 2.5), ("samples", 1.5), ("seed", -1), ("seed", 1.5),
