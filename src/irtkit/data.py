@@ -8,8 +8,9 @@ bytes a response). Everything downstream works on the sparse triplet
 layout (student index, question index, outcome).
 
 CSV files are read and written as columns, so no Python object is kept
-per row. A loader first tries the byte path: numpy finds the line ends
-and commas of a block of whole lines, parses the mark columns as ASCII
+per row. A loader first tries the byte path: one numpy scan finds the
+commas and line ends of a block of whole lines in order, and the field
+bounds follow from their positions; it parses the mark columns as ASCII
 digits and looks each id up by its bytes in a direct-mapped hash table
 of the ids met so far, so only ids not met before, or whose slot another
 id holds, become Python strings. Its grammar is a regular file of
@@ -250,7 +251,8 @@ def _load_bytes(path: str, header: list[str], rules, coders) -> tuple[list, int 
     the byte offset and line number of that block, or None for the offset
     when the whole file was read. The four columns are allocated once from
     a line count; the file is then read in blocks of about _READ_BYTES,
-    each cut after its last line end. Only file I/O raises.
+    each cut after its last line end, and `_read_block` counts each
+    block's line ends in its scan. Only file I/O raises.
     """
     columns = [np.empty(0, dtype) for dtype in _COLUMNS]
     if not os.path.isfile(path):   # a pipe can be read only once: by the csv path
@@ -271,12 +273,10 @@ def _load_bytes(path: str, header: list[str], rules, coders) -> tuple[list, int 
             cut = text.rfind(b"\n") + 1 if chunk else len(text)
             text, rest = text[:cut], text[cut:]
             if text:
-                lines = text.count(b"\n")
-                if line - 2 + lines >= size:   # more line ends than were counted: the file grew
+                got = _read_block(np.frombuffer(text, np.uint8), len(header), rules, coders, size - line + 2)
+                if got is None:
                     break
-                block = _read_block(np.frombuffer(text, np.uint8), len(header), rules, coders)
-                if block is None:
-                    break
+                block, lines = got
                 for col, values in zip(out, block):
                     col[n:n + values.size] = values
                 n, at, line = n + values.size, at + len(text), line + lines
@@ -292,27 +292,39 @@ def _line_count(fh) -> int:
     return sum(chunk.count(b"\n") for chunk in iter(partial(fh.read, _READ_BYTES), b"")) + 1
 
 
-def _read_block(b: np.ndarray, width: int, rules, coders) -> list | None:
-    """The four columns of a block of whole lines (the file's last may lack its line end), or None."""
-    nl = np.flatnonzero(b == 10)
+def _read_block(b: np.ndarray, width: int, rules, coders, room: int) -> tuple[list, int] | None:
+    """(columns, line ends) of a block of whole lines (the file's last may lack its line end), or None.
+
+    One scan finds every comma and line end in order: a line's commas are
+    the gap between its line end and the one before, and the separators
+    of the filled lines, reshaped to (records, width), end the fields.
+    None, before any id is coded, for a block outside the grammar or with
+    `room` line ends or more (the file grew after its line count).
+    """
+    sep = np.flatnonzero((b == 44) | (b == 10))
+    ends = np.flatnonzero(b[sep] == 10)   # the line ends' places in sep
     cr = np.flatnonzero(b == 13)
-    if np.count_nonzero(b < 32) != nl.size + cr.size or b.max() > 126 or (b == 34).any():
-        return None   # a byte other than printable ASCII, '\n' and '\r', or a quote
+    if ends.size >= room or np.count_nonzero(b < 32) != ends.size + cr.size or b.max() > 126 or (b == 34).any():
+        return None   # the file grew, or a byte other than printable ASCII, '\n' and '\r', or a quote
     if cr.size and (cr[-1] + 1 == b.size or (b[cr + 1] != 10).any()):
         return None   # a '\r' not directly before a '\n'
-    if not nl.size or nl[-1] != b.size - 1:
-        nl = np.append(nl, b.size)
+    lines = ends.size
+    if not lines or sep[ends[-1]] != b.size - 1:
+        sep, ends = np.append(sep, b.size), np.append(ends, sep.size)
+    nl = sep[ends]
     starts = np.concatenate(([0], nl[:-1] + 1))
     stops = nl - (b[nl - 1] == 13)
     filled = stops > starts   # blank lines are skipped
-    commas = np.flatnonzero(b == 44)
-    if not np.array_equal(np.diff(np.searchsorted(commas, nl), prepend=0), filled * (width - 1)):
+    if not np.array_equal(np.diff(ends, prepend=-1) - 1, filled * (width - 1)):
         return None
-    commas = commas.reshape(-1, width - 1).T
-    lo = np.vstack((starts[filled], commas + 1))   # (width, records) field starts
-    length = np.vstack((commas, stops[filled])) - lo
-    if not lo.shape[1]:
-        return [np.empty(0, dtype) for dtype in _COLUMNS]
+    if not filled.all():
+        sep = np.delete(sep, ends[~filled])
+    stop = sep.reshape(-1, width).T.copy()   # (width, records) field ends: the comma or line end after each
+    if not stop.shape[1]:
+        return [np.empty(0, dtype) for dtype in _COLUMNS], lines
+    stop[-1] = stops[filled]   # before a line end's '\r'
+    lo = np.vstack((starts[filled], stop[:-1] + 1))
+    length = stop - lo
     if length.max() > csv.field_size_limit() or length[:3].max() > _KEY_BYTES:
         return None
     b = np.concatenate((b, np.zeros(_KEY_BYTES, np.uint8)))   # room for the last field's digits and key
@@ -323,7 +335,7 @@ def _read_block(b: np.ndarray, width: int, rules, coders) -> list | None:
     if any(bad.any() for bad, _ in checks):
         return None
     words = np.lib.stride_tricks.sliding_window_view(b, 8).view("<u8")[:, 0]   # the unaligned word at each byte
-    return [codes(words, lo[k], length[k]) for k, codes in enumerate(coders)] + [y]
+    return [codes(words, lo[k], length[k]) for k, codes in enumerate(coders)] + [y], lines
 
 
 def _digits(b: np.ndarray, lo: np.ndarray, length: np.ndarray) -> np.ndarray | None:
@@ -350,9 +362,12 @@ def _key_coder(code):
     table: a key's slot, the top bits of its hash times _GOLDEN, holds the
     entry of one key (entry 0, a key no field has, when empty), and a hit
     is checked against that entry's length and words. A block's other
-    keys (new ones, and ones whose slot another key holds) go through
-    `code` once each, in first-appearance order, and take their slots
-    where empty; a slot that two keys share costs time, never a wrong code.
+    keys (new ones, and ones whose slot another key holds), found by one
+    stable lexsort of their words, go through `code` once each, in
+    first-appearance order. The table first grows if, with them, the
+    entries would fill more than an eighth of its slots; then they take
+    their slots where empty. A slot that two keys share costs time, never
+    a wrong code.
     """
     slots = np.zeros(_FIRST_SLOTS, np.int32)
     words_of, length_of, code_of = np.zeros((1, 1), "<u8"), np.full(1, -1), np.zeros(1, np.int64)   # per entry
@@ -363,33 +378,38 @@ def _key_coder(code):
     def codes(words: np.ndarray, lo: np.ndarray, length: np.ndarray) -> np.ndarray:
         nonlocal slots, words_of, length_of, code_of
         keys = [words[lo + 8 * w] & _LOW_BYTES[w][length] for w in range((int(length.max()) + 7) // 8 or 1)]
-        where = slot(sum(map(operator.mul, keys, _MIX)))
-        entry = slots[where].astype(np.intp)
+        h = sum(map(operator.mul, keys, _MIX))
+        entry = slots[slot(h)].astype(np.intp)
         hit = length_of[entry] == length
         for key, known in zip(keys, words_of):   # an equal length has as many words on both sides
             hit &= known[entry] == key
         out = code_of[entry]
         miss = np.flatnonzero(~hit)
         if miss.size:
-            rows = np.stack([key[miss] for key in keys], axis=1)
-            new, first, inverse = np.unique(rows.view(f"S{rows[0].nbytes}").ravel(), return_index=True,
-                                            return_inverse=True)   # the zero padding drops
+            missed = [key[miss] for key in keys]
+            order = np.lexsort(missed[::-1])   # stable: each key's first miss leads its run
+            new = np.arange(miss.size) == 0   # where the sorted words change; field bytes are non-zero, so texts do
+            for key in missed:
+                key = key[order]
+                new[1:] |= key[1:] != key[:-1]
+            first = order[new]   # each key's first miss, in key order
             appear = np.argsort(first)
-            new_codes = np.empty(new.size, np.int64)
-            new_codes[appear] = code(new[appear].astype(str).tolist())
-            out[miss] = new_codes[inverse]
-            put = miss[first]
-            put = put[slots[where[put]] == 0]
-            if put.size:
-                put = put[np.unique(where[put], return_index=True)[1]]   # one key a slot
-                width = max(len(words_of), len(keys))
-                added = np.stack([key[put] for key in keys])
-                words_of = np.hstack([np.pad(w, ((0, width - len(w)), (0, 0))) for w in (words_of, added)])
-                length_of, code_of = np.append(length_of, length[put]), np.append(code_of, out[put])
-                slots[where[put]] = np.arange(code_of.size - put.size, code_of.size)
-                if 8 * code_of.size > slots.size:
-                    slots = np.zeros(1 << (8 * code_of.size - 1).bit_length(), np.int32)
-                    slots[slot(sum(map(operator.mul, words_of[:, 1:], _MIX)))] = np.arange(1, code_of.size)
+            rows = np.stack([key[first[appear]] for key in missed], axis=1)
+            fresh = np.empty(first.size, np.int64)
+            fresh[appear] = code(list(map(bytes.decode, rows.view(f"S{rows[0].nbytes}").ravel().tolist())))
+            out[miss[order]] = fresh[np.cumsum(new) - 1]
+            put = miss[first[appear]]   # each key's first miss, in first-appearance order
+            if 8 * (code_of.size + put.size) > slots.size:   # grown first, so that a block of new keys finds room
+                slots = np.zeros(1 << (8 * (code_of.size + put.size) - 1).bit_length(), np.int32)
+                slots[slot(sum(map(operator.mul, words_of[:, 1:], _MIX)))] = np.arange(1, code_of.size)
+            at = slot(h[put])
+            put, at = put[slots[at] == 0], at[slots[at] == 0]
+            one = np.unique(at, return_index=True)[1]   # one key a slot, the first to appear
+            put, at, n = put[one], at[one], code_of.size
+            grown = np.zeros((max(len(words_of), len(keys)), n + put.size), "<u8")
+            grown[:len(words_of), :n], grown[:len(keys), n:] = words_of, [key[put] for key in keys]
+            words_of, length_of, code_of = grown, np.append(length_of, length[put]), np.append(code_of, out[put])
+            slots[at] = np.arange(n, code_of.size)
         return out
 
     return codes

@@ -60,8 +60,9 @@ class VIConfig:
             require_count(name, getattr(self, name), low)
         for name in ("sigma_init", "learning_rate"):
             require_positive(name, getattr(self, name))
-        if 1 / self.sigma_init == np.inf:   # the sigma gradient's 1 / sigma would overflow
-            raise ValueError(f"sigma_init must be above about 5.56e-309 (1/sigma_init finite), got {self.sigma_init!r}")
+        if 1 / self.sigma_init == np.inf or self.sigma_init > np.sqrt(np.finfo(np.float64).max):
+            raise ValueError("sigma_init must be between about 5.56e-309 and 1.34e154 (1/sigma_init, which the sigma "
+                             f"gradient takes, and sigma_init**2, which the KL takes, finite), got {self.sigma_init!r}")
 
 
 def _draw_eps(params: Params, M: int, rng):
@@ -168,8 +169,9 @@ def train_vi(kind: str, data: Dataset, cfg: VIConfig, dims: int = 1, warm_start=
         for epoch in range(1, cfg.epochs + 1):
             eps_ability, eps_vec = _draw_eps(params, cfg.samples, rng)
             elbo, grads = _elbo_core(params, responses, eps_ability, eps_vec, want_grads=True)
-            if not np.isfinite(elbo):
-                raise TrainingDiverged(f"non-finite ELBO at epoch {epoch} (learning rate too high?)")
+            if not np.isfinite(elbo):   # epoch 1 scores the initial parameters, before any step
+                cause = "learning rate too high?" if epoch > 1 else "initial parameters: sigma_init or warm start too large?"
+                raise TrainingDiverged(f"non-finite ELBO at epoch {epoch} ({cause})")
             trace.append(-elbo)
             for name, g in grads.items():
                 getattr(params, name)[...] += cfg.learning_rate * g

@@ -356,8 +356,9 @@ def vi_reference(kind: str, data: Dataset, cfg, dims: int = 1, warm_start=None) 
 
     The same init_params call; then each epoch draws the ability noise
     rng.standard_normal((M, S)), then the vec noise when D > 0, takes
-    per_sample_elbo_core's ELBO and gradient, stops on a non-finite ELBO,
-    and steps each tensor by arr += lr * g.
+    per_sample_elbo_core's ELBO and gradient, stops on a non-finite ELBO
+    (at epoch 1, before any step, blaming the initial parameters), and
+    steps each tensor by arr += lr * g.
     """
     rng = np.random.default_rng(cfg.seed)
     params = init_params(kind, dims, data.num_students, data.num_questions, data.num_classes, rng, 0.01,
@@ -368,7 +369,8 @@ def vi_reference(kind: str, data: Dataset, cfg, dims: int = 1, warm_start=None) 
         eps_vec = rng.standard_normal((cfg.samples, *params.vec.shape)) if params.dims else None
         elbo, grads = per_sample_elbo_core(params, data, eps_ability, eps_vec, want_grads=True)
         if not np.isfinite(elbo):
-            raise TrainingDiverged(f"non-finite ELBO at epoch {epoch}")
+            cause = "learning rate too high?" if epoch > 1 else "initial parameters: sigma_init or warm start too large?"
+            raise TrainingDiverged(f"non-finite ELBO at epoch {epoch} ({cause})")
         trace.append(-elbo)
         for name, arr in params.tensors().items():
             arr += cfg.learning_rate * grads[name]

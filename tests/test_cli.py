@@ -424,6 +424,14 @@ class TestPipeline:
         assert err.startswith("error: sigma_init must be ") and err.count("\n") == 1, err
         assert not os.path.exists("v.json")
 
+    def test_sigma_init_whose_square_overflows_is_a_named_error(self, workdir, capsys):
+        run_cli(capsys, *_synth_args("data.csv"))
+        code, out, err = run_cli(capsys, "train-vi", "--data", "data.csv", "--model", "rasch-vi",
+                                 "--sigma-init", "1e200", "--epochs", "3", "--out", "v.json")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: sigma_init must be ") and err.count("\n") == 1, err
+        assert not os.path.exists("v.json")
+
     def test_warm_start_manifest_records_checkpoint_dims(self, workdir, capsys):
         run_cli(capsys, *_synth_args("data.csv"))
         assert run_cli(capsys, "train", "--data", "data.csv", "--model", "class-interaction",

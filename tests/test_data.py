@@ -1012,7 +1012,9 @@ def _many_keys_csv(draw):
     """A quote-free raw or binary file whose student ids outnumber a coder's first table's slots.
 
     Ids have 0-64 bytes, edge spaces included; some share all their key
-    words but the last byte; class fields may be blank.
+    words but the last byte; class fields may be blank. Rows come shuffled,
+    or grouped by student, where every block's keys are new: the coder's
+    miss path at its busiest.
     """
     stems = draw(st.lists(st.integers(1, 8).map(lambda words: "s" * (8 * words - 1)), min_size=1, max_size=3))
     near = [stem + last for stem in stems for last in draw(st.lists(_KEY_TEXT, min_size=2, max_size=4, unique=True))]
@@ -1021,7 +1023,8 @@ def _many_keys_csv(draw):
     questions = draw(st.lists(st.text(_KEY_TEXT, max_size=64), min_size=1, max_size=4, unique=True))
     classes = draw(st.lists(st.text(_KEY_TEXT, max_size=9), min_size=1, max_size=3, unique=True)) + [""]
     raw = draw(st.booleans())
-    order = draw(st.permutations(students * 2))
+    grouped = st.permutations(students).map(lambda drawn: [s for s in drawn for _ in range(2)])
+    order = draw(st.one_of(st.permutations(students * 2), grouped))
     records = [",".join([s, draw(st.sampled_from(questions)), draw(st.sampled_from(classes)),
                          *(["1", "2"] if raw else ["1"])]) for s in order]
     return raw, (RAW_HEADER if raw else _BINARY_HEADER) + "\n".join(records) + "\n"

@@ -429,6 +429,26 @@ class TestTrainVi:
         _, report = train_vi("rasch-vi", _tiny_data(), VIConfig(sigma_init=1e-308, epochs=2))
         assert report.epochs_run == 2
 
+    @pytest.mark.parametrize("sigma", [1e160, 1e200, 1e308])
+    def test_config_rejects_sigma_init_whose_square_overflows(self, sigma):
+        with pytest.raises(ValueError, match=r"^sigma_init must be"):
+            VIConfig(sigma_init=sigma)
+        _, report = train_vi("rasch-vi", _tiny_data(), VIConfig(sigma_init=1e150, epochs=2))
+        assert report.epochs_run == 2
+
+    def test_an_epoch_1_overflow_blames_the_initial_parameters(self):
+        """sigma_init**2 is finite, but 400 of them overflow the KL sum before any step is taken."""
+        students = 400
+        data = dataset_from_arrays(np.arange(students), np.zeros(students, dtype=np.int64), np.ones(students),
+                                   class_of=np.zeros(students, dtype=np.int64))
+        cfg = VIConfig(sigma_init=1e153, epochs=2)
+        message = r"^non-finite ELBO at epoch 1 \(initial parameters: sigma_init or warm start too large\?\)$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for fit in (train_vi, vi_reference):
+                with pytest.raises(TrainingDiverged, match=message):
+                    fit("rasch-vi", data, cfg)
+
     @pytest.mark.parametrize("name,value", [
         ("epochs", -3), ("epochs", 2.5), ("samples", 1.5), ("seed", -1), ("seed", 1.5),
     ])
