@@ -11,8 +11,8 @@ class_of). The variational twins (kinds ending in "-vi") hold the same
 tensors as means, plus transformed standard deviations (rhos) on the
 student side. The one container, Params, carries its kind, which fixes
 the tensors it holds (checked once, on construction). One container, one
-logits kernel, one gradient scatter and one plug-in predictor serve all
-six kinds.
+logits kernel, one gradient formula (row_terms) and one plug-in
+predictor serve all six kinds.
 Full-data ELBO evaluations of class kinds with fewer (class, question)
 cells than responses take the cell route (class_cells): easiness + vec .
 demand depends only on the cell, so it is scored per cell and no
@@ -232,6 +232,30 @@ def question_rows(params: Params, q_idx):
     return params.easiness[q_idx], _take_rows(params.demand, q_idx) if params.dims else None
 
 
+def row_terms(params: Params, s_idx, q_idx, w, gathered, eps=None):
+    """The row-route gradient of sum_n w[n] * z[n], one term at a time: (tensor name, part, rows, weights).
+
+    A term adds weights[n] to row rows[n] of tensor[part] (the whole of a
+    1-D tensor, a column of a 2-D one); a tensor's gradient sums its terms.
+    gathered and eps are as grad_scatter takes them. grad_scatter sums the
+    terms by bincount, and optim.sgd_train's step scatters them by np.add.at.
+    """
+    yield "ability", ..., s_idx, w
+    yield "easiness", ..., q_idx, w
+    if eps is not None:
+        yield "ability_rho", ..., s_idx, w * eps[0][s_idx]
+    if gathered is None:
+        return
+    rows, own, dem = gathered
+    eps_own = None if eps is None else _take_rows(eps[1], rows)
+    for d in range(own.shape[1]):
+        w_dem, col = w * dem[:, d], (slice(None), d)
+        yield "vec", col, rows, w_dem
+        yield "demand", col, q_idx, w * own[:, d]
+        if eps is not None:
+            yield "vec_rho", col, rows, w_dem * eps_own[:, d]
+
+
 def grad_scatter(params: Params, s_idx, q_idx, w, gathered, eps=None) -> dict:
     """Gradient of sum_n w[n] * z[n] w.r.t. every tensor of params, by name.
 
@@ -242,33 +266,22 @@ def grad_scatter(params: Params, s_idx, q_idx, w, gathered, eps=None) -> dict:
     the cell route easiness comes from the per-cell residual table, and
     each sigma gradient is its mean gradient times its (per-row) eps.
     """
-    S, Q = params.ability.shape[0], params.easiness.shape[0]
-    g = {"ability": np.bincount(s_idx, weights=w, minlength=S)}
     if isinstance(gathered, np.ndarray):  # the cell route: residual sums per (vec row, question) cell
+        Q = params.easiness.shape[0]
         W = np.bincount(gathered, weights=w, minlength=len(params.vec) * Q).reshape(len(params.vec), Q)
-        g["easiness"] = W.sum(axis=0)
+        g = {"ability": np.bincount(s_idx, weights=w, minlength=params.ability.shape[0]), "easiness": W.sum(axis=0)}
         if eps is not None:
             g["ability_rho"] = g["ability"] * eps[0]
         g["vec"], g["demand"] = W @ params.demand, W.T @ params.vec
         if eps is not None:
             g["vec_rho"] = g["vec"] * eps[1]
         return g
-    g["easiness"] = np.bincount(q_idx, weights=w, minlength=Q)
-    if eps is not None:
-        g["ability_rho"] = np.bincount(s_idx, weights=w * eps[0][s_idx], minlength=S)
-    if gathered is None:
-        return g
-    R = params.vec.shape[0]
-    rows, own, dem = gathered
-    g["vec"], g["demand"] = np.empty_like(params.vec), np.empty_like(params.demand)
-    if eps is not None:
-        g["vec_rho"], eps_own = np.empty_like(params.vec), _take_rows(eps[1], rows)
-    for d in range(params.dims):
-        w_dem = w * dem[:, d]
-        g["vec"][:, d] = np.bincount(rows, weights=w_dem, minlength=R)
-        g["demand"][:, d] = np.bincount(q_idx, weights=w * own[:, d], minlength=Q)
-        if eps is not None:
-            g["vec_rho"][:, d] = np.bincount(rows, weights=w_dem * eps_own[:, d], minlength=R)
+    g = {}
+    for name, part, idx, weights in row_terms(params, s_idx, q_idx, w, gathered, eps):
+        like = getattr(params, name.removesuffix("_rho"))
+        if name not in g:
+            g[name] = np.empty_like(like)
+        g[name][part] = np.bincount(idx, weights=weights, minlength=len(like))
     return g
 
 

@@ -4,6 +4,9 @@ The objective is the Bernoulli negative log-likelihood summed over
 observed responses, computed in the cancellation-free form
 log(1 + e^z) - y*z per observation. Gradients are analytic (residual
 form sigma(z) - y); the test suite checks them against central differences.
+SGD's L2 decay is one scale shared by every tensor (the scaling trick of
+Shalev-Shwartz et al., "Pegasos", ICML 2007, and Bottou, "Stochastic
+Gradient Descent Tricks", 2012), so no batch step passes over every student.
 """
 
 from __future__ import annotations
@@ -13,13 +16,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset
-from .models import (FAMILY, POINT_KINDS, Params, check_shapes, grad_scatter, inv_softplus, logits,
-                     require_count, require_nonnegative, require_positive, sigmoid, softplus, tensor_table,
-                     vec_rows)
+from .models import (FAMILY, POINT_KINDS, Params, check_shapes, inv_softplus, logits, question_rows,
+                     require_count, require_nonnegative, require_positive, row_terms, sigmoid, softplus,
+                     tensor_table, vec_rows)
 
 # Rows per nll chunk: its float64 temporaries are 64 KB each, below glibc's
 # mmap threshold, so they come from the heap whatever its history.
 _NLL_CHUNK = 8192
+_SCALE_MIN = 2.0 ** -20   # sgd_train folds its shared L2 scale into the tensors before it drops below this
 
 
 class TrainingDiverged(RuntimeError):
@@ -99,21 +103,23 @@ def nll(params, data: Dataset) -> float:
     return float(np.sum(loss))
 
 
-def _grad_arrays(params, s_idx, q_idx, y, class_of) -> dict:
-    """Sum-over-batch gradient of the NLL; residual r = sigma(z) - y."""
-    z, gathered = logits(params, s_idx, q_idx, vec_rows(params.kind, s_idx, class_of))
-    return grad_scatter(params, s_idx, q_idx, sigmoid(z) - y, gathered)
-
-
 def sgd_train(kind: str, data: Dataset, cfg: TrainConfig, dims: int = 1, warm_start=None):
     """Shuffled mini-batch SGD on the summed NLL; returns best-NLL params seen.
 
     Parameters start at Normal(0, init_scale^2) draws unless warm_start
     supplies a container of the same kind and dims; rasch ignores dims.
-    Each batch update subtracts
-    learning_rate times the batch gradient (including the l2 term).
-    Training stops early once the relative epoch-to-epoch NLL change
-    drops below convergence_tol. Deterministic given cfg.seed.
+    Each batch step multiplies every tensor by 1 - learning_rate *
+    l2_penalty and subtracts learning_rate times the batch's NLL gradient,
+    through one scale shared by the tensors (held = scale * stored): the
+    batch multiplies the scale by that factor and adds, by np.add.at, its
+    models.row_terms to only the stored rows its responses touch. A batch
+    that would take the scale below _SCALE_MIN (zero or negative included)
+    first folds it into the stored values and steps at scale 1; each epoch
+    ends with a fold, before its NLL, the divergence check and the best
+    copy. Training stops early once the relative epoch-to-epoch NLL change
+    drops below convergence_tol. A non-finite NLL, of the initial
+    parameters (epoch 0) or after an epoch, raises TrainingDiverged.
+    Deterministic given cfg.seed.
     """
     if data.n_responses == 0:
         raise ValueError("training data must be non-empty")
@@ -123,13 +129,6 @@ def sgd_train(kind: str, data: Dataset, cfg: TrainConfig, dims: int = 1, warm_st
     params = init_params(kind, dims, data.num_students, data.num_questions, data.num_classes, rng,
                          cfg.init_scale, warm_start=warm_start)
 
-    n, size = data.n_responses, cfg.batch_size
-    initial_nll = nll(params, data)
-    best_nll = initial_nll
-    best = copy_params(params)
-    trace: list[float] = []
-    prev = initial_nll
-
     # Each epoch packs every row into one int64 code, (student << b |
     # question) << 1 | y, and shuffles the codes in place: Generator.shuffle
     # makes the swaps of the rng.permutation(n) it stands for, so the batches
@@ -137,18 +136,24 @@ def sgd_train(kind: str, data: Dataset, cfg: TrainConfig, dims: int = 1, warm_st
     # one response-length array they hold (gathering a chunk at a time took
     # a tenth longer, its random reads missing the caches). The codes are
     # freed before nll makes its own. The tensors are views into one flat
-    # array, so each L2 step, arr -= lr * (grad + l2 * arr), runs over all
-    # of them at once through one buffer, operation by operation.
+    # array, so a fold is one multiply.
+    n, size, lr = data.n_responses, cfg.batch_size, cfg.learning_rate
+    decay = 1.0 - lr * cfg.l2_penalty
     b = max(data.num_questions - 1, 0).bit_length()   # bits of a question code
     q_mask = (1 << b) - 1
     flat = np.concatenate([arr.ravel() for arr in params.tensors().values()])
-    buf = np.empty_like(flat)
-    held, step, at = {}, {}, 0
+    held, at = {}, 0
     for name, arr in params.tensors().items():
-        held[name], step[name] = (whole[at:at + arr.size].reshape(arr.shape) for whole in (flat, buf))
+        held[name] = flat[at:at + arr.size].reshape(arr.shape)
         at += arr.size
     params = replace(params, **held)
+    scale, trace = 1.0, []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):   # a non-finite NLL raises TrainingDiverged
+        best_nll = prev = nll(params, data)
+        if not np.isfinite(best_nll):
+            raise TrainingDiverged("non-finite training NLL at epoch 0 "
+                                   "(initial parameters: init_scale or warm start too large?)")
+        best = copy_params(params)
         for epoch in range(1, cfg.epochs + 1):
             code = np.left_shift(data.student_idx, b)
             code |= data.question_idx
@@ -157,23 +162,34 @@ def sgd_train(kind: str, data: Dataset, cfg: TrainConfig, dims: int = 1, warm_st
             rng.shuffle(code)
             for lo in range(0, n, size):
                 c = code[lo:lo + size]
-                g = _grad_arrays(params, c >> (b + 1), (c >> 1) & q_mask, c & 1, data.class_of)
-                np.multiply(flat, cfg.l2_penalty, out=buf)
-                for name, grad in g.items():
-                    step[name] += grad
-                buf *= cfg.learning_rate
-                flat -= buf
+                s_idx, q_idx = c >> (b + 1), (c >> 1) & q_mask
+                # the logit at the held values: scale * (ability + easiness + vec . (scale * demand))
+                ease, dem = question_rows(params, q_idx)
+                if dem is not None:
+                    dem *= scale
+                z, gathered = logits(params, s_idx, q_idx, vec_rows(kind, s_idx, data.class_of), (ease, dem))
+                z *= scale
+                if gathered is not None:   # the vec rows at their held values, for the demand term
+                    np.multiply(gathered[1], scale, out=gathered[1])
+                scale *= decay
+                if not scale >= _SCALE_MIN:
+                    flat *= scale
+                    scale = 1.0
+                w = sigmoid(z) - (c & 1)
+                w *= -lr / scale
+                for name, part, idx, weights in row_terms(params, s_idx, q_idx, w, gathered):
+                    np.add.at(getattr(params, name)[part], idx, weights)
+            flat *= scale
+            scale = 1.0
             del code, c   # freed before nll
             epoch_nll = nll(params, data)
             if not np.isfinite(epoch_nll):
                 raise TrainingDiverged(f"non-finite training NLL at epoch {epoch} (learning rate too high?)")
             trace.append(epoch_nll)
             if epoch_nll < best_nll:
-                best_nll = epoch_nll
-                best = copy_params(params)
+                best_nll, best = epoch_nll, copy_params(params)
             if abs(epoch_nll - prev) <= cfg.convergence_tol * max(abs(prev), 1e-12):
                 break
             prev = epoch_nll
 
-    assert best_nll <= initial_nll
     return best, TrainReport(final_nll=best_nll, epochs_run=len(trace), nll_trace=trace)

@@ -11,10 +11,11 @@ Dataset of rows or the error naming their first offending row.
 
 The checkers are the exception: no run of the library calls them, and
 they call the library. finite_diff_check and elbo_finite_diff_check
-compare its analytic gradients (the NLL's through optim._grad_arrays,
-the step sgd_train takes) with central differences of its own
-objectives; sgd_reference is sgd_train's loop written plainly over the
-library's initialisation and batch gradients, and vi_reference train_vi's
+compare its analytic gradients (the NLL's through models.grad_scatter,
+whose row terms are the ones sgd_train's step scatters) with central
+differences of its own objectives; sgd_reference is sgd_train's loop
+written plainly over the library's initialisation and logits, with the
+plain L2 step as its dense variant, and vi_reference train_vi's
 over its initialisation and per_sample_elbo_core; kl_gaussian is the
 general two-Gaussian KL over vi._kl_to_prior, and log_loss the mean log
 loss of predictions.
@@ -31,8 +32,8 @@ from hypothesis import strategies as st
 from scipy.special import expit, logsumexp
 
 from irtkit.data import Dataset, Responses, dataset_from_arrays
-from irtkit.models import FAMILY, Params, logits, softplus, tensor_table, vec_rows
-from irtkit.optim import TrainingDiverged, _grad_arrays, copy_params, init_params, nll
+from irtkit.models import Params, grad_scatter, logits, sigmoid, softplus, tensor_table, vec_rows
+from irtkit.optim import _SCALE_MIN, TrainingDiverged, copy_params, init_params, nll
 from irtkit.vi import _kl_to_prior, elbo_mc
 
 # Ids a CSV round trip must keep: commas, quotes, CR/LF and non-ASCII text, with no edge space for strip().
@@ -284,11 +285,17 @@ def central_difference_error(objective, params, grads: dict, epsilon: float) -> 
     return worst
 
 
+def _nll_grads(params, s_idx, q_idx, y, class_of) -> dict:
+    """Sum-over-batch gradient of the NLL through models.grad_scatter; residual r = sigma(z) - y."""
+    z, gathered = logits(params, s_idx, q_idx, vec_rows(params.kind, s_idx, class_of))
+    return grad_scatter(params, s_idx, q_idx, sigmoid(z) - y, gathered)
+
+
 def grad_nll(params, batch: Dataset, l2_penalty: float = 0.0) -> Params:
     """Analytic gradient of the batch NLL, plus l2_penalty * param per tensor."""
     if batch.n_responses == 0:
         raise ValueError("batch must be non-empty")
-    g = _grad_arrays(params, batch.student_idx, batch.question_idx, batch.y, batch.class_of)
+    g = _nll_grads(params, batch.student_idx, batch.question_idx, batch.y, batch.class_of)
     if l2_penalty:
         for name, arr in g.items():
             arr += l2_penalty * getattr(params, name)
@@ -312,42 +319,79 @@ def finite_diff_check(params, data: Dataset, epsilon: float = 1e-5,
                                     epsilon)
 
 
-def sgd_reference(kind: str, data: Dataset, cfg, dims: int = 1, warm_start=None) -> tuple[Params, list]:
+def sgd_reference(kind: str, data: Dataset, cfg, dims: int = 1, warm_start=None,
+                  dense: bool = False) -> tuple[Params, list]:
     """(best params, NLL trace) of sgd_train's loop written plainly.
 
     Each epoch gathers the three response columns through
-    rng.permutation(n), then each batch steps every tensor by
-    arr -= lr * (grad + l2 * arr); the NLL is the one-shot sum over every
-    row, and the best copy, divergence check and stop rule are sgd_train's.
+    rng.permutation(n). Each batch then takes sgd_train's scaled step: the
+    tensors are scale * their stored values; the scale is multiplied by
+    1 - lr * l2 and, once below optim._SCALE_MIN, folded into the stored
+    values (scale 1 again); and each response of the batch, one at a time,
+    adds its residual sigmoid(z) - y at the old scale's logit, times
+    -lr / scale, to its stored ability and easiness, times its question's
+    demand row to its vec row and times its vec row to its question's
+    demand row, each row at its value before the step. An epoch ends with
+    a fold. With dense=True each batch steps every tensor by
+    arr -= lr * (grad + l2 * arr) instead, the plain L2 step, which the
+    scaled one equals only to rounding. The NLL is the one-shot sum over
+    every row, and the best copy, divergence checks and stop rule are
+    sgd_train's.
     """
     rng = np.random.default_rng(cfg.seed)
     params = init_params(kind, dims, data.num_students, data.num_questions, data.num_classes, rng,
                          cfg.init_scale, warm_start=warm_start)
+    lr, decay, scale, D = cfg.learning_rate, 1.0 - cfg.learning_rate * cfg.l2_penalty, 1.0, params.dims
 
     def objective():
         z = logits(params, data.student_idx, data.question_idx,
                    vec_rows(kind, data.student_idx, data.class_of))[0]
         return float(np.sum(softplus(z) - data.y * z))
 
-    best_nll = prev = objective()
-    best, trace = copy_params(params), []
-    for epoch in range(1, cfg.epochs + 1):
-        perm = rng.permutation(data.n_responses)
-        s_idx, q_idx, y = data.student_idx[perm], data.question_idx[perm], data.y[perm]
-        for lo in range(0, data.n_responses, cfg.batch_size):
-            batch = slice(lo, lo + cfg.batch_size)
-            g = _grad_arrays(params, s_idx[batch], q_idx[batch], y[batch], data.class_of)
-            for name, arr in params.tensors().items():
-                arr -= cfg.learning_rate * (g[name] + cfg.l2_penalty * arr)
-        epoch_nll = objective()
-        if not np.isfinite(epoch_nll):
-            raise TrainingDiverged(f"non-finite training NLL at epoch {epoch}")
-        trace.append(epoch_nll)
-        if epoch_nll < best_nll:
-            best_nll, best = epoch_nll, copy_params(params)
-        if abs(epoch_nll - prev) <= cfg.convergence_tol * max(abs(prev), 1e-12):
-            break
-        prev = epoch_nll
+    def fold():
+        for arr in params.tensors().values():
+            arr *= scale
+        return 1.0
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        best_nll = prev = objective()
+        if not np.isfinite(best_nll):
+            raise TrainingDiverged("non-finite training NLL at epoch 0 "
+                                   "(initial parameters: init_scale or warm start too large?)")
+        best, trace = copy_params(params), []
+        for epoch in range(1, cfg.epochs + 1):
+            perm = rng.permutation(data.n_responses)
+            s_idx, q_idx, y = data.student_idx[perm], data.question_idx[perm], data.y[perm]
+            for lo in range(0, data.n_responses, cfg.batch_size):
+                s, q, yb = (col[lo:lo + cfg.batch_size] for col in (s_idx, q_idx, y))
+                rows = vec_rows(kind, s, data.class_of)
+                if dense:
+                    g = _nll_grads(params, s, q, yb, data.class_of)
+                    for name, arr in params.tensors().items():
+                        arr -= lr * (g[name] + cfg.l2_penalty * arr)
+                    continue
+                own, dem = (scale * params.vec[rows], scale * params.demand[q]) if D else (None, None)
+                z = scale * logits(params, s, q, rows, (params.easiness[q], dem))[0]
+                scale *= decay
+                if not scale >= _SCALE_MIN:
+                    scale = fold()
+                w = (sigmoid(z) - yb) * (-lr / scale)
+                for n in range(len(s)):
+                    params.ability[s[n]] += w[n]
+                    params.easiness[q[n]] += w[n]
+                    for d in range(D):
+                        params.vec[rows[n], d] += w[n] * dem[n, d]
+                        params.demand[q[n], d] += w[n] * own[n, d]
+            scale = fold()
+            epoch_nll = objective()
+            if not np.isfinite(epoch_nll):
+                raise TrainingDiverged(f"non-finite training NLL at epoch {epoch} (learning rate too high?)")
+            trace.append(epoch_nll)
+            if epoch_nll < best_nll:
+                best_nll, best = epoch_nll, copy_params(params)
+            if abs(epoch_nll - prev) <= cfg.convergence_tol * max(abs(prev), 1e-12):
+                break
+            prev = epoch_nll
     return best, trace
 
 

@@ -3,13 +3,19 @@
 import argparse
 import csv
 import hashlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import irtkit
 from irtkit.cli import build_parser, dispatch
@@ -668,16 +674,55 @@ def test_module_entry_point_runs_the_cli(tmp_path):
 
 
 @pytest.mark.parametrize("argv, error", [
-    (["train", "--model", "rasch", "--lr", "1e300"], "non-finite training NLL at epoch 1"),
-    (["train-vi", "--model", "interaction-vi", "--lr", "1e12", "--epochs", "5"], "non-finite ELBO at epoch 2"),
-], ids=["train", "train-vi"])
+    (["train", "--model", "rasch", "--lr", "1e300"], "non-finite training NLL at epoch 1 (learning rate too high?)"),
+    (["train", "--model", "interaction", "--epochs", "0", "--init-scale", "1e308"],
+     "non-finite training NLL at epoch 0 (initial parameters: init_scale or warm start too large?)"),
+    (["train-vi", "--model", "interaction-vi", "--lr", "1e12", "--epochs", "5"],
+     "non-finite ELBO at epoch 2 (learning rate too high?)"),
+], ids=["train", "train-initial", "train-vi"])
 def test_a_diverging_fit_prints_only_its_error_line(tmp_path, monkeypatch, capsys, argv, error):
     monkeypatch.chdir(tmp_path)
     assert run_cli(capsys, *_synth_args("data.csv", students="300"))[0] == 0
     done = _python(tmp_path, "-W", "always", "-m", "irtkit", argv[0], "--data", "data.csv", *argv[1:],
                    "--out", "m.json")
     assert done.returncode == 1
-    assert done.stderr == f"error: {error} (learning rate too high?)\n"
+    assert done.stderr == f"error: {error}\n"
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.fixture(scope="module")
+def tiny_synth(tmp_path_factory):
+    """A folder holding a 60 x 6 synth file, data.csv."""
+    folder = tmp_path_factory.mktemp("tiny")
+    assert dispatch(_synth_args(str(folder / "data.csv"), students="60", questions="6", classes="2")) == 0
+    return folder
+
+
+_EDGES = ("0", "-1", "nan", "inf", "1e-309", "1e308")
+
+
+@settings(max_examples=60, deadline=None)
+@given(lr=st.sampled_from(_EDGES + ("0.1",)), l2=st.sampled_from(_EDGES + ("1e-4",)),
+       init_scale=st.sampled_from(_EDGES + ("0.01",)), epochs=st.integers(0, 2))
+def test_train_exits_0_or_1_with_one_error_line(tiny_synth, lr, l2, init_scale, epochs):
+    """Any --lr, --l2 and --init-scale, ordinary or edge: exit 0 with a checkpoint, or exit 1 with one
+    `error:` line and no checkpoint; numpy warns of nothing either way."""
+    out = tiny_synth / "m.json"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    try:
+        with warnings.catch_warnings(record=True) as caught, redirect_stdout(stdout), redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            code = dispatch(["train", "--data", str(tiny_synth / "data.csv"), "--model", "interaction", "--lr", lr,
+                             "--l2", l2, "--init-scale", init_scale, "--epochs", str(epochs), "--out", str(out)])
+        assert not caught, [str(w.message) for w in caught]
+        if code == 0:
+            assert out.exists() and stderr.getvalue() == ""
+        else:
+            assert code == 1 and stdout.getvalue() == "" and not out.exists()
+            assert re.fullmatch(r"error: \S[^\n]*\n", stderr.getvalue()), stderr.getvalue()
+    finally:
+        for path in tiny_synth.glob("m.json*"):
+            path.unlink()
 
 
 _INGEST_TRAIN_EVAL = """

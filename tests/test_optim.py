@@ -3,6 +3,7 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -150,6 +151,10 @@ def sgd_instances(draw):
     responses, batches of 1-7 that often leave a short last one, and nll
     chunks (the patched _NLL_CHUNK) of 1-16 rows; warm starts hold exact
     -0.0 entries, and a convergence_tol up to 0.05 stops some fits early.
+    l2 is 0, 0.01, or such that lr * l2 is 0.5 (the shared scale halves
+    each batch, and a fit of 21 or more batches an epoch folds it mid-epoch),
+    1 or 1.5 (the factor 1 - lr * l2 is about 0 or negative, and every batch
+    folds).
     """
     kind = draw(st.sampled_from(POINT_KINDS))
     S, Q, C, D = (draw(st.integers(1, high)) for high in (6, 6, 3, 2))
@@ -158,9 +163,11 @@ def sgd_instances(draw):
     data = dataset_from_arrays(draw(column(S)), draw(column(Q)), draw(column(2)),
                                class_of=draw(st.lists(st.integers(0, C - 1), min_size=S, max_size=S)),
                                question_ids=[f"q{i}" for i in range(Q)], class_ids=[f"c{i}" for i in range(C)])
-    cfg = TrainConfig(learning_rate=draw(st.sampled_from([0.05, 0.3])), epochs=draw(st.integers(1, 6)),
-                      batch_size=draw(st.integers(1, 7)), l2_penalty=draw(st.sampled_from([0.0, 0.01])),
-                      seed=draw(st.integers(0, 2**32 - 1)), init_scale=draw(st.sampled_from([0.0, 0.1])),
+    lr = draw(st.sampled_from([0.05, 0.3]))
+    l2 = draw(st.sampled_from([0.0, 0.01]) | st.sampled_from([0.5, 1.0, 1.5]).map(lambda k: k / lr))
+    cfg = TrainConfig(learning_rate=lr, l2_penalty=l2, epochs=draw(st.integers(1, 6)),
+                      batch_size=draw(st.integers(1, 7)), seed=draw(st.integers(0, 2**32 - 1)),
+                      init_scale=draw(st.sampled_from([0.0, 0.1])),
                       convergence_tol=draw(st.sampled_from([0.0, 1e-3, 0.05])))
     warm = None
     if draw(st.booleans()):
@@ -231,6 +238,19 @@ class TestSgdTrain:
             with np.errstate(all="ignore"):
                 sgd_train("interaction", data, cfg, dims=2)
 
+    @pytest.mark.parametrize("epochs,init_scale", [(0, 1e308), (2, 1e160)])
+    def test_non_finite_initial_nll_names_the_initial_parameters(self, epochs, init_scale):
+        """The initial NLL is scored under the fit's errstate: no warning, and the error is epoch 0's."""
+        _, data = _random_instance("interaction", 1, 60, 6, 1, seed=13)
+        cfg = TrainConfig(epochs=epochs, init_scale=init_scale)
+        message = "^non-finite training NLL at epoch 0 \\(initial parameters: init_scale or warm start too large\\?\\)$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDiverged, match=message):
+                sgd_train("interaction", data, cfg)
+            with pytest.raises(TrainingDiverged, match=message):
+                sgd_reference("interaction", data, cfg)
+
     def test_best_nll_not_worse_than_initial(self):
         _, data = _random_instance("rasch", 0, 5, 4, 1, seed=9)
         cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=8, seed=3)
@@ -269,13 +289,14 @@ class TestSgdTrain:
     # SHA-256 over every final tensor (name, then float64 bytes) and the
     # nll_trace of a 6-epoch run with an l2 term on 40 x 12 cells at
     # density 0.7, in batches of 64 that leave a short last batch;
-    # recorded before the batch step reused per-call buffers (numpy 2.4,
-    # x86-64). "interaction-warm" is a 1-D fit warm-started from another.
+    # recorded when the step became the shared scale and row scatter
+    # (numpy 2.4, x86-64). "interaction-warm" is a 1-D fit warm-started
+    # from another.
     PINNED = {
-        "rasch": "03b000e5ecaa033c6a8050f1447fde2f8a6cefd9228a6b70c698a28a52da879b",
-        "interaction": "0cfa851b7036779d6d49aef19d1813a695ef1178febe6fc6d3d3b09892446d48",
-        "class-interaction": "a41742f06831b9e0d6264874f4e1a4bf269213fb99e193739a054d0f4d57c971",
-        "interaction-warm": "8420d86dad03c54c2bc5591f816a09ccd4f717b122b438851012fe4df50455ca",
+        "rasch": "0c8ddf74cc421416dd49fc280384612a92f5e439a4f5652ecb426aa5b17bc59d",
+        "interaction": "60e988dc5cdaf159562cda3c2ec7e84421967064d91fba62f49e1b9be34c9eb9",
+        "class-interaction": "b6abca820f41d5b81c33676f03d1c6306bbf1922fcfbeb1393dd8ef7b4a5b384",
+        "interaction-warm": "e23df848fafdedde9674bfc80279f8e846d3859aa7002186b1106cc02af27d61",
     }
 
     @staticmethod
@@ -303,11 +324,23 @@ class TestSgdTrain:
     @settings(max_examples=150, deadline=None)
     @given(instance=sgd_instances())
     def test_every_step_is_the_plain_loops(self, instance):
-        """Shuffled row codes, the flat L2 step and chunked nll give the plain loop's tensors and trace, bit for bit."""
+        """Shuffled row codes, the scaled step's row scatter and folds, and chunked nll give the plain loop's tensors
+        and trace, bit for bit."""
         kind, data, cfg, dims, warm, chunk = instance
         with mock.patch.object(optim, "_NLL_CHUNK", chunk):
             params, report = sgd_train(kind, data, cfg, dims=dims, warm_start=warm)
         assert _bits(params, report.nll_trace) == _bits(*sgd_reference(kind, data, cfg, dims=dims, warm_start=warm))
+
+    @settings(max_examples=150, deadline=None)
+    @given(instance=sgd_instances())
+    def test_the_scaled_step_is_the_plain_l2_step_to_rounding(self, instance):
+        """The tensors and trace are those of arr -= lr * (grad + l2 * arr) on every tensor, every batch."""
+        kind, data, cfg, dims, warm, _ = instance
+        params, report = sgd_train(kind, data, cfg, dims=dims, warm_start=warm)
+        dense, trace = sgd_reference(kind, data, cfg, dims=dims, warm_start=warm, dense=True)
+        for name, arr in params.tensors().items():
+            np.testing.assert_allclose(arr, getattr(dense, name), rtol=1e-9, atol=1e-12, err_msg=name)
+        np.testing.assert_allclose(report.nll_trace, trace, rtol=1e-9, atol=1e-12)
 
     @pytest.mark.parametrize("kind", POINT_KINDS)
     def test_a_fit_holds_one_response_length_array_at_a_time(self, kind):
