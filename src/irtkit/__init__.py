@@ -10,7 +10,6 @@ learning, all behind one CLI.
 from .data import (
     Dataset,
     ParseError,
-    Responses,
     build_dataset,
     load_binary_csv,
     load_raw_csv,

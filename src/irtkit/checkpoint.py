@@ -5,7 +5,8 @@ model kind, interaction dimension count, and the index of the training
 dataset (its id tables and class_of), so any language can round-trip a
 checkpoint and map opaque ids back to dense indices. A checkpoint loads
 as the params and that index: a Dataset without responses, through
-which align_rows_to_checkpoint indexes new rows.
+which align_rows_to_checkpoint indexes the responses of a loaded
+Dataset.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .data import Dataset, Responses, check_rows, dataset_from_arrays
+from .data import Dataset, dataset_from_arrays
 from .models import CLASS_INTERACTION, FAMILY, RASCH, Params, check_shapes, inv_softplus, softplus, tensor_table
 
 FORMAT = "irtkit-checkpoint"
@@ -99,9 +100,10 @@ def load_checkpoint(path: str) -> tuple[Params, Dataset]:
     mistyped field or tensor record, an id table that is not a list of
     distinct strings, counts that disagree with the id tables, a
     non-integer class, a kind that is not a known kind's name, dims that
-    disagree with the kind (0 for rasch kinds, >= 1 otherwise), a missing
-    tensor, a shape that disagrees with the id tables and dims, a
-    non-numeric or non-finite value or a sigma <= 0 is a ValueError
+    disagree with the kind (0 for rasch kinds, >= 1 otherwise), a tensor
+    record whose name appears twice or is not in the kind's tensor table,
+    a missing tensor, a shape that disagrees with the id tables and dims,
+    a non-numeric or non-finite value or a sigma <= 0 is a ValueError
     naming the file (and the tensor).
     """
     with open(path, encoding="utf-8") as fh:
@@ -136,13 +138,19 @@ def load_checkpoint(path: str) -> tuple[Params, Dataset]:
     rasch = FAMILY[kind] == RASCH
     if (dims != 0) if rasch else (dims < 1):
         raise ValueError(f"{path}: dims is {dims}, but {kind} needs dims {'0' if rasch else '>= 1'}")
+    table = tensor_table(kind, dims, S, Q, C)
+    known = {record for record, _ in table.values()}
     records = {}
     for i, rec in enumerate(_field(path, doc, "tensors", list)):
         if not isinstance(rec, dict) or not isinstance(rec.get("name"), str):
             raise ValueError(f"{path}: tensor record {i} is not an object with a string 'name'")
+        if rec["name"] in records:
+            raise ValueError(f"{path}: tensor record {rec['name']!r} appears twice")
+        if rec["name"] not in known:
+            raise ValueError(f"{path}: tensor record {rec['name']!r} is not a tensor of kind {kind!r}")
         records[rec["name"]] = rec
     tensors = {}
-    for name, (record, shape) in tensor_table(kind, dims, S, Q, C).items():
+    for name, (record, shape) in table.items():
         if record not in records:
             raise ValueError(f"{path}: missing tensor {record!r}")
         got, values = (_field(path, records[record], key, list, f"tensor {record!r} ")
@@ -187,19 +195,17 @@ def _id_table(path: str, ids: dict, key: str) -> tuple:
     return table
 
 
-def align_rows_to_checkpoint(rows: Responses, index: Dataset, kind: str) -> Dataset:
-    """Index loaded rows through a checkpoint's id tables, for a model of the given kind.
+def align_rows_to_checkpoint(rows: Dataset, index: Dataset, kind: str) -> Dataset:
+    """Index a loaded Dataset's responses through a checkpoint's id tables, for a model of the given kind.
 
-    The rows must first pass build_dataset's checks (`check_rows`, with
-    its errors): no student in two classes, no repeated (student,
-    question) cell. Every id in the rows must already exist in the
-    checkpoint; predicting for ids the model never saw is a hard error
-    naming the offender (the first in row order). A class kind predicts
-    through the checkpoint's class of each student, so for one the first
-    row whose class is not its student's class in the index (an unknown
-    class included) is a ValueError naming the student and both classes.
+    The rows are a Dataset, so they passed build_dataset's checks. Every
+    id in the rows must already exist in the checkpoint; predicting for
+    ids the model never saw is a hard error naming the offender (the
+    first in row order). A class kind predicts through the checkpoint's
+    class of each student, so for one the first row whose student's class
+    is not its class in the index (an unknown class included) is a
+    ValueError naming the student and both classes.
     """
-    check_rows(rows)
     s_idx = _index_in(index.student_ids, rows.student_ids)[rows.student_idx]
     q_idx = _index_in(index.question_ids, rows.question_ids)[rows.question_idx]
     unknown = (s_idx < 0) | (q_idx < 0)
@@ -210,10 +216,11 @@ def align_rows_to_checkpoint(rows: Responses, index: Dataset, kind: str) -> Data
         raise ValueError(f"question {rows.question_ids[rows.question_idx[i]]!r} is not in the checkpoint")
     if FAMILY[kind] == CLASS_INTERACTION:
         trained = index.class_of[s_idx]
-        if (wrong := np.flatnonzero(_index_in(index.class_ids, rows.class_ids)[rows.class_idx] != trained)).size:
+        given = rows.class_of[rows.student_idx]
+        if (wrong := np.flatnonzero(_index_in(index.class_ids, rows.class_ids)[given] != trained)).size:
             i = wrong[0]
             student, had, got = (rows.student_ids[rows.student_idx[i]], index.class_ids[trained[i]],
-                                 rows.class_ids[rows.class_idx[i]])
+                                 rows.class_ids[given[i]])
             raise ValueError(f"student {student!r} is in class {had!r} in the checkpoint, not {got!r}")
     return replace(index, student_idx=s_idx, question_idx=q_idx, y=rows.y)
 

@@ -45,7 +45,7 @@ _NOT_CONFIG = {*_INPUTS, *_OUTPUTS, *_SEEDS, "out_dir", "command", "manifest"}
 _REPORT = ".report.json"   # the trainers write <out>.report.json next to the checkpoint
 
 
-def _load_rows(path: str, fmt: str):
+def _load_dataset(path: str, fmt: str):
     return (data_mod.load_raw_csv if fmt == "raw" else data_mod.load_binary_csv)(path)
 
 
@@ -64,7 +64,7 @@ def _cmd_ingest(args) -> list:
     given = (args.test_fraction is not None, bool(args.train_out), bool(args.test_out))
     if any(given) and not all(given):
         raise ValueError("--test-fraction, --train-out and --test-out must be given together")
-    dataset = data_mod.build_dataset(_load_rows(args.input, args.format))
+    dataset = _load_dataset(args.input, args.format)
     # Split before writing anything, so a bad fraction leaves no output behind.
     split = (data_mod.split_train_test(dataset, args.test_fraction, args.seed)
              if args.test_fraction is not None else ())
@@ -87,7 +87,7 @@ def _warm_start(args, dataset):
 
 def _train(args, fit, cfg, objective: str) -> list:
     """Fit on --data (from --warm-start if given), write the checkpoint and its training report; the run's record."""
-    dataset = data_mod.build_dataset(_load_rows(args.data, args.format))
+    dataset = _load_dataset(args.data, args.format)
     params, report = fit(args.model, dataset, cfg, dims=args.dims, warm_start=_warm_start(args, dataset))
     save_checkpoint(args.out, params, dataset)
     write_json(args.out + _REPORT, asdict(report))
@@ -107,7 +107,7 @@ def _cmd_train_vi(args) -> list:
 
 def _cmd_eval(args) -> list:
     params, index = load_checkpoint(args.checkpoint)
-    dataset = align_rows_to_checkpoint(_load_rows(args.data, args.format), index, params.kind)
+    dataset = align_rows_to_checkpoint(_load_dataset(args.data, args.format), index, params.kind)
     preds = predict_proba_array(params, dataset.student_idx, dataset.question_idx, dataset.class_of)
     record = accuracy(preds, dataset.y, args.threshold)
     if args.out:
@@ -143,7 +143,7 @@ def _cmd_significance(args) -> list:
 
 
 def _cmd_active(args) -> list:
-    dataset = data_mod.build_dataset(_load_rows(args.data, args.format))
+    dataset = _load_dataset(args.data, args.format)
     state = active_mod.make_pool_state(dataset, args.pool_size, args.holdout_fraction, args.seed)
     result = active_mod.run_active_loop(state, args.policy, args.rounds,
                                         TrainConfig(epochs=5, convergence_tol=0.0, seed=args.seed),

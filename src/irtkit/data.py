@@ -4,8 +4,11 @@ Raw rows carry partial-credit scores (marks awarded out of marks
 available). A response counts as correct only when the student earned
 strictly more than half the available marks; the loaders check each
 block's marks and keep only that 0/1 outcome, beside the id codes (25
-bytes a response). Everything downstream works on the sparse triplet
-layout (student index, question index, outcome).
+bytes a response while a file loads). A loader returns a Dataset, once
+`build_dataset`'s row checks pass: it keeps each student's class in
+class_of, not each row's, so 17 bytes a response. Everything downstream
+works on the sparse triplet layout (student index, question index,
+outcome).
 
 CSV files are read and written as columns, so no Python object is kept
 per row. A loader first tries the byte path: one numpy scan finds the
@@ -65,7 +68,7 @@ _QUOTED = re.compile(r'[,"\r\n]')   # the characters of an id that csv.writer qu
 _FLOYD_LIMIT = 10_000      # Generator.choice draws by Floyd's method up to this population (or k <= n // 50)
 _CHOICE_DRAWS = 1 << 13    # bounded draws choice_per_group makes in bulk at a time (plus one group's)
 _BULK_CHOICE = np.lib.NumpyVersion(np.__version__).version.startswith("2.4.")   # _floyd reproduces 2.4's choice
-_COLUMNS = (np.int64, np.int64, np.int64, np.int8)   # a Responses' student, question and class codes and y
+_COLUMNS = (np.int64, np.int64, np.int64, np.int8)   # a file's student, question and class codes and y, as it loads
 
 
 class ParseError(ValueError):
@@ -115,6 +118,9 @@ class Dataset:
     def n_responses(self) -> int:
         return int(self.student_idx.shape[0])
 
+    def __len__(self) -> int:
+        return self.n_responses
+
     def select(self, rows: np.ndarray) -> "Dataset":
         """The responses at the given positions, or where a boolean mask is True; the rest is shared."""
         return replace(self, student_idx=self.student_idx[rows], question_idx=self.question_idx[rows],
@@ -155,31 +161,6 @@ def _interner(canonical):
         return out
 
     return codes, ids
-
-
-@dataclass(frozen=True)
-class Responses:
-    """Response rows as columns: int64 codes into id tables, and each row's int8 outcome y.
-
-    Ids are numbered in first-appearance order. For raw marks y is 1 iff
-    2 * awarded > available; the marks are not kept, so a row holds 25
-    bytes. `len()` is the row count.
-    """
-
-    student_idx: np.ndarray
-    question_idx: np.ndarray
-    class_idx: np.ndarray
-    y: np.ndarray
-    student_ids: tuple
-    question_ids: tuple
-    class_ids: tuple
-
-    def __post_init__(self):
-        for arr in (self.student_idx, self.question_idx, self.class_idx, self.y):
-            arr.setflags(write=False)
-
-    def __len__(self) -> int:
-        return int(self.y.shape[0])
 
 
 def _raw_rules(awarded, available):
@@ -227,21 +208,22 @@ def _id_coders():
     return zip(_interner(str.strip), _interner(str.strip), _interner(lambda text: text.strip() or NO_CLASS))
 
 
-def _load(path: str, header: list[str], rules, too_big: str | None = None) -> Responses:
-    """Read a response CSV into columns: the byte path while the file keeps to its grammar, then the csv path.
+def _load(path: str, header: list[str], rules, too_big: str | None = None) -> tuple:
+    """A response CSV's unchecked columns and id tables, in build_dataset's argument order.
 
-    `rules(*mark_columns)` gives a block's int8 outcome and its mark
+    The byte path reads while the file keeps to its grammar, then the csv
+    path. `rules(*mark_columns)` gives a block's int8 outcome and its mark
     checks. `too_big` replaces the message for a mark beyond int64.
-    Both paths code ids through the same interners, so ids keep their
-    first-appearance numbers when the csv path reads on from a block the
-    byte path stopped at.
+    Both paths code ids through the same interners, numbered in
+    first-appearance order, so ids keep their numbers when the csv path
+    reads on from a block the byte path stopped at.
     """
     coders, tables = _id_coders()
     columns, at, line = _load_bytes(path, header, rules, list(map(_key_coder, coders)))
     if at is not None:
         blocks = _load_csv(path, header, rules, too_big, coders, at, line)
         columns = [np.concatenate(col) for col in zip(columns, *blocks)]
-    return Responses(*columns, *map(tuple, tables))
+    return (*columns, *map(tuple, tables))
 
 
 def _load_bytes(path: str, header: list[str], rules, coders) -> tuple[list, int | None, int]:
@@ -486,35 +468,35 @@ def _non_utf8_line(path: str) -> int:
     return sum(1 for _ in csv.reader(io.StringIO(raw.decode("utf-8"), newline="")))
 
 
-def load_raw_csv(path: str) -> Responses:
-    """Load raw marked responses (marks awarded / available per question)."""
-    return _load(path, RAW_HEADER, _raw_rules)
+def load_raw_csv(path: str) -> Dataset:
+    """Load raw marked responses (marks awarded / available per question) into a checked Dataset."""
+    return build_dataset(*_load(path, RAW_HEADER, _raw_rules))
 
 
-def load_binary_csv(path: str) -> Responses:
-    """Load pre-binarized responses."""
-    return _load(path, BINARY_HEADER, _binary_rules, too_big="y must be 0 or 1")
+def load_binary_csv(path: str) -> Dataset:
+    """Load pre-binarized responses into a checked Dataset."""
+    return build_dataset(*_load(path, BINARY_HEADER, _binary_rules, too_big="y must be 0 or 1"))
 
 
-def check_rows(rows: Responses) -> np.ndarray:
-    """Each student's class code in loaded rows, once they pass the checks of a response index.
+def build_dataset(student_idx, question_idx, class_idx, y, student_ids, question_ids, class_ids) -> Dataset:
+    """The Dataset of response columns (int64 codes into the id tables, int8 outcomes), once they pass its checks.
 
+    class_idx gives each row's class; the Dataset keeps each student's.
     Raises ValueError on a student appearing under two different class
     ids or on a repeated (student, question) cell, naming the first
     offending row in row order (the class first when one row is both),
     and on student codes that are not numbered in first-appearance order
     (as the loaders number them).
     """
-    n = len(rows)
-    top = np.maximum.accumulate(rows.student_idx)   # rises at each student's first row (first-appearance codes)
+    n = y.shape[0]
+    top = np.maximum.accumulate(student_idx)   # rises at each student's first row (first-appearance codes)
     first = np.concatenate(([0], np.flatnonzero(top[1:] != top[:-1]) + 1))[:n]
     del top
-    if not np.array_equal(rows.student_idx[first], np.arange(len(rows.student_ids))):
+    if not np.array_equal(student_idx[first], np.arange(len(student_ids))):
         raise ValueError("student codes are not numbered in first-appearance order")
-    class_of = rows.class_idx[first]
-    conflict = np.flatnonzero(rows.class_idx != class_of[rows.student_idx])
-    order, keys = _stable_order((rows.student_idx, len(rows.student_ids)),
-                                (rows.question_idx, len(rows.question_ids)))
+    class_of = class_idx[first]
+    conflict = np.flatnonzero(class_idx != class_of[student_idx])
+    order, keys = _stable_order((student_idx, len(student_ids)), (question_idx, len(question_ids)))
     same = np.ones(max(n - 1, 0), dtype=bool)   # a row's cell is its sorted predecessor's
     for key in keys:
         key = key[order]
@@ -523,19 +505,14 @@ def check_rows(rows: Responses) -> np.ndarray:
     first_conflict = int(conflict[0]) if conflict.size else n
     first_repeat = int(repeated.min()) if repeated.size else n
     if first_conflict < n and first_conflict <= first_repeat:
-        s = rows.student_idx[first_conflict]
-        raise ValueError(f"student {rows.student_ids[s]!r} has conflicting class ids "
-                         f"{rows.class_ids[class_of[s]]!r} and {rows.class_ids[rows.class_idx[first_conflict]]!r}")
+        s = student_idx[first_conflict]
+        raise ValueError(f"student {student_ids[s]!r} has conflicting class ids "
+                         f"{class_ids[class_of[s]]!r} and {class_ids[class_idx[first_conflict]]!r}")
     if first_repeat < n:
-        raise ValueError(f"duplicate response for student {rows.student_ids[rows.student_idx[first_repeat]]!r} "
-                         f"question {rows.question_ids[rows.question_idx[first_repeat]]!r}")
-    return class_of
-
-
-def build_dataset(rows: Responses) -> Dataset:
-    """A Dataset of loaded rows: their code and outcome arrays and first-appearance ids, once they pass `check_rows`."""
-    return Dataset(student_idx=rows.student_idx, question_idx=rows.question_idx, y=rows.y, class_of=check_rows(rows),
-                   student_ids=rows.student_ids, question_ids=rows.question_ids, class_ids=rows.class_ids)
+        raise ValueError(f"duplicate response for student {student_ids[student_idx[first_repeat]]!r} "
+                         f"question {question_ids[question_idx[first_repeat]]!r}")
+    return Dataset(student_idx=student_idx, question_idx=question_idx, y=y, class_of=class_of,
+                   student_ids=student_ids, question_ids=question_ids, class_ids=class_ids)
 
 
 def dataset_from_arrays(

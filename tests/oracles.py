@@ -31,7 +31,7 @@ import numpy as np
 from hypothesis import strategies as st
 from scipy.special import expit, logsumexp
 
-from irtkit.data import Dataset, Responses, dataset_from_arrays
+from irtkit.data import Dataset, dataset_from_arrays
 from irtkit.models import Params, grad_scatter, logits, sigmoid, softplus, tensor_table, vec_rows
 from irtkit.optim import _SCALE_MIN, TrainingDiverged, copy_params, init_params, nll
 from irtkit.vi import _kl_to_prior, elbo_mc
@@ -503,8 +503,9 @@ def cells(rows) -> list:
 
 
 def dataset_of(rows, index: Dataset | None = None) -> Dataset | str:
-    """The Dataset build_dataset must make of rows or, given a checkpoint's index, align_rows_to_checkpoint must for
-    a kind without classes; else the message of the ValueError naming the first offending row.
+    """The Dataset a loader or build_dataset must make of rows or, given a checkpoint's index, align_rows_to_checkpoint
+    must make of that Dataset for a kind without classes; else the message of the ValueError naming the first
+    offending row (the row checks' come before the index's).
 
     Row by row, with a dict of each student's class and a set of the cells seen: a student under a class other
     than its first, then a cell seen before, is the error. Aligned rows are then indexed through dicts of the
@@ -535,16 +536,23 @@ def dataset_of(rows, index: Dataset | None = None) -> Dataset | str:
                    y=np.array(y, dtype=np.int8))
 
 
-def rows_of(r: Responses) -> list:
-    """The rows of loaded Responses, one Cell each, in row order."""
-    return list(map(Cell, map(r.student_ids.__getitem__, r.student_idx.tolist()),
-                    map(r.question_ids.__getitem__, r.question_idx.tolist()),
-                    map(r.class_ids.__getitem__, r.class_idx.tolist()), r.y.tolist()))
+def rows_of(columns) -> list:
+    """The rows of loaded columns (data._load's, in build_dataset's argument order) or of a Dataset, one Cell each,
+    in row order."""
+    if isinstance(columns, Dataset):
+        d = columns
+        columns = (d.student_idx, d.question_idx, d.class_of[d.student_idx], d.y, d.student_ids, d.question_ids,
+                   d.class_ids)
+    student_idx, question_idx, class_idx, y, student_ids, question_ids, class_ids = columns
+    return list(map(Cell, map(student_ids.__getitem__, student_idx.tolist()),
+                    map(question_ids.__getitem__, question_idx.tolist()),
+                    map(class_ids.__getitem__, class_idx.tolist()), y.tolist()))
 
 
-def responses(rows) -> Responses:
-    """In-memory rows as Responses: each id column numbered by first appearance with a dict, ids as they are."""
+def responses(rows) -> tuple:
+    """In-memory rows as loaded columns, in build_dataset's argument order: each id column numbered by first
+    appearance with a dict, ids as they are."""
     tables = ({}, {}, {})
     codes = [[table.setdefault(row[k], len(table)) for row in rows] for k, table in enumerate(tables)]
     y = np.array([cell.y for cell in cells(rows)], dtype=np.int8)
-    return Responses(*(np.array(col, dtype=np.int64) for col in codes), y, *map(tuple, tables))
+    return (*(np.array(col, dtype=np.int64) for col in codes), y, *map(tuple, tables))

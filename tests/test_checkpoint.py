@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from irtkit import checkpoint
 from irtkit.checkpoint import VERSION, align_rows_to_checkpoint, load_checkpoint, save_checkpoint
-from irtkit.data import dataset_from_arrays, load_binary_csv, write_binary_csv
+from irtkit.data import build_dataset, dataset_from_arrays, load_binary_csv, write_binary_csv
 from irtkit.optim import TrainConfig, init_params, sgd_train
 from irtkit.models import VI_KINDS, Params, inv_softplus, predict_proba_array, softplus
 from irtkit.synth import SynthConfig, generate_synthetic
@@ -140,18 +140,18 @@ def test_align_rows_maps_through_checkpoint_tables(tmp_path):
     save_checkpoint(path, params, data)
     _, index = load_checkpoint(path)
     rows = [Row("s3", "q2", "c0", 1, 1), Row("s0", "q4", "c0", 0, 1)]
-    aligned = align_rows_to_checkpoint(responses(rows), index, "rasch")
+    aligned = align_rows_to_checkpoint(build_dataset(*responses(rows)), index, "rasch")
     assert aligned.student_idx.tolist() == [3, 0]
     assert aligned.question_idx.tolist() == [2, 4]
     with pytest.raises(ValueError, match="not in the checkpoint"):
-        align_rows_to_checkpoint(responses([Row("ghost", "q0", "c0", 1, 1)]), index, "rasch")
+        align_rows_to_checkpoint(build_dataset(*responses([Row("ghost", "q0", "c0", 1, 1)])), index, "rasch")
 
 
 @pytest.mark.parametrize("klass", ["c1", "c9"], ids=["relabelled", "unknown"])
 def test_class_kinds_refuse_a_row_outside_its_students_class(klass):
     """A class kind predicts through the index's class of each student, so a row must give that class."""
     index = dataset_from_arrays((), (), (), [0, 1], ("s0", "s1"), ("q0",), ("c0", "c1"))
-    rows = responses([Row("s1", "q0", "c1", 1, 1), Row("s0", "q0", klass, 1, 1)])
+    rows = build_dataset(*responses([Row("s1", "q0", "c1", 1, 1), Row("s0", "q0", klass, 1, 1)]))
     for kind in ("class-interaction", "class-interaction-vi"):
         with pytest.raises(ValueError) as exc:
             align_rows_to_checkpoint(rows, index, kind)
@@ -303,6 +303,10 @@ def _set_record(doc, name, value):
      r"tensor 'easiness' holds a value that is not a float"),
     (lambda doc: _record(doc, "easiness")["values"].__setitem__(0, 10**400),
      r"tensor 'easiness' holds a value that is not a float"),
+    (lambda doc: doc["tensors"].append(dict(_record(doc, "ability"), values=[9.0] * doc["num_students"])),
+     r"tensor record 'ability' appears twice"),
+    (lambda doc: doc["tensors"].append(dict(_record(doc, "ability"), name="class_skill")),
+     r"tensor record 'class_skill' is not a tensor of kind 'rasch'"),
     (lambda doc: doc["class_of"].__setitem__(0, 0.5), r"class_of holds a non-integer entry"),
     (lambda doc: doc["class_of"].__setitem__(0, 10**30), r"class_of does not match the id tables"),
     (lambda doc: doc["class_of"].__setitem__(0, "0"), r"class_of holds a non-integer entry"),
@@ -450,7 +454,7 @@ def test_mutated_checkpoint_loads_or_names_the_file(fuzz_dir, kind, picks):
         return
     rows = [Row(s, q, index.class_ids[c], 1, 1) for s, c, q in zip(index.student_ids, index.class_of.tolist(),
                                                                     cycle(index.question_ids))]
-    aligned = align_rows_to_checkpoint(responses(rows), index, params.kind)
+    aligned = align_rows_to_checkpoint(build_dataset(*responses(rows)), index, params.kind)
     assert [index.student_ids[i] for i in aligned.student_idx] == [r.student_id for r in rows]
     assert [index.question_ids[i] for i in aligned.question_idx] == [r.question_id for r in rows]
     p = predict_proba_array(params, aligned.student_idx, aligned.question_idx, aligned.class_of)

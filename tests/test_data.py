@@ -75,7 +75,7 @@ class TestLoadRawCsv:
 
 
 def _bits(tmp_path, marks) -> list:
-    """The binarized outcome `Responses.y` gives each (awarded, available) pair, one loaded row per pair."""
+    """The binarized outcome `y` a load gives each (awarded, available) pair, one loaded row per pair."""
     records = "".join(f"s{i},q,c,{a},{m}\n" for i, (a, m) in enumerate(marks))
     return load_raw_csv(_write(tmp_path, RAW_HEADER + records)).y.tolist()
 
@@ -99,28 +99,27 @@ class TestBinarize:
 class TestBuildDataset:
     def test_counts(self):
         rows = [Row("s1", "q1", "c1", 1, 1), Row("s2", "q1", "c1", 0, 1)]
-        d = build_dataset(responses(rows))
+        d = build_dataset(*responses(rows))
         assert (d.num_students, d.num_questions, d.n_responses) == (2, 1, 2)
 
     def test_conflicting_class_is_an_error(self):
         rows = [Row("s1", "q1", "c1", 1, 1), Row("s1", "q2", "c2", 0, 1)]
         with pytest.raises(ValueError, match="conflicting class ids 'c1' and 'c2'"):
-            build_dataset(responses(rows))
+            build_dataset(*responses(rows))
 
     def test_duplicate_cell_is_an_error(self):
         rows = [Row("s1", "q1", "c1", 1, 1), Row("s1", "q1", "c1", 0, 1)]
         with pytest.raises(ValueError, match="duplicate response"):
-            build_dataset(responses(rows))
+            build_dataset(*responses(rows))
 
     def test_student_codes_out_of_first_appearance_order_rejected(self):
-        r = responses([Row("a", "x", "c1", 1, 1), Row("b", "x", "c2", 0, 1)])
-        swapped = replace(r, student_idx=r.student_idx[::-1].copy())
+        student_idx, *rest = responses([Row("a", "x", "c1", 1, 1), Row("b", "x", "c2", 0, 1)])
         with pytest.raises(ValueError, match="not numbered in first-appearance order"):
-            build_dataset(swapped)
+            build_dataset(student_idx[::-1].copy(), *rest)
 
     def test_first_appearance_indexing(self):
         rows = [Row("b", "y", "c1", 1, 1), Row("a", "x", "c2", 0, 1)]
-        d = build_dataset(responses(rows))
+        d = build_dataset(*responses(rows))
         assert d.student_ids == ("b", "a")
         assert d.question_ids == ("y", "x")
 
@@ -132,10 +131,10 @@ class TestBuildDataset:
                 if rng.random() < 0.7:
                     avail = int(rng.integers(1, 5))
                     rows.append(Row(f"s{s}", f"q{q}", f"c{s % 2}", int(rng.integers(0, avail + 1)), avail))
-        d = build_dataset(responses(rows))
+        d = build_dataset(*responses(rows))
         path = str(tmp_path / "out.csv")
         write_binary_csv(d, path)
-        d2 = build_dataset(load_binary_csv(path))
+        d2 = load_binary_csv(path)
         original = sorted((r.student_id, r.question_id, int(2 * r.marks_awarded > r.marks_available)) for r in rows)
         reloaded = sorted(
             (d2.student_ids[s], d2.question_ids[q], y)
@@ -380,9 +379,9 @@ class TestErrorContract:
     ], ids=["duplicate", "conflict", "duplicate first", "first of two duplicates", "conflict first",
             "both in one row"])
     def test_build_dataset_names_first_offending_row(self, tmp_path, planted, message):
-        rows = load_raw_csv(_file(tmp_path, True, planted))
+        path = _file(tmp_path, True, planted)
         with pytest.raises(ValueError) as exc:
-            build_dataset(rows)
+            load_raw_csv(path)
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("planted,message", [
@@ -392,7 +391,7 @@ class TestErrorContract:
         ({FAR: "ghost,qghost,c0,1,2"}, "student 'ghost' is not in the checkpoint"),
     ], ids=["student", "question", "question first", "both in one row"])
     def test_align_names_first_unknown_id(self, tmp_path, planted, message):
-        known = build_dataset(load_raw_csv(_file(tmp_path, True, {})))
+        known = load_raw_csv(_file(tmp_path, True, {}))
         index = known.select(np.array([], dtype=np.int64))
         rows = load_raw_csv(_file(tmp_path, True, planted))
         with pytest.raises(ValueError) as exc:
@@ -429,13 +428,13 @@ def _binary_rows(draw):
 @settings(max_examples=200, deadline=None)
 @given(rows=_binary_rows())
 def test_csv_round_trip_keeps_ids_indices_and_csv_writer_bytes(tmp_path_factory, rows):
-    d = build_dataset(responses(rows))
+    d = build_dataset(*responses(rows))
     work = tmp_path_factory.mktemp("csv")
     path, reference = str(work / "out.csv"), str(work / "reference.csv")
     write_binary_csv(d, path)
     csv_writer_binary_csv(d, reference)
     assert open(path, "rb").read() == open(reference, "rb").read()
-    back = build_dataset(load_binary_csv(path))
+    back = load_binary_csv(path)
     assert (back.student_ids, back.question_ids, back.class_ids) == (d.student_ids, d.question_ids, d.class_ids)
     for name in ("student_idx", "question_idx", "y", "class_of"):
         got, want = getattr(back, name), getattr(d, name)
@@ -455,7 +454,7 @@ def test_escaped_ids_are_csv_writers_fields(ids):
 
 def test_writer_blocks_join_into_csv_writer_bytes(tmp_path, monkeypatch):
     monkeypatch.setattr(data, "_WRITE_CHARS", 64)   # a few rows per block
-    d = build_dataset(responses([Row(f"s{i % 7}", f"q,{i // 7}", f"c{i % 7 % 2}", i % 3, 2) for i in range(40)]))
+    d = build_dataset(*responses([Row(f"s{i % 7}", f"q,{i // 7}", f"c{i % 7 % 2}", i % 3, 2) for i in range(40)]))
     write_binary_csv(d, str(tmp_path / "out.csv"))
     csv_writer_binary_csv(d, str(tmp_path / "reference.csv"))
     assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
@@ -492,7 +491,7 @@ def test_split_is_an_exact_stratified_partition(d, fraction, seed):
         assert all(np.array_equal(getattr(a, k), getattr(b, k)) for k in ("student_idx", "question_idx", "y"))
 
 
-# --- the row checks of build_dataset and align_rows_to_checkpoint --------------------
+# --- the row checks at the load boundary, and align_rows_to_checkpoint ---------------
 
 _WIDE = [f"\x00{i}" for i in range(65_536)]   # with one student more, codes need 17 bits (IDS holds no "\x00")
 
@@ -536,29 +535,48 @@ def _assert_same_dataset(got, want):
     assert (got.student_ids, got.question_ids, got.class_ids) == (want.student_ids, want.question_ids, want.class_ids)
 
 
-def _assert_row_checks_as_oracle(rows, index):
-    loaded = responses(rows)
-    for check, want in ((lambda: build_dataset(loaded), oracles.dataset_of(rows)),
-                        (lambda: align_rows_to_checkpoint(loaded, index, "rasch"), oracles.dataset_of(rows, index))):
+def _write_rows(path: str, rows, raw: bool) -> str:
+    """rows as a raw file, or as a binary file of their outcomes, in csv.writer's bytes."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(data.RAW_HEADER if raw else data.BINARY_HEADER)
+        writer.writerows(rows if raw else cells(rows))
+    return path
+
+
+def _assert_row_checks_as_oracle(work, rows, index):
+    """Both loaders give the oracle's Dataset of rows or its error; a loaded Dataset aligns as the oracle's does."""
+    for raw in (True, False):
+        path = _write_rows(str(work / f"rows_{raw}.csv"), rows, raw)
+        want = oracles.dataset_of(rows)
         try:
-            got = check()
+            got = (load_raw_csv if raw else load_binary_csv)(path)
+        except ValueError as exc:
+            assert str(exc) == want
+            continue
+        assert not isinstance(want, str), want
+        _assert_same_dataset(got, want)
+        assert len(got) == got.n_responses
+        want = oracles.dataset_of(rows, index)
+        try:
+            aligned = align_rows_to_checkpoint(got, index, "rasch")
         except ValueError as exc:
             assert str(exc) == want
         else:
             assert not isinstance(want, str), want
-            _assert_same_dataset(got, want)
+            _assert_same_dataset(aligned, want)
 
 
 @settings(max_examples=80, deadline=None)
 @given(case=_checked_rows(wide=False))
-def test_row_checks_give_the_oracles_dataset_or_its_error(case):
-    _assert_row_checks_as_oracle(*case)
+def test_row_checks_give_the_oracles_dataset_or_its_error(tmp_path_factory, case):
+    _assert_row_checks_as_oracle(tmp_path_factory.mktemp("rows"), *case)
 
 
 @settings(max_examples=6, deadline=None)
 @given(case=_checked_rows(wide=True))
-def test_row_checks_on_the_int64_key_give_the_oracles_dataset_or_its_error(case):
-    _assert_row_checks_as_oracle(*case)
+def test_row_checks_on_the_int64_key_give_the_oracles_dataset_or_its_error(tmp_path_factory, case):
+    _assert_row_checks_as_oracle(tmp_path_factory.mktemp("rows"), *case)
 
 
 # --- the bulk Generator.choice kernel and the radix-width sort keys ------------------
@@ -776,7 +794,7 @@ def test_mutated_csv_loads_as_csv_reader_reads_it_or_names_file_and_line(tmp_pat
     rows, lines, want = _csv_reader_oracle(blob, raw, path)
     try:   # a few records and bytes a block, so a fault can sit in a later block of either path, or one csv block
         with mock.patch.object(data, "_READ_BLOCK", records), mock.patch.object(data, "_READ_BYTES", 40):
-            got = rows_of((load_raw_csv if raw else load_binary_csv)(path))
+            got = rows_of(_read(path, raw))
     except ParseError as exc:
         message = str(exc)
         assert lines is not None, message
@@ -838,19 +856,24 @@ _SCHEMA = {True: (data.RAW_HEADER, data._raw_rules, None),
            False: (data.BINARY_HEADER, data._binary_rules, "y must be 0 or 1")}
 
 
+def _read(path, raw):
+    """What the loaders read of a file before the row checks: its columns and id tables, as data._load gives them."""
+    return data._load(path, *_SCHEMA[raw])
+
+
 def _bytes_read(path, raw):
-    """What the byte path reads of a file: its rows, as Responses, and where it stopped."""
+    """What the byte path reads of a file: its columns and id tables, as data._load gives them, and where it stopped."""
     header, rules, _ = _SCHEMA[raw]
     coders, tables = data._id_coders()
     columns, at, line = data._load_bytes(path, header, rules, list(map(data._key_coder, coders)))
-    return data.Responses(*columns, *map(tuple, tables)), at, line
+    return (*columns, *map(tuple, tables)), at, line
 
 
 def _csv_read(path, raw):
-    """What the csv path reads of a whole file."""
+    """What the csv path reads of a whole file, as data._load gives it."""
     coders, tables = data._id_coders()
     blocks = data._load_csv(path, *_SCHEMA[raw], coders)
-    return data.Responses(*[np.concatenate(col) for col in zip(*blocks)], *map(tuple, tables))
+    return (*[np.concatenate(col) for col in zip(*blocks)], *map(tuple, tables))
 
 
 @settings(max_examples=150, deadline=None)
@@ -868,10 +891,10 @@ def test_byte_path_loads_as_csv_reader_reads_it(tmp_path_factory, case):
             assert line == blob[:at].count(b"\n") + 1 and (not at or blob[at - 1] == ord("\n"))
         assert at is not None or rows_of(fast) == rows
         if rows is not None:
-            assert rows_of(fast) == rows[:len(fast)]
-            assert (fast.student_ids, fast.question_ids, fast.class_ids) == _tables(rows[:len(fast)])
+            assert rows_of(fast) == rows[:fast[3].size]
+            assert fast[4:] == _tables(rows[:fast[3].size])
         try:
-            got = (load_raw_csv if raw else load_binary_csv)(path)
+            got = _read(path, raw)
         except ParseError as exc:
             message = str(exc)
             assert lines is not None, message
@@ -879,7 +902,7 @@ def test_byte_path_loads_as_csv_reader_reads_it(tmp_path_factory, case):
             assert f"at line {exc.line}" in message or (exc.line == 1 and message.startswith(f"{path}: "))
         else:
             assert rows_of(got) == rows
-            assert (got.student_ids, got.question_ids, got.class_ids) == _tables(rows)
+            assert got[4:] == _tables(rows)
 
 
 def _no_reader(*args, **kwargs):
@@ -931,14 +954,15 @@ def test_loaders_binarize_marks_as_python_ints_do(tmp_path_factory, marks):
     with mock.patch.object(data.csv, "reader", _no_reader):   # the byte path
         assert load_raw_csv(raw).y.tolist() == want
         assert load_binary_csv(binary).y.tolist() == want
-    assert _csv_read(raw, True).y.tolist() == want
-    assert _csv_read(binary, False).y.tolist() == want
+    assert _csv_read(raw, True)[3].tolist() == want
+    assert _csv_read(binary, False)[3].tolist() == want
 
 
 def _assert_same(got, want):
-    for name, dtype in zip(("student_idx", "question_idx", "class_idx", "y"), (np.int64, np.int64, np.int64, np.int8)):
-        assert getattr(got, name).dtype == dtype and np.array_equal(getattr(got, name), getattr(want, name))
-    assert (got.student_ids, got.question_ids, got.class_ids) == (want.student_ids, want.question_ids, want.class_ids)
+    """Two reads of data._load's tuple hold equal columns, as int64 codes and an int8 y, and equal id tables."""
+    for got_col, want_col, dtype in zip(got, want, (np.int64, np.int64, np.int64, np.int8)):
+        assert got_col.dtype == dtype and np.array_equal(got_col, want_col)
+    assert got[4:] == want[4:]
 
 
 def test_quote_free_files_load_without_csv_reader(tmp_path, monkeypatch):
@@ -969,9 +993,9 @@ def test_byte_path_blocks_join_into_the_csv_path_result(tmp_path, monkeypatch, r
     assert (np.concatenate(([0], ends[:-1])) // 40 != (ends - 1) // 40).any()   # a record straddles a cut
     want = _csv_read(path, raw)
     monkeypatch.setattr(data.csv, "reader", _no_reader)
-    got = (load_raw_csv if raw else load_binary_csv)(path)
+    got = _read(path, raw)
     _assert_same(got, want)
-    assert len(got) == 39 and got.student_ids[-1] == "a_student_first_seen_in_a_late_block"
+    assert got[3].size == 39 and got[4][-1] == "a_student_first_seen_in_a_late_block"
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
@@ -1001,7 +1025,7 @@ def test_texts_with_one_hash_are_coded_apart(tmp_path, monkeypatch):
     monkeypatch.setattr(data.csv, "reader", _no_reader)
     for size in (data._READ_BYTES, 12):   # one block, and a record a block
         monkeypatch.setattr(data, "_READ_BYTES", size)
-        _assert_same(load_raw_csv(path), want)
+        _assert_same(_read(path, True), want)
 
 
 _KEY_TEXT = st.characters(min_codepoint=32, max_codepoint=126, blacklist_characters='",')
@@ -1050,7 +1074,7 @@ def test_csv_path_reads_on_from_the_block_the_byte_path_stopped_at(tmp_path, mon
     path = _write(tmp_path, (RAW_HEADER if raw else _BINARY_HEADER) + "\n".join(records) + "\n")
     want = _csv_read(path, raw)
     fast, _, line = _bytes_read(path, raw)
-    assert 20 <= len(fast) == line - 2 <= 25
+    assert 20 <= fast[3].size == line - 2 <= 25
     seen, real = [], csv.reader
 
     def reader(fh):
@@ -1059,7 +1083,7 @@ def test_csv_path_reads_on_from_the_block_the_byte_path_stopped_at(tmp_path, mon
             yield record
 
     monkeypatch.setattr(data.csv, "reader", reader)
-    _assert_same((load_raw_csv if raw else load_binary_csv)(path), want)
+    _assert_same(_read(path, raw), want)
     assert seen == list(real(records[line - 2:]))   # from the block holding the quote on
     records[27] = records[27].replace("s", "s,")   # an error after the quote
     path = _write(tmp_path, (RAW_HEADER if raw else _BINARY_HEADER) + "\n".join(records) + "\n")
@@ -1074,8 +1098,9 @@ def test_byte_path_stops_where_the_file_outgrows_its_line_count(tmp_path, monkey
     want = _csv_read(path, True)
     monkeypatch.setattr(data, "_line_count", lambda fh: 4)   # lines appended after the count
     fast, at, line = _bytes_read(path, True)
-    assert 0 < len(fast) <= 4 and line == len(fast) + 2 and at == len(RAW_HEADER) + 12 * len(fast)
-    _assert_same(load_raw_csv(path), want)
+    rows = fast[3].size
+    assert 0 < rows <= 4 and line == rows + 2 and at == len(RAW_HEADER) + 12 * rows
+    _assert_same(_read(path, True), want)
 
 
 def test_byte_path_stops_at_a_line_no_record_fills(tmp_path):
@@ -1087,10 +1112,10 @@ def test_byte_path_stops_at_a_line_no_record_fills(tmp_path):
             assert _bytes_read(path, True)[1:] == (len(RAW_HEADER), 2)
             assert not parse.called   # given up before the file's end
         with mock.patch.object(data, "_READ_BYTES", 16):
-            _assert_same(load_raw_csv(path), _csv_read(path, True))
+            _assert_same(_read(path, True), _csv_read(path, True))
     finally:
         csv.field_size_limit(limit)
-    assert rows_of(load_raw_csv(path)) == cells([Row("s1", "q1", "c1", 1, 2)] * 50)
+    assert rows_of(_read(path, True)) == cells([Row("s1", "q1", "c1", 1, 2)] * 50)
 
 
 @pytest.mark.parametrize("quoted", [False, True], ids=["byte path", "csv path"])
@@ -1104,7 +1129,7 @@ def test_one_leading_byte_order_mark_is_skipped(tmp_path, raw, quoted):
     marked = str(tmp_path / "marked.csv")
     with open(marked, "wb") as fh:
         fh.write(codecs.BOM_UTF8 + text.encode())
-    _assert_same(load(marked), load(plain))
+    _assert_same_dataset(load(marked), load(plain))
     with open(marked, "wb") as fh:   # a second mark is text: the header's first field
         fh.write(codecs.BOM_UTF8 * 2 + text.encode())
     with pytest.raises(ParseError, match="bad header") as exc:
