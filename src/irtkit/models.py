@@ -12,14 +12,11 @@ tensors as means, plus transformed standard deviations (rhos) on the
 student side. The one container, Params, carries its kind, which fixes
 the tensors it holds (checked once, on construction). One container, one
 logits kernel, one gradient formula (row_terms) and one plug-in
-predictor serve all six kinds.
-Full-data ELBO evaluations of class kinds with fewer (class, question)
-cells than responses take the cell route (class_cells): easiness + vec .
-demand depends only on the cell, so it is scored per cell and no
-question rows are read; the easiness gradient and both sigma gradients
-come from the per-cell residual table and the mean gradients. That
-matches the row route to rounding, not bit for bit, so SGD batches, nll
-and prediction keep the row route.
+predictor serve all six kinds but for one route: full-data ELBO
+evaluations of class kinds with fewer (class, question) cells than
+responses score easiness + vec . demand per cell (class_cells picks the
+route, vi._elbo_core holds its kernel). That matches the row route to
+rounding, not bit for bit, so SGD batches, nll and prediction keep rows.
 """
 
 from __future__ import annotations
@@ -202,7 +199,7 @@ def class_cells(kind: str, rows, q_idx, num_rows: int, num_questions: int):
     return rows * num_questions + q_idx
 
 
-def logits(params: Params, s_idx, q_idx, rows=None, q_rows=None, cells=None):
+def logits(params: Params, s_idx, q_idx, rows=None, q_rows=None):
     """Logit of every (s_idx, q_idx) pair; rows are the vec rows (default s_idx).
 
     q_rows = question_rows(params, q_idx) spares the question-side
@@ -212,11 +209,7 @@ def logits(params: Params, s_idx, q_idx, rows=None, q_rows=None, cells=None):
     Those rows are as long as the index arrays, so a caller that needs
     only the logits should take [0] and let them go at once. When
     D = 0 the indices may also be slices or broadcast against each other.
-    Given cells = class_cells(...), it reads no question rows: it gathers
-    from the scored easiness + vec . demand table, and the scatter reuses cells.
     """
-    if cells is not None:
-        return params.ability[s_idx] + np.take(params.easiness + params.vec @ params.demand.T, cells), cells
     ease, dem = question_rows(params, q_idx) if q_rows is None else q_rows
     z = params.ability[s_idx] + ease
     del ease  # a gather made here is freed before the vec rows add to the peak
@@ -262,20 +255,8 @@ def grad_scatter(params: Params, s_idx, q_idx, w, gathered, eps=None) -> dict:
     gathered is what logits returned beside z. eps = (eps_ability,
     eps_vec) is the noise of a reparameterised sample (params holding
     mu + sigma * eps); it adds the gradients w.r.t. those sigmas under
-    "ability_rho" and "vec_rho", before the d sigma / d rho factor. On
-    the cell route easiness comes from the per-cell residual table, and
-    each sigma gradient is its mean gradient times its (per-row) eps.
+    "ability_rho" and "vec_rho", before the d sigma / d rho factor.
     """
-    if isinstance(gathered, np.ndarray):  # the cell route: residual sums per (vec row, question) cell
-        Q = params.easiness.shape[0]
-        W = np.bincount(gathered, weights=w, minlength=len(params.vec) * Q).reshape(len(params.vec), Q)
-        g = {"ability": np.bincount(s_idx, weights=w, minlength=params.ability.shape[0]), "easiness": W.sum(axis=0)}
-        if eps is not None:
-            g["ability_rho"] = g["ability"] * eps[0]
-        g["vec"], g["demand"] = W @ params.demand, W.T @ params.vec
-        if eps is not None:
-            g["vec_rho"] = g["vec"] * eps[1]
-        return g
     g = {}
     for name, part, idx, weights in row_terms(params, s_idx, q_idx, w, gathered, eps):
         like = getattr(params, name.removesuffix("_rho"))

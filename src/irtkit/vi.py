@@ -22,6 +22,11 @@ kinds' Params, holding the rhos beside the means; initialisation
 are the point kinds' own. The plug-in prediction is the one VI predictor:
 a cell's logit is Gaussian under the posterior, with the plug-in logit as
 its mean, so E[sigmoid(z)] makes the same 0.5 decision.
+
+The ELBO's cell route (models.class_cells) is written here, on rows
+grouped by student: abilities repeated over each student's rows plus a
+(class, question) table gathered by cell, label sums for the y terms,
+exp(z - softplus(z)) for the residual and np.add.reduceat for its sums.
 """
 
 from __future__ import annotations
@@ -31,9 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .models import (CLASS_INTERACTION_VI, FAMILY, VI_KINDS, Params, class_cells, grad_scatter, logits,
-                     predict_proba_array, question_rows, require_count, require_positive, sigmoid, softplus,
-                     vec_rows)
+from .models import (CLASS_INTERACTION_VI, FAMILY, VI_KINDS, Params, check_shapes, class_cells, grad_scatter,
+                     logits, predict_proba_array, question_rows, require_count, require_positive, sigmoid, softplus,
+                     tensor_table, vec_rows)
 from .optim import TrainingDiverged, TrainReport, init_params
 
 
@@ -75,11 +80,23 @@ def _draw_eps(params: Params, M: int, rng):
 
 
 def _responses(kind: str, data: Dataset):
-    """What every ELBO evaluation on data reads: student, question and vec row indices, cells, and y."""
+    """What every ELBO evaluation on data reads: (s_idx, q_idx, vec rows, None, float y) on the row route.
+
+    On the cell route, (None, None, None, cell data, None): the rows' cells grouped by student (a stable argsort
+    groups rows not already grouped, unlike synthetic sets, their subsamples and splits), each student's row
+    count, the first row of each student with rows, and the label sums per student and per cell.
+    """
     s_idx, q_idx = data.student_idx, data.question_idx
     rows = vec_rows(kind, s_idx, data.class_of)
     cells = class_cells(kind, rows, q_idx, data.num_classes, data.num_questions)
-    return s_idx, q_idx, rows, cells, data.y.astype(np.float64)
+    if cells is None:
+        return s_idx, q_idx, rows, None, data.y.astype(np.float64)
+    y_cell = np.bincount(cells, data.y, data.num_classes * data.num_questions)   # before cells leave row order
+    if np.any(s_idx[1:] < s_idx[:-1]):
+        cells = cells[np.argsort(s_idx, kind="stable")]
+    counts = np.bincount(s_idx, minlength=data.num_students)
+    starts = (np.cumsum(counts) - counts)[counts > 0]
+    return None, None, None, (cells, counts, starts, np.bincount(s_idx, data.y, data.num_students), y_cell), None
 
 
 def _elbo_core(params: Params, responses, eps_ability, eps_vec, want_grads: bool):
@@ -87,14 +104,13 @@ def _elbo_core(params: Params, responses, eps_ability, eps_vec, want_grads: bool
 
     The likelihood part is averaged over the M reparameterized samples,
     each scored by the shared logits kernel on question rows gathered
-    once (none on the cell route, which scores a per-sample cell table
-    and takes easiness and both sigma gradients from it and the mean
-    gradients); per-sample residuals y - sigma(z) propagate to mu via the
-    identity path, to sigma via the eps factor (then through the
-    softplus chain rule), and to the question point tensors directly.
+    once, or on the cell route by the kernel below; per-sample residuals
+    y - sigma(z) propagate to mu via the identity path, to sigma via the
+    eps factor (then through the softplus chain rule), and to the
+    question point tensors directly (on the cell route, through W).
     """
     M = eps_ability.shape[0]
-    s_idx, q_idx, rows, cells, y = responses
+    s_idx, q_idx, rows, cell_data, y = responses
     D = params.dims
     family = FAMILY[params.kind]
 
@@ -103,21 +119,39 @@ def _elbo_core(params: Params, responses, eps_ability, eps_vec, want_grads: bool
     sig_v = softplus(params.vec_rho) if D else None
     vec_samp = draw_latent(params.vec, params.vec_rho, eps_vec) if D else None  # (M, C|S, D)
 
-    grads = None
-    if want_grads:
-        grads = {name: np.zeros_like(arr) for name, arr in params.tensors().items()}
+    grads = {name: np.zeros_like(arr) for name, arr in params.tensors().items()} if want_grads else None
 
-    q_rows = question_rows(params, q_idx) if cells is None else None
     loglik = 0.0
-    for m in range(M):
-        sample = Params(ability_samp[m], params.easiness, vec_samp[m] if D else None, params.demand, kind=family)
-        z, gathered = logits(sample, s_idx, q_idx, rows, q_rows, cells)
-        e = np.exp(-np.abs(z))
-        loglik += float(np.sum(y * z - softplus(z, e)))
-        if want_grads:
-            eps = (eps_ability[m], eps_vec[m] if D else None)
-            for name, g in grad_scatter(sample, s_idx, q_idx, y - sigmoid(z, e), gathered, eps).items():
-                grads[name] += g
+    if cell_data is None:
+        q_rows = question_rows(params, q_idx)
+        for m in range(M):
+            sample = Params(ability_samp[m], params.easiness, vec_samp[m] if D else None, params.demand, kind=family)
+            z, gathered = logits(sample, s_idx, q_idx, rows, q_rows)
+            e = np.exp(-np.abs(z))
+            loglik += float(np.sum(y * z - softplus(z, e)))
+            if want_grads:
+                eps = (eps_ability[m], eps_vec[m] if D else None)
+                for name, g in grad_scatter(sample, s_idx, q_idx, y - sigmoid(z, e), gathered, eps).items():
+                    grads[name] += g
+    else:
+        cells, counts, starts, y_student, y_cell = cell_data
+        for m, (ability, vec) in enumerate(zip(ability_samp, vec_samp)):
+            table = (params.easiness + vec @ params.demand.T).ravel()   # (C * Q,) cell logits less ability
+            z = table.take(cells)
+            z += np.repeat(ability, counts)
+            sp = softplus(z)
+            loglik += float(y_student @ ability + y_cell @ table - np.sum(sp))
+            if want_grads:
+                z -= sp
+                p = np.exp(z, out=z)   # sigmoid(z); z - softplus(z) <= 0, so it cannot overflow
+                g_ability = y_student.copy()
+                g_ability[counts > 0] -= np.add.reduceat(p, starts)   # a student without rows has no segment
+                W = (y_cell - np.bincount(cells, p, y_cell.size)).reshape(-1, params.easiness.size)
+                g_vec = W @ params.demand
+                for name, g in (("ability", g_ability), ("ability_rho", g_ability * eps_ability[m]),
+                                ("easiness", W.sum(axis=0)), ("vec", g_vec), ("vec_rho", g_vec * eps_vec[m]),
+                                ("demand", W.T @ vec)):
+                    grads[name] += g
     loglik /= M
 
     kl = float(np.sum(_kl_to_prior(params.ability, sig_a)))
@@ -138,6 +172,8 @@ def _elbo_core(params: Params, responses, eps_ability, eps_vec, want_grads: bool
 
 def elbo_mc(params: Params, data: Dataset, M: int, seed: int, want_grads: bool = False):
     """Monte Carlo ELBO estimate and, with want_grads, its gradients (else None); the noise depends on seed alone."""
+    check_shapes(params, tensor_table(params.kind, params.dims, data.num_students, data.num_questions,
+                                      data.num_classes), "params")
     eps_ability, eps_vec = _draw_eps(params, M, np.random.default_rng(seed))
     return _elbo_core(params, _responses(params.kind, data), eps_ability, eps_vec, want_grads)
 

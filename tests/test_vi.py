@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from irtkit import vi
 from irtkit.data import dataset_from_arrays
-from irtkit.models import (FAMILY, VI_KINDS, Params, class_cells, inv_softplus, predict_proba_array, softplus,
-                           tensor_table, vec_rows)
-from irtkit.optim import TrainingDiverged, nll
+from irtkit.models import (FAMILY, VI_KINDS, Params, class_cells, inv_softplus, predict_proba_array, sigmoid,
+                           softplus, tensor_table, vec_rows)
+from irtkit.optim import TrainingDiverged, init_params, nll
 from irtkit.synth import SynthConfig, generate_synthetic
 from irtkit.vi import (
     VIConfig,
@@ -144,6 +144,27 @@ class TestElboMc:
         assert elbo_mc(params, data, M=7, seed=11)[0] == elbo_mc(params, data, M=7, seed=11)[0]
 
 
+class TestElboMcShapes:
+    """elbo_mc refuses params of another index with one ValueError naming the tensor, on both routes."""
+
+    @pytest.mark.parametrize("kind, responses, students, classes, tensor", [
+        ("interaction-vi", None, 65, 3, "ability"),
+        ("interaction-vi", None, 55, 3, "ability"),
+        *[("class-interaction-vi", responses, students, classes, tensor)
+          for responses in (18, None)   # 3 classes x 6 questions = 18 cells: the row route, then the cell route
+          for students, classes, tensor in ((65, 3, "ability"), (55, 3, "ability"), (60, 2, "vec"))],
+    ])
+    def test_params_of_another_index_rejected(self, kind, responses, students, classes, tensor):
+        data, _ = generate_synthetic(SynthConfig(students=60, questions=6, dims=2, num_classes=3, seed=1))
+        if responses is not None:
+            data = data.select(np.arange(responses))
+        assert (vi._responses(kind, data)[3] is None) == (responses is not None or kind == "interaction-vi")
+        params = init_params(kind, 2, students, data.num_questions, classes, np.random.default_rng(0), 0.1, 0.8)
+        for want_grads in (False, True):
+            with pytest.raises(ValueError, match=rf"^params shape mismatch for {tensor}: expected "):
+                elbo_mc(params, data, M=2, seed=0, want_grads=want_grads)
+
+
 class TestElboGradients:
     def _class_data(self):
         s_idx = np.array([0, 0, 1, 1, 2, 2])
@@ -250,6 +271,26 @@ class TestElboCoreMatchesPerSampleOracle:
 
     @given(_vi_instance(), st.booleans())
     def test_same_bits_as_per_sample_reference(self, instance, want_grads):
+        self._assert_matches_oracle(instance, want_grads)
+
+    def test_silent_student_on_the_cell_route(self):
+        """Student 2 of 5 answers nothing, between students whose rows interleave: its segment is
+        empty, which np.add.reduceat would fill with its neighbour's first row."""
+        rng = np.random.default_rng(3)
+        s_idx, q_idx = np.tile([3, 0, 4, 1], 3), np.repeat([0, 1, 2], 4)   # 12 rows against 2 x 3 = 6 cells
+        data = dataset_from_arrays(s_idx, q_idx, rng.integers(0, 2, 12), class_of=np.array([0, 1, 0, 1, 0]))
+        params = Params(kind="class-interaction-vi", **{name: rng.normal(size=shape) for name, (_, shape)
+                                                        in tensor_table("class-interaction-vi", 2, 5, 3, 2).items()})
+        instance = params, data, rng.standard_normal((3, 5)), rng.standard_normal((3, 2, 2))
+        assert vi._responses(params.kind, data)[3] is not None
+        got = self._assert_matches_oracle(instance, True)
+        assert got["ability"][2] == -params.ability[2]
+        sigma = softplus(params.ability_rho[2])
+        assert got["ability_rho"][2] == -(sigma - 1.0 / sigma) * sigmoid(params.ability_rho[2])
+
+    @staticmethod
+    def _assert_matches_oracle(instance, want_grads):
+        """Assert _elbo_core matches per_sample_elbo_core as the class docstring says; return its gradients."""
         params, data, eps_ability, eps_vec = instance
         responses = vi._responses(params.kind, data)
         got_elbo, got = vi._elbo_core(params, responses, eps_ability, eps_vec, want_grads)
@@ -261,7 +302,7 @@ class TestElboCoreMatchesPerSampleOracle:
             assert abs(got_elbo - want_elbo) <= 1e-12 * abs(want_elbo)
         if not want_grads:
             assert got is None and want is None
-            return
+            return got
         assert list(got) == list(want)
         scale = max(float(np.max(np.abs(g))) for g in want.values())
         for name in want:
@@ -270,6 +311,7 @@ class TestElboCoreMatchesPerSampleOracle:
                 assert got[name].tobytes() == want[name].tobytes(), name
             else:
                 assert np.max(np.abs(got[name] - want[name])) <= 1e-12 * scale, name
+        return got
 
 
 @st.composite
@@ -390,11 +432,14 @@ class TestTrainVi:
     # another order, and again when that route took easiness from the
     # cell table and the ability sigma gradient from the ability gradient
     # (each final tensor within 4.5e-16 of its largest magnitude of the
-    # previous recording); the row-route digests did not move.
+    # previous recording), and a third time when that route scored its
+    # rows grouped by student, with label sums for the y terms and
+    # exp(z - softplus(z)) for the residual (within 3.0e-16); the
+    # row-route digests did not move.
     PINNED = {
         "rasch-vi": "6afdd53f9ea8efc91ea03ba13fc692514ea7389e6b7787e8dd63554b971c5316",
         "interaction-vi": "91b461eefb00509ca85ba144d0380cdee56083cb616565f86397e9a7a2489fed",
-        "class-interaction-vi": "e9de3a7a5662bad6bef5f2c24bc641ff6256d95e02a7a1e5db551f897f2b0219",
+        "class-interaction-vi": "46428f8ba2d3d6a39473e37c361fd0df7c502f47e0425259aec6f5a74de68504",
     }
 
     @staticmethod
