@@ -204,7 +204,7 @@ def logits(params: Params, s_idx, q_idx, rows=None, q_rows=None):
 
     q_rows = question_rows(params, q_idx) spares the question-side
     gathers when only the student side changes between calls.
-    Returns the logits and what the gradient scatter reuses: the vec
+    Returns the logits and what row_terms reuses: the vec
     rows with the gathered vec and demand rows, or None when D = 0.
     Those rows are as long as the index arrays, so a caller that needs
     only the logits should take [0] and let them go at once. When
@@ -225,13 +225,15 @@ def question_rows(params: Params, q_idx):
     return params.easiness[q_idx], _take_rows(params.demand, q_idx) if params.dims else None
 
 
-def row_terms(params: Params, s_idx, q_idx, w, gathered, eps=None):
+def row_terms(s_idx, q_idx, w, gathered, eps=None):
     """The row-route gradient of sum_n w[n] * z[n], one term at a time: (tensor name, part, rows, weights).
 
     A term adds weights[n] to row rows[n] of tensor[part] (the whole of a
-    1-D tensor, a column of a 2-D one); a tensor's gradient sums its terms.
-    gathered and eps are as grad_scatter takes them. grad_scatter sums the
-    terms by bincount, and optim.sgd_train's step scatters them by np.add.at.
+    1-D tensor, a column of a 2-D one); a tensor's gradient sums its terms:
+    vi._elbo_core sums them by bincount, optim.sgd_train's step by np.add.at.
+    gathered is what logits returned beside z. eps = (eps_ability, eps_vec),
+    the noise of a reparameterised sample mu + sigma * eps, adds the terms of
+    its sigmas ("ability_rho", "vec_rho"), before the d sigma / d rho factor.
     """
     yield "ability", ..., s_idx, w
     yield "easiness", ..., q_idx, w
@@ -247,23 +249,6 @@ def row_terms(params: Params, s_idx, q_idx, w, gathered, eps=None):
         yield "demand", col, q_idx, w * own[:, d]
         if eps is not None:
             yield "vec_rho", col, rows, w_dem * eps_own[:, d]
-
-
-def grad_scatter(params: Params, s_idx, q_idx, w, gathered, eps=None) -> dict:
-    """Gradient of sum_n w[n] * z[n] w.r.t. every tensor of params, by name.
-
-    gathered is what logits returned beside z. eps = (eps_ability,
-    eps_vec) is the noise of a reparameterised sample (params holding
-    mu + sigma * eps); it adds the gradients w.r.t. those sigmas under
-    "ability_rho" and "vec_rho", before the d sigma / d rho factor.
-    """
-    g = {}
-    for name, part, idx, weights in row_terms(params, s_idx, q_idx, w, gathered, eps):
-        like = getattr(params, name.removesuffix("_rho"))
-        if name not in g:
-            g[name] = np.empty_like(like)
-        g[name][part] = np.bincount(idx, weights=weights, minlength=len(like))
-    return g
 
 
 def predict_proba_array(params: Params, s_idx, q_idx, class_of=None) -> np.ndarray:

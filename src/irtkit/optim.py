@@ -177,7 +177,7 @@ def sgd_train(kind: str, data: Dataset, cfg: TrainConfig, dims: int = 1, warm_st
                     scale = 1.0
                 w = sigmoid(z) - (c & 1)
                 w *= -lr / scale
-                for name, part, idx, weights in row_terms(params, s_idx, q_idx, w, gathered):
+                for name, part, idx, weights in row_terms(s_idx, q_idx, w, gathered):
                     np.add.at(getattr(params, name)[part], idx, weights)
             flat *= scale
             scale = 1.0

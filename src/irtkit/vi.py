@@ -23,33 +23,29 @@ are the point kinds' own. The plug-in prediction is the one VI predictor:
 a cell's logit is Gaussian under the posterior, with the plug-in logit as
 its mean, so E[sigmoid(z)] makes the same 0.5 decision.
 
-The ELBO's cell route (models.class_cells) is written here, on rows
-grouped by student: abilities repeated over each student's rows plus a
-(class, question) table gathered by cell, label sums for the y terms,
+The ELBO's row route sums each sample's models.row_terms by bincount.
+Its cell route (models.class_cells) is written here, on rows grouped by
+student: abilities repeated over each student's rows plus a (class,
+question) table gathered by cell, label sums for the y terms,
 exp(z - softplus(z)) for the residual and np.add.reduceat for its sums.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import Dataset
-from .models import (CLASS_INTERACTION_VI, FAMILY, VI_KINDS, Params, check_shapes, class_cells, grad_scatter,
-                     logits, predict_proba_array, question_rows, require_count, require_positive, sigmoid, softplus,
-                     tensor_table, vec_rows)
+from .models import (CLASS_INTERACTION_VI, VI_KINDS, Params, check_shapes, class_cells, logits, predict_proba_array,
+                     question_rows, require_count, require_positive, row_terms, sigmoid, softplus, tensor_table,
+                     vec_rows)
 from .optim import TrainingDiverged, TrainReport, init_params
 
 
 def _kl_to_prior(mu, sigma):
     """KL(N(mu, sigma^2) || N(0, 1)), entry by entry: the one Gaussian KL kernel."""
     return -np.log(sigma) + (sigma**2 + mu**2) / 2.0 - 0.5
-
-
-def draw_latent(mu, rho, eps):
-    """Reparameterized draws mu + softplus(rho) * eps; eps may add leading draw axes."""
-    return mu + softplus(rho) * eps
 
 
 @dataclass
@@ -112,12 +108,11 @@ def _elbo_core(params: Params, responses, eps_ability, eps_vec, want_grads: bool
     M = eps_ability.shape[0]
     s_idx, q_idx, rows, cell_data, y = responses
     D = params.dims
-    family = FAMILY[params.kind]
 
     sig_a = softplus(params.ability_rho)
-    ability_samp = draw_latent(params.ability, params.ability_rho, eps_ability)  # (M, S)
+    ability_samp = params.ability + sig_a * eps_ability  # (M, S)
     sig_v = softplus(params.vec_rho) if D else None
-    vec_samp = draw_latent(params.vec, params.vec_rho, eps_vec) if D else None  # (M, C|S, D)
+    vec_samp = params.vec + sig_v * eps_vec if D else None  # (M, C|S, D)
 
     grads = {name: np.zeros_like(arr) for name, arr in params.tensors().items()} if want_grads else None
 
@@ -125,14 +120,14 @@ def _elbo_core(params: Params, responses, eps_ability, eps_vec, want_grads: bool
     if cell_data is None:
         q_rows = question_rows(params, q_idx)
         for m in range(M):
-            sample = Params(ability_samp[m], params.easiness, vec_samp[m] if D else None, params.demand, kind=family)
+            sample = replace(params, ability=ability_samp[m], vec=vec_samp[m] if D else None)
             z, gathered = logits(sample, s_idx, q_idx, rows, q_rows)
             e = np.exp(-np.abs(z))
             loglik += float(np.sum(y * z - softplus(z, e)))
             if want_grads:
                 eps = (eps_ability[m], eps_vec[m] if D else None)
-                for name, g in grad_scatter(sample, s_idx, q_idx, y - sigmoid(z, e), gathered, eps).items():
-                    grads[name] += g
+                for name, part, idx, w in row_terms(s_idx, q_idx, y - sigmoid(z, e), gathered, eps):
+                    grads[name][part] += np.bincount(idx, w, len(grads[name]))
     else:
         cells, counts, starts, y_student, y_cell = cell_data
         for m, (ability, vec) in enumerate(zip(ability_samp, vec_samp)):
@@ -172,6 +167,9 @@ def _elbo_core(params: Params, responses, eps_ability, eps_vec, want_grads: bool
 
 def elbo_mc(params: Params, data: Dataset, M: int, seed: int, want_grads: bool = False):
     """Monte Carlo ELBO estimate and, with want_grads, its gradients (else None); the noise depends on seed alone."""
+    if params.kind not in VI_KINDS:
+        raise ValueError(f"elbo_mc needs the params of a VI kind, got {params.kind!r}")
+    require_count("seed", seed, 0)
     check_shapes(params, tensor_table(params.kind, params.dims, data.num_students, data.num_questions,
                                       data.num_classes), "params")
     eps_ability, eps_vec = _draw_eps(params, M, np.random.default_rng(seed))

@@ -11,8 +11,8 @@ Dataset of rows or the error naming their first offending row.
 
 The checkers are the exception: no run of the library calls them, and
 they call the library. finite_diff_check and elbo_finite_diff_check
-compare its analytic gradients (the NLL's through models.grad_scatter,
-whose row terms are the ones sgd_train's step scatters) with central
+compare its analytic gradients (the NLL's as models.row_terms summed by
+bincount, the terms sgd_train's step scatters) with central
 differences of its own objectives; sgd_reference is sgd_train's loop
 written plainly over the library's initialisation and logits, with the
 plain L2 step as its dense variant, and vi_reference train_vi's
@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 from scipy.special import expit, logsumexp
 
 from irtkit.data import Dataset, dataset_from_arrays
-from irtkit.models import Params, grad_scatter, logits, sigmoid, softplus, tensor_table, vec_rows
+from irtkit.models import Params, logits, row_terms, sigmoid, softplus, tensor_table, vec_rows
 from irtkit.optim import _SCALE_MIN, TrainingDiverged, copy_params, init_params, nll
 from irtkit.vi import _kl_to_prior, elbo_mc
 
@@ -286,9 +286,12 @@ def central_difference_error(objective, params, grads: dict, epsilon: float) -> 
 
 
 def _nll_grads(params, s_idx, q_idx, y, class_of) -> dict:
-    """Sum-over-batch gradient of the NLL through models.grad_scatter; residual r = sigma(z) - y."""
+    """Sum-over-batch gradient of the NLL: models.row_terms summed by bincount; residual r = sigma(z) - y."""
     z, gathered = logits(params, s_idx, q_idx, vec_rows(params.kind, s_idx, class_of))
-    return grad_scatter(params, s_idx, q_idx, sigmoid(z) - y, gathered)
+    g = {name: np.zeros_like(arr) for name, arr in params.tensors().items()}
+    for name, part, idx, w in row_terms(s_idx, q_idx, sigmoid(z) - y, gathered):
+        g[name][part] += np.bincount(idx, w, len(g[name]))
+    return g
 
 
 def grad_nll(params, batch: Dataset, l2_penalty: float = 0.0) -> Params:

@@ -6,18 +6,17 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irtkit import vi
 from irtkit.data import dataset_from_arrays
-from irtkit.models import (FAMILY, VI_KINDS, Params, class_cells, inv_softplus, predict_proba_array, sigmoid,
-                           softplus, tensor_table, vec_rows)
+from irtkit.models import (FAMILY, POINT_KINDS, VI_KINDS, Params, class_cells, inv_softplus, predict_proba_array,
+                           sigmoid, softplus, tensor_table, vec_rows)
 from irtkit.optim import TrainingDiverged, init_params, nll
 from irtkit.synth import SynthConfig, generate_synthetic
 from irtkit.vi import (
     VIConfig,
-    draw_latent,
     elbo_mc,
     predict_proba_vi_array,
     train_vi,
@@ -87,21 +86,17 @@ class TestKlGaussian:
 
 
 class TestReparameterize:
-    def test_zero_noise_returns_mean(self):
-        assert draw_latent(0.7, inv_softplus(1.3), 0.0) == 0.7
-
-    def test_arithmetic(self):
-        assert draw_latent(0.3, inv_softplus(2.0), 1.5) == pytest.approx(3.3, abs=1e-12)
-
-    def test_law_of_large_numbers(self):
-        eps = np.random.default_rng(2).standard_normal(10**6)
-        sample_mean = float(np.mean(draw_latent(0.25, inv_softplus(0.9), eps)))
-        assert abs(sample_mean - 0.25) <= 3 * 0.9 / 1e3
-
-    def test_sigma_transform_roundtrip(self):
-        for sigma in (1e-3, 0.1, 0.8, 1.0, 5.0, 40.0):
-            v = _rasch_vi_params([0.0], [sigma], [0.0])
-            assert v.ability_sigma[0] == pytest.approx(sigma, rel=1e-12)
+    @settings(deadline=None)
+    @given(sigma=st.floats(1e-300, 1e150))
+    @example(sigma=1e-3)
+    @example(sigma=0.1)
+    @example(sigma=0.8)
+    @example(sigma=1.0)
+    @example(sigma=5.0)
+    @example(sigma=40.0)
+    def test_sigma_transform_roundtrip(self, sigma):
+        v = _rasch_vi_params([0.0], [sigma], [0.0])
+        assert v.ability_sigma[0] == pytest.approx(sigma, rel=1e-12)
 
 
 class TestElboMc:
@@ -163,6 +158,25 @@ class TestElboMcShapes:
         for want_grads in (False, True):
             with pytest.raises(ValueError, match=rf"^params shape mismatch for {tensor}: expected "):
                 elbo_mc(params, data, M=2, seed=0, want_grads=want_grads)
+
+
+class TestElboMcInputs:
+    """elbo_mc refuses the params of a point kind, naming the kind, and a seed that is not a count."""
+
+    @pytest.mark.parametrize("want_grads", [False, True])
+    @pytest.mark.parametrize("kind", POINT_KINDS)
+    def test_point_kind_params_rejected(self, kind, want_grads):
+        data, _ = generate_synthetic(SynthConfig(students=60, questions=6, dims=2, num_classes=3, seed=1))
+        params = init_params(kind, 2, data.num_students, data.num_questions, data.num_classes,
+                             np.random.default_rng(0), 0.1)
+        with pytest.raises(ValueError, match=rf"^elbo_mc needs the params of a VI kind, got '{kind}'$"):
+            elbo_mc(params, data, M=2, seed=0, want_grads=want_grads)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_seed_not_a_count_rejected(self, seed):
+        params = _rasch_vi_params([0.3, -0.4], [0.9, 0.7], [0.2, -0.5, 0.1])
+        with pytest.raises(ValueError, match=rf"^seed must be an integer >= 0, got {seed}$"):
+            elbo_mc(params, _tiny_data(), M=2, seed=seed)
 
 
 class TestElboGradients:
