@@ -71,7 +71,8 @@ def make_pool_state(d: Dataset, pool_size: int, holdout_fraction: float = 0.2, s
     """
     if not 0 < holdout_fraction < 1:
         raise ValueError(f"holdout_fraction must be in (0, 1), got {holdout_fraction}")
-    if not 0 < pool_size < d.num_students:
+    require_count("pool_size", pool_size, 1)
+    if pool_size >= d.num_students:
         raise ValueError("pool_size must leave at least one base student")
     require_count("seed", seed, 0)
     answered = np.flatnonzero(np.bincount(d.student_idx, minlength=d.num_students))

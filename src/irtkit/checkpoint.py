@@ -18,7 +18,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .data import Dataset, dataset_from_arrays
+from .data import Dataset
 from .models import CLASS_INTERACTION, FAMILY, RASCH, Params, check_shapes, inv_softplus, softplus, tensor_table
 
 FORMAT = "irtkit-checkpoint"
@@ -170,7 +170,8 @@ def load_checkpoint(path: str) -> tuple[Params, Dataset]:
                 raise ValueError(f"{path}: tensor {record!r} holds a sigma <= 0")
             values = np.asarray(inv_softplus(values))
         tensors[name] = values
-    return Params(kind=kind, **tensors), dataset_from_arrays((), (), (), class_of, *tables)
+    index = Dataset(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.int8), class_of, *tables)
+    return Params(kind=kind, **tensors), index
 
 
 _JSON_TYPES = {dict: "object", list: "array", int: "integer", str: "string"}

@@ -6,9 +6,11 @@ strictly more than half the available marks; the loaders check each
 block's marks and keep only that 0/1 outcome, beside the id codes (25
 bytes a response while a file loads). A loader returns a Dataset, once
 `build_dataset`'s row checks pass: it keeps each student's class in
-class_of, not each row's, so 17 bytes a response. Everything downstream
-works on the sparse triplet layout (student index, question index,
-outcome).
+class_of, not each row's, so 17 bytes a response. A Dataset is built
+two ways: `build_dataset` checks a file's columns, and the constructor
+takes columns that are already valid (the synthetic generator's, a
+checkpoint's index). Everything downstream works on the sparse triplet
+layout (student index, question index, outcome).
 
 CSV files are read and written as columns, so no Python object is kept
 per row. A loader first tries the byte path: one numpy scan finds the
@@ -513,28 +515,6 @@ def build_dataset(student_idx, question_idx, class_idx, y, student_ids, question
                          f"question {question_ids[question_idx[first_repeat]]!r}")
     return Dataset(student_idx=student_idx, question_idx=question_idx, y=y, class_of=class_of,
                    student_ids=student_ids, question_ids=question_ids, class_ids=class_ids)
-
-
-def dataset_from_arrays(
-    student_idx, question_idx, y, class_of, student_ids=None, question_ids=None, class_ids=None
-) -> Dataset:
-    """Assemble a Dataset from already-dense index arrays (synthetic data path).
-
-    A missing id table is numbered s0, q0, c0, ... over every student of
-    class_of, every question index up to the largest, or every class up
-    to the largest.
-    """
-    class_of = np.asarray(class_of, dtype=np.int64)
-    question_idx = np.asarray(question_idx, dtype=np.int64)
-    if not student_ids:
-        student_ids = (f"s{i}" for i in range(class_of.size))
-    if not question_ids:
-        question_ids = (f"q{i}" for i in range(int(question_idx.max()) + 1 if question_idx.size else 0))
-    if not class_ids:
-        class_ids = (f"c{i}" for i in range(int(class_of.max()) + 1 if class_of.size else 0))
-    return Dataset(student_idx=np.asarray(student_idx, dtype=np.int64), question_idx=question_idx,
-                   y=np.asarray(y, dtype=np.int8), class_of=class_of, student_ids=tuple(student_ids),
-                   question_ids=tuple(question_ids), class_ids=tuple(class_ids))
 
 
 def _escaped(ids) -> np.ndarray:

@@ -10,7 +10,8 @@ interaction shares one vec row among the students of a class (owner is
 class_of). The variational twins (kinds ending in "-vi") hold the same
 tensors as means, plus transformed standard deviations (rhos) on the
 student side. The one container, Params, carries its kind, which fixes
-the tensors it holds (checked once, on construction). One container, one
+the tensors it holds: construction checks them once against the tensor
+table, the one statement of a kind's tensors. One container, one
 logits kernel, one gradient formula (row_terms) and one plug-in
 predictor serve all six kinds but for one route: full-data ELBO
 evaluations of class kinds with fewer (class, question) cells than
@@ -108,17 +109,9 @@ class Params:
     vec_rho: Optional[np.ndarray] = field(default=None, kw_only=True)      # like vec, VI kinds but rasch-vi
 
     def __post_init__(self):
-        if self.kind not in FAMILY:
-            raise ValueError(f"unknown model kind {self.kind!r}")
-        rasch = FAMILY[self.kind] == RASCH
-        if (self.vec is None) != rasch or (self.demand is None) != rasch:
-            held = "neither vec nor demand" if rasch else "both vec and demand"
-            raise ValueError(f"{self.kind} params must hold {held}")
-        vi = self.kind in VI_KINDS
-        if (self.ability_rho is None) == vi or (self.vec_rho is None) == (vi and not rasch):
-            held = "neither ability_rho nor vec_rho" if not vi else \
-                "ability_rho but not vec_rho" if rasch else "both ability_rho and vec_rho"
-            raise ValueError(f"{self.kind} params must hold {held}")
+        held = [name for name, value in vars(self).items() if name != "kind" and value is not None]
+        if set(held) != set(names := _tensor_names(self.kind)):
+            raise ValueError(f"{self.kind} params must hold exactly {', '.join(names)}; got {', '.join(held)}")
 
     @property
     def dims(self) -> int:
@@ -144,23 +137,28 @@ _RECORDS = {
 _VEC_STEM = {INTERACTION: "skill", CLASS_INTERACTION: "class_skill"}
 
 
+def _tensor_names(kind: str) -> list:
+    """The tensors a kind holds, in checkpoint order: rasch kinds hold no vec or demand, point kinds no rho."""
+    if kind not in FAMILY:
+        raise ValueError(f"unknown model kind {kind!r}")
+    return [name for name in _RECORDS[kind in VI_KINDS]
+            if FAMILY[kind] != RASCH or name.startswith(("ability", "easiness"))]
+
+
 def tensor_table(kind: str, dims: int, num_students: int, num_questions: int, num_classes: int) -> dict:
     """Name -> (checkpoint record name, shape) of every tensor of a kind.
 
     Entries come in checkpoint order, which is also the order in which
-    initialisation draws them. Rasch kinds ignore dims; others need dims >= 1.
+    initialisation draws them. Rasch kinds ignore dims; others need an integer dims >= 1.
     """
-    if kind not in FAMILY:
-        raise ValueError(f"unknown model kind {kind!r}")
-    family = FAMILY[kind]
-    if family != RASCH and dims < 1:
-        raise ValueError(f"{kind} requires dims >= 1, got {dims}")
+    names, family = _tensor_names(kind), FAMILY[kind]
+    if family != RASCH and (isinstance(dims, bool) or not isinstance(dims, Integral) or dims < 1):
+        raise ValueError(f"{kind} requires dims >= 1, got {dims!r}")
     rows = {INTERACTION: num_students, CLASS_INTERACTION: num_classes}.get(family)
     shapes = {"ability": (num_students,), "easiness": (num_questions,),
               "vec": (rows, dims), "demand": (num_questions, dims)}
-    return {name: (record.format(v=_VEC_STEM.get(family)), shapes[name.removesuffix("_rho")])
-            for name, record in _RECORDS[kind != family].items()
-            if rows is not None or name.startswith(("ability", "easiness"))}
+    return {name: (_RECORDS[kind in VI_KINDS][name].format(v=_VEC_STEM.get(family)), shapes[name.removesuffix("_rho")])
+            for name in names}
 
 
 def check_shapes(params: Params, table: dict, owner: str) -> None:

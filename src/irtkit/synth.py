@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Dataset, dataset_from_arrays
+from .data import Dataset
 from .models import require_count, require_nonnegative, sigmoid
 
 
@@ -102,10 +102,6 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[Dataset, dict]:
         keep = rng.random(S * Q) < cfg.keep_prob
         s_idx, q_idx, y_flat = s_idx[keep], q_idx[keep], y_flat[keep]
 
-    dataset = dataset_from_arrays(
-        s_idx, q_idx, y_flat, class_of,
-        student_ids=tuple(f"s{i}" for i in range(S)),
-        question_ids=tuple(f"q{i}" for i in range(Q)),
-        class_ids=class_ids,
-    )
-    return dataset, truth
+    return Dataset(student_idx=s_idx, question_idx=q_idx, y=y_flat, class_of=class_of,
+                   student_ids=tuple(f"s{i}" for i in range(S)), question_ids=tuple(f"q{i}" for i in range(Q)),
+                   class_ids=class_ids), truth

@@ -68,8 +68,6 @@ class VIConfig:
 
 def _draw_eps(params: Params, M: int, rng):
     """Noise draws in a fixed order so common random numbers line up."""
-    if M < 1:
-        raise ValueError("M must be >= 1")
     eps_ability = rng.standard_normal((M, params.ability.shape[0]))
     eps_vec = rng.standard_normal((M, *params.vec.shape)) if params.dims else None
     return eps_ability, eps_vec
@@ -169,6 +167,7 @@ def elbo_mc(params: Params, data: Dataset, M: int, seed: int, want_grads: bool =
     """Monte Carlo ELBO estimate and, with want_grads, its gradients (else None); the noise depends on seed alone."""
     if params.kind not in VI_KINDS:
         raise ValueError(f"elbo_mc needs the params of a VI kind, got {params.kind!r}")
+    require_count("M", M, 1)
     require_count("seed", seed, 0)
     check_shapes(params, tensor_table(params.kind, params.dims, data.num_students, data.num_questions,
                                       data.num_classes), "params")

@@ -18,7 +18,8 @@ written plainly over the library's initialisation and logits, with the
 plain L2 step as its dense variant, and vi_reference train_vi's
 over its initialisation and per_sample_elbo_core; kl_gaussian is the
 general two-Gaussian KL over vi._kl_to_prior, and log_loss the mean log
-loss of predictions.
+loss of predictions. dataset_from_arrays, the tests' Dataset of dense
+index arrays with numbered id tables, calls the Dataset constructor.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from hypothesis import strategies as st
 from scipy.special import expit, logsumexp
 
-from irtkit.data import Dataset, dataset_from_arrays
+from irtkit.data import Dataset
 from irtkit.models import Params, logits, row_terms, sigmoid, softplus, tensor_table, vec_rows
 from irtkit.optim import _SCALE_MIN, TrainingDiverged, copy_params, init_params, nll
 from irtkit.vi import _kl_to_prior, elbo_mc
@@ -503,6 +504,28 @@ def choice_per_group(rng, sizes, ks) -> list:
 def cells(rows) -> list:
     """What a loader must give for rows: their marks binarized on Python ints, y = 1 iff 2 * awarded > available."""
     return [Cell(r.student_id, r.question_id, r.class_id, int(2 * r.marks_awarded > r.marks_available)) for r in rows]
+
+
+def dataset_from_arrays(
+    student_idx, question_idx, y, class_of, student_ids=None, question_ids=None, class_ids=None
+) -> Dataset:
+    """Assemble a Dataset from already-dense index arrays, as the tests build one.
+
+    A missing id table is numbered s0, q0, c0, ... over every student of
+    class_of, every question index up to the largest, or every class up
+    to the largest.
+    """
+    class_of = np.asarray(class_of, dtype=np.int64)
+    question_idx = np.asarray(question_idx, dtype=np.int64)
+    if not student_ids:
+        student_ids = (f"s{i}" for i in range(class_of.size))
+    if not question_ids:
+        question_ids = (f"q{i}" for i in range(int(question_idx.max()) + 1 if question_idx.size else 0))
+    if not class_ids:
+        class_ids = (f"c{i}" for i in range(int(class_of.max()) + 1 if class_of.size else 0))
+    return Dataset(student_idx=np.asarray(student_idx, dtype=np.int64), question_idx=question_idx,
+                   y=np.asarray(y, dtype=np.int8), class_of=class_of, student_ids=tuple(student_ids),
+                   question_ids=tuple(question_ids), class_ids=tuple(class_ids))
 
 
 def dataset_of(rows, index: Dataset | None = None) -> Dataset | str:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from irtkit.cli import dispatch
-from irtkit.data import dataset_from_arrays, split_train_test
+from irtkit.data import split_train_test
 from irtkit.experiments import active_vs_random, low_data_sweep, recovery_run
 from irtkit.metrics import cosine_similarity_matrix
 from irtkit.models import Params, predict_proba_array, sigmoid
@@ -20,6 +20,7 @@ from irtkit.optim import init_params, nll
 from irtkit.vi import VIConfig, train_vi
 
 from oracles import (
+    dataset_from_arrays,
     elbo_finite_diff_check,
     exact_elbo_class_vi,
     exact_elbo_rasch_vi,

@@ -13,9 +13,10 @@ from irtkit.active import (
     run_active_loop,
     select_next,
 )
-from irtkit.data import dataset_from_arrays
 from irtkit.optim import TrainConfig
 from irtkit.synth import SynthConfig, generate_synthetic
+
+from oracles import dataset_from_arrays
 
 
 def _pick(probabilities: dict, already_revealed: set) -> int:
@@ -118,6 +119,11 @@ class TestMakePoolState:
         data, _ = _small_world()
         with pytest.raises(ValueError):
             make_pool_state(data, pool_size=60, seed=0)
+
+    @pytest.mark.parametrize("pool_size", [2.5, True])
+    def test_pool_size_not_a_count_rejected(self, pool_size):
+        with pytest.raises(ValueError, match=rf"^pool_size must be an integer >= 1, got {pool_size}$"):
+            make_pool_state(_small_world()[0], pool_size=pool_size, seed=0)
 
     @pytest.mark.parametrize("fraction", [float("nan"), -1.0, 0.0, 1.0, 1.5])
     def test_holdout_fraction_outside_unit_interval_rejected(self, fraction):

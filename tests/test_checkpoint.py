@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 
 from irtkit import checkpoint
 from irtkit.checkpoint import VERSION, align_rows_to_checkpoint, load_checkpoint, save_checkpoint
-from irtkit.data import build_dataset, dataset_from_arrays, load_binary_csv, write_binary_csv
+from irtkit.data import build_dataset, load_binary_csv, write_binary_csv
 from irtkit.optim import TrainConfig, init_params, sgd_train
 from irtkit.models import VI_KINDS, Params, inv_softplus, predict_proba_array, softplus
 from irtkit.synth import SynthConfig, generate_synthetic
 from irtkit.vi import VIConfig, train_vi
 
-from oracles import IDS, Row, responses
+from oracles import IDS, Row, dataset_from_arrays, responses
 
 
 def _dataset():
@@ -354,11 +354,14 @@ def test_params_lacking_or_holding_extra_tensors_rejected():
     data = _dataset()
     point = init_params("interaction", 2, data.num_students, data.num_questions, data.num_classes,
                         np.random.default_rng(1), 0.5)
-    with pytest.raises(ValueError, match="interaction params must hold both vec and demand"):
+    with pytest.raises(ValueError, match="^interaction params must hold exactly ability, easiness, vec, demand; "
+                                         "got ability, easiness$"):
         Params(point.ability, point.easiness, kind="interaction")
-    with pytest.raises(ValueError, match="rasch params must hold neither vec nor demand"):
+    with pytest.raises(ValueError, match="^rasch params must hold exactly ability, easiness; "
+                                         "got ability, easiness, vec, demand$"):
         Params(point.ability, point.easiness, point.vec, point.demand, kind="rasch")
-    with pytest.raises(ValueError, match="rasch-vi params must hold ability_rho"):
+    with pytest.raises(ValueError, match="^rasch-vi params must hold exactly ability, ability_rho, easiness; "
+                                         "got ability, easiness$"):
         Params(point.ability, point.easiness, kind="rasch-vi")
 
 

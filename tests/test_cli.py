@@ -725,6 +725,66 @@ def test_train_exits_0_or_1_with_one_error_line(tiny_synth, lr, l2, init_scale, 
             path.unlink()
 
 
+def _holds_the_failure_contract(*argv, out=None):
+    """Run argv (with --out out, when given) in-process: exit 0 with out written and nothing on stderr, or exit 1
+    with one `error:` line, no stdout and no out; numpy warns of nothing either way. Removes what the run wrote."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    try:
+        with warnings.catch_warnings(record=True) as caught, redirect_stdout(stdout), redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            code = dispatch([*argv, *(["--out", str(out)] if out else [])])
+        assert not caught, [str(w.message) for w in caught]
+        if code == 0:
+            assert stderr.getvalue() == "" and (out is None or out.exists())
+        else:
+            assert code == 1 and stdout.getvalue() == "" and (out is None or not out.exists())
+            assert re.fullmatch(r"error: \S[^\n]*\n", stderr.getvalue()), stderr.getvalue()
+    finally:
+        for path in out.parent.glob(f"{out.name}*") if out else ():
+            path.unlink()
+
+
+@settings(max_examples=450, deadline=None)
+@given(lr=st.sampled_from(_EDGES + ("0.05",)), sigma_init=st.sampled_from(_EDGES + ("0.8",)),
+       samples=st.integers(0, 2), epochs=st.integers(0, 2))
+def test_train_vi_exits_0_or_1_with_one_error_line(tiny_synth, lr, sigma_init, samples, epochs):
+    _holds_the_failure_contract("train-vi", "--data", str(tiny_synth / "data.csv"), "--model", "interaction-vi",
+                                "--lr", lr, "--sigma-init", sigma_init, "--samples", str(samples),
+                                "--epochs", str(epochs), out=tiny_synth / "v.json")
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tiny_synth):
+    """tiny_synth's folder, also holding ck.json, a 1-epoch class-interaction fit on its data.csv."""
+    assert dispatch(["train", "--data", str(tiny_synth / "data.csv"), "--model", "class-interaction",
+                     "--epochs", "1", "--out", str(tiny_synth / "ck.json")]) == 0
+    return tiny_synth
+
+
+@settings(max_examples=10, deadline=None)
+@given(threshold=st.sampled_from(_EDGES + ("0.5", "1", "2")))
+def test_eval_exits_0_or_1_with_one_error_line(tiny_checkpoint, threshold):
+    _holds_the_failure_contract("eval", "--checkpoint", str(tiny_checkpoint / "ck.json"),
+                                "--data", str(tiny_checkpoint / "data.csv"), "--threshold", threshold,
+                                out=tiny_checkpoint / "e.json")
+
+
+@settings(max_examples=120, deadline=None)
+@given(x1=st.integers(-1, 2), n1=st.integers(-1, 2), alpha=st.sampled_from(_EDGES + ("0.05",)))
+def test_significance_exits_0_or_1_with_one_error_line(x1, n1, alpha):
+    _holds_the_failure_contract("significance", "--x1", str(x1), "--n1", str(n1), "--x2", "40", "--n2", "100",
+                                "--alpha", alpha)
+
+
+@settings(max_examples=450, deadline=None)
+@given(holdout=st.sampled_from(_EDGES + ("0.2",)), pool_size=st.sampled_from((0, 1, 20, 59, 60)),
+       batch=st.integers(0, 2), rounds=st.integers(-1, 2))
+def test_active_exits_0_or_1_with_one_error_line(tiny_synth, holdout, pool_size, batch, rounds):
+    _holds_the_failure_contract("active", "--data", str(tiny_synth / "data.csv"), "--policy", "uncertainty",
+                                "--holdout-fraction", holdout, "--pool-size", str(pool_size), "--batch", str(batch),
+                                "--rounds", str(rounds), out=tiny_synth / "a.csv")
+
+
 _INGEST_TRAIN_EVAL = """
 import json, sys
 from irtkit.cli import dispatch

@@ -21,7 +21,6 @@ from irtkit.data import (
     ParseError,
     build_dataset,
     choice_per_group,
-    dataset_from_arrays,
     load_binary_csv,
     load_raw_csv,
     split_train_test,
@@ -30,7 +29,7 @@ from irtkit.data import (
 )
 
 import oracles
-from oracles import IDS, Row, cells, csv_writer_binary_csv, responses, rows_of
+from oracles import IDS, Row, cells, csv_writer_binary_csv, dataset_from_arrays, responses, rows_of
 
 RAW_HEADER = "student_id,question_id,class_id,marks_awarded,marks_available\n"
 

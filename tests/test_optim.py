@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irtkit import optim
-from irtkit.data import dataset_from_arrays
 from irtkit.models import POINT_KINDS, Params, logits, softplus, tensor_table, vec_rows
 from irtkit.optim import (
     _NLL_CHUNK,
@@ -27,7 +26,8 @@ from irtkit.optim import (
 
 from irtkit.vi import VIConfig, train_vi
 
-from oracles import finite_diff_check, grad_nll, gradient_instances, grid_search_rasch_nll, sgd_reference
+from oracles import (dataset_from_arrays, finite_diff_check, grad_nll, gradient_instances, grid_search_rasch_nll,
+                     sgd_reference)
 
 
 def _single_obs(y):
@@ -228,6 +228,18 @@ class TestSgdTrain:
         b, _ = sgd_train("interaction", data, cfg, dims=2)
         assert np.array_equal(a.vec, b.vec)
         assert np.array_equal(a.easiness, b.easiness)
+
+    @pytest.mark.parametrize("dims", [1.5, 2.0, True])
+    def test_dims_not_an_integer_rejected(self, dims):
+        _, data = _random_instance("interaction", 2, 6, 5, 1, seed=7)
+        with pytest.raises(ValueError, match=rf"^interaction requires dims >= 1, got {dims!r}$"):
+            sgd_train("interaction", data, TrainConfig(epochs=1), dims=dims)
+
+    def test_numpy_integer_dims_trains_as_the_int(self):
+        _, data = _random_instance("interaction", 2, 6, 5, 1, seed=7)
+        a, _ = sgd_train("interaction", data, TrainConfig(epochs=2), dims=np.int64(2))
+        b, _ = sgd_train("interaction", data, TrainConfig(epochs=2), dims=2)
+        assert a.dims == 2 and all(np.array_equal(a.tensors()[k], v) for k, v in b.tensors().items())
 
     def test_divergence_names_the_epoch(self):
         # product terms overflow under an absurd learning rate; the plain

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irtkit import vi
-from irtkit.data import dataset_from_arrays
 from irtkit.models import (FAMILY, POINT_KINDS, VI_KINDS, Params, class_cells, inv_softplus, predict_proba_array,
                            sigmoid, softplus, tensor_table, vec_rows)
 from irtkit.optim import TrainingDiverged, init_params, nll
@@ -22,8 +21,9 @@ from irtkit.vi import (
     train_vi,
 )
 
-from oracles import (elbo_finite_diff_check, exact_elbo_rasch_vi, expected_sigmoid, gradient_instances, kl_gaussian,
-                     log_evidence_rasch, log_loss, mc_kl_estimate, per_sample_elbo_core, vi_reference)
+from oracles import (dataset_from_arrays, elbo_finite_diff_check, exact_elbo_rasch_vi, expected_sigmoid,
+                     gradient_instances, kl_gaussian, log_evidence_rasch, log_loss, mc_kl_estimate,
+                     per_sample_elbo_core, vi_reference)
 
 
 def _tiny_data():
@@ -161,7 +161,7 @@ class TestElboMcShapes:
 
 
 class TestElboMcInputs:
-    """elbo_mc refuses the params of a point kind, naming the kind, and a seed that is not a count."""
+    """elbo_mc refuses the params of a point kind, naming the kind, and a seed or sample count that is not a count."""
 
     @pytest.mark.parametrize("want_grads", [False, True])
     @pytest.mark.parametrize("kind", POINT_KINDS)
@@ -177,6 +177,12 @@ class TestElboMcInputs:
         params = _rasch_vi_params([0.3, -0.4], [0.9, 0.7], [0.2, -0.5, 0.1])
         with pytest.raises(ValueError, match=rf"^seed must be an integer >= 0, got {seed}$"):
             elbo_mc(params, _tiny_data(), M=2, seed=seed)
+
+    @pytest.mark.parametrize("M", [1.5, True])
+    def test_sample_count_not_a_count_rejected(self, M):
+        params = _rasch_vi_params([0.3, -0.4], [0.9, 0.7], [0.2, -0.5, 0.1])
+        with pytest.raises(ValueError, match=rf"^M must be an integer >= 1, got {M}$"):
+            elbo_mc(params, _tiny_data(), M=M, seed=0)
 
 
 class TestElboGradients:
@@ -204,7 +210,7 @@ class TestElboGradients:
     @pytest.mark.parametrize("M", [0, -2])
     def test_elbo_grad_rejects_fewer_than_one_sample(self, M):
         params = _rasch_vi_params([0.3, -0.4], [0.9, 0.7], [0.2, -0.5, 0.1])
-        with pytest.raises(ValueError, match="M must be >= 1"):
+        with pytest.raises(ValueError, match="^M must be an integer >= 1"):
             elbo_mc(params, _tiny_data(), M=M, seed=0, want_grads=True)
 
     def test_class_interaction_vi_gradient(self):
@@ -388,6 +394,12 @@ class TestTrainVi:
         for kind in ("interaction-vi", "class-interaction-vi"):
             with pytest.raises(ValueError, match=f"{kind} requires dims >= 1, got 0"):
                 train_vi(kind, _tiny_data(), cfg, dims=0)
+
+    @pytest.mark.parametrize("dims", [1.5, 2.0, True])
+    def test_interaction_vi_with_non_integer_dims_rejected(self, dims):
+        for kind in ("interaction-vi", "class-interaction-vi"):
+            with pytest.raises(ValueError, match=rf"^{kind} requires dims >= 1, got {dims!r}$"):
+                train_vi(kind, _tiny_data(), VIConfig(samples=2, epochs=1), dims=dims)
 
     def test_converged_elbo_stays_below_log_evidence(self):
         data = _tiny_data()
